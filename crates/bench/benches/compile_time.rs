@@ -1,6 +1,7 @@
 //! Compiler-stage bench (supplementary): how long each stage of the
 //! limpetMLIR pipeline takes — frontend, lowering, optimization passes,
-//! vectorization, and bytecode emission — on a small and a large model.
+//! vectorization, bytecode emission, and LUT tabulation — on a small and a
+//! large model.
 //! The paper's flow runs at model-build time, so compile speed bounds the
 //! edit-run loop of model developers.
 //!
@@ -42,6 +43,11 @@ fn bench(c: &mut Criterion) {
         let info = model_info(&model);
         g.bench_with_input(BenchmarkId::new("bytecode+luts", name), &(), |b, ()| {
             b.iter(|| Kernel::from_module(&module, &info).unwrap());
+        });
+        // The LUT half of the row above on its own: `eval_func` over every
+        // table key, the layer that dominates a cold compile's CPU time.
+        g.bench_with_input(BenchmarkId::new("lut_tabulate", name), &(), |b, ()| {
+            b.iter(|| limpet_vm::tabulate_luts(&module, &info).unwrap());
         });
 
         // Kernel acquisition, one row per cache tier: cold compile

@@ -63,6 +63,17 @@ impl CompiledKernel {
         model: &Model,
         config: PipelineKind,
     ) -> Result<CompiledKernel, CompileError> {
+        CompiledKernel::try_compile_opt(model, config, limpet_vm::bytecode_opt_enabled())
+    }
+
+    /// [`CompiledKernel::try_compile`] with the bytecode optimizer's
+    /// setting passed in, so a cache lookup compiles under the same value
+    /// it keyed the entry with (the process-wide toggle is read once).
+    fn try_compile_opt(
+        model: &Model,
+        config: PipelineKind,
+        opt: bool,
+    ) -> Result<CompiledKernel, CompileError> {
         let (mut module, mut pass_report) = config.try_build_with_report(model)?;
         if let Some(seed) = faults::take(FaultKind::VerifyFail) {
             faults::corrupt_module(&mut module, seed);
@@ -76,7 +87,6 @@ impl CompiledKernel {
             }
         }
         let info = model_info(model);
-        let opt = limpet_vm::bytecode_opt_enabled();
         let started = std::time::Instant::now();
         // Compile both the optimized and the raw program in one go; the
         // raw sibling shares the LUTs and is what the degradation ladder
@@ -486,12 +496,19 @@ impl KernelCache {
         model: &Model,
         config: PipelineKind,
     ) -> Result<Arc<CompiledKernel>, Arc<QuarantineEntry>> {
+        self.lookup(model, config, limpet_vm::bytecode_opt_enabled())
+    }
+
+    /// [`KernelCache::try_get_or_compile`] for an explicit bytecode-opt
+    /// setting: `opt` is part of the key and is what a miss compiles with.
+    fn lookup(
+        &self,
+        model: &Model,
+        config: PipelineKind,
+        opt: bool,
+    ) -> Result<Arc<CompiledKernel>, Arc<QuarantineEntry>> {
         let bypass = self.bypass.load(Ordering::Relaxed);
-        let key = (
-            model_fingerprint(model),
-            config,
-            limpet_vm::bytecode_opt_enabled(),
-        );
+        let key = (model_fingerprint(model), config, opt);
         if !bypass {
             if let Some(slot) = self.map_lock().get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -534,7 +551,7 @@ impl KernelCache {
         // Miss: compile without holding the lock, containing panics.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            CompiledKernel::try_compile(model, config)
+            CompiledKernel::try_compile_opt(model, config, opt)
         }))
         .unwrap_or_else(|payload| {
             let msg = payload
@@ -828,12 +845,12 @@ mod tests {
 
     #[test]
     fn bytecode_opt_toggle_is_part_of_the_key() {
+        // Through `lookup`, not `set_bytecode_opt`: the toggle is
+        // process-wide and the other tests here build keys from it.
         let cache = KernelCache::new();
         let m = model("Plonsey");
-        let optimized = cache.get_or_compile(&m, PipelineKind::Baseline);
-        limpet_vm::set_bytecode_opt(false);
-        let plain = cache.get_or_compile(&m, PipelineKind::Baseline);
-        limpet_vm::set_bytecode_opt(true);
+        let optimized = cache.lookup(&m, PipelineKind::Baseline, true).unwrap();
+        let plain = cache.lookup(&m, PipelineKind::Baseline, false).unwrap();
         assert!(
             !Arc::ptr_eq(&optimized, &plain),
             "ablation must not reuse the optimized entry"

@@ -989,6 +989,17 @@ mod tests {
     use crate::sim::{model_info, PipelineKind};
     use limpet_models::model;
 
+    /// Fault plans are process-global and every native build consumes
+    /// the armed ones, so each test that arms a fault *or* builds takes
+    /// this lock, and starts from nothing armed.
+    fn serialized() -> std::sync::MutexGuard<'static, ()> {
+        let guard = faults::TEST_SERIAL
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        faults::disarm_all();
+        guard
+    }
+
     fn scalar_kernel(name: &str) -> Kernel {
         let m = model(name);
         let module = PipelineKind::Baseline.build(&m);
@@ -1017,6 +1028,7 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
+        let _guard = serialized();
         let k = scalar_kernel("HodgkinHuxley");
         let registry = Arc::new(NativeRegistry::new());
         let slot = build_blocking(&registry, &k, "HodgkinHuxley", None).unwrap();
@@ -1053,10 +1065,7 @@ mod tests {
 
     #[test]
     fn injected_cc_failure_quarantines_with_incident() {
-        let _guard = faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
+        let _guard = serialized();
         faults::arm("cc-fail@1").unwrap();
         let k = scalar_kernel("Plonsey");
         let registry = Arc::new(NativeRegistry::new());
@@ -1071,10 +1080,7 @@ mod tests {
 
     #[test]
     fn hung_compile_times_out_quarantines_and_bytecode_continues() {
-        let _guard = faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
+        let _guard = serialized();
         faults::arm("compile-hang@1").unwrap();
         set_cc_timeout(Duration::from_millis(200));
         let k = scalar_kernel("Plonsey");
@@ -1118,10 +1124,7 @@ mod tests {
 
     #[test]
     fn watchdog_quarantine_by_model_lands_on_the_requested_slot() {
-        let _guard = faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
+        let _guard = serialized();
         // cc-fail keeps the build away from the real toolchain; the
         // watchdog quarantine below overwrites the slot either way.
         faults::arm("cc-fail@1").unwrap();
@@ -1157,10 +1160,7 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
-        let _guard = faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
+        let _guard = serialized();
         faults::arm("dlopen-fail@1").unwrap();
         let k = scalar_kernel("Plonsey");
         let registry = Arc::new(NativeRegistry::new());
@@ -1179,10 +1179,7 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
-        let _guard = faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
+        let _guard = serialized();
         faults::arm("native-divergent@1").unwrap();
         let dir = std::env::temp_dir().join(format!("limpet-native-quar-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1211,6 +1208,7 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
+        let _guard = serialized();
         let dir = std::env::temp_dir().join(format!("limpet-native-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let disk = Arc::new(crate::persist::DiskCache::open(&dir).unwrap());
@@ -1238,6 +1236,7 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
+        let _guard = serialized();
         let dir = std::env::temp_dir().join(format!("limpet-native-heal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let disk = Arc::new(crate::persist::DiskCache::open(&dir).unwrap());

@@ -864,9 +864,11 @@ fn decode_entry(bytes: &[u8], key: &EntryKey, model: &Model) -> Result<CompiledK
         limpet_vm::deserialize_program(main_text).map_err(|e| format!("bad main bytecode: {e}"))?;
     let raw_prog =
         limpet_vm::deserialize_program(raw_text).map_err(|e| format!("bad raw bytecode: {e}"))?;
-    let kernel = Kernel::from_parts(module.name(), main_prog, width, &info, luts.clone())
+    // As in a cold compile, the pair shares one copy of the tables.
+    let kernel = Kernel::from_parts(module.name(), main_prog, width, &info, luts)
         .map_err(|e| format!("main kernel rejected: {e}"))?;
-    let raw_kernel = Kernel::from_parts(module.name(), raw_prog, width, &info, luts)
+    let raw_kernel = kernel
+        .with_program(raw_prog)
         .map_err(|e| format!("raw kernel rejected: {e}"))?;
     let layout = storage_layout(&module);
     // The entry's provenance is visible in the pass report: a disk load

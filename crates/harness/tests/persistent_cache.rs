@@ -104,6 +104,15 @@ fn disk_hit_matches_cold_compile_bit_exactly() {
         cold_bits,
         "disk round-trip must be bit-identical to the cold compile"
     );
+    // Cold or loaded, the optimized/raw pair shares one copy of the
+    // tables (the same `Arc`, so the same slice address).
+    for entry in [&cold, &loaded] {
+        assert!(!entry.kernel().luts().is_empty(), "model tabulates");
+        assert!(
+            std::ptr::eq(entry.kernel().luts(), entry.raw_kernel().luts()),
+            "kernel() and raw_kernel() must share their LUT allocation"
+        );
+    }
 
     // The uncached reference agrees too — the persisted kernel is the
     // real thing, not merely self-consistent.

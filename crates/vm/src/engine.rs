@@ -13,7 +13,7 @@
 //! libm of the baseline).
 
 use crate::bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, Program};
-use crate::eval::{eval_func, ParamOnlyContext, Val};
+use crate::eval::{eval_func, EvalError, ParamOnlyContext, Val};
 use crate::lut::LutData;
 use crate::state::{CellStates, ExtArrays};
 use limpet_ir::{MathFn, Module};
@@ -130,6 +130,50 @@ pub struct Kernel {
     steps: Arc<AtomicU64>,
 }
 
+/// Tabulates every lookup table `module` declares by evaluating its
+/// `@lut_*` column function once per key (paper §3.4.2) — the step of
+/// [`Kernel::from_module`] that dominates a cold compile's CPU time.
+///
+/// # Errors
+///
+/// Returns [`CompileError`] when a column function fails to evaluate or
+/// yields a value that is not a float.
+pub fn tabulate_luts(module: &Module, info: &ModelInfo) -> Result<Vec<LutData>, CompileError> {
+    let mut ctx = ParamOnlyContext {
+        params: info.params.iter().cloned().collect(),
+    };
+    let mut luts = Vec::with_capacity(module.luts.len());
+    for spec in &module.luts {
+        let cols = spec.cols.len().max(1);
+        let mut error = None;
+        let table = LutData::build(
+            spec.lo,
+            spec.hi,
+            spec.step,
+            cols,
+            |key, out| match eval_func(module, &spec.func, &[Val::F(key)], &mut ctx) {
+                Ok(vals) => {
+                    for (o, v) in out.iter_mut().zip(vals) {
+                        match v {
+                            Val::F(x) => *o = x,
+                            other => error = Some(EvalError(format!("column value {other:?}"))),
+                        }
+                    }
+                }
+                Err(e) => error = Some(e),
+            },
+        );
+        if let Some(e) = error {
+            return Err(CompileError(format!(
+                "failed to evaluate @{}: {e}",
+                spec.func
+            )));
+        }
+        luts.push(table);
+    }
+    Ok(luts)
+}
+
 impl Kernel {
     /// Compiles a lowered module against the given model facts,
     /// precomputing all lookup tables.
@@ -189,36 +233,7 @@ impl Kernel {
             .map(|n| *param_map.get(n.as_str()).unwrap_or(&0.0))
             .collect();
 
-        // Precompute lookup tables by evaluating the @lut_* functions.
-        let mut ctx = ParamOnlyContext {
-            params: info.params.iter().cloned().collect(),
-        };
-        let mut luts = Vec::with_capacity(module.luts.len());
-        for spec in &module.luts {
-            let cols = spec.cols.len().max(1);
-            let mut error = None;
-            let table = LutData::build(
-                spec.lo,
-                spec.hi,
-                spec.step,
-                cols,
-                |key, out| match eval_func(module, &spec.func, &[Val::F(key)], &mut ctx) {
-                    Ok(vals) => {
-                        for (o, v) in out.iter_mut().zip(vals) {
-                            *o = v.f();
-                        }
-                    }
-                    Err(e) => error = Some(e),
-                },
-            );
-            if let Some(e) = error {
-                return Err(CompileError(format!(
-                    "failed to evaluate @{}: {e}",
-                    spec.func
-                )));
-            }
-            luts.push(table);
-        }
+        let luts = tabulate_luts(module, info)?;
 
         Ok((
             Kernel {
@@ -237,8 +252,9 @@ impl Kernel {
     /// Compiles the optimized and the unoptimized kernel of one module
     /// in a single call, sharing the lookup-table tabulation and
     /// parameter binding between them (tabulation evaluates the `@lut_*`
-    /// functions over thousands of keys — the expensive half of kernel
-    /// construction, and identical whichever way the toggle points).
+    /// functions over thousands of keys and holds megabytes per model, and
+    /// is identical whichever way the toggle points; for where a cold
+    /// compile's time goes, see DESIGN.md §11).
     /// Returns `(optimized, its stats, unoptimized)` — the pair
     /// differential opt-on/off comparisons and ablation benchmarks need.
     ///
@@ -252,12 +268,38 @@ impl Kernel {
         let (raw, _) = Kernel::from_module_opt(module, info, false)?;
         let mut program = (*raw.program).clone();
         let stats = crate::optimize::optimize_program(&mut program);
-        let opt = Kernel {
+        let opt = raw.with_program(program)?;
+        Ok((opt, stats, raw))
+    }
+
+    /// A sibling of this kernel running `program` instead: it shares the
+    /// lookup tables, model facts and parameter snapshot (one allocation
+    /// each, not a copy) and counts its own executed steps. This is how
+    /// the optimized/raw pair of one compilation is built, cold or off
+    /// disk.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError`] when `program` does not bind the same
+    /// state, external, parameter and table names in the same order —
+    /// the shared snapshot and tables are indexed by them.
+    pub fn with_program(&self, program: Program) -> Result<Kernel, CompileError> {
+        let mine = &*self.program;
+        let same_binding = program.state_vars == mine.state_vars
+            && program.ext_vars == mine.ext_vars
+            && program.params == mine.params
+            && program.lut_tables == mine.lut_tables;
+        if !same_binding {
+            return Err(CompileError(format!(
+                "program's symbol tables differ from kernel {}'s",
+                self.name
+            )));
+        }
+        Ok(Kernel {
             program: Arc::new(program),
             steps: Arc::new(AtomicU64::new(0)),
-            ..raw.clone()
-        };
-        Ok((opt, stats, raw))
+            ..self.clone()
+        })
     }
 
     /// Reassembles an executable kernel from persisted parts — the
@@ -979,7 +1021,7 @@ fn math_flops(f: MathFn) -> u64 {
 mod tests {
     use super::*;
     use crate::StateLayout;
-    use limpet_ir::{Builder, Func, Module};
+    use limpet_ir::{Builder, Func, Module, Type};
 
     /// Compiles a hand-built module into a kernel with states x, y.
     fn kernel(width: Option<u32>, build: impl FnOnce(&mut Builder<'_>)) -> Kernel {
@@ -1199,6 +1241,57 @@ mod tests {
         k.run_range(&mut st, &mut ext, None, ctx, 0, 8);
         assert_eq!(st.get(0, 0), 2.0);
         assert_eq!(st.get(8, 0), 1.0);
+    }
+
+    #[test]
+    fn non_float_lut_column_is_a_compile_error() {
+        let mut m = Module::new("t");
+        let mut f = Func::new("compute", &[], &[]);
+        Builder::new(&mut f).ret(&[]);
+        m.add_func(f);
+        // A column function that returns its comparison, not a float.
+        let mut lut = Func::new("lut_Vm", &[Type::F64], &[Type::I1]);
+        let key = lut.args()[0];
+        let mut b = Builder::new(&mut lut);
+        let zero = b.const_f(0.0);
+        let positive = b.cmpf(limpet_ir::CmpFPred::Ogt, key, zero);
+        b.ret(&[positive]);
+        m.add_func(lut);
+        m.luts.push(limpet_ir::LutSpec {
+            name: "Vm".into(),
+            lo: -1.0,
+            hi: 1.0,
+            step: 0.5,
+            func: "lut_Vm".into(),
+            cols: vec!["positive".into()],
+        });
+        let info = ModelInfo {
+            state_names: vec![],
+            state_inits: vec![],
+            ext_names: vec![],
+            ext_inits: vec![],
+            params: vec![],
+        };
+        let err = Kernel::from_module(&m, &info).unwrap_err();
+        assert!(
+            err.0.contains("failed to evaluate @lut_Vm") && err.0.contains("column value B("),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn with_program_rejects_a_different_binding() {
+        let k = kernel(None, |b| {
+            let x = b.get_state("x");
+            b.set_state("x", x);
+            b.ret(&[]);
+        });
+        let same = k.with_program((*k.program).clone()).expect("same binding");
+        assert!(Arc::ptr_eq(&same.luts, &k.luts) && Arc::ptr_eq(&same.info, &k.info));
+        assert!(!same.shares_compilation(&k));
+        let mut other = (*k.program).clone();
+        other.params.push("extra".into());
+        assert!(k.with_program(other).is_err());
     }
 
     #[test]

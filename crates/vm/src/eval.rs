@@ -20,12 +20,10 @@ pub enum Val {
     B(bool),
 }
 
+/// Payload accessors. Each panics when the value is of another type: the
+/// verifier rules that out, so it marks a bug in whatever produced the IR.
 impl Val {
     /// The float payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not a float.
     pub fn f(self) -> f64 {
         match self {
             Val::F(v) => v,
@@ -34,10 +32,6 @@ impl Val {
     }
 
     /// The integer payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not an integer.
     pub fn i(self) -> i64 {
         match self {
             Val::I(v) => v,
@@ -46,10 +40,6 @@ impl Val {
     }
 
     /// The boolean payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not a boolean.
     pub fn b(self) -> bool {
         match self {
             Val::B(v) => v,
@@ -108,7 +98,8 @@ impl std::error::Error for EvalError {}
 ///
 /// # Errors
 ///
-/// Returns [`EvalError`] for missing functions or arity mismatches.
+/// Returns [`EvalError`] for a missing function, an arity mismatch, a value
+/// used before its definition, or more than [`MAX_OPERANDS`] on one op.
 pub fn eval_func(
     module: &Module,
     name: &str,
@@ -119,77 +110,104 @@ pub fn eval_func(
         .func(name)
         .ok_or_else(|| EvalError(format!("no function @{name}")))?;
     if args.len() != func.args().len() {
-        return Err(EvalError(format!(
-            "@{name} takes {} args, got {}",
-            func.args().len(),
-            args.len()
-        )));
+        let (want, got) = (func.args().len(), args.len());
+        return Err(EvalError(format!("@{name} takes {want} args, got {got}")));
     }
-    let mut env: HashMap<ValueId, Val> = HashMap::new();
-    for (&a, &v) in func.args().iter().zip(args) {
-        env.insert(a, v);
-    }
-    let mut ev = Evaluator { func, ctx };
-    Ok(ev.region(func.body(), &mut env))
+    let env = vec![None; func.num_values()];
+    let mut ev = Evaluator { func, ctx, env };
+    ev.bind(func.args(), args);
+    let returned = ev.region(func.body())?;
+    returned.iter().map(|&id| ev.get(id)).collect()
 }
+
+/// Most operands one op may carry: they are gathered into a stack array
+/// of this size, so evaluating an op never allocates.
+const MAX_OPERANDS: usize = 8;
 
 struct Evaluator<'a> {
     func: &'a Func,
     ctx: &'a mut dyn EvalContext,
+    /// Value of each SSA id by `ValueId::index()`; `None` until defined.
+    env: Vec<Option<Val>>,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Executes a region; returns the terminator's operand values.
-    fn region(&mut self, region: RegionId, env: &mut HashMap<ValueId, Val>) -> Vec<Val> {
-        let ops = self.func.region(region).ops.clone();
-        for op_id in ops {
-            let op = self.func.op(op_id).clone();
-            if op.kind.is_terminator() {
-                return op.operands.iter().map(|o| env[o]).collect();
-            }
-            match op.kind.clone() {
+    // `get`, `bind`, `gather` and `eval_simple` run per op and cost less than
+    // a call, hence the forced inlining and the out-of-line error message.
+    #[inline(always)]
+    fn get(&self, id: ValueId) -> Result<Val, EvalError> {
+        #[cold]
+        fn undefined(id: ValueId) -> EvalError {
+            EvalError(format!("value #{} used before definition", id.index()))
+        }
+        match self.env[id.index()] {
+            Some(v) => Ok(v),
+            None => Err(undefined(id)),
+        }
+    }
+
+    #[inline(always)]
+    fn bind(&mut self, ids: &[ValueId], vals: &[Val]) {
+        for (id, &v) in ids.iter().zip(vals) {
+            self.env[id.index()] = Some(v);
+        }
+    }
+
+    /// Copies the current values of `ids` into the stack buffer `buf`.
+    #[inline(always)]
+    fn gather<'b>(&self, ids: &[ValueId], buf: &'b mut [Val]) -> Result<&'b [Val], EvalError> {
+        let n = ids.len();
+        let vals = buf
+            .get_mut(..n)
+            .ok_or_else(|| EvalError(format!("op has {n} operands, limit is {MAX_OPERANDS}")))?;
+        for (slot, &id) in vals.iter_mut().zip(ids) {
+            *slot = self.get(id)?;
+        }
+        Ok(vals)
+    }
+
+    /// Executes a region; returns the terminator's operands.
+    fn region(&mut self, region: RegionId) -> Result<&'a [ValueId], EvalError> {
+        let func = self.func;
+        let mut buf = [Val::B(false); MAX_OPERANDS];
+        for &op_id in &func.region(region).ops {
+            let op = func.op(op_id);
+            match &op.kind {
+                OpKind::Yield | OpKind::Return => return Ok(&op.operands),
                 OpKind::If => {
-                    let cond = env[&op.operands[0]].b();
-                    let taken = op.regions[if cond { 0 } else { 1 }];
-                    let yields = self.region(taken, env);
-                    for (r, v) in op.results.iter().zip(yields) {
-                        env.insert(*r, v);
+                    let cond = self.get(op.operands[0])?.b();
+                    let yields = self.region(op.regions[if cond { 0 } else { 1 }])?;
+                    for (&r, &y) in op.results.iter().zip(yields) {
+                        self.env[r.index()] = Some(self.get(y)?);
                     }
                 }
                 OpKind::For => {
-                    let lb = env[&op.operands[0]].i();
-                    let ub = env[&op.operands[1]].i();
-                    let step = env[&op.operands[2]].i().max(1);
-                    let mut iters: Vec<Val> = op.operands[3..].iter().map(|o| env[o]).collect();
-                    let body = op.regions[0];
-                    let args = self.func.region(body).args.clone();
-                    let mut iv = lb;
-                    while iv < ub {
-                        env.insert(args[0], Val::I(iv));
-                        for (a, v) in args[1..].iter().zip(&iters) {
-                            env.insert(*a, *v);
-                        }
-                        iters = self.region(body, env);
-                        iv += step;
+                    let bounds = self.gather(&op.operands[..3], &mut buf)?;
+                    let (lb, ub, step) = (bounds[0].i(), bounds[1].i(), bounds[2].i().max(1));
+                    // Yields may permute the block arguments: read a round whole, then bind.
+                    let n = self.gather(&op.operands[3..], &mut buf)?.len();
+                    let args = &func.region(op.regions[0]).args;
+                    for iv in (lb..ub).step_by(step as usize) {
+                        self.env[args[0].index()] = Some(Val::I(iv));
+                        self.bind(&args[1..], &buf[..n]);
+                        let yields = self.region(op.regions[0])?;
+                        self.gather(yields, &mut buf)?;
                     }
-                    for (r, v) in op.results.iter().zip(iters) {
-                        env.insert(*r, v);
-                    }
+                    self.bind(&op.results, &buf[..n]);
                 }
                 kind => {
-                    let vals: Vec<Val> = op.operands.iter().map(|o| env[o]).collect();
-                    if let Some(v) = self.eval_simple(&kind, &op.attrs, &vals) {
-                        if let Some(&r) = op.results.first() {
-                            env.insert(r, v);
-                        }
-                    }
+                    let vals = self.gather(&op.operands, &mut buf)?;
+                    let v = self.eval_simple(kind, &op.attrs, vals);
+                    self.bind(&op.results, v.as_slice());
                 }
             }
         }
-        Vec::new()
+        Ok(&[])
     }
 
+    #[inline(always)]
     fn eval_simple(&mut self, kind: &OpKind, attrs: &limpet_ir::Attrs, v: &[Val]) -> Option<Val> {
+        let text = |key| attrs.str_of(key).unwrap_or("");
         Some(match kind {
             OpKind::ConstantF(c) => Val::F(*c),
             OpKind::ConstantInt(c) => Val::I(*c),
@@ -211,51 +229,33 @@ impl<'a> Evaluator<'a> {
             OpKind::AndI => Val::B(v[0].b() && v[1].b()),
             OpKind::OrI => Val::B(v[0].b() || v[1].b()),
             OpKind::XorI => Val::B(v[0].b() ^ v[1].b()),
-            OpKind::Select => {
-                if v[0].b() {
-                    v[1]
-                } else {
-                    v[2]
-                }
-            }
+            OpKind::Select => v[if v[0].b() { 1 } else { 2 }],
             OpKind::SIToFP => Val::F(v[0].i() as f64),
-            OpKind::IndexCast => v[0],
+            OpKind::IndexCast | OpKind::Broadcast => v[0],
             OpKind::Math(f) => {
                 let b = if f.arity() == 2 { v[1].f() } else { 0.0 };
                 Val::F(f.eval(v[0].f(), b))
             }
-            OpKind::Broadcast => v[0],
-            OpKind::Param => Val::F(self.ctx.param(attrs.str_of("name").unwrap_or(""))),
-            OpKind::GetState => Val::F(self.ctx.get_state(attrs.str_of("var").unwrap_or(""))),
-            OpKind::SetState => {
-                self.ctx
-                    .set_state(attrs.str_of("var").unwrap_or(""), v[0].f());
-                return None;
-            }
-            OpKind::GetExt => Val::F(self.ctx.get_ext(attrs.str_of("var").unwrap_or(""))),
-            OpKind::SetExt => {
-                self.ctx
-                    .set_ext(attrs.str_of("var").unwrap_or(""), v[0].f());
-                return None;
-            }
+            OpKind::Param => Val::F(self.ctx.param(text("name"))),
+            OpKind::GetState => Val::F(self.ctx.get_state(text("var"))),
+            OpKind::GetExt => Val::F(self.ctx.get_ext(text("var"))),
             OpKind::HasParent => Val::B(self.ctx.has_parent()),
-            OpKind::GetParentState => Val::F(
-                self.ctx
-                    .get_parent_state(attrs.str_of("var").unwrap_or(""), v[0].f()),
-            ),
-            OpKind::SetParentState => {
-                self.ctx
-                    .set_parent_state(attrs.str_of("var").unwrap_or(""), v[0].f());
+            OpKind::GetParentState => Val::F(self.ctx.get_parent_state(text("var"), v[0].f())),
+            OpKind::SetState | OpKind::SetExt | OpKind::SetParentState => {
+                match kind {
+                    OpKind::SetState => self.ctx.set_state(text("var"), v[0].f()),
+                    OpKind::SetExt => self.ctx.set_ext(text("var"), v[0].f()),
+                    _ => self.ctx.set_parent_state(text("var"), v[0].f()),
+                }
                 return None;
             }
             OpKind::Dt => Val::F(self.ctx.dt()),
             OpKind::Time => Val::F(self.ctx.time()),
             OpKind::CellIndex => Val::I(self.ctx.cell_index()),
-            OpKind::LutCol => Val::F(self.ctx.lut_col(
-                attrs.str_of("table").unwrap_or(""),
-                attrs.i64_of("col").unwrap_or(0) as usize,
-                v[0].f(),
-            )),
+            OpKind::LutCol => {
+                let col = attrs.i64_of("col").unwrap_or(0) as usize;
+                Val::F(self.ctx.lut_col(text("table"), col, v[0].f()))
+            }
             OpKind::If | OpKind::For | OpKind::Yield | OpKind::Return => {
                 unreachable!("handled structurally")
             }
@@ -372,6 +372,93 @@ mod tests {
         let mut ctx = ParamOnlyContext::default();
         ctx.params.insert("Cm".into(), 200.0);
         assert_eq!(eval_func(&m, "f", &[], &mut ctx).unwrap()[0].f(), 200.0);
+    }
+
+    #[test]
+    fn use_before_definition_is_an_error_not_a_default() {
+        let mut m = Module::new("t");
+        let mut f = IrFunc::new("f", &[Type::F64], &[Type::F64]);
+        let arg = f.args()[0];
+        let mut b = Builder::new(&mut f);
+        let two = b.const_f(2.0);
+        let d = b.mulf(arg, two);
+        b.ret(&[d]);
+        // Move the multiply in front of the constant it reads.
+        let body = f.body();
+        f.region_mut(body).ops.swap(0, 1);
+        m.add_func(f);
+        let mut ctx = ParamOnlyContext::default();
+        let err = eval_func(&m, "f", &[Val::F(1.0)], &mut ctx).unwrap_err();
+        assert!(err.0.contains("used before definition"), "{err}");
+    }
+
+    #[test]
+    fn returning_an_undefined_value_is_an_error() {
+        let mut m = Module::new("t");
+        let mut f = IrFunc::new("f", &[], &[Type::F64]);
+        let mut b = Builder::new(&mut f);
+        let c = b.const_f(1.0);
+        b.ret(&[c]);
+        let body = f.body();
+        f.region_mut(body).ops.swap(0, 1);
+        m.add_func(f);
+        let mut ctx = ParamOnlyContext::default();
+        let err = eval_func(&m, "f", &[], &mut ctx).unwrap_err();
+        assert!(err.0.contains("used before definition"), "{err}");
+    }
+
+    /// `for` carrying `n` copies of the argument, each doubled per round.
+    fn loop_carrying(n: usize) -> Module {
+        let mut m = Module::new("t");
+        let mut f = IrFunc::new("f", &[Type::F64], &[Type::F64]);
+        let arg = f.args()[0];
+        let mut b = Builder::new(&mut f);
+        let lb = b.const_index(0);
+        let ub = b.const_index(3);
+        let st = b.const_index(1);
+        let r = b.for_op(lb, ub, st, &vec![arg; n], |b, _iv, iters| {
+            let two = b.const_f(2.0);
+            let next: Vec<_> = iters.iter().map(|&x| b.mulf(x, two)).collect();
+            b.yield_(&next);
+        });
+        b.ret(&[r[n - 1]]);
+        m.add_func(f);
+        m
+    }
+
+    #[test]
+    fn more_operands_than_the_stack_array_is_an_error() {
+        let mut ctx = ParamOnlyContext::default();
+        let full = eval_func(&loop_carrying(MAX_OPERANDS), "f", &[Val::F(1.0)], &mut ctx);
+        assert_eq!(full.unwrap(), [Val::F(8.0)]);
+        let over = eval_func(
+            &loop_carrying(MAX_OPERANDS + 1),
+            "f",
+            &[Val::F(1.0)],
+            &mut ctx,
+        );
+        let err = over.unwrap_err();
+        assert!(err.0.contains("9 operands, limit is 8"), "{err}");
+    }
+
+    #[test]
+    fn loop_yields_may_permute_the_carried_values() {
+        // (a, b) <- (b, a) three times: an odd count leaves them swapped.
+        let mut m = Module::new("t");
+        let mut f = IrFunc::new("f", &[Type::F64, Type::F64], &[Type::F64, Type::F64]);
+        let (x, y) = (f.args()[0], f.args()[1]);
+        let mut b = Builder::new(&mut f);
+        let lb = b.const_index(0);
+        let ub = b.const_index(3);
+        let st = b.const_index(1);
+        let r = b.for_op(lb, ub, st, &[x, y], |b, _iv, iters| {
+            b.yield_(&[iters[1], iters[0]]);
+        });
+        b.ret(&r);
+        m.add_func(f);
+        let mut ctx = ParamOnlyContext::default();
+        let out = eval_func(&m, "f", &[Val::F(1.0), Val::F(2.0)], &mut ctx).unwrap();
+        assert_eq!(out, [Val::F(2.0), Val::F(1.0)]);
     }
 
     #[test]

@@ -57,7 +57,7 @@ mod state;
 pub mod vmath;
 
 pub use bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, Program};
-pub use engine::{Kernel, ModelInfo, ParentView, Profile, SimContext};
+pub use engine::{tabulate_luts, Kernel, ModelInfo, ParentView, Profile, SimContext};
 pub use eval::{eval_func, EvalContext, EvalError, ParamOnlyContext, Val};
 pub use lut::LutData;
 pub use optimize::{bytecode_opt_enabled, optimize_program, set_bytecode_opt, OptStats};

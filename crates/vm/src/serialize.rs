@@ -615,9 +615,69 @@ fn validate(p: &Program) -> Result<(), String> {
     Ok(())
 }
 
+/// The digits [`fbits`] prints, by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Values per line of LUT data: keeps entries diffable without blowing up
+/// the line count for 4000-row tables.
+const LUT_VALUES_PER_LINE: usize = 8;
+
+/// Appends one line of LUT data — each value as [`fbits`] would print it,
+/// space-separated — formatted in place on the stack: a roster's tables
+/// are ~9 M values, and one heap `String` per value dominated the store.
+fn push_lut_line(out: &mut String, values: &[f64]) {
+    let mut line = [b' '; LUT_VALUES_PER_LINE * 17];
+    for (cell, v) in line.chunks_exact_mut(17).zip(values) {
+        let bits = v.to_bits();
+        for (i, digit) in cell[..16].iter_mut().enumerate() {
+            *digit = HEX_DIGITS[(bits >> (60 - 4 * i)) as usize & 0xf];
+        }
+    }
+    line[values.len() * 17 - 1] = b'\n';
+    out.push_str(std::str::from_utf8(&line[..values.len() * 17]).expect("ASCII hex"));
+}
+
+/// Value of each lowercase hex digit; `0xff` for every other byte.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Reads a line of exactly the shape [`push_lut_line`] writes: at most
+/// `room` values of 16 lowercase hex digits, single spaces between them.
+/// Anything else returns `false` with `data` untouched, and the caller
+/// re-reads the line token by token.
+fn read_lut_line(line: &str, room: usize, data: &mut Vec<f64>) -> bool {
+    let bytes = line.as_bytes();
+    if bytes.len() % 17 != 16 || bytes.len().div_ceil(17) > room {
+        return false;
+    }
+    let start = data.len();
+    for cell in bytes.chunks(17) {
+        let (mut bits, mut seen) = (0u64, 0u8);
+        for &c in &cell[..16] {
+            let digit = HEX_VALUE[c as usize];
+            seen |= digit;
+            bits = bits << 4 | u64::from(digit & 0xf);
+        }
+        if seen > 0xf || cell.get(16).is_some_and(|&sep| sep != b' ') {
+            data.truncate(start);
+            return false;
+        }
+        data.push(f64::from_bits(bits));
+    }
+    true
+}
+
 /// Serializes a kernel's tabulated lookup tables (in program order).
 pub fn serialize_luts(luts: &[LutData]) -> String {
-    let mut out = String::new();
+    let values: usize = luts.iter().map(|l| l.data().len()).sum();
+    let mut out = String::with_capacity(values * 17 + luts.len() * 96 + 32);
     writeln!(out, "luts v{BYTECODE_FORMAT_VERSION} {}", luts.len()).unwrap();
     for lut in luts {
         writeln!(
@@ -630,18 +690,8 @@ pub fn serialize_luts(luts: &[LutData]) -> String {
             lut.cols()
         )
         .unwrap();
-        // Eight values per line keeps entries diffable without blowing
-        // up the line count for 4000-row tables.
-        for chunk in lut.data().chunks(8) {
-            let mut line = String::with_capacity(chunk.len() * 17);
-            for (i, v) in chunk.iter().enumerate() {
-                if i > 0 {
-                    line.push(' ');
-                }
-                line.push_str(&fbits(*v));
-            }
-            out.push_str(&line);
-            out.push('\n');
+        for chunk in lut.data().chunks(LUT_VALUES_PER_LINE) {
+            push_lut_line(&mut out, chunk);
         }
     }
     out
@@ -685,6 +735,9 @@ pub fn deserialize_luts(text: &str) -> Result<Vec<LutData>, String> {
         let mut data = Vec::with_capacity(need);
         while data.len() < need {
             let (no, line) = cur.next()?;
+            if read_lut_line(line, need - data.len(), &mut data) {
+                continue;
+            }
             for tok in line.split_whitespace() {
                 if data.len() == need {
                     return Err(format!("line {no}: trailing lut data"));

@@ -482,6 +482,17 @@ CKPT2_PID=""
 trap - EXIT
 rm -rf "$CKPT_DIR" "$CKPT_OUT"
 
+echo "==> limpet-perf unit tests (statistics, spans, golden parser, contract tables)"
+# The benchmark is a package of its own (own empty [workspace]), so the
+# workspace-wide `cargo test -q` above does not reach it.
+cargo test --offline -q --manifest-path limpet-perf/Cargo.toml
+
+echo "==> limpet-perf --quick (all four workloads end to end, golden digests)"
+# Exits non-zero on any wrong digest or failed operation. Untraced on
+# purpose: on quick's three small models the traced run's 10 %
+# reconciliation checks are inside the timing noise (2 of 6 runs miss).
+bash limpet-perf/run.sh --quick > /dev/null
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
