@@ -21,7 +21,8 @@
 //!   function-pointer table ([`native_math_table`]) of the same Rust
 //!   `f64` operations the VM calls — the C side never touches libm;
 //! * LUT reads call back into the Rust interpolators through the same
-//!   table, so clamping and blending stay the interpreter's;
+//!   table, one call per column of a row lookup, so clamping and blending
+//!   stay the interpreter's;
 //! * structured control flow is already linearized to jumps, which
 //!   become labels and `goto`s.
 //!
@@ -31,7 +32,7 @@
 //! without a parent view; a parented kernel must not be promoted.
 
 use limpet_ir::MathFn;
-use limpet_vm::{FBin, Instr, Program};
+use limpet_vm::{FBin, Instr, LutInterp, Program};
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
@@ -397,32 +398,26 @@ fn emit_instr(w: &mut String, ins: &Instr, program: &Program, label: &dyn Fn(u32
                 "    i{dst} = (int64_t)((uint64_t)i{a} {sym} (uint64_t)i{b});"
             )
         }
-        Instr::LutVec {
+        // One callback per column, like the interpreter before it read
+        // whole rows: the ABI stays per value, and no `dst` is the key.
+        Instr::LutRow {
             table,
-            col,
-            dst,
             key,
+            interp,
+            ref outs,
+        } => {
+            let callback = match interp {
+                LutInterp::Vec | LutInterp::Scalar => "lut_linear",
+                LutInterp::Cubic => "lut_cubic",
+            };
+            outs.iter().try_for_each(|(col, dst)| {
+                writeln!(
+                    w,
+                    "    f{dst} = m->{callback}(m->lut_ctx, {table}, {col}, f{key});{}",
+                    sym(&program.lut_tables.get(table as usize))
+                )
+            })
         }
-        | Instr::LutScalar {
-            table,
-            col,
-            dst,
-            key,
-        } => writeln!(
-            w,
-            "    f{dst} = m->lut_linear(m->lut_ctx, {table}, {col}, f{key});{}",
-            sym(&program.lut_tables.get(table as usize))
-        ),
-        Instr::LutCubic {
-            table,
-            col,
-            dst,
-            key,
-        } => writeln!(
-            w,
-            "    f{dst} = m->lut_cubic(m->lut_ctx, {table}, {col}, f{key});{}",
-            sym(&program.lut_tables.get(table as usize))
-        ),
         Instr::Jump { target } => writeln!(w, "    goto {};", label(target)),
         Instr::JumpIfNot { cond, target } => {
             writeln!(w, "    if (!b{cond}) goto {};", label(target))

@@ -248,8 +248,8 @@ impl LutCtx {
 
 unsafe extern "C" fn lut_linear_cb(ctx: *const (), table: i64, col: i64, key: f64) -> f64 {
     let ctx = &*(ctx as *const LutCtx);
-    // Same math as the interpreter's `LutVec`/`LutScalar` at width 1:
-    // `interp_one` and `interp_block` share the clamp and blend exactly.
+    // Same math as the interpreter's linear `LutRow` modes at width 1:
+    // `interp_one` and `interp_row` share the clamp and blend exactly.
     ctx.tables()[table as usize].interp_one(key, col as usize)
 }
 

@@ -12,8 +12,8 @@
 //! needed.
 
 use limpet_harness::{
-    faults, CompiledKernel, DiskCache, IncidentKind, KernelCache, PipelineKind, Simulation,
-    Workload,
+    faults, CompiledKernel, DiskCache, EntryKey, IncidentKind, KernelCache, PipelineKind,
+    Simulation, Workload,
 };
 use limpet_models::model;
 use std::path::{Path, PathBuf};
@@ -172,6 +172,126 @@ fn each_disk_fault_degrades_to_recompile_and_self_heals() {
         assert_eq!(s.disk_rejects, 0, "{spec}: no repeat rejection");
         assert_eq!(s.misses, 0, "{spec}: no repeat compile");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A two-column, 42-row table: small enough to keep an entry of it in
+/// the repository.
+const COARSE_GATE: &str = "\
+Vm; .external(); .nodal(); .lookup(-100, 100, 5);
+Iion; .external(); .nodal();
+Vm_init = -65.0;
+alpha = 0.1 * exp(-(Vm + 65.0) / 18.0);
+beta = 1.0 / (1.0 + exp(-(Vm + 35.0) / 10.0));
+diff_g = alpha * (1.0 - g) - beta * g;
+g_init = 0.5;
+Iion = 0.3 * g * (Vm + 54.0);
+";
+
+fn coarse_gate() -> limpet_easyml::Model {
+    limpet_easyml::compile_model("CoarseGate", COARSE_GATE).expect("model compiles")
+}
+
+fn entry_path(dir: &Path, m: &limpet_easyml::Model) -> PathBuf {
+    dir.join(EntryKey::new(m, CONFIG, limpet_vm::bytecode_opt_enabled()).file_name())
+}
+
+/// Looks `m` up through a fresh cache over `disk`, which holds a bad
+/// entry for it: the entry must be rejected for `reason`, recompiled
+/// bit-identically to `reference_bits`, and replaced by a good one.
+fn assert_rejected_and_healed(
+    disk: &Arc<DiskCache>,
+    m: &limpet_easyml::Model,
+    reason: &str,
+    reference_bits: &[u64],
+) {
+    let cache = cache_with_disk(disk);
+    let entry = cache.get_or_compile(m, CONFIG);
+    let s = cache.stats();
+    assert_eq!(
+        (s.disk_hits, s.disk_rejects, s.misses, s.disk_writes),
+        (0, 1, 1, 1),
+        "rejected, recompiled, re-stored"
+    );
+    let incidents = cache.incidents();
+    let incident = incidents
+        .iter()
+        .find(|i| i.kind == IncidentKind::DiskCacheRejected)
+        .expect("rejection is recorded as an incident");
+    assert!(incident.detail.contains(reason), "{}", incident.detail);
+    assert_eq!(trajectory_bits(&entry), reference_bits);
+
+    let verify = cache_with_disk(disk);
+    verify.get_or_compile(m, CONFIG);
+    let s = verify.stats();
+    assert_eq!(
+        (s.disk_hits, s.disk_rejects, s.misses),
+        (1, 0, 0),
+        "the replacement entry serves a clean hit"
+    );
+}
+
+#[test]
+fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
+    let _g = serialized();
+    let dir = temp_cache_dir("parent-entry");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let reference_bits = trajectory_bits(&CompiledKernel::compile(&m, CONFIG));
+
+    // What f9ea60c (bytecode format 1: `lutvec` per column, no `lutrow`)
+    // stored for this model and configuration.
+    let parent_entry = include_bytes!("entry_written_at_f9ea60c.lke");
+    assert!(parent_entry.starts_with(b"limpet-kernel-cache 1 1 1 "));
+    std::fs::write(entry_path(&dir, &m), parent_entry).unwrap();
+
+    assert_rejected_and_healed(&disk, &m, "stale format version", &reference_bits);
+    let healed = std::fs::read(entry_path(&dir, &m)).unwrap();
+    let bc = limpet_vm::BYTECODE_FORMAT_VERSION;
+    assert!(healed.starts_with(format!("limpet-kernel-cache 1 1 {bc} ").as_bytes()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
+    let _g = serialized();
+    let dir = temp_cache_dir("lut-column");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
+
+    // Point the first column of every row lookup past the table's two
+    // columns and re-sign the entry, as a mismatched but intact writer
+    // would have: header, checksum and bytecode all parse.
+    let path = entry_path(&dir, &m);
+    let text = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
+    let (header, payload) = text.split_once('\n').unwrap();
+    let mut rows = 0;
+    let payload: Vec<String> = payload
+        .lines()
+        .map(|line| {
+            let mut tokens: Vec<&str> = line.split(' ').collect();
+            if tokens[0] == "lutrow" {
+                assert_eq!(tokens[5].len(), 1, "column index is one digit");
+                tokens[5] = "7";
+                rows += 1;
+            }
+            tokens.join(" ")
+        })
+        .collect();
+    let payload = payload.join("\n") + "\n";
+    assert!(rows >= 2, "main and raw programs each read the table");
+    let mut header: Vec<String> = header.split(' ').map(String::from).collect();
+    assert_eq!(header[7], payload.len().to_string(), "same-length edit");
+    header[8] = format!(
+        "{:016x}",
+        payload.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    );
+    std::fs::write(&path, format!("{}\n{payload}", header.join(" "))).unwrap();
+
+    assert_rejected_and_healed(&disk, &m, "lut column 7", &reference_bits);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

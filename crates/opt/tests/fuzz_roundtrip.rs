@@ -3,7 +3,9 @@
 //! parser/printer/pass invariant — the pipeline runs with
 //! verify-after-each-pass, the result survives a print → parse → print
 //! fixpoint, and the `limpet-opt` driver itself reproduces the same
-//! output byte for byte.
+//! output byte for byte. The bytecode compiled from the result survives
+//! its own text round trip, and its `lutrow` lines — the one instruction
+//! with a variable-length operand list — are rejected once malformed.
 //!
 //! The in-tree proptest shim derives its RNG seed from the test path, so
 //! the exact same cases run locally and in CI (the ci.sh fuzz smoke).
@@ -126,5 +128,54 @@ proptest! {
         pm.verify_each(true);
         pm.run(&mut module).unwrap();
         prop_assert_eq!(String::from_utf8_lossy(&stdout), print_module(&module));
+    }
+
+    /// Bytecode of a random pipeline over a random LUT model, raw and
+    /// optimized: the text form round-trips, every row lookup has the
+    /// shape the deserializer demands, and each way of breaking that shape
+    /// is refused.
+    #[test]
+    fn bytecode_with_lut_rows_roundtrips_and_rejects_malformed_rows(
+        spec in spec_strategy(),
+        pipeline in pipeline_strategy(),
+    ) {
+        let mut module = lower(&SynthSpec { use_lut: true, ..spec });
+        let pm = limpet_passes::parse_pipeline(&pipeline).unwrap();
+        pm.run(&mut module).unwrap();
+        let mut program = limpet_vm::compile_program(&module, &[], &[], &[])
+            .unwrap_or_else(|e| panic!("pipeline '{pipeline}' must compile to bytecode: {e}"));
+        for optimize in [false, true] {
+            if optimize {
+                limpet_vm::optimize_program(&mut program);
+            }
+            let text = limpet_vm::serialize_program(&program);
+            let back = limpet_vm::deserialize_program(&text)
+                .unwrap_or_else(|e| panic!("serialized program must reparse: {e}\n{text}"));
+            prop_assert_eq!(&back, &program);
+
+            let Some(row) = text.lines().find(|l| l.starts_with("lutrow ")) else {
+                continue;
+            };
+            // lutrow <table> <key> <mode> <n> (<col> <dst>)*
+            let t: Vec<&str> = row.split(' ').collect();
+            let n: usize = t[4].parse().unwrap();
+            prop_assert!(n >= 1 && t.len() == 5 + 2 * n, "{}", row);
+            let head = t[..4].join(" ");
+            let pairs = t[5..].join(" ");
+            let broken = [
+                format!("{head} 0"),
+                format!("{head} {} {pairs} 0 {}", n + 1, t[6]),
+                format!("{head} {n} {} {} {}", t[5], t[2], t[7..].join(" ")),
+                format!("{head} {} {pairs}", n + 1),
+                format!("{head} {n} {pairs} 0"),
+            ];
+            for bad in broken {
+                let mutated = text.replacen(row, bad.trim_end(), 1);
+                prop_assert!(
+                    limpet_vm::deserialize_program(&mutated).is_err(),
+                    "accepted malformed row '{}' (was '{}')", bad, row
+                );
+            }
+        }
     }
 }

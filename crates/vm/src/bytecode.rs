@@ -8,7 +8,7 @@
 //! the vectorizer if-convert varying `scf.if` into selects.
 
 use limpet_ir::{CmpFPred, CmpIPred, Func, MathFn, Module, OpKind, RegionId, Type, ValueId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Binary float operations.
@@ -40,6 +40,21 @@ pub enum IBin {
     Add,
     Sub,
     Mul,
+}
+
+/// How an [`Instr::LutRow`] interpolates between table rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LutInterp {
+    /// Linear, as branch-free lane loops — the paper's vectorized
+    /// `LUT_interpRow_n_elements_vec`.
+    Vec,
+    /// Linear, through one opaque call per lane — openCARP's scalar
+    /// `LUT_interpRow` (the baseline path). [`compile_program`] emits
+    /// these one column per row.
+    Scalar,
+    /// Catmull-Rom cubic (the paper's future-work spline variant):
+    /// four-row stencil, third-order accurate.
+    Cubic,
 }
 
 /// One bytecode instruction. Register operands index the float (`f`),
@@ -138,27 +153,16 @@ pub enum Instr {
     SIToFP { dst: u16, a: u16 },
     /// `i[dst] = i[a] ⊕ i[b]`
     BinI { op: IBin, dst: u16, a: u16, b: u16 },
-    /// `f[dst][lane] = interp(luts[table], col, f[key][lane]) — vectorized.`
-    LutVec {
+    /// `f[dst][lane] = interp(luts[table], col, f[key][lane])` for every
+    /// `(col, dst)` of `outs`: one row lookup — clamp, row index and
+    /// fraction computed once per lane — feeding every column the region
+    /// reads at that key (paper §3.4.2; a single-column lookup is a row
+    /// of one). No `dst` repeats or equals `key`.
+    LutRow {
         table: u16,
-        col: u16,
-        dst: u16,
         key: u16,
-    },
-    /// Same semantics through one opaque call per lane (baseline path).
-    LutScalar {
-        table: u16,
-        col: u16,
-        dst: u16,
-        key: u16,
-    },
-    /// Catmull-Rom cubic interpolation (the paper's future-work spline
-    /// variant): four-row stencil, third-order accurate.
-    LutCubic {
-        table: u16,
-        col: u16,
-        dst: u16,
-        key: u16,
+        interp: LutInterp,
+        outs: Box<[(u16, u16)]>,
     },
     /// Unconditional jump to instruction index.
     Jump { target: u32 },
@@ -316,45 +320,27 @@ impl Program {
                 Instr::BinI { op, dst, a, b } => {
                     writeln!(out, "i{dst} = {op:?}(i{a}, i{b})")
                 }
-                Instr::LutVec {
+                Instr::LutRow {
                     table,
-                    col,
-                    dst,
                     key,
-                } => writeln!(
-                    out,
-                    "f{dst} = lut_vec {}[{col}](f{key})",
-                    self.lut_tables
-                        .get(*table as usize)
-                        .map(String::as_str)
-                        .unwrap_or("?")
-                ),
-                Instr::LutScalar {
-                    table,
-                    col,
-                    dst,
-                    key,
-                } => writeln!(
-                    out,
-                    "f{dst} = lut_scalar {}[{col}](f{key})",
-                    self.lut_tables
-                        .get(*table as usize)
-                        .map(String::as_str)
-                        .unwrap_or("?")
-                ),
-                Instr::LutCubic {
-                    table,
-                    col,
-                    dst,
-                    key,
-                } => writeln!(
-                    out,
-                    "f{dst} = lut_cubic {}[{col}](f{key})",
-                    self.lut_tables
-                        .get(*table as usize)
-                        .map(String::as_str)
-                        .unwrap_or("?")
-                ),
+                    interp,
+                    outs,
+                } => {
+                    let cols: Vec<String> = outs
+                        .iter()
+                        .map(|(col, dst)| format!("f{dst}=[{col}]"))
+                        .collect();
+                    writeln!(
+                        out,
+                        "{} = lut_row.{} {}(f{key})",
+                        cols.join(", "),
+                        interp.as_str(),
+                        self.lut_tables
+                            .get(*table as usize)
+                            .map(String::as_str)
+                            .unwrap_or("?")
+                    )
+                }
                 Instr::Jump { target } => writeln!(out, "jump -> {target}"),
                 Instr::JumpIfNot { cond, target } => {
                     writeln!(out, "jump_if_not b{cond} -> {target}")
@@ -377,6 +363,8 @@ struct Compiler<'a> {
     params: Vec<String>,
     lut_tables: Vec<String>,
     parent_vars: Vec<String>,
+    /// `lut.col` ops already emitted as a column of an earlier op's row.
+    in_row: HashSet<limpet_ir::OpId>,
     /// Preferred state/ext orderings (so indices match storage layout).
     state_order: &'a [String],
     ext_order: &'a [String],
@@ -413,6 +401,7 @@ pub fn compile_program(
         params: param_order.to_vec(),
         lut_tables: module.luts.iter().map(|l| l.name.clone()).collect(),
         parent_vars: Vec::new(),
+        in_row: HashSet::new(),
         state_order,
         ext_order,
         param_order,
@@ -484,13 +473,48 @@ impl<'a> Compiler<'a> {
 
     fn emit_region(&mut self, region: RegionId) -> Result<(), CompileError> {
         let ops = self.func.region(region).ops.clone();
-        for op_id in ops {
-            self.emit_op(op_id)?;
+        for (i, &op_id) in ops.iter().enumerate() {
+            self.emit_op(op_id, &ops[i + 1..])?;
         }
         Ok(())
     }
 
-    fn emit_op(&mut self, op_id: limpet_ir::OpId) -> Result<(), CompileError> {
+    /// `(table, interpolation mode, key, column)` of a `lut.col` op.
+    fn lut_col(
+        &self,
+        op_id: limpet_ir::OpId,
+    ) -> Result<(u16, LutInterp, ValueId, u16), CompileError> {
+        let op = self.func.op(op_id);
+        let table_name = op
+            .attrs
+            .str_of("table")
+            .ok_or_else(|| CompileError("missing table attribute".into()))?;
+        let table = self
+            .lut_tables
+            .iter()
+            .position(|t| t == table_name)
+            .ok_or_else(|| CompileError(format!("unknown lut table {table_name}")))?
+            as u16;
+        let col = op
+            .attrs
+            .i64_of("col")
+            .ok_or_else(|| CompileError("lut.col missing col".into()))? as u16;
+        let interp = if op.attrs.get("scalar_interp").and_then(|a| a.as_bool()) == Some(true) {
+            LutInterp::Scalar
+        } else if op.attrs.str_of("interp") == Some("cubic") {
+            LutInterp::Cubic
+        } else {
+            LutInterp::Vec
+        };
+        Ok((table, interp, op.operands[0], col))
+    }
+
+    /// Emits one op; `rest` is what follows it in its region.
+    fn emit_op(
+        &mut self,
+        op_id: limpet_ir::OpId,
+        rest: &[limpet_ir::OpId],
+    ) -> Result<(), CompileError> {
         let op = self.func.op(op_id).clone();
         let kind = op.kind.clone();
         match kind {
@@ -673,51 +697,40 @@ impl<'a> Compiler<'a> {
                 self.instrs.push(Instr::StoreParentState { src, var });
             }
             OpKind::LutCol => {
-                let table_name = self.attr_var(op_id, "table")?;
-                let table = self
-                    .lut_tables
-                    .iter()
-                    .position(|t| *t == table_name)
-                    .ok_or_else(|| CompileError(format!("unknown lut table {table_name}")))?
-                    as u16;
-                let col = self
-                    .func
-                    .op(op_id)
-                    .attrs
-                    .i64_of("col")
-                    .ok_or_else(|| CompileError("lut.col missing col".into()))?
-                    as u16;
-                let scalar = self
-                    .func
-                    .op(op_id)
-                    .attrs
-                    .get("scalar_interp")
-                    .and_then(|a| a.as_bool())
-                    == Some(true);
-                let cubic = self.func.op(op_id).attrs.str_of("interp") == Some("cubic");
-                let key = self.reg(op.operands[0]);
-                let dst = self.reg(op.result());
-                self.instrs.push(if scalar {
-                    Instr::LutScalar {
-                        table,
-                        col,
-                        dst,
-                        key,
-                    }
-                } else if cubic {
-                    Instr::LutCubic {
-                        table,
-                        col,
-                        dst,
-                        key,
-                    }
+                if self.in_row.remove(&op_id) {
+                    return Ok(());
+                }
+                // One row lookup serves every `lut.col` of this region
+                // that reads the same table at the same key the same way
+                // (paper §3.4.2: index and fraction once per cell, then
+                // the whole row). Scalar lookups stay a row of one each:
+                // they are the baseline every speed-up is a ratio to, and
+                // fusing them moves that baseline (ROADMAP, "fuse the
+                // scalar rows").
+                let (table, interp, key_val, col) = self.lut_col(op_id)?;
+                let key = self.reg(key_val);
+                let mut outs = vec![(col, self.reg(op.result()))];
+                let rest = if interp == LutInterp::Scalar {
+                    &[]
                 } else {
-                    Instr::LutVec {
-                        table,
-                        col,
-                        dst,
-                        key,
+                    rest
+                };
+                for &later in rest {
+                    if self.func.op(later).kind != OpKind::LutCol {
+                        continue;
                     }
+                    let (t, i, k, col) = self.lut_col(later)?;
+                    if (t, i, k) != (table, interp, key_val) {
+                        continue;
+                    }
+                    self.in_row.insert(later);
+                    outs.push((col, self.reg(self.func.op(later).result())));
+                }
+                self.instrs.push(Instr::LutRow {
+                    table,
+                    key,
+                    interp,
+                    outs: outs.into(),
                 });
             }
             OpKind::If => {
@@ -850,7 +863,7 @@ impl<'a> Compiler<'a> {
                 }
                 return Ok(op.operands.clone());
             }
-            self.emit_op(*op_id)?;
+            self.emit_op(*op_id, &ops[i + 1..])?;
         }
         Ok(Vec::new())
     }
@@ -1051,12 +1064,110 @@ mod tests {
     }
 
     #[test]
+    fn lut_cols_of_a_region_at_one_key_compile_to_one_row() {
+        let mut m = Module::new("t");
+        let mut f = Func::new("compute", &[], &[]);
+        let mut b = Builder::new(&mut f);
+        let k = b.get_ext("Vm");
+        let c0 = b.lut_col("Vm", 0, k);
+        let one = b.const_f(1.0);
+        let k2 = b.addf(k, one);
+        let other_key = b.lut_col("Vm", 0, k2);
+        let c1 = b.lut_col("Vm", 1, k);
+        let c0_again = b.lut_col("Vm", 0, k);
+        let zero = b.const_f(0.0);
+        let cond = b.cmpf(limpet_ir::CmpFPred::Ogt, one, zero);
+        let nested = b.if_op(
+            cond,
+            &[Type::F64],
+            |b| {
+                let v = b.lut_col("Vm", 1, k);
+                b.yield_(&[v]);
+            },
+            |b| {
+                let v = b.const_f(2.0);
+                b.yield_(&[v]);
+            },
+        );
+        let mut sum = b.addf(c0, c1);
+        for v in [other_key, c0_again, nested[0]] {
+            sum = b.addf(sum, v);
+        }
+        b.set_state("x", sum);
+        b.ret(&[]);
+        m.add_func(f);
+        m.luts.push(limpet_ir::LutSpec {
+            name: "Vm".into(),
+            lo: 0.0,
+            hi: 1.0,
+            step: 0.1,
+            func: "lut_Vm".into(),
+            cols: vec!["c0".into(), "c1".into()],
+        });
+        let p = compile_program(&m, &["x".into()], &["Vm".into()], &[]).unwrap();
+        // (pc, key, columns) of every row lookup.
+        let rows: Vec<_> = p
+            .instrs
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, i)| match i {
+                Instr::LutRow { key, outs, .. } => {
+                    let cols: Vec<u16> = outs.iter().map(|&(col, _)| col).collect();
+                    Some((pc, *key, cols))
+                }
+                _ => None,
+            })
+            .collect();
+        // The row at `k` (both columns, and column 0 again for the op
+        // that repeats it — the baseline pipeline runs no CSE), the row at
+        // `k2`, and the nested region's own row.
+        assert_eq!(rows.len(), 3, "{}", p.disassemble());
+        let (first_pc, key, _) = rows[0];
+        assert_eq!(rows[0].2, [0, 1, 0]);
+        assert_ne!(rows[1].1, key);
+        assert_eq!(rows[1].2, [0]);
+        assert_eq!(rows[2].1, key, "the nested lookup reads the same key");
+        assert_eq!(rows[2].2, [1]);
+        // The row sits where its first `lut.col` was, after the key's def.
+        assert!(matches!(p.instrs[first_pc - 1], Instr::LoadExt { .. }));
+        // Marking one op cubic takes it out of the linear row.
+        let f = m.func_mut("compute").unwrap();
+        let (_, _, second) = f
+            .walk_ops()
+            .into_iter()
+            .filter(|&(_, _, op)| f.op(op).kind == OpKind::LutCol)
+            .nth(2)
+            .unwrap();
+        f.op_mut(second).attrs.set("interp", "cubic");
+        let p = compile_program(&m, &["x".into()], &["Vm".into()], &[]).unwrap();
+        let modes: Vec<(LutInterp, usize)> = p
+            .instrs
+            .iter()
+            .filter_map(|i| match i {
+                Instr::LutRow { interp, outs, .. } => Some((*interp, outs.len())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            modes,
+            [
+                (LutInterp::Vec, 2),
+                (LutInterp::Vec, 1),
+                (LutInterp::Cubic, 1),
+                (LutInterp::Vec, 1)
+            ]
+        );
+    }
+
+    #[test]
     fn lut_scalar_flag_selects_instruction() {
         let mut m = Module::new("t");
         let mut f = Func::new("compute", &[], &[]);
         let mut b = Builder::new(&mut f);
         let k = b.get_ext("Vm");
-        let v = b.lut_col("Vm", 0, k);
+        let c0 = b.lut_col("Vm", 0, k);
+        let c1 = b.lut_col("Vm", 1, k);
+        let v = b.addf(c0, c1);
         b.set_state("x", v);
         b.ret(&[]);
         m.add_func(f);
@@ -1066,10 +1177,19 @@ mod tests {
             hi: 1.0,
             step: 0.1,
             func: "lut_Vm".into(),
-            cols: vec!["c0".into()],
+            cols: vec!["c0".into(), "c1".into()],
         });
+        let rows = |p: &Program| -> Vec<(LutInterp, usize)> {
+            p.instrs
+                .iter()
+                .filter_map(|i| match i {
+                    Instr::LutRow { interp, outs, .. } => Some((*interp, outs.len())),
+                    _ => None,
+                })
+                .collect()
+        };
         let p = compile_program(&m, &["x".into()], &["Vm".into()], &[]).unwrap();
-        assert!(p.instrs.iter().any(|i| matches!(i, Instr::LutVec { .. })));
+        assert_eq!(rows(&p), [(LutInterp::Vec, 2)]);
 
         // Mark scalar and recompile.
         let f = m.func_mut("compute").unwrap();
@@ -1082,10 +1202,8 @@ mod tests {
         for t in targets {
             f.op_mut(t).attrs.set("scalar_interp", true);
         }
+        // The baseline's lookups are not fused: one row of one per column.
         let p2 = compile_program(&m, &["x".into()], &["Vm".into()], &[]).unwrap();
-        assert!(p2
-            .instrs
-            .iter()
-            .any(|i| matches!(i, Instr::LutScalar { .. })));
+        assert_eq!(rows(&p2), [(LutInterp::Scalar, 1), (LutInterp::Scalar, 1)]);
     }
 }

@@ -1,18 +1,28 @@
 //! The execution engine: a `W`-lane register virtual machine.
 //!
-//! Each bytecode instruction processes `W` cells in a tight lane loop the
-//! Rust compiler auto-vectorizes, so a kernel compiled at width 8
-//! ("AVX-512") amortizes per-instruction dispatch over eight cells while
-//! the baseline width-1 kernel pays it per cell — reproducing the
-//! mechanism behind the paper's speedups. Uniform work (parameters, `dt`,
-//! loop counters) costs the same at any width, which is why small models
-//! gain less, as in the paper's Fig. 2.
+//! Each bytecode instruction processes `W` cells in a lane loop, so a
+//! kernel compiled at width 8 ("AVX-512") amortizes per-instruction
+//! dispatch over eight cells while the baseline width-1 kernel pays it per
+//! cell — reproducing the mechanism behind the paper's speedups. Uniform
+//! work (parameters, `dt`, loop counters) costs the same at any width,
+//! which is why small models gain less, as in the paper's Fig. 2.
 //!
-//! Math calls use [`crate::vmath`] block kernels at `W > 1` (the SVML
-//! stand-in) and plain `std` scalar calls at `W == 1` (the unvectorized
-//! libm of the baseline).
+//! Where a width-8 step's time goes (measured, DESIGN.md §9b): table
+//! lookups and math calls first, dispatch after them. Both stay vectorized
+//! inside the kernel the way the paper's generated code keeps them:
+//!
+//! * a lookup is one [`Instr::LutRow`] per key, not one instruction per
+//!   column — [`LutData::interp_row`] computes index and fraction once per
+//!   lane and blends every column the region reads out of the same rows
+//!   (the paper's `LUT_interpRow_n_elements_vec`; the baseline's scalar
+//!   lookups are the same instruction with one column each, an opaque
+//!   call per lane as in openCARP's `LUT_interpRow`);
+//! * math calls use [`crate::vmath`] block kernels at `W > 1` (the SVML
+//!   stand-in; `exp` and `log` and everything built on them are
+//!   branch-free lane loops) and plain `std` scalar calls at `W == 1` (the
+//!   unvectorized libm of the baseline).
 
-use crate::bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, Program};
+use crate::bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, LutInterp, Program};
 use crate::eval::{eval_func, EvalError, ParamOnlyContext, Val};
 use crate::lut::LutData;
 use crate::state::{CellStates, ExtArrays};
@@ -174,6 +184,30 @@ pub fn tabulate_luts(module: &Module, info: &ModelInfo) -> Result<Vec<LutData>, 
     Ok(luts)
 }
 
+/// Checks every `(table, column)` a row lookup of `program` names against
+/// the tables it will read. The interpolators index two adjacent rows by
+/// column, so a column past the row's end would read the next row's
+/// values instead of failing.
+fn check_lut_columns(program: &Program, luts: &[LutData]) -> Result<(), CompileError> {
+    for (pc, instr) in program.instrs.iter().enumerate() {
+        let Instr::LutRow { table, outs, .. } = instr else {
+            continue;
+        };
+        let cols = luts.get(*table as usize).map(LutData::cols);
+        if let Some(&(col, _)) = outs
+            .iter()
+            .find(|&&(col, _)| cols.is_none_or(|n| col as usize >= n))
+        {
+            return Err(CompileError(format!(
+                "instr {pc}: lut column {col} of table {table} does not exist \
+                 (table has {} column(s))",
+                cols.map_or("no".to_owned(), |n| n.to_string())
+            )));
+        }
+    }
+    Ok(())
+}
+
 impl Kernel {
     /// Compiles a lowered module against the given model facts,
     /// precomputing all lookup tables.
@@ -234,6 +268,7 @@ impl Kernel {
             .collect();
 
         let luts = tabulate_luts(module, info)?;
+        check_lut_columns(&program, &luts)?;
 
         Ok((
             Kernel {
@@ -282,7 +317,8 @@ impl Kernel {
     ///
     /// Returns [`CompileError`] when `program` does not bind the same
     /// state, external, parameter and table names in the same order —
-    /// the shared snapshot and tables are indexed by them.
+    /// the shared snapshot and tables are indexed by them — or reads a
+    /// table column the shared tables do not have.
     pub fn with_program(&self, program: Program) -> Result<Kernel, CompileError> {
         let mine = &*self.program;
         let same_binding = program.state_vars == mine.state_vars
@@ -295,6 +331,7 @@ impl Kernel {
                 self.name
             )));
         }
+        check_lut_columns(&program, &self.luts)?;
         Ok(Kernel {
             program: Arc::new(program),
             steps: Arc::new(AtomicU64::new(0)),
@@ -312,9 +349,10 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError`] when `width` is unsupported or the
-    /// program's state/external/LUT bindings disagree with `info` — the
-    /// signature of a stale or mismatched cache entry.
+    /// Returns [`CompileError`] when `width` is unsupported, the
+    /// program's state/external/LUT bindings disagree with `info`, or a
+    /// row lookup names a column `luts` does not have — the signature of
+    /// a stale or mismatched cache entry.
     pub fn from_parts(
         name: &str,
         program: Program,
@@ -344,6 +382,7 @@ impl Kernel {
                 luts.len()
             )));
         }
+        check_lut_columns(&program, &luts)?;
         let param_map: HashMap<&str, f64> =
             info.params.iter().map(|(n, v)| (n.as_str(), *v)).collect();
         let param_values: Vec<f64> = program
@@ -830,49 +869,24 @@ impl Kernel {
                         IBin::Mul => av.wrapping_mul(bv),
                     };
                 }
-                Instr::LutVec {
+                Instr::LutRow {
                     table,
-                    col,
-                    dst,
                     key,
+                    interp,
+                    outs,
                 } => {
                     let keys = fb!(*key);
-                    let mut out = [0.0f64; W];
-                    self.luts[*table as usize].interp_block(&keys, *col as usize, &mut out);
-                    fw!(*dst, out);
+                    self.luts[*table as usize].interp_row(*interp, &keys, outs, f);
                     if COUNT {
-                        prof.bytes_read += 16 * W as u64;
-                        prof.flops += 5 * W as u64;
-                    }
-                }
-                Instr::LutScalar {
-                    table,
-                    col,
-                    dst,
-                    key,
-                } => {
-                    let keys = fb!(*key);
-                    let mut out = [0.0f64; W];
-                    self.luts[*table as usize].interp_scalar_calls(&keys, *col as usize, &mut out);
-                    fw!(*dst, out);
-                    if COUNT {
-                        prof.bytes_read += 16 * W as u64;
-                        prof.flops += 5 * W as u64;
-                    }
-                }
-                Instr::LutCubic {
-                    table,
-                    col,
-                    dst,
-                    key,
-                } => {
-                    let keys = fb!(*key);
-                    let mut out = [0.0f64; W];
-                    self.luts[*table as usize].interp_block_cubic(&keys, *col as usize, &mut out);
-                    fw!(*dst, out);
-                    if COUNT {
-                        prof.bytes_read += 32 * W as u64;
-                        prof.flops += 14 * W as u64;
+                        // Per column, as when each column was its own
+                        // instruction: two rows (cubic: four) of one value.
+                        let (bytes, flops) = match interp {
+                            LutInterp::Cubic => (32, 14),
+                            LutInterp::Vec | LutInterp::Scalar => (16, 5),
+                        };
+                        let lanes = (outs.len() * W) as u64;
+                        prof.bytes_read += bytes * lanes;
+                        prof.flops += flops * lanes;
                     }
                 }
                 Instr::Jump { target } => {
@@ -1277,6 +1291,96 @@ mod tests {
             err.0.contains("failed to evaluate @lut_Vm") && err.0.contains("column value B("),
             "{err}"
         );
+    }
+
+    /// A module reading both columns of a two-column table on `Vm`.
+    fn two_column_lut_module() -> (Module, ModelInfo) {
+        let mut m = Module::new("t");
+        let mut f = Func::new("compute", &[], &[]);
+        let mut b = Builder::new(&mut f);
+        let k = b.get_ext("Vm");
+        let c0 = b.lut_col("Vm", 0, k);
+        let c1 = b.lut_col("Vm", 1, k);
+        let s = b.addf(c0, c1);
+        b.set_state("x", s);
+        b.ret(&[]);
+        m.add_func(f);
+        let mut lut = Func::new("lut_Vm", &[Type::F64], &[Type::F64, Type::F64]);
+        let key = lut.args()[0];
+        let mut b = Builder::new(&mut lut);
+        let double = b.addf(key, key);
+        b.ret(&[key, double]);
+        m.add_func(lut);
+        m.luts.push(limpet_ir::LutSpec {
+            name: "Vm".into(),
+            lo: -100.0,
+            hi: 100.0,
+            step: 10.0,
+            func: "lut_Vm".into(),
+            cols: vec!["c0".into(), "c1".into()],
+        });
+        let info = ModelInfo {
+            state_names: vec!["x".into()],
+            state_inits: vec![0.0],
+            ext_names: vec!["Vm".into()],
+            ext_inits: vec![-85.0],
+            params: vec![],
+        };
+        (m, info)
+    }
+
+    /// `program` with every row lookup's first column set to `col`.
+    fn with_first_column(program: &Program, col: u16) -> Program {
+        let mut p = program.clone();
+        for instr in &mut p.instrs {
+            if let Instr::LutRow { outs, .. } = instr {
+                outs[0].0 = col;
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn lut_columns_are_checked_against_the_tables_by_every_constructor() {
+        let (m, info) = two_column_lut_module();
+        let k = Kernel::from_module(&m, &info).unwrap();
+        let mut st = k.new_states(8, StateLayout::Aos);
+        let mut ext = k.new_ext(8);
+        k.run_step(&mut st, &mut ext, None, SimContext { dt: 0.1, t: 0.0 });
+        assert_eq!(
+            st.get(0, 0),
+            -85.0 * 3.0,
+            "linear columns interpolate exactly"
+        );
+
+        let luts = || k.luts().to_vec();
+        let ok = with_first_column(k.program(), 1);
+        assert!(k.with_program(ok.clone()).is_ok());
+        assert!(Kernel::from_parts("t", ok, 1, &info, luts()).is_ok());
+        // Column 2 of a two-column table is the next row's column 0.
+        let bad = with_first_column(k.program(), 2);
+        for err in [
+            k.with_program(bad.clone()).unwrap_err(),
+            Kernel::from_parts("t", bad, 1, &info, luts()).unwrap_err(),
+        ] {
+            assert!(
+                err.0.contains("lut column 2 of table 0") && err.0.contains("2 column(s)"),
+                "{err}"
+            );
+        }
+        // A module whose `lut.col` names a column past its `LutSpec`'s
+        // must not reach the engine either.
+        let mut wide = m.clone();
+        let f = wide.func_mut("compute").unwrap();
+        let col = f
+            .walk_ops()
+            .into_iter()
+            .map(|(_, _, op)| op)
+            .find(|&op| f.op(op).kind == limpet_ir::OpKind::LutCol)
+            .unwrap();
+        f.op_mut(col).attrs.set("col", 5i64);
+        let err = Kernel::from_module(&wide, &info).unwrap_err();
+        assert!(err.0.contains("lut column 5"), "{err}");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   inner loops auto-vectorize.
 //! * [`CellStates`] provides the AoS / AoSoA data layouts of paper §3.4.1;
 //!   [`ExtArrays`] the external-variable arrays of Listing 2.
-//! * [`LutData`] implements lookup-table interpolation with both the
-//!   vectorized path (paper §3.4.2) and the baseline scalar-call path.
+//! * [`LutData`] implements lookup-table row interpolation (paper
+//!   §3.4.2) in the vectorized, the baseline scalar-call and the cubic
+//!   mode of an [`Instr::LutRow`].
 //! * [`vmath`] is the Intel SVML stand-in: block math kernels.
 //! * [`Profile`] counts flops and bytes for the roofline model (paper §4.5).
 //!
@@ -56,7 +57,7 @@ mod state;
 #[rustfmt::skip]
 pub mod vmath;
 
-pub use bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, Program};
+pub use bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, LutInterp, Program};
 pub use engine::{tabulate_luts, Kernel, ModelInfo, ParentView, Profile, SimContext};
 pub use eval::{eval_func, EvalContext, EvalError, ParamOnlyContext, Val};
 pub use lut::LutData;

@@ -1,15 +1,29 @@
 //! Lookup-table storage and interpolation (paper §3.4.2).
 //!
 //! A table holds `rows × cols` precomputed values over `[lo, hi]` at step
-//! `step`. Runtime reads interpolate linearly between adjacent rows.
-//! Two interpolation paths exist:
+//! `step`. Runtime reads interpolate between adjacent rows.
 //!
-//! * [`LutData::interp_block`] — the paper's vectorized
-//!   `LUT_interpRow_n_elements_vec`: index computation, clamping, and the
-//!   two-point blend run as branch-free lane loops;
-//! * [`LutData::interp_scalar_calls`] — the original openCARP scalar
-//!   `LUT_interpRow`, modeled as one non-inlined call per lane (this is
-//!   the code the paper found general compilers could not vectorize).
+//! The engine reads tables through [`LutData::interp_row`] only: per lane
+//! one clamp, row index and fraction, then every requested column out of
+//! the two (cubic: four) contiguous rows — what both of openCARP's row
+//! interpolators do. Its three modes ([`LutInterp`]) differ in how the
+//! lanes are walked:
+//!
+//! * `Vec` — the paper's vectorized `LUT_interpRow_n_elements_vec`: the
+//!   lane loop is inlined into the interpreter's dispatch arm;
+//! * `Scalar` — the original openCARP scalar `LUT_interpRow`, modeled as
+//!   one non-inlined call per lane per column (this is the code the paper
+//!   found general compilers could not vectorize); the bytecode compiler
+//!   keeps these rows at one column each, so the baseline pays what it
+//!   paid before rows existed;
+//! * `Cubic` — Catmull–Rom over a four-row stencil.
+//!
+//! The per-column functions ([`LutData::interp_block`],
+//! [`LutData::interp_block_cubic`], [`LutData::interp_one`]) compute the
+//! same values one column at a time; the native tier's callbacks, the
+//! benchmark's probe and the row tests' oracles use them.
+
+use crate::bytecode::LutInterp;
 
 /// One precomputed lookup table.
 ///
@@ -208,36 +222,109 @@ impl LutData {
             let p1 = self.data[i * cols + col];
             let p2 = self.data[(i + 1) * cols + col];
             let p3 = self.data[(i + 2) * cols + col];
-            // Catmull-Rom basis.
-            let f2 = frac * frac;
-            let f3 = f2 * frac;
-            *o = 0.5
-                * ((2.0 * p1)
-                    + (-p0 + p2) * frac
-                    + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f2
-                    + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f3);
+            *o = catmull_rom(p0, p1, p2, p3, frac);
         }
     }
 
-    /// Scalar-call interpolation: same results as [`Self::interp_block`],
-    /// but through one opaque (non-inlinable) call per lane, reproducing
-    /// the function-call structure of openCARP's `LUT_interpRow` that
-    /// blocks auto-vectorization.
-    #[inline]
-    pub fn interp_scalar_calls(&self, keys: &[f64], col: usize, out: &mut [f64]) {
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = self.interp_one(k, col);
+    /// Row interpolation — the engine's only way into a table. For each
+    /// lane `l` of `keys` the clamp, row index and fraction are computed
+    /// once, then every `(col, dst)` of `outs` is interpolated out of the
+    /// same rows into `regs[dst * keys.len() + l]`, the layout of a
+    /// register file `keys.len()` lanes wide. Every value equals what the
+    /// per-column function of the mode returns, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a column is not in the table or a destination is
+    /// outside `regs`.
+    // Always inlined: the dispatch arm knows the lane count and the mode.
+    // Out of line, the baseline's rows of one cost a width-1 step 20 %.
+    #[inline(always)]
+    pub fn interp_row(
+        &self,
+        interp: LutInterp,
+        keys: &[f64],
+        outs: &[(u16, u16)],
+        regs: &mut [f64],
+    ) {
+        let stride = keys.len();
+        for (lane, &key) in keys.iter().enumerate() {
+            let lane_regs = &mut regs[lane..];
+            match interp {
+                LutInterp::Vec => self.linear_row(key, outs, lane_regs, stride),
+                LutInterp::Scalar => {
+                    for &(col, dst) in outs {
+                        lane_regs[dst as usize * stride] = self.interp_one(key, col as usize);
+                    }
+                }
+                LutInterp::Cubic => self.cubic_row(key, outs, lane_regs, stride),
+            }
         }
     }
 
-    /// One scalar interpolation (the per-call body of the baseline path).
+    /// One lane of a linear row lookup: `out[dst * stride]` for every
+    /// `(col, dst)`.
+    #[inline(always)]
+    fn linear_row(&self, key: f64, outs: &[(u16, u16)], out: &mut [f64], stride: usize) {
+        let (i, frac) = self.row_frac(key);
+        let (lo_row, hi_row) = self.data[i * self.cols..(i + 2) * self.cols].split_at(self.cols);
+        for &(col, dst) in outs {
+            out[dst as usize * stride] = lerp(lo_row[col as usize], hi_row[col as usize], frac);
+        }
+    }
+
+    /// One lane of a cubic row lookup (see [`Self::interp_block_cubic`]).
+    #[inline(always)]
+    fn cubic_row(&self, key: f64, outs: &[(u16, u16)], out: &mut [f64], stride: usize) {
+        let (i, frac) = self.row_frac(key);
+        if i == 0 || i + 2 >= self.rows {
+            return self.linear_row(key, outs, out, stride);
+        }
+        let cols = self.cols;
+        let stencil = &self.data[(i - 1) * cols..(i + 3) * cols];
+        for &(col, dst) in outs {
+            let col = col as usize;
+            out[dst as usize * stride] = catmull_rom(
+                stencil[col],
+                stencil[cols + col],
+                stencil[2 * cols + col],
+                stencil[3 * cols + col],
+                frac,
+            );
+        }
+    }
+
+    /// One scalar interpolation of one column, as an opaque call: the
+    /// function-call structure of openCARP's `LUT_interpRow` that blocks
+    /// auto-vectorization of the baseline.
     #[inline(never)]
     pub fn interp_one(&self, key: f64, col: usize) -> f64 {
         let (i, frac) = self.row_frac(key);
-        let a = self.data[i * self.cols + col];
-        let b = self.data[(i + 1) * self.cols + col];
-        a + (b - a) * frac
+        lerp(
+            self.data[i * self.cols + col],
+            self.data[(i + 1) * self.cols + col],
+            frac,
+        )
     }
+}
+
+/// The linear blend every row path shares: `frac` of the way from `a` to
+/// `b`, in the operation order of [`LutData::interp_block`].
+#[inline(always)]
+fn lerp(a: f64, b: f64, frac: f64) -> f64 {
+    a + (b - a) * frac
+}
+
+/// The Catmull–Rom blend of four equally spaced samples at `frac` of the
+/// way from `p1` to `p2`.
+#[inline(always)]
+fn catmull_rom(p0: f64, p1: f64, p2: f64, p3: f64, frac: f64) -> f64 {
+    let f2 = frac * frac;
+    let f3 = f2 * frac;
+    0.5 * ((2.0 * p1)
+        + (-p0 + p2) * frac
+        + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * f2
+        + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * f3)
 }
 
 #[cfg(test)]
@@ -302,10 +389,95 @@ mod tests {
         let t = table();
         let keys: Vec<f64> = (0..64).map(|i| -90.0 + i as f64 * 2.7).collect();
         let mut a = vec![0.0; 64];
-        let mut b = vec![0.0; 64];
         t.interp_block(&keys, 0, &mut a);
-        t.interp_scalar_calls(&keys, 0, &mut b);
+        let b: Vec<f64> = keys.iter().map(|&k| t.interp_one(k, 0)).collect();
         assert_eq!(a, b);
+    }
+
+    /// Keys that stress the clamp, the index and the fraction: far out of
+    /// range, non-finite, on the grid, in the first and the last interval
+    /// (where the cubic stencil falls back to linear), and in between.
+    fn hostile_keys() -> Vec<f64> {
+        let mut keys = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1e300,
+            1e300,
+            -100.05,
+            -100.0,
+            -99.975,
+            -99.95,
+            -0.0,
+            0.0,
+            0.05,
+            f64::MIN_POSITIVE,
+            99.9,
+            99.925,
+            99.95,
+            99.975,
+            100.0,
+            100.025,
+            100.05,
+            100.1,
+        ];
+        keys.extend((0..97).map(|i| -103.0 + i as f64 * 2.17));
+        keys
+    }
+
+    #[test]
+    fn row_lookup_equals_the_per_column_functions_bit_for_bit() {
+        // Three columns so a row of two leaves one out.
+        let t = LutData::build(-100.0, 100.0, 0.05, 3, |x, out| {
+            out[0] = (x / 10.0).exp();
+            out[1] = x * x;
+            out[2] = (x / 7.0).sin();
+        });
+        // Register 0 holds the key; columns land out of order, one twice.
+        let outs: [(u16, u16); 4] = [(2, 3), (0, 1), (1, 4), (0, 2)];
+        let keys = hostile_keys();
+        for width in [1usize, 2, 4, 8] {
+            for block in keys.chunks_exact(width) {
+                for interp in [LutInterp::Vec, LutInterp::Scalar, LutInterp::Cubic] {
+                    let mut regs = vec![f64::NAN; 5 * width];
+                    regs[..width].copy_from_slice(block);
+                    t.interp_row(interp, block, &outs, &mut regs);
+                    for (lane, key) in block.iter().enumerate() {
+                        assert_eq!(regs[lane].to_bits(), key.to_bits(), "key register");
+                    }
+                    for &(col, dst) in &outs {
+                        let col = col as usize;
+                        let mut want = vec![0.0; width];
+                        match interp {
+                            LutInterp::Vec => t.interp_block(block, col, &mut want),
+                            LutInterp::Cubic => t.interp_block_cubic(block, col, &mut want),
+                            LutInterp::Scalar => {
+                                for (w, &k) in want.iter_mut().zip(block) {
+                                    *w = t.interp_one(k, col);
+                                }
+                            }
+                        }
+                        let got = &regs[dst as usize * width..][..width];
+                        for ((g, w), k) in got.iter().zip(&want).zip(block) {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{interp:?} W={width} col {col} key {k}: {g} vs {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn row_lookup_of_a_missing_column_panics_instead_of_reading_the_next_row() {
+        let t = table();
+        let mut regs = [0.0; 2];
+        t.interp_row(LutInterp::Vec, &[1.0], &[(2, 1)], &mut regs);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! 4. **Dead-code elimination** (use counts, to fixpoint): pure
 //!    instructions whose destination register is never read are dropped —
 //!    this is what actually deletes the movs and constants orphaned by
-//!    rewrites 1–3.
+//!    rewrites 1–3. An [`Instr::LutRow`] writes one register per column:
+//!    it loses each column nothing reads and goes with the last one.
 //!
 //! Finally **register compaction** renumbers each register file with a
 //! linear-scan allocator over conservative live intervals (extended
@@ -117,8 +118,10 @@ enum RegClass {
     I,
 }
 
-/// The register an instruction writes, if any.
-fn def_of(instr: &Instr) -> Option<(RegClass, u16)> {
+/// Visits every register an instruction writes (mutably, for
+/// renumbering): one for most instructions, one per column for a
+/// [`Instr::LutRow`], none for stores and control flow.
+fn for_each_def_mut(instr: &mut Instr, mut f: impl FnMut(RegClass, &mut u16)) {
     use Instr::*;
     match instr {
         ConstF { dst, .. }
@@ -139,27 +142,39 @@ fn def_of(instr: &Instr) -> Option<(RegClass, u16)> {
         | Math1 { dst, .. }
         | Math2 { dst, .. }
         | SelectF { dst, .. }
-        | SIToFP { dst, .. }
-        | LutVec { dst, .. }
-        | LutScalar { dst, .. }
-        | LutCubic { dst, .. } => Some((RegClass::F, *dst)),
+        | SIToFP { dst, .. } => f(RegClass::F, dst),
+        LutRow { outs, .. } => {
+            for (_, dst) in outs.iter_mut() {
+                f(RegClass::F, dst);
+            }
+        }
         ConstB { dst, .. }
         | MovB { dst, .. }
         | HasParent { dst }
         | CmpF { dst, .. }
         | CmpI { dst, .. }
         | BinB { dst, .. }
-        | SelectB { dst, .. } => Some((RegClass::B, *dst)),
+        | SelectB { dst, .. } => f(RegClass::B, dst),
         ConstI { dst, .. } | MovI { dst, .. } | CellIndex { dst } | BinI { dst, .. } => {
-            Some((RegClass::I, *dst))
+            f(RegClass::I, dst)
         }
         StoreState { .. }
         | StoreExt { .. }
         | StoreParentState { .. }
         | Jump { .. }
         | JumpIfNot { .. }
-        | Ret => None,
+        | Ret => {}
     }
+}
+
+/// Visits every register an instruction writes.
+fn for_each_def(instr: &Instr, mut f: impl FnMut(RegClass, u16)) {
+    // A row owns its column list: read it in place, don't copy it.
+    if let Instr::LutRow { outs, .. } = instr {
+        return outs.iter().for_each(|&(_, dst)| f(RegClass::F, dst));
+    }
+    let mut copy = instr.clone();
+    for_each_def_mut(&mut copy, |cls, r| f(cls, *r));
 }
 
 /// Visits every register an instruction reads (mutably, for rewriting).
@@ -204,7 +219,7 @@ fn for_each_use_mut(instr: &mut Instr, mut f: impl FnMut(RegClass, &mut u16)) {
             f(RegClass::I, a);
             f(RegClass::I, b);
         }
-        LutVec { key, .. } | LutScalar { key, .. } | LutCubic { key, .. } => f(RegClass::F, key),
+        LutRow { key, .. } => f(RegClass::F, key),
         ConstF { .. }
         | ConstI { .. }
         | ConstB { .. }
@@ -222,51 +237,16 @@ fn for_each_use_mut(instr: &mut Instr, mut f: impl FnMut(RegClass, &mut u16)) {
 
 /// Visits every register an instruction reads.
 fn for_each_use(instr: &Instr, mut f: impl FnMut(RegClass, u16)) {
+    if let Instr::LutRow { key, .. } = instr {
+        return f(RegClass::F, *key);
+    }
     let mut copy = instr.clone();
     for_each_use_mut(&mut copy, |cls, r| f(cls, *r));
 }
 
 /// Visits every register field — defs and uses — for renumbering.
 fn for_each_reg_mut(instr: &mut Instr, mut f: impl FnMut(RegClass, &mut u16)) {
-    if let Some((cls, _)) = def_of(instr) {
-        use Instr::*;
-        match instr {
-            ConstF { dst, .. }
-            | ConstI { dst, .. }
-            | ConstB { dst, .. }
-            | MovF { dst, .. }
-            | MovB { dst, .. }
-            | MovI { dst, .. }
-            | LoadParam { dst, .. }
-            | LoadDt { dst }
-            | LoadTime { dst }
-            | CellIndex { dst }
-            | LoadState { dst, .. }
-            | LoadExt { dst, .. }
-            | HasParent { dst }
-            | LoadParentState { dst, .. }
-            | BinF { dst, .. }
-            | BinFK { dst, .. }
-            | BinKF { dst, .. }
-            | LoadStateOp { dst, .. }
-            | LoadExtOp { dst, .. }
-            | NegF { dst, .. }
-            | FmaF { dst, .. }
-            | Math1 { dst, .. }
-            | Math2 { dst, .. }
-            | CmpF { dst, .. }
-            | CmpI { dst, .. }
-            | BinB { dst, .. }
-            | SelectF { dst, .. }
-            | SelectB { dst, .. }
-            | SIToFP { dst, .. }
-            | BinI { dst, .. }
-            | LutVec { dst, .. }
-            | LutScalar { dst, .. }
-            | LutCubic { dst, .. } => f(cls, dst),
-            _ => {}
-        }
-    }
+    for_each_def_mut(instr, &mut f);
     for_each_use_mut(instr, f);
 }
 
@@ -383,7 +363,7 @@ fn copy_propagate(p: &mut Program) -> bool {
                 }
             }
         });
-        if let Some((cls, dst)) = def_of(instr) {
+        for_each_def(instr, |cls, dst| {
             let map = match cls {
                 RegClass::F => &mut copy_f,
                 RegClass::B => &mut copy_b,
@@ -395,12 +375,12 @@ fn copy_propagate(p: &mut Program) -> bool {
                     *entry = None;
                 }
             }
-            match *instr {
-                Instr::MovF { dst, src } if dst != src => copy_f[dst as usize] = Some(src),
-                Instr::MovB { dst, src } if dst != src => copy_b[dst as usize] = Some(src),
-                Instr::MovI { dst, src } if dst != src => copy_i[dst as usize] = Some(src),
-                _ => {}
-            }
+        });
+        match *instr {
+            Instr::MovF { dst, src } if dst != src => copy_f[dst as usize] = Some(src),
+            Instr::MovB { dst, src } if dst != src => copy_b[dst as usize] = Some(src),
+            Instr::MovI { dst, src } if dst != src => copy_i[dst as usize] = Some(src),
+            _ => {}
         }
     }
     changed
@@ -536,9 +516,11 @@ fn fuse_peepholes(p: &mut Program, stats: &mut OptStats) -> bool {
 fn fuse_const_operands(p: &mut Program, stats: &mut OptStats) -> bool {
     let mut def_count = vec![0u32; p.n_fregs];
     for instr in &p.instrs {
-        if let Some((RegClass::F, d)) = def_of(instr) {
-            def_count[d as usize] += 1;
-        }
+        for_each_def(instr, |cls, d| {
+            if cls == RegClass::F {
+                def_count[d as usize] += 1;
+            }
+        });
     }
     let mut const_val: Vec<Option<f64>> = vec![None; p.n_fregs];
     for instr in &p.instrs {
@@ -582,10 +564,12 @@ fn fuse_const_operands(p: &mut Program, stats: &mut OptStats) -> bool {
 
 /// Use-count dead-code elimination to fixpoint: drops pure instructions
 /// whose destination is never read (plus self-movs). Removal cascades —
-/// deleting a reader can orphan its operands' defs.
+/// deleting a reader can orphan its operands' defs. A row lookup loses
+/// each unread column, and goes once none is left.
 fn dce(p: &mut Program, stats: &mut OptStats) -> bool {
     let n = p.instrs.len();
     let mut keep = vec![true; n];
+    let mut trimmed = false;
     loop {
         let mut reads_f = vec![0u32; p.n_fregs];
         let mut reads_b = vec![0u32; p.n_bregs];
@@ -603,21 +587,36 @@ fn dce(p: &mut Program, stats: &mut OptStats) -> bool {
             });
         }
         let mut any = false;
-        for (pc, instr) in p.instrs.iter().enumerate() {
+        for (pc, instr) in p.instrs.iter_mut().enumerate() {
             if !keep[pc] || has_side_effect(instr) {
                 continue;
+            }
+            if let Instr::LutRow { outs, .. } = instr {
+                if outs.iter().any(|&(_, d)| reads_f[d as usize] == 0) {
+                    *outs = outs
+                        .iter()
+                        .copied()
+                        .filter(|&(_, d)| reads_f[d as usize] > 0)
+                        .collect();
+                    trimmed = true;
+                }
             }
             let self_mov = matches!(
                 instr,
                 Instr::MovF { dst, src } | Instr::MovB { dst, src } | Instr::MovI { dst, src }
                     if dst == src
             );
-            let dead = match def_of(instr) {
-                Some((RegClass::F, d)) => reads_f[d as usize] == 0,
-                Some((RegClass::B, d)) => reads_b[d as usize] == 0,
-                Some((RegClass::I, d)) => reads_i[d as usize] == 0,
-                None => false,
-            };
+            // Every pure instruction defines a register; an emptied row
+            // defines none and is dead with the rest.
+            let mut dead = true;
+            for_each_def(instr, |cls, d| {
+                let reads = match cls {
+                    RegClass::F => &reads_f,
+                    RegClass::B => &reads_b,
+                    RegClass::I => &reads_i,
+                };
+                dead &= reads[d as usize] == 0;
+            });
             if dead || self_mov {
                 keep[pc] = false;
                 any = true;
@@ -635,7 +634,7 @@ fn dce(p: &mut Program, stats: &mut OptStats) -> bool {
         }
     }
     if keep.iter().all(|&k| k) {
-        return false;
+        return trimmed;
     }
     retain_instrs(p, &keep);
     true
@@ -660,11 +659,11 @@ fn compact_class(p: &mut Program, cls: RegClass) -> (usize, usize) {
             start[r] = start[r].min(pc);
             end[r] = end[r].max(pc);
         };
-        if let Some((c, d)) = def_of(instr) {
+        for_each_def(instr, |c, d| {
             if c == cls {
                 occur(d);
             }
-        }
+        });
         for_each_use(instr, |c, r| {
             if c == cls {
                 occur(r);
@@ -781,6 +780,7 @@ pub fn optimize_program(p: &mut Program) -> OptStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::LutInterp;
 
     fn program(instrs: Vec<Instr>, n_fregs: usize, n_bregs: usize, n_iregs: usize) -> Program {
         Program {
@@ -1059,6 +1059,104 @@ mod tests {
             })
             .expect("backward jump survived");
         assert!(matches!(p.instrs[back], Instr::CmpI { .. }));
+    }
+
+    /// `f0 = Vm; f1..=fN = row(f0)`, then `rest`.
+    fn row_program(outs: &[(u16, u16)], rest: Vec<Instr>, n_fregs: usize) -> Program {
+        let mut instrs = vec![
+            Instr::LoadExt { dst: 0, var: 0 },
+            Instr::LutRow {
+                table: 0,
+                key: 0,
+                interp: LutInterp::Vec,
+                outs: outs.into(),
+            },
+        ];
+        instrs.extend(rest);
+        instrs.push(Instr::Ret);
+        program(instrs, n_fregs, 0, 0)
+    }
+
+    fn rows_of(p: &Program) -> Vec<(u16, Vec<(u16, u16)>)> {
+        p.instrs
+            .iter()
+            .filter_map(|i| match i {
+                Instr::LutRow { key, outs, .. } => Some((*key, outs.to_vec())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unused_column_is_dropped_from_its_row() {
+        let mut p = row_program(
+            &[(0, 1), (1, 2), (2, 3)],
+            vec![
+                Instr::StoreState { src: 1, var: 0 },
+                Instr::StoreState { src: 3, var: 1 },
+            ],
+            4,
+        );
+        let stats = optimize_program(&mut p);
+        let rows = rows_of(&p);
+        assert_eq!(rows.len(), 1);
+        let cols: Vec<u16> = rows[0].1.iter().map(|&(col, _)| col).collect();
+        assert_eq!(cols, [0, 2], "column 1 fed nothing");
+        // A column is not an instruction: nothing was deleted.
+        assert_eq!(stats.instrs_removed, 0);
+        assert_eq!(p.n_fregs, 3);
+    }
+
+    #[test]
+    fn row_with_no_live_column_disappears_with_its_key() {
+        let mut p = row_program(
+            &[(0, 1), (1, 2)],
+            vec![
+                Instr::LoadState { dst: 3, var: 0 },
+                Instr::StoreState { src: 3, var: 1 },
+            ],
+            4,
+        );
+        let stats = optimize_program(&mut p);
+        assert!(rows_of(&p).is_empty());
+        assert!(!p.instrs.iter().any(|i| matches!(i, Instr::LoadExt { .. })));
+        assert_eq!(stats.instrs_removed, 2, "the row and the key's load");
+    }
+
+    #[test]
+    fn compaction_keeps_row_destinations_apart_from_the_key_and_each_other() {
+        // The key dies at the row and every column is born there: an
+        // allocator that freed the key's slot first would hand it to a
+        // column, and the per-column native expansion would then read a
+        // clobbered key.
+        let mut p = row_program(
+            &[(0, 5), (1, 6), (2, 7)],
+            vec![
+                Instr::BinF {
+                    op: FBin::Mul,
+                    dst: 8,
+                    a: 5,
+                    b: 6,
+                },
+                Instr::BinF {
+                    op: FBin::Sub,
+                    dst: 9,
+                    a: 8,
+                    b: 7,
+                },
+                Instr::StoreState { src: 9, var: 0 },
+            ],
+            10,
+        );
+        optimize_program(&mut p);
+        let rows = rows_of(&p);
+        let (key, outs) = &rows[0];
+        let mut regs: Vec<u16> = outs.iter().map(|&(_, dst)| dst).collect();
+        regs.push(*key);
+        regs.sort_unstable();
+        regs.dedup();
+        assert_eq!(regs.len(), 4, "key and three columns in four registers");
+        assert!(p.n_fregs < 10, "compaction ran");
     }
 
     #[test]

@@ -7,21 +7,27 @@
 //! `f64` is written as the hex of its IEEE-754 bit pattern, so a
 //! deserialized kernel computes bit-identical trajectories.
 //!
-//! The format carries a version stamp ([`BYTECODE_FORMAT_VERSION`]);
-//! readers reject any other version, so a stale cache entry degrades to a
-//! recompile instead of misinterpreting fields. Deserialization never
-//! panics on malformed input — every structural defect comes back as an
-//! `Err` describing the offending line.
+//! Each format carries a version stamp ([`BYTECODE_FORMAT_VERSION`] for
+//! programs, one of its own for LUT payloads); readers reject any other
+//! version, so a stale cache entry degrades to a recompile instead of
+//! misinterpreting fields. Deserialization never panics on malformed
+//! input — every structural defect comes back as an `Err` describing the
+//! offending line.
 
-use crate::bytecode::{BBin, FBin, IBin, Instr, Program};
+use crate::bytecode::{BBin, FBin, IBin, Instr, LutInterp, Program};
 use crate::lut::LutData;
 use limpet_ir::{CmpFPred, CmpIPred, MathFn};
 use std::fmt::Write as _;
 
-/// Version stamp of the textual bytecode/LUT format. Bump on any change
-/// to the serialized shape; readers reject mismatched stamps so old cache
-/// entries are recompiled rather than misread.
-pub const BYTECODE_FORMAT_VERSION: u32 = 1;
+/// Version stamp of the textual bytecode format. Bump on any change to
+/// the serialized shape; readers reject mismatched stamps so old cache
+/// entries are recompiled rather than misread. Version 2 replaced the
+/// per-column `lutvec`/`lutscalar`/`lutcubic` by `lutrow`.
+pub const BYTECODE_FORMAT_VERSION: u32 = 2;
+
+/// Version stamp of the textual LUT payload, which did not change when
+/// the bytecode's did: the same tables still serialize to the same bytes.
+const LUT_FORMAT_VERSION: u32 = 1;
 
 impl FBin {
     /// Stable lowercase mnemonic used by the bytecode serializer.
@@ -86,6 +92,24 @@ impl IBin {
         [IBin::Add, IBin::Sub, IBin::Mul]
             .into_iter()
             .find(|op| op.as_str() == s)
+    }
+}
+
+impl LutInterp {
+    /// Stable lowercase mnemonic used by the bytecode serializer.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            LutInterp::Vec => "vec",
+            LutInterp::Scalar => "scalar",
+            LutInterp::Cubic => "cubic",
+        }
+    }
+
+    /// Parses a [`LutInterp::as_str`] mnemonic.
+    pub fn parse(s: &str) -> Option<LutInterp> {
+        [LutInterp::Vec, LutInterp::Scalar, LutInterp::Cubic]
+            .into_iter()
+            .find(|m| m.as_str() == s)
     }
 }
 
@@ -169,24 +193,24 @@ fn write_instr(out: &mut String, instr: &Instr) {
         Instr::SelectB { dst, cond, a, b } => writeln!(out, "selectb {dst} {cond} {a} {b}"),
         Instr::SIToFP { dst, a } => writeln!(out, "sitofp {dst} {a}"),
         Instr::BinI { op, dst, a, b } => writeln!(out, "bini {} {dst} {a} {b}", op.as_str()),
-        Instr::LutVec {
+        Instr::LutRow {
             table,
-            col,
-            dst,
             key,
-        } => writeln!(out, "lutvec {table} {col} {dst} {key}"),
-        Instr::LutScalar {
-            table,
-            col,
-            dst,
-            key,
-        } => writeln!(out, "lutscalar {table} {col} {dst} {key}"),
-        Instr::LutCubic {
-            table,
-            col,
-            dst,
-            key,
-        } => writeln!(out, "lutcubic {table} {col} {dst} {key}"),
+            interp,
+            outs,
+        } => {
+            write!(
+                out,
+                "lutrow {table} {key} {} {}",
+                interp.as_str(),
+                outs.len()
+            )
+            .unwrap();
+            for (col, dst) in outs.iter() {
+                write!(out, " {col} {dst}").unwrap();
+            }
+            writeln!(out)
+        }
         Instr::Jump { target } => writeln!(out, "jump {target}"),
         Instr::JumpIfNot { cond, target } => writeln!(out, "jumpifnot {cond} {target}"),
         Instr::Ret => writeln!(out, "ret"),
@@ -271,6 +295,11 @@ impl<'a> Fields<'a> {
     fn mathfn(&mut self) -> Result<MathFn, String> {
         let t = self.next()?;
         MathFn::parse(t).ok_or_else(|| format!("line {}: unknown math fn '{t}'", self.line_no))
+    }
+
+    fn lut_interp(&mut self) -> Result<LutInterp, String> {
+        let t = self.next()?;
+        LutInterp::parse(t).ok_or_else(|| format!("line {}: bad lut mode '{t}'", self.line_no))
     }
 
     fn cmpf(&mut self) -> Result<CmpFPred, String> {
@@ -538,24 +567,20 @@ fn read_instr(line: &str, no: usize) -> Result<Instr, String> {
             a: f.u16()?,
             b: f.u16()?,
         },
-        "lutvec" => Instr::LutVec {
-            table: f.u16()?,
-            col: f.u16()?,
-            dst: f.u16()?,
-            key: f.u16()?,
-        },
-        "lutscalar" => Instr::LutScalar {
-            table: f.u16()?,
-            col: f.u16()?,
-            dst: f.u16()?,
-            key: f.u16()?,
-        },
-        "lutcubic" => Instr::LutCubic {
-            table: f.u16()?,
-            col: f.u16()?,
-            dst: f.u16()?,
-            key: f.u16()?,
-        },
+        "lutrow" => {
+            let (table, key, interp) = (f.u16()?, f.u16()?, f.lut_interp()?);
+            let count = f.usize()?;
+            let mut outs = Vec::with_capacity(count.min(256));
+            for _ in 0..count {
+                outs.push((f.u16()?, f.u16()?));
+            }
+            Instr::LutRow {
+                table,
+                key,
+                interp,
+                outs: outs.into(),
+            }
+        }
         "jump" => Instr::Jump { target: f.u32()? },
         "jumpifnot" => Instr::JumpIfNot {
             cond: f.u16()?,
@@ -569,9 +594,12 @@ fn read_instr(line: &str, no: usize) -> Result<Instr, String> {
 }
 
 /// Structural validation of a deserialized program: every symbol-indexed
-/// field must point inside its symbol table and every jump target must
+/// field must point inside its symbol table, every jump target must
 /// stay inside the instruction list (`==` length is the fall-off-the-end
-/// exit the compiler emits for loop back edges).
+/// exit the compiler emits for loop back edges), and a row lookup must
+/// write at least one register, each once, none of them its key — the
+/// shape the compiler and optimizer guarantee. Column indices are checked
+/// against the tables themselves when a kernel is assembled.
 fn validate(p: &Program) -> Result<(), String> {
     let in_table = |pc: usize, idx: u16, len: usize, what: &str| -> Result<(), String> {
         if (idx as usize) < len {
@@ -596,10 +624,20 @@ fn validate(p: &Program) -> Result<(), String> {
             Instr::LoadParentState { var, .. } | Instr::StoreParentState { var, .. } => {
                 in_table(pc, *var, p.parent_vars.len(), "parent var")?
             }
-            Instr::LutVec { table, .. }
-            | Instr::LutScalar { table, .. }
-            | Instr::LutCubic { table, .. } => {
-                in_table(pc, *table, p.lut_tables.len(), "lut table")?
+            Instr::LutRow {
+                table, key, outs, ..
+            } => {
+                in_table(pc, *table, p.lut_tables.len(), "lut table")?;
+                if outs.is_empty() {
+                    return Err(format!("instr {pc}: lut row without columns"));
+                }
+                for (i, (_, dst)) in outs.iter().enumerate() {
+                    if dst == key || outs[..i].iter().any(|(_, d)| d == dst) {
+                        return Err(format!(
+                            "instr {pc}: lut row writes f{dst} twice or over its key"
+                        ));
+                    }
+                }
             }
             Instr::Jump { target } | Instr::JumpIfNot { target, .. }
                 if *target as usize > p.instrs.len() =>
@@ -678,7 +716,7 @@ fn read_lut_line(line: &str, room: usize, data: &mut Vec<f64>) -> bool {
 pub fn serialize_luts(luts: &[LutData]) -> String {
     let values: usize = luts.iter().map(|l| l.data().len()).sum();
     let mut out = String::with_capacity(values * 17 + luts.len() * 96 + 32);
-    writeln!(out, "luts v{BYTECODE_FORMAT_VERSION} {}", luts.len()).unwrap();
+    writeln!(out, "luts v{LUT_FORMAT_VERSION} {}", luts.len()).unwrap();
     for lut in luts {
         writeln!(
             out,
@@ -707,7 +745,7 @@ pub fn deserialize_luts(text: &str) -> Result<Vec<LutData>, String> {
     let mut cur = LineCursor::of(text);
     let (no, header) = cur.next()?;
     let mut f = Fields::of(header, no);
-    let expect = format!("v{BYTECODE_FORMAT_VERSION}");
+    let expect = format!("v{LUT_FORMAT_VERSION}");
     if f.next()? != "luts" {
         return Err(format!("line {no}: expected 'luts' header"));
     }
@@ -865,23 +903,23 @@ mod tests {
                 a: 0,
                 b: 1,
             },
-            Instr::LutVec {
+            Instr::LutRow {
                 table: 0,
-                col: 0,
-                dst: 12,
                 key: 11,
+                interp: LutInterp::Vec,
+                outs: [(0, 12), (1, 9), (0, 10)].into(),
             },
-            Instr::LutScalar {
+            Instr::LutRow {
                 table: 0,
-                col: 1,
-                dst: 12,
                 key: 11,
+                interp: LutInterp::Scalar,
+                outs: [(1, 12)].into(),
             },
-            Instr::LutCubic {
+            Instr::LutRow {
                 table: 0,
-                col: 0,
-                dst: 12,
                 key: 11,
+                interp: LutInterp::Cubic,
+                outs: [(0, 12)].into(),
             },
             Instr::Jump { target: 38 },
             Instr::JumpIfNot {
@@ -943,7 +981,11 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let p = sample_program();
-        let text = serialize_program(&p).replacen("program v1", "program v999", 1);
+        let text = serialize_program(&p).replacen(
+            &format!("program v{BYTECODE_FORMAT_VERSION}"),
+            "program v999",
+            1,
+        );
         let err = deserialize_program(&text).unwrap_err();
         assert!(err.contains("unsupported bytecode format"), "{err}");
     }
@@ -969,6 +1011,53 @@ mod tests {
         p.instrs.insert(0, Instr::Jump { target: 9999 });
         let err = deserialize_program(&serialize_program(&p)).unwrap_err();
         assert!(err.contains("jump target"), "{err}");
+    }
+
+    /// A program whose only computation is `row`.
+    fn row_text(row: &str) -> String {
+        let p = Program {
+            instrs: vec![Instr::Ret],
+            n_fregs: 4,
+            n_bregs: 0,
+            n_iregs: 0,
+            state_vars: vec![],
+            ext_vars: vec![],
+            params: vec![],
+            lut_tables: vec!["Vm".into()],
+            parent_vars: vec![],
+        };
+        serialize_program(&p).replacen("instrs 1\n", &format!("instrs 2\n{row}\n"), 1)
+    }
+
+    #[test]
+    fn lutrow_text_form_round_trips_and_rejects_malformed_rows() {
+        let p = deserialize_program(&row_text("lutrow 0 0 cubic 3 2 1 0 2 2 3")).expect("valid");
+        assert_eq!(
+            p.instrs[0],
+            Instr::LutRow {
+                table: 0,
+                key: 0,
+                interp: LutInterp::Cubic,
+                outs: [(2, 1), (0, 2), (2, 3)].into(),
+            },
+            "a column may repeat; order is kept"
+        );
+        assert!(serialize_program(&p).contains("\nlutrow 0 0 cubic 3 2 1 0 2 2 3\n"));
+
+        for (row, why) in [
+            ("lutrow 0 0 vec 0", "without columns"),
+            ("lutrow 0 0 vec 2 0 1 1 1", "twice or over its key"),
+            ("lutrow 0 0 vec 2 0 1 1 0", "twice or over its key"),
+            ("lutrow 1 0 vec 1 0 1", "lut table index"),
+            ("lutrow 0 0 vec 2 0 1", "missing field"),
+            ("lutrow 0 0 vec 1 0 1 1 2", "trailing field"),
+            ("lutrow 0 0 linear 1 0 1", "bad lut mode"),
+            ("lutrow 0 0 vec 70000 0 1", "missing field"),
+            ("lutvec 0 0 1 0", "unknown mnemonic"),
+        ] {
+            let err = deserialize_program(&row_text(row)).expect_err(row);
+            assert!(err.contains(why), "{row}: {err}");
+        }
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! The paper links the generated code against `libsvml` so that calls like
 //! `exp` on vector operands stay vectorized (§4, footnote 2; §A.8). This
 //! module provides the same capability: block functions over `W` lanes
-//! implemented with branch-free polynomial range reduction, so the Rust
-//! compiler can auto-vectorize the lane loop. Functions without a
-//! polynomial implementation fall back to per-lane `std` calls (as SVML
-//! itself does for rarely-used functions).
+//! implemented with polynomial range reduction. [`exp_block`] and
+//! [`log_block`] — and with them `tanh`, `sinh`, `cosh`, `expm1`, `pow`,
+//! `log10` and `log2`, which are built on them — are branch-free: special
+//! cases are selects over a main path every lane runs, so the lane loop
+//! has no data-dependent control flow for the Rust compiler to give up
+//! on. `sin`/`cos` still branch per lane on non-finite and huge inputs,
+//! `log1p` on tiny ones. Functions without a polynomial implementation
+//! fall back to per-lane `std` calls (as SVML itself does for rarely-used
+//! functions).
 //!
 //! Accuracy target is ~1e-12 relative over the ranges ionic models use;
 //! the test suite checks each kernel against `std` on dense grids.
@@ -18,28 +23,32 @@
 /// Range-reduces `x = k·ln2 + r` with `|r| ≤ ln2/2` and evaluates a
 /// degree-11 Taylor polynomial for `e^r`, reconstructing with exponent
 /// arithmetic. Overflow saturates to `inf`, underflow to `0`.
+///
+/// Branch-free: every lane runs the main path on its input clamped into
+/// the representable range, and saturation and NaN are selected in at
+/// the end, so the lane loop has no data-dependent control flow and no
+/// call.
 #[inline]
 pub fn exp_block(x: &mut [f64]) {
     const LOG2E: f64 = std::f64::consts::LOG2_E;
     const LN2_HI: f64 = 6.931_471_803_691_238e-1;
     const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+    // Inputs beyond these saturate.
+    const HI: f64 = 709.782_712_893_384;
+    const LO: f64 = -745.133_219_101_941_1;
+    // The largest double below one half: `trunc(t ± it)` is `t` rounded
+    // half away from zero for every `t` the clamp lets through, where
+    // `t ± 0.5` would round 0.49999999999999994 up to 1.
+    const ALMOST_HALF: f64 = 0.499_999_999_999_999_94;
     for v in x.iter_mut() {
         let xi = *v;
-        // Saturate outside the representable range.
-        if xi > 709.782_712_893_384 {
-            *v = f64::INFINITY;
-            continue;
-        }
-        if xi < -745.133_219_101_941_1 {
-            *v = 0.0;
-            continue;
-        }
-        if xi.is_nan() {
-            *v = f64::NAN;
-            continue;
-        }
-        let k = (xi * LOG2E).round();
-        let r = (xi - k * LN2_HI) - k * LN2_LO;
+        // NaN compares false and takes `LO`; the last select overrides it.
+        let xc = if xi > LO { xi } else { LO };
+        let xc = if xc < HI { xc } else { HI };
+        let t = xc * LOG2E;
+        let ki = (t + ALMOST_HALF.copysign(t)) as i32;
+        let k = f64::from(ki);
+        let r = (xc - k * LN2_HI) - k * LN2_LO;
         // e^r by Horner, degree 11 (|r| <= 0.3466 ⇒ error < 1e-16).
         let p = 1.0
             + r * (1.0
@@ -53,13 +62,16 @@ pub fn exp_block(x: &mut [f64]) {
                                             + r * (1.0 / 362880.0
                                                 + r * (1.0 / 3628800.0
                                                     + r * (1.0 / 39916800.0)))))))))));
-        // 2^k via exponent bits; |k| < 1100 so split into two halves to
-        // stay in the normal range during reconstruction.
-        let k = k as i64;
-        let (k1, k2) = (k / 2, k - k / 2);
-        let two_k1 = f64::from_bits((((k1 + 1023) as u64) << 52).min(0x7FE0_0000_0000_0000));
-        let two_k2 = f64::from_bits((((k2 + 1023) as u64) << 52).min(0x7FE0_0000_0000_0000));
-        *v = p * two_k1 * two_k2;
+        // 2^k via exponent bits; -1075 <= k <= 1024, so split into two
+        // halves to stay in the normal range during reconstruction.
+        let k1 = ki / 2;
+        let k2 = ki - k1;
+        let two_k1 = f64::from_bits(((k1 + 1023) as u64) << 52);
+        let two_k2 = f64::from_bits(((k2 + 1023) as u64) << 52);
+        let y = p * two_k1 * two_k2;
+        let y = if xi > HI { f64::INFINITY } else { y };
+        let y = if xi < LO { 0.0 } else { y };
+        *v = if xi.is_nan() { f64::NAN } else { y };
     }
 }
 
@@ -68,36 +80,32 @@ pub fn exp_block(x: &mut [f64]) {
 /// Reduces `x = m·2^e` with `m ∈ [√½, √2)` and evaluates the `atanh`
 /// series in `s = (m−1)/(m+1)`. Non-positive inputs produce `NaN`/`-inf`
 /// like `std`.
+///
+/// Branch-free like [`exp_block`]: subnormal renormalization and the
+/// mantissa fold are selects, and the special cases (negative, NaN, zero,
+/// infinity) override the main path's result at the end.
 #[inline]
 pub fn log_block(x: &mut [f64]) {
     const LN2: f64 = std::f64::consts::LN_2;
+    const EXP_MASK: u64 = 0x7FF;
+    const MANTISSA: u64 = 0x000F_FFFF_FFFF_FFFF;
+    const ONE: u64 = 0x3FF0_0000_0000_0000;
     for v in x.iter_mut() {
         let xi = *v;
-        if xi < 0.0 || xi.is_nan() {
-            *v = f64::NAN;
-            continue;
-        }
-        if xi == 0.0 {
-            *v = f64::NEG_INFINITY;
-            continue;
-        }
-        if xi.is_infinite() {
-            continue;
-        }
-        let bits = xi.to_bits();
-        let mut e = ((bits >> 52) & 0x7FF) as i64 - 1023;
-        let mut m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
-        // Subnormals: renormalize.
-        if (bits >> 52) & 0x7FF == 0 {
-            let n = xi * 9_007_199_254_740_992.0; // 2^53
-            let nb = n.to_bits();
-            e = ((nb >> 52) & 0x7FF) as i64 - 1023 - 53;
-            m = f64::from_bits((nb & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
-        }
-        if m > std::f64::consts::SQRT_2 {
-            m *= 0.5;
-            e += 1;
-        }
+        // Subnormals: renormalize by 2^53.
+        let subnormal = (xi.to_bits() >> 52) & EXP_MASK == 0;
+        let n = if subnormal {
+            xi * 9_007_199_254_740_992.0
+        } else {
+            xi
+        };
+        let bias = if subnormal { 1023 + 53 } else { 1023 };
+        let bits = n.to_bits();
+        let e = ((bits >> 52) & EXP_MASK) as i32 - bias;
+        let m = f64::from_bits((bits & MANTISSA) | ONE);
+        let fold = m > std::f64::consts::SQRT_2;
+        let m = if fold { m * 0.5 } else { m };
+        let e = e + i32::from(fold);
         let s = (m - 1.0) / (m + 1.0);
         let s2 = s * s;
         // ln(m) = 2 s (1 + s²/3 + s⁴/5 + …): degree 13 is ample for
@@ -109,7 +117,10 @@ pub fn log_block(x: &mut [f64]) {
                         + s2 * (1.0 / 9.0
                             + s2 * (1.0 / 11.0
                                 + s2 * (1.0 / 13.0 + s2 * (1.0 / 15.0 + s2 / 17.0)))))));
-        *v = 2.0 * s * p + e as f64 * LN2;
+        let y = 2.0 * s * p + f64::from(e) * LN2;
+        let y = if xi == f64::INFINITY { xi } else { y };
+        let y = if xi == 0.0 { f64::NEG_INFINITY } else { y };
+        *v = if xi < 0.0 || xi.is_nan() { f64::NAN } else { y };
     }
 }
 
@@ -503,5 +514,203 @@ mod tests {
             tanh_block(&mut v);
             assert!((v[0] - 0.5f64.tanh()).abs() < 1e-12);
         }
+    }
+
+    // The implementations of `exp_block` and `log_block` at f9ea60c (per-lane
+    // `continue`s and a libm `round()`), verbatim: the oracles the
+    // branch-free versions must equal bit for bit.
+    fn exp_block_parent(x: &mut [f64]) {
+        const LOG2E: f64 = std::f64::consts::LOG2_E;
+        const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+        const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+        for v in x.iter_mut() {
+            let xi = *v;
+            // Saturate outside the representable range.
+            if xi > 709.782_712_893_384 {
+                *v = f64::INFINITY;
+                continue;
+            }
+            if xi < -745.133_219_101_941_1 {
+                *v = 0.0;
+                continue;
+            }
+            if xi.is_nan() {
+                *v = f64::NAN;
+                continue;
+            }
+            let k = (xi * LOG2E).round();
+            let r = (xi - k * LN2_HI) - k * LN2_LO;
+            // e^r by Horner, degree 11 (|r| <= 0.3466 ⇒ error < 1e-16).
+            let p = 1.0
+                + r * (1.0
+                    + r * (0.5
+                        + r * (1.0 / 6.0
+                            + r * (1.0 / 24.0
+                                + r * (1.0 / 120.0
+                                    + r * (1.0 / 720.0
+                                        + r * (1.0 / 5040.0
+                                            + r * (1.0 / 40320.0
+                                                + r * (1.0 / 362880.0
+                                                    + r * (1.0 / 3628800.0
+                                                        + r * (1.0 / 39916800.0)))))))))));
+            // 2^k via exponent bits; |k| < 1100 so split into two halves to
+            // stay in the normal range during reconstruction.
+            let k = k as i64;
+            let (k1, k2) = (k / 2, k - k / 2);
+            let two_k1 = f64::from_bits((((k1 + 1023) as u64) << 52).min(0x7FE0_0000_0000_0000));
+            let two_k2 = f64::from_bits((((k2 + 1023) as u64) << 52).min(0x7FE0_0000_0000_0000));
+            *v = p * two_k1 * two_k2;
+        }
+    }
+
+    fn log_block_parent(x: &mut [f64]) {
+        const LN2: f64 = std::f64::consts::LN_2;
+        for v in x.iter_mut() {
+            let xi = *v;
+            if xi < 0.0 || xi.is_nan() {
+                *v = f64::NAN;
+                continue;
+            }
+            if xi == 0.0 {
+                *v = f64::NEG_INFINITY;
+                continue;
+            }
+            if xi.is_infinite() {
+                continue;
+            }
+            let bits = xi.to_bits();
+            let mut e = ((bits >> 52) & 0x7FF) as i64 - 1023;
+            let mut m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
+            // Subnormals: renormalize.
+            if (bits >> 52) & 0x7FF == 0 {
+                let n = xi * 9_007_199_254_740_992.0; // 2^53
+                let nb = n.to_bits();
+                e = ((nb >> 52) & 0x7FF) as i64 - 1023 - 53;
+                m = f64::from_bits((nb & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
+            }
+            if m > std::f64::consts::SQRT_2 {
+                m *= 0.5;
+                e += 1;
+            }
+            let s = (m - 1.0) / (m + 1.0);
+            let s2 = s * s;
+            // ln(m) = 2 s (1 + s²/3 + s⁴/5 + …): degree 13 is ample for
+            // |s| ≤ 0.1716.
+            let p = 1.0
+                + s2 * (1.0 / 3.0
+                    + s2 * (1.0 / 5.0
+                        + s2 * (1.0 / 7.0
+                            + s2 * (1.0 / 9.0
+                                + s2 * (1.0 / 11.0
+                                    + s2 * (1.0 / 13.0 + s2 * (1.0 / 15.0 + s2 / 17.0)))))));
+            *v = 2.0 * s * p + e as f64 * LN2;
+        }
+    }
+
+    /// xorshift64*: reproducible inputs without a dependency.
+    struct Bits(u64);
+
+    impl Bits {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        }
+    }
+
+    /// `x` and its two neighbours on either side.
+    fn with_neighbours(x: f64) -> [f64; 5] {
+        let step = |v: f64, by: i64| f64::from_bits((v.to_bits() as i64 + by) as u64);
+        [step(x, -2), step(x, -1), x, step(x, 1), step(x, 2)]
+    }
+
+    /// Runs both implementations over `inputs` in blocks of 8 (and a ragged
+    /// tail) and demands identical bits, NaN payloads included.
+    fn assert_same_bits(new: fn(&mut [f64]), parent: fn(&mut [f64]), inputs: &[f64]) {
+        for block in inputs.chunks(8) {
+            let (mut got, mut want) = (block.to_vec(), block.to_vec());
+            new(&mut got);
+            parent(&mut want);
+            for ((g, w), x) in got.iter().zip(&want).zip(block) {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "f({x:e}) [{:016x}]: {g:e} vs parent {w:e}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    const SPECIALS: [u64; 12] = [
+        0x0000_0000_0000_0000, // +0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x000f_ffff_ffff_ffff, // largest subnormal
+        0x0010_0000_0000_0000, // smallest normal
+        0x7fef_ffff_ffff_ffff, // largest finite
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x7ff8_0000_0000_0000, // canonical quiet NaN
+        0x7ff0_0000_0000_0001, // signalling NaN
+        0xfff8_dead_beef_cafe, // negative NaN with a payload
+        0xffff_ffff_ffff_ffff, // all ones
+    ];
+
+    #[test]
+    fn exp_is_bit_identical_to_the_parent_implementation() {
+        let mut rng = Bits(0x9e37_79b9_7f4a_7c15);
+        let mut inputs: Vec<f64> = SPECIALS.iter().map(|&b| f64::from_bits(b)).collect();
+        // Rounding ties of the range reduction: every half-integer of
+        // x·log2e the clamp lets through, and every integer.
+        for twice_k in -2200..=2100 {
+            let x = f64::from(twice_k) * 0.5 / std::f64::consts::LOG2_E;
+            inputs.extend(with_neighbours(x));
+        }
+        // Saturation edges and the tie the rounding constant exists for.
+        for edge in [
+            709.782_712_893_384,
+            -745.133_219_101_941_1,
+            -708.396_418_532_264_1, // ln(smallest normal)
+            0.499_999_999_999_999_94 / std::f64::consts::LOG2_E,
+            0.5 / std::f64::consts::LOG2_E,
+        ] {
+            inputs.extend(with_neighbours(edge));
+            inputs.extend(with_neighbours(-edge));
+        }
+        for _ in 0..500_000 {
+            inputs.push(rng.uniform(-800.0, 800.0));
+            inputs.push(f64::from_bits(rng.next()));
+        }
+        assert!(inputs.len() > 1_000_000);
+        assert_same_bits(exp_block, exp_block_parent, &inputs);
+    }
+
+    #[test]
+    fn log_is_bit_identical_to_the_parent_implementation() {
+        let mut rng = Bits(0xd1b5_4a32_d192_ed03);
+        let mut inputs: Vec<f64> = SPECIALS.iter().map(|&b| f64::from_bits(b)).collect();
+        // Every binade, subnormal ones too: at the power of two and at the
+        // mantissa fold (m = √2).
+        for e in -1074..=1023 {
+            let two_e = 2f64.powi(e);
+            inputs.extend(with_neighbours(two_e));
+            inputs.extend(with_neighbours(two_e * std::f64::consts::SQRT_2));
+            inputs.push(-two_e);
+        }
+        for _ in 0..300_000 {
+            inputs.push(rng.uniform(0.0, 10.0));
+            inputs.push(rng.uniform(0.0, 1e-300) * 1e-10); // subnormal and tiny
+            inputs.push(f64::from_bits(rng.next()));
+            inputs.push(f64::from_bits(rng.next() >> 1)); // non-negative
+        }
+        assert!(inputs.len() > 1_000_000);
+        assert_same_bits(log_block, log_block_parent, &inputs);
     }
 }

@@ -493,6 +493,47 @@ echo "==> limpet-perf --quick (all four workloads end to end, golden digests)"
 # reconciliation checks are inside the timing noise (2 of 6 runs miss).
 bash limpet-perf/run.sh --quick > /dev/null
 
+echo "==> limpet-perf sim_steady, traced (digests, exact counts, step-loop time vs BENCH_step_loop.json)"
+# One traced run of the step-loop workload. A non-zero exit is a wrong
+# golden digest, an exact count (instructions, flops, bytes, math calls
+# per step) that did not repeat, or `step_range` + `update_vm` drifting
+# from `Simulation::run` (sim.unattributed_share). Its W=8 time per step
+# is then held against the change row of BENCH_step_loop.json — only on
+# the host that recorded it, since times at reference speed still differ
+# between machines.
+STEP_OUT=$(mktemp)
+bash limpet-perf/run.sh --workload sim_steady --seconds 10 --trace 1 --out "$STEP_OUT" > /dev/null
+# Every value of a key, one per line, from compact or indented JSON.
+json_values() { { grep -o "\"$1\" *: *[^,}]*" "$2" || true; } | sed 's/^[^:]*: *//; s/"//g'; }
+json_field() { json_values "$1" "$2" | head -1; }
+host_of() { echo "$(json_field arch "$1") $(json_field os "$1") nproc=$(json_field nproc "$1") $(json_field rustc "$1")"; }
+# primary_ms as the benchmark defines it: geomean over the roster of the
+# W=8 ms per 8192-cell step.
+STEP_MS=$(json_values w8_ms_per_step "$STEP_OUT" \
+  | awk '$1 > 0 { s += log($1); n++ } END { if (n) printf "%.4f", exp(s / n) }')
+REF_MS=$(awk '/"medians"/ { m = 1 } m && /"change"/ { c = 1 }
+  c && /"primary_ms"/ { gsub(/[^0-9.]/, "", $2); print $2; exit }' BENCH_step_loop.json)
+for v in "$STEP_MS" "$REF_MS"; do
+  if ! [[ $v =~ ^[0-9]+\.?[0-9]*$ ]] || [[ $v =~ ^[0.]*$ ]]; then
+    echo "step loop: could not read a W=8 time per step (run '$STEP_MS', BENCH_step_loop.json '$REF_MS')"
+    exit 1
+  fi
+done
+if [ "$(host_of "$STEP_OUT")" != "$(host_of BENCH_step_loop.json)" ]; then
+  echo "step loop: primary_ms $STEP_MS ms; BENCH_step_loop.json ($REF_MS ms) is from a different host, skipped"
+else
+  case $(awk -v now="$STEP_MS" -v ref="$REF_MS" \
+    'BEGIN { r = now / ref; print (r > 1.25) ? "fail" : (r > 1.10) ? "warn" : "ok" }') in
+    fail)
+      echo "step loop: primary_ms $STEP_MS ms is > 25 % above BENCH_step_loop.json's $REF_MS ms"
+      exit 1
+      ;;
+    warn) echo "step loop: WARNING primary_ms $STEP_MS ms is > 10 % above BENCH_step_loop.json's $REF_MS ms" ;;
+    ok) echo "step loop: primary_ms $STEP_MS ms (BENCH_step_loop.json: $REF_MS ms)" ;;
+  esac
+fi
+rm -f "$STEP_OUT"
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
