@@ -17,6 +17,7 @@
 //! program: an ablation run must not be served a cached optimized
 //! kernel (or vice versa).
 
+use crate::checksum::{fnv1a_from, FNV_OFFSET};
 use crate::error::CompileError;
 use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind, Tier};
@@ -177,10 +178,7 @@ struct FnvWriter(u64);
 
 impl std::fmt::Write for FnvWriter {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = fnv1a_from(self.0, s.as_bytes());
         Ok(())
     }
 }
@@ -191,7 +189,7 @@ impl std::fmt::Write for FnvWriter {
 /// and the full statement bodies).
 pub fn model_fingerprint(model: &Model) -> u64 {
     use std::fmt::Write;
-    let mut w = FnvWriter(0xcbf2_9ce4_8422_2325);
+    let mut w = FnvWriter(FNV_OFFSET);
     write!(w, "{model:?}").expect("fmt to hasher cannot fail");
     w.0
 }

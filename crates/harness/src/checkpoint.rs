@@ -12,11 +12,15 @@
 //! trajectory. That makes one snapshot resumable at a different SIMD
 //! width or thread count than wrote it.
 //!
-//! On disk a snapshot is a single checksummed text file written with the
-//! same crash-safety rules as the kernel disk cache ([`crate::persist`]):
+//! On disk a snapshot is a single checksummed file written with the same
+//! crash-safety rules as the kernel disk cache ([`crate::persist`]): a
+//! text header line, text key lines, and the state vector as one binary
+//! block, so that encoding and decoding it cost a block copy (format v2;
+//! v1 spelled every state word as 16 hex digits and is rejected as
+//! stale):
 //!
 //! ```text
-//! limpet-checkpoint <format-ver> <payload-len> <fnv:016x>\n
+//! limpet-checkpoint <format-ver> <payload-len> <sum:016x>\n
 //! model <name>\n
 //! config <pipeline-label>\n
 //! cells <n>\n
@@ -29,9 +33,17 @@
 //! shards <s0> <s1> ...\n         (only for sharded snapshots)
 //! spec <job-spec-json>\n         (only for serve-layer snapshots)
 //! state <count>\n
-//! <016x values, 8 per line>\n
+//! <count × 8 bytes: each state word, little-endian>
 //! end\n
 //! ```
+//!
+//! The header is single-space separated, its numbers plain decimal and
+//! its checksum exactly 16 lowercase hex digits, so no two byte strings
+//! spell the same header. `<sum>` is `checksum::payload_sum` of
+//! the `<payload-len>` bytes after the header line. After the `state`
+//! line the payload must hold exactly `count × 8` bytes and `end\n` —
+//! the count is checked against what is there before anything is
+//! allocated.
 //!
 //! Loads run a **ladder**: bad header / stale version / torn tail /
 //! checksum mismatch / malformed payload each reject the file, *remove
@@ -43,6 +55,7 @@
 //! injection points mutate the just-read bytes so the *real* integrity
 //! checks exercise every rung.
 
+use crate::checksum::{fnv1a, payload_sum};
 use crate::faults::{self, FaultKind};
 use limpet_rng::SmallRng;
 use std::fmt::Write as _;
@@ -50,25 +63,18 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Version of the snapshot envelope + payload grammar. Bump on any layout
 /// change; older files are then rejected as stale (and the run restarts
 /// or falls to the previous rotation) rather than misparsed.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// First token of every snapshot file; anything else is not ours.
 const MAGIC: &str = "limpet-checkpoint";
 
-/// FNV-1a over a byte slice — the same checksum the disk cache and the
-/// trajectory digest use, kept local so the codec is self-contained.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// Last line of every payload, straight after the binary state block.
+const END: &[u8] = b"end\n";
 
 /// Why a snapshot file was rejected — one variant per ladder rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +85,7 @@ pub enum RejectReason {
     StaleVersion,
     /// File is shorter than the payload length the header promised.
     TornTail,
-    /// Payload bytes do not hash to the header's FNV-1a checksum.
+    /// Payload bytes do not sum to the header's checksum.
     ChecksumMismatch,
     /// Checksum passed but the payload grammar is wrong — either bit-rot
     /// that collided the checksum or a buggy writer.
@@ -174,41 +180,49 @@ impl Snapshot {
     }
 
     /// Serializes to the on-disk byte form (header + checksummed payload).
+    /// One allocation of the final size; the state words are copied in
+    /// place and the checksum patched into the header afterwards.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = String::new();
-        let _ = writeln!(p, "model {}", self.model);
-        let _ = writeln!(p, "config {}", self.config);
-        let _ = writeln!(p, "cells {}", self.n_cells);
-        let _ = writeln!(p, "dt {:016x}", self.dt_bits);
-        let _ = writeln!(p, "t {:016x}", self.t_bits);
-        let _ = writeln!(p, "step {}", self.steps_done);
-        let _ = writeln!(p, "tier {}", self.tier);
-        let _ = writeln!(p, "executed {}", self.executed_steps);
+        let mut keys = String::new();
+        let _ = writeln!(keys, "model {}", self.model);
+        let _ = writeln!(keys, "config {}", self.config);
+        let _ = writeln!(keys, "cells {}", self.n_cells);
+        let _ = writeln!(keys, "dt {:016x}", self.dt_bits);
+        let _ = writeln!(keys, "t {:016x}", self.t_bits);
+        let _ = writeln!(keys, "step {}", self.steps_done);
+        let _ = writeln!(keys, "tier {}", self.tier);
+        let _ = writeln!(keys, "executed {}", self.executed_steps);
         if let Some((step, seed)) = self.nan_plan {
-            let _ = writeln!(p, "nanplan {step} {seed}");
+            let _ = writeln!(keys, "nanplan {step} {seed}");
         }
         if !self.shards.is_empty() {
-            let words: Vec<String> = self.shards.iter().map(|s| s.to_string()).collect();
-            let _ = writeln!(p, "shards {}", words.join(" "));
+            keys.push_str("shards");
+            for s in &self.shards {
+                let _ = write!(keys, " {s}");
+            }
+            keys.push('\n');
         }
         if let Some(spec) = &self.meta {
             debug_assert!(!spec.contains('\n'), "spec JSON must be one line");
-            let _ = writeln!(p, "spec {spec}");
+            let _ = writeln!(keys, "spec {spec}");
         }
-        let _ = writeln!(p, "state {}", self.state.len());
-        for chunk in self.state.chunks(8) {
-            let words: Vec<String> = chunk.iter().map(|v| format!("{v:016x}")).collect();
-            let _ = writeln!(p, "{}", words.join(" "));
+        let _ = writeln!(keys, "state {}", self.state.len());
+
+        let payload_len = keys.len() + 8 * self.state.len() + END.len();
+        let mut out = format!("{MAGIC} {SNAPSHOT_FORMAT_VERSION} {payload_len} ").into_bytes();
+        let sum_at = out.len();
+        out.reserve_exact(17 + payload_len);
+        out.extend_from_slice(b"0000000000000000\n"); // the sum, once the payload is there
+        let payload_at = out.len();
+        out.extend_from_slice(keys.as_bytes());
+        let state_at = out.len();
+        out.resize(state_at + 8 * self.state.len(), 0);
+        for (dst, v) in out[state_at..].chunks_exact_mut(8).zip(&self.state) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
-        let _ = writeln!(p, "end");
-        let payload = p.into_bytes();
-        let mut out = format!(
-            "{MAGIC} {SNAPSHOT_FORMAT_VERSION} {} {:016x}\n",
-            payload.len(),
-            fnv64(&payload)
-        )
-        .into_bytes();
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(END);
+        let sum = format!("{:016x}", payload_sum(&out[payload_at..]));
+        out[sum_at..sum_at + 16].copy_from_slice(sum.as_bytes());
         out
     }
 
@@ -221,90 +235,115 @@ impl Snapshot {
             .ok_or(RejectReason::BadHeader)?;
         let header =
             std::str::from_utf8(&bytes[..header_end]).map_err(|_| RejectReason::BadHeader)?;
-        let tokens: Vec<&str> = header.split_whitespace().collect();
-        if tokens.len() != 4 || tokens[0] != MAGIC {
+        let tokens: Vec<&str> = header.split(' ').collect();
+        let [magic, version, payload_len, want_sum] = tokens[..] else {
+            return Err(RejectReason::BadHeader);
+        };
+        if magic != MAGIC {
             return Err(RejectReason::BadHeader);
         }
-        let version: u32 = tokens[1].parse().map_err(|_| RejectReason::BadHeader)?;
-        let payload_len: usize = tokens[2].parse().map_err(|_| RejectReason::BadHeader)?;
-        let want_fnv = u64::from_str_radix(tokens[3], 16).map_err(|_| RejectReason::BadHeader)?;
-        if version != SNAPSHOT_FORMAT_VERSION {
+        let version = decimal(version).ok_or(RejectReason::BadHeader)?;
+        let payload_len = decimal(payload_len).ok_or(RejectReason::BadHeader)?;
+        let want_sum = hex16(want_sum).ok_or(RejectReason::BadHeader)?;
+        if version != u64::from(SNAPSHOT_FORMAT_VERSION) {
             return Err(RejectReason::StaleVersion);
         }
         let body = &bytes[header_end + 1..];
-        if body.len() < payload_len {
+        if (body.len() as u64) < payload_len {
             return Err(RejectReason::TornTail);
         }
-        let payload = &body[..payload_len];
-        if fnv64(payload) != want_fnv {
+        let payload = &body[..payload_len as usize];
+        if payload_sum(payload) != want_sum {
             return Err(RejectReason::ChecksumMismatch);
         }
         parse_payload(payload).ok_or(RejectReason::Malformed)
     }
 }
 
+/// A header number: plain decimal digits, nothing `str::parse` would
+/// additionally let through (a sign), so one value has one spelling.
+fn decimal(token: &str) -> Option<u64> {
+    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    token.parse().ok()
+}
+
+/// The header checksum: exactly 16 lowercase hex digits, as written.
+fn hex16(token: &str) -> Option<u64> {
+    if token.len() != 16
+        || !token
+            .bytes()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    {
+        return None;
+    }
+    u64::from_str_radix(token, 16).ok()
+}
+
+/// Splits the next `\n`-terminated text line off the front of `rest`.
+fn take_line<'a>(rest: &mut &'a [u8]) -> Option<&'a str> {
+    let nl = rest.iter().position(|&b| b == b'\n')?;
+    let line = std::str::from_utf8(&rest[..nl]).ok()?;
+    *rest = &rest[nl + 1..];
+    Some(line)
+}
+
 /// Parses the checksummed payload. Any deviation from the grammar is a
 /// `None` (mapped to [`RejectReason::Malformed`] by the caller).
 fn parse_payload(payload: &[u8]) -> Option<Snapshot> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let mut lines = text.lines();
+    let mut rest = payload;
     let field = |line: &str, key: &str| -> Option<String> {
         line.strip_prefix(key)
             .and_then(|r| r.strip_prefix(' '))
             .map(str::to_string)
     };
-    let model = field(lines.next()?, "model")?;
-    let config = field(lines.next()?, "config")?;
-    let n_cells: usize = field(lines.next()?, "cells")?.parse().ok()?;
-    let dt_bits = u64::from_str_radix(&field(lines.next()?, "dt")?, 16).ok()?;
-    let t_bits = u64::from_str_radix(&field(lines.next()?, "t")?, 16).ok()?;
-    let steps_done: u64 = field(lines.next()?, "step")?.parse().ok()?;
-    let tier = field(lines.next()?, "tier")?;
-    let executed_steps: u64 = field(lines.next()?, "executed")?.parse().ok()?;
+    let model = field(take_line(&mut rest)?, "model")?;
+    let config = field(take_line(&mut rest)?, "config")?;
+    let n_cells: usize = field(take_line(&mut rest)?, "cells")?.parse().ok()?;
+    let dt_bits = u64::from_str_radix(&field(take_line(&mut rest)?, "dt")?, 16).ok()?;
+    let t_bits = u64::from_str_radix(&field(take_line(&mut rest)?, "t")?, 16).ok()?;
+    let steps_done: u64 = field(take_line(&mut rest)?, "step")?.parse().ok()?;
+    let tier = field(take_line(&mut rest)?, "tier")?;
+    let executed_steps: u64 = field(take_line(&mut rest)?, "executed")?.parse().ok()?;
 
-    let mut line = lines.next()?;
+    let mut line = take_line(&mut rest)?;
     let mut nan_plan = None;
-    if let Some(rest) = field(line, "nanplan") {
-        let mut w = rest.split_whitespace();
+    if let Some(plan) = field(line, "nanplan") {
+        let mut w = plan.split_whitespace();
         nan_plan = Some((w.next()?.parse().ok()?, w.next()?.parse().ok()?));
         if w.next().is_some() {
             return None;
         }
-        line = lines.next()?;
+        line = take_line(&mut rest)?;
     }
     let mut shards = Vec::new();
-    if let Some(rest) = field(line, "shards") {
-        for w in rest.split_whitespace() {
+    if let Some(sizes) = field(line, "shards") {
+        for w in sizes.split_whitespace() {
             shards.push(w.parse().ok()?);
         }
         if shards.is_empty() {
             return None;
         }
-        line = lines.next()?;
+        line = take_line(&mut rest)?;
     }
     let mut meta = None;
-    if let Some(rest) = field(line, "spec") {
-        meta = Some(rest);
-        line = lines.next()?;
+    if let Some(spec) = field(line, "spec") {
+        meta = Some(spec);
+        line = take_line(&mut rest)?;
     }
+    // What follows the `state` line must be exactly the block it counts
+    // and `end\n`: a count that overflows, exceeds the payload or leaves
+    // bytes over is rejected before anything is allocated for it.
     let count: usize = field(line, "state")?.parse().ok()?;
-    // Cap what a hostile length field can make us allocate: the checksum
-    // already bounds payload bytes, but parse defensively anyway.
-    if count > payload.len() {
+    let block = rest.strip_suffix(END)?;
+    if count.checked_mul(8)? != block.len() {
         return None;
     }
-    let mut state = Vec::with_capacity(count);
-    while state.len() < count {
-        for w in lines.next()?.split_whitespace() {
-            if state.len() == count {
-                return None; // more values than declared
-            }
-            state.push(u64::from_str_radix(w, 16).ok()?);
-        }
-    }
-    if lines.next()? != "end" || lines.next().is_some() {
-        return None;
-    }
+    let state = block
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")))
+        .collect();
     Some(Snapshot {
         model,
         config,
@@ -374,6 +413,9 @@ fn inject_ckpt_faults(bytes: &mut Vec<u8>) {
 pub struct StoreStats {
     /// Snapshots durably written.
     pub saved: u64,
+    /// Saves that failed (staging write, `fsync` or rename): the run
+    /// carries on, but would resume from an older snapshot.
+    pub save_failed: u64,
     /// Loads served by the current file.
     pub loaded_current: u64,
     /// Loads served by the previous rotation after the current rejected.
@@ -424,16 +466,13 @@ pub struct LoadOutcome {
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
-    saved: AtomicU64,
-    loaded_current: AtomicU64,
-    loaded_previous: AtomicU64,
-    fell_to_zero: AtomicU64,
-    rejected_bad_header: AtomicU64,
-    rejected_stale_version: AtomicU64,
-    rejected_torn_tail: AtomicU64,
-    rejected_checksum: AtomicU64,
-    rejected_malformed: AtomicU64,
+    stats: Mutex<StoreStats>,
 }
+
+/// Numbers the staging files of this process, so that concurrent saves —
+/// the daemon's workers each save at every chunk boundary — never share
+/// one.
+static STAGING_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Keys are tenant/job ids off the wire; keep the filename readable but
 /// never let a hostile key escape the directory. The FNV prefix keeps
@@ -457,15 +496,7 @@ impl SnapshotStore {
         fs::create_dir_all(dir)?;
         Ok(SnapshotStore {
             dir: dir.to_path_buf(),
-            saved: AtomicU64::new(0),
-            loaded_current: AtomicU64::new(0),
-            loaded_previous: AtomicU64::new(0),
-            fell_to_zero: AtomicU64::new(0),
-            rejected_bad_header: AtomicU64::new(0),
-            rejected_stale_version: AtomicU64::new(0),
-            rejected_torn_tail: AtomicU64::new(0),
-            rejected_checksum: AtomicU64::new(0),
-            rejected_malformed: AtomicU64::new(0),
+            stats: Mutex::default(),
         })
     }
 
@@ -478,7 +509,7 @@ impl SnapshotStore {
     pub fn path_for(&self, key: &str) -> PathBuf {
         self.dir.join(format!(
             "ckpt-{:016x}-{}.lcp",
-            fnv64(key.as_bytes()),
+            fnv1a(key.as_bytes()),
             sanitize_key(key)
         ))
     }
@@ -487,7 +518,7 @@ impl SnapshotStore {
     pub fn prev_path_for(&self, key: &str) -> PathBuf {
         self.dir.join(format!(
             "ckpt-{:016x}-{}.prev.lcp",
-            fnv64(key.as_bytes()),
+            fnv1a(key.as_bytes()),
             sanitize_key(key)
         ))
     }
@@ -499,6 +530,8 @@ impl SnapshotStore {
 
     /// Atomically writes `snap` as the current snapshot for `key`,
     /// rotating any existing current file to the previous slot first.
+    /// Every save stages in a file of its own (`ckpt.tmp-<pid>-<seq>`),
+    /// removed again if the save fails.
     pub fn save(&self, key: &str, snap: &Snapshot) -> io::Result<PathBuf> {
         let bytes = snap.encode();
         let final_path = self.path_for(key);
@@ -506,7 +539,11 @@ impl SnapshotStore {
             // Rename replaces any older .prev atomically on POSIX.
             let _ = fs::rename(&final_path, self.prev_path_for(key));
         }
-        let tmp_path = self.dir.join(format!("ckpt.tmp-{}", std::process::id()));
+        let tmp_path = self.dir.join(format!(
+            "ckpt.tmp-{}-{}",
+            std::process::id(),
+            STAGING_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let write = (|| {
             let mut f = fs::File::create(&tmp_path)?;
             f.write_all(&bytes)?;
@@ -515,9 +552,10 @@ impl SnapshotStore {
         })();
         if let Err(e) = write {
             let _ = fs::remove_file(&tmp_path);
+            self.count(|s| s.save_failed += 1);
             return Err(e);
         }
-        self.saved.fetch_add(1, Ordering::Relaxed);
+        self.count(|s| s.saved += 1);
         Ok(final_path)
     }
 
@@ -535,11 +573,13 @@ impl SnapshotStore {
             inject_ckpt_faults(&mut bytes);
             match Snapshot::decode(&bytes) {
                 Ok(snap) => {
-                    if from_previous {
-                        self.loaded_previous.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.loaded_current.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.count(|s| {
+                        if from_previous {
+                            s.loaded_previous += 1;
+                        } else {
+                            s.loaded_current += 1;
+                        }
+                    });
                     return LoadOutcome {
                         snapshot: Some(snap),
                         from_previous,
@@ -547,14 +587,20 @@ impl SnapshotStore {
                     };
                 }
                 Err(reason) => {
-                    self.count_reject(reason);
+                    self.count(|s| match reason {
+                        RejectReason::BadHeader => s.rejected_bad_header += 1,
+                        RejectReason::StaleVersion => s.rejected_stale_version += 1,
+                        RejectReason::TornTail => s.rejected_torn_tail += 1,
+                        RejectReason::ChecksumMismatch => s.rejected_checksum += 1,
+                        RejectReason::Malformed => s.rejected_malformed += 1,
+                    });
                     let _ = fs::remove_file(&path);
                     rejects.push((path, reason));
                 }
             }
         }
         if !rejects.is_empty() {
-            self.fell_to_zero.fetch_add(1, Ordering::Relaxed);
+            self.count(|s| s.fell_to_zero += 1);
         }
         LoadOutcome {
             snapshot: None,
@@ -570,30 +616,13 @@ impl SnapshotStore {
         let _ = fs::remove_file(self.prev_path_for(key));
     }
 
-    fn count_reject(&self, reason: RejectReason) {
-        let counter = match reason {
-            RejectReason::BadHeader => &self.rejected_bad_header,
-            RejectReason::StaleVersion => &self.rejected_stale_version,
-            RejectReason::TornTail => &self.rejected_torn_tail,
-            RejectReason::ChecksumMismatch => &self.rejected_checksum,
-            RejectReason::Malformed => &self.rejected_malformed,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+    fn count(&self, bump: impl FnOnce(&mut StoreStats)) {
+        bump(&mut self.stats.lock().unwrap_or_else(|p| p.into_inner()));
     }
 
     /// A point-in-time copy of every counter.
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            saved: self.saved.load(Ordering::Relaxed),
-            loaded_current: self.loaded_current.load(Ordering::Relaxed),
-            loaded_previous: self.loaded_previous.load(Ordering::Relaxed),
-            fell_to_zero: self.fell_to_zero.load(Ordering::Relaxed),
-            rejected_bad_header: self.rejected_bad_header.load(Ordering::Relaxed),
-            rejected_stale_version: self.rejected_stale_version.load(Ordering::Relaxed),
-            rejected_torn_tail: self.rejected_torn_tail.load(Ordering::Relaxed),
-            rejected_checksum: self.rejected_checksum.load(Ordering::Relaxed),
-            rejected_malformed: self.rejected_malformed.load(Ordering::Relaxed),
-        }
+        self.stats.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 }
 
@@ -639,53 +668,73 @@ mod tests {
                 nan_plan: None,
                 shards: Vec::new(),
                 meta: None,
-                state: vec![f64::NAN.to_bits(), 0, u64::MAX],
+                state: vec![
+                    f64::NAN.to_bits(),
+                    f64::NAN.to_bits() | 0xdead_beef, // NaN payload
+                    (-f64::NAN).to_bits(),
+                    f64::INFINITY.to_bits(),
+                    f64::NEG_INFINITY.to_bits(),
+                    (-0.0f64).to_bits(),
+                    5e-324f64.to_bits(), // subnormal
+                    0,
+                    u64::MAX,
+                    u64::from_le_bytes(*b"\nend\nend"), // looks like the trailer
+                ],
                 ..sample(0)
             },
         ] {
-            let decoded = Snapshot::decode(&snap.encode()).unwrap();
-            assert_eq!(decoded, snap);
+            let bytes = snap.encode();
+            assert_eq!(Snapshot::decode(&bytes).unwrap(), snap);
+            // The block is the words themselves, little-endian, before `end\n`.
+            let block = &bytes[bytes.len() - END.len() - 8 * snap.state.len()..];
+            for (w, v) in block.chunks_exact(8).zip(&snap.state) {
+                assert_eq!(w, v.to_le_bytes());
+            }
         }
     }
 
     #[test]
     fn every_truncation_maps_to_a_ladder_rung() {
         let bytes = sample(9).encode();
+        let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
         for cut in 0..bytes.len() {
-            let err = Snapshot::decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, RejectReason::BadHeader | RejectReason::TornTail),
-                "cut {cut} gave {err:?}"
-            );
+            let want = if cut < header_len {
+                RejectReason::BadHeader
+            } else {
+                RejectReason::TornTail
+            };
+            assert_eq!(Snapshot::decode(&bytes[..cut]), Err(want), "cut {cut}");
         }
     }
 
+    /// Exhaustive, not sampled: every payload byte, under a one-bit and
+    /// an all-bits flip, lands on the checksum rung — the word-wise sum
+    /// cannot miss a change confined to one word.
     #[test]
     fn payload_mutations_are_caught_by_the_checksum() {
         let bytes = sample(9).encode();
         let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
-        for at in (header_end + 1..bytes.len()).step_by(7) {
-            let mut mutated = bytes.clone();
-            mutated[at] ^= 0x01;
-            assert_eq!(
-                Snapshot::decode(&mutated).unwrap_err(),
-                RejectReason::ChecksumMismatch,
-                "mutation at {at}"
-            );
+        for at in header_end + 1..bytes.len() {
+            for mask in [0x01, 0x20, 0xff] {
+                let mut mutated = bytes.clone();
+                mutated[at] ^= mask;
+                assert_eq!(
+                    Snapshot::decode(&mutated).unwrap_err(),
+                    RejectReason::ChecksumMismatch,
+                    "byte {at} ^ {mask:#04x}"
+                );
+            }
         }
     }
 
     #[test]
     fn version_skew_is_stale_not_misparsed() {
         let bytes = sample(3).encode();
-        let text = String::from_utf8(bytes).unwrap();
-        let skewed = text.replacen(
-            &format!("{MAGIC} {SNAPSHOT_FORMAT_VERSION} "),
-            &format!("{MAGIC} {} ", SNAPSHOT_FORMAT_VERSION + 1),
-            1,
-        );
+        let prefix = format!("{MAGIC} {SNAPSHOT_FORMAT_VERSION} ");
+        let mut skewed = format!("{MAGIC} {} ", SNAPSHOT_FORMAT_VERSION + 1).into_bytes();
+        skewed.extend_from_slice(bytes.strip_prefix(prefix.as_bytes()).unwrap());
         assert_eq!(
-            Snapshot::decode(skewed.as_bytes()).unwrap_err(),
+            Snapshot::decode(&skewed).unwrap_err(),
             RejectReason::StaleVersion
         );
     }
@@ -804,21 +853,128 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn malformed_payload_with_valid_checksum_is_rejected_as_malformed() {
-        // Hand-build an envelope whose payload passes the checksum but
-        // not the grammar: the last ladder rung.
-        let payload = b"model X\nnot-a-field\n".to_vec();
+    /// A correctly signed v2 envelope around an arbitrary payload.
+    fn signed(payload: &[u8]) -> Vec<u8> {
         let mut bytes = format!(
             "{MAGIC} {SNAPSHOT_FORMAT_VERSION} {} {:016x}\n",
             payload.len(),
-            fnv64(&payload)
+            payload_sum(payload)
         )
         .into_bytes();
-        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn malformed_payload_with_valid_checksum_is_rejected_as_malformed() {
+        // Hand-built envelopes whose payload passes the checksum but not
+        // the grammar: the last ladder rung.
         assert_eq!(
-            Snapshot::decode(&bytes).unwrap_err(),
-            RejectReason::Malformed
+            Snapshot::decode(&signed(b"model X\nnot-a-field\n")),
+            Err(RejectReason::Malformed)
         );
+
+        // The `state` count must describe exactly the bytes between its
+        // line and `end\n`. Each hostile count is refused by arithmetic
+        // on the payload length — none of them is ever allocated.
+        let good = Snapshot {
+            meta: None,
+            ..sample(2)
+        };
+        let bytes = good.encode();
+        let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let payload = &bytes[header_len..];
+        assert_eq!(Snapshot::decode(&signed(payload)).as_ref(), Ok(&good));
+        let at = payload.windows(8).position(|w| w == b"state 2\n").unwrap();
+        let (keys, block) = (&payload[..at], &payload[at + 8..]);
+        let rebuilt = |count: &str, block: &[u8]| {
+            let mut p = keys.to_vec();
+            p.extend_from_slice(format!("state {count}\n").as_bytes());
+            p.extend_from_slice(block);
+            signed(&p)
+        };
+        assert_eq!(Snapshot::decode(&rebuilt("2", block)).as_ref(), Ok(&good));
+        let no_end = &block[..block.len() - END.len()];
+        let extra_before_end = [no_end, b"\0", END].concat();
+        let extra_after_end = [block, b"\n"].concat();
+        for (count, block) in [
+            ("1", block),                       // bytes left before `end`
+            ("3", block),                       // more than the payload holds
+            ("2305843009213693952", block),     // 2^61: × 8 overflows to 0
+            ("2305843009213693954", block),     // 2^61 + 2: × 8 wraps to 16
+            ("18446744073709551615", block),    // usize::MAX
+            ("99999999999999999999999", block), // not a usize at all
+            ("2", no_end),                      // trailer missing
+            ("2", &extra_before_end),
+            ("2", &extra_after_end),
+            ("0", block), // nothing counted, sixteen bytes there
+            ("-2", block),
+        ] {
+            assert_eq!(
+                Snapshot::decode(&rebuilt(count, block)),
+                Err(RejectReason::Malformed),
+                "state {count} over {} block bytes",
+                block.len()
+            );
+        }
+    }
+
+    /// Every save stages in its own file: two threads saving distinct
+    /// keys into one store never publish each other's bytes. With the
+    /// shared `ckpt.tmp-<pid>` staging name this lost ≈ 40 % of saves
+    /// and served the other thread's snapshot for almost every load.
+    #[test]
+    fn concurrent_saves_of_distinct_keys_do_not_interfere() {
+        let dir = temp_dir("two-threads");
+        let store = SnapshotStore::new(&dir).unwrap();
+        std::thread::scope(|scope| {
+            for thread in 0..2u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    let key = format!("job-{thread}");
+                    for i in 0..300 {
+                        let snap = Snapshot {
+                            steps_done: i,
+                            executed_steps: thread,
+                            model: key.clone(),
+                            ..sample(64)
+                        };
+                        store
+                            .save(&key, &snap)
+                            .unwrap_or_else(|e| panic!("{key} save {i}: {e}"));
+                        let out = store.load(&key);
+                        assert_eq!(out.snapshot.as_ref(), Some(&snap), "{key} save {i}");
+                        assert!(!out.from_previous, "{key} save {i}");
+                    }
+                });
+            }
+        });
+        let stats = store.stats();
+        assert_eq!((stats.saved, stats.save_failed), (600, 0));
+        assert_eq!(stats.loaded_current, 600);
+        assert_eq!(stats.rejected_total(), 0);
+        let left: Vec<_> = fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(left.len(), 4, "two rotations per key, no staging file");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_saves_are_counted_and_leave_no_staging_file() {
+        let dir = temp_dir("save-failed");
+        let store = SnapshotStore::new(&dir).unwrap();
+        // Non-empty directories squatting on both rotation paths: the
+        // staging file is written, then its rename into place fails.
+        for path in [store.path_for("j"), store.prev_path_for("j")] {
+            fs::create_dir_all(path.join("occupied")).unwrap();
+        }
+        assert!(store.save("j", &sample(3)).is_err());
+        assert_eq!((store.stats().saved, store.stats().save_failed), (0, 1));
+        let staged = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("ckpt.tmp-"))
+            .count();
+        assert_eq!(staged, 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

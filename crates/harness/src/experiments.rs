@@ -14,6 +14,7 @@
 //! | [`fig6_roofline`] | Fig. 6 — operational intensity vs. GFlops/s |
 
 use crate::cache::KernelCache;
+use crate::checksum::fnv1a_words;
 use crate::sim::{PipelineKind, Simulation, Workload};
 use crate::threads::{measure_median, measure_median_secs, ShardedSimulation, TimingModel};
 use limpet_codegen::pipeline::VectorIsa;
@@ -278,14 +279,8 @@ pub fn trajectory_digest_tiered(
 ) -> Option<(u64, crate::Tier)> {
     let mut sim = measurement_sim(m, config, wl)?;
     let _ = sim.run_guarded(steps);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for cell in 0..wl.n_cells {
-        for b in sim.vm(cell).to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    Some((h, sim.tier()))
+    let digest = fnv1a_words((0..wl.n_cells).map(|cell| sim.vm(cell).to_bits()));
+    Some((digest, sim.tier()))
 }
 
 /// Bytes moved per step (for the timing model's memory floor) and the

@@ -14,6 +14,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+mod checksum;
 pub mod deadline;
 pub mod error;
 pub mod experiments;
@@ -32,6 +33,7 @@ pub use cache::{
 pub use checkpoint::{
     LoadOutcome, RejectReason, Snapshot, SnapshotStore, StoreStats, SNAPSHOT_FORMAT_VERSION,
 };
+pub use checksum::{fnv1a, fnv1a_words};
 pub use deadline::{backoff_delay, retry_with_backoff, CancelCause, CancelToken};
 pub use error::{compile_source, CompileError};
 pub use experiments::{

@@ -33,6 +33,7 @@
 //! invoking the compiler — after re-running probation, because a `.so`
 //! from disk is exactly as untrusted as a fresh one.
 
+use crate::checksum::{fnv1a_from, FNV_OFFSET};
 use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind};
 use limpet_codegen::{
@@ -156,12 +157,10 @@ pub fn toolchain_available() -> bool {
 /// over the C source, seeded with the emitter version so an ABI change
 /// re-keys every cached shared object.
 pub fn native_fingerprint(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ u64::from(NATIVE_EMITTER_VERSION);
-    for b in source.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a_from(
+        FNV_OFFSET ^ u64::from(NATIVE_EMITTER_VERSION),
+        source.as_bytes(),
+    )
 }
 
 /// Emits the native C for `kernel` and returns `(fingerprint, source)`.

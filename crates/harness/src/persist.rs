@@ -21,8 +21,8 @@
 //! 3. **Key echo** — the header repeats the fingerprint/pipeline/opt key,
 //!    so a renamed or mislabelled file cannot serve the wrong kernel.
 //! 4. **Length + checksum** — the header carries the payload byte length
-//!    and an FNV-1a checksum over it; truncation and bit-rot are caught
-//!    before any parser runs.
+//!    and a word-wise FNV-1a checksum over it (`checksum::payload_sum`);
+//!    truncation and bit-rot are caught before any parser runs.
 //! 5. **Full re-parse + verify** — the IR is re-verified and the bytecode
 //!    re-validated on load, so even a checksum collision cannot smuggle in
 //!    a malformed kernel.
@@ -35,6 +35,7 @@
 //! not mocks, exercise those paths.
 
 use crate::cache::{model_fingerprint, CompiledKernel};
+use crate::checksum::{fnv1a, payload_sum};
 use crate::faults::{self, FaultKind};
 use crate::sim::{model_info, storage_layout, PipelineKind};
 use limpet_easyml::Model;
@@ -51,13 +52,13 @@ use std::time::{Duration, Instant, SystemTime};
 /// Version of the on-disk entry envelope (header + section framing). Bump
 /// on any layout change; old entries are then rejected as stale and
 /// recompiled rather than misparsed.
-pub const ENTRY_FORMAT_VERSION: u32 = 1;
+pub const ENTRY_FORMAT_VERSION: u32 = 2;
 
 /// First token of every entry file; anything else is not ours.
 const MAGIC: &str = "limpet-kernel-cache";
 
 /// Version of the native shared-object container envelope.
-pub const NATIVE_CONTAINER_VERSION: u32 = 1;
+pub const NATIVE_CONTAINER_VERSION: u32 = 2;
 
 /// First token of every native container file.
 const NATIVE_MAGIC: &str = "limpet-native-cache";
@@ -209,18 +210,6 @@ pub fn default_cache_dir() -> PathBuf {
         Ok(home) if !home.is_empty() => Path::new(&home).join(".cache").join("limpet-rs"),
         _ => std::env::temp_dir().join("limpet-rs-cache"),
     }
-}
-
-/// FNV-1a over raw bytes — same constants as [`model_fingerprint`], kept
-/// dependency-free on purpose (the checksum guards against accidents, not
-/// adversaries).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Held while mutating the cache directory (store / evict / clear).
@@ -399,7 +388,7 @@ impl DiskCache {
         let timeout = Duration::from_millis(self.lock_timeout_ms.load(Ordering::Relaxed));
         let stale_after = Duration::from_millis(self.stale_lock_after_ms.load(Ordering::Relaxed));
         let deadline = Instant::now() + timeout;
-        let jitter_seed = u64::from(std::process::id()) ^ fnv64(path.to_string_lossy().as_bytes());
+        let jitter_seed = u64::from(std::process::id()) ^ fnv1a(path.to_string_lossy().as_bytes());
         let mut attempt: u32 = 0;
         loop {
             match fs::OpenOptions::new()
@@ -557,8 +546,8 @@ impl DiskCache {
 
     /// Persists a probation-validated native shared object, atomically
     /// and under the directory lock, like [`DiskCache::store`]. The
-    /// envelope stamps the container and emitter versions and carries an
-    /// FNV-1a checksum over the object bytes.
+    /// envelope stamps the container and emitter versions and carries a
+    /// word-wise FNV-1a checksum over the object bytes.
     ///
     /// Callers must only persist objects that passed the bit-identity
     /// probation — quarantined native code never reaches disk.
@@ -572,7 +561,7 @@ impl DiskCache {
             "{NATIVE_MAGIC} {NATIVE_CONTAINER_VERSION} {} {fingerprint:016x} {} {:016x}\n",
             limpet_codegen::NATIVE_EMITTER_VERSION,
             so_bytes.len(),
-            fnv64(so_bytes),
+            payload_sum(so_bytes),
         );
         let mut bytes = header.into_bytes();
         bytes.extend_from_slice(so_bytes);
@@ -682,7 +671,7 @@ fn decode_native(bytes: &[u8], fingerprint: u64) -> Result<Vec<u8>, String> {
             payload.len()
         ));
     }
-    let got = fnv64(payload);
+    let got = payload_sum(payload);
     if got != checksum {
         return Err(format!(
             "checksum mismatch (computed {got:016x}, header says {checksum:016x})"
@@ -734,7 +723,7 @@ fn inject_disk_faults(bytes: &mut Vec<u8>) {
 /// Serializes one compiled entry into its on-disk byte form:
 ///
 /// ```text
-/// limpet-kernel-cache <entry-ver> <ir-ver> <bc-ver> <fp:016x> <label> <opt> <payload-len> <fnv:016x>\n
+/// limpet-kernel-cache <entry-ver> <ir-ver> <bc-ver> <fp:016x> <label> <opt> <payload-len> <sum:016x>\n
 /// model <name>\n
 /// section module <len>\n<IR text>\n
 /// section program.main <len>\n<bytecode text>\n
@@ -767,7 +756,7 @@ fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKernel) -> Vec
         key.config.label(),
         u8::from(key.opt),
         payload.len(),
-        fnv64(&payload),
+        payload_sum(&payload),
     );
     let mut out = header.into_bytes();
     out.extend_from_slice(&payload);
@@ -829,7 +818,7 @@ fn decode_entry(bytes: &[u8], key: &EntryKey, model: &Model) -> Result<CompiledK
             payload.len()
         ));
     }
-    let got = fnv64(payload);
+    let got = payload_sum(payload);
     if got != checksum {
         return Err(format!(
             "checksum mismatch (computed {got:016x}, header says {checksum:016x})"

@@ -323,3 +323,69 @@ fn ckpt_faults_self_heal_and_fall_back_to_previous_rotation() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// A daemon upgraded across the `.lcp` v1 → v2 change finds its old
+/// snapshots on disk. `snapshot_written_at_0bbe8bc.lcp` is what the
+/// parent build (state as hex text, byte-wise checksum) saved for
+/// MitchellSchaeffer × 5 cells at step 40. There is one decoder: the file
+/// is refused as stale — not misparsed, not half-read — and removed; the
+/// job takes the previous rotation if that is readable and step 0
+/// otherwise, and the next save writes the current format.
+#[test]
+fn snapshot_written_by_the_parent_build_is_stale_not_misparsed() {
+    let _g = serialized();
+    let v1 = include_bytes!("snapshot_written_at_0bbe8bc.lcp");
+    assert!(v1.starts_with(b"limpet-checkpoint 1 400 "));
+    let m = model("MitchellSchaeffer");
+    let config = PipelineKind::LimpetMlir(limpet_codegen::pipeline::VectorIsa::Avx512);
+    let wl = Workload {
+        n_cells: 5,
+        steps: 0,
+        dt: 0.01,
+    };
+    let mut sim = Simulation::new_resilient(&m, config, &wl, HealthPolicy::Abort).unwrap();
+    sim.run_guarded(20).expect("healthy");
+
+    // Alone on disk: rejected on the stale rung, healed away, step 0.
+    let (dir, store) = tmp_store("parent-v1");
+    std::fs::write(store.path_for("job"), v1).unwrap();
+    let out = store.load("job");
+    assert!(out.snapshot.is_none());
+    let rungs: Vec<_> = out.rejects.iter().map(|(_, reason)| *reason).collect();
+    assert_eq!(rungs, [RejectReason::StaleVersion]);
+    assert!(!store.has("job"), "the stale file must be removed");
+    let stats = store.stats();
+    assert_eq!((stats.rejected_stale_version, stats.fell_to_zero), (1, 1));
+
+    // Over a readable previous rotation: that one is taken.
+    let at_20 = sim.snapshot(&config.label(), 20);
+    store.save("job", &at_20).unwrap();
+    std::fs::rename(store.path_for("job"), store.prev_path_for("job")).unwrap();
+    std::fs::write(store.path_for("job"), v1).unwrap();
+    let out = store.load("job");
+    assert!(out.from_previous);
+    assert_eq!(out.snapshot.as_ref(), Some(&at_20));
+    assert_eq!(store.stats().rejected_stale_version, 2);
+
+    // The next save writes the current format, and at step 40 the state
+    // block holds the very words the parent build spelled as hex.
+    sim.run_guarded(20).expect("healthy");
+    let path = store
+        .save("job", &sim.snapshot(&config.label(), 40))
+        .unwrap();
+    let v2 = std::fs::read(path).unwrap();
+    let version = limpet_harness::SNAPSHOT_FORMAT_VERSION;
+    assert!(v2.starts_with(format!("limpet-checkpoint {version} ").as_bytes()));
+    let v1_words: Vec<u64> = std::str::from_utf8(v1)
+        .unwrap()
+        .lines()
+        .skip_while(|line| !line.starts_with("state "))
+        .skip(1)
+        .take_while(|line| *line != "end")
+        .flat_map(str::split_whitespace)
+        .map(|w| u64::from_str_radix(w, 16).unwrap())
+        .collect();
+    assert_eq!(v1_words, sim.state_bits());
+    assert_eq!(store.load("job").snapshot.unwrap().state, v1_words);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -247,8 +247,11 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
 
     assert_rejected_and_healed(&disk, &m, "stale format version", &reference_bits);
     let healed = std::fs::read(entry_path(&dir, &m)).unwrap();
-    let bc = limpet_vm::BYTECODE_FORMAT_VERSION;
-    assert!(healed.starts_with(format!("limpet-kernel-cache 1 1 {bc} ").as_bytes()));
+    let (entry, bc) = (
+        limpet_harness::persist::ENTRY_FORMAT_VERSION,
+        limpet_vm::BYTECODE_FORMAT_VERSION,
+    );
+    assert!(healed.starts_with(format!("limpet-kernel-cache {entry} 1 {bc} ").as_bytes()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -283,12 +286,16 @@ fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
     assert!(rows >= 2, "main and raw programs each read the table");
     let mut header: Vec<String> = header.split(' ').map(String::from).collect();
     assert_eq!(header[7], payload.len().to_string(), "same-length edit");
-    header[8] = format!(
-        "{:016x}",
-        payload.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
-    );
+    // The envelope's payload sum, spelled out: FNV-1a folded over 8-byte
+    // little-endian words, then over the tail bytes.
+    let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0100_0000_01b3);
+    let words = payload.as_bytes().chunks_exact(8);
+    let tail = words.remainder();
+    let sum = words
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .fold(0xcbf2_9ce4_8422_2325, fold);
+    let sum = tail.iter().map(|&b| u64::from(b)).fold(sum, fold);
+    header[8] = format!("{sum:016x}");
     std::fs::write(&path, format!("{}\n{payload}", header.join(" "))).unwrap();
 
     assert_rejected_and_healed(&disk, &m, "lut column 7", &reference_bits);

@@ -13,6 +13,7 @@ use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use limpet_harness::fnv1a;
 use serve::Json;
 
 const USAGE: &str = "\
@@ -70,16 +71,6 @@ RELIABILITY OPTIONS (all verbs):
     --backoff MS        base delay for jittered exponential reconnect
                         backoff (default 50)
 ";
-
-/// FNV-1a, for deriving deterministic per-id jitter seeds.
-fn fnv64(data: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in data.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// splitmix64 — the chaos driver's deterministic PRNG.
 fn splitmix(state: &mut u64) -> u64 {
@@ -325,7 +316,7 @@ fn submit_resilient(opts: &Opts) -> Result<(), String> {
             format!("cli-{}-{nanos:x}", std::process::id())
         }
     };
-    let seed = fnv64(&id);
+    let seed = fnv1a(id.as_bytes());
     let wait = opts.get("no-wait").is_none();
     let mut last = String::new();
     for attempt in 0..=retry {
@@ -526,7 +517,7 @@ fn poll_result(
     pause: Duration,
     attempts: u32,
 ) -> Result<Option<Json>, String> {
-    let mut wire = Wire::open(opts, fnv64(id))?;
+    let mut wire = Wire::open(opts, fnv1a(id.as_bytes()))?;
     for _ in 0..attempts {
         let req = Json::obj(vec![("verb", Json::str("result")), ("id", Json::str(id))]);
         wire.send(&req.to_string())?;
@@ -552,7 +543,7 @@ fn chaos_tenant(
     rng: &mut u64,
 ) -> Result<ChaosTally, String> {
     let mut tally = ChaosTally::default();
-    let mut wire = Wire::open(opts, fnv64(tenant))?;
+    let mut wire = Wire::open(opts, fnv1a(tenant.as_bytes()))?;
     for round in 0..rounds {
         for model in models {
             for config in configs {
@@ -673,7 +664,7 @@ fn kill_and_resume(opts: &Opts, model: &str, config: &str, tenant: &str) -> Resu
     };
 
     // Uninterrupted reference digest for the victim's exact spec.
-    let mut wire = Wire::open(opts, fnv64("kill-ref"))?;
+    let mut wire = Wire::open(opts, fnv1a(b"kill-ref"))?;
     let ref_req = with_steps(job_json(opts, "chaos-kill-ref", model, config, tenant)?);
     let v = submit_and_wait(&mut wire, &ref_req)?;
     check_done_digest(&v, None)?;
@@ -754,7 +745,7 @@ fn kill_and_resume(opts: &Opts, model: &str, config: &str, tenant: &str) -> Resu
 
     // The digest match proves bit-identity; the survivability counter
     // proves it came from a snapshot rather than a silent step-0 re-run.
-    let mut w = Wire::open(opts, fnv64("kill-stats"))?;
+    let mut w = Wire::open(opts, fnv1a(b"kill-stats"))?;
     w.send(r#"{"verb":"stats"}"#)?;
     let stats = w.recv()?.ok_or("connection closed reading stats")?;
     let resumes = stats

@@ -565,7 +565,8 @@ fn try_resume(store: &SnapshotStore, spec: &JobSpec, sim: &mut Simulation) -> us
 /// so the snapshot is self-contained for the `resume` wire verb. Uses the
 /// guard's own step counter, not the chunk loop's tally — a deadline can
 /// stop a chunk early, and recording too many steps would make the
-/// resumed trajectory diverge. Failures are logged, never fatal: a job
+/// resumed trajectory diverge. Failures are logged and counted by the
+/// store (`survivability.checkpoint_save_failures`), never fatal: a job
 /// must not die because its checkpoint could not be written.
 fn save_checkpoint(store: &SnapshotStore, spec: &JobSpec, sim: &Simulation) {
     let mut snap = sim.snapshot(&spec.config, sim.guarded_steps() as u64);
@@ -578,18 +579,11 @@ fn save_checkpoint(store: &SnapshotStore, spec: &JobSpec, sim: &Simulation) {
     }
 }
 
-/// FNV-1a over every cell's membrane-potential bits — byte-for-byte the
-/// harness's `trajectory_digest` hash, so service digests are comparable
+/// FNV-1a over every cell's membrane-potential bits — the very hash the
+/// harness's `trajectory_digest` calls, so service digests are comparable
 /// to `figures --digest` output.
 fn vm_digest(sim: &Simulation, n_cells: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for cell in 0..n_cells {
-        for b in sim.vm(cell).to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    limpet_harness::fnv1a_words((0..n_cells).map(|cell| sim.vm(cell).to_bits()))
 }
 
 /// One queued unit of work: the spec plus the submitting connection's

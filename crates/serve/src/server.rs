@@ -241,7 +241,8 @@ impl ServerState {
 
     /// The deadline/watchdog/checkpoint health block shared by `stats`
     /// and `health`: how often the daemon had to defend itself, and how
-    /// often the snapshot store let work survive. `resumes` counts
+    /// often the snapshot store let work survive — or, under
+    /// `checkpoint_save_failures`, could not be written to. `resumes` counts
     /// successful snapshot loads (journal replay, the `resume` verb, and
     /// client reconnects all go through the same store).
     fn survivability_json(&self) -> Json {
@@ -262,6 +263,7 @@ impl ServerState {
                 c.workers_respawned.load(Ordering::SeqCst).into(),
             ),
             ("checkpoints", ck.saved.into()),
+            ("checkpoint_save_failures", ck.save_failed.into()),
             ("resumes", (ck.loaded_current + ck.loaded_previous).into()),
             ("checkpoint_rejects", ck.rejected_total().into()),
             ("checkpoint_restarts", ck.fell_to_zero.into()),
@@ -980,7 +982,7 @@ mod tests {
         let rendered = surv.to_string();
         assert_eq!(
             rendered,
-            r#"{"checkpoint_rejects":0,"checkpoint_restarts":0,"checkpoints":0,"deadlines":3,"resumes":0,"watchdog_stalls":2,"workers_respawned":2}"#,
+            r#"{"checkpoint_rejects":0,"checkpoint_restarts":0,"checkpoint_save_failures":0,"checkpoints":0,"deadlines":3,"resumes":0,"watchdog_stalls":2,"workers_respawned":2}"#,
             "survivability block shape drifted"
         );
     }

@@ -280,8 +280,11 @@ done
 VICTIM_DIGEST=$(grep -o '"digest":"[0-9a-f]\{16\}"' "$SERVE_OUT/victim.txt" | head -1)
 [ "$VICTIM_DIGEST" = "$REF_DIGEST" ] \
   || { echo "service gate: resumed digest $VICTIM_DIGEST != reference $REF_DIGEST"; exit 1; }
-"$CLIENT" --unix "$SERVE_SOCK" stats | grep -q '"resumed":1' \
+"$CLIENT" --unix "$SERVE_SOCK" stats > "$SERVE_OUT/stats.json"
+grep -q '"resumed":1' "$SERVE_OUT/stats.json" \
   || { echo "service gate: restart did not resume exactly the victim"; exit 1; }
+grep -q '"checkpoint_save_failures":0' "$SERVE_OUT/stats.json" \
+  || { echo "service gate: a checkpoint save failed"; cat "$SERVE_OUT/stats.json"; exit 1; }
 # Shutdown verb: clean exit, journal flushed.
 "$CLIENT" --unix "$SERVE_SOCK" shutdown | grep -q '"event":"stopping"' \
   || { echo "service gate: shutdown verb not acknowledged"; exit 1; }
@@ -353,6 +356,8 @@ grep -q "resolved=" "$CHAOS_OUT/chaos.log" \
 "$CLIENT" --unix "$CHAOS_SOCK" stats > "$CHAOS_OUT/stats.json"
 grep -q '"survivability"' "$CHAOS_OUT/stats.json" \
   || { echo "chaos gate: stats verb lacks the survivability block"; cat "$CHAOS_OUT/stats.json"; exit 1; }
+grep -q '"checkpoint_save_failures":0' "$CHAOS_OUT/stats.json" \
+  || { echo "chaos gate: a checkpoint save failed under chaos"; cat "$CHAOS_OUT/stats.json"; exit 1; }
 grep -q '"watchdog_stalls":0' "$CHAOS_OUT/stats.json" \
   && { echo "chaos gate: seeded soak never tripped the watchdog (seed drifted?)"; \
        cat "$CHAOS_OUT/chaos.log" "$CHAOS_OUT/stats.json"; exit 1; }
@@ -498,41 +503,60 @@ echo "==> limpet-perf sim_steady, traced (digests, exact counts, step-loop time 
 # golden digest, an exact count (instructions, flops, bytes, math calls
 # per step) that did not repeat, or `step_range` + `update_vm` drifting
 # from `Simulation::run` (sim.unattributed_share). Its W=8 time per step
-# is then held against the change row of BENCH_step_loop.json — only on
-# the host that recorded it, since times at reference speed still differ
-# between machines.
+# is then held against the change row of BENCH_step_loop.json.
 STEP_OUT=$(mktemp)
 bash limpet-perf/run.sh --workload sim_steady --seconds 10 --trace 1 --out "$STEP_OUT" > /dev/null
 # Every value of a key, one per line, from compact or indented JSON.
 json_values() { { grep -o "\"$1\" *: *[^,}]*" "$2" || true; } | sed 's/^[^:]*: *//; s/"//g'; }
 json_field() { json_values "$1" "$2" | head -1; }
 host_of() { echo "$(json_field arch "$1") $(json_field os "$1") nproc=$(json_field nproc "$1") $(json_field rustc "$1")"; }
+# hold_ms <what> <primary_ms of this run> <its result file> <ledger>: the
+# time is held against `medians.change.primary_ms` of the ledger — warn
+# above 10 %, fail above 25 % — only on the host that recorded it, since
+# times at reference speed still differ between machines.
+hold_ms() {
+  local what=$1 now=$2 out=$3 ledger=$4 ref v
+  ref=$(awk '/"medians"/ { m = 1 } m && /"change"/ { c = 1 }
+    c && /"primary_ms"/ { gsub(/[^0-9.]/, "", $2); print $2; exit }' "$ledger")
+  for v in "$now" "$ref"; do
+    if ! [[ $v =~ ^[0-9]+\.?[0-9]*$ ]] || [[ $v =~ ^[0.]*$ ]]; then
+      echo "$what: could not read primary_ms (run '$now', $ledger '$ref')"
+      exit 1
+    fi
+  done
+  if [ "$(host_of "$out")" != "$(host_of "$ledger")" ]; then
+    echo "$what: primary_ms $now ms; $ledger ($ref ms) is from a different host, skipped"
+    return
+  fi
+  case $(awk -v now="$now" -v ref="$ref" \
+    'BEGIN { r = now / ref; print (r > 1.25) ? "fail" : (r > 1.10) ? "warn" : "ok" }') in
+    fail)
+      echo "$what: primary_ms $now ms is > 25 % above $ledger's $ref ms"
+      exit 1
+      ;;
+    warn) echo "$what: WARNING primary_ms $now ms is > 10 % above $ledger's $ref ms" ;;
+    ok) echo "$what: primary_ms $now ms ($ledger: $ref ms)" ;;
+  esac
+}
 # primary_ms as the benchmark defines it: geomean over the roster of the
 # W=8 ms per 8192-cell step.
 STEP_MS=$(json_values w8_ms_per_step "$STEP_OUT" \
   | awk '$1 > 0 { s += log($1); n++ } END { if (n) printf "%.4f", exp(s / n) }')
-REF_MS=$(awk '/"medians"/ { m = 1 } m && /"change"/ { c = 1 }
-  c && /"primary_ms"/ { gsub(/[^0-9.]/, "", $2); print $2; exit }' BENCH_step_loop.json)
-for v in "$STEP_MS" "$REF_MS"; do
-  if ! [[ $v =~ ^[0-9]+\.?[0-9]*$ ]] || [[ $v =~ ^[0.]*$ ]]; then
-    echo "step loop: could not read a W=8 time per step (run '$STEP_MS', BENCH_step_loop.json '$REF_MS')"
-    exit 1
-  fi
-done
-if [ "$(host_of "$STEP_OUT")" != "$(host_of BENCH_step_loop.json)" ]; then
-  echo "step loop: primary_ms $STEP_MS ms; BENCH_step_loop.json ($REF_MS ms) is from a different host, skipped"
-else
-  case $(awk -v now="$STEP_MS" -v ref="$REF_MS" \
-    'BEGIN { r = now / ref; print (r > 1.25) ? "fail" : (r > 1.10) ? "warn" : "ok" }') in
-    fail)
-      echo "step loop: primary_ms $STEP_MS ms is > 25 % above BENCH_step_loop.json's $REF_MS ms"
-      exit 1
-      ;;
-    warn) echo "step loop: WARNING primary_ms $STEP_MS ms is > 10 % above BENCH_step_loop.json's $REF_MS ms" ;;
-    ok) echo "step loop: primary_ms $STEP_MS ms (BENCH_step_loop.json: $REF_MS ms)" ;;
-  esac
-fi
+hold_ms "step loop" "$STEP_MS" "$STEP_OUT" BENCH_step_loop.json
 rm -f "$STEP_OUT"
+
+echo "==> limpet-perf ckpt_resume (resume equals the uninterrupted twin, save time vs BENCH_checkpoint.json)"
+# One untraced run of the checkpoint workload. A non-zero exit is a
+# failed save, a loaded snapshot that differs from the saved one, or a
+# run resumed from disk that differs from its uninterrupted twin. Its
+# median snapshot + save of OHara x 8192 cells is held against the
+# change row of BENCH_checkpoint.json by the same rule.
+CKPT_RUN=$(mktemp)
+bash limpet-perf/run.sh --workload ckpt_resume --seconds 10 --trace 0 --out "$CKPT_RUN" > /dev/null
+CKPT_MS=$({ grep -o '"primary_ms" *: *{[^}]*}' "$CKPT_RUN" || true; } \
+  | { grep -o '"value" *: *[0-9.]*' || true; } | head -1 | sed 's/^[^:]*: *//')
+hold_ms "checkpoint save" "$CKPT_MS" "$CKPT_RUN" BENCH_checkpoint.json
+rm -f "$CKPT_RUN"
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
