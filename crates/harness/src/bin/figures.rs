@@ -371,6 +371,9 @@ fn main() {
             format!(", models: {}", args.opts.only.join(","))
         }
     );
+    // Which build of the step loop every timing below ran on (two hosts
+    // that print different builds do not run the same code).
+    println!("step loop: {}", limpet_vm::step_isa());
     // Timing model: calibrated constants persist next to the kernel disk
     // cache (`--validate-tm` writes them). A valid persisted file skips
     // recalibration; `--validate-tm` always recalibrates fresh.

@@ -1,15 +1,42 @@
 //! The execution engine: a `W`-lane register virtual machine.
 //!
-//! Each bytecode instruction processes `W` cells in a lane loop, so a
-//! kernel compiled at width 8 ("AVX-512") amortizes per-instruction
-//! dispatch over eight cells while the baseline width-1 kernel pays it per
-//! cell — reproducing the mechanism behind the paper's speedups. Uniform
-//! work (parameters, `dt`, loop counters) costs the same at any width,
-//! which is why small models gain less, as in the paper's Fig. 2.
+//! A kernel is vectorized for a SIMD width `W` (1 = the scalar baseline,
+//! 2 / 4 / 8 = "SSE" / "AVX2" / "AVX-512"); the interpreter executes it over
+//! `L = W * K` cells per instruction dispatch. The two are separate
+//! decisions:
 //!
-//! Where a width-8 step's time goes (measured, DESIGN.md §9b): table
-//! lookups and math calls first, dispatch after them. Both stay vectorized
-//! inside the kernel the way the paper's generated code keeps them:
+//! * `W` is the shape of the lane kernels — the `[f64; W]` blocks an arm
+//!   adds, compares and blends, the AoSoA block it loads — and of what a
+//!   lane's arithmetic is: the baseline calls scalar libm and an opaque
+//!   lookup per cell, as openCARP does, which is the mechanism behind the
+//!   paper's speed-ups. Uniform work (parameters, `dt`) costs the same at
+//!   any width, which is why small models gain less (Fig. 2).
+//! * `K` is how many `W`-blocks share one dispatch. A program that
+//!   branches (a jump is taken on lane 0 of one block) or reads its cell
+//!   index runs at `K = 1` — 32 of the 43 baseline programs do, and
+//!   `W = 1` always does: it is openCARP's per-cell loop. A straight-line
+//!   vector program (every vectorized roster program) runs its whole
+//!   batches at `K = `[`BATCH`] and what is left of a range at `K = 1`.
+//!
+//! The batched loop is one generic body ([`Kernel::exec_chunk`], with every
+//! lane kernel inlined into it) compiled three times: for the crate's own
+//! target (baseline x86-64 is SSE2), and under `#[target_feature]` for
+//! x86-64-v3 (`avx2,fma`) and x86-64-v4 (AVX-512). Which one runs is
+//! detected at run time and never wider than the instruction set the kernel
+//! is named after ([`step_isa`]; other architectures and older CPUs take
+//! the portable one), so the paper's Fig. 5 compares real SSE2, AVX2 and
+//! AVX-512 code. Rust never contracts `a * b + c`, and every lane kernel is
+//! a per-lane function of its inputs, so all of them — and any `K` —
+//! compute the same bits: [`Kernel::run_step_profiled`], always `K = 1` on
+//! the portable build, is the counting path and the differential
+//! reference. The two halves pay together (measured, DESIGN.md §9b: either
+//! alone takes an eighth off a width-8 roster step, both a third): under
+//! SSE2 an eight-lane instruction is four two-lane ones and that lane work
+//! is most of what a dispatch buys; under AVX-512 at `K = 1` the dispatch
+//! is what is left.
+//!
+//! Inside a step, table lookups and math calls stay vectorized the way the
+//! paper's generated code keeps them:
 //!
 //! * a lookup is one [`Instr::LutRow`] per key, not one instruction per
 //!   column — [`LutData::interp_row`] computes index and fraction once per
@@ -26,7 +53,7 @@ use crate::bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, Lu
 use crate::eval::{eval_func, EvalError, ParamOnlyContext, Val};
 use crate::lut::LutData;
 use crate::state::{CellStates, ExtArrays};
-use limpet_ir::{MathFn, Module};
+use limpet_ir::{CmpFPred, MathFn, Module};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -134,6 +161,8 @@ pub struct Kernel {
     param_values: Arc<[f64]>,
     luts: Arc<[LutData]>,
     info: Arc<ModelInfo>,
+    /// Whether the program runs [`BATCH`] blocks per dispatch.
+    batched: bool,
     /// Full-population steps executed through this compilation, shared by
     /// every clone (relaxed increments — a promotion heuristic, not an
     /// exact count under contention).
@@ -273,6 +302,7 @@ impl Kernel {
         Ok((
             Kernel {
                 name: module.name().into(),
+                batched: can_batch(&program, width),
                 program: Arc::new(program),
                 width,
                 param_values: param_values.into(),
@@ -333,6 +363,7 @@ impl Kernel {
         }
         check_lut_columns(&program, &self.luts)?;
         Ok(Kernel {
+            batched: can_batch(&program, self.width),
             program: Arc::new(program),
             steps: Arc::new(AtomicU64::new(0)),
             ..self.clone()
@@ -392,6 +423,7 @@ impl Kernel {
             .collect();
         Ok(Kernel {
             name: name.into(),
+            batched: can_batch(&program, width),
             program: Arc::new(program),
             width,
             param_values: param_values.into(),
@@ -491,7 +523,7 @@ impl Kernel {
         &self,
         state: &mut CellStates,
         ext: &mut ExtArrays,
-        mut parent: Option<&mut ParentView<'_>>,
+        parent: Option<&mut ParentView<'_>>,
         ctx: SimContext,
         lo: usize,
         hi: usize,
@@ -500,54 +532,28 @@ impl Kernel {
             lo.is_multiple_of(self.width) && hi.is_multiple_of(self.width),
             "unaligned range"
         );
-        let mut prof = Profile::default();
-        let mut regs = RegFile::new(&self.program, self.width);
+        // Whole batches first, what is left one `W`-block per dispatch.
+        let batch = self.width * BATCH;
+        let mid = if self.batched {
+            lo + (hi - lo) / batch * batch
+        } else {
+            lo
+        };
+        let lanes = if mid > lo { batch } else { self.width };
+        let mut run = Run::new(self, lanes, state, ext, parent, ctx);
         match self.width {
-            1 => self.run_loop::<1, false>(
-                &mut regs,
-                state,
-                ext,
-                &mut parent,
-                ctx,
-                lo,
-                hi,
-                &mut prof,
-            ),
-            2 => self.run_loop::<2, false>(
-                &mut regs,
-                state,
-                ext,
-                &mut parent,
-                ctx,
-                lo,
-                hi,
-                &mut prof,
-            ),
-            4 => self.run_loop::<4, false>(
-                &mut regs,
-                state,
-                ext,
-                &mut parent,
-                ctx,
-                lo,
-                hi,
-                &mut prof,
-            ),
-            8 => self.run_loop::<8, false>(
-                &mut regs,
-                state,
-                ext,
-                &mut parent,
-                ctx,
-                lo,
-                hi,
-                &mut prof,
-            ),
+            1 => run.run_loop::<1, false>(lo, hi),
+            2 => run.run_split::<2>(lo, mid, hi),
+            4 => run.run_split::<4>(lo, mid, hi),
+            8 => run.run_split::<8>(lo, mid, hi),
             _ => unreachable!(),
         }
     }
 
-    /// Runs one step over all cells while counting operations.
+    /// Runs one step over all cells while counting operations: always one
+    /// `W`-block per dispatch on the portable build, so the counts are a
+    /// property of the program and the reference the batched, ISA-specific
+    /// [`Kernel::run_range`] is compared against bit for bit.
     pub fn run_step_profiled(
         &self,
         state: &mut CellStates,
@@ -555,41 +561,192 @@ impl Kernel {
         parent: Option<&mut ParentView<'_>>,
         ctx: SimContext,
     ) -> Profile {
-        let mut prof = Profile::default();
-        let mut regs = RegFile::new(&self.program, self.width);
         let n = state.padded_cells();
-        let mut parent = parent;
+        let mut run = Run::new(self, self.width, state, ext, parent, ctx);
         match self.width {
-            1 => self.run_loop::<1, true>(&mut regs, state, ext, &mut parent, ctx, 0, n, &mut prof),
-            2 => self.run_loop::<2, true>(&mut regs, state, ext, &mut parent, ctx, 0, n, &mut prof),
-            4 => self.run_loop::<4, true>(&mut regs, state, ext, &mut parent, ctx, 0, n, &mut prof),
-            8 => self.run_loop::<8, true>(&mut regs, state, ext, &mut parent, ctx, 0, n, &mut prof),
+            1 => run.run_loop::<1, true>(0, n),
+            2 => run.run_loop::<2, true>(0, n),
+            4 => run.run_loop::<4, true>(0, n),
+            8 => run.run_loop::<8, true>(0, n),
             _ => unreachable!(),
         }
-        prof
+        run.prof
+    }
+}
+
+/// `W`-blocks a batched program executes per dispatch. One constant: at
+/// `W = 8` a 128-register file of `8 * BATCH` lanes is 32 KiB, all of L1.
+const BATCH: usize = 4;
+
+/// Whether `program` can run [`BATCH`] blocks per dispatch: a vector
+/// program whose integer registers are uniform over the batch (no
+/// per-block cell index) and that never branches on lane 0 of one block.
+fn can_batch(program: &Program, width: usize) -> bool {
+    let per_block = |i: &Instr| {
+        matches!(
+            i,
+            Instr::Jump { .. } | Instr::JumpIfNot { .. } | Instr::CellIndex { .. }
+        )
+    };
+    width > 1 && !program.instrs.iter().any(per_block)
+}
+
+/// The build of the step loop a kernel runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum StepIsa {
+    /// The crate's own target: baseline x86-64 is SSE2.
+    Portable,
+    /// x86-64-v3: `avx2,fma`.
+    Avx2,
+    /// x86-64-v4: `avx512f,avx512vl,avx512dq,avx512bw`.
+    Avx512,
+}
+
+impl StepIsa {
+    /// The widest build this CPU runs (`std` caches the CPUID query).
+    fn detect() -> StepIsa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512bw")
+            {
+                return StepIsa::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                return StepIsa::Avx2;
+            }
+        }
+        StepIsa::Portable
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_loop<const W: usize, const COUNT: bool>(
-        &self,
-        regs: &mut RegFile,
-        state: &mut CellStates,
-        ext: &mut ExtArrays,
-        parent: &mut Option<&mut ParentView<'_>>,
+    /// The build a kernel vectorised at `width` lanes runs on here: what
+    /// the CPU has, but never wider than the ISA the kernel is named after
+    /// (`W = 2` *is* the portable SSE2 build).
+    fn of(width: usize) -> StepIsa {
+        let named = match width {
+            8 => StepIsa::Avx512,
+            4 => StepIsa::Avx2,
+            _ => StepIsa::Portable,
+        };
+        named.min(StepIsa::detect())
+    }
+}
+
+/// The build of the step loop a width-8 kernel dispatches to on this CPU:
+/// `"avx512"`, `"avx2"` or `"portable"`. Host provenance for timings —
+/// two hosts that answer differently do not run the same code.
+pub fn step_isa() -> &'static str {
+    match StepIsa::detect() {
+        StepIsa::Portable => "portable",
+        StepIsa::Avx2 => "avx2",
+        StepIsa::Avx512 => "avx512",
+    }
+}
+
+/// One `run_range` / `run_step_profiled` call: the kernel, its register
+/// file and the storage it steps.
+struct Run<'a, 'p> {
+    kernel: &'a Kernel,
+    regs: RegFile,
+    state: &'a mut CellStates,
+    ext: &'a mut ExtArrays,
+    parent: Option<&'a mut ParentView<'p>>,
+    ctx: SimContext,
+    prof: Profile,
+}
+
+impl<'a, 'p> Run<'a, 'p> {
+    fn new(
+        kernel: &'a Kernel,
+        lanes: usize,
+        state: &'a mut CellStates,
+        ext: &'a mut ExtArrays,
+        parent: Option<&'a mut ParentView<'p>>,
         ctx: SimContext,
-        lo: usize,
-        hi: usize,
-        prof: &mut Profile,
-    ) {
-        let mut cell0 = lo;
-        while cell0 < hi {
-            self.exec_chunk::<W, COUNT>(regs, cell0, state, ext, parent, ctx, prof);
-            cell0 += W;
+    ) -> Self {
+        Run {
+            kernel,
+            regs: RegFile::new(&kernel.program, lanes),
+            state,
+            ext,
+            parent,
+            ctx,
+            prof: Profile::default(),
         }
     }
 
+    /// `[lo, mid)` in batches on the widest build allowed, `[mid, hi)` one
+    /// block per dispatch.
+    fn run_split<const W: usize>(&mut self, lo: usize, mid: usize, hi: usize) {
+        if mid > lo {
+            match StepIsa::of(W) {
+                // SAFETY: `StepIsa::of` answers `Avx512` only after
+                // `is_x86_feature_detected!` reported every feature
+                // `batched_avx512` enables.
+                #[cfg(target_arch = "x86_64")]
+                StepIsa::Avx512 => unsafe { self.batched_avx512::<W>(lo, mid) },
+                // SAFETY: likewise `Avx2` for `avx2` and `fma`.
+                #[cfg(target_arch = "x86_64")]
+                StepIsa::Avx2 => unsafe { self.batched_avx2::<W>(lo, mid) },
+                _ => self.chunks::<W, BATCH, false>(lo, mid),
+            }
+        }
+        self.run_loop::<W, false>(mid, hi);
+    }
+
+    /// One block per dispatch on the crate's own target. A function of its
+    /// own: inlined into `run_range` beside the other widths' loops, the
+    /// same body costs a width-1 step 3 % (measured over the roster).
+    #[inline(never)]
+    fn run_loop<const W: usize, const COUNT: bool>(&mut self, lo: usize, hi: usize) {
+        self.chunks::<W, 1, COUNT>(lo, hi);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]
+    fn batched_avx512<const W: usize>(&mut self, lo: usize, hi: usize) {
+        self.chunks::<W, BATCH, false>(lo, hi);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn batched_avx2<const W: usize>(&mut self, lo: usize, hi: usize) {
+        self.chunks::<W, BATCH, false>(lo, hi);
+    }
+
+    /// Steps cells `[lo, hi)`, `W * K` per dispatch. Inlined into its
+    /// caller with [`Kernel::exec_chunk`] and every lane kernel under it,
+    /// so the two `#[target_feature]` callers above compile the one source
+    /// for their instruction set and every other caller for the crate's.
+    #[inline(always)]
+    fn chunks<const W: usize, const K: usize, const COUNT: bool>(&mut self, lo: usize, hi: usize) {
+        let mut cell0 = lo;
+        while cell0 < hi {
+            self.kernel.exec_chunk::<W, K, COUNT>(
+                &mut self.regs,
+                cell0,
+                self.state,
+                self.ext,
+                &mut self.parent,
+                self.ctx,
+                &mut self.prof,
+            );
+            cell0 += W * K;
+        }
+    }
+}
+
+impl Kernel {
+    /// Executes the program once over the `W * K` cells from `cell0`:
+    /// every instruction is dispatched once and works through its `K`
+    /// blocks of `W` lanes. Register `r` is lanes `r * W * K ..` of its
+    /// file; what an arm holds by value is one block, a `[_; W]` (a vector
+    /// register), never the `K` blocks of a register.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn exec_chunk<const W: usize, const COUNT: bool>(
+    fn exec_chunk<const W: usize, const K: usize, const COUNT: bool>(
         &self,
         regs: &mut RegFile,
         cell0: usize,
@@ -603,267 +760,266 @@ impl Kernel {
         let bbuf = &mut regs.b;
         let ibuf = &mut regs.i;
         let instrs = &self.program.instrs;
+        let lanes = W * K;
         let mut pc = 0usize;
 
-        macro_rules! fb {
-            ($r:expr) => {{
-                let base = $r as usize * W;
-                let mut out = [0.0f64; W];
-                out.copy_from_slice(&f[base..base + W]);
-                out
+        // All lanes of register `r`, and its block `k`, as ranges of a file.
+        let reg = |r: u16| r as usize * lanes..(r as usize + 1) * lanes;
+        let blk = |r: u16, k: usize| r as usize * lanes + k * W..r as usize * lanes + (k + 1) * W;
+        // One block of register `$r` of file `$file` (`f` or `bbuf`) by value.
+        macro_rules! rd {
+            ($file:ident, $r:expr, $k:expr) => {
+                block::<_, W>(&$file[blk($r, $k)])
+            };
+        }
+        macro_rules! wr {
+            ($file:ident, $r:expr, $k:expr, $v:expr) => {
+                $file[blk($r, $k)].copy_from_slice(&$v)
+            };
+        }
+        // A uniform value into every lane of a register.
+        macro_rules! set {
+            ($file:ident, $r:expr, $v:expr) => {
+                for k in 0..K {
+                    wr!($file, $r, k, [$v; W]);
+                }
+            };
+        }
+        // `W` cells' values of `$var`, block `$k` of the chunk, by value.
+        macro_rules! loaded {
+            ($from:expr, $var:expr, $k:expr) => {{
+                let mut lv = [0.0f64; W];
+                $from.load_block(cell0 + $k * W, $var as usize, &mut lv);
+                lv
             }};
         }
-        macro_rules! fw {
-            ($r:expr, $v:expr) => {{
-                let base = $r as usize * W;
-                f[base..base + W].copy_from_slice(&$v);
-            }};
+        // `dst <- lane(a, b)` block by block, `lane` picked by `$op` around
+        // the block loop, so a batch decodes its operator once.
+        macro_rules! map2 {
+            ($file:ident, $dst:expr, $op:expr, |$k:ident| $a:expr, $b:expr,
+             |$x:ident, $y:ident| { $($pat:pat => $lane:expr,)+ }) => {
+                match $op {
+                    $($pat => {
+                        for $k in 0..K {
+                            let (av, bv) = ($a, $b);
+                            let mut out = [Default::default(); W];
+                            for i in 0..W {
+                                let ($x, $y) = (av[i], bv[i]);
+                                out[i] = $lane;
+                            }
+                            wr!($file, $dst, $k, out);
+                        }
+                    })+
+                }
+            };
         }
-        macro_rules! bb {
-            ($r:expr) => {{
-                let base = $r as usize * W;
-                let mut out = [false; W];
-                out.copy_from_slice(&bbuf[base..base + W]);
-                out
-            }};
-        }
-        macro_rules! bw {
-            ($r:expr, $v:expr) => {{
-                let base = $r as usize * W;
-                bbuf[base..base + W].copy_from_slice(&$v);
-            }};
+        // The float binop shared by the plain, constant-operand and load-op
+        // arms, so every form computes bit-identical results.
+        macro_rules! fbin {
+            ($op:expr, $dst:expr, |$k:ident| $a:expr, $b:expr) => {
+                map2!(f, $dst, $op, |$k| $a, $b, |x, y| {
+                    FBin::Add => x + y,
+                    FBin::Sub => x - y,
+                    FBin::Mul => x * y,
+                    FBin::Div => x / y,
+                    FBin::Rem => x % y,
+                    FBin::Min => x.min(y),
+                    FBin::Max => x.max(y),
+                })
+            };
         }
 
         loop {
             if COUNT {
                 prof.instrs += 1;
             }
-            match &instrs[pc] {
-                Instr::ConstF { dst, v } => fw!(*dst, [*v; W]),
-                Instr::ConstI { dst, v } => ibuf[*dst as usize] = *v,
-                Instr::ConstB { dst, v } => bw!(*dst, [*v; W]),
-                Instr::MovF { dst, src } => {
-                    let v = fb!(*src);
-                    fw!(*dst, v);
-                }
-                Instr::MovB { dst, src } => {
-                    let v = bb!(*src);
-                    bw!(*dst, v);
-                }
-                Instr::MovI { dst, src } => ibuf[*dst as usize] = ibuf[*src as usize],
-                Instr::LoadParam { dst, idx } => {
-                    fw!(*dst, [self.param_values[*idx as usize]; W])
-                }
-                Instr::LoadDt { dst } => fw!(*dst, [ctx.dt; W]),
-                Instr::LoadTime { dst } => fw!(*dst, [ctx.t; W]),
-                Instr::CellIndex { dst } => ibuf[*dst as usize] = cell0 as i64,
+            match instrs[pc] {
+                Instr::ConstF { dst, v } => set!(f, dst, v),
+                Instr::ConstI { dst, v } => ibuf[dst as usize] = v,
+                Instr::ConstB { dst, v } => set!(bbuf, dst, v),
+                Instr::MovF { dst, src } => f.copy_within(reg(src), reg(dst).start),
+                Instr::MovB { dst, src } => bbuf.copy_within(reg(src), reg(dst).start),
+                Instr::MovI { dst, src } => ibuf[dst as usize] = ibuf[src as usize],
+                Instr::LoadParam { dst, idx } => set!(f, dst, self.param_values[idx as usize]),
+                Instr::LoadDt { dst } => set!(f, dst, ctx.dt),
+                Instr::LoadTime { dst } => set!(f, dst, ctx.t),
+                Instr::CellIndex { dst } => ibuf[dst as usize] = cell0 as i64,
                 Instr::LoadState { dst, var } => {
-                    let base = *dst as usize * W;
-                    state.load_block(cell0, *var as usize, &mut f[base..base + W]);
+                    for k in 0..K {
+                        state.load_block(cell0 + k * W, var as usize, &mut f[blk(dst, k)]);
+                    }
                     if COUNT {
-                        prof.bytes_read += 8 * W as u64;
+                        prof.bytes_read += 8 * lanes as u64;
                     }
                 }
                 Instr::StoreState { src, var } => {
-                    let v = fb!(*src);
-                    state.store_block(cell0, *var as usize, &v);
+                    for k in 0..K {
+                        state.store_block(cell0 + k * W, var as usize, &f[blk(src, k)]);
+                    }
                     if COUNT {
-                        prof.bytes_written += 8 * W as u64;
+                        prof.bytes_written += 8 * lanes as u64;
                     }
                 }
                 Instr::LoadExt { dst, var } => {
-                    let base = *dst as usize * W;
-                    ext.load_block(cell0, *var as usize, &mut f[base..base + W]);
+                    ext.load_block(cell0, var as usize, &mut f[reg(dst)]);
                     if COUNT {
-                        prof.bytes_read += 8 * W as u64;
+                        prof.bytes_read += 8 * lanes as u64;
                     }
                 }
                 Instr::StoreExt { src, var } => {
-                    let v = fb!(*src);
-                    ext.store_block(cell0, *var as usize, &v);
+                    ext.store_block(cell0, var as usize, &f[reg(src)]);
                     if COUNT {
-                        prof.bytes_written += 8 * W as u64;
+                        prof.bytes_written += 8 * lanes as u64;
                     }
                 }
-                Instr::HasParent { dst } => bw!(*dst, [parent.is_some(); W]),
+                Instr::HasParent { dst } => set!(bbuf, dst, parent.is_some()),
                 Instr::LoadParentState { dst, var, fallback } => {
                     match parent {
                         Some(p) => {
-                            let base = *dst as usize * W;
-                            let pv = p.var_map[*var as usize];
-                            p.states.load_block(cell0, pv, &mut f[base..base + W]);
+                            for k in 0..K {
+                                wr!(f, dst, k, loaded!(p.states, p.var_map[var as usize], k));
+                            }
                         }
-                        None => {
-                            let v = fb!(*fallback);
-                            fw!(*dst, v);
-                        }
+                        None => f.copy_within(reg(fallback), reg(dst).start),
                     }
                     if COUNT {
-                        prof.bytes_read += 8 * W as u64;
+                        prof.bytes_read += 8 * lanes as u64;
                     }
                 }
                 Instr::StoreParentState { src, var } => {
                     if let Some(p) = parent {
-                        let v = fb!(*src);
-                        let pv = p.var_map[*var as usize];
-                        p.states.store_block(cell0, pv, &v);
+                        let pv = p.var_map[var as usize];
+                        for k in 0..K {
+                            p.states.store_block(cell0 + k * W, pv, &f[blk(src, k)]);
+                        }
                         if COUNT {
-                            prof.bytes_written += 8 * W as u64;
+                            prof.bytes_written += 8 * lanes as u64;
                         }
                     }
                 }
                 Instr::BinF { op, dst, a, b } => {
-                    let av = fb!(*a);
-                    let bv = fb!(*b);
-                    fw!(*dst, fbin_block::<W>(*op, &av, &bv));
+                    fbin!(op, dst, |k| rd!(f, a, k), rd!(f, b, k));
                     if COUNT {
-                        prof.flops += W as u64;
+                        prof.flops += lanes as u64;
                     }
                 }
-                Instr::BinFK { op, dst, a, k } => {
-                    let av = fb!(*a);
-                    fw!(*dst, fbin_block::<W>(*op, &av, &[*k; W]));
+                Instr::BinFK { op, dst, a, k: c } => {
+                    fbin!(op, dst, |k| rd!(f, a, k), [c; W]);
                     if COUNT {
-                        prof.flops += W as u64;
+                        prof.flops += lanes as u64;
                     }
                 }
-                Instr::BinKF { op, dst, k, a } => {
-                    let av = fb!(*a);
-                    fw!(*dst, fbin_block::<W>(*op, &[*k; W], &av));
+                Instr::BinKF { op, dst, k: c, a } => {
+                    fbin!(op, dst, |k| [c; W], rd!(f, a, k));
                     if COUNT {
-                        prof.flops += W as u64;
+                        prof.flops += lanes as u64;
                     }
                 }
                 Instr::LoadStateOp { op, dst, var, b } => {
-                    let mut lv = [0.0f64; W];
-                    state.load_block(cell0, *var as usize, &mut lv);
-                    let bv = fb!(*b);
-                    fw!(*dst, fbin_block::<W>(*op, &lv, &bv));
+                    fbin!(op, dst, |k| loaded!(state, var, k), rd!(f, b, k));
                     if COUNT {
-                        prof.bytes_read += 8 * W as u64;
-                        prof.flops += W as u64;
+                        prof.bytes_read += 8 * lanes as u64;
+                        prof.flops += lanes as u64;
                     }
                 }
                 Instr::LoadExtOp { op, dst, var, b } => {
-                    let mut lv = [0.0f64; W];
-                    ext.load_block(cell0, *var as usize, &mut lv);
-                    let bv = fb!(*b);
-                    fw!(*dst, fbin_block::<W>(*op, &lv, &bv));
+                    fbin!(op, dst, |k| loaded!(ext, var, k), rd!(f, b, k));
                     if COUNT {
-                        prof.bytes_read += 8 * W as u64;
-                        prof.flops += W as u64;
+                        prof.bytes_read += 8 * lanes as u64;
+                        prof.flops += lanes as u64;
                     }
                 }
                 Instr::NegF { dst, a } => {
-                    let mut av = fb!(*a);
-                    for v in av.iter_mut() {
-                        *v = -*v;
+                    for k in 0..K {
+                        let av = rd!(f, a, k).map(|v| -v);
+                        wr!(f, dst, k, av);
                     }
-                    fw!(*dst, av);
                     if COUNT {
-                        prof.flops += W as u64;
+                        prof.flops += lanes as u64;
                     }
                 }
                 Instr::FmaF { dst, a, b, c } => {
-                    let av = fb!(*a);
-                    let bv = fb!(*b);
-                    let cv = fb!(*c);
-                    let mut out = [0.0f64; W];
-                    for i in 0..W {
-                        out[i] = av[i] * bv[i] + cv[i];
+                    for k in 0..K {
+                        let (av, bv, cv) = (rd!(f, a, k), rd!(f, b, k), rd!(f, c, k));
+                        let mut out = [0.0f64; W];
+                        for i in 0..W {
+                            out[i] = av[i] * bv[i] + cv[i];
+                        }
+                        wr!(f, dst, k, out);
                     }
-                    fw!(*dst, out);
                     if COUNT {
-                        prof.flops += 2 * W as u64;
+                        prof.flops += 2 * lanes as u64;
                     }
                 }
                 Instr::Math1 { f: mf, dst, a } => {
-                    let mut v = fb!(*a);
-                    apply_math1::<W>(*mf, &mut v);
-                    fw!(*dst, v);
+                    f.copy_within(reg(a), reg(dst).start);
+                    apply_math1::<W>(mf, &mut f[reg(dst)]);
                     if COUNT {
-                        prof.flops += math_flops(*mf) * W as u64;
-                        prof.math_calls += W as u64;
+                        prof.flops += math_flops(mf) * lanes as u64;
+                        prof.math_calls += lanes as u64;
                     }
                 }
                 Instr::Math2 { f: mf, dst, a, b } => {
-                    let mut av = fb!(*a);
-                    let bv = fb!(*b);
-                    apply_math2::<W>(*mf, &mut av, &bv);
-                    fw!(*dst, av);
+                    for k in 0..K {
+                        let (mut av, bv) = (rd!(f, a, k), rd!(f, b, k));
+                        apply_math2::<W>(mf, &mut av, &bv);
+                        wr!(f, dst, k, av);
+                    }
                     if COUNT {
-                        prof.flops += math_flops(*mf) * W as u64;
-                        prof.math_calls += W as u64;
+                        prof.flops += math_flops(mf) * lanes as u64;
+                        prof.math_calls += lanes as u64;
                     }
                 }
                 Instr::CmpF { pred, dst, a, b } => {
-                    let av = fb!(*a);
-                    let bv = fb!(*b);
-                    let mut out = [false; W];
-                    for i in 0..W {
-                        out[i] = pred.apply(av[i], bv[i]);
-                    }
-                    bw!(*dst, out);
+                    map2!(bbuf, dst, pred, |k| rd!(f, a, k), rd!(f, b, k), |x, y| {
+                        CmpFPred::Oeq => x == y,
+                        CmpFPred::One => x != y,
+                        CmpFPred::Olt => x < y,
+                        CmpFPred::Ole => x <= y,
+                        CmpFPred::Ogt => x > y,
+                        CmpFPred::Oge => x >= y,
+                    });
                     if COUNT {
-                        prof.flops += W as u64;
+                        prof.flops += lanes as u64;
                     }
                 }
                 Instr::CmpI { pred, dst, a, b } => {
-                    let r = pred.apply(ibuf[*a as usize], ibuf[*b as usize]);
-                    bw!(*dst, [r; W]);
+                    set!(bbuf, dst, pred.apply(ibuf[a as usize], ibuf[b as usize]))
                 }
                 Instr::BinB { op, dst, a, b } => {
-                    let av = bb!(*a);
-                    let bv = bb!(*b);
-                    let mut out = [false; W];
-                    match op {
-                        BBin::And => {
-                            for i in 0..W {
-                                out[i] = av[i] && bv[i];
-                            }
-                        }
-                        BBin::Or => {
-                            for i in 0..W {
-                                out[i] = av[i] || bv[i];
-                            }
-                        }
-                        BBin::Xor => {
-                            for i in 0..W {
-                                out[i] = av[i] ^ bv[i];
-                            }
-                        }
-                    }
-                    bw!(*dst, out);
+                    map2!(bbuf, dst, op, |k| rd!(bbuf, a, k), rd!(bbuf, b, k), |x, y| {
+                        BBin::And => x && y,
+                        BBin::Or => x || y,
+                        BBin::Xor => x ^ y,
+                    })
                 }
                 Instr::SelectF { dst, cond, a, b } => {
-                    let cv = bb!(*cond);
-                    let av = fb!(*a);
-                    let bv = fb!(*b);
-                    let mut out = [0.0f64; W];
-                    for i in 0..W {
-                        out[i] = if cv[i] { av[i] } else { bv[i] };
+                    for k in 0..K {
+                        let (cv, av, bv) = (rd!(bbuf, cond, k), rd!(f, a, k), rd!(f, b, k));
+                        let mut out = [0.0f64; W];
+                        for i in 0..W {
+                            out[i] = if cv[i] { av[i] } else { bv[i] };
+                        }
+                        wr!(f, dst, k, out);
                     }
-                    fw!(*dst, out);
                     if COUNT {
-                        prof.flops += W as u64;
+                        prof.flops += lanes as u64;
                     }
                 }
                 Instr::SelectB { dst, cond, a, b } => {
-                    let cv = bb!(*cond);
-                    let av = bb!(*a);
-                    let bv = bb!(*b);
-                    let mut out = [false; W];
-                    for i in 0..W {
-                        out[i] = if cv[i] { av[i] } else { bv[i] };
+                    for k in 0..K {
+                        let (cv, av, bv) = (rd!(bbuf, cond, k), rd!(bbuf, a, k), rd!(bbuf, b, k));
+                        let mut out = [false; W];
+                        for i in 0..W {
+                            out[i] = if cv[i] { av[i] } else { bv[i] };
+                        }
+                        wr!(bbuf, dst, k, out);
                     }
-                    bw!(*dst, out);
                 }
-                Instr::SIToFP { dst, a } => {
-                    fw!(*dst, [ibuf[*a as usize] as f64; W]);
-                }
+                Instr::SIToFP { dst, a } => set!(f, dst, ibuf[a as usize] as f64),
                 Instr::BinI { op, dst, a, b } => {
-                    let (av, bv) = (ibuf[*a as usize], ibuf[*b as usize]);
-                    ibuf[*dst as usize] = match op {
+                    let (av, bv) = (ibuf[a as usize], ibuf[b as usize]);
+                    ibuf[dst as usize] = match op {
                         IBin::Add => av.wrapping_add(bv),
                         IBin::Sub => av.wrapping_sub(bv),
                         IBin::Mul => av.wrapping_mul(bv),
@@ -873,10 +1029,9 @@ impl Kernel {
                     table,
                     key,
                     interp,
-                    outs,
+                    ref outs,
                 } => {
-                    let keys = fb!(*key);
-                    self.luts[*table as usize].interp_row(*interp, &keys, outs, f);
+                    self.luts[table as usize].interp_row(interp, key, lanes, outs, f);
                     if COUNT {
                         // Per column, as when each column was its own
                         // instruction: two rows (cubic: four) of one value.
@@ -884,18 +1039,18 @@ impl Kernel {
                             LutInterp::Cubic => (32, 14),
                             LutInterp::Vec | LutInterp::Scalar => (16, 5),
                         };
-                        let lanes = (outs.len() * W) as u64;
-                        prof.bytes_read += bytes * lanes;
-                        prof.flops += flops * lanes;
+                        let n = (outs.len() * lanes) as u64;
+                        prof.bytes_read += bytes * n;
+                        prof.flops += flops * n;
                     }
                 }
                 Instr::Jump { target } => {
-                    pc = *target as usize;
+                    pc = target as usize;
                     continue;
                 }
                 Instr::JumpIfNot { cond, target } => {
-                    if !bbuf[*cond as usize * W] {
-                        pc = *target as usize;
+                    if !bbuf[cond as usize * lanes] {
+                        pc = target as usize;
                         continue;
                     }
                 }
@@ -904,6 +1059,14 @@ impl Kernel {
             pc += 1;
         }
     }
+}
+
+/// `W` lanes of a register file by value: what a vector register holds.
+#[inline(always)]
+fn block<T: Copy + Default, const W: usize>(lanes: &[T]) -> [T; W] {
+    let mut out = [T::default(); W];
+    out.copy_from_slice(lanes);
+    out
 }
 
 /// Per-invocation register storage.
@@ -915,66 +1078,21 @@ struct RegFile {
 }
 
 impl RegFile {
-    fn new(p: &Program, width: usize) -> RegFile {
+    /// Registers `lanes` lanes wide (a narrower run uses a prefix).
+    fn new(p: &Program, lanes: usize) -> RegFile {
         RegFile {
-            f: vec![0.0; p.n_fregs.max(1) * width],
-            b: vec![false; p.n_bregs.max(1) * width],
+            f: vec![0.0; p.n_fregs.max(1) * lanes],
+            b: vec![false; p.n_bregs.max(1) * lanes],
             i: vec![0; p.n_iregs.max(1)],
         }
     }
 }
 
-/// Elementwise float binop over one `W`-lane block. Shared by the plain,
-/// constant-operand, and load-op dispatch arms so every form computes
-/// bit-identical results; the `op` match is loop-invariant and hoisted,
-/// leaving the per-lane loops free to vectorize.
+/// Applies a unary math function to the lanes of a register: `std` per
+/// lane at width 1 (baseline libm), block kernels otherwise (SVML
+/// stand-in).
 #[inline(always)]
-fn fbin_block<const W: usize>(op: FBin, a: &[f64; W], b: &[f64; W]) -> [f64; W] {
-    let mut out = [0.0f64; W];
-    match op {
-        FBin::Add => {
-            for i in 0..W {
-                out[i] = a[i] + b[i];
-            }
-        }
-        FBin::Sub => {
-            for i in 0..W {
-                out[i] = a[i] - b[i];
-            }
-        }
-        FBin::Mul => {
-            for i in 0..W {
-                out[i] = a[i] * b[i];
-            }
-        }
-        FBin::Div => {
-            for i in 0..W {
-                out[i] = a[i] / b[i];
-            }
-        }
-        FBin::Rem => {
-            for i in 0..W {
-                out[i] = a[i] % b[i];
-            }
-        }
-        FBin::Min => {
-            for i in 0..W {
-                out[i] = a[i].min(b[i]);
-            }
-        }
-        FBin::Max => {
-            for i in 0..W {
-                out[i] = a[i].max(b[i]);
-            }
-        }
-    }
-    out
-}
-
-/// Applies a unary math function to a lane block: `std` per lane at
-/// width 1 (baseline libm), block kernels otherwise (SVML stand-in).
-#[inline]
-fn apply_math1<const W: usize>(f: MathFn, v: &mut [f64; W]) {
+fn apply_math1<const W: usize>(f: MathFn, v: &mut [f64]) {
     if W == 1 {
         v[0] = f.eval(v[0], 0.0);
         return;
@@ -1006,7 +1124,7 @@ fn apply_math1<const W: usize>(f: MathFn, v: &mut [f64; W]) {
 }
 
 /// Applies a binary math function (result in `a`).
-#[inline]
+#[inline(always)]
 fn apply_math2<const W: usize>(f: MathFn, a: &mut [f64; W], b: &[f64; W]) {
     if W == 1 {
         a[0] = f.eval(a[0], b[0]);
@@ -1237,6 +1355,64 @@ mod tests {
         assert_eq!(p.math_calls, 8);
         assert!(p.flops >= 8 * 20);
         assert!(p.intensity() > 0.0);
+    }
+
+    /// `run_range` picks one build per CPU; this runs every build the CPU
+    /// has, for every width that batches, against one block per dispatch.
+    #[test]
+    fn every_batched_build_equals_one_block_per_dispatch() {
+        let build = |b: &mut Builder<'_>| {
+            let x = b.get_state("x");
+            let vm = b.get_ext("Vm");
+            let e = b.exp(x);
+            let t = b.math1(limpet_ir::MathFn::Tanh, vm);
+            let hundred = b.const_f(100.0);
+            let q = b.divf(vm, hundred);
+            let c = b.cmpf(limpet_ir::CmpFPred::Olt, x, q);
+            let s = b.select(c, e, t);
+            let p = b.param("Cm");
+            let y = b.mulf(s, p);
+            b.set_state("y", y);
+            b.set_ext("Vm", s);
+            b.ret(&[]);
+        };
+        fn check<const W: usize>(k: &Kernel) {
+            for layout in [StateLayout::Aos, StateLayout::AoSoA { block: W }] {
+                let n = 2 * W * BATCH;
+                let fresh = || {
+                    let mut st = k.new_states(n, layout);
+                    let mut ext = k.new_ext(n);
+                    for cell in 0..n {
+                        st.set(cell, 0, 0.3 * cell as f64 - 4.0);
+                        ext.set(cell, 0, -85.0 + 2.5 * cell as f64);
+                    }
+                    (st, ext)
+                };
+                let ctx = SimContext { dt: 0.1, t: 0.0 };
+                let (mut want_st, mut want_ext) = fresh();
+                k.run_step_profiled(&mut want_st, &mut want_ext, None, ctx);
+                for isa in [StepIsa::Portable, StepIsa::Avx2, StepIsa::Avx512] {
+                    if isa > StepIsa::detect() {
+                        continue;
+                    }
+                    let (mut st, mut ext) = fresh();
+                    let mut run = Run::new(k, W * BATCH, &mut st, &mut ext, None, ctx);
+                    match isa {
+                        // SAFETY (both): `detect` reported the build's features.
+                        #[cfg(target_arch = "x86_64")]
+                        StepIsa::Avx512 => unsafe { run.batched_avx512::<W>(0, n) },
+                        #[cfg(target_arch = "x86_64")]
+                        StepIsa::Avx2 => unsafe { run.batched_avx2::<W>(0, n) },
+                        _ => run.chunks::<W, BATCH, false>(0, n),
+                    }
+                    assert!(st == want_st && ext == want_ext, "W={W} {layout:?} {isa:?}");
+                }
+            }
+        }
+        assert!(kernel(Some(2), build).batched && !kernel(None, build).batched);
+        check::<2>(&kernel(Some(2), build));
+        check::<4>(&kernel(Some(4), build));
+        check::<8>(&kernel(Some(8), build));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //!
 //! * [`Kernel`] compiles a lowered IR module ([`limpet_ir::Module`]) into
 //!   flat bytecode and executes it over cell populations.
-//! * The lane count (1, 2, 4, 8) emulates scalar, SSE, AVX2, and AVX-512
-//!   execution: one instruction dispatch covers `W` cells, and the `W`-lane
-//!   inner loops auto-vectorize.
+//! * The lane count `W` (1, 2, 4, 8) is scalar, SSE, AVX2, and AVX-512
+//!   execution: the `W`-lane inner loops are compiled for that instruction
+//!   set where the CPU has it ([`step_isa`]), and one instruction dispatch
+//!   covers `W` cells, or four `W`-blocks when the program is straight-line
+//!   vector code.
 //! * [`CellStates`] provides the AoS / AoSoA data layouts of paper §3.4.1;
 //!   [`ExtArrays`] the external-variable arrays of Listing 2.
 //! * [`LutData`] implements lookup-table row interpolation (paper
@@ -58,7 +60,7 @@ mod state;
 pub mod vmath;
 
 pub use bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, LutInterp, Program};
-pub use engine::{tabulate_luts, Kernel, ModelInfo, ParentView, Profile, SimContext};
+pub use engine::{step_isa, tabulate_luts, Kernel, ModelInfo, ParentView, Profile, SimContext};
 pub use eval::{eval_func, EvalContext, EvalError, ParamOnlyContext, Val};
 pub use lut::LutData;
 pub use optimize::{bytecode_opt_enabled, optimize_program, set_bytecode_opt, OptStats};

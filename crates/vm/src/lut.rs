@@ -226,38 +226,41 @@ impl LutData {
         }
     }
 
-    /// Row interpolation — the engine's only way into a table. For each
-    /// lane `l` of `keys` the clamp, row index and fraction are computed
+    /// Row interpolation — the engine's only way into a table. `regs` is a
+    /// register file `lanes` lanes wide (register `r` is
+    /// `regs[r * lanes..][..lanes]`) and `key` the register holding the
+    /// keys: for each lane the clamp, row index and fraction are computed
     /// once, then every `(col, dst)` of `outs` is interpolated out of the
-    /// same rows into `regs[dst * keys.len() + l]`, the layout of a
-    /// register file `keys.len()` lanes wide. Every value equals what the
-    /// per-column function of the mode returns, bit for bit.
+    /// same rows into that lane of register `dst`. Every value equals what
+    /// the per-column function of the mode returns, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics when a column is not in the table or a destination is
-    /// outside `regs`.
-    // Always inlined: the dispatch arm knows the lane count and the mode.
-    // Out of line, the baseline's rows of one cost a width-1 step 20 %.
+    /// Panics when a column is not in the table or a register is outside
+    /// `regs`.
+    // Always inlined: the dispatch arm knows the lane count and the mode,
+    // and the lane loop is compiled for the arm's instruction set. Out of
+    // line, the baseline's rows of one cost a width-1 step 20 %.
     #[inline(always)]
     pub fn interp_row(
         &self,
         interp: LutInterp,
-        keys: &[f64],
+        key: u16,
+        lanes: usize,
         outs: &[(u16, u16)],
         regs: &mut [f64],
     ) {
-        let stride = keys.len();
-        for (lane, &key) in keys.iter().enumerate() {
+        for lane in 0..lanes {
+            let key = regs[key as usize * lanes + lane];
             let lane_regs = &mut regs[lane..];
             match interp {
-                LutInterp::Vec => self.linear_row(key, outs, lane_regs, stride),
+                LutInterp::Vec => self.linear_row(key, outs, lane_regs, lanes),
                 LutInterp::Scalar => {
                     for &(col, dst) in outs {
-                        lane_regs[dst as usize * stride] = self.interp_one(key, col as usize);
+                        lane_regs[dst as usize * lanes] = self.interp_one(key, col as usize);
                     }
                 }
-                LutInterp::Cubic => self.cubic_row(key, outs, lane_regs, stride),
+                LutInterp::Cubic => self.cubic_row(key, outs, lane_regs, lanes),
             }
         }
     }
@@ -442,7 +445,7 @@ mod tests {
                 for interp in [LutInterp::Vec, LutInterp::Scalar, LutInterp::Cubic] {
                     let mut regs = vec![f64::NAN; 5 * width];
                     regs[..width].copy_from_slice(block);
-                    t.interp_row(interp, block, &outs, &mut regs);
+                    t.interp_row(interp, 0, width, &outs, &mut regs);
                     for (lane, key) in block.iter().enumerate() {
                         assert_eq!(regs[lane].to_bits(), key.to_bits(), "key register");
                     }
@@ -476,8 +479,8 @@ mod tests {
     #[should_panic(expected = "index out of bounds")]
     fn row_lookup_of_a_missing_column_panics_instead_of_reading_the_next_row() {
         let t = table();
-        let mut regs = [0.0; 2];
-        t.interp_row(LutInterp::Vec, &[1.0], &[(2, 1)], &mut regs);
+        let mut regs = [1.0, 0.0];
+        t.interp_row(LutInterp::Vec, 0, 1, &[(2, 1)], &mut regs);
     }
 
     #[test]

@@ -146,23 +146,40 @@ impl CellStates {
         self.set_raw(cell, var, v);
     }
 
+    /// Index of `var` of the block-aligned cell `cell0` under an AoSoA
+    /// layout, or `None` when the cells from `cell0` must be gathered one
+    /// by one (AoS, or `cell0` inside a block). From an aligned cell, any
+    /// number of cells is whole blocks and a leading part of one more, each
+    /// contiguous per variable.
+    #[inline(always)]
+    fn aligned_index(&self, cell0: usize, var: usize) -> Option<(usize, usize)> {
+        match self.layout {
+            StateLayout::AoSoA { block } if cell0.is_multiple_of(block) => {
+                Some((cell0 * self.n_vars + var * block, block))
+            }
+            _ => None,
+        }
+    }
+
     /// Loads `out.len()` consecutive cells' values of `var`, starting at
-    /// `cell0`. With an AoSoA layout whose block equals the chunk size and
-    /// aligned `cell0`, this is one contiguous copy (the vector load the
-    /// paper's transformation enables); otherwise it gathers.
-    #[inline]
+    /// `cell0`. Under an AoSoA layout and from a block-aligned `cell0` this
+    /// is one contiguous copy per block touched (the vector load the
+    /// paper's transformation enables); anything else gathers.
+    #[inline(always)]
     pub fn load_block(&self, cell0: usize, var: usize, out: &mut [f64]) {
         debug_assert!(cell0 + out.len() <= self.padded);
-        match self.layout {
-            StateLayout::AoSoA { block }
-                if out.len() <= block
-                    && cell0.is_multiple_of(block)
-                    && block % out.len().max(1) == 0 =>
-            {
-                let base = self.index(cell0, var);
+        match self.aligned_index(cell0, var) {
+            // Within one block the copy keeps the caller's (constant) length.
+            Some((base, block)) if out.len() <= block => {
                 out.copy_from_slice(&self.data[base..base + out.len()]);
             }
-            _ => {
+            Some((mut base, block)) => {
+                for part in out.chunks_mut(block) {
+                    part.copy_from_slice(&self.data[base..base + part.len()]);
+                    base += self.n_vars * block;
+                }
+            }
+            None => {
                 for (i, o) in out.iter_mut().enumerate() {
                     *o = self.gather_one(cell0 + i, var);
                 }
@@ -171,21 +188,22 @@ impl CellStates {
     }
 
     /// Stores `vals.len()` consecutive cells' values of `var` starting at
-    /// `cell0` (scatter, or one contiguous copy under a matching AoSoA
-    /// layout).
-    #[inline]
+    /// `cell0` (scatter, or one contiguous copy per block from an aligned
+    /// `cell0` under AoSoA; see [`CellStates::load_block`]).
+    #[inline(always)]
     pub fn store_block(&mut self, cell0: usize, var: usize, vals: &[f64]) {
         debug_assert!(cell0 + vals.len() <= self.padded);
-        match self.layout {
-            StateLayout::AoSoA { block }
-                if vals.len() <= block
-                    && cell0.is_multiple_of(block)
-                    && block % vals.len().max(1) == 0 =>
-            {
-                let base = self.index(cell0, var);
+        match self.aligned_index(cell0, var) {
+            Some((base, block)) if vals.len() <= block => {
                 self.data[base..base + vals.len()].copy_from_slice(vals);
             }
-            _ => {
+            Some((mut base, block)) => {
+                for part in vals.chunks(block) {
+                    self.data[base..base + part.len()].copy_from_slice(part);
+                    base += self.n_vars * block;
+                }
+            }
+            None => {
                 for (i, &v) in vals.iter().enumerate() {
                     self.scatter_one(cell0 + i, var, v);
                 }
@@ -271,13 +289,13 @@ impl ExtArrays {
     }
 
     /// Loads a contiguous block.
-    #[inline]
+    #[inline(always)]
     pub fn load_block(&self, cell0: usize, var: usize, out: &mut [f64]) {
         out.copy_from_slice(&self.arrays[var][cell0..cell0 + out.len()]);
     }
 
     /// Stores a contiguous block.
-    #[inline]
+    #[inline(always)]
     pub fn store_block(&mut self, cell0: usize, var: usize, vals: &[f64]) {
         self.arrays[var][cell0..cell0 + vals.len()].copy_from_slice(vals);
     }
@@ -380,6 +398,44 @@ mod tests {
         let mut out = [0.0; 8];
         e.load_block(0, 0, &mut out);
         assert_eq!(out, vals);
+    }
+
+    #[test]
+    fn block_ops_equal_per_cell_access_for_every_block_len_and_start() {
+        let layouts = [1, 2, 3, 4, 8, 16]
+            .map(|block| StateLayout::AoSoA { block })
+            .into_iter()
+            .chain([StateLayout::Aos]);
+        for layout in layouts {
+            let mut s = CellStates::new(48, &[0.0; 3], layout);
+            for cell in 0..48 {
+                for var in 0..3 {
+                    s.set(cell, var, (cell * 3 + var) as f64);
+                }
+            }
+            for len in 1..=40 {
+                for cell0 in 0..=48 - len {
+                    let mut out = vec![f64::NAN; len];
+                    s.load_block(cell0, 1, &mut out);
+                    for (i, v) in out.iter().enumerate() {
+                        assert_eq!(*v, s.get(cell0 + i, 1), "{layout:?} load {cell0}+{i}/{len}");
+                    }
+                    // Stored values land in exactly those cells of that variable.
+                    let mut t = s.clone();
+                    let vals: Vec<f64> = (0..len).map(|i| -1.0 - i as f64).collect();
+                    t.store_block(cell0, 1, &vals);
+                    for cell in 0..48usize {
+                        for var in 0..3 {
+                            let want = match cell.checked_sub(cell0) {
+                                Some(i) if var == 1 && i < len => vals[i],
+                                _ => s.get(cell, var),
+                            };
+                            assert_eq!(t.get(cell, var), want, "{layout:?} store {cell0}/{len}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,10 @@
 
 #![allow(clippy::needless_range_loop)] // index loops vectorize predictably here
 
+/// Lanes of stack scratch the kernels that need a second buffer work
+/// through at a time; longer inputs are processed in chunks of this.
+const SCRATCH: usize = 64;
+
 /// Computes `e^x` per lane.
 ///
 /// Range-reduces `x = k·ln2 + r` with `|r| ≤ ln2/2` and evaluates a
@@ -28,7 +32,7 @@
 /// the representable range, and saturation and NaN are selected in at
 /// the end, so the lane loop has no data-dependent control flow and no
 /// call.
-#[inline]
+#[inline(always)]
 pub fn exp_block(x: &mut [f64]) {
     const LOG2E: f64 = std::f64::consts::LOG2_E;
     const LN2_HI: f64 = 6.931_471_803_691_238e-1;
@@ -84,7 +88,7 @@ pub fn exp_block(x: &mut [f64]) {
 /// Branch-free like [`exp_block`]: subnormal renormalization and the
 /// mantissa fold are selects, and the special cases (negative, NaN, zero,
 /// infinity) override the main path's result at the end.
-#[inline]
+#[inline(always)]
 pub fn log_block(x: &mut [f64]) {
     const LN2: f64 = std::f64::consts::LN_2;
     const EXP_MASK: u64 = 0x7FF;
@@ -125,76 +129,79 @@ pub fn log_block(x: &mut [f64]) {
 }
 
 /// Computes `tanh(x)` per lane via `1 − 2/(e^{2x}+1)`.
-#[inline]
+#[inline(always)]
 pub fn tanh_block(x: &mut [f64]) {
-    let mut t = [0.0f64; 64];
-    let n = x.len();
-    let t = &mut t[..n];
-    for i in 0..n {
-        t[i] = 2.0 * x[i];
-    }
-    exp_block(t);
-    for i in 0..n {
-        x[i] = if x[i].is_nan() {
-            f64::NAN
-        } else {
-            1.0 - 2.0 / (t[i] + 1.0)
-        };
+    for x in x.chunks_mut(SCRATCH) {
+        let mut t = [0.0f64; SCRATCH];
+        let n = x.len();
+        let t = &mut t[..n];
+        for i in 0..n {
+            t[i] = 2.0 * x[i];
+        }
+        exp_block(t);
+        for i in 0..n {
+            x[i] = if x[i].is_nan() {
+                f64::NAN
+            } else {
+                1.0 - 2.0 / (t[i] + 1.0)
+            };
+        }
     }
 }
 
 /// Computes `sinh(x)` per lane via `(e^x − e^{−x})/2`.
-#[inline]
+#[inline(always)]
 pub fn sinh_block(x: &mut [f64]) {
-    let n = x.len();
-    let mut ep = [0.0f64; 64];
-    let ep = &mut ep[..n];
-    ep.copy_from_slice(x);
-    exp_block(ep);
-    for i in 0..n {
-        x[i] = 0.5 * (ep[i] - 1.0 / ep[i]);
+    for x in x.chunks_mut(SCRATCH) {
+        let n = x.len();
+        let mut ep = [0.0f64; SCRATCH];
+        let ep = &mut ep[..n];
+        ep.copy_from_slice(x);
+        exp_block(ep);
+        for i in 0..n {
+            x[i] = 0.5 * (ep[i] - 1.0 / ep[i]);
+        }
     }
 }
 
 /// Computes `cosh(x)` per lane via `(e^x + e^{−x})/2`.
-#[inline]
+#[inline(always)]
 pub fn cosh_block(x: &mut [f64]) {
-    let n = x.len();
-    let mut ep = [0.0f64; 64];
-    let ep = &mut ep[..n];
-    ep.copy_from_slice(x);
-    exp_block(ep);
-    for i in 0..n {
-        x[i] = 0.5 * (ep[i] + 1.0 / ep[i]);
+    for x in x.chunks_mut(SCRATCH) {
+        let n = x.len();
+        let mut ep = [0.0f64; SCRATCH];
+        let ep = &mut ep[..n];
+        ep.copy_from_slice(x);
+        exp_block(ep);
+        for i in 0..n {
+            x[i] = 0.5 * (ep[i] + 1.0 / ep[i]);
+        }
     }
 }
 
 /// Computes `e^x − 1` per lane (via `exp`; adequate for ionic-model use
 /// where `expm1` appears in rate formulas away from 0).
-#[inline]
+#[inline(always)]
 pub fn expm1_block(x: &mut [f64]) {
-    let n = x.len();
-    let mut small = [false; 64];
-    let small = &mut small[..n];
-    let mut orig = [0.0f64; 64];
-    let orig = &mut orig[..n];
-    orig.copy_from_slice(x);
-    for i in 0..n {
-        small[i] = x[i].abs() < 1e-5;
-    }
-    exp_block(x);
-    for i in 0..n {
-        x[i] = if small[i] {
-            // Series for tiny arguments keeps relative accuracy.
-            orig[i] * (1.0 + orig[i] * (0.5 + orig[i] / 6.0))
-        } else {
-            x[i] - 1.0
-        };
+    for x in x.chunks_mut(SCRATCH) {
+        let n = x.len();
+        let mut orig = [0.0f64; SCRATCH];
+        let orig = &mut orig[..n];
+        orig.copy_from_slice(x);
+        exp_block(x);
+        for i in 0..n {
+            x[i] = if orig[i].abs() < 1e-5 {
+                // Series for tiny arguments keeps relative accuracy.
+                orig[i] * (1.0 + orig[i] * (0.5 + orig[i] / 6.0))
+            } else {
+                x[i] - 1.0
+            };
+        }
     }
 }
 
 /// Computes `ln(1+x)` per lane.
-#[inline]
+#[inline(always)]
 pub fn log1p_block(x: &mut [f64]) {
     let n = x.len();
     for i in 0..n {
@@ -211,7 +218,7 @@ pub fn log1p_block(x: &mut [f64]) {
 }
 
 /// Computes `log10(x)` per lane.
-#[inline]
+#[inline(always)]
 pub fn log10_block(x: &mut [f64]) {
     log_block(x);
     for v in x.iter_mut() {
@@ -220,7 +227,7 @@ pub fn log10_block(x: &mut [f64]) {
 }
 
 /// Computes `log2(x)` per lane.
-#[inline]
+#[inline(always)]
 pub fn log2_block(x: &mut [f64]) {
     log_block(x);
     for v in x.iter_mut() {
@@ -230,36 +237,38 @@ pub fn log2_block(x: &mut [f64]) {
 
 /// Computes `x^y` per lane via `exp(y·ln x)`, with the usual edge cases
 /// (`x ≤ 0` delegates to `std`).
-#[inline]
+#[inline(always)]
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` deliberately catches NaN
 pub fn pow_block(x: &mut [f64], y: &[f64]) {
-    let n = x.len();
-    let mut lx = [0.0f64; 64];
-    let lx = &mut lx[..n];
-    lx.copy_from_slice(x);
-    let mut any_special = false;
-    for i in 0..n {
-        if !(x[i] > 0.0) {
-            any_special = true;
+    for (x, y) in x.chunks_mut(SCRATCH).zip(y.chunks(SCRATCH)) {
+        let n = x.len();
+        let mut lx = [0.0f64; SCRATCH];
+        let lx = &mut lx[..n];
+        lx.copy_from_slice(x);
+        let mut any_special = false;
+        for i in 0..n {
+            if !(x[i] > 0.0) {
+                any_special = true;
+            }
         }
-    }
-    log_block(lx);
-    for i in 0..n {
-        lx[i] *= y[i];
-    }
-    exp_block(lx);
-    for i in 0..n {
-        x[i] = if any_special && !(x[i] > 0.0) {
-            x[i].powf(y[i])
-        } else {
-            lx[i]
-        };
+        log_block(lx);
+        for i in 0..n {
+            lx[i] *= y[i];
+        }
+        exp_block(lx);
+        for i in 0..n {
+            x[i] = if any_special && !(x[i] > 0.0) {
+                x[i].powf(y[i])
+            } else {
+                lx[i]
+            };
+        }
     }
 }
 
 /// Computes `sqrt(x)` per lane (hardware instruction; `std` is already
 /// vector-friendly here).
-#[inline]
+#[inline(always)]
 pub fn sqrt_block(x: &mut [f64]) {
     for v in x.iter_mut() {
         *v = v.sqrt();
@@ -268,18 +277,18 @@ pub fn sqrt_block(x: &mut [f64]) {
 
 /// Computes `sin(x)` per lane with Cody–Waite reduction to `[−π/4, π/4]`
 /// and sin/cos minimax polynomials. Falls back to `std` for |x| ≥ 2^20.
-#[inline]
+#[inline(always)]
 pub fn sin_block(x: &mut [f64]) {
     sincos_block(x, false);
 }
 
 /// Computes `cos(x)` per lane (see [`sin_block`]).
-#[inline]
+#[inline(always)]
 pub fn cos_block(x: &mut [f64]) {
     sincos_block(x, true);
 }
 
-#[inline]
+#[inline(always)]
 fn sincos_block(x: &mut [f64], want_cos: bool) {
     const FRAC_2_PI: f64 = std::f64::consts::FRAC_2_PI;
     // fdlibm-style split of pi/2 for Cody-Waite reduction.
@@ -324,23 +333,25 @@ fn sincos_block(x: &mut [f64], want_cos: bool) {
 }
 
 /// Computes `tan(x)` per lane as `sin/cos`.
-#[inline]
+#[inline(always)]
 pub fn tan_block(x: &mut [f64]) {
-    let n = x.len();
-    let mut c = [0.0f64; 64];
-    let c = &mut c[..n];
-    c.copy_from_slice(x);
-    sin_block(x);
-    cos_block(c);
-    for i in 0..n {
-        x[i] /= c[i];
+    for x in x.chunks_mut(SCRATCH) {
+        let n = x.len();
+        let mut c = [0.0f64; SCRATCH];
+        let c = &mut c[..n];
+        c.copy_from_slice(x);
+        sin_block(x);
+        cos_block(c);
+        for i in 0..n {
+            x[i] /= c[i];
+        }
     }
 }
 
 macro_rules! scalar_fallback {
     ($(#[$doc:meta])* $name:ident, $method:ident) => {
         $(#[$doc])*
-        #[inline]
+        #[inline(always)]
         pub fn $name(x: &mut [f64]) {
             for v in x.iter_mut() {
                 *v = v.$method();
@@ -375,7 +386,7 @@ scalar_fallback!(
     abs_block, abs);
 
 /// Per-lane `atan2(y, x)` (scalar fallback).
-#[inline]
+#[inline(always)]
 pub fn atan2_block(y: &mut [f64], x: &[f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi = yi.atan2(*xi);
@@ -383,7 +394,7 @@ pub fn atan2_block(y: &mut [f64], x: &[f64]) {
 }
 
 /// Per-lane `copysign`.
-#[inline]
+#[inline(always)]
 pub fn copysign_block(a: &mut [f64], b: &[f64]) {
     for (ai, bi) in a.iter_mut().zip(b) {
         *ai = ai.copysign(*bi);
@@ -513,6 +524,39 @@ mod tests {
             let mut v = vec![0.5; n];
             tanh_block(&mut v);
             assert!((v[0] - 0.5f64.tanh()).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn scratch_kernels_take_any_length_and_equal_their_per_lane_result() {
+        let mut rng = Bits(0x243f_6a88_85a3_08d3);
+        let unary: [fn(&mut [f64]); 5] =
+            [tanh_block, sinh_block, cosh_block, expm1_block, tan_block];
+        for n in [1usize, 63, 64, 65, 200] {
+            let mut xs: Vec<f64> = (0..n).map(|_| rng.uniform(-30.0, 30.0)).collect();
+            // Every branch of `expm1` and `pow`, on both sides of a chunk edge.
+            for at in [0, 62, 63, 64, 65, n - 1] {
+                if at < n {
+                    xs[at] = [1e-7, -2.5, 0.0, f64::NAN][at % 4];
+                }
+            }
+            let ys: Vec<f64> = (0..n).map(|_| rng.uniform(-3.0, 3.0).round()).collect();
+            for f in unary {
+                let mut whole = xs.clone();
+                f(&mut whole);
+                for (i, x) in xs.iter().enumerate() {
+                    let mut one = [*x];
+                    f(&mut one);
+                    assert_eq!(whole[i].to_bits(), one[0].to_bits(), "n={n} lane {i} f({x})");
+                }
+            }
+            let mut whole = xs.clone();
+            pow_block(&mut whole, &ys);
+            for i in 0..n {
+                let mut one = [xs[i]];
+                pow_block(&mut one, &ys[i..=i]);
+                assert_eq!(whole[i].to_bits(), one[0].to_bits(), "n={n} pow({}, {})", xs[i], ys[i]);
+            }
         }
     }
 

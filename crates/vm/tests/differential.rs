@@ -5,6 +5,12 @@
 //!
 //! The tolerance accounts for the vmath (SVML stand-in) kernels being
 //! ~1e-12-accurate rather than bit-identical to `std`.
+//!
+//! One kernel, though, must compute the same bits however it is run:
+//! `run_step`/`run_range` (several blocks per dispatch, on the widest
+//! instruction set the CPU and the kernel's width allow) against
+//! `run_step_profiled` (one block per dispatch, portable build), over the
+//! whole roster.
 
 use limpet_codegen::pipeline::{self, Layout, VectorIsa};
 use limpet_easyml::Model;
@@ -218,6 +224,82 @@ fn all_integration_methods_run_stably() {
                     (0.0..=1.0).contains(&g),
                     "method {method}: gate escaped to {g}"
                 );
+            }
+        }
+    }
+}
+
+/// Every bit of every cell, padding included: all state variables, then
+/// all externals.
+fn all_bits(state: &CellStates, ext: &ExtArrays) -> Vec<u64> {
+    let mut bits: Vec<u64> = state.raw().iter().map(|v| v.to_bits()).collect();
+    for var in 0..ext.n_vars() {
+        bits.extend(ext.array(var).iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+/// The batched, ISA-specific step loop against the one-block-per-dispatch
+/// portable one: for every roster model at every width, under both layouts
+/// (AoS gathers lane by lane), with fewer cells than one batch, with a
+/// ragged end, and with `run_range` cut at points that are no multiple of
+/// the batch, every state and external value stays bit-identical.
+#[test]
+fn batched_isa_loop_is_bit_identical_to_the_profiled_reference_on_the_roster() {
+    println!("step loop build: {}", limpet_vm::step_isa());
+    let ctx = |step: usize| SimContext {
+        dt: 0.01,
+        t: step as f64 * 0.01,
+    };
+    for entry in &limpet_models::ROSTER {
+        let m = limpet_models::model(entry.name);
+        let mi = info(&m);
+        let vm_index = mi.ext_names.iter().position(|n| n == "Vm");
+        let mut modules = vec![(1, pipeline::baseline(&m).module)];
+        for isa in VectorIsa::ALL {
+            let block = isa.lanes();
+            let built = pipeline::limpet_mlir(&m, isa, Layout::AoSoA { block });
+            modules.push((block as usize, built.module));
+        }
+        for (width, module) in &modules {
+            let width = *width;
+            let kernel = Kernel::from_module(module, &mi).unwrap();
+            for layout in [StateLayout::Aos, StateLayout::AoSoA { block: width }] {
+                // 8 cells are fewer than a batch at widths 4 and 8; 72 are
+                // whole batches and a ragged end at every width.
+                for n_cells in [8, 72] {
+                    let what = format!("{} W={width} {layout:?} n={n_cells}", entry.name);
+                    let mut state = kernel.new_states(n_cells, layout);
+                    let mut ext = kernel.new_ext(n_cells);
+                    if let Some(vm) = vm_index {
+                        // Desynchronize the cells so lanes differ.
+                        for cell in 0..n_cells {
+                            ext.set(cell, vm, ext.get(cell, vm) + 1.7 * cell as f64);
+                        }
+                    }
+                    let (mut ref_state, mut ref_ext) = (state.clone(), ext.clone());
+                    let (mut cut_state, mut cut_ext) = (state.clone(), ext.clone());
+                    let n = state.padded_cells();
+                    // Cuts one block in from either end, where there is room.
+                    let cuts = [0, width, (n - width).max(width), n];
+                    for step in 0..3 {
+                        kernel.run_step_profiled(&mut ref_state, &mut ref_ext, None, ctx(step));
+                        kernel.run_step(&mut state, &mut ext, None, ctx(step));
+                        for range in cuts.windows(2).filter(|r| r[0] < r[1]) {
+                            let (lo, hi) = (range[0], range[1]);
+                            kernel.run_range(&mut cut_state, &mut cut_ext, None, ctx(step), lo, hi);
+                        }
+                        let want = all_bits(&ref_state, &ref_ext);
+                        assert!(
+                            all_bits(&state, &ext) == want,
+                            "{what}: run_step, step {step}"
+                        );
+                        assert!(
+                            all_bits(&cut_state, &cut_ext) == want,
+                            "{what}: run_range over {cuts:?}, step {step}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -279,6 +279,17 @@ impl EvalContext for OneCell {
     }
 }
 
+/// The storage binding every generated kernel is compiled against.
+fn model_info() -> ModelInfo {
+    ModelInfo {
+        state_names: STATE_VARS.iter().map(|s| s.to_string()).collect(),
+        state_inits: vec![0.0; 4],
+        ext_names: EXT_VARS.iter().map(|s| s.to_string()).collect(),
+        ext_inits: vec![0.0; 2],
+        params: PARAMS.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
+    }
+}
+
 fn close(a: f64, b: f64) -> bool {
     if a.is_nan() && b.is_nan() {
         return true;
@@ -301,13 +312,7 @@ proptest! {
         let module = make_module(&recipes);
         limpet_ir::verify_module(&module).expect("generated module verifies");
 
-        let info = ModelInfo {
-            state_names: STATE_VARS.iter().map(|s| s.to_string()).collect(),
-            state_inits: vec![0.0; 4],
-            ext_names: EXT_VARS.iter().map(|s| s.to_string()).collect(),
-            ext_inits: vec![0.0; 2],
-            params: PARAMS.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
-        };
+        let info = model_info();
         let n_cells = 8;
         let ctx = SimContext { dt: 0.02, t: 1.5 };
 
@@ -381,13 +386,7 @@ proptest! {
     ) {
         let module = make_module(&recipes);
         limpet_ir::verify_module(&module).expect("generated module verifies");
-        let info = ModelInfo {
-            state_names: STATE_VARS.iter().map(|s| s.to_string()).collect(),
-            state_inits: vec![0.0; 4],
-            ext_names: EXT_VARS.iter().map(|s| s.to_string()).collect(),
-            ext_inits: vec![0.0; 2],
-            params: PARAMS.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
-        };
+        let info = model_info();
         let n_cells = 8;
         let ctx = SimContext { dt: 0.02, t: 1.5 };
 
@@ -437,6 +436,66 @@ proptest! {
                         "width {}, cell {}, ext {}: optimized {} vs reference {}",
                         width, cell, name, ext_opt.get(cell, v), ext_ref.get(cell, v)
                     );
+                }
+            }
+        }
+    }
+    /// However a kernel is run it computes the same bits: `run_step`
+    /// (several blocks per dispatch where the program allows it, on the
+    /// widest instruction set the CPU has) against `run_step_profiled` (one
+    /// block per dispatch, portable build). The raw module keeps its `if`s
+    /// as jumps on lane 0 of a block, which is only the same computation
+    /// when such a program is *not* batched.
+    #[test]
+    fn batched_step_is_bit_identical_to_the_profiled_reference(
+        recipes in prop::collection::vec(recipe(), 1..30),
+        seeds in prop::collection::vec(-10.0f64..10.0, 8),
+    ) {
+        let module = make_module(&recipes);
+        let info = model_info();
+        // One batch and a ragged end at width 8, more batches below it.
+        let n_cells = 40;
+        let ctx = SimContext { dt: 0.02, t: 1.5 };
+
+        for width in [1u32, 2, 4, 8] {
+            let mut optimized = module.clone();
+            limpet_passes::standard_pipeline(width).run(&mut optimized).expect("pipeline runs");
+            let mut raw = module.clone();
+            raw.attrs.set("vector_width", i64::from(width));
+            for (what, m) in [("optimized", &optimized), ("raw", &raw)] {
+                let kernel = Kernel::from_module(m, &info).expect("bytecode compiles");
+                for layout in [StateLayout::Aos, StateLayout::AoSoA { block: width as usize }] {
+                    let mut st: CellStates = kernel.new_states(n_cells, layout);
+                    let mut ext: ExtArrays = kernel.new_ext(n_cells);
+                    for cell in 0..n_cells {
+                        let seed = seeds[cell % 8] + 0.37 * (cell / 8) as f64;
+                        for v in 0..4 {
+                            st.set(cell, v, seed * 0.5 + v as f64 * 0.25);
+                        }
+                        ext.set(cell, 0, seed);
+                        ext.set(cell, 1, seed);
+                    }
+                    let (mut ref_st, mut ref_ext) = (st.clone(), ext.clone());
+                    kernel.run_step(&mut st, &mut ext, None, ctx);
+                    kernel.run_step_profiled(&mut ref_st, &mut ref_ext, None, ctx);
+                    for cell in 0..n_cells {
+                        for (v, name) in STATE_VARS.iter().enumerate() {
+                            prop_assert_eq!(
+                                st.get(cell, v).to_bits(),
+                                ref_st.get(cell, v).to_bits(),
+                                "{} width {} {:?}, cell {}, state {}: {} vs reference {}",
+                                what, width, layout, cell, name, st.get(cell, v), ref_st.get(cell, v)
+                            );
+                        }
+                        for (v, name) in EXT_VARS.iter().enumerate() {
+                            prop_assert_eq!(
+                                ext.get(cell, v).to_bits(),
+                                ref_ext.get(cell, v).to_bits(),
+                                "{} width {} {:?}, cell {}, ext {}: {} vs reference {}",
+                                what, width, layout, cell, name, ext.get(cell, v), ref_ext.get(cell, v)
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -509,11 +509,22 @@ bash limpet-perf/run.sh --workload sim_steady --seconds 10 --trace 1 --out "$STE
 # Every value of a key, one per line, from compact or indented JSON.
 json_values() { { grep -o "\"$1\" *: *[^,}]*" "$2" || true; } | sed 's/^[^:]*: *//; s/"//g'; }
 json_field() { json_values "$1" "$2" | head -1; }
-host_of() { echo "$(json_field arch "$1") $(json_field os "$1") nproc=$(json_field nproc "$1") $(json_field rustc "$1")"; }
+# The build of the step loop this CPU dispatches to (`limpet_vm::step_isa`,
+# as `figures` prints it). A ledger records it as `host.step_isa` from PR 15
+# on; a result file does not, and is of this CPU.
+STEP_ISA=$(target/release/figures --stats --models Plonsey | sed -n 's/^step loop: //p')
+[ -n "$STEP_ISA" ] || { echo "figures did not print its step-loop build"; exit 1; }
+host_of() {
+  local isa
+  isa=$(json_field step_isa "$1")
+  echo "$(json_field arch "$1") $(json_field os "$1") nproc=$(json_field nproc "$1") $(json_field rustc "$1") step_isa=${isa:-$STEP_ISA}"
+}
 # hold_ms <what> <primary_ms of this run> <its result file> <ledger>: the
-# time is held against `medians.change.primary_ms` of the ledger — warn
-# above 10 %, fail above 25 % — only on the host that recorded it, since
-# times at reference speed still differ between machines.
+# time is held against `medians.change.primary_ms` of the ledger (its first,
+# newest record) — warn above 10 %, fail above 25 % — only on the host
+# that recorded it, since times at reference speed still differ between
+# machines, and a CPU that dispatches to another step-loop build runs
+# other code.
 hold_ms() {
   local what=$1 now=$2 out=$3 ledger=$4 ref v
   ref=$(awk '/"medians"/ { m = 1 } m && /"change"/ { c = 1 }
