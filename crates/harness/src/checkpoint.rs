@@ -641,6 +641,15 @@ mod tests {
         dir
     }
 
+    /// Held by every test that loads through a store: an armed `ckpt-*`
+    /// fault is process-global and fires on whichever load comes next,
+    /// whoever's it is (see [`faults::TEST_SERIAL`]).
+    fn faults_serial() -> std::sync::MutexGuard<'static, ()> {
+        faults::TEST_SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn sample(state_len: usize) -> Snapshot {
         Snapshot {
             model: "HodgkinHuxley".into(),
@@ -741,6 +750,7 @@ mod tests {
 
     #[test]
     fn store_saves_rotates_and_loads() {
+        let _guard = faults_serial();
         let dir = temp_dir("rotate");
         let store = SnapshotStore::new(&dir).unwrap();
         let mut snap = sample(9);
@@ -779,6 +789,7 @@ mod tests {
 
     #[test]
     fn double_reject_falls_to_zero_and_heals_both_files() {
+        let _guard = faults_serial();
         let dir = temp_dir("fallzero");
         let store = SnapshotStore::new(&dir).unwrap();
         let snap = sample(5);
@@ -808,7 +819,7 @@ mod tests {
 
     #[test]
     fn injected_ckpt_faults_drive_the_real_ladder() {
-        let _guard = faults::TEST_SERIAL.lock().unwrap();
+        let _guard = faults_serial();
         faults::disarm_all();
         let dir = temp_dir("inject");
         let store = SnapshotStore::new(&dir).unwrap();
@@ -839,6 +850,7 @@ mod tests {
 
     #[test]
     fn hostile_keys_cannot_escape_the_directory() {
+        let _guard = faults_serial();
         let dir = temp_dir("hostile");
         let store = SnapshotStore::new(&dir).unwrap();
         for key in ["../../etc/passwd", "a/b/c", "..", "x y\nz", ""] {
@@ -925,6 +937,7 @@ mod tests {
     /// and served the other thread's snapshot for almost every load.
     #[test]
     fn concurrent_saves_of_distinct_keys_do_not_interfere() {
+        let _guard = faults_serial();
         let dir = temp_dir("two-threads");
         let store = SnapshotStore::new(&dir).unwrap();
         std::thread::scope(|scope| {

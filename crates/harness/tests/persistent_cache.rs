@@ -255,37 +255,35 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
-    let _g = serialized();
-    let dir = temp_cache_dir("lut-column");
-    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
-    let m = coarse_gate();
-    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
-
-    // Point the first column of every row lookup past the table's two
-    // columns and re-sign the entry, as a mismatched but intact writer
-    // would have: header, checksum and bytecode all parse.
-    let path = entry_path(&dir, &m);
-    let text = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
+/// Rewrites the payload of the entry at `path` line by line — `edit` gets
+/// each line's space-separated tokens and says whether it changed them —
+/// and re-signs the entry, as a mismatched but intact writer would have:
+/// header, section lengths, checksum and bytecode text all parse. Returns
+/// how many lines changed.
+fn forge_entry(path: &Path, mut edit: impl FnMut(&mut Vec<String>) -> bool) -> usize {
+    let text = String::from_utf8(std::fs::read(path).unwrap()).unwrap();
     let (header, payload) = text.split_once('\n').unwrap();
-    let mut rows = 0;
-    let payload: Vec<String> = payload
-        .lines()
-        .map(|line| {
-            let mut tokens: Vec<&str> = line.split(' ').collect();
-            if tokens[0] == "lutrow" {
-                assert_eq!(tokens[5].len(), 1, "column index is one digit");
-                tokens[5] = "7";
-                rows += 1;
-            }
-            tokens.join(" ")
-        })
-        .collect();
-    let payload = payload.join("\n") + "\n";
-    assert!(rows >= 2, "main and raw programs each read the table");
+    let mut lines: Vec<String> = payload.lines().map(String::from).collect();
+    let (mut edited, mut section) = (0, 0);
+    for at in 0..lines.len() {
+        if lines[at].starts_with("section ") {
+            section = at;
+            continue;
+        }
+        let mut tokens: Vec<String> = lines[at].split(' ').map(String::from).collect();
+        if edit(&mut tokens) {
+            let line = tokens.join(" ");
+            let grown = line.len() as isize - lines[at].len() as isize;
+            lines[at] = line;
+            // `section <name> <len>` frames the bytes the line sits in.
+            let (name, len) = lines[section].rsplit_once(' ').unwrap();
+            lines[section] = format!("{name} {}", len.parse::<isize>().unwrap() + grown);
+            edited += 1;
+        }
+    }
+    let payload = lines.join("\n") + "\n";
     let mut header: Vec<String> = header.split(' ').map(String::from).collect();
-    assert_eq!(header[7], payload.len().to_string(), "same-length edit");
+    header[7] = payload.len().to_string();
     // The envelope's payload sum, spelled out: FNV-1a folded over 8-byte
     // little-endian words, then over the tail bytes.
     let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0100_0000_01b3);
@@ -296,9 +294,64 @@ fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
         .fold(0xcbf2_9ce4_8422_2325, fold);
     let sum = tail.iter().map(|&b| u64::from(b)).fold(sum, fold);
     header[8] = format!("{sum:016x}");
-    std::fs::write(&path, format!("{}\n{payload}", header.join(" "))).unwrap();
+    std::fs::write(path, format!("{}\n{payload}", header.join(" "))).unwrap();
+    edited
+}
+
+#[test]
+fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
+    let _g = serialized();
+    let dir = temp_cache_dir("lut-column");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
+
+    // Point the first column of every row lookup past the table's two
+    // columns.
+    let rows = forge_entry(&entry_path(&dir, &m), |tokens| {
+        let row = tokens[0] == "lutrow";
+        if row {
+            tokens[5] = "7".into();
+        }
+        row
+    });
+    assert!(rows >= 2, "main and raw programs each read the table");
 
     assert_rejected_and_healed(&disk, &m, "lut column 7", &reference_bits);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
+    let _g = serialized();
+    let dir = temp_cache_dir("register");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
+
+    // A float binop writing a register no file of this size has: run, it
+    // would index past the engine's register file inside the step loop.
+    let binops = forge_entry(&entry_path(&dir, &m), |tokens| {
+        let binop = tokens[0] == "binf";
+        if binop {
+            tokens[2] = "60000".into();
+        }
+        binop
+    });
+    assert!(binops >= 2, "main and raw programs each have a float binop");
+    assert_rejected_and_healed(&disk, &m, "register f60000 out of range", &reference_bits);
+
+    // And a register file no operand could address all of, which the engine
+    // would try to allocate.
+    let headers = forge_entry(&entry_path(&dir, &m), |tokens| {
+        let regs = tokens[0] == "regs";
+        if regs {
+            tokens[1] = "1152921504606846976".into();
+        }
+        regs
+    });
+    assert_eq!(headers, 2, "main and raw programs");
+    assert_rejected_and_healed(&disk, &m, "operands address at most 65536", &reference_bits);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -39,11 +39,12 @@
 //! paper's generated code keeps them:
 //!
 //! * a lookup is one [`Instr::LutRow`] per key, not one instruction per
-//!   column — [`LutData::interp_row`] computes index and fraction once per
-//!   lane and blends every column the region reads out of the same rows
-//!   (the paper's `LUT_interpRow_n_elements_vec`; the baseline's scalar
-//!   lookups are the same instruction with one column each, an opaque
-//!   call per lane as in openCARP's `LUT_interpRow`);
+//!   column — [`LutData::interp_row`] computes index and fraction of all
+//!   lanes once, then gathers, blends and stores one column at a time (the
+//!   paper's `LUT_interpRow_n_elements_vec`, down to the vector gathers
+//!   where the build has them; the baseline's scalar lookups are the same
+//!   instruction with one column each, an opaque call per lane as in
+//!   openCARP's `LUT_interpRow`);
 //! * math calls use [`crate::vmath`] block kernels at `W > 1` (the SVML
 //!   stand-in; `exp` and `log` and everything built on them are
 //!   branch-free lane loops) and plain `std` scalar calls at `W == 1` (the
@@ -742,8 +743,9 @@ impl Kernel {
     /// Executes the program once over the `W * K` cells from `cell0`:
     /// every instruction is dispatched once and works through its `K`
     /// blocks of `W` lanes. Register `r` is lanes `r * W * K ..` of its
-    /// file; what an arm holds by value is one block, a `[_; W]` (a vector
-    /// register), never the `K` blocks of a register.
+    /// file; an operand is bounds-checked once, as a whole register, and
+    /// what an arm holds of it by value is one block, a `[_; W]` (a vector
+    /// register). State is loaded and stored a whole register per call.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn exec_chunk<const W: usize, const K: usize, const COUNT: bool>(
@@ -756,25 +758,28 @@ impl Kernel {
         ctx: SimContext,
         prof: &mut Profile,
     ) {
-        let f = &mut regs.f;
-        let bbuf = &mut regs.b;
+        // Slices, not `Vec`s: pointer and length stay in registers, so the
+        // one bounds check of a register is shared by its `K` blocks.
+        let f: &mut [f64] = &mut regs.f;
+        let bbuf: &mut [bool] = &mut regs.b;
         let ibuf = &mut regs.i;
         let instrs = &self.program.instrs;
         let lanes = W * K;
         let mut pc = 0usize;
 
-        // All lanes of register `r`, and its block `k`, as ranges of a file.
-        let reg = |r: u16| r as usize * lanes..(r as usize + 1) * lanes;
-        let blk = |r: u16, k: usize| r as usize * lanes + k * W..r as usize * lanes + (k + 1) * W;
-        // One block of register `$r` of file `$file` (`f` or `bbuf`) by value.
+        // All lanes of register `r` as a range of its file.
+        let reg = |r: u16| r as usize * lanes..r as usize * lanes + lanes;
+        // One block of register `$r` of file `$file` (`f` or `bbuf`) by
+        // value: the register is sliced (and checked) whole, block `$k` sits
+        // at a constant offset inside it.
         macro_rules! rd {
             ($file:ident, $r:expr, $k:expr) => {
-                block::<_, W>(&$file[blk($r, $k)])
+                block::<_, W>(&$file[reg($r)][$k * W..($k + 1) * W])
             };
         }
         macro_rules! wr {
             ($file:ident, $r:expr, $k:expr, $v:expr) => {
-                $file[blk($r, $k)].copy_from_slice(&$v)
+                $file[reg($r)][$k * W..($k + 1) * W].copy_from_slice(&$v)
             };
         }
         // A uniform value into every lane of a register.
@@ -785,12 +790,14 @@ impl Kernel {
                 }
             };
         }
-        // `W` cells' values of `$var`, block `$k` of the chunk, by value.
+        // The chunk's cells' values as `$load` leaves them in `$lv`, as `K`
+        // blocks by value: one call, so one layout decision, per instruction.
         macro_rules! loaded {
-            ($from:expr, $var:expr, $k:expr) => {{
-                let mut lv = [0.0f64; W];
-                $from.load_block(cell0 + $k * W, $var as usize, &mut lv);
-                lv
+            (|$lv:ident| $load:expr) => {{
+                let mut blocks = [[0.0f64; W]; K];
+                let $lv = blocks.as_flattened_mut();
+                $load;
+                blocks
             }};
         }
         // `dst <- lane(a, b)` block by block, `lane` picked by `$op` around
@@ -845,17 +852,13 @@ impl Kernel {
                 Instr::LoadTime { dst } => set!(f, dst, ctx.t),
                 Instr::CellIndex { dst } => ibuf[dst as usize] = cell0 as i64,
                 Instr::LoadState { dst, var } => {
-                    for k in 0..K {
-                        state.load_block(cell0 + k * W, var as usize, &mut f[blk(dst, k)]);
-                    }
+                    state.load_block::<W>(cell0, var as usize, &mut f[reg(dst)]);
                     if COUNT {
                         prof.bytes_read += 8 * lanes as u64;
                     }
                 }
                 Instr::StoreState { src, var } => {
-                    for k in 0..K {
-                        state.store_block(cell0 + k * W, var as usize, &f[blk(src, k)]);
-                    }
+                    state.store_block::<W>(cell0, var as usize, &f[reg(src)]);
                     if COUNT {
                         prof.bytes_written += 8 * lanes as u64;
                     }
@@ -876,9 +879,8 @@ impl Kernel {
                 Instr::LoadParentState { dst, var, fallback } => {
                     match parent {
                         Some(p) => {
-                            for k in 0..K {
-                                wr!(f, dst, k, loaded!(p.states, p.var_map[var as usize], k));
-                            }
+                            let pv = p.var_map[var as usize];
+                            p.states.load_block::<W>(cell0, pv, &mut f[reg(dst)]);
                         }
                         None => f.copy_within(reg(fallback), reg(dst).start),
                     }
@@ -889,9 +891,7 @@ impl Kernel {
                 Instr::StoreParentState { src, var } => {
                     if let Some(p) = parent {
                         let pv = p.var_map[var as usize];
-                        for k in 0..K {
-                            p.states.store_block(cell0 + k * W, pv, &f[blk(src, k)]);
-                        }
+                        p.states.store_block::<W>(cell0, pv, &f[reg(src)]);
                         if COUNT {
                             prof.bytes_written += 8 * lanes as u64;
                         }
@@ -916,14 +916,16 @@ impl Kernel {
                     }
                 }
                 Instr::LoadStateOp { op, dst, var, b } => {
-                    fbin!(op, dst, |k| loaded!(state, var, k), rd!(f, b, k));
+                    let lv = loaded!(|lv| state.load_block::<W>(cell0, var as usize, lv));
+                    fbin!(op, dst, |k| lv[k], rd!(f, b, k));
                     if COUNT {
                         prof.bytes_read += 8 * lanes as u64;
                         prof.flops += lanes as u64;
                     }
                 }
                 Instr::LoadExtOp { op, dst, var, b } => {
-                    fbin!(op, dst, |k| loaded!(ext, var, k), rd!(f, b, k));
+                    let lv = loaded!(|lv| ext.load_block(cell0, var as usize, lv));
+                    fbin!(op, dst, |k| lv[k], rd!(f, b, k));
                     if COUNT {
                         prof.bytes_read += 8 * lanes as u64;
                         prof.flops += lanes as u64;
@@ -1413,6 +1415,25 @@ mod tests {
         check::<2>(&kernel(Some(2), build));
         check::<4>(&kernel(Some(4), build));
         check::<8>(&kernel(Some(8), build));
+        // Row lookups, linear and cubic: `check`'s Vm spreads the lanes over
+        // the table's rows, first and last interval included.
+        for cubic in [false, true] {
+            let (mut m, info) = two_column_lut_module();
+            let f = m.func_mut("compute").unwrap();
+            for (_, _, op) in f.walk_ops() {
+                if cubic && f.op(op).kind == limpet_ir::OpKind::LutCol {
+                    f.op_mut(op).attrs.set("interp", "cubic");
+                }
+            }
+            let lut_kernel = |width: i64| {
+                let mut m = m.clone();
+                m.attrs.set("vector_width", width);
+                Kernel::from_module(&m, &info).unwrap()
+            };
+            check::<2>(&lut_kernel(2));
+            check::<4>(&lut_kernel(4));
+            check::<8>(&lut_kernel(8));
+        }
     }
 
     #[test]

@@ -5,18 +5,23 @@
 //!
 //! The engine reads tables through [`LutData::interp_row`] only: per lane
 //! one clamp, row index and fraction, then every requested column out of
-//! the two (cubic: four) contiguous rows — what both of openCARP's row
+//! the two (cubic: four) rows around the key — what both of openCARP's row
 //! interpolators do. Its three modes ([`LutInterp`]) differ in how the
 //! lanes are walked:
 //!
-//! * `Vec` — the paper's vectorized `LUT_interpRow_n_elements_vec`: the
-//!   lane loop is inlined into the interpreter's dispatch arm;
+//! * `Vec` — the paper's vectorized `LUT_interpRow_n_elements_vec`, column
+//!   by column: index and fraction of all lanes first, then each column is
+//!   gathered for all lanes, blended as vectors and stored as one
+//!   contiguous register. The loop is plain indexed Rust inlined into the
+//!   interpreter's dispatch arm; where the arm is compiled for AVX-512 the
+//!   loads become `vgatherqpd`, elsewhere they stay indexed scalar loads
+//!   (same bits — it is a load);
 //! * `Scalar` — the original openCARP scalar `LUT_interpRow`, modeled as
 //!   one non-inlined call per lane per column (this is the code the paper
 //!   found general compilers could not vectorize); the bytecode compiler
 //!   keeps these rows at one column each, so the baseline pays what it
 //!   paid before rows existed;
-//! * `Cubic` — Catmull–Rom over a four-row stencil.
+//! * `Cubic` — Catmull–Rom over a four-row stencil, walked like `Vec`.
 //!
 //! The per-column functions ([`LutData::interp_block`],
 //! [`LutData::interp_block_cubic`], [`LutData::interp_one`]) compute the
@@ -24,6 +29,10 @@
 //! benchmark's probe and the row tests' oracles use them.
 
 use crate::bytecode::LutInterp;
+
+/// The most lanes one [`LutData::interp_row`] call interpolates: the size
+/// of its two per-lane scratch arrays (the engine's widest dispatch is 32).
+const ROW_LANES: usize = 64;
 
 /// One precomputed lookup table.
 ///
@@ -230,17 +239,17 @@ impl LutData {
     /// register file `lanes` lanes wide (register `r` is
     /// `regs[r * lanes..][..lanes]`) and `key` the register holding the
     /// keys: for each lane the clamp, row index and fraction are computed
-    /// once, then every `(col, dst)` of `outs` is interpolated out of the
-    /// same rows into that lane of register `dst`. Every value equals what
-    /// the per-column function of the mode returns, bit for bit.
+    /// once, then every `(col, dst)` of `outs` is interpolated for all lanes
+    /// into register `dst`. Every value equals what the per-column function
+    /// of the mode returns, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics when a column is not in the table or a register is outside
-    /// `regs`.
-    // Always inlined: the dispatch arm knows the lane count and the mode,
-    // and the lane loop is compiled for the arm's instruction set. Out of
-    // line, the baseline's rows of one cost a width-1 step 20 %.
+    /// Panics when a column is not in the table, a register is outside
+    /// `regs`, or (vector and cubic mode) `lanes` exceeds 64.
+    // Always inlined: the dispatch arm knows the lane count, and the lane
+    // loops are compiled for the arm's instruction set. Out of line, the
+    // baseline's rows of one cost a width-1 step 20 %.
     #[inline(always)]
     pub fn interp_row(
         &self,
@@ -250,50 +259,68 @@ impl LutData {
         outs: &[(u16, u16)],
         regs: &mut [f64],
     ) {
-        for lane in 0..lanes {
-            let key = regs[key as usize * lanes + lane];
-            let lane_regs = &mut regs[lane..];
-            match interp {
-                LutInterp::Vec => self.linear_row(key, outs, lane_regs, lanes),
-                LutInterp::Scalar => {
-                    for &(col, dst) in outs {
-                        lane_regs[dst as usize * lanes] = self.interp_one(key, col as usize);
-                    }
+        let keys = key as usize * lanes..key as usize * lanes + lanes;
+        if interp == LutInterp::Scalar {
+            for lane in 0..lanes {
+                let key = regs[keys.start + lane];
+                for &(col, dst) in outs {
+                    regs[dst as usize * lanes + lane] = self.interp_one(key, col as usize);
                 }
-                LutInterp::Cubic => self.cubic_row(key, outs, lane_regs, lanes),
             }
+            return;
         }
-    }
-
-    /// One lane of a linear row lookup: `out[dst * stride]` for every
-    /// `(col, dst)`.
-    #[inline(always)]
-    fn linear_row(&self, key: f64, outs: &[(u16, u16)], out: &mut [f64], stride: usize) {
-        let (i, frac) = self.row_frac(key);
-        let (lo_row, hi_row) = self.data[i * self.cols..(i + 2) * self.cols].split_at(self.cols);
-        for &(col, dst) in outs {
-            out[dst as usize * stride] = lerp(lo_row[col as usize], hi_row[col as usize], frac);
+        // Pass 1, once per row: where each lane's low row starts, and how
+        // far towards the next row its key lies.
+        assert!(lanes <= ROW_LANES, "a row lookup {lanes} lanes wide");
+        let (mut base, mut frac) = ([0usize; ROW_LANES], [0.0f64; ROW_LANES]);
+        for (lane, &key) in regs[keys].iter().enumerate() {
+            let (i, f) = self.row_frac(key);
+            (base[lane], frac[lane]) = (i * self.cols, f);
         }
-    }
-
-    /// One lane of a cubic row lookup (see [`Self::interp_block_cubic`]).
-    #[inline(always)]
-    fn cubic_row(&self, key: f64, outs: &[(u16, u16)], out: &mut [f64], stride: usize) {
-        let (i, frac) = self.row_frac(key);
-        if i == 0 || i + 2 >= self.rows {
-            return self.linear_row(key, outs, out, stride);
+        // Pass 2, per column: gather it for all lanes, blend, and store one
+        // contiguous register. `row_frac` clamps `i` to `rows - 2` and `col`
+        // is checked below, so no offset exceeds `last` and the clamp in
+        // `at!` never engages — it is there for the optimiser, which can
+        // then drop the per-element bounds check and turn the lane loop
+        // into vector gathers where the instruction set has them.
+        //
+        // The clamp is a `min` spelled out in a macro, the mode test is
+        // hoisted and the lane loop is a `while` for the unoptimised build,
+        // where a closure, `Ord::min` and above all `Range::next` are calls
+        // per element (13 of 25 ns the last): Tier-1's timed shape tests
+        // (`tests/paper_claims.rs`) run in it and compare this path against
+        // the scalar one. As written it costs there what a lane-major row did.
+        let (cols, data) = (self.cols, self.data.as_slice());
+        let last = data.len().checked_sub(1).expect("a table has rows");
+        macro_rules! at {
+            ($offset:expr) => {{
+                let offset = $offset;
+                data[if offset < last { offset } else { last }]
+            }};
         }
-        let cols = self.cols;
-        let stencil = &self.data[(i - 1) * cols..(i + 3) * cols];
+        let cubic = interp == LutInterp::Cubic;
         for &(col, dst) in outs {
             let col = col as usize;
-            out[dst as usize * stride] = catmull_rom(
-                stencil[col],
-                stencil[cols + col],
-                stencil[2 * cols + col],
-                stencil[3 * cols + col],
-                frac,
-            );
+            assert!(col < cols, "lut column {col} is not in a table of {cols}");
+            // Blended into a local first: a store into `regs` might, for all
+            // the optimiser can tell, change `data`, and then it will not
+            // gather.
+            let mut column = [0.0f64; ROW_LANES];
+            let mut lane = 0;
+            while lane < lanes {
+                let lo = base[lane] + col;
+                // The cubic stencil needs a row on either side (see
+                // [`Self::interp_block_cubic`]).
+                column[lane] = if cubic && base[lane] > 0 && base[lane] + 2 * cols <= last {
+                    let (before, after) = (at!(lo - cols), at!(lo + 2 * cols));
+                    catmull_rom(before, at!(lo), at!(lo + cols), after, frac[lane])
+                } else {
+                    lerp(at!(lo), at!(lo + cols), frac[lane])
+                };
+                lane += 1;
+            }
+            regs[dst as usize * lanes..dst as usize * lanes + lanes]
+                .copy_from_slice(&column[..lanes]);
         }
     }
 
@@ -399,7 +426,8 @@ mod tests {
 
     /// Keys that stress the clamp, the index and the fraction: far out of
     /// range, non-finite, on the grid, in the first and the last interval
-    /// (where the cubic stencil falls back to linear), and in between.
+    /// (where the cubic stencil falls back to linear), and in between — 128
+    /// of them, whole registers at every width.
     fn hostile_keys() -> Vec<f64> {
         let mut keys = vec![
             f64::NAN,
@@ -425,31 +453,27 @@ mod tests {
             100.05,
             100.1,
         ];
-        keys.extend((0..97).map(|i| -103.0 + i as f64 * 2.17));
+        keys.extend((0..106).map(|i| -103.0 + i as f64 * 1.97));
         keys
     }
 
-    #[test]
-    fn row_lookup_equals_the_per_column_functions_bit_for_bit() {
-        // Three columns so a row of two leaves one out.
-        let t = LutData::build(-100.0, 100.0, 0.05, 3, |x, out| {
-            out[0] = (x / 10.0).exp();
-            out[1] = x * x;
-            out[2] = (x / 7.0).sin();
-        });
-        // Register 0 holds the key; columns land out of order, one twice.
-        let outs: [(u16, u16); 4] = [(2, 3), (0, 1), (1, 4), (0, 2)];
+    /// `outs` of `t` looked up row by row at every width an engine runs
+    /// (1–8 one block per dispatch, 16 and 32 batched) and the widest the
+    /// scratch arrays take, in all three modes, against the per-column
+    /// function of the mode.
+    fn check_rows(t: &LutData, outs: &[(u16, u16)]) {
+        let n_regs = outs.iter().map(|&(_, dst)| dst as usize + 1).max().unwrap();
         let keys = hostile_keys();
-        for width in [1usize, 2, 4, 8] {
+        for width in [1usize, 2, 4, 8, 16, 32, 64] {
             for block in keys.chunks_exact(width) {
                 for interp in [LutInterp::Vec, LutInterp::Scalar, LutInterp::Cubic] {
-                    let mut regs = vec![f64::NAN; 5 * width];
+                    let mut regs = vec![f64::NAN; n_regs * width];
                     regs[..width].copy_from_slice(block);
-                    t.interp_row(interp, 0, width, &outs, &mut regs);
+                    t.interp_row(interp, 0, width, outs, &mut regs);
                     for (lane, key) in block.iter().enumerate() {
                         assert_eq!(regs[lane].to_bits(), key.to_bits(), "key register");
                     }
-                    for &(col, dst) in &outs {
+                    for &(col, dst) in outs {
                         let col = col as usize;
                         let mut want = vec![0.0; width];
                         match interp {
@@ -466,7 +490,8 @@ mod tests {
                             assert_eq!(
                                 g.to_bits(),
                                 w.to_bits(),
-                                "{interp:?} W={width} col {col} key {k}: {g} vs {w}"
+                                "{} rows, {interp:?} W={width} col {col} key {k}: {g} vs {w}",
+                                t.rows()
                             );
                         }
                     }
@@ -476,7 +501,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "index out of bounds")]
+    fn row_lookup_equals_the_per_column_functions_bit_for_bit() {
+        // Register 0 holds the key. Three columns so a row of two leaves one
+        // out; they land out of order, one twice.
+        let three = LutData::build(-100.0, 100.0, 0.05, 3, |x, out| {
+            out[0] = (x / 10.0).exp();
+            out[1] = x * x;
+            out[2] = (x / 7.0).sin();
+        });
+        check_rows(&three, &[(2, 3), (0, 1), (1, 4), (0, 2)]);
+        // A row of one, the baseline's shape.
+        check_rows(&three, &[(1, 1)]);
+        // The smallest legal table: two rows, so every key is in the first
+        // and the last interval at once and the cubic stencil never fits.
+        let two_rows = LutData::build(0.0, 1.0, 2.0, 2, |x, out| {
+            out[0] = 1.0 + x;
+            out[1] = -3.0 * x;
+        });
+        assert_eq!(two_rows.rows(), 2);
+        check_rows(&two_rows, &[(1, 1), (0, 2)]);
+        // A full row of the widest roster table (OHara's 65 columns), with a
+        // singular column: infinite at one grid point, NaN around it.
+        let wide = LutData::build(-100.0, 100.0, 0.5, 65, |x, out| {
+            for (c, o) in out.iter_mut().enumerate() {
+                *o = (x / (5.0 + c as f64)).sin() * (1.0 + c as f64);
+            }
+            out[64] = 1.0 / x;
+        });
+        let full: Vec<(u16, u16)> = (0..65).map(|c| (c, c + 1)).collect();
+        check_rows(&wide, &full);
+    }
+
+    #[test]
+    #[should_panic(expected = "a row lookup 65 lanes wide")]
+    fn row_lookup_wider_than_its_scratch_panics_instead_of_truncating() {
+        let t = table();
+        let mut regs = vec![0.0; 2 * 65];
+        t.interp_row(LutInterp::Vec, 0, 65, &[(0, 1)], &mut regs);
+    }
+
+    #[test]
+    #[should_panic(expected = "lut column 2 is not in a table of 2")]
     fn row_lookup_of_a_missing_column_panics_instead_of_reading_the_next_row() {
         let t = table();
         let mut regs = [1.0, 0.0];

@@ -112,7 +112,7 @@ impl OptStats {
 
 /// Register classes (mirrors the private enum in `bytecode`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegClass {
+pub(crate) enum RegClass {
     F,
     B,
     I,
@@ -168,7 +168,7 @@ fn for_each_def_mut(instr: &mut Instr, mut f: impl FnMut(RegClass, &mut u16)) {
 }
 
 /// Visits every register an instruction writes.
-fn for_each_def(instr: &Instr, mut f: impl FnMut(RegClass, u16)) {
+pub(crate) fn for_each_def(instr: &Instr, mut f: impl FnMut(RegClass, u16)) {
     // A row owns its column list: read it in place, don't copy it.
     if let Instr::LutRow { outs, .. } = instr {
         return outs.iter().for_each(|&(_, dst)| f(RegClass::F, dst));
@@ -236,7 +236,7 @@ fn for_each_use_mut(instr: &mut Instr, mut f: impl FnMut(RegClass, &mut u16)) {
 }
 
 /// Visits every register an instruction reads.
-fn for_each_use(instr: &Instr, mut f: impl FnMut(RegClass, u16)) {
+pub(crate) fn for_each_use(instr: &Instr, mut f: impl FnMut(RegClass, u16)) {
     if let Instr::LutRow { key, .. } = instr {
         return f(RegClass::F, *key);
     }

@@ -16,6 +16,7 @@
 
 use crate::bytecode::{BBin, FBin, IBin, Instr, LutInterp, Program};
 use crate::lut::LutData;
+use crate::optimize::{for_each_def, for_each_use, RegClass};
 use limpet_ir::{CmpFPred, CmpIPred, MathFn};
 use std::fmt::Write as _;
 
@@ -363,8 +364,9 @@ fn read_symbols(cur: &mut LineCursor<'_>, key: &str) -> Result<Vec<String>, Stri
 /// # Errors
 ///
 /// Returns a description of the first defect: version mismatch, missing
-/// or malformed field, unknown mnemonic, or an out-of-range symbol or
-/// jump index. Never panics on malformed input.
+/// or malformed field, unknown mnemonic, a register file larger than
+/// operands can address, or an out-of-range register, symbol or jump
+/// index. Never panics on malformed input.
 pub fn deserialize_program(text: &str) -> Result<Program, String> {
     let mut cur = LineCursor::of(text);
     let (no, header) = cur.next()?;
@@ -593,14 +595,34 @@ fn read_instr(line: &str, no: usize) -> Result<Instr, String> {
     Ok(instr)
 }
 
-/// Structural validation of a deserialized program: every symbol-indexed
-/// field must point inside its symbol table, every jump target must
-/// stay inside the instruction list (`==` length is the fall-off-the-end
-/// exit the compiler emits for loop back edges), and a row lookup must
-/// write at least one register, each once, none of them its key — the
-/// shape the compiler and optimizer guarantee. Column indices are checked
-/// against the tables themselves when a kernel is assembled.
+/// Registers a file can have at most: operands are `u16`. A larger count in
+/// a `regs` line names registers nothing can address, and the engine sizes
+/// its register file by it.
+const MAX_REGS: usize = 1 << 16;
+
+/// Structural validation of a deserialized program: every register operand
+/// must lie inside its register file (and no file be larger than operands
+/// can address), every symbol-indexed field must point inside its symbol
+/// table, every jump target must stay inside the instruction list (`==`
+/// length is the fall-off-the-end exit the compiler emits for loop back
+/// edges), and a row lookup must write at least one register, each once,
+/// none of them its key — the shape the compiler and optimizer guarantee, so
+/// that a program that loads cannot index outside the engine's register
+/// file. Column indices are checked against the tables themselves when a
+/// kernel is assembled.
 fn validate(p: &Program) -> Result<(), String> {
+    let regs_of = |class: RegClass| match class {
+        RegClass::F => ('f', p.n_fregs),
+        RegClass::B => ('b', p.n_bregs),
+        RegClass::I => ('i', p.n_iregs),
+    };
+    for (file, n) in [RegClass::F, RegClass::B, RegClass::I].map(regs_of) {
+        if n > MAX_REGS {
+            return Err(format!(
+                "{n} '{file}' registers (operands address at most {MAX_REGS})"
+            ));
+        }
+    }
     let in_table = |pc: usize, idx: u16, len: usize, what: &str| -> Result<(), String> {
         if (idx as usize) < len {
             Ok(())
@@ -611,6 +633,20 @@ fn validate(p: &Program) -> Result<(), String> {
         }
     };
     for (pc, instr) in p.instrs.iter().enumerate() {
+        let mut outside = None;
+        let mut in_file = |class: RegClass, r: u16| {
+            let (file, n) = regs_of(class);
+            if r as usize >= n {
+                outside.get_or_insert_with(|| {
+                    format!("instr {pc}: register {file}{r} out of range (file has {n})")
+                });
+            }
+        };
+        for_each_def(instr, &mut in_file);
+        for_each_use(instr, &mut in_file);
+        if let Some(e) = outside {
+            return Err(e);
+        }
         match instr {
             Instr::LoadParam { idx, .. } => in_table(pc, *idx, p.params.len(), "param")?,
             Instr::LoadState { var, .. }
@@ -1011,6 +1047,111 @@ mod tests {
         p.instrs.insert(0, Instr::Jump { target: 9999 });
         let err = deserialize_program(&serialize_program(&p)).unwrap_err();
         assert!(err.contains("jump target"), "{err}");
+    }
+
+    /// Where each mnemonic's line holds register operands — the field's
+    /// position after the mnemonic and its file — written out from the
+    /// format, not derived from the walkers `validate` uses. A row lookup
+    /// holds its key and, from field 5 on, every second field a destination.
+    const REG_FIELDS: [(&str, &[(usize, char)]); 37] = [
+        ("constf", &[(0, 'f')]),
+        ("consti", &[(0, 'i')]),
+        ("constb", &[(0, 'b')]),
+        ("movf", &[(0, 'f'), (1, 'f')]),
+        ("movb", &[(0, 'b'), (1, 'b')]),
+        ("movi", &[(0, 'i'), (1, 'i')]),
+        ("loadparam", &[(0, 'f')]),
+        ("loaddt", &[(0, 'f')]),
+        ("loadtime", &[(0, 'f')]),
+        ("cellindex", &[(0, 'i')]),
+        ("loadstate", &[(0, 'f')]),
+        ("storestate", &[(0, 'f')]),
+        ("loadext", &[(0, 'f')]),
+        ("storeext", &[(0, 'f')]),
+        ("hasparent", &[(0, 'b')]),
+        ("loadparentstate", &[(0, 'f'), (2, 'f')]),
+        ("storeparentstate", &[(0, 'f')]),
+        ("binf", &[(1, 'f'), (2, 'f'), (3, 'f')]),
+        ("binfk", &[(1, 'f'), (2, 'f')]),
+        ("binkf", &[(1, 'f'), (3, 'f')]),
+        ("loadstateop", &[(1, 'f'), (3, 'f')]),
+        ("loadextop", &[(1, 'f'), (3, 'f')]),
+        ("negf", &[(0, 'f'), (1, 'f')]),
+        ("fmaf", &[(0, 'f'), (1, 'f'), (2, 'f'), (3, 'f')]),
+        ("math1", &[(1, 'f'), (2, 'f')]),
+        ("math2", &[(1, 'f'), (2, 'f'), (3, 'f')]),
+        ("cmpf", &[(1, 'b'), (2, 'f'), (3, 'f')]),
+        ("cmpi", &[(1, 'b'), (2, 'i'), (3, 'i')]),
+        ("binb", &[(1, 'b'), (2, 'b'), (3, 'b')]),
+        ("selectf", &[(0, 'f'), (1, 'b'), (2, 'f'), (3, 'f')]),
+        ("selectb", &[(0, 'b'), (1, 'b'), (2, 'b'), (3, 'b')]),
+        ("sitofp", &[(0, 'f'), (1, 'i')]),
+        ("bini", &[(1, 'i'), (2, 'i'), (3, 'i')]),
+        ("lutrow", &[(1, 'f'), (5, 'f'), (7, 'f'), (9, 'f')]),
+        ("jump", &[]),
+        ("jumpifnot", &[(0, 'b')]),
+        ("ret", &[]),
+    ];
+
+    #[test]
+    fn every_register_field_of_every_variant_is_checked_against_its_file() {
+        let p = sample_program();
+        let text = serialize_program(&p);
+        let lines: Vec<&str> = text.lines().collect();
+        let first = lines.iter().position(|l| l.starts_with("instrs ")).unwrap() + 1;
+        let mut seen = std::collections::BTreeSet::new();
+        let mut forged = 0;
+        for at in first..lines.len() {
+            let tokens: Vec<&str> = lines[at].split(' ').collect();
+            let (mnemonic, fields) = REG_FIELDS
+                .iter()
+                .find(|(m, _)| *m == tokens[0])
+                .unwrap_or_else(|| panic!("no register fields listed for '{}'", tokens[0]));
+            seen.insert(*mnemonic);
+            // A row of one column has no field 7.
+            for &(field, file) in fields.iter().filter(|(f, _)| f + 1 < tokens.len()) {
+                // The first register past the end of its file.
+                let count = match file {
+                    'f' => p.n_fregs,
+                    'b' => p.n_bregs,
+                    _ => p.n_iregs,
+                };
+                let mut tokens = tokens.clone();
+                let count = count.to_string();
+                tokens[field + 1] = &count;
+                let mut lines = lines.clone();
+                let line = tokens.join(" ");
+                lines[at] = &line;
+                let err = deserialize_program(&(lines.join("\n") + "\n")).expect_err(&line);
+                let want = format!("register {file}{count} out of range");
+                assert!(err.contains(&want), "'{line}': {err}");
+                forged += 1;
+            }
+        }
+        assert_eq!(seen.len(), REG_FIELDS.len(), "the sample has every variant");
+        assert_eq!(forged, 74, "register fields in the sample");
+    }
+
+    #[test]
+    fn register_files_larger_than_operands_can_address_are_rejected() {
+        // What the engine would size its register file by.
+        let regs = |n: &str| {
+            row_text("constf 0 0000000000000000").replacen("regs 4 ", &format!("regs {n} "), 1)
+        };
+        assert!(deserialize_program(&regs("65536")).is_ok());
+        for n in ["65537", "1152921504606846976", "18446744073709551615"] {
+            let err = deserialize_program(&regs(n)).expect_err(n);
+            assert!(
+                err.contains("registers (operands address at most 65536)"),
+                "{n}: {err}"
+            );
+        }
+        // And the register no file of one has.
+        let err = deserialize_program(&row_text("binf add 500 0 0")).unwrap_err();
+        assert!(
+            err.contains("register f500 out of range (file has 4)"),
+            "{err}"
+        );
     }
 
     /// A program whose only computation is `row`.

@@ -146,67 +146,55 @@ impl CellStates {
         self.set_raw(cell, var, v);
     }
 
-    /// Index of `var` of the block-aligned cell `cell0` under an AoSoA
-    /// layout, or `None` when the cells from `cell0` must be gathered one
-    /// by one (AoS, or `cell0` inside a block). From an aligned cell, any
-    /// number of cells is whole blocks and a leading part of one more, each
-    /// contiguous per variable.
+    /// Whether the `W`-cell blocks from `cell0` are blocks of the layout —
+    /// it is AoSoA with blocks of exactly `W` cells and `cell0` starts one —
+    /// so that each holds a variable's `W` values side by side. Otherwise
+    /// (AoS, another block size, `cell0` inside a block) the cells are
+    /// gathered one by one. `W` is the caller's constant, so the alignment
+    /// test is a mask, not a division.
     #[inline(always)]
-    fn aligned_index(&self, cell0: usize, var: usize) -> Option<(usize, usize)> {
-        match self.layout {
-            StateLayout::AoSoA { block } if cell0.is_multiple_of(block) => {
-                Some((cell0 * self.n_vars + var * block, block))
-            }
-            _ => None,
-        }
+    fn in_blocks_of<const W: usize>(&self, cell0: usize) -> bool {
+        self.layout == StateLayout::AoSoA { block: W } && cell0.is_multiple_of(W)
     }
 
     /// Loads `out.len()` consecutive cells' values of `var`, starting at
-    /// `cell0`. Under an AoSoA layout and from a block-aligned `cell0` this
-    /// is one contiguous copy per block touched (the vector load the
-    /// paper's transformation enables); anything else gathers.
+    /// `cell0`, for a caller whose vectors are `W` lanes wide. Whole
+    /// `W`-cell blocks of a matching AoSoA layout are one `W`-element copy
+    /// each (the vector load the paper's transformation enables) after one
+    /// layout decision for all of them; anything else gathers.
     #[inline(always)]
-    pub fn load_block(&self, cell0: usize, var: usize, out: &mut [f64]) {
+    pub fn load_block<const W: usize>(&self, cell0: usize, var: usize, out: &mut [f64]) {
         debug_assert!(cell0 + out.len() <= self.padded);
-        match self.aligned_index(cell0, var) {
-            // Within one block the copy keeps the caller's (constant) length.
-            Some((base, block)) if out.len() <= block => {
-                out.copy_from_slice(&self.data[base..base + out.len()]);
+        let (blocks, rest) = out.as_chunks_mut::<W>();
+        if self.in_blocks_of::<W>(cell0) && rest.is_empty() {
+            // From the first run on; the next block's is `stride` further.
+            let (runs, stride) = (&self.data[cell0 * self.n_vars + var * W..], self.n_vars * W);
+            for (k, block) in blocks.iter_mut().enumerate() {
+                block.copy_from_slice(&runs[k * stride..][..W]);
             }
-            Some((mut base, block)) => {
-                for part in out.chunks_mut(block) {
-                    part.copy_from_slice(&self.data[base..base + part.len()]);
-                    base += self.n_vars * block;
-                }
-            }
-            None => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.gather_one(cell0 + i, var);
-                }
+        } else {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = self.gather_one(cell0 + i, var);
             }
         }
     }
 
     /// Stores `vals.len()` consecutive cells' values of `var` starting at
-    /// `cell0` (scatter, or one contiguous copy per block from an aligned
-    /// `cell0` under AoSoA; see [`CellStates::load_block`]).
+    /// `cell0` (one copy per whole `W`-cell block of a matching AoSoA
+    /// layout, a scatter otherwise; see [`CellStates::load_block`]).
     #[inline(always)]
-    pub fn store_block(&mut self, cell0: usize, var: usize, vals: &[f64]) {
+    pub fn store_block<const W: usize>(&mut self, cell0: usize, var: usize, vals: &[f64]) {
         debug_assert!(cell0 + vals.len() <= self.padded);
-        match self.aligned_index(cell0, var) {
-            Some((base, block)) if vals.len() <= block => {
-                self.data[base..base + vals.len()].copy_from_slice(vals);
+        let (blocks, rest) = vals.as_chunks::<W>();
+        if self.in_blocks_of::<W>(cell0) && rest.is_empty() {
+            let (first, stride) = (cell0 * self.n_vars + var * W, self.n_vars * W);
+            let runs = &mut self.data[first..];
+            for (k, block) in blocks.iter().enumerate() {
+                runs[k * stride..][..W].copy_from_slice(block);
             }
-            Some((mut base, block)) => {
-                for part in vals.chunks(block) {
-                    self.data[base..base + part.len()].copy_from_slice(part);
-                    base += self.n_vars * block;
-                }
-            }
-            None => {
-                for (i, &v) in vals.iter().enumerate() {
-                    self.scatter_one(cell0 + i, var, v);
-                }
+        } else {
+            for (i, &v) in vals.iter().enumerate() {
+                self.scatter_one(cell0 + i, var, v);
             }
         }
     }
@@ -351,9 +339,9 @@ mod tests {
         ] {
             let mut s = CellStates::new(16, &[0.0, 0.0], layout);
             let vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-            s.store_block(8, 1, &vals);
+            s.store_block::<8>(8, 1, &vals);
             let mut out = [0.0; 8];
-            s.load_block(8, 1, &mut out);
+            s.load_block::<8>(8, 1, &mut out);
             assert_eq!(out, vals, "layout {layout:?}");
             // Elementwise agreement.
             for (i, &v) in vals.iter().enumerate() {
@@ -368,7 +356,7 @@ mod tests {
         assert_eq!(s.padded_cells(), 16);
         // Padding cells initialized too (safe to compute over).
         let mut out = [0.0; 8];
-        s.load_block(8, 0, &mut out);
+        s.load_block::<8>(8, 0, &mut out);
         assert!(out.iter().all(|&v| v == 7.0));
     }
 
@@ -400,8 +388,12 @@ mod tests {
         assert_eq!(out, vals);
     }
 
-    #[test]
-    fn block_ops_equal_per_cell_access_for_every_block_len_and_start() {
+    /// Every length (so one block and a whole four-block register of every
+    /// width, whole blocks and ragged ones) from every start (block-aligned
+    /// or not) under every layout (blocks equal to the width, smaller,
+    /// larger, odd; AoS), as a `W`-lane caller: the values are those of
+    /// per-cell `get`, and a store lands in exactly those cells.
+    fn block_ops_equal_per_cell_access<const W: usize>() {
         let layouts = [1, 2, 3, 4, 8, 16]
             .map(|block| StateLayout::AoSoA { block })
             .into_iter()
@@ -415,27 +407,35 @@ mod tests {
             }
             for len in 1..=40 {
                 for cell0 in 0..=48 - len {
+                    let what = format!("W={W} {layout:?} cells {cell0}+{len}");
                     let mut out = vec![f64::NAN; len];
-                    s.load_block(cell0, 1, &mut out);
+                    s.load_block::<W>(cell0, 1, &mut out);
                     for (i, v) in out.iter().enumerate() {
-                        assert_eq!(*v, s.get(cell0 + i, 1), "{layout:?} load {cell0}+{i}/{len}");
+                        assert_eq!(*v, s.get(cell0 + i, 1), "{what}: load, lane {i}");
                     }
-                    // Stored values land in exactly those cells of that variable.
                     let mut t = s.clone();
                     let vals: Vec<f64> = (0..len).map(|i| -1.0 - i as f64).collect();
-                    t.store_block(cell0, 1, &vals);
+                    t.store_block::<W>(cell0, 1, &vals);
                     for cell in 0..48usize {
                         for var in 0..3 {
                             let want = match cell.checked_sub(cell0) {
                                 Some(i) if var == 1 && i < len => vals[i],
                                 _ => s.get(cell, var),
                             };
-                            assert_eq!(t.get(cell, var), want, "{layout:?} store {cell0}/{len}");
+                            assert_eq!(t.get(cell, var), want, "{what}: store");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn block_ops_equal_per_cell_access_for_every_block_len_and_start() {
+        block_ops_equal_per_cell_access::<1>();
+        block_ops_equal_per_cell_access::<2>();
+        block_ops_equal_per_cell_access::<4>();
+        block_ops_equal_per_cell_access::<8>();
     }
 
     #[test]
@@ -446,7 +446,7 @@ mod tests {
         }
         // Unaligned load crossing a block boundary must still be correct.
         let mut out = [0.0; 4];
-        s.load_block(6, 0, &mut out);
+        s.load_block::<4>(6, 0, &mut out);
         assert_eq!(out, [6.0, 7.0, 8.0, 9.0]);
     }
 }

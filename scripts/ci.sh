@@ -12,6 +12,17 @@ cargo build --release
 echo "==> cargo build --release -p limpet-opt"
 cargo build --release -p limpet-opt
 
+echo "==> cargo check -p limpet-vm --target aarch64-unknown-linux-gnu"
+# The step loop is plain indexed Rust but for two `#[target_feature]`
+# wrappers behind `cfg(target_arch = "x86_64")`; checking another
+# architecture keeps it so. Only where the target is already installed:
+# nothing is fetched.
+if { rustup target list --installed 2> /dev/null || true; } | grep -q '^aarch64-unknown-linux-gnu$'; then
+  cargo check -p limpet-vm --target aarch64-unknown-linux-gnu
+else
+  echo "skipped: target aarch64-unknown-linux-gnu is not installed"
+fi
+
 echo "==> limpet-opt smoke (pipeline round-trip)"
 ./target/release/limpet-opt --list-passes > /dev/null
 printf 'module @m {\n  func.func @compute() {\n    func.return\n  }\n}\n' \
@@ -498,17 +509,23 @@ echo "==> limpet-perf --quick (all four workloads end to end, golden digests)"
 # reconciliation checks are inside the timing noise (2 of 6 runs miss).
 bash limpet-perf/run.sh --quick > /dev/null
 
-echo "==> limpet-perf sim_steady, traced (digests, exact counts, step-loop time vs BENCH_step_loop.json)"
+echo "==> limpet-perf sim_steady, traced (digests, exact counts, step-loop time vs BENCH_step_loop.json, LUT vs no-LUT)"
 # One traced run of the step-loop workload. A non-zero exit is a wrong
 # golden digest, an exact count (instructions, flops, bytes, math calls
 # per step) that did not repeat, or `step_range` + `update_vm` drifting
 # from `Simulation::run` (sim.unattributed_share). Its W=8 time per step
-# is then held against the change row of BENCH_step_loop.json.
+# is then held against the change row of BENCH_step_loop.json, and its
+# no-LUT over LUT step time against the paper's ordering.
 STEP_OUT=$(mktemp)
 bash limpet-perf/run.sh --workload sim_steady --seconds 10 --trace 1 --out "$STEP_OUT" > /dev/null
 # Every value of a key, one per line, from compact or indented JSON.
 json_values() { { grep -o "\"$1\" *: *[^,}]*" "$2" || true; } | sed 's/^[^:]*: *//; s/"//g'; }
 json_field() { json_values "$1" "$2" | head -1; }
+# The value of one named metric of a result file.
+metric_value() {
+  { grep -o "\"$1\" *: *{[^}]*}" "$2" || true; } \
+    | { grep -o '"value" *: *[0-9.]*' || true; } | head -1 | sed 's/^[^:]*: *//'
+}
 # The build of the step loop this CPU dispatches to (`limpet_vm::step_isa`,
 # as `figures` prints it). A ledger records it as `host.step_isa` from PR 15
 # on; a result file does not, and is of this CPU.
@@ -554,6 +571,27 @@ hold_ms() {
 STEP_MS=$(json_values w8_ms_per_step "$STEP_OUT" \
   | awk '$1 > 0 { s += log($1); n++ } END { if (n) printf "%.4f", exp(s / n) }')
 hold_ms "step loop" "$STEP_MS" "$STEP_OUT" BENCH_step_loop.json
+# The timed form of §3.4.2's claim (its exact form is
+# tests/paper_claims.rs::lut_beats_no_lut): the step of the no-LUT kernels
+# over the step of the LUT ones. Below 1 the paper's ordering is gone, below
+# 1.3 it is eroding (PR 15 left it at 1.35, PR 17 took it back to 1.6). Only
+# on the host of the ledger, like hold_ms: the ratio depends on which build
+# of the step loop the CPU runs.
+NOLUT=$(metric_value vm.nolut_over_lut "$STEP_OUT")
+[[ $NOLUT =~ ^[0-9]+\.?[0-9]*$ ]] \
+  || { echo "LUT vs no-LUT: could not read vm.nolut_over_lut ('$NOLUT')"; exit 1; }
+if [ "$(host_of "$STEP_OUT")" != "$(host_of BENCH_step_loop.json)" ]; then
+  echo "LUT vs no-LUT: vm.nolut_over_lut $NOLUT; BENCH_step_loop.json is from a different host, skipped"
+else
+  case $(awk -v r="$NOLUT" 'BEGIN { print (r < 1.0) ? "fail" : (r < 1.3) ? "warn" : "ok" }') in
+    fail)
+      echo "LUT vs no-LUT: vm.nolut_over_lut $NOLUT is below 1: tables no longer pay"
+      exit 1
+      ;;
+    warn) echo "LUT vs no-LUT: WARNING vm.nolut_over_lut $NOLUT is below 1.3" ;;
+    ok) echo "LUT vs no-LUT: vm.nolut_over_lut $NOLUT" ;;
+  esac
+fi
 rm -f "$STEP_OUT"
 
 echo "==> limpet-perf ckpt_resume (resume equals the uninterrupted twin, save time vs BENCH_checkpoint.json)"
@@ -564,8 +602,7 @@ echo "==> limpet-perf ckpt_resume (resume equals the uninterrupted twin, save ti
 # change row of BENCH_checkpoint.json by the same rule.
 CKPT_RUN=$(mktemp)
 bash limpet-perf/run.sh --workload ckpt_resume --seconds 10 --trace 0 --out "$CKPT_RUN" > /dev/null
-CKPT_MS=$({ grep -o '"primary_ms" *: *{[^}]*}' "$CKPT_RUN" || true; } \
-  | { grep -o '"value" *: *[0-9.]*' || true; } | head -1 | sed 's/^[^:]*: *//')
+CKPT_MS=$(metric_value primary_ms "$CKPT_RUN")
 hold_ms "checkpoint save" "$CKPT_MS" "$CKPT_RUN" BENCH_checkpoint.json
 rm -f "$CKPT_RUN"
 

@@ -84,38 +84,53 @@ fn limpet_mlir_beats_compiler_simd() {
 }
 
 /// §3.4.2: on a rate-table-heavy model, the LUT version beats no-LUT.
+/// Asserted on what the claim is made of — a table row replaces the rate
+/// functions' `exp` calls, so the LUT kernel makes strictly fewer math-library
+/// calls per cell-step, and fewer flops with each call weighted as the
+/// roofline counts weigh it — because those counts repeat exactly. The
+/// wall-clock ratio is printed beside them, not asserted (the timed form is
+/// `vm.nolut_over_lut` of the ledger's traced `sim_steady` run, held in
+/// `scripts/ci.sh`).
 #[test]
 fn lut_beats_no_lut() {
     let (cells, steps) = (2048, 12);
-    let with = time_config(
-        "HodgkinHuxley",
-        PipelineKind::LimpetMlir(VectorIsa::Avx512),
-        cells,
-        steps,
+    let with = PipelineKind::LimpetMlir(VectorIsa::Avx512);
+    let without = PipelineKind::LimpetMlirNoLut(VectorIsa::Avx512);
+    println!(
+        "wall-clock no-LUT / LUT (not asserted): {:.2}",
+        time_config("HodgkinHuxley", without, cells, steps)
+            / time_config("HodgkinHuxley", with, cells, steps)
     );
-    let without = time_config(
-        "HodgkinHuxley",
-        PipelineKind::LimpetMlirNoLut(VectorIsa::Avx512),
-        cells,
-        steps,
+    let lut = profile_of_step("HodgkinHuxley", with, cells);
+    let no_lut = profile_of_step("HodgkinHuxley", without, cells);
+    let per_cell = |count: u64| count as f64 / cells as f64;
+    println!(
+        "per cell-step: {} math calls and {} flops with tables, {} and {} without",
+        per_cell(lut.math_calls),
+        per_cell(lut.flops),
+        per_cell(no_lut.math_calls),
+        per_cell(no_lut.flops),
     );
     assert!(
-        without > with,
-        "no-LUT {without:.4}s should be slower than LUT {with:.4}s"
+        lut.math_calls < no_lut.math_calls && lut.flops < no_lut.flops,
+        "LUT kernel {lut:?} does not save work over no-LUT {no_lut:?}"
     );
 }
 
-/// Executed instructions of one step over `n_cells` cells (exact, and the
-/// same on every run: a fresh simulation starts from the model's initial
-/// state).
-fn instrs_per_step(model: &str, kind: PipelineKind, n_cells: usize) -> f64 {
+/// Operation counts of one step over `n_cells` cells (exact, and the same on
+/// every run: a fresh simulation starts from the model's initial state).
+fn profile_of_step(model: &str, kind: PipelineKind, n_cells: usize) -> limpet::vm::Profile {
     let wl = Workload {
         n_cells,
         steps: 0,
         dt: 0.01,
     };
-    let mut sim = Simulation::new(&models::model(model), kind, &wl);
-    sim.step_profiled().instrs as f64
+    Simulation::new(&models::model(model), kind, &wl).step_profiled()
+}
+
+/// Executed instructions of one step over `n_cells` cells.
+fn instrs_per_step(model: &str, kind: PipelineKind, n_cells: usize) -> f64 {
+    profile_of_step(model, kind, n_cells).instrs as f64
 }
 
 /// Fig. 2 trend: large models gain more from vectorization than small ones
