@@ -1708,11 +1708,13 @@ mod tests {
     #[test]
     fn fig4_covers_every_class_and_thread_count() {
         let timing = ThreadTiming::model_only(TimingModel::default());
-        let f = fig4_scaling(&tiny_opts(&["Plonsey", "BeelerReuter", "OHara"]), &timing);
+        let opts = tiny_opts(&["Plonsey", "BeelerReuter", "OHara"]);
+        let f = fig4_scaling(&opts, &timing);
         assert_eq!(f.series.len(), 3 * THREAD_COUNTS.len());
         // At this deliberately tiny test workload every class is
         // barrier-dominated, so no monotonicity is asserted — only
-        // structure: positive times and limpetMLIR <= baseline at T=1.
+        // structure: positive times, one series point per class and
+        // thread count.
         for p in &f.series {
             assert!(
                 p.baseline_s > 0.0 && p.limpet_mlir_s > 0.0,
@@ -1722,12 +1724,29 @@ mod tests {
             );
             assert_eq!(p.provenance, Provenance::Modeled);
             if p.threads == 1 {
-                assert!(
-                    p.limpet_mlir_s <= p.baseline_s,
-                    "{}: limpetMLIR slower at T=1",
-                    p.class
+                // One timing of 4 steps x 64 cells in whatever build this
+                // is: printed, not asserted.
+                println!(
+                    "{}: wall-clock baseline / limpetMLIR at T=1 (not asserted): {:.2}",
+                    p.class,
+                    p.baseline_s / p.limpet_mlir_s
                 );
             }
+        }
+        // "limpetMLIR is no slower than the baseline at T=1" in the form
+        // that repeats exactly: the instructions one cell-step executes.
+        for e in opts.roster() {
+            let per_cell_step = |config| {
+                step_profile(&model(e.name), config, opts.n_cells).instrs as f64
+                    / opts.n_cells as f64
+            };
+            let baseline = per_cell_step(PipelineKind::Baseline);
+            let mlir = per_cell_step(PipelineKind::LimpetMlir(VectorIsa::Avx512));
+            println!(
+                "{}: {baseline} instructions per cell-step, limpetMLIR {mlir}",
+                e.name
+            );
+            assert!(mlir < baseline, "{}: {mlir} vs {baseline}", e.name);
         }
     }
 

@@ -8,6 +8,13 @@
 //! 2. **membrane update** — `Vm ← Vm + dt·(−Iion + I_stim)/Cm` per cell
 //!    (the `bench` single-cell protocol), or an implicit monodomain
 //!    diffusion solve when tissue coupling is enabled.
+//!
+//! A *guarded* simulation ([`Simulation::new_resilient`], stepped with
+//! [`Simulation::run_guarded`]) additionally scans the state for
+//! non-finite values after every step and recovers by its
+//! [`crate::HealthPolicy`]. The pre-state a recovery needs comes from one
+//! rollback copy per 32-step window plus a replay of the window's good
+//! steps, not from a copy before every step (DESIGN.md §10).
 
 use limpet_codegen::pipeline::{self, Layout, VectorIsa};
 use limpet_easyml::Model;
@@ -205,6 +212,16 @@ struct NativeCtl {
     /// Whether the build request has been filed.
     requested: bool,
 }
+
+/// Guarded steps between two rollback points (see
+/// [`Simulation::run_guarded`]): one copy of the state per window instead
+/// of one per step, for a replay of at most `ROLLBACK_WINDOW - 1` steps
+/// when a step does come out non-finite. The daemon's default chunk, so a
+/// default job copies once per `run_guarded` call.
+const ROLLBACK_WINDOW: usize = 32;
+
+/// `(state, ext, t)` at a step boundary — everything a step advances.
+type RollbackPoint = (CellStates, ExtArrays, f64);
 
 /// A ready-to-run simulation: compiled kernel plus storage.
 #[derive(Debug)]
@@ -815,37 +832,89 @@ impl Simulation {
         self.guard.as_ref().map_or(&[], |g| &g.incidents)
     }
 
-    /// Advances one step under the health guard: runs [`Simulation::step`],
-    /// then scans the logical cells' state and externals for non-finite
-    /// values and applies the configured [`crate::HealthPolicy`].
+    /// Advances one step under the health guard: [`Simulation::run_guarded`]
+    /// of one step (there is one guarded-step path).
     ///
-    /// On an unguarded simulation this is plain [`Simulation::step`].
+    /// # Errors
+    ///
+    /// As [`Simulation::run_guarded`].
+    pub fn step_guarded(&mut self) -> Result<(), crate::Incident> {
+        self.run_guarded(1)
+    }
+
+    /// Runs `steps` steps under the health guard: before each step the
+    /// attached [`crate::CancelToken`] is polled, after each step the
+    /// state and externals are scanned for non-finite values, and a step
+    /// that fails the scan is handled by the configured
+    /// [`crate::HealthPolicy`]. On an unguarded simulation this is plain
+    /// [`Simulation::step`] under the token.
+    ///
+    /// The policies that need a step's pre-state (`ClampAndWarn`,
+    /// `FallbackRaw`) get it from one *rollback point* per
+    /// [`ROLLBACK_WINDOW`] steps, not from a copy per step: when step
+    /// `k + 1` of a window fails, the rollback point is restored and the
+    /// `k` steps that passed the scan are replayed with plain
+    /// [`Simulation::step`], which rebuilds — bit for bit, stepping being
+    /// a function of `(state, ext, t)` alone — the state the failed step
+    /// started from. A handled step ends its window, since what the
+    /// policy left behind is not what a replay would produce. However a
+    /// run is cut into calls, the state, the incidents and
+    /// [`Simulation::guarded_steps`] are those of one step per call.
     ///
     /// # Errors
     ///
     /// Returns the recorded incident when the policy is
     /// [`crate::HealthPolicy::Abort`], when every tier below the
     /// current one has been exhausted under
-    /// [`crate::HealthPolicy::FallbackRaw`], or when an attached
-    /// [`crate::CancelToken`] has tripped (deadline or explicit cancel)
-    /// — in that last case the step is *not* taken, so the state is
-    /// whole up to the previous boundary.
-    pub fn step_guarded(&mut self) -> Result<(), crate::Incident> {
-        use crate::{HealthPolicy, Incident, IncidentKind};
-        if let Some(incident) = self.check_cancel() {
-            return Err(incident);
+    /// [`crate::HealthPolicy::FallbackRaw`], or when the token has
+    /// tripped (deadline or explicit cancel) — in that last case the
+    /// upcoming step is *not* taken and nothing is replayed, so the state
+    /// is whole up to the previous boundary.
+    pub fn run_guarded(&mut self, steps: usize) -> Result<(), crate::Incident> {
+        use crate::HealthPolicy;
+        let policy = self.guard.as_ref().map(|g| g.policy);
+        // `Abort` never restores, an unguarded simulation never scans:
+        // neither takes a rollback point.
+        let rolls_back = matches!(
+            policy,
+            Some(HealthPolicy::ClampAndWarn | HealthPolicy::FallbackRaw)
+        );
+        // The rollback point lives on this call's stack: nothing that
+        // edits the simulation between two calls (`perturb_vm`, `restore`,
+        // `set_stimulus`) can leave it stale.
+        let mut point: Option<RollbackPoint> = None;
+        let mut left = steps;
+        while left > 0 {
+            if rolls_back {
+                match &mut point {
+                    Some((state, ext, t)) => {
+                        state.clone_from(&self.state);
+                        ext.clone_from(&self.ext);
+                        *t = self.t;
+                    }
+                    None => point = Some((self.state.clone(), self.ext.clone(), self.t)),
+                }
+            }
+            for good in 0..left.min(ROLLBACK_WINDOW) {
+                if let Some(incident) = self.check_cancel() {
+                    return Err(incident);
+                }
+                self.step();
+                left -= 1;
+                if policy.is_none() || self.count_step_and_scan() {
+                    continue;
+                }
+                self.handle_non_finite(&mut point, good)?;
+                break;
+            }
         }
-        let Some(mut g) = self.guard.take() else {
-            self.step();
-            return Ok(());
-        };
-        // Snapshot for rollback/clamping; Abort never restores.
-        let snapshot = if g.policy == HealthPolicy::Abort {
-            None
-        } else {
-            Some((self.state.clone(), self.ext.clone(), self.t))
-        };
-        self.step();
+        Ok(())
+    }
+
+    /// The guard's bookkeeping after a step: counts it, fires an armed
+    /// NaN injection, and scans. True when the state is finite.
+    fn count_step_and_scan(&mut self) -> bool {
+        let g = self.guard.as_mut().expect("guarded simulation");
         g.step_count += 1;
         // Deterministic fault injection: a seeded NaN "blow-up" at the
         // planned step, written into one cell's membrane potential.
@@ -860,10 +929,23 @@ impl Simulation {
                 }
             }
         }
-        if self.all_finite() {
-            self.guard = Some(g);
-            return Ok(());
+        self.all_finite()
+    }
+
+    /// Applies the policy to a step that left non-finite state, the
+    /// `good + 1`-th since the rollback point was taken.
+    fn handle_non_finite(
+        &mut self,
+        point: &mut Option<RollbackPoint>,
+        good: usize,
+    ) -> Result<(), crate::Incident> {
+        use crate::{HealthPolicy, Incident, IncidentKind};
+        // While the guard is still in `self`: the replay steps like any
+        // other call, and a native kernel adopted during it is recorded.
+        if let Some(point) = point.as_mut() {
+            self.rewind_to_failed_step(point, good);
         }
+        let mut g = self.guard.take().expect("guarded simulation");
         let result = match g.policy {
             HealthPolicy::Abort => {
                 let incident = Incident::new(
@@ -877,7 +959,7 @@ impl Simulation {
                 Err(incident)
             }
             HealthPolicy::ClampAndWarn => {
-                let (state, ext, _) = snapshot.as_ref().expect("snapshot taken for clamping");
+                let (state, ext, _) = point.as_ref().expect("rollback point taken for clamping");
                 let clamped = self.restore_non_finite(state, ext);
                 let incident = Incident::new(
                     IncidentKind::NonFiniteState,
@@ -890,12 +972,29 @@ impl Simulation {
                 Ok(())
             }
             HealthPolicy::FallbackRaw => {
-                let (state, ext, t) = snapshot.expect("snapshot taken for fallback");
+                let (state, ext, t) = point.take().expect("rollback point taken for fallback");
                 self.fall_back_and_retry(&mut g, state, ext, t)
             }
         };
         self.guard = Some(g);
         result
+    }
+
+    /// Turns the rollback point into the pre-state of the step that just
+    /// failed, `good` steps after the point was taken, by replaying those
+    /// steps from it. The failed step's own (non-finite) result and clock
+    /// stay in `self`.
+    fn rewind_to_failed_step(&mut self, point: &mut RollbackPoint, good: usize) {
+        let mut swap = |sim: &mut Simulation| {
+            std::mem::swap(&mut sim.state, &mut point.0);
+            std::mem::swap(&mut sim.ext, &mut point.1);
+            std::mem::swap(&mut sim.t, &mut point.2);
+        };
+        swap(self);
+        for _ in 0..good {
+            self.step();
+        }
+        swap(self);
     }
 
     /// Rolls the step back and retries it on successively lower tiers
@@ -909,6 +1008,9 @@ impl Simulation {
     ) -> Result<(), crate::Incident> {
         use crate::{Incident, IncidentKind, Tier};
         let failed_step = g.step_count;
+        // A build still in flight would be of the kernel this step is
+        // about to leave; adopting it later would climb back onto it.
+        self.native_ctl = None;
         self.state = state;
         self.ext = ext;
         self.t = t;
@@ -1004,22 +1106,16 @@ impl Simulation {
         }
     }
 
-    /// Runs `steps` guarded steps, stopping at the first unrecoverable
-    /// incident.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`Simulation::step_guarded`] error.
-    pub fn run_guarded(&mut self, steps: usize) -> Result<(), crate::Incident> {
-        for _ in 0..steps {
-            self.step_guarded()?;
-        }
-        Ok(())
-    }
-
     /// True when every logical cell's state variables and externals are
-    /// finite.
+    /// finite. The common answer comes from one flat pass over the raw
+    /// storage; only when that finds something are the logical cells asked
+    /// one by one, so a padding lane neither raises nor hides an incident.
     fn all_finite(&self) -> bool {
+        let flat = flat_finite(self.state.raw())
+            && (0..self.ext.n_vars()).all(|v| flat_finite(self.ext.array(v)));
+        if flat {
+            return true;
+        }
         let n = self.n_cells();
         let n_state = self.kernel.info().state_names.len();
         let n_ext = self.kernel.info().ext_names.len();
@@ -1090,6 +1186,19 @@ impl Simulation {
     }
 }
 
+/// True when no value of `xs` is NaN or infinite: the OR of
+/// `!is_finite()` over 8-wide chunks, branch-free so that it vectorises.
+fn flat_finite(xs: &[f64]) -> bool {
+    let (chunks, rest) = xs.as_chunks::<8>();
+    let mut bad = [false; 8];
+    for chunk in chunks {
+        for (b, x) in bad.iter_mut().zip(chunk) {
+            *b |= !x.is_finite();
+        }
+    }
+    !bad.contains(&true) && rest.iter().all(|x| x.is_finite())
+}
+
 /// Per-class default workloads: larger models get the same cell count but
 /// their kernels are intrinsically more expensive, mirroring the paper's
 /// fixed 8192-cell workload.
@@ -1104,6 +1213,7 @@ pub fn class_workload(_class: SizeClass, n_cells: usize, steps: usize) -> Worklo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KernelCache;
     use limpet_models::model;
 
     #[test]
@@ -1229,6 +1339,107 @@ mod tests {
                 .any(|i| i.kind == crate::IncidentKind::DeadlineExceeded),
             "incident recorded on the guard"
         );
+    }
+
+    #[test]
+    fn flat_scan_finds_every_non_finite_value() {
+        for len in [0, 1, 7, 8, 9, 16, 37] {
+            let xs = vec![1.5; len];
+            assert!(flat_finite(&xs), "len {len}");
+            for at in 0..len {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut ys = xs.clone();
+                    ys[at] = bad;
+                    assert!(!flat_finite(&ys), "len {len}, {bad} at {at}");
+                }
+            }
+        }
+    }
+
+    /// A non-finite value in a padding lane — which the flat scan sees and
+    /// a W=8 kernel computes on — is not an incident, and never reaches a
+    /// logical cell.
+    #[test]
+    fn non_finite_padding_lane_raises_nothing() {
+        let m = model("BeelerReuter");
+        let wl = Workload {
+            n_cells: 13,
+            steps: 0,
+            dt: 0.01,
+        };
+        for config in [
+            PipelineKind::Baseline,
+            PipelineKind::LimpetMlir(VectorIsa::Avx512),
+        ] {
+            let mut sim =
+                Simulation::new_resilient(&m, config, &wl, crate::HealthPolicy::FallbackRaw)
+                    .expect("roster model compiles");
+            assert_eq!(sim.padded_cells(), 16);
+            *sim.state.raw_mut().last_mut().unwrap() = f64::NAN;
+            sim.ext.array_mut(sim.vm_index.unwrap())[14] = f64::INFINITY;
+            assert!(!flat_finite(sim.state.raw()) && sim.all_finite());
+            sim.run_guarded(40).expect("padding is not state");
+            assert!(sim.incidents().is_empty(), "{:?}", sim.incidents());
+            assert_eq!(sim.tier(), crate::Tier::Optimized);
+            let mut clean = Simulation::new(&m, config, &wl);
+            clean.run(40);
+            assert_eq!(sim.state_bits(), clean.state_bits(), "{}", config.label());
+        }
+    }
+
+    /// A native kernel that lands *during* guarded stepping is recorded on
+    /// the guard like one adopted by plain stepping, so that the ladder's
+    /// first rung below it is the bytecode it was compiled from — not
+    /// `raw` with the native code still running.
+    #[test]
+    fn promotion_under_the_guard_is_recorded_and_falls_back_to_optimized() {
+        if !crate::toolchain_available() {
+            println!("skipping: no C toolchain on this host");
+            return;
+        }
+        let _serial = crate::faults::TEST_SERIAL
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
+        crate::faults::disarm_all();
+        let m = model("BeelerReuter");
+        let wl = Workload {
+            n_cells: 5,
+            steps: 0,
+            dt: 0.01,
+        };
+        let policy = crate::HealthPolicy::FallbackRaw;
+        let mut sim = Simulation::new_resilient(&m, PipelineKind::Baseline, &wl, policy)
+            .expect("roster model compiles");
+        assert!(sim.arm_native(1), "baseline kernels are eligible");
+        let patience = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        while sim.tier() != crate::Tier::Native {
+            assert!(
+                std::time::Instant::now() < patience,
+                "cc never delivered: {:?}",
+                KernelCache::global().native_registry().incidents()
+            );
+            sim.run_guarded(16).expect("healthy model");
+        }
+        let promoted: Vec<_> = sim
+            .incidents()
+            .iter()
+            .filter(|i| i.kind == crate::IncidentKind::NativePromoted)
+            .collect();
+        assert_eq!(promoted.len(), 1, "{:?}", sim.incidents());
+        let at = promoted[0].step.expect("recorded with its step");
+        assert!(at > 0 && at <= sim.guarded_steps(), "step {at}");
+        assert_eq!(sim.snapshot("baseline", 0).tier, "native");
+
+        sim.perturb_vm(0, f64::NAN);
+        // NaN in, NaN out on every tier: what matters is where it starts.
+        sim.step_guarded().expect_err("no tier makes NaN finite");
+        let first_rung = sim
+            .incidents()
+            .iter()
+            .find(|i| i.kind == crate::IncidentKind::TierFallback)
+            .expect("the ladder was walked");
+        assert_eq!(first_rung.tier, Some(crate::Tier::Optimized));
+        assert_ne!(sim.tier(), crate::Tier::Native);
     }
 
     #[test]

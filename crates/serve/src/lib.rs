@@ -20,8 +20,8 @@
 //!   rejections.
 //! * [`scheduler`] — job specs (one JSON codec for wire + journal),
 //!   deterministic execution on the harness's resilient simulation path
-//!   (faults degrade a job down the tier ladder, never the daemon), and
-//!   the worker pool.
+//!   (faults degrade a job down the tier ladder, never the daemon), the
+//!   worker pool, and the one thread that writes its cadence checkpoints.
 //! * [`server`] — the daemon: listener, per-connection reader/writer
 //!   threads, verb dispatch, journal-backed crash recovery, graceful
 //!   shutdown.
@@ -39,8 +39,8 @@ pub mod tenant;
 pub use json::Json;
 pub use queue::Bounded;
 pub use scheduler::{
-    parse_config, CheckpointRequester, JobOutcome, JobSpec, JobStatus, ModelRef, Pool, PoolConfig,
-    QueuedJob, RunCtl,
+    parse_config, CheckpointRequester, CheckpointWriter, JobOutcome, JobSpec, JobStatus, ModelRef,
+    Pool, PoolConfig, QueuedJob, RunCtl,
 };
 pub use server::{Listen, Server, ServerConfig};
 pub use tenant::{Ledger, QuotaConfig, Rejection, TenantUsage};

@@ -13,15 +13,24 @@
 //! membrane-potential bits. Chunked stepping is bit-identical to one
 //! `run_guarded(steps)` call, which is what makes the service's digests
 //! comparable to the single-process `figures --digest` driver.
+//!
+//! Cadence checkpoints do not run on the worker: at a cadence boundary
+//! the worker takes the snapshot (a copy of the state) and leaves it with
+//! the pool's one [`CheckpointWriter`] thread, which encodes, writes,
+//! `fsync`s and renames it while the worker steps on. Only the terminal
+//! store operations — the snapshot an aborted or deadlined job leaves
+//! behind, the removal after `Done` — stay on the worker, ordered after
+//! anything the writer still holds for that job.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use limpet_harness::{
-    faults, CancelToken, HealthPolicy, IncidentKind, PipelineKind, Simulation, SnapshotStore,
-    Workload,
+    faults, CancelToken, HealthPolicy, IncidentKind, PipelineKind, Simulation, Snapshot,
+    SnapshotStore, Workload,
 };
 
 use crate::json::Json;
@@ -331,10 +340,11 @@ pub struct RunCtl<'a> {
     /// Bumped once per completed chunk — a flat-lining heartbeat past
     /// the deadline is what the watchdog treats as a wedged worker.
     pub heartbeat: Option<&'a AtomicU64>,
-    /// Durable snapshot store. When present, the job auto-resumes from
-    /// its latest snapshot on start, checkpoints on the `ckpt_every`
-    /// cadence and on abort/deadline, and removes its snapshot on `Done`.
-    pub store: Option<&'a SnapshotStore>,
+    /// The writer over the durable snapshot store. When present, the job
+    /// auto-resumes from its latest snapshot on start, hands the writer a
+    /// snapshot on the `ckpt_every` cadence, saves one itself on
+    /// abort/deadline, and removes its snapshot on `Done`.
+    pub ckpt: Option<&'a CheckpointWriter>,
     /// Checkpoint cadence in chunks (0 is treated as 1: every chunk).
     pub ckpt_every: usize,
     /// Force-checkpoint request flag, polled (and cleared) at every chunk
@@ -405,8 +415,10 @@ pub fn run_job(spec: &JobSpec, outbox: &Outbox, ctl: &RunCtl) -> JobOutcome {
         sim.set_cancel_token(token.clone());
     }
     let mut steps_run = 0;
-    if let Some(store) = ctl.store {
-        steps_run = try_resume(store, spec, &mut sim);
+    if let Some(writer) = ctl.ckpt {
+        // Nothing of an earlier run of this id may land under the load.
+        writer.settle(&spec.id);
+        steps_run = try_resume(writer.store(), spec, &mut sim);
     }
     let mut aborted = false;
     let mut deadline = None;
@@ -435,7 +447,7 @@ pub fn run_job(spec: &JobSpec, outbox: &Outbox, ctl: &RunCtl) -> JobOutcome {
         if let Some(hb) = ctl.heartbeat {
             hb.fetch_add(1, Ordering::SeqCst);
         }
-        if let Some(store) = ctl.store {
+        if let Some(writer) = ctl.ckpt {
             let forced = ctl
                 .force_ckpt
                 .is_some_and(|f| f.swap(false, Ordering::SeqCst));
@@ -445,7 +457,7 @@ pub fn run_job(spec: &JobSpec, outbox: &Outbox, ctl: &RunCtl) -> JobOutcome {
                 && steps_run < spec.steps
                 && !stopped
             {
-                save_checkpoint(store, spec, &sim);
+                writer.submit(&spec.id, job_snapshot(spec, &sim));
             }
         }
         if let Some(out) = outbox {
@@ -479,17 +491,22 @@ pub fn run_job(spec: &JobSpec, outbox: &Outbox, ctl: &RunCtl) -> JobOutcome {
     } else {
         JobStatus::Done
     };
-    if let Some(store) = ctl.store {
+    if let Some(writer) = ctl.ckpt {
+        // Terminal store operations run here, on the worker, after
+        // whatever the writer still had of this job: a cadence snapshot
+        // written later would undo either of them.
+        writer.settle(&spec.id);
         if status == JobStatus::Done {
-            // Terminal: the digest is journaled, the snapshot has served
-            // its purpose. Leaving it would let a later resume of the
-            // same id silently re-run from mid-trajectory.
-            store.remove(&spec.id);
+            // The digest is journaled, the snapshot has served its
+            // purpose. Leaving it would let a later resume of the same id
+            // silently re-run from mid-trajectory.
+            writer.store().remove(&spec.id);
         } else {
             // Aborted or deadline: persist the exact step-boundary state
             // so the next incarnation (journal replay or `resume` verb)
-            // continues instead of recomputing from step 0.
-            save_checkpoint(store, spec, &sim);
+            // continues instead of recomputing from step 0 — durably,
+            // before the outcome is reported or journaled.
+            save_snapshot(writer.store(), &spec.id, &job_snapshot(spec, &sim));
         }
     }
     let digest = if status == JobStatus::Done {
@@ -561,21 +578,166 @@ fn try_resume(store: &SnapshotStore, spec: &JobSpec, sim: &mut Simulation) -> us
     }
 }
 
-/// Durably snapshots `sim` under the job id, embedding the job-spec JSON
-/// so the snapshot is self-contained for the `resume` wire verb. Uses the
-/// guard's own step counter, not the chunk loop's tally — a deadline can
-/// stop a chunk early, and recording too many steps would make the
-/// resumed trajectory diverge. Failures are logged and counted by the
-/// store (`survivability.checkpoint_save_failures`), never fatal: a job
-/// must not die because its checkpoint could not be written.
-fn save_checkpoint(store: &SnapshotStore, spec: &JobSpec, sim: &Simulation) {
+/// The job's state as a snapshot, embedding the job-spec JSON so that it
+/// is self-contained for the `resume` wire verb. Uses the guard's own step
+/// counter, not the chunk loop's tally — a deadline can stop a chunk
+/// early, and recording too many steps would make the resumed trajectory
+/// diverge.
+fn job_snapshot(spec: &JobSpec, sim: &Simulation) -> Snapshot {
     let mut snap = sim.snapshot(&spec.config, sim.guarded_steps() as u64);
     snap.meta = Some(spec.to_json().to_string());
-    if let Err(e) = store.save(&spec.id, &snap) {
-        eprintln!(
-            "limpet-serve: checkpoint: save for job {} failed: {e}",
-            spec.id
-        );
+    snap
+}
+
+/// Durably saves a job's snapshot — the one call both the writer thread
+/// and a terminating worker make. Failures are logged and counted by the
+/// store (`survivability.checkpoint_save_failures`), never fatal: a job
+/// must not die because its checkpoint could not be written.
+fn save_snapshot(store: &SnapshotStore, id: &str, snap: &Snapshot) {
+    if let Err(e) = store.save(id, snap) {
+        eprintln!("limpet-serve: checkpoint: save for job {id} failed: {e}");
+    }
+}
+
+/// What the writer thread and the workers share.
+#[derive(Debug, Default)]
+struct WriterQueue {
+    /// At most one snapshot per job id, in the order the ids first asked.
+    pending: VecDeque<(String, Snapshot)>,
+    /// The job whose snapshot is being written right now.
+    writing: Option<String>,
+    /// Set by [`CheckpointWriter::shutdown`]: exit once `pending` is empty.
+    stop: bool,
+}
+
+#[derive(Debug)]
+struct WriterShared {
+    store: Arc<SnapshotStore>,
+    queue: Mutex<WriterQueue>,
+    /// Signalled when a snapshot arrives or `stop` is set (the writer
+    /// waits for those) and when a write ends ([`CheckpointWriter::settle`]
+    /// waits for that).
+    changed: Condvar,
+    superseded: AtomicU64,
+}
+
+impl WriterShared {
+    fn lock(&self) -> std::sync::MutexGuard<'_, WriterQueue> {
+        // Every update of the queue is a single push, pop or assignment.
+        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn write_until_stopped(&self) {
+        let mut queue = self.lock();
+        loop {
+            if let Some((id, snap)) = queue.pending.pop_front() {
+                queue.writing = Some(id.clone());
+                drop(queue);
+                save_snapshot(&self.store, &id, &snap);
+                queue = self.lock();
+                queue.writing = None;
+                self.changed.notify_all();
+            } else if queue.stop {
+                return;
+            } else {
+                queue = self.changed.wait(queue).unwrap_or_else(|p| p.into_inner());
+            }
+        }
+    }
+}
+
+/// The one thread that writes cadence checkpoints, so that no worker
+/// waits for the disk between two chunks. It holds at most one snapshot
+/// per job: a newer one replaces an unwritten older one (counted as
+/// superseded — the file it would have made would have been replaced by
+/// the newer one's anyway). Writing is the unchanged
+/// [`SnapshotStore::save`], every flush included; what a job can resume
+/// from after a crash is the newest snapshot whose write had finished.
+#[derive(Debug)]
+pub struct CheckpointWriter {
+    shared: Arc<WriterShared>,
+    /// Taken by [`CheckpointWriter::shutdown`].
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl CheckpointWriter {
+    /// Starts the writer thread over `store`.
+    pub fn new(store: Arc<SnapshotStore>) -> CheckpointWriter {
+        let shared = Arc::new(WriterShared {
+            store,
+            queue: Mutex::default(),
+            changed: Condvar::new(),
+            superseded: AtomicU64::new(0),
+        });
+        let sh = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("limpet-ckpt-writer".into())
+            .spawn(move || sh.write_until_stopped())
+            .expect("spawning the checkpoint writer thread");
+        CheckpointWriter {
+            shared,
+            thread: Mutex::new(Some(thread)),
+        }
+    }
+
+    /// The store this writer saves into.
+    pub fn store(&self) -> &SnapshotStore {
+        &self.shared.store
+    }
+
+    /// Leaves `snap` to be written as job `id`'s checkpoint, replacing a
+    /// snapshot of the same job that is still waiting.
+    pub fn submit(&self, id: &str, snap: Snapshot) {
+        let mut queue = self.shared.lock();
+        match queue.pending.iter_mut().find(|(held, _)| held == id) {
+            Some((_, held)) => {
+                *held = snap;
+                self.shared.superseded.fetch_add(1, Ordering::Relaxed);
+            }
+            None => queue.pending.push_back((id.to_owned(), snap)),
+        }
+        self.shared.changed.notify_all();
+    }
+
+    /// Makes the writer done with job `id`: a snapshot still waiting is
+    /// dropped (superseded by what the caller does next), a write in
+    /// flight is waited for. After this returns, nothing the writer was
+    /// given for `id` before the call can reach the store.
+    pub fn settle(&self, id: &str) {
+        let mut queue = self.shared.lock();
+        let before = queue.pending.len();
+        queue.pending.retain(|(held, _)| held != id);
+        if queue.pending.len() < before {
+            self.shared.superseded.fetch_add(1, Ordering::Relaxed);
+        }
+        while queue.writing.as_deref() == Some(id) {
+            queue = self
+                .shared
+                .changed
+                .wait(queue)
+                .unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    /// Snapshots dropped unwritten because a newer state of their job
+    /// took their place (monotonic).
+    pub fn superseded(&self) -> u64 {
+        self.shared.superseded.load(Ordering::Relaxed)
+    }
+
+    /// Writes what is still waiting, then stops and joins the thread
+    /// (once; later calls find it gone).
+    ///
+    /// # Panics
+    ///
+    /// With the writer thread's panic, if it had one.
+    pub fn shutdown(&self) {
+        self.shared.lock().stop = true;
+        self.shared.changed.notify_all();
+        let thread = self.thread.lock().unwrap_or_else(|p| p.into_inner()).take();
+        if let Some(Err(panic)) = thread.map(JoinHandle::join) {
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 
@@ -610,8 +772,9 @@ pub struct PoolConfig {
     /// watchdog entirely (then a non-cooperative worker is never
     /// reclaimed — tests and embedded pools only).
     pub watchdog: Option<Duration>,
-    /// Durable snapshot store shared by every worker; `None` disables
-    /// checkpointing (jobs always start from step 0).
+    /// Durable snapshot store, written through the pool's one
+    /// [`CheckpointWriter`]; `None` disables checkpointing (jobs always
+    /// start from step 0).
     pub snapshot_store: Option<Arc<SnapshotStore>>,
     /// Checkpoint cadence: snapshot every N completed chunks (plus on
     /// abort/deadline and on a `checkpoint` request). 0 is treated as 1.
@@ -673,7 +836,8 @@ struct PoolShared {
     /// quarantine.
     on_stall: StallHook,
     default_deadline_ms: Option<u64>,
-    snapshots: Option<Arc<SnapshotStore>>,
+    /// The checkpoint writer over the configured snapshot store.
+    ckpt: Option<CheckpointWriter>,
     ckpt_every: usize,
     /// `(handle, wedged)` for every thread ever spawned; wedged threads
     /// are left behind (not joined) at shutdown.
@@ -721,7 +885,7 @@ fn spawn_worker(shared: &Arc<PoolShared>, i: usize) {
                         abort: Some(&sh.abort),
                         token: Some(&token),
                         heartbeat: Some(&heartbeat),
-                        store: sh.snapshots.as_deref(),
+                        ckpt: sh.ckpt.as_ref(),
                         ckpt_every: sh.ckpt_every,
                         force_ckpt: Some(&force_ckpt),
                     },
@@ -860,6 +1024,16 @@ impl CheckpointRequester {
     pub fn request(&self, id: &str) -> bool {
         request_checkpoint_in(&self.shared, id)
     }
+
+    /// Cadence snapshots the pool's checkpoint writer dropped unwritten
+    /// because a newer state of the same job (a later snapshot, or its
+    /// terminal save or removal) took their place.
+    pub fn superseded(&self) -> u64 {
+        self.shared
+            .ckpt
+            .as_ref()
+            .map_or(0, CheckpointWriter::superseded)
+    }
 }
 
 /// A fixed-size worker pool draining a shared bounded job queue, with an
@@ -897,7 +1071,7 @@ impl Pool {
             on_done: Arc::new(on_done),
             on_stall: Arc::new(on_stall),
             default_deadline_ms: config.default_deadline_ms,
-            snapshots: config.snapshot_store.clone(),
+            ckpt: config.snapshot_store.clone().map(CheckpointWriter::new),
             ckpt_every: config.checkpoint_every_chunks.max(1),
             threads: Mutex::new(Vec::new()),
             watchdog_stop: AtomicBool::new(false),
@@ -996,6 +1170,11 @@ impl Pool {
             } else {
                 let _ = handle.join();
             }
+        }
+        // Every joined worker settled its last job, so the writer has
+        // nothing left; what a wedged one hands in later is never written.
+        if let Some(writer) = &self.shared.ckpt {
+            writer.shutdown();
         }
     }
 }
@@ -1160,7 +1339,8 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SnapshotStore::new(&dir).unwrap();
+        let writer = CheckpointWriter::new(Arc::new(SnapshotStore::new(&dir).unwrap()));
+        let store = writer.store();
         let s = spec("ck", "HodgkinHuxley", "baseline", 16, 40);
 
         let clean = run_job(
@@ -1184,7 +1364,7 @@ mod tests {
             &s,
             &Some(Arc::clone(&outbox)),
             &RunCtl {
-                store: Some(&store),
+                ckpt: Some(&writer),
                 ..RunCtl::default()
             },
         );
@@ -1198,7 +1378,7 @@ mod tests {
             &s,
             &None,
             &RunCtl {
-                store: Some(&store),
+                ckpt: Some(&writer),
                 ..RunCtl::default()
             },
         );
@@ -1214,6 +1394,300 @@ mod tests {
         );
         assert!(!store.has("ck"), "done must remove the snapshot");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<SnapshotStore>) {
+        let dir = std::env::temp_dir().join(format!("limpet-sched-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(SnapshotStore::new(&dir).unwrap());
+        (dir, store)
+    }
+
+    /// A snapshot of `words` state words that says it was taken at `step`.
+    fn snapshot_at(step: u64, words: usize) -> Snapshot {
+        Snapshot {
+            model: "m".into(),
+            config: "baseline".into(),
+            n_cells: 1,
+            dt_bits: 0.01f64.to_bits(),
+            t_bits: 0,
+            steps_done: step,
+            tier: "optimized".into(),
+            executed_steps: step,
+            nan_plan: None,
+            shards: Vec::new(),
+            meta: None,
+            state: vec![step; words],
+        }
+    }
+
+    /// Three snapshots of one job, the second and third arriving while the
+    /// first is being written: the first and the third reach the disk, in
+    /// that order, and the second is counted, not written.
+    #[test]
+    fn writer_keeps_only_the_newest_snapshot_behind_a_write_in_flight() {
+        let (dir, store) = temp_store("newest-wins");
+        let writer = CheckpointWriter::new(Arc::clone(&store));
+        // The premise — both submits land while the first write is still
+        // in flight — is checked, not assumed: a first snapshot large
+        // enough to take milliseconds makes it hold, and an attempt in
+        // which it did not is repeated under another id.
+        let id = (0..20)
+            .map(|attempt| format!("job-{attempt}"))
+            .find(|id| {
+                let writing = || writer.shared.lock().writing.as_deref() == Some(id);
+                writer.submit(id, snapshot_at(1, 1 << 20));
+                while !writing() {
+                    if writer.shared.lock().pending.is_empty() {
+                        return false;
+                    }
+                    std::thread::yield_now();
+                }
+                let superseded = writer.superseded();
+                writer.submit(id, snapshot_at(2, 8));
+                writer.submit(id, snapshot_at(3, 8));
+                let held = writing();
+                assert_eq!(writer.superseded() - superseded, 1, "2 replaced by 3");
+                held
+            })
+            .expect("in twenty attempts a 8 MiB write never outlasted two submits");
+        writer.shutdown();
+        let steps_at = |path: std::path::PathBuf| {
+            Snapshot::decode(&std::fs::read(path).unwrap())
+                .unwrap()
+                .steps_done
+        };
+        assert_eq!(steps_at(store.path_for(&id)), 3, "the newest is current");
+        assert_eq!(
+            steps_at(store.prev_path_for(&id)),
+            1,
+            "the first came first"
+        );
+        assert_eq!(store.stats().save_failed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `settle` is what orders a worker's terminal store operation after
+    /// the writer: it drops what waits, and waits for what is being
+    /// written — after it, a `remove` stays removed.
+    #[test]
+    fn settle_then_remove_leaves_no_file_whatever_the_writer_held() {
+        let (dir, store) = temp_store("settle");
+        let writer = CheckpointWriter::new(Arc::clone(&store));
+        for i in 0..400u64 {
+            let id = format!("job-{}", i % 3);
+            // One, two or three snapshots in a row, so that settle finds
+            // the writer idle, writing, or writing with one waiting.
+            for k in 0..=i % 3 {
+                writer.submit(&id, snapshot_at(i + k, 64));
+            }
+            writer.settle(&id);
+            store.remove(&id);
+            assert!(!store.has(&id), "round {i}");
+        }
+        writer.shutdown();
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(left, 0, "no snapshot, no staging file");
+        let stats = store.stats();
+        assert_eq!(stats.save_failed, 0);
+        // Every snapshot taken was either written or counted.
+        let taken: u64 = (0..400u64).map(|i| 1 + i % 3).sum();
+        assert_eq!(stats.saved + writer.superseded(), taken);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two workers, 600 short jobs that each leave cadence snapshots with
+    /// the writer right up to their last chunk: once a job is `Done`, no
+    /// file of its id exists, and none appears afterwards.
+    #[test]
+    fn done_jobs_leave_no_snapshot_behind_the_writer() {
+        let (dir, store) = temp_store("done-removes");
+        let checked = Arc::new(AtomicU64::new(0));
+        let (store2, checked2) = (Arc::clone(&store), Arc::clone(&checked));
+        let pool = Pool::new(
+            PoolConfig {
+                workers: 2,
+                queue_cap: 8,
+                snapshot_store: Some(Arc::clone(&store)),
+                ..PoolConfig::default()
+            },
+            move |spec, outcome| {
+                assert_eq!(outcome.status, JobStatus::Done);
+                assert!(!store2.has(&spec.id), "{} done but on disk", spec.id);
+                checked2.fetch_add(1, Ordering::SeqCst);
+            },
+            |_, _| {},
+        );
+        for i in 0..600 {
+            let mut s = spec(&format!("j{i}"), "HodgkinHuxley", "baseline", 2, 6);
+            s.chunk = 2;
+            pool.submit(QueuedJob {
+                spec: s,
+                outbox: None,
+            })
+            .unwrap();
+        }
+        let superseded = pool.checkpoint_requester();
+        pool.shutdown(true);
+        assert_eq!(checked.load(Ordering::SeqCst), 600);
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(left, 0, "a write landed after its job's removal");
+        // Two cadence boundaries per job (the last chunk takes none).
+        let stats = store.stats();
+        assert_eq!(stats.saved + superseded.superseded(), 1200);
+        assert_eq!(stats.save_failed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job that ends on its deadline has its snapshot on disk when
+    /// `run_job` returns — the terminal one, not an older cadence one the
+    /// writer got to first — and nothing is written over it afterwards.
+    #[test]
+    fn deadline_snapshot_is_durable_and_final_when_run_job_returns() {
+        let _guard = TEST_SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        faults::disarm_all();
+        let (dir, store) = temp_store("deadline");
+        let writer = CheckpointWriter::new(Arc::clone(&store));
+        let mut s = spec("dl", "HodgkinHuxley", "baseline", 8, 2_000_000);
+        s.chunk = 16;
+        let token = CancelToken::with_budget(Duration::from_millis(30));
+        let ctl = RunCtl {
+            token: Some(&token),
+            ckpt: Some(&writer),
+            ..RunCtl::default()
+        };
+        let out = run_job(&s, &None, &ctl);
+        assert_eq!(out.status, JobStatus::Deadline);
+        let on_return = store.load("dl").snapshot.expect("durable on return");
+        // The guard's own count: the job's tally includes the whole of
+        // the chunk the deadline cut short.
+        let steps = on_return.steps_done as usize;
+        assert!(
+            steps < out.steps_run && steps + s.chunk >= out.steps_run,
+            "snapshot at {steps}, job says {}",
+            out.steps_run
+        );
+        writer.shutdown();
+        let later = store.load("dl").snapshot.expect("still there");
+        assert_eq!(
+            later, on_return,
+            "a cadence snapshot landed after the final one"
+        );
+
+        // And it is the state after exactly that many steps: a run over it
+        // ends on the digest of an uninterrupted one.
+        s.steps = steps + 40;
+        let writer = CheckpointWriter::new(Arc::clone(&store));
+        let ctl = RunCtl {
+            ckpt: Some(&writer),
+            ..RunCtl::default()
+        };
+        let resumed = run_job(&s, &None, &ctl);
+        let mut clean = s.clone();
+        clean.id = "dl-ref".into();
+        let clean = run_job(&clean, &None, &RunCtl::default());
+        assert_eq!(resumed.status, JobStatus::Done);
+        assert_eq!(resumed.digest, clean.digest);
+        assert!(store.stats().loaded_current >= 1, "resumed, not re-run");
+        writer.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store that cannot be written to (its directory is gone — this
+    /// suite runs as root, which a read-only mode does not stop) costs a
+    /// job its checkpoints, counted, and nothing else.
+    #[test]
+    fn unwritable_store_counts_failures_and_the_job_still_finishes() {
+        let (dir, store) = temp_store("unwritable");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let writer = CheckpointWriter::new(Arc::clone(&store));
+        let ctl = RunCtl {
+            ckpt: Some(&writer),
+            ..RunCtl::default()
+        };
+        // A reader that takes an event only once the writer is idle, on an
+        // outbox of one: the job cannot outrun every one of its writes.
+        let outbox = Arc::new(crate::queue::Bounded::new(1));
+        let (events, shared) = (Arc::clone(&outbox), Arc::clone(&writer.shared));
+        let reader = std::thread::spawn(move || loop {
+            let queue = shared.lock();
+            let idle = queue.pending.is_empty() && queue.writing.is_none();
+            drop(queue);
+            if !idle {
+                std::thread::yield_now();
+            } else if events.pop().is_none() {
+                return;
+            }
+        });
+        let job = spec("u", "HodgkinHuxley", "baseline", 32, 40);
+        let out = run_job(&job, &Some(Arc::clone(&outbox)), &ctl);
+        outbox.close();
+        reader.join().unwrap();
+        let clean = run_job(
+            &spec("u-ref", "HodgkinHuxley", "baseline", 32, 40),
+            &None,
+            &RunCtl::default(),
+        );
+        assert_eq!(out.status, JobStatus::Done);
+        assert_eq!(out.digest, clean.digest);
+        writer.shutdown();
+        // Four cadence boundaries before the last chunk.
+        let stats = store.stats();
+        assert_eq!(stats.saved, 0);
+        assert_eq!(stats.save_failed + writer.superseded(), 4);
+        assert!(stats.save_failed >= 1);
+    }
+
+    /// Shutdown joins the writer with nothing left to write — draining,
+    /// and not: jobs aborted by a hard stop have saved their own snapshot.
+    #[test]
+    fn pool_shutdown_joins_the_writer_with_nothing_pending() {
+        for drain in [true, false] {
+            let (dir, store) = temp_store(if drain { "drain" } else { "no-drain" });
+            let outcomes: Arc<Mutex<Vec<JobOutcome>>> = Arc::default();
+            let outcomes2 = Arc::clone(&outcomes);
+            let pool = Pool::new(
+                PoolConfig {
+                    workers: 2,
+                    queue_cap: 8,
+                    snapshot_store: Some(Arc::clone(&store)),
+                    ..PoolConfig::default()
+                },
+                move |_, outcome| outcomes2.lock().unwrap().push(outcome.clone()),
+                |_, _| {},
+            );
+            for i in 0..6 {
+                pool.submit(QueuedJob {
+                    spec: spec(&format!("s{i}"), "HodgkinHuxley", "baseline", 64, 4000),
+                    outbox: None,
+                })
+                .unwrap();
+            }
+            let shared = Arc::clone(&pool.shared);
+            pool.shutdown(drain);
+            let writer = shared.ckpt.as_ref().unwrap();
+            assert!(writer.thread.lock().unwrap().is_none(), "joined");
+            let queue = writer.shared.lock();
+            assert!(queue.pending.is_empty() && queue.writing.is_none());
+            drop(queue);
+            let outcomes = outcomes.lock().unwrap();
+            assert_eq!(outcomes.len(), 6);
+            for out in outcomes.iter() {
+                match out.status {
+                    JobStatus::Done => assert!(!store.has(&out.id), "{}", out.id),
+                    JobStatus::Aborted if out.tier.is_some() => {
+                        let snap = store.load(&out.id).snapshot.expect("aborted jobs resume");
+                        assert_eq!(snap.steps_done as usize, out.steps_run, "{}", out.id);
+                    }
+                    other => panic!("{}: {other:?}", out.id),
+                }
+            }
+            if drain {
+                assert!(outcomes.iter().all(|o| o.status == JobStatus::Done));
+            }
+            assert_eq!(store.stats().save_failed, 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //! `run_job` restores the job's latest durable mid-trajectory checkpoint
 //! and continues from its recorded step. Jobs are deterministic and
 //! checkpoints are bit-exact, so either way the resumed run produces the
-//! same digest the uninterrupted run would have.
+//! same digest the uninterrupted run would have. Cadence checkpoints are
+//! written by the pool's checkpoint-writer thread, not by the workers, so
+//! "latest durable" is the newest snapshot whose write had finished when
+//! the daemon died — `survivability.checkpoints` counts those, and
+//! `checkpoints_superseded` the snapshots a newer one overtook unwritten.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -199,7 +203,7 @@ impl ServerState {
         self.record_result(outcome.clone());
     }
 
-    fn stats_json(&self, queued: usize) -> Json {
+    fn stats_json(&self, queued: usize, ckpt_superseded: u64) -> Json {
         let cache = KernelCache::global();
         let cache_stats = Json::parse(&cache.stats().to_json()).unwrap_or(Json::Null);
         let incidents = Json::parse(&limpet_harness::incidents_json(&cache.incidents()))
@@ -232,7 +236,7 @@ impl ServerState {
                     ("reference", c.tier_reference.load(Ordering::SeqCst).into()),
                 ]),
             ),
-            ("survivability", self.survivability_json()),
+            ("survivability", self.survivability_json(ckpt_superseded)),
             ("cache", cache_stats),
             ("incidents", incidents),
             ("tenants", self.ledger.usage_json()),
@@ -242,10 +246,14 @@ impl ServerState {
     /// The deadline/watchdog/checkpoint health block shared by `stats`
     /// and `health`: how often the daemon had to defend itself, and how
     /// often the snapshot store let work survive — or, under
-    /// `checkpoint_save_failures`, could not be written to. `resumes` counts
-    /// successful snapshot loads (journal replay, the `resume` verb, and
-    /// client reconnects all go through the same store).
-    fn survivability_json(&self) -> Json {
+    /// `checkpoint_save_failures`, could not be written to. `checkpoints`
+    /// counts snapshots durably saved; `checkpoints_superseded` (the
+    /// pool's count, passed in) those the checkpoint writer dropped
+    /// unwritten for a newer state of the same job — together, the
+    /// snapshots taken. `resumes` counts successful snapshot loads
+    /// (journal replay, the `resume` verb, and client reconnects all go
+    /// through the same store).
+    fn survivability_json(&self, ckpt_superseded: u64) -> Json {
         let c = &self.counters;
         let ck = self
             .snapshots
@@ -263,6 +271,7 @@ impl ServerState {
                 c.workers_respawned.load(Ordering::SeqCst).into(),
             ),
             ("checkpoints", ck.saved.into()),
+            ("checkpoints_superseded", ckpt_superseded.into()),
             ("checkpoint_save_failures", ck.save_failed.into()),
             ("resumes", (ck.loaded_current + ck.loaded_previous).into()),
             ("checkpoint_rejects", ck.rejected_total().into()),
@@ -572,6 +581,10 @@ impl PoolHandle {
     fn queued(&self) -> usize {
         self.queue.len()
     }
+
+    fn checkpoints_superseded(&self) -> u64 {
+        self.ckpt.superseded()
+    }
 }
 
 /// Replays journal lines into the list of jobs to resume: every
@@ -756,9 +769,12 @@ fn dispatch(
             ("status", Json::str("ok")),
             ("uptime_s", state.started.elapsed().as_secs_f64().into()),
             ("active", state.ledger.total_active().into()),
-            ("survivability", state.survivability_json()),
+            (
+                "survivability",
+                state.survivability_json(pool.checkpoints_superseded()),
+            ),
         ])),
-        "stats" => Some(state.stats_json(pool.queued())),
+        "stats" => Some(state.stats_json(pool.queued(), pool.checkpoints_superseded())),
         "result" => {
             let id = v.get("id").and_then(Json::as_str).unwrap_or("");
             let guard = state.results.lock().unwrap_or_else(|p| p.into_inner());
@@ -784,7 +800,8 @@ fn dispatch(
             };
             // `active` — the owning worker will snapshot at its next
             // chunk boundary; `snapshot` — a durable snapshot already
-            // exists right now (an earlier cadence save).
+            // exists right now (an earlier cadence save whose write has
+            // finished).
             let active = pool.ckpt.request(id);
             Some(Json::obj(vec![
                 ("event", Json::str("checkpoint")),
@@ -950,7 +967,7 @@ mod tests {
         state.counters.watchdog_stalls.store(2, Ordering::SeqCst);
         state.counters.workers_respawned.store(2, Ordering::SeqCst);
 
-        let stats = state.stats_json(7);
+        let stats = state.stats_json(7, 5);
         for key in [
             "event",
             "uptime_s",
@@ -982,7 +999,7 @@ mod tests {
         let rendered = surv.to_string();
         assert_eq!(
             rendered,
-            r#"{"checkpoint_rejects":0,"checkpoint_restarts":0,"checkpoint_save_failures":0,"checkpoints":0,"deadlines":3,"resumes":0,"watchdog_stalls":2,"workers_respawned":2}"#,
+            r#"{"checkpoint_rejects":0,"checkpoint_restarts":0,"checkpoint_save_failures":0,"checkpoints":0,"checkpoints_superseded":5,"deadlines":3,"resumes":0,"watchdog_stalls":2,"workers_respawned":2}"#,
             "survivability block shape drifted"
         );
     }

@@ -35,13 +35,31 @@ pub enum StateLayout {
 /// s.set(3, 1, -20.0);
 /// assert_eq!(s.get(3, 1), -20.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CellStates {
     n_cells: usize,
     padded: usize,
     n_vars: usize,
     layout: StateLayout,
     data: Vec<f64>,
+}
+
+impl Clone for CellStates {
+    fn clone(&self) -> CellStates {
+        CellStates {
+            data: self.data.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into the storage `self` already has (the derived
+    /// `clone_from` would allocate a new vector): what lets a rollback
+    /// point be refreshed without allocating.
+    fn clone_from(&mut self, source: &CellStates) {
+        let data = std::mem::take(&mut self.data);
+        *self = CellStates { data, ..*source };
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl CellStates {
@@ -237,11 +255,28 @@ impl CellStates {
 /// e.set(2, 0, -60.0);
 /// assert_eq!(e.get(2, 0), -60.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ExtArrays {
     n_cells: usize,
     padded: usize,
     arrays: Vec<Vec<f64>>,
+}
+
+impl Clone for ExtArrays {
+    fn clone(&self) -> ExtArrays {
+        ExtArrays {
+            arrays: self.arrays.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies array by array into the storage `self` already has (see
+    /// [`CellStates::clone_from`]).
+    fn clone_from(&mut self, source: &ExtArrays) {
+        let arrays = std::mem::take(&mut self.arrays);
+        *self = ExtArrays { arrays, ..*source };
+        self.arrays.clone_from(&source.arrays);
+    }
 }
 
 impl ExtArrays {
@@ -386,6 +421,35 @@ mod tests {
         let mut out = [0.0; 8];
         e.load_block(0, 0, &mut out);
         assert_eq!(out, vals);
+    }
+
+    #[test]
+    fn clone_from_copies_everything_into_the_storage_it_has() {
+        let mut s = CellStates::new(12, &[1.0, 2.0], StateLayout::AoSoA { block: 8 });
+        s.set(3, 1, -7.0);
+        let mut e = ExtArrays::new(12, &[-85.0, 0.0]);
+        e.set(11, 1, 4.0);
+        let (mut s2, mut e2) = (s.clone(), e.clone());
+        let at = (
+            s2.raw().as_ptr(),
+            e2.array(0).as_ptr(),
+            e2.array(1).as_ptr(),
+        );
+        s.set(5, 0, 9.0);
+        e.set(0, 0, -60.0);
+        s2.clone_from(&s);
+        e2.clone_from(&e);
+        assert_eq!((&s2, &e2), (&s, &e));
+        let now = (
+            s2.raw().as_ptr(),
+            e2.array(0).as_ptr(),
+            e2.array(1).as_ptr(),
+        );
+        assert_eq!(now, at, "reallocated");
+        // Another shape: everything follows the source, lengths included.
+        let other = CellStates::new(40, &[0.5; 3], StateLayout::Aos);
+        s2.clone_from(&other);
+        assert_eq!(s2, other);
     }
 
     /// Every length (so one block and a whole four-block register of every

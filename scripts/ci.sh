@@ -592,6 +592,27 @@ else
     ok) echo "LUT vs no-LUT: vm.nolut_over_lut $NOLUT" ;;
   esac
 fi
+# What the health guard adds to a W=8 step as the daemon runs it
+# (`run_guarded` over plain `run`, 8192 cells): 1.44-1.52 with a state
+# clone before every step and a per-cell scan, 1.27 once PR 18 took one
+# rollback point per 32 steps and scanned the raw storage. At the old level
+# the guard is back to costing a daemon job a third of its stepping. Same
+# host rule: the plain step it is a ratio to depends on the step-loop build.
+GUARD=$(metric_value sim.guarded_over_plain "$STEP_OUT")
+[[ $GUARD =~ ^[0-9]+\.?[0-9]*$ ]] \
+  || { echo "health guard: could not read sim.guarded_over_plain ('$GUARD')"; exit 1; }
+if [ "$(host_of "$STEP_OUT")" != "$(host_of BENCH_serve.json)" ]; then
+  echo "health guard: sim.guarded_over_plain $GUARD; BENCH_serve.json is from a different host, skipped"
+else
+  case $(awk -v r="$GUARD" 'BEGIN { print (r >= 1.44) ? "fail" : (r > 1.35) ? "warn" : "ok" }') in
+    fail)
+      echo "health guard: sim.guarded_over_plain $GUARD is at the per-step-clone level (>= 1.44)"
+      exit 1
+      ;;
+    warn) echo "health guard: WARNING sim.guarded_over_plain $GUARD is above 1.35" ;;
+    ok) echo "health guard: sim.guarded_over_plain $GUARD" ;;
+  esac
+fi
 rm -f "$STEP_OUT"
 
 echo "==> limpet-perf ckpt_resume (resume equals the uninterrupted twin, save time vs BENCH_checkpoint.json)"
@@ -605,6 +626,17 @@ bash limpet-perf/run.sh --workload ckpt_resume --seconds 10 --trace 0 --out "$CK
 CKPT_MS=$(metric_value primary_ms "$CKPT_RUN")
 hold_ms "checkpoint save" "$CKPT_MS" "$CKPT_RUN" BENCH_checkpoint.json
 rm -f "$CKPT_RUN"
+
+echo "==> limpet-perf serve_closed (golden digests through the wire, daemon job time vs BENCH_serve.json)"
+# One untraced run of the daemon workload. A non-zero exit is a refused or
+# failed job or a digest off the wire that differs from `figures --digest`.
+# Its geomean over the roster job kinds of the median submit-to-done time is
+# held against the change row of BENCH_serve.json by the same rule.
+SERVE_RUN=$(mktemp)
+bash limpet-perf/run.sh --workload serve_closed --seconds 10 --trace 0 --out "$SERVE_RUN" > /dev/null
+SERVE_MS=$(metric_value primary_ms "$SERVE_RUN")
+hold_ms "daemon job" "$SERVE_MS" "$SERVE_RUN" BENCH_serve.json
+rm -f "$SERVE_RUN"
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
