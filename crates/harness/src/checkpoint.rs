@@ -282,7 +282,7 @@ fn hex16(token: &str) -> Option<u64> {
 }
 
 /// Splits the next `\n`-terminated text line off the front of `rest`.
-fn take_line<'a>(rest: &mut &'a [u8]) -> Option<&'a str> {
+pub(crate) fn take_line<'a>(rest: &mut &'a [u8]) -> Option<&'a str> {
     let nl = rest.iter().position(|&b| b == b'\n')?;
     let line = std::str::from_utf8(&rest[..nl]).ok()?;
     *rest = &rest[nl + 1..];

@@ -3,11 +3,11 @@
 //!
 //! [`crate::KernelCache`] is process-lifetime only — every `figures`
 //! invocation used to recompile the full roster from scratch. [`DiskCache`]
-//! persists each compiled kernel through the textual round-trips the
-//! compiler already owns (IR via [`limpet_ir::print_module`], bytecode and
-//! LUTs via [`limpet_vm::serialize_program`] / [`limpet_vm::serialize_luts`])
-//! so a later process can reload the *identical* compilation and produce
-//! bit-identical trajectories.
+//! persists each compiled kernel through the round-trips the compiler
+//! already owns (IR text via [`limpet_ir::print_module`], bytecode text via
+//! [`limpet_vm::serialize_program`], the lookup tables as bytes via
+//! [`limpet_vm::encode_luts`]) so a later process can reload the
+//! *identical* compilation and produce bit-identical trajectories.
 //!
 //! Crash-safety and integrity rules, in order of enforcement on load:
 //!
@@ -35,6 +35,7 @@
 //! not mocks, exercise those paths.
 
 use crate::cache::{model_fingerprint, CompiledKernel};
+use crate::checkpoint::take_line;
 use crate::checksum::{fnv1a, payload_sum};
 use crate::faults::{self, FaultKind};
 use crate::sim::{model_info, storage_layout, PipelineKind};
@@ -52,7 +53,7 @@ use std::time::{Duration, Instant, SystemTime};
 /// Version of the on-disk entry envelope (header + section framing). Bump
 /// on any layout change; old entries are then rejected as stale and
 /// recompiled rather than misparsed.
-pub const ENTRY_FORMAT_VERSION: u32 = 2;
+pub const ENTRY_FORMAT_VERSION: u32 = 3;
 
 /// First token of every entry file; anything else is not ours.
 const MAGIC: &str = "limpet-kernel-cache";
@@ -63,8 +64,12 @@ pub const NATIVE_CONTAINER_VERSION: u32 = 2;
 /// First token of every native container file.
 const NATIVE_MAGIC: &str = "limpet-native-cache";
 
-/// Default size cap: 512 MiB, far above a full-roster footprint, so
-/// eviction only triggers when a user points many big runs at one dir.
+/// Default size cap: 512 MiB. It must hold what one run stores, or the run
+/// evicts its own entries while writing them: the largest is `figures`'
+/// full precompile, 43 models × 16 configurations = 688 entries, 393 MiB
+/// in entry format 3 (803 MiB in format 2, which evicted 455 of them;
+/// `scripts/ci.sh` holds "688 writes, 0 evicted"). A roster under two
+/// configurations is 72 MiB.
 pub const DEFAULT_CAP_BYTES: u64 = 512 * 1024 * 1024;
 
 /// A lock file older than this is considered abandoned by a crashed
@@ -167,6 +172,9 @@ pub struct DiskStats {
     pub writes: u64,
     /// Entries removed by the LRU size-cap sweep.
     pub evictions: u64,
+    /// Staging files of killed writers removed (see
+    /// [`DiskCache::store`]).
+    pub orphans_removed: u64,
     /// Stale (crashed-writer) lock files broken.
     pub stale_locks_broken: u64,
     /// Backoff retries spent waiting for the directory lock (each retry
@@ -226,6 +234,23 @@ impl Drop for DirLock {
     }
 }
 
+/// What one walk of the cache directory found.
+#[derive(Debug, Default)]
+struct DirScan {
+    /// `(path, length, mtime)` of every entry (`entry-*.lke`) and native
+    /// container (`native-*.lso`).
+    entries: Vec<(PathBuf, u64, SystemTime)>,
+    /// `(path, mtime)` of every staging file (`<final name>.tmp-<pid>`).
+    staging: Vec<(PathBuf, SystemTime)>,
+}
+
+/// Whether `mtime` lies more than `age` in the past.
+fn older_than(mtime: SystemTime, age: Duration) -> bool {
+    SystemTime::now()
+        .duration_since(mtime)
+        .is_ok_and(|elapsed| elapsed > age)
+}
+
 /// The durable kernel-cache tier: one checksummed file per
 /// `(fingerprint, pipeline, opt)` key under `dir`.
 #[derive(Debug)]
@@ -238,6 +263,7 @@ pub struct DiskCache {
     rejects: AtomicU64,
     writes: AtomicU64,
     evictions: AtomicU64,
+    orphans_removed: AtomicU64,
     stale_locks_broken: AtomicU64,
     lock_retries: AtomicU64,
 }
@@ -266,6 +292,7 @@ impl DiskCache {
             rejects: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            orphans_removed: AtomicU64::new(0),
             stale_locks_broken: AtomicU64::new(0),
             lock_retries: AtomicU64::new(0),
         })
@@ -315,6 +342,7 @@ impl DiskCache {
             rejects: self.rejects.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            orphans_removed: self.orphans_removed.load(Ordering::Relaxed),
             stale_locks_broken: self.stale_locks_broken.load(Ordering::Relaxed),
             lock_retries: self.lock_retries.load(Ordering::Relaxed),
         }
@@ -324,23 +352,45 @@ impl DiskCache {
         self.dir.join(key.file_name())
     }
 
-    fn entry_files(&self) -> io::Result<Vec<(PathBuf, u64, SystemTime)>> {
-        let mut out = Vec::new();
+    /// Walks the cache directory once.
+    fn scan(&self) -> io::Result<DirScan> {
+        let is_entry = |n: &str| {
+            (n.starts_with("entry-") && n.ends_with(".lke"))
+                || (n.starts_with("native-") && n.ends_with(".lso"))
+        };
+        let mut scan = DirScan::default();
         for item in fs::read_dir(&self.dir)? {
             let item = item?;
             let name = item.file_name();
-            let is_entry = name.to_str().is_some_and(|n| {
-                (n.starts_with("entry-") && n.ends_with(".lke"))
-                    || (n.starts_with("native-") && n.ends_with(".lso"))
-            });
-            if !is_entry {
+            let Some(name) = name.to_str() else { continue };
+            let staged_for = name
+                .rsplit_once(".tmp-")
+                .map(|(final_name, _pid)| final_name);
+            if !is_entry(staged_for.unwrap_or(name)) {
                 continue;
             }
             let meta = item.metadata()?;
             let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            out.push((item.path(), meta.len(), mtime));
+            if staged_for.is_some() {
+                scan.staging.push((item.path(), mtime));
+            } else {
+                scan.entries.push((item.path(), meta.len(), mtime));
+            }
         }
-        Ok(out)
+        Ok(scan)
+    }
+
+    /// Removes the staging files a killed writer left behind. Staging
+    /// happens under the directory lock, so to whoever holds the lock a
+    /// staging file older than the stale-lock age is garbage; a younger one
+    /// may belong to a slow writer whose lock was broken under it.
+    fn remove_orphans_locked(&self, staging: &[(PathBuf, SystemTime)]) {
+        let stale_after = Duration::from_millis(self.stale_lock_after_ms.load(Ordering::Relaxed));
+        for (path, mtime) in staging {
+            if older_than(*mtime, stale_after) && fs::remove_file(path).is_ok() {
+                self.orphans_removed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Scans the directory for the `--cache stat` report.
@@ -349,7 +399,7 @@ impl DiskCache {
     ///
     /// Propagates directory-walk I/O errors.
     pub fn status(&self) -> io::Result<DiskCacheStatus> {
-        let files = self.entry_files()?;
+        let files = self.scan()?.entries;
         Ok(DiskCacheStatus {
             entries: files.len(),
             bytes: files.iter().map(|(_, len, _)| len).sum(),
@@ -358,18 +408,20 @@ impl DiskCache {
     }
 
     /// Removes every entry file (the `--cache clear` verb), returning how
-    /// many were removed. Takes the directory lock.
+    /// many were removed, and the orphaned staging files with them. Takes
+    /// the directory lock.
     ///
     /// # Errors
     ///
     /// Returns a description on lock timeout or removal failure.
     pub fn clear(&self) -> Result<usize, String> {
         let _lock = self.acquire_lock()?;
-        let files = self
-            .entry_files()
+        let scan = self
+            .scan()
             .map_err(|e| format!("cannot scan cache dir: {e}"))?;
+        self.remove_orphans_locked(&scan.staging);
         let mut removed = 0;
-        for (path, _, _) in files {
+        for (path, _, _) in scan.entries {
             fs::remove_file(&path).map_err(|e| format!("cannot remove {}: {e}", path.display()))?;
             removed += 1;
         }
@@ -415,9 +467,7 @@ impl DiskCache {
                     // Break locks abandoned by a crashed writer.
                     let stale = fs::metadata(&path)
                         .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
-                        .is_some_and(|age| age > stale_after);
+                        .is_ok_and(|mtime| older_than(mtime, stale_after));
                     if stale && fs::remove_file(&path).is_ok() {
                         self.stale_locks_broken.fetch_add(1, Ordering::Relaxed);
                         continue;
@@ -486,12 +536,15 @@ impl DiskCache {
     /// Evicts least-recently-used entries (by mtime, which loads refresh)
     /// until the directory fits the cap. The just-written entry is
     /// protected so a tiny cap cannot make every store a self-defeating
-    /// write-then-evict.
+    /// write-then-evict. Orphaned staging files go first: they are not
+    /// entries, so nothing else would ever count or remove them.
     fn enforce_cap_locked(&self, protect: &Path) {
         let cap = self.cap_bytes();
-        let Ok(mut files) = self.entry_files() else {
+        let Ok(scan) = self.scan() else {
             return;
         };
+        self.remove_orphans_locked(&scan.staging);
+        let mut files = scan.entries;
         let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
         if total <= cap {
             return;
@@ -720,7 +773,9 @@ fn inject_disk_faults(bytes: &mut Vec<u8>) {
     }
 }
 
-/// Serializes one compiled entry into its on-disk byte form:
+/// Serializes one compiled entry into its on-disk byte form — a header
+/// line, three framed text sections, and the lookup tables as bytes
+/// ([`limpet_vm::encode_luts`], the layout of `.lcp`'s state block):
 ///
 /// ```text
 /// limpet-kernel-cache <entry-ver> <ir-ver> <bc-ver> <fp:016x> <label> <opt> <payload-len> <sum:016x>\n
@@ -728,38 +783,50 @@ fn inject_disk_faults(bytes: &mut Vec<u8>) {
 /// section module <len>\n<IR text>\n
 /// section program.main <len>\n<bytecode text>\n
 /// section program.raw <len>\n<bytecode text>\n
-/// section luts <len>\n<LUT text>\n
+/// luts <count>\n
+/// lut <lo:016x> <hi:016x> <step:016x> <rows> <cols>\n<rows·cols·8 bytes>\n     per table
+/// end\n
 /// ```
+///
+/// One allocation of the final size: the tables are copied into place
+/// once and the checksum patched into the header afterwards.
 fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKernel) -> Vec<u8> {
-    let module_text = limpet_ir::print_module(entry.module());
-    let main_text = limpet_vm::serialize_program(entry.kernel().program());
-    let raw_text = limpet_vm::serialize_program(entry.raw_kernel().program());
-    let luts_text = limpet_vm::serialize_luts(entry.kernel().luts());
-    let mut payload = String::new();
-    let _ = writeln!(payload, "model {model_name}");
+    let mut text = format!("model {model_name}\n");
     for (name, body) in [
-        ("module", &module_text),
-        ("program.main", &main_text),
-        ("program.raw", &raw_text),
-        ("luts", &luts_text),
+        ("module", limpet_ir::print_module(entry.module())),
+        (
+            "program.main",
+            limpet_vm::serialize_program(entry.kernel().program()),
+        ),
+        (
+            "program.raw",
+            limpet_vm::serialize_program(entry.raw_kernel().program()),
+        ),
     ] {
-        let _ = writeln!(payload, "section {name} {}", body.len());
-        payload.push_str(body);
-        payload.push('\n');
+        let _ = writeln!(text, "section {name} {}", body.len());
+        text.push_str(&body);
+        text.push('\n');
     }
-    let payload = payload.into_bytes();
-    let header = format!(
-        "{MAGIC} {ENTRY_FORMAT_VERSION} {} {} {:016x} {} {} {} {:016x}\n",
+    let luts = entry.kernel().luts();
+    let payload_len = text.len() + limpet_vm::encoded_luts_len(luts);
+    let mut out = format!(
+        "{MAGIC} {ENTRY_FORMAT_VERSION} {} {} {:016x} {} {} {payload_len} ",
         limpet_ir::TEXT_FORMAT_VERSION,
         limpet_vm::BYTECODE_FORMAT_VERSION,
         key.fingerprint,
         key.config.label(),
         u8::from(key.opt),
-        payload.len(),
-        payload_sum(&payload),
-    );
-    let mut out = header.into_bytes();
-    out.extend_from_slice(&payload);
+    )
+    .into_bytes();
+    let sum_at = out.len();
+    out.reserve_exact(17 + payload_len);
+    out.extend_from_slice(b"0000000000000000\n"); // the sum, once the payload is there
+    let payload_at = out.len();
+    out.extend_from_slice(text.as_bytes());
+    limpet_vm::encode_luts(luts, &mut out);
+    debug_assert_eq!(out.len() - payload_at, payload_len);
+    let sum = format!("{:016x}", payload_sum(&out[payload_at..]));
+    out[sum_at..sum_at + 16].copy_from_slice(sum.as_bytes());
     out
 }
 
@@ -824,12 +891,11 @@ fn decode_entry(bytes: &[u8], key: &EntryKey, model: &Model) -> Result<CompiledK
             "checksum mismatch (computed {got:016x}, header says {checksum:016x})"
         ));
     }
-    let payload = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-    let (model_line, rest) = payload
-        .split_once('\n')
-        .ok_or("payload missing model line")?;
-    let recorded_model = model_line
-        .strip_prefix("model ")
+    // Text is validated as UTF-8 section by section; the table block
+    // after the sections is bytes and is not.
+    let mut rest = payload;
+    let recorded_model = take_line(&mut rest)
+        .and_then(|line| line.strip_prefix("model "))
         .ok_or("payload missing model line")?;
     if recorded_model != model.name {
         return Err(format!(
@@ -837,18 +903,17 @@ fn decode_entry(bytes: &[u8], key: &EntryKey, model: &Model) -> Result<CompiledK
             model.name
         ));
     }
-    let mut sections = SectionReader { text: rest };
-    let module_text = sections.section("module")?;
-    let main_text = sections.section("program.main")?;
-    let raw_text = sections.section("program.raw")?;
-    let luts_text = sections.section("luts")?;
+    let module_text = take_section(&mut rest, "module")?;
+    let main_text = take_section(&mut rest, "program.main")?;
+    let raw_text = take_section(&mut rest, "program.raw")?;
+    let lut_block = rest;
 
     let module =
         limpet_ir::parse_module(module_text).map_err(|e| format!("unparseable IR: {e}"))?;
     limpet_ir::verify_module(&module).map_err(|e| format!("IR failed verification: {e}"))?;
     let width = module.attrs.i64_of("vector_width").unwrap_or(1) as usize;
     let info = model_info(model);
-    let luts = limpet_vm::deserialize_luts(luts_text).map_err(|e| format!("bad LUT data: {e}"))?;
+    let luts = limpet_vm::decode_luts(lut_block).map_err(|e| format!("bad LUT data: {e}"))?;
     let main_prog =
         limpet_vm::deserialize_program(main_text).map_err(|e| format!("bad main bytecode: {e}"))?;
     let raw_prog =
@@ -876,35 +941,27 @@ fn decode_entry(bytes: &[u8], key: &EntryKey, model: &Model) -> Result<CompiledK
     ))
 }
 
-/// Cursor over the `section <name> <len>` framing of an entry payload.
-struct SectionReader<'a> {
-    text: &'a str,
-}
-
-impl<'a> SectionReader<'a> {
-    fn section(&mut self, want: &str) -> Result<&'a str, String> {
-        let (header, rest) = self
-            .text
-            .split_once('\n')
-            .ok_or_else(|| format!("missing section '{want}'"))?;
-        let mut fields = header.split_whitespace();
-        let (kw, name, len) = (fields.next(), fields.next(), fields.next());
-        if kw != Some("section") || name != Some(want) || fields.next().is_some() {
-            return Err(format!("expected section '{want}', found '{header}'"));
-        }
-        let len: usize = len
-            .and_then(|l| l.parse().ok())
-            .ok_or_else(|| format!("bad length for section '{want}'"))?;
-        if rest.len() < len + 1 || !rest.is_char_boundary(len) {
-            return Err(format!("section '{want}' is truncated"));
-        }
-        let (body, after) = rest.split_at(len);
-        let after = after
-            .strip_prefix('\n')
-            .ok_or_else(|| format!("section '{want}' has a bad terminator"))?;
-        self.text = after;
-        Ok(body)
+/// Splits the text section `want` — `section <want> <len>\n<len bytes of
+/// UTF-8>\n` — off the front of `rest` and returns its body.
+fn take_section<'a>(rest: &mut &'a [u8], want: &str) -> Result<&'a str, String> {
+    let header = take_line(rest).ok_or_else(|| format!("missing section '{want}'"))?;
+    let mut fields = header.split_whitespace();
+    let (kw, name, len) = (fields.next(), fields.next(), fields.next());
+    if kw != Some("section") || name != Some(want) || fields.next().is_some() {
+        return Err(format!("expected section '{want}', found '{header}'"));
     }
+    let len: usize = len
+        .and_then(|l| l.parse().ok())
+        .ok_or_else(|| format!("bad length for section '{want}'"))?;
+    if rest.len() <= len {
+        return Err(format!("section '{want}' is truncated"));
+    }
+    let (body, after) = rest.split_at(len);
+    let body = std::str::from_utf8(body).map_err(|_| format!("section '{want}' is not UTF-8"))?;
+    *rest = after
+        .strip_prefix(b"\n")
+        .ok_or_else(|| format!("section '{want}' has a bad terminator"))?;
+    Ok(body)
 }
 
 /// An append-only checkpoint journal making long sweeps resumable: one
@@ -1233,6 +1290,48 @@ mod tests {
         assert!(status.bytes > 0);
         assert_eq!(cache.clear().unwrap(), 1);
         assert_eq!(cache.status().unwrap().entries, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn staging_files_of_killed_writers_are_removed_by_the_next_lock_holder() {
+        let dir = temp_dir("orphans");
+        let cache = DiskCache::open(&dir).unwrap();
+        let (m, key, entry) = sample_entry();
+        // What a writer killed between `File::create` and `rename` leaves,
+        // for an entry and for a native container: one long dead, one that
+        // may still be at work.
+        let plant = |name: String, age: Duration| {
+            let path = dir.join(name);
+            fs::write(&path, vec![0u8; 4096]).unwrap();
+            fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .and_then(|f| f.set_modified(SystemTime::now() - age))
+                .unwrap();
+            path
+        };
+        let old = Duration::from_secs(120);
+        let dead_entry = plant(format!("{}.tmp-4242", key.file_name()), old);
+        let dead_native = plant(format!("{}.tmp-4242", native_file_name(7)), old);
+        let live = plant(format!("{}.tmp-4243", key.file_name()), Duration::ZERO);
+        // Neither an entry nor ours to judge.
+        let foreign = plant("notes.tmp-1".to_string(), old);
+
+        cache.store(&key, &m.name, &entry).unwrap();
+        assert!(!dead_entry.exists() && !dead_native.exists());
+        assert!(live.exists(), "a young staging file may have a live writer");
+        assert!(foreign.exists());
+        assert_eq!(cache.stats().orphans_removed, 2);
+        let status = cache.status().unwrap();
+        let stored = fs::metadata(cache.entry_path(&key)).unwrap().len();
+        assert_eq!((status.entries, status.bytes), (1, stored));
+
+        // `clear` sweeps them too, by the same rule.
+        let dead_again = plant(format!("{}.tmp-4244", key.file_name()), old);
+        assert_eq!(cache.clear().unwrap(), 1, "entries removed");
+        assert!(!dead_again.exists() && live.exists());
+        assert_eq!(cache.stats().orphans_removed, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,20 +1,26 @@
-//! Bit-identity gate for tabulated lookup tables and their text codec,
+//! Bit-identity gate for tabulated lookup tables and their two codecs,
 //! independent of how the tables are computed or encoded:
 //!
 //! * every roster model under `baseline` and `limpetMLIR-AVX-512` must
 //!   tabulate to the FNV-1a recorded in `lut_fingerprints.csv` (taken
-//!   over `serialize_luts(kernel.luts())`, so it pins both the values
-//!   `eval_func` produces and the bytes the disk cache writes);
-//! * `deserialize_luts(serialize_luts(x))` returns every bit pattern,
-//!   including NaN payloads, ±inf, −0.0 and subnormals;
+//!   over `serialize_luts(kernel.luts())`, the export text, so it pins the
+//!   values `eval_func` produces), and the tables must hash to it again
+//!   after `decode_luts(encode_luts(..))` and after a store and a load
+//!   through the disk cache, whose kernels, optimized and raw, must then
+//!   step like their cold-compiled twins bit for bit;
+//! * `deserialize_luts(serialize_luts(x))` and `decode_luts(encode_luts(x))`
+//!   return every bit pattern, including NaN payloads, ±inf, −0.0 and
+//!   subnormals;
 //! * the decoder accepts exactly the value tokens
 //!   `u64::from_str_radix(tok, 16)` accepts — the canonical 16-digit form
 //!   is only the fast path, not a narrowing of the format.
 
 use limpet_codegen::pipeline::VectorIsa;
-use limpet_harness::{CompiledKernel, PipelineKind};
+use limpet_harness::{
+    CompiledKernel, DiskCache, DiskLoad, EntryKey, PipelineKind, Simulation, Workload,
+};
 use limpet_models::{model, ROSTER};
-use limpet_vm::{deserialize_luts, serialize_luts, LutData};
+use limpet_vm::{decode_luts, deserialize_luts, encode_luts, serialize_luts, Kernel, LutData};
 
 const CONFIGS: [PipelineKind; 2] = [
     PipelineKind::Baseline,
@@ -27,13 +33,61 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The state after 20 steps of 8 cells whose membrane potentials start
+/// 5 mV apart, so the lanes of a vector kernel read different table rows.
+fn state_after_steps(kernel: &Kernel, layout: limpet_vm::StateLayout) -> Vec<u64> {
+    let wl = Workload {
+        n_cells: 8,
+        steps: 0,
+        dt: 0.01,
+    };
+    let mut sim = Simulation::with_kernel(kernel.clone(), layout, &wl);
+    for cell in 0..wl.n_cells {
+        sim.perturb_vm(cell, cell as f64 * 5.0 - 20.0);
+    }
+    sim.run(20);
+    sim.state_bits()
+}
+
 #[test]
 fn roster_luts_match_the_recorded_fingerprints() {
+    let dir = std::env::temp_dir().join(format!("limpet-lut-identity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk = DiskCache::open(&dir).expect("temp cache dir");
     let mut computed = String::from("model,config,fnv1a_of_serialize_luts\n");
     for entry in &ROSTER {
         let m = model(entry.name);
         for config in CONFIGS {
-            let text = serialize_luts(CompiledKernel::compile(&m, config).kernel().luts());
+            let cold = CompiledKernel::compile(&m, config);
+            let text = serialize_luts(cold.kernel().luts());
+
+            let mut bytes = Vec::new();
+            encode_luts(cold.kernel().luts(), &mut bytes);
+            let decoded = decode_luts(&bytes).expect("byte codec round trip");
+            assert_eq!(serialize_luts(&decoded), text, "{} bytes", entry.name);
+
+            let key = EntryKey::new(&m, config, limpet_vm::bytecode_opt_enabled());
+            disk.store(&key, entry.name, &cold).expect("store");
+            let DiskLoad::Hit(warm) = disk.load(&key, &m) else {
+                panic!(
+                    "{} {}: stored entry did not load",
+                    entry.name,
+                    config.label()
+                );
+            };
+            assert_eq!(serialize_luts(warm.kernel().luts()), text, "{}", entry.name);
+            for (which, c, w) in [
+                ("opt", cold.kernel(), warm.kernel()),
+                ("raw", cold.raw_kernel(), warm.raw_kernel()),
+            ] {
+                assert_eq!(
+                    state_after_steps(w, warm.layout()),
+                    state_after_steps(c, cold.layout()),
+                    "{} {} {which}: loaded kernel diverged from its cold twin",
+                    entry.name,
+                    config.label()
+                );
+            }
             computed.push_str(&format!(
                 "{},{},{:016x}\n",
                 entry.name,
@@ -47,6 +101,8 @@ fn roster_luts_match_the_recorded_fingerprints() {
         include_str!("lut_fingerprints.csv"),
         "LUT fingerprints drifted from the fixture recorded at 412c305"
     );
+    assert_eq!(disk.stats().rejects, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A one-column table over a grid with exactly `values.len()` rows.
@@ -91,6 +147,11 @@ fn special_payloads_round_trip_bit_exactly() {
     let back = deserialize_luts(&text).expect("round trip");
     assert_eq!(bits_of(&back), bits_of(&luts));
     assert_eq!(serialize_luts(&back), text, "re-encoding is byte-identical");
+
+    let mut bytes = Vec::new();
+    encode_luts(&luts, &mut bytes);
+    let back = decode_luts(&bytes).expect("byte round trip");
+    assert_eq!(bits_of(&back), bits_of(&luts));
 }
 
 /// 1.0, as the encoder writes it.

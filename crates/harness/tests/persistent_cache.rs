@@ -238,32 +238,85 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = coarse_gate();
     let reference_bits = trajectory_bits(&CompiledKernel::compile(&m, CONFIG));
-
-    // What f9ea60c (bytecode format 1: `lutvec` per column, no `lutrow`)
-    // stored for this model and configuration.
-    let parent_entry = include_bytes!("entry_written_at_f9ea60c.lke");
-    assert!(parent_entry.starts_with(b"limpet-kernel-cache 1 1 1 "));
-    std::fs::write(entry_path(&dir, &m), parent_entry).unwrap();
-
-    assert_rejected_and_healed(&disk, &m, "stale format version", &reference_bits);
-    let healed = std::fs::read(entry_path(&dir, &m)).unwrap();
     let (entry, bc) = (
         limpet_harness::persist::ENTRY_FORMAT_VERSION,
         limpet_vm::BYTECODE_FORMAT_VERSION,
     );
-    assert!(healed.starts_with(format!("limpet-kernel-cache {entry} 1 {bc} ").as_bytes()));
+
+    // What two earlier builds stored for this model and configuration:
+    // f9ea60c (bytecode format 1: `lutvec` per column, no `lutrow`) and
+    // 5b0cae0 (entry format 2: the tables as a fourth text section of hex,
+    // which this build has no reader for).
+    let fixtures: [(&[u8], &[u8]); 2] = [
+        (
+            include_bytes!("entry_written_at_f9ea60c.lke"),
+            b"limpet-kernel-cache 1 1 1 ",
+        ),
+        (
+            include_bytes!("entry_written_at_5b0cae0.lke"),
+            b"limpet-kernel-cache 2 1 2 ",
+        ),
+    ];
+    for (parent_entry, stamps) in fixtures {
+        assert!(parent_entry.starts_with(stamps));
+        std::fs::write(entry_path(&dir, &m), parent_entry).unwrap();
+        assert_rejected_and_healed(&disk, &m, "stale format version", &reference_bits);
+        let healed = std::fs::read(entry_path(&dir, &m)).unwrap();
+        assert!(healed.starts_with(format!("limpet-kernel-cache {entry} 1 {bc} ").as_bytes()));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Rewrites the payload of the entry at `path` line by line — `edit` gets
+/// The entry at `path` in its three parts: the header's tokens, the text
+/// part of the payload (the `model` line and the three framed sections) and
+/// the table block after it, which is bytes.
+fn read_entry(path: &Path) -> (Vec<String>, String, Vec<u8>) {
+    let bytes = std::fs::read(path).unwrap();
+    let line_end = |from: usize| from + bytes[from..].iter().position(|&b| b == b'\n').unwrap() + 1;
+    let payload_at = line_end(0);
+    let mut at = line_end(payload_at); // the `model` line
+    for _ in 0..3 {
+        let body_at = line_end(at);
+        let framing = std::str::from_utf8(&bytes[at..body_at - 1]).unwrap();
+        let len: usize = framing.rsplit(' ').next().unwrap().parse().unwrap();
+        at = body_at + len + 1;
+    }
+    let header = std::str::from_utf8(&bytes[..payload_at - 1]).unwrap();
+    (
+        header.split(' ').map(String::from).collect(),
+        String::from_utf8(bytes[payload_at..at].to_vec()).unwrap(),
+        bytes[at..].to_vec(),
+    )
+}
+
+/// Writes `text` + `tables` to `path` as the payload of an entry signed the
+/// way a mismatched but intact writer would have: the header states the
+/// payload's length and sum.
+fn write_signed_entry(path: &Path, mut header: Vec<String>, text: &str, tables: &[u8]) {
+    let payload = [text.as_bytes(), tables].concat();
+    header[7] = payload.len().to_string();
+    // The envelope's payload sum, spelled out: FNV-1a folded over 8-byte
+    // little-endian words, then over the tail bytes.
+    let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0100_0000_01b3);
+    let words = payload.chunks_exact(8);
+    let tail = words.remainder();
+    let sum = words
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .fold(0xcbf2_9ce4_8422_2325, fold);
+    let sum = tail.iter().map(|&b| u64::from(b)).fold(sum, fold);
+    header[8] = format!("{sum:016x}");
+    let entry = [header.join(" ").as_bytes(), b"\n", &payload[..]].concat();
+    std::fs::write(path, entry).unwrap();
+}
+
+/// Rewrites the text part of the entry at `path` line by line — `edit` gets
 /// each line's space-separated tokens and says whether it changed them —
-/// and re-signs the entry, as a mismatched but intact writer would have:
-/// header, section lengths, checksum and bytecode text all parse. Returns
-/// how many lines changed.
+/// carries the table bytes through untouched and re-signs the entry, so
+/// that header, section lengths, checksum and bytecode text all parse.
+/// Returns how many lines changed.
 fn forge_entry(path: &Path, mut edit: impl FnMut(&mut Vec<String>) -> bool) -> usize {
-    let text = String::from_utf8(std::fs::read(path).unwrap()).unwrap();
-    let (header, payload) = text.split_once('\n').unwrap();
-    let mut lines: Vec<String> = payload.lines().map(String::from).collect();
+    let (header, text, tables) = read_entry(path);
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
     let (mut edited, mut section) = (0, 0);
     for at in 0..lines.len() {
         if lines[at].starts_with("section ") {
@@ -281,20 +334,7 @@ fn forge_entry(path: &Path, mut edit: impl FnMut(&mut Vec<String>) -> bool) -> u
             edited += 1;
         }
     }
-    let payload = lines.join("\n") + "\n";
-    let mut header: Vec<String> = header.split(' ').map(String::from).collect();
-    header[7] = payload.len().to_string();
-    // The envelope's payload sum, spelled out: FNV-1a folded over 8-byte
-    // little-endian words, then over the tail bytes.
-    let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0100_0000_01b3);
-    let words = payload.as_bytes().chunks_exact(8);
-    let tail = words.remainder();
-    let sum = words
-        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-        .fold(0xcbf2_9ce4_8422_2325, fold);
-    let sum = tail.iter().map(|&b| u64::from(b)).fold(sum, fold);
-    header[8] = format!("{sum:016x}");
-    std::fs::write(path, format!("{}\n{payload}", header.join(" "))).unwrap();
+    write_signed_entry(path, header, &(lines.join("\n") + "\n"), &tables);
     edited
 }
 
@@ -352,6 +392,167 @@ fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
     });
     assert_eq!(headers, 2, "main and raw programs");
     assert_rejected_and_healed(&disk, &m, "operands address at most 65536", &reference_bits);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The table block of [`coarse_gate`]'s entry is one 42-row, 2-column
+/// table: `luts 1\n`, the `lut … 42 2\n` line, 672 bytes, `\n`, `end\n`.
+const GATE_TABLE_BYTES: usize = 42 * 2 * 8;
+
+/// Where the table's line starts in that block, and where its data does.
+const GATE_LINE_AT: usize = "luts 1\n".len();
+
+fn gate_data_at(tables: &[u8]) -> usize {
+    let line = &tables[GATE_LINE_AT..];
+    GATE_LINE_AT + line.iter().position(|&b| b == b'\n').unwrap() + 1
+}
+
+/// An edit of the block that makes the table's line state `rows` × `cols`.
+fn with_dims(rows: &'static str, cols: &'static str) -> impl Fn(&mut Vec<u8>) {
+    move |tables| {
+        let line_end = gate_data_at(tables) - 1;
+        let line = std::str::from_utf8(&tables[GATE_LINE_AT..line_end]).unwrap();
+        let lead = line.strip_suffix(" 42 2").expect(line);
+        let line = format!("{lead} {rows} {cols}");
+        tables.splice(GATE_LINE_AT..line_end, line.into_bytes());
+    }
+}
+
+#[test]
+fn malformed_table_blocks_are_rejected_not_loaded() {
+    let _g = serialized();
+    let dir = temp_cache_dir("table-block");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let path = entry_path(&dir, &m);
+    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
+
+    // Each case re-signs the entry over an edited block, so only the block's
+    // own reader stands between it and the step loop.
+    let resign = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let (header, text, mut tables) = read_entry(&path);
+        edit(&mut tables);
+        write_signed_entry(&path, header, &text, &tables);
+    };
+    type Edit = Box<dyn Fn(&mut Vec<u8>)>;
+    let cases: Vec<(&str, Edit, &str)> = vec![
+        // More values than the block holds …
+        ("one row more", Box::new(with_dims("43", "2")), "cut short"),
+        (
+            "one column more",
+            Box::new(with_dims("42", "3")),
+            "cut short",
+        ),
+        // … fewer, so that data sits where the terminator should (or, were
+        // that byte a newline, a grid of the wrong height) …
+        (
+            "one row fewer",
+            Box::new(with_dims("41", "2")),
+            "bad LUT data",
+        ),
+        (
+            "one column fewer",
+            Box::new(with_dims("42", "1")),
+            "bad LUT data",
+        ),
+        ("no rows", Box::new(with_dims("0", "2")), "bad LUT data"),
+        ("no columns", Box::new(with_dims("42", "0")), "bad LUT data"),
+        // … and counts whose product, or its size in bytes, overflows: 2^61
+        // values are 2^64 bytes (0 once wrapped), 2^61 + 2 wrap to 16.
+        (
+            "2^61 rows",
+            Box::new(with_dims("2305843009213693952", "1")),
+            "dimensions overflow",
+        ),
+        (
+            "2^61 + 2 rows",
+            Box::new(with_dims("2305843009213693954", "1")),
+            "dimensions overflow",
+        ),
+        (
+            "2^61 columns",
+            Box::new(with_dims("1", "2305843009213693952")),
+            "dimensions overflow",
+        ),
+        (
+            "usize::MAX rows",
+            Box::new(with_dims("18446744073709551615", "2")),
+            "dimensions overflow",
+        ),
+        (
+            "usize::MAX columns",
+            Box::new(with_dims("42", "18446744073709551615")),
+            "dimensions overflow",
+        ),
+        (
+            "rows no usize holds",
+            Box::new(with_dims("99999999999999999999999", "2")),
+            "bad count",
+        ),
+        (
+            "rows not a number",
+            Box::new(with_dims("many", "2")),
+            "bad count",
+        ),
+        (
+            "negative columns",
+            Box::new(with_dims("42", "-2")),
+            "bad count",
+        ),
+        (
+            "a block cut short",
+            Box::new(|t| {
+                let at = gate_data_at(t);
+                t.drain(at..at + 8);
+            }),
+            "cut short",
+        ),
+        (
+            "no newline after the block",
+            Box::new(|t| {
+                let at = gate_data_at(t) + GATE_TABLE_BYTES;
+                assert_eq!(t.remove(at), b'\n');
+            }),
+            "bad terminator",
+        ),
+        (
+            "bytes after end",
+            Box::new(|t| t.push(b'\n')),
+            "expected 'end' after 1 lut(s)",
+        ),
+        (
+            "more tables counted than present",
+            Box::new(|t| t[5] = b'2'),
+            "expected 'lut' header",
+        ),
+        (
+            "fewer tables counted than present",
+            Box::new(|t| t[5] = b'0'),
+            "expected 'end' after 0 lut(s)",
+        ),
+    ];
+    for (what, edit, reason) in &cases {
+        println!("case: {what}"); // shown with a failure
+        resign(edit.as_ref());
+        assert_rejected_and_healed(&disk, &m, reason, &reference_bits);
+    }
+
+    // A byte of a table flipped on disk, under the header's old sum: the
+    // checksum rung covers the block like the text.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = bytes.len() - b"\nend\n".len() - GATE_TABLE_BYTES / 2;
+    bytes[at] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    assert_rejected_and_healed(&disk, &m, "checksum mismatch", &reference_bits);
+
+    // And the text framing in front of it: a section that claims the rest
+    // of the address space.
+    let (header, text, tables) = read_entry(&path);
+    let framing = text.lines().nth(1).unwrap();
+    assert!(framing.starts_with("section module "), "{framing}");
+    let text = text.replacen(framing, "section module 18446744073709551615", 1);
+    write_signed_entry(&path, header, &text, &tables);
+    assert_rejected_and_healed(&disk, &m, "section 'module' is truncated", &reference_bits);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -65,7 +65,7 @@ pub use eval::{eval_func, EvalContext, EvalError, ParamOnlyContext, Val};
 pub use lut::LutData;
 pub use optimize::{bytecode_opt_enabled, optimize_program, set_bytecode_opt, OptStats};
 pub use serialize::{
-    deserialize_luts, deserialize_program, serialize_luts, serialize_program,
-    BYTECODE_FORMAT_VERSION,
+    decode_luts, deserialize_luts, deserialize_program, encode_luts, encoded_luts_len,
+    serialize_luts, serialize_program, BYTECODE_FORMAT_VERSION,
 };
 pub use state::{CellStates, ExtArrays, StateLayout};

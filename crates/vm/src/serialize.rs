@@ -1,11 +1,14 @@
 //! Machine-readable textual serialization of compiled bytecode.
 //!
-//! The on-disk kernel cache (harness layer) persists compiled kernels as
-//! text: the IR module goes through `limpet_ir::print_module`, and the two
-//! bytecode programs plus the tabulated lookup tables go through this
-//! module. The format is line-oriented and diffable, but exact: every
-//! `f64` is written as the hex of its IEEE-754 bit pattern, so a
-//! deserialized kernel computes bit-identical trajectories.
+//! The on-disk kernel cache (harness layer) persists compiled kernels
+//! through this module and `limpet_ir::print_module` (the IR module). The
+//! two bytecode programs are text — line-oriented and diffable, but exact:
+//! every `f64` is written as the hex of its IEEE-754 bit pattern, so a
+//! deserialized kernel computes bit-identical trajectories. The tabulated
+//! lookup tables have two codecs: [`serialize_luts`] is the same readable
+//! text (the export form, 2.1 bytes of hex per byte of table), and
+//! [`encode_luts`] the byte form the cache stores (a text line per table,
+//! then its values as they lie in memory).
 //!
 //! Each format carries a version stamp ([`BYTECODE_FORMAT_VERSION`] for
 //! programs, one of its own for LUT payloads); readers reject any other
@@ -826,6 +829,126 @@ pub fn deserialize_luts(text: &str) -> Result<Vec<LutData>, String> {
     Ok(luts)
 }
 
+/// Last line of a [`encode_luts`] block.
+const LUT_BLOCK_END: &[u8] = b"end\n";
+
+/// The text line in front of one table's bytes in an [`encode_luts`] block.
+fn lut_block_head(lut: &LutData) -> String {
+    format!(
+        "lut {} {} {} {} {}\n",
+        fbits(lut.lo()),
+        fbits(lut.hi()),
+        fbits(lut.step()),
+        lut.rows(),
+        lut.cols()
+    )
+}
+
+/// How many bytes [`encode_luts`] appends for `luts`, so that a container
+/// can state its length ahead of the block and allocate once.
+pub fn encoded_luts_len(luts: &[LutData]) -> usize {
+    let tables: usize = luts
+        .iter()
+        .map(|lut| lut_block_head(lut).len() + lut.bytes() + 1)
+        .sum();
+    format!("luts {}\n", luts.len()).len() + tables + LUT_BLOCK_END.len()
+}
+
+/// Appends a kernel's tabulated lookup tables (in program order) to `out`
+/// in the byte form the disk cache stores: the values as they lie in
+/// memory, not as text ([`serialize_luts`] is the readable export form).
+///
+/// ```text
+/// luts <count>\n
+/// lut <lo:016x> <hi:016x> <step:016x> <rows> <cols>\n     per table, then
+/// <rows·cols·8 bytes: each value's bits, little-endian>\n
+/// end\n
+/// ```
+pub fn encode_luts(luts: &[LutData], out: &mut Vec<u8>) {
+    out.extend_from_slice(format!("luts {}\n", luts.len()).as_bytes());
+    for lut in luts {
+        out.extend_from_slice(lut_block_head(lut).as_bytes());
+        let at = out.len();
+        out.resize(at + lut.bytes(), 0);
+        for (dst, v) in out[at..].chunks_exact_mut(8).zip(lut.data()) {
+            dst.copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+        out.push(b'\n');
+    }
+    out.extend_from_slice(LUT_BLOCK_END);
+}
+
+/// Splits the next `\n`-terminated text line off the front of `rest`.
+fn take_block_line<'a>(rest: &mut &'a [u8], no: usize) -> Result<&'a str, String> {
+    let nl = rest
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| format!("line {no}: unexpected end of input"))?;
+    let line =
+        std::str::from_utf8(&rest[..nl]).map_err(|_| format!("line {no}: not UTF-8 text"))?;
+    *rest = &rest[nl + 1..];
+    Ok(line)
+}
+
+/// Decodes an [`encode_luts`] block, which must be all of `bytes`.
+///
+/// # Errors
+///
+/// Returns a description of the first defect: a malformed line (numbered
+/// among the block's text lines), a table whose `rows × cols` values
+/// overflow or exceed the bytes that are left — decided before anything is
+/// allocated for them —, a missing terminator, a table count that disagrees
+/// with the tables present, a grid [`LutData::from_raw`] rejects, or bytes
+/// after `end`. Never panics on malformed input.
+pub fn decode_luts(bytes: &[u8]) -> Result<Vec<LutData>, String> {
+    let mut rest = bytes;
+    let mut f = Fields::of(take_block_line(&mut rest, 1)?, 1);
+    if f.next()? != "luts" {
+        return Err("line 1: expected 'luts' header".to_string());
+    }
+    let count = f.usize()?;
+    f.done()?;
+    // Grown table by table: `count` is only believed as far as the bytes
+    // bear it out.
+    let mut luts = Vec::new();
+    for table in 0..count {
+        let no = table + 2;
+        let mut f = Fields::of(take_block_line(&mut rest, no)?, no);
+        if f.next()? != "lut" {
+            return Err(format!("line {no}: expected 'lut' header"));
+        }
+        let (lo, hi, step) = (f.f64()?, f.f64()?, f.f64()?);
+        let (rows, cols) = (f.usize()?, f.usize()?);
+        f.done()?;
+        let len = rows
+            .checked_mul(cols)
+            .and_then(|values| values.checked_mul(8))
+            .ok_or_else(|| format!("line {no}: lut dimensions overflow"))?;
+        if rest.len() <= len {
+            return Err(format!(
+                "line {no}: lut of {rows} x {cols} values is cut short ({} bytes left)",
+                rest.len()
+            ));
+        }
+        let (block, after) = rest.split_at(len);
+        let data = block
+            .chunks_exact(8)
+            .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"))))
+            .collect();
+        rest = after
+            .strip_prefix(b"\n")
+            .ok_or_else(|| format!("line {no}: lut data has a bad terminator"))?;
+        luts.push(LutData::from_raw(lo, hi, step, cols, data)?);
+    }
+    if rest != LUT_BLOCK_END {
+        return Err(format!(
+            "expected 'end' after {count} lut(s), found {} other bytes",
+            rest.len()
+        ));
+    }
+    Ok(luts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1213,6 +1336,43 @@ mod tests {
         let text = serialize_luts(&luts);
         let back = deserialize_luts(&text).expect("round trip");
         assert_eq!(luts, back);
+    }
+
+    #[test]
+    fn lut_bytes_round_trip_and_state_their_length() {
+        let luts = vec![
+            LutData::build(-100.0, 100.0, 5.0, 2, |x, out| {
+                out[0] = (x / 10.0).exp();
+                out[1] = -x;
+            }),
+            LutData::build(0.0, 1.0, 0.1, 1, |x, out| out[0] = x.sin()),
+        ];
+        // Appended: what is in the buffer already is the container's.
+        let mut bytes = b"header\n".to_vec();
+        encode_luts(&luts, &mut bytes);
+        let block = &bytes[7..];
+        assert_eq!(block.len(), encoded_luts_len(&luts));
+        assert_eq!(decode_luts(block).expect("round trip"), luts);
+        // The values are the words themselves, little-endian, after the
+        // table's line.
+        let head = lut_block_head(&luts[0]);
+        assert!(head.ends_with(" 42 2\n"), "{head}");
+        let at = "luts 2\n".len() + head.len();
+        for (w, v) in block[at..].chunks_exact(8).zip(luts[0].data()) {
+            assert_eq!(w, v.to_bits().to_le_bytes());
+        }
+        // No prefix of a block is a block, and nothing may follow one.
+        for cut in 0..block.len() {
+            assert!(decode_luts(&block[..cut]).is_err(), "cut at {cut}");
+        }
+        let err = decode_luts(&[block, b"\n"].concat()).unwrap_err();
+        assert!(err.contains("expected 'end' after 2 lut(s)"), "{err}");
+
+        let mut none = Vec::new();
+        encode_luts(&[], &mut none);
+        assert_eq!(none, b"luts 0\nend\n");
+        assert_eq!(none.len(), encoded_luts_len(&[]));
+        assert_eq!(decode_luts(&none), Ok(Vec::new()));
     }
 
     #[test]

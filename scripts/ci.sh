@@ -73,6 +73,24 @@ cmp <(cut -d, -f1-3 "$PERSIST_OUT/cold.csv") <(cut -d, -f1-3 "$PERSIST_OUT/fault
   || { echo "persistence gate: cache clear failed"; exit 1; }
 rm -rf "$PERSIST_DIR" "$PERSIST_OUT"
 
+echo "==> disk-cache capacity gate (one full precompile fits the default cap)"
+# The most one run stores is figures' precompile of the roster under all 16
+# configurations: 688 entries, 393 MiB in entry format 3. Under the default
+# cap (no LIMPET_CACHE_CAP_MB) the run must keep every entry it writes —
+# format 2 wrote 803 MiB and evicted 455 of them on the way — and a second
+# process must then find all 688 on disk.
+CAP_DIR=$(mktemp -d)
+CAP_OUT=$(mktemp -d)
+for RUN in cold warm; do
+  env -u LIMPET_CACHE_CAP_MB ./target/release/figures --stats --jobs "$(nproc)" \
+    --cells 64 --steps 2 --no-native --cache-dir "$CAP_DIR" > "$CAP_OUT/$RUN.txt"
+done
+grep -q "disk tier .*: 688 entries, .* 688 writes, 0 rejected, 0 evicted" "$CAP_OUT/cold.txt" \
+  || { echo "capacity gate: the precompile did not keep its 688 entries"; grep -A2 "^kernel cache" "$CAP_OUT/cold.txt"; exit 1; }
+grep -q " 688 disk hits, 0 cold compilations" "$CAP_OUT/warm.txt" \
+  || { echo "capacity gate: the second process did not find 688 entries"; grep -A2 "^kernel cache" "$CAP_OUT/warm.txt"; exit 1; }
+rm -rf "$CAP_DIR" "$CAP_OUT"
+
 echo "==> real-thread differential suite (pool vs single-thread, bit-exact)"
 cargo test -q -p limpet-harness --test real_threads
 
@@ -614,6 +632,37 @@ else
   esac
 fi
 rm -f "$STEP_OUT"
+
+echo "==> limpet-perf compile_roster, traced (digests, exact counts, staged compile vs get_or_compile, cold compile vs BENCH_compile_cold.json, entry bytes vs table bytes)"
+# One traced run of the compile workload. A non-zero exit is a wrong golden
+# digest from a cold-compiled, disk-loaded or stage-by-stage kernel, an
+# exact count that differs between the two ways of compiling, or the stages
+# summing to more than 10 % off `KernelCache::get_or_compile`. Its cold
+# roster compile + store is held against the change row of
+# BENCH_compile_cold.json, and the bytes it stored against the bytes of the
+# tables in them: 1.054 with the tables stored as bytes (entry format 3),
+# 2.18 as hex text — an exact count, so held on every host.
+COMPILE_RUN=$(mktemp)
+bash limpet-perf/run.sh --workload compile_roster --seconds 10 --trace 1 --out "$COMPILE_RUN" > /dev/null
+# primary_ms as the benchmark defines it: the median round's cold seconds (a
+# traced result file carries the rounds, not the end-to-end block). A traced
+# run times one round where an untraced one takes the median of three that
+# get slower as the scratch directory fills (1.61 / 1.74 / 1.91 s in one
+# run), so it reads ~12 % below the ledger's untraced median (1116-1168 ms
+# against 1316) and the hold has that much slack on top of its 25 %.
+COMPILE_MS=$(json_values cold_s "$COMPILE_RUN" | sort -n \
+  | awk '{ v[NR] = $1 } END { if (NR) printf "%.1f", 500 * (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) }')
+hold_ms "cold compile" "$COMPILE_MS" "$COMPILE_RUN" BENCH_compile_cold.json
+ENTRY_BYTES=$(metric_value persist.entry_bytes "$COMPILE_RUN")
+LUT_BYTES=$(metric_value vm.lut_bytes "$COMPILE_RUN")
+[[ $ENTRY_BYTES =~ ^[1-9][0-9]*$ && $LUT_BYTES =~ ^[1-9][0-9]*$ ]] \
+  || { echo "entry bytes: could not read persist.entry_bytes ('$ENTRY_BYTES') or vm.lut_bytes ('$LUT_BYTES')"; exit 1; }
+if [ $((ENTRY_BYTES * 100)) -gt $((LUT_BYTES * 110)) ]; then
+  echo "entry bytes: persist.entry_bytes $ENTRY_BYTES is more than 1.10 x vm.lut_bytes $LUT_BYTES: text in the table block?"
+  exit 1
+fi
+echo "entry bytes: persist.entry_bytes $ENTRY_BYTES for vm.lut_bytes $LUT_BYTES"
+rm -f "$COMPILE_RUN"
 
 echo "==> limpet-perf ckpt_resume (resume equals the uninterrupted twin, save time vs BENCH_checkpoint.json)"
 # One untraced run of the checkpoint workload. A non-zero exit is a
