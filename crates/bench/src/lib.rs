@@ -1,7 +1,10 @@
 //! # limpet-bench
 //!
-//! Criterion benchmarks regenerating every table and figure of the paper —
-//! see the `benches/` directory. This library only hosts shared helpers.
+//! Criterion benches for the three ablations nothing else measures — FMA
+//! contraction, if-conversion, spline LUTs; see the `benches/` directory.
+//! Every figure of the paper is a `figures` runner, and every timed layer a
+//! `limpet-perf` metric (`BENCHMARK.json`). This library only hosts shared
+//! helpers.
 
 #![warn(missing_docs)]
 

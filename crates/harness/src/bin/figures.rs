@@ -526,12 +526,8 @@ fn main() {
             "model,class,bytecode_us_per_step,native_us_per_step,speedup,bit_identical",
             &rows,
         );
-        let json = f.to_json();
-        if fs::write("BENCH_native_tier.json", &json).is_ok() {
-            println!("  [saved BENCH_native_tier.json]");
-        }
         if args.json {
-            println!("{json}");
+            println!("{}", f.to_json());
         }
         println!();
     }

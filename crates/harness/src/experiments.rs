@@ -1365,7 +1365,8 @@ pub struct NativeBenchRow {
     pub note: String,
 }
 
-/// The native-tier benchmark result (`BENCH_native_tier.json`).
+/// The native-tier benchmark result (`figures --native-bench`; `--json`
+/// prints [`NativeBench::to_json`]).
 #[derive(Debug, Clone)]
 pub struct NativeBench {
     /// Per-model rows in roster order.

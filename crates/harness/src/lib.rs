@@ -24,6 +24,7 @@ pub mod native;
 pub mod persist;
 pub mod shutdown;
 pub mod sim;
+pub mod store;
 pub mod threads;
 
 pub use cache::{
@@ -52,9 +53,10 @@ pub use native::{
 };
 pub use persist::{
     default_cache_dir, native_file_name, DiskCache, DiskCacheStatus, DiskLoad, DiskStats, EntryKey,
-    Journal, NativeDiskLoad,
+    Journal,
 };
 pub use sim::{model_info, storage_layout, PipelineKind, Simulation, Stimulus, Workload};
+pub use store::Reject;
 pub use threads::{
     measure_median, measure_median_secs, measure_stream_bandwidth, shard_sizes, ShardedSimulation,
     TimingModel,

@@ -36,6 +36,7 @@
 use crate::checksum::{fnv1a_from, FNV_OFFSET};
 use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind};
+use crate::persist::DiskLoad;
 use limpet_codegen::{
     emit_c_native, native_math_table, NativeBinFn, NativeLutFn, NATIVE_EMITTER_VERSION,
     NATIVE_ENTRY_SYMBOL, NATIVE_TABLE_SLOTS,
@@ -851,7 +852,7 @@ impl NativeRegistry {
         // probation — disk bytes earn trust the same way fresh ones do.
         if let Some(disk) = &req.disk {
             match disk.load_native(req.fingerprint) {
-                crate::persist::NativeDiskLoad::Hit(bytes) => {
+                DiskLoad::Hit(bytes) => {
                     match self.validate(&bytes, req, NativeProvenance::Disk) {
                         Ok(native) => {
                             self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -877,9 +878,8 @@ impl NativeRegistry {
                         }
                     }
                 }
-                crate::persist::NativeDiskLoad::Miss => {}
-                crate::persist::NativeDiskLoad::Rejected(reason) => {
-                    disk.remove_native(req.fingerprint);
+                DiskLoad::Miss => {}
+                DiskLoad::Rejected(reason) => {
                     self.log(Incident::new(
                         IncidentKind::NativeDlopenFail,
                         &req.model,
@@ -1193,10 +1193,7 @@ mod tests {
             .any(|i| i.kind == IncidentKind::NativeDivergent));
         // The quarantined object must not have been persisted.
         let (fp, _) = emit_for_kernel(&k).unwrap();
-        assert!(matches!(
-            disk.load_native(fp),
-            crate::persist::NativeDiskLoad::Miss
-        ));
+        assert!(matches!(disk.load_native(fp), DiskLoad::Miss));
         faults::disarm_all();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1254,10 +1251,7 @@ mod tests {
         let slot = build_blocking(&warm, &k, "Plonsey", Some(Arc::clone(&disk))).unwrap();
         assert!(matches!(slot, NativeSlot::Ready(_)));
         assert_eq!(warm.stats().compiles, 1, "corrupt container must recompile");
-        assert!(matches!(
-            disk.load_native(fp),
-            crate::persist::NativeDiskLoad::Hit(_)
-        ));
+        assert!(matches!(disk.load_native(fp), DiskLoad::Hit(_)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

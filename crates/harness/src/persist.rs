@@ -1,4 +1,4 @@
-//! The durable tier of the kernel cache: checksummed on-disk entries,
+//! The durable tier of the kernel cache: one record per compiled kernel,
 //! multi-process locking, LRU eviction, and the resumable-sweep journal.
 //!
 //! [`crate::KernelCache`] is process-lifetime only — every `figures`
@@ -9,40 +9,36 @@
 //! [`limpet_vm::encode_luts`]) so a later process can reload the
 //! *identical* compilation and produce bit-identical trajectories.
 //!
-//! Crash-safety and integrity rules, in order of enforcement on load:
+//! Entries (`.lke`) and native containers (`.lso`) are records of
+//! [`crate::store`], which owns the header grammar, the atomic write, the
+//! reject ladder and the `disk-*` fault injection. What this module adds
+//! is what differs per store:
 //!
-//! 1. **Atomic writes** — entries are written to a temp file and renamed
-//!    into place, so readers never observe a half-written entry under the
-//!    final name.
-//! 2. **Version stamps** — every entry header embeds the entry format
-//!    version, [`limpet_ir::TEXT_FORMAT_VERSION`], and
-//!    [`limpet_vm::BYTECODE_FORMAT_VERSION`]. Any mismatch means "stale:
-//!    recompile", never "try to parse anyway".
-//! 3. **Key echo** — the header repeats the fingerprint/pipeline/opt key,
-//!    so a renamed or mislabelled file cannot serve the wrong kernel.
-//! 4. **Length + checksum** — the header carries the payload byte length
-//!    and a word-wise FNV-1a checksum over it (`checksum::payload_sum`);
-//!    truncation and bit-rot are caught before any parser runs.
-//! 5. **Full re-parse + verify** — the IR is re-verified and the bytecode
-//!    re-validated on load, so even a checksum collision cannot smuggle in
-//!    a malformed kernel.
+//! * the **fields**: every header stamps the entry format version,
+//!   [`limpet_ir::TEXT_FORMAT_VERSION`] and
+//!   [`limpet_vm::BYTECODE_FORMAT_VERSION`] (any mismatch means "stale:
+//!   recompile", never "try to parse anyway") and repeats the
+//!   fingerprint/pipeline/opt key, so a renamed or mislabelled file cannot
+//!   serve the wrong kernel;
+//! * the **payload grammar**: the IR is re-verified and the bytecode
+//!   re-validated on load, so even a checksum collision cannot smuggle in
+//!   a malformed kernel;
+//! * the directory: one lock for writers, an LRU size cap, and the removal
+//!   of what killed writers leave behind.
 //!
 //! Every rejection degrades to a recompile (reported via
-//! [`DiskLoad::Rejected`], which the cache records as an incident) — a
-//! corrupt cache can cost time, never correctness. The
-//! [`crate::FaultKind::DiskCorrupt`] / `DiskTruncate` / `DiskStaleVersion`
-//! injection points mutate the loaded bytes so the real integrity checks,
-//! not mocks, exercise those paths.
+//! [`DiskLoad::Rejected`], which the cache records as an incident) and
+//! removes the file, so the recompile's store heals the cache — a corrupt
+//! cache can cost time, never correctness.
 
 use crate::cache::{model_fingerprint, CompiledKernel};
-use crate::checkpoint::take_line;
-use crate::checksum::{fnv1a, payload_sum};
+use crate::checksum::fnv1a;
 use crate::faults::{self, FaultKind};
 use crate::sim::{model_info, storage_layout, PipelineKind};
+use crate::store::{self, older_than, take_line, Reject, RejectReason};
 use limpet_easyml::Model;
-use limpet_rng::SmallRng;
 use limpet_vm::Kernel;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -71,12 +67,6 @@ const NATIVE_MAGIC: &str = "limpet-native-cache";
 /// `scripts/ci.sh` holds "688 writes, 0 evicted"). A roster under two
 /// configurations is 72 MiB.
 pub const DEFAULT_CAP_BYTES: u64 = 512 * 1024 * 1024;
-
-/// A lock file older than this is considered abandoned by a crashed
-/// process and is broken (removed) by the next writer. Overridable per
-/// cache with [`DiskCache::set_stale_lock_after`] (tests and chaos runs
-/// shrink it).
-const STALE_LOCK_AFTER: Duration = Duration::from_secs(10);
 
 /// First backoff delay while waiting for the directory lock; doubles per
 /// retry (with deterministic jitter) up to [`LOCK_BACKOFF_CAP`].
@@ -131,34 +121,30 @@ pub fn native_file_name(fingerprint: u64) -> String {
     format!("native-{fingerprint:016x}.lso")
 }
 
-/// Outcome of a [`DiskCache::load_native`].
+/// Outcome of a [`DiskCache::load`] (a compilation) or a
+/// [`DiskCache::load_native`] (`DiskLoad<Vec<u8>>`, a shared object's
+/// bytes).
 #[derive(Debug)]
-pub enum NativeDiskLoad {
-    /// The container passed every envelope check; the payload is the
-    /// shared object's bytes. The caller must still `dlopen` and
-    /// probation-validate them — the envelope proves integrity, not
-    /// correctness.
-    Hit(Vec<u8>),
-    /// No container exists for the fingerprint.
+pub enum DiskLoad<T = Box<CompiledKernel>> {
+    /// The record was present and passed every rung of the ladder. Bytes
+    /// of a shared object have still to be `dlopen`ed and
+    /// probation-validated by the caller — the record proves integrity,
+    /// not correctness.
+    Hit(T),
+    /// No record exists for the key (the ordinary cold-start case).
     Miss,
-    /// A container exists but failed an envelope check and should be
-    /// removed and recompiled.
-    Rejected(String),
+    /// A record exists but was refused (corruption, truncation, stale
+    /// version, unparseable payload) and removed. The caller recompiles
+    /// and should record the reason as an incident.
+    Rejected(Reject),
 }
 
-/// Outcome of a [`DiskCache::load`].
-#[derive(Debug)]
-pub enum DiskLoad {
-    /// The entry was present, passed every integrity check, and
-    /// reconstructed into a runnable compilation.
-    Hit(Box<CompiledKernel>),
-    /// No entry exists for the key (the ordinary cold-start case).
-    Miss,
-    /// An entry exists but failed an integrity check (corruption,
-    /// truncation, stale version, unparseable payload) and was discarded.
-    /// The caller recompiles and should record the reason as an incident.
-    Rejected(String),
-}
+/// The three faults [`store::inject`] may apply to a record read here.
+const DISK_FAULTS: [FaultKind; 3] = [
+    FaultKind::DiskTruncate,
+    FaultKind::DiskCorrupt,
+    FaultKind::DiskStaleVersion,
+];
 
 /// Monotonic counters for the disk tier (mirrors
 /// [`crate::CacheStats`] for the in-memory tier).
@@ -234,21 +220,11 @@ impl Drop for DirLock {
     }
 }
 
-/// What one walk of the cache directory found.
-#[derive(Debug, Default)]
-struct DirScan {
-    /// `(path, length, mtime)` of every entry (`entry-*.lke`) and native
-    /// container (`native-*.lso`).
-    entries: Vec<(PathBuf, u64, SystemTime)>,
-    /// `(path, mtime)` of every staging file (`<final name>.tmp-<pid>`).
-    staging: Vec<(PathBuf, SystemTime)>,
-}
-
-/// Whether `mtime` lies more than `age` in the past.
-fn older_than(mtime: SystemTime, age: Duration) -> bool {
-    SystemTime::now()
-        .duration_since(mtime)
-        .is_ok_and(|elapsed| elapsed > age)
+/// Whether `name` is a record of this cache: an entry or a native
+/// container.
+fn is_record(name: &str) -> bool {
+    (name.starts_with("entry-") && name.ends_with(".lke"))
+        || (name.starts_with("native-") && name.ends_with(".lso"))
 }
 
 /// The durable kernel-cache tier: one checksummed file per
@@ -287,7 +263,7 @@ impl DiskCache {
             dir: dir.to_path_buf(),
             cap_bytes: AtomicU64::new(cap),
             lock_timeout_ms: AtomicU64::new(5_000),
-            stale_lock_after_ms: AtomicU64::new(STALE_LOCK_AFTER.as_millis() as u64),
+            stale_lock_after_ms: AtomicU64::new(store::STALE_AFTER.as_millis() as u64),
             hits: AtomicU64::new(0),
             rejects: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -322,8 +298,9 @@ impl DiskCache {
     }
 
     /// Overrides how old a lock file must be before it is treated as
-    /// abandoned by a crashed writer and broken. Tests and chaos runs
-    /// shrink this so lock-holder-crash recovery is fast to exercise.
+    /// abandoned by a crashed writer and broken (10 s by default). Tests
+    /// and chaos runs shrink this so lock-holder-crash recovery is fast to
+    /// exercise.
     pub fn set_stale_lock_after(&self, age: Duration) {
         self.stale_lock_after_ms
             .store(age.as_millis() as u64, Ordering::Relaxed);
@@ -348,49 +325,28 @@ impl DiskCache {
         }
     }
 
-    fn entry_path(&self, key: &EntryKey) -> PathBuf {
-        self.dir.join(key.file_name())
-    }
-
-    /// Walks the cache directory once.
-    fn scan(&self) -> io::Result<DirScan> {
-        let is_entry = |n: &str| {
-            (n.starts_with("entry-") && n.ends_with(".lke"))
-                || (n.starts_with("native-") && n.ends_with(".lso"))
-        };
-        let mut scan = DirScan::default();
+    /// `(path, length, mtime)` of every record in the directory.
+    fn scan(&self) -> io::Result<Vec<(PathBuf, u64, SystemTime)>> {
+        let mut records = Vec::new();
         for item in fs::read_dir(&self.dir)? {
             let item = item?;
-            let name = item.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let staged_for = name
-                .rsplit_once(".tmp-")
-                .map(|(final_name, _pid)| final_name);
-            if !is_entry(staged_for.unwrap_or(name)) {
-                continue;
-            }
-            let meta = item.metadata()?;
-            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            if staged_for.is_some() {
-                scan.staging.push((item.path(), mtime));
-            } else {
-                scan.entries.push((item.path(), meta.len(), mtime));
+            if item.file_name().to_str().is_some_and(is_record) {
+                let meta = item.metadata()?;
+                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                records.push((item.path(), meta.len(), mtime));
             }
         }
-        Ok(scan)
+        Ok(records)
     }
 
-    /// Removes the staging files a killed writer left behind. Staging
+    /// Removes the staging files killed writers left behind. Staging
     /// happens under the directory lock, so to whoever holds the lock a
     /// staging file older than the stale-lock age is garbage; a younger one
     /// may belong to a slow writer whose lock was broken under it.
-    fn remove_orphans_locked(&self, staging: &[(PathBuf, SystemTime)]) {
+    fn remove_orphans_locked(&self) {
         let stale_after = Duration::from_millis(self.stale_lock_after_ms.load(Ordering::Relaxed));
-        for (path, mtime) in staging {
-            if older_than(*mtime, stale_after) && fs::remove_file(path).is_ok() {
-                self.orphans_removed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let removed = store::remove_orphans(&self.dir, is_record, stale_after);
+        self.orphans_removed.fetch_add(removed, Ordering::Relaxed);
     }
 
     /// Scans the directory for the `--cache stat` report.
@@ -399,7 +355,7 @@ impl DiskCache {
     ///
     /// Propagates directory-walk I/O errors.
     pub fn status(&self) -> io::Result<DiskCacheStatus> {
-        let files = self.scan()?.entries;
+        let files = self.scan()?;
         Ok(DiskCacheStatus {
             entries: files.len(),
             bytes: files.iter().map(|(_, len, _)| len).sum(),
@@ -416,12 +372,12 @@ impl DiskCache {
     /// Returns a description on lock timeout or removal failure.
     pub fn clear(&self) -> Result<usize, String> {
         let _lock = self.acquire_lock()?;
-        let scan = self
+        self.remove_orphans_locked();
+        let files = self
             .scan()
             .map_err(|e| format!("cannot scan cache dir: {e}"))?;
-        self.remove_orphans_locked(&scan.staging);
         let mut removed = 0;
-        for (path, _, _) in scan.entries {
+        for (path, _, _) in files {
             fs::remove_file(&path).map_err(|e| format!("cannot remove {}: {e}", path.display()))?;
             removed += 1;
         }
@@ -495,10 +451,9 @@ impl DiskCache {
         }
     }
 
-    /// Persists a compiled entry for `key`, atomically (temp file +
-    /// rename) and under the directory lock, then enforces the size cap.
-    /// Quarantined compilations must never reach this — only successful
-    /// ones are worth (or safe) replaying in another process.
+    /// Persists a compiled entry for `key`. Quarantined compilations must
+    /// never reach this — only successful ones are worth (or safe)
+    /// replaying in another process.
     ///
     /// # Errors
     ///
@@ -510,24 +465,15 @@ impl DiskCache {
         model_name: &str,
         entry: &CompiledKernel,
     ) -> Result<(), String> {
-        let bytes = encode_entry(key, model_name, entry);
+        self.put(&key.file_name(), &encode_entry(key, model_name, entry))
+    }
+
+    /// Publishes one record atomically ([`store::publish`]) under the
+    /// directory lock, then enforces the size cap.
+    fn put(&self, file_name: &str, bytes: &[u8]) -> Result<(), String> {
         let _lock = self.acquire_lock()?;
-        let final_path = self.entry_path(key);
-        let tmp_path = self
-            .dir
-            .join(format!("{}.tmp-{}", key.file_name(), std::process::id()));
-        let write = || -> io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            // Flush to the device before the rename publishes the entry,
-            // so a crash cannot leave a complete-looking empty file.
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)
-        };
-        if let Err(e) = write() {
-            let _ = fs::remove_file(&tmp_path);
-            return Err(format!("cannot write cache entry: {e}"));
-        }
+        let final_path = self.dir.join(file_name);
+        store::publish(&final_path, bytes).map_err(|e| format!("cannot write {file_name}: {e}"))?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.enforce_cap_locked(&final_path);
         Ok(())
@@ -540,11 +486,10 @@ impl DiskCache {
     /// entries, so nothing else would ever count or remove them.
     fn enforce_cap_locked(&self, protect: &Path) {
         let cap = self.cap_bytes();
-        let Ok(scan) = self.scan() else {
+        self.remove_orphans_locked();
+        let Ok(mut files) = self.scan() else {
             return;
         };
-        self.remove_orphans_locked(&scan.staging);
-        let mut files = scan.entries;
         let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
         if total <= cap {
             return;
@@ -562,45 +507,56 @@ impl DiskCache {
     }
 
     /// Loads and reconstructs the entry for `key`, running the full
-    /// integrity ladder (see the module docs). Never panics: every
-    /// failure mode is a [`DiskLoad::Rejected`] (or [`DiskLoad::Miss`]
-    /// when no entry exists).
+    /// ladder (see the module docs). Never panics: every failure mode is a
+    /// [`DiskLoad::Rejected`] (or [`DiskLoad::Miss`] when no entry exists).
     pub fn load(&self, key: &EntryKey, model: &Model) -> DiskLoad {
-        let path = self.entry_path(key);
-        let mut bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return DiskLoad::Miss,
-            Err(e) => {
-                self.rejects.fetch_add(1, Ordering::Relaxed);
-                return DiskLoad::Rejected(format!("unreadable entry: {e}"));
+        self.get(&key.file_name(), |bytes| {
+            decode_entry(bytes, key, model).map(Box::new)
+        })
+    }
+
+    /// Reads one record, lets any armed `disk-*` fault damage the bytes,
+    /// and decodes them. A hit refreshes the file's mtime so LRU eviction
+    /// sees it as live (best-effort: a read-only cache dir still serves
+    /// hits); a refused file is removed, so that the recompile's store
+    /// heals the cache instead of re-rejecting forever.
+    fn get<T>(
+        &self,
+        file_name: &str,
+        decode: impl FnOnce(&[u8]) -> Result<T, Reject>,
+    ) -> DiskLoad<T> {
+        let path = self.dir.join(file_name);
+        let decoded = match fs::read(&path) {
+            Ok(mut bytes) => {
+                store::inject(&mut bytes, DISK_FAULTS);
+                decode(&bytes)
             }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return DiskLoad::Miss,
+            Err(e) => Err(Reject {
+                reason: RejectReason::BadHeader,
+                detail: format!("unreadable ({e})"),
+            }),
         };
-        inject_disk_faults(&mut bytes);
-        match decode_entry(&bytes, key, model) {
-            Ok(entry) => {
+        match decoded {
+            Ok(loaded) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                // Refresh mtime so LRU eviction sees this entry as live.
-                // Best-effort: a read-only cache dir still serves hits.
                 let _ = fs::OpenOptions::new()
                     .append(true)
                     .open(&path)
                     .and_then(|f| f.set_modified(SystemTime::now()));
-                DiskLoad::Hit(Box::new(entry))
+                DiskLoad::Hit(loaded)
             }
-            Err(reason) => {
+            Err(reject) => {
                 self.rejects.fetch_add(1, Ordering::Relaxed);
-                // Drop the bad file so the recompile's store self-heals
-                // the cache instead of re-rejecting forever.
                 let _ = fs::remove_file(&path);
-                DiskLoad::Rejected(reason)
+                DiskLoad::Rejected(reject)
             }
         }
     }
 
-    /// Persists a probation-validated native shared object, atomically
-    /// and under the directory lock, like [`DiskCache::store`]. The
-    /// envelope stamps the container and emitter versions and carries a
-    /// word-wise FNV-1a checksum over the object bytes.
+    /// Persists a probation-validated native shared object as a record
+    /// stamped with the container and emitter versions and keyed by
+    /// `fingerprint`, like [`DiskCache::store`].
     ///
     /// Callers must only persist objects that passed the bit-identity
     /// probation — quarantined native code never reaches disk.
@@ -610,166 +566,68 @@ impl DiskCache {
     /// Returns a description on lock timeout or I/O failure; the caller
     /// degrades to in-memory-only.
     pub fn store_native(&self, fingerprint: u64, so_bytes: &[u8]) -> Result<(), String> {
-        let header = format!(
-            "{NATIVE_MAGIC} {NATIVE_CONTAINER_VERSION} {} {fingerprint:016x} {} {:016x}\n",
-            limpet_codegen::NATIVE_EMITTER_VERSION,
-            so_bytes.len(),
-            payload_sum(so_bytes),
-        );
-        let mut bytes = header.into_bytes();
-        bytes.extend_from_slice(so_bytes);
-        let _lock = self.acquire_lock()?;
-        let final_path = self.dir.join(native_file_name(fingerprint));
-        let tmp_path = self.dir.join(format!(
-            "{}.tmp-{}",
-            native_file_name(fingerprint),
-            std::process::id()
-        ));
-        let write = || -> io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)
-        };
-        if let Err(e) = write() {
-            let _ = fs::remove_file(&tmp_path);
-            return Err(format!("cannot write native container: {e}"));
-        }
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.enforce_cap_locked(&final_path);
-        Ok(())
+        self.put(
+            &native_file_name(fingerprint),
+            &seal_container(fingerprint, so_bytes),
+        )
     }
 
-    /// Loads the persisted shared object for `fingerprint`, running the
-    /// envelope's integrity ladder (magic, versions, key echo, length,
-    /// checksum). Returns the raw object bytes on success; the caller
-    /// still `dlopen`s and re-probates them.
-    pub fn load_native(&self, fingerprint: u64) -> NativeDiskLoad {
-        let path = self.dir.join(native_file_name(fingerprint));
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return NativeDiskLoad::Miss,
-            Err(e) => {
-                self.rejects.fetch_add(1, Ordering::Relaxed);
-                return NativeDiskLoad::Rejected(format!("unreadable container: {e}"));
-            }
-        };
-        match decode_native(&bytes, fingerprint) {
-            Ok(payload) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                // Refresh mtime so LRU eviction sees the object as live.
-                let _ = fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .and_then(|f| f.set_modified(SystemTime::now()));
-                NativeDiskLoad::Hit(payload)
-            }
-            Err(reason) => {
-                self.rejects.fetch_add(1, Ordering::Relaxed);
-                NativeDiskLoad::Rejected(reason)
-            }
-        }
+    /// Loads the persisted shared object for `fingerprint` down the same
+    /// ladder as [`DiskCache::load`]. Returns the raw object bytes on
+    /// success; the caller still `dlopen`s and re-probates them.
+    pub fn load_native(&self, fingerprint: u64) -> DiskLoad<Vec<u8>> {
+        self.get(&native_file_name(fingerprint), |bytes| {
+            open_container(bytes, fingerprint)
+        })
     }
 
-    /// Removes the persisted shared object for `fingerprint`, if any
-    /// (rejected containers self-heal this way).
+    /// Removes the persisted shared object for `fingerprint`, if any (one
+    /// that loaded intact but failed probation).
     pub fn remove_native(&self, fingerprint: u64) {
         let _ = fs::remove_file(self.dir.join(native_file_name(fingerprint)));
     }
 }
 
-/// Envelope checks for a native container; returns the object payload.
-fn decode_native(bytes: &[u8], fingerprint: u64) -> Result<Vec<u8>, String> {
-    let header_end = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("missing header line")?;
-    let header =
-        std::str::from_utf8(&bytes[..header_end]).map_err(|_| "header is not UTF-8".to_string())?;
-    let tokens: Vec<&str> = header.split_whitespace().collect();
-    let [magic, container_ver, emitter_ver, fp, payload_len, checksum] = tokens[..] else {
-        return Err(format!(
-            "malformed header ({} fields, expected 6)",
-            tokens.len()
-        ));
-    };
-    if magic != NATIVE_MAGIC {
-        return Err(format!("bad magic '{magic}'"));
-    }
-    let want = (
-        NATIVE_CONTAINER_VERSION.to_string(),
-        limpet_codegen::NATIVE_EMITTER_VERSION.to_string(),
-    );
-    if (container_ver, emitter_ver) != (&want.0, &want.1) {
-        return Err(format!(
-            "stale native container (container {container_ver}, emitter {emitter_ver}; this build wants {}/{})",
-            want.0, want.1
-        ));
-    }
-    let fp = u64::from_str_radix(fp, 16).map_err(|_| format!("bad fingerprint '{fp}'"))?;
-    if fp != fingerprint {
-        return Err(format!(
-            "key mismatch (container is {fp:016x}, wanted {fingerprint:016x})"
-        ));
-    }
-    let payload_len: usize = payload_len
-        .parse()
-        .map_err(|_| format!("bad payload length '{payload_len}'"))?;
-    let checksum =
-        u64::from_str_radix(checksum, 16).map_err(|_| format!("bad checksum '{checksum}'"))?;
-    let payload = &bytes[header_end + 1..];
-    if payload.len() != payload_len {
-        return Err(format!(
-            "truncated container (payload {} bytes, header promises {payload_len})",
-            payload.len()
-        ));
-    }
-    let got = payload_sum(payload);
-    if got != checksum {
-        return Err(format!(
-            "checksum mismatch (computed {got:016x}, header says {checksum:016x})"
-        ));
-    }
-    Ok(payload.to_vec())
+/// The format stamps of a native container.
+const NATIVE_STAMPS: [&dyn Display; 2] = [
+    &NATIVE_CONTAINER_VERSION,
+    &limpet_codegen::NATIVE_EMITTER_VERSION,
+];
+
+/// A native container: the object's bytes under [`NATIVE_STAMPS`] and the
+/// fingerprint.
+pub(crate) fn seal_container(fingerprint: u64, so_bytes: &[u8]) -> Vec<u8> {
+    let key = format_args!("{fingerprint:016x}");
+    store::seal(
+        NATIVE_MAGIC,
+        &NATIVE_STAMPS,
+        &[&key],
+        so_bytes.len(),
+        |out| out.extend_from_slice(so_bytes),
+    )
 }
 
-/// Applies at most one armed disk-fault plan to the just-read entry
-/// bytes (so a spec arming several disk faults spreads them across
-/// consecutive loads instead of piling onto the first). The mutations
-/// are deliberately fed through the *real* integrity checks — the test
-/// asserts the rejection, not the mutation.
-fn inject_disk_faults(bytes: &mut Vec<u8>) {
-    if bytes.is_empty() {
-        return;
-    }
-    if let Some(seed) = faults::take(FaultKind::DiskCorrupt) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let at = rng.gen_range(0..bytes.len());
-        bytes[at] ^= 0x20;
-        return;
-    }
-    if let Some(seed) = faults::take(FaultKind::DiskTruncate) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let keep = rng.gen_range(0..bytes.len());
-        bytes.truncate(keep);
-        return;
-    }
-    if faults::take(FaultKind::DiskStaleVersion).is_some() {
-        // Rewrite the entry-format-version token in the header, as if the
-        // file had been written by an incompatible limpet-rs build.
-        let header_end = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .unwrap_or(bytes.len());
-        if let Ok(header) = std::str::from_utf8(&bytes[..header_end]) {
-            let mut tokens: Vec<String> = header.split_whitespace().map(String::from).collect();
-            if tokens.len() >= 2 {
-                tokens[1] = "999999".to_string();
-                let mut patched = tokens.join(" ").into_bytes();
-                patched.extend_from_slice(&bytes[header_end..]);
-                *bytes = patched;
-            }
-        }
+/// The object bytes of the native container for `fingerprint`.
+pub(crate) fn open_container(bytes: &[u8], fingerprint: u64) -> Result<Vec<u8>, Reject> {
+    let key = format_args!("{fingerprint:016x}");
+    store::open(bytes, NATIVE_MAGIC, &NATIVE_STAMPS, &[&key]).map(<[u8]>::to_vec)
+}
+
+/// The format stamps of an entry.
+const ENTRY_STAMPS: [&dyn Display; 3] = [
+    &ENTRY_FORMAT_VERSION,
+    &limpet_ir::TEXT_FORMAT_VERSION,
+    &limpet_vm::BYTECODE_FORMAT_VERSION,
+];
+
+impl EntryKey {
+    /// The key as an entry's header echoes it.
+    fn echo(&self) -> [String; 3] {
+        [
+            format!("{:016x}", self.fingerprint),
+            self.config.label(),
+            u8::from(self.opt).to_string(),
+        ]
     }
 }
 
@@ -788,9 +646,9 @@ fn inject_disk_faults(bytes: &mut Vec<u8>) {
 /// end\n
 /// ```
 ///
-/// One allocation of the final size: the tables are copied into place
-/// once and the checksum patched into the header afterwards.
-fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKernel) -> Vec<u8> {
+/// One allocation of the final size ([`store::seal`]): the tables are
+/// copied into place once.
+pub(crate) fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKernel) -> Vec<u8> {
     let mut text = format!("model {model_name}\n");
     for (name, body) in [
         ("module", limpet_ir::print_module(entry.module())),
@@ -808,89 +666,37 @@ fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKernel) -> Vec
         text.push('\n');
     }
     let luts = entry.kernel().luts();
-    let payload_len = text.len() + limpet_vm::encoded_luts_len(luts);
-    let mut out = format!(
-        "{MAGIC} {ENTRY_FORMAT_VERSION} {} {} {:016x} {} {} {payload_len} ",
-        limpet_ir::TEXT_FORMAT_VERSION,
-        limpet_vm::BYTECODE_FORMAT_VERSION,
-        key.fingerprint,
-        key.config.label(),
-        u8::from(key.opt),
+    let [fp, label, opt] = key.echo();
+    store::seal(
+        MAGIC,
+        &ENTRY_STAMPS,
+        &[&fp, &label, &opt],
+        text.len() + limpet_vm::encoded_luts_len(luts),
+        |out| {
+            out.extend_from_slice(text.as_bytes());
+            limpet_vm::encode_luts(luts, out);
+        },
     )
-    .into_bytes();
-    let sum_at = out.len();
-    out.reserve_exact(17 + payload_len);
-    out.extend_from_slice(b"0000000000000000\n"); // the sum, once the payload is there
-    let payload_at = out.len();
-    out.extend_from_slice(text.as_bytes());
-    limpet_vm::encode_luts(luts, &mut out);
-    debug_assert_eq!(out.len() - payload_at, payload_len);
-    let sum = format!("{:016x}", payload_sum(&out[payload_at..]));
-    out[sum_at..sum_at + 16].copy_from_slice(sum.as_bytes());
-    out
 }
 
-/// Runs the integrity ladder over raw entry bytes and reconstructs the
-/// compilation. Every failure is a `String` reason (mapped to
-/// [`DiskLoad::Rejected`] by the caller).
-fn decode_entry(bytes: &[u8], key: &EntryKey, model: &Model) -> Result<CompiledKernel, String> {
+/// Walks the ladder over raw entry bytes and reconstructs the compilation.
+pub(crate) fn decode_entry(
+    bytes: &[u8],
+    key: &EntryKey,
+    model: &Model,
+) -> Result<CompiledKernel, Reject> {
     let started = Instant::now();
-    let header_end = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("missing header line")?;
-    let header =
-        std::str::from_utf8(&bytes[..header_end]).map_err(|_| "header is not UTF-8".to_string())?;
-    let tokens: Vec<&str> = header.split_whitespace().collect();
-    let [magic, entry_ver, ir_ver, bc_ver, fp, label, opt, payload_len, checksum] = tokens[..]
-    else {
-        return Err(format!(
-            "malformed header ({} fields, expected 9)",
-            tokens.len()
-        ));
-    };
-    if magic != MAGIC {
-        return Err(format!("bad magic '{magic}'"));
-    }
-    let want_vers = (
-        ENTRY_FORMAT_VERSION.to_string(),
-        limpet_ir::TEXT_FORMAT_VERSION.to_string(),
-        limpet_vm::BYTECODE_FORMAT_VERSION.to_string(),
-    );
-    if (entry_ver, ir_ver, bc_ver) != (&want_vers.0, &want_vers.1, &want_vers.2) {
-        return Err(format!(
-            "stale format version (entry {entry_ver}, ir {ir_ver}, bc {bc_ver}; this build wants {}/{}/{})",
-            want_vers.0, want_vers.1, want_vers.2
-        ));
-    }
-    let fp = u64::from_str_radix(fp, 16).map_err(|_| format!("bad fingerprint '{fp}'"))?;
-    if fp != key.fingerprint || label != key.config.label() || opt != u8::from(key.opt).to_string()
-    {
-        return Err(format!(
-            "key mismatch (entry is {fp:016x}/{label}/{opt}, wanted {:016x}/{}/{})",
-            key.fingerprint,
-            key.config.label(),
-            u8::from(key.opt)
-        ));
-    }
-    let payload_len: usize = payload_len
-        .parse()
-        .map_err(|_| format!("bad payload length '{payload_len}'"))?;
-    let checksum =
-        u64::from_str_radix(checksum, 16).map_err(|_| format!("bad checksum '{checksum}'"))?;
-    let payload = &bytes[header_end + 1..];
-    if payload.len() != payload_len {
-        return Err(format!(
-            "truncated entry (payload {} bytes, header promises {payload_len})",
-            payload.len()
-        ));
-    }
-    let got = payload_sum(payload);
-    if got != checksum {
-        return Err(format!(
-            "checksum mismatch (computed {got:016x}, header says {checksum:016x})"
-        ));
-    }
+    let [fp, label, opt] = key.echo();
+    let payload = store::open(bytes, MAGIC, &ENTRY_STAMPS, &[&fp, &label, &opt])?;
+    parse_entry(payload, model, started).map_err(|detail| Reject {
+        reason: RejectReason::Malformed,
+        detail,
+    })
+}
+
+/// The payload grammar of an entry: the `model` line, three text sections
+/// and the table block.
+fn parse_entry(payload: &[u8], model: &Model, started: Instant) -> Result<CompiledKernel, String> {
     // Text is validated as UTF-8 section by section; the table block
     // after the sections is bytes and is not.
     let mut rest = payload;
@@ -1072,6 +878,10 @@ mod tests {
         dir
     }
 
+    fn entry_path(cache: &DiskCache, key: &EntryKey) -> PathBuf {
+        cache.dir().join(key.file_name())
+    }
+
     fn sample_entry() -> (Model, EntryKey, CompiledKernel) {
         let m = model("Plonsey");
         let key = EntryKey::new(&m, PipelineKind::Baseline, true);
@@ -1117,17 +927,14 @@ mod tests {
         let cache = DiskCache::open(&dir).unwrap();
         let (m, key, entry) = sample_entry();
         cache.store(&key, &m.name, &entry).unwrap();
-        let path = cache.entry_path(&key);
+        let path = entry_path(&cache, &key);
         let mut bytes = fs::read(&path).unwrap();
         let at = bytes.len() / 2;
         bytes[at] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         match cache.load(&key, &m) {
-            DiskLoad::Rejected(reason) => {
-                assert!(
-                    reason.contains("checksum") || reason.contains("UTF-8"),
-                    "unexpected reason: {reason}"
-                )
+            DiskLoad::Rejected(reject) => {
+                assert_eq!(reject.reason, RejectReason::ChecksumMismatch, "{reject}")
             }
             other => panic!("expected rejection, got {other:?}"),
         }
@@ -1143,7 +950,7 @@ mod tests {
         let cache = DiskCache::open(&dir).unwrap();
         let (m, key, entry) = sample_entry();
         cache.store(&key, &m.name, &entry).unwrap();
-        let path = cache.entry_path(&key);
+        let path = entry_path(&cache, &key);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         assert!(matches!(cache.load(&key, &m), DiskLoad::Rejected(_)));
@@ -1156,7 +963,7 @@ mod tests {
         let cache = DiskCache::open(&dir).unwrap();
         let (m, key, entry) = sample_entry();
         cache.store(&key, &m.name, &entry).unwrap();
-        let path = cache.entry_path(&key);
+        let path = entry_path(&cache, &key);
         let text = fs::read_to_string(&path).unwrap();
         let patched = text.replacen(
             &format!("{MAGIC} {ENTRY_FORMAT_VERSION} "),
@@ -1166,7 +973,10 @@ mod tests {
         assert_ne!(text, patched, "header must have been patched");
         fs::write(&path, patched).unwrap();
         match cache.load(&key, &m) {
-            DiskLoad::Rejected(reason) => assert!(reason.contains("stale"), "{reason}"),
+            DiskLoad::Rejected(reject) => {
+                assert_eq!(reject.reason, RejectReason::StaleVersion);
+                assert!(reject.detail.contains("stale format version"), "{reject}");
+            }
             other => panic!("expected rejection, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
@@ -1181,9 +991,12 @@ mod tests {
         // Pretend the file belongs to a different key (as if mis-renamed).
         let other = model("HodgkinHuxley");
         let other_key = EntryKey::new(&other, PipelineKind::Baseline, true);
-        fs::rename(cache.entry_path(&key), cache.entry_path(&other_key)).unwrap();
+        fs::copy(entry_path(&cache, &key), entry_path(&cache, &other_key)).unwrap();
         match cache.load(&other_key, &other) {
-            DiskLoad::Rejected(reason) => assert!(reason.contains("key mismatch"), "{reason}"),
+            DiskLoad::Rejected(reject) => {
+                assert_eq!(reject.reason, RejectReason::KeyMismatch);
+                assert!(reject.detail.contains("key mismatch"), "{reject}");
+            }
             other => panic!("expected rejection, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
@@ -1204,13 +1017,13 @@ mod tests {
             let age = SystemTime::now() - Duration::from_secs(100 - i as u64 * 10);
             fs::OpenOptions::new()
                 .append(true)
-                .open(cache.entry_path(&key))
+                .open(entry_path(&cache, &key))
                 .and_then(|f| f.set_modified(age))
                 .unwrap();
             keys.push((m, key));
         }
         // Cap to just the newest entry's size: the two oldest must go.
-        let newest = fs::metadata(cache.entry_path(&keys[2].1)).unwrap().len();
+        let newest = fs::metadata(entry_path(&cache, &keys[2].1)).unwrap().len();
         cache.set_cap_bytes(newest);
         let (m, key) = &keys[2];
         let entry = CompiledKernel::compile(m, PipelineKind::Baseline);
@@ -1298,23 +1111,14 @@ mod tests {
         let dir = temp_dir("orphans");
         let cache = DiskCache::open(&dir).unwrap();
         let (m, key, entry) = sample_entry();
-        // What a writer killed between `File::create` and `rename` leaves,
+        // What a writer killed between staging and publishing leaves,
         // for an entry and for a native container: one long dead, one that
         // may still be at work.
-        let plant = |name: String, age: Duration| {
-            let path = dir.join(name);
-            fs::write(&path, vec![0u8; 4096]).unwrap();
-            fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .and_then(|f| f.set_modified(SystemTime::now() - age))
-                .unwrap();
-            path
-        };
+        let plant = |name: String, age| crate::store::tests::plant_aged(dir.join(name), age);
         let old = Duration::from_secs(120);
-        let dead_entry = plant(format!("{}.tmp-4242", key.file_name()), old);
-        let dead_native = plant(format!("{}.tmp-4242", native_file_name(7)), old);
-        let live = plant(format!("{}.tmp-4243", key.file_name()), Duration::ZERO);
+        let dead_entry = plant(format!("{}.tmp-4242-0", key.file_name()), old);
+        let dead_native = plant(format!("{}.tmp-4242-1", native_file_name(7)), old);
+        let live = plant(format!("{}.tmp-4243-0", key.file_name()), Duration::ZERO);
         // Neither an entry nor ours to judge.
         let foreign = plant("notes.tmp-1".to_string(), old);
 
@@ -1324,11 +1128,11 @@ mod tests {
         assert!(foreign.exists());
         assert_eq!(cache.stats().orphans_removed, 2);
         let status = cache.status().unwrap();
-        let stored = fs::metadata(cache.entry_path(&key)).unwrap().len();
+        let stored = fs::metadata(entry_path(&cache, &key)).unwrap().len();
         assert_eq!((status.entries, status.bytes), (1, stored));
 
         // `clear` sweeps them too, by the same rule.
-        let dead_again = plant(format!("{}.tmp-4244", key.file_name()), old);
+        let dead_again = plant(format!("{}.tmp-4244-0", key.file_name()), old);
         assert_eq!(cache.clear().unwrap(), 1, "entries removed");
         assert!(!dead_again.exists() && live.exists());
         assert_eq!(cache.stats().orphans_removed, 3);
@@ -1369,11 +1173,11 @@ mod tests {
         let fp = 0xdead_beef_cafe_f00d;
         cache.store_native(fp, &payload).unwrap();
         match cache.load_native(fp) {
-            NativeDiskLoad::Hit(bytes) => assert_eq!(bytes, payload),
+            DiskLoad::Hit(bytes) => assert_eq!(bytes, payload),
             other => panic!("expected hit, got {other:?}"),
         }
         // Unknown fingerprint is a miss.
-        assert!(matches!(cache.load_native(fp ^ 1), NativeDiskLoad::Miss));
+        assert!(matches!(cache.load_native(fp ^ 1), DiskLoad::Miss));
         // A flipped payload byte fails the checksum.
         let path = dir.join(native_file_name(fp));
         let mut bytes = fs::read(&path).unwrap();
@@ -1381,11 +1185,15 @@ mod tests {
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
         match cache.load_native(fp) {
-            NativeDiskLoad::Rejected(reason) => {
-                assert!(reason.contains("checksum"), "{reason}")
+            DiskLoad::Rejected(reject) => {
+                assert_eq!(reject.reason, RejectReason::ChecksumMismatch, "{reject}")
             }
             other => panic!("expected rejection, got {other:?}"),
         }
+        assert!(
+            !path.exists(),
+            "a refused container is removed like an entry"
+        );
         // A stale emitter version is rejected before any parse.
         cache.store_native(fp, &payload).unwrap();
         let text = fs::read(&path).unwrap();
@@ -1400,12 +1208,23 @@ mod tests {
         patched.extend_from_slice(&text[header_end..]);
         fs::write(&path, &patched).unwrap();
         match cache.load_native(fp) {
-            NativeDiskLoad::Rejected(reason) => assert!(reason.contains("stale"), "{reason}"),
+            DiskLoad::Rejected(reject) => {
+                assert_eq!(reject.reason, RejectReason::StaleVersion, "{reject}")
+            }
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        // A container under another fingerprint's name is refused by its key.
+        cache.store_native(fp, &payload).unwrap();
+        fs::copy(&path, dir.join(native_file_name(fp ^ 1))).unwrap();
+        match cache.load_native(fp ^ 1) {
+            DiskLoad::Rejected(reject) => {
+                assert_eq!(reject.reason, RejectReason::KeyMismatch, "{reject}")
+            }
             other => panic!("expected rejection, got {other:?}"),
         }
         // remove_native clears the slot.
         cache.remove_native(fp);
-        assert!(matches!(cache.load_native(fp), NativeDiskLoad::Miss));
+        assert!(matches!(cache.load_native(fp), DiskLoad::Miss));
         // Native containers count in the directory status scan.
         cache.store_native(fp, &payload).unwrap();
         assert_eq!(cache.status().unwrap().entries, 1);

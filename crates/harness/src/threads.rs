@@ -29,6 +29,7 @@
 //! kernel disk cache ([`TimingModel::save`]).
 
 use crate::sim::{PipelineKind, Simulation, Workload};
+use crate::store;
 use limpet_easyml::Model;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -429,11 +430,15 @@ impl Default for TimingModel {
 }
 
 /// File name of the persisted calibration constants (stored next to the
-/// kernel disk cache entries).
+/// kernel disk cache entries). The format stamp lives inside the record,
+/// not in the name.
 const TIMING_MODEL_FILE: &str = "timing-model.v1";
-/// Format stamp of the persisted file; bump on layout changes so stale
-/// files are recalibrated instead of misread.
-const TIMING_MODEL_HEADER: &str = "timing-model-v1";
+/// First token of the record; anything else is not ours.
+const TIMING_MODEL_MAGIC: &str = "limpet-timing-model";
+/// Format stamp of the record; bump on layout changes so stale files are
+/// recalibrated instead of misread. Format 1 was four bare text lines
+/// under a `timing-model-v1` line, with no length and no checksum.
+const TIMING_MODEL_VERSION: u32 = 2;
 
 impl TimingModel {
     /// Calibrates the stream bandwidth on the current host; other
@@ -445,39 +450,47 @@ impl TimingModel {
         }
     }
 
+    /// The record around the text of the constants.
+    fn seal(body: &str) -> Vec<u8> {
+        store::seal(
+            TIMING_MODEL_MAGIC,
+            &[&TIMING_MODEL_VERSION],
+            &[],
+            body.len(),
+            |out| out.extend_from_slice(body.as_bytes()),
+        )
+    }
+
     /// Persists the calibrated constants into `dir` (the kernel disk
-    /// cache directory) with an atomic temp+rename write, returning the
-    /// file path. Values are stored as exact f64 bit patterns so a
-    /// loaded model reproduces the persisted one bit-for-bit.
+    /// cache directory) as one record of [`crate::store`], atomically
+    /// replaced, returning the file path. Values are stored as exact f64
+    /// bit patterns so a loaded model reproduces the persisted one
+    /// bit-for-bit.
     pub fn save(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let body = format!(
-            "{TIMING_MODEL_HEADER}\nstream_bandwidth {:016x}\nbandwidth_saturation {:016x}\nbarrier_base {:016x}\nlane_sync {:016x}\n",
+            "stream_bandwidth {:016x}\nbandwidth_saturation {:016x}\nbarrier_base {:016x}\nlane_sync {:016x}\n",
             self.stream_bandwidth.to_bits(),
             self.bandwidth_saturation.to_bits(),
             self.barrier_base.to_bits(),
             self.lane_sync.to_bits(),
         );
         let path = dir.join(TIMING_MODEL_FILE);
-        let tmp = dir.join(format!("{TIMING_MODEL_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, body)?;
-        std::fs::rename(&tmp, &path)?;
+        store::publish(&path, &TimingModel::seal(&body))?;
         Ok(path)
     }
 
     /// Loads persisted calibration constants from `dir`. Returns `None`
-    /// when the file is absent, has a wrong format stamp, or holds
-    /// non-finite / non-positive constants (any of which means the file
-    /// should be ignored and the host recalibrated).
+    /// when the file is absent, fails any rung of the record's ladder (an
+    /// older format, a flipped or missing byte), or holds non-finite /
+    /// non-positive constants — any of which means the file should be
+    /// ignored and the host recalibrated.
     pub fn load(dir: &Path) -> Option<TimingModel> {
-        let text = std::fs::read_to_string(dir.join(TIMING_MODEL_FILE)).ok()?;
-        let mut lines = text.lines();
-        if lines.next()? != TIMING_MODEL_HEADER {
-            return None;
-        }
+        let bytes = std::fs::read(dir.join(TIMING_MODEL_FILE)).ok()?;
+        let mut rest =
+            store::open(&bytes, TIMING_MODEL_MAGIC, &[&TIMING_MODEL_VERSION], &[]).ok()?;
         let mut field = |name: &str| -> Option<f64> {
-            let line = lines.next()?;
-            let (key, bits) = line.split_once(' ')?;
+            let (key, bits) = store::take_line(&mut rest)?.split_once(' ')?;
             if key != name {
                 return None;
             }
@@ -497,7 +510,7 @@ impl TimingModel {
         ]
         .iter()
         .all(|v| v.is_finite() && *v > 0.0);
-        sane.then_some(tm)
+        (sane && rest.is_empty()).then_some(tm)
     }
 
     /// Loads persisted constants from `dir` when present and valid, else
@@ -672,19 +685,38 @@ mod tests {
         let (again, was_loaded) = TimingModel::load_or_calibrate(&dir);
         assert!(was_loaded);
         assert_eq!(again, tm);
-        // A stale format stamp must be rejected, not misread.
-        std::fs::write(dir.join(TIMING_MODEL_FILE), "timing-model-v0\n").unwrap();
+        // What the parent build saved (format 1: a stamp line, four bare
+        // lines, no length, no sum) recalibrates, as its `-v0` did there.
+        let file = dir.join(TIMING_MODEL_FILE);
+        let saved = std::fs::read(&file).unwrap();
+        let payload_at = saved.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let format_1 = [b"timing-model-v1\n", &saved[payload_at..]].concat();
+        std::fs::write(&file, format_1).unwrap();
         assert!(TimingModel::load(&dir).is_none());
-        // Non-finite constants are rejected too.
+        // Damage the old reader let through: any byte of a constant flipped
+        // (a bit-rotted bandwidth fed Fig. 3-5's modeled rows silently), any
+        // truncation, an empty file published by a crash before `fsync`.
+        for at in 0..saved.len() {
+            let mut damaged = saved.clone();
+            damaged[at] ^= 0x01;
+            std::fs::write(&file, &damaged).unwrap();
+            assert!(TimingModel::load(&dir).is_none(), "byte {at} flipped");
+            std::fs::write(&file, &saved[..at]).unwrap();
+            assert!(TimingModel::load(&dir).is_none(), "cut at {at}");
+        }
+        // Non-finite constants are rejected too, however well signed.
         let bad = format!(
-            "{TIMING_MODEL_HEADER}\nstream_bandwidth {:016x}\nbandwidth_saturation {:016x}\nbarrier_base {:016x}\nlane_sync {:016x}\n",
+            "stream_bandwidth {:016x}\nbandwidth_saturation {:016x}\nbarrier_base {:016x}\nlane_sync {:016x}\n",
             f64::NAN.to_bits(),
             1.0f64.to_bits(),
             1.0f64.to_bits(),
             1.0f64.to_bits(),
         );
-        std::fs::write(dir.join(TIMING_MODEL_FILE), bad).unwrap();
+        std::fs::write(&file, TimingModel::seal(&bad)).unwrap();
         assert!(TimingModel::load(&dir).is_none());
+        // The rejections above were of the file, not of the reader.
+        std::fs::write(&file, TimingModel::seal(&bad.replace("7ff8", "3ff8"))).unwrap();
+        assert!(TimingModel::load(&dir).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

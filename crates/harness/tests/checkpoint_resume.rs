@@ -389,3 +389,40 @@ fn snapshot_written_by_the_parent_build_is_stale_not_misparsed() {
     assert_eq!(store.load("job").snapshot.unwrap().state, v1_words);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// No format bump rode along with `harness::store`: what the parent build
+/// (0892a15, its own header parser and write sequence) saved for
+/// MitchellSchaeffer × 5 cells at step 40 loads from the current slot, holds
+/// the state this build computes, and is byte for byte what this build
+/// writes.
+#[test]
+fn snapshot_written_before_the_store_extraction_loads_as_current() {
+    let _g = serialized();
+    let parent = include_bytes!("snapshot_written_at_0892a15.lcp");
+    assert!(parent.starts_with(b"limpet-checkpoint 2 265 "));
+    let m = model("MitchellSchaeffer");
+    let config = PipelineKind::LimpetMlir(limpet_codegen::pipeline::VectorIsa::Avx512);
+    let wl = Workload {
+        n_cells: 5,
+        steps: 0,
+        dt: 0.01,
+    };
+    let mut sim = Simulation::new_resilient(&m, config, &wl, HealthPolicy::Abort).unwrap();
+    sim.run_guarded(40).expect("healthy");
+    // The kernel's executed-step counter is shared through the process-wide
+    // cache with whatever ran before; the parent's process ran only this.
+    let at_40 = limpet_harness::Snapshot {
+        executed_steps: 40,
+        ..sim.snapshot(&config.label(), 40)
+    };
+
+    let (dir, store) = tmp_store("parent-v2");
+    std::fs::write(store.path_for("job"), parent).unwrap();
+    let out = store.load("job");
+    assert!(!out.from_previous && out.rejects.is_empty());
+    assert_eq!(out.snapshot.as_ref(), Some(&at_40));
+    let stats = store.stats();
+    assert_eq!((stats.loaded_current, stats.rejected_total()), (1, 0));
+    assert_eq!(at_40.encode(), parent);
+    let _ = std::fs::remove_dir_all(&dir);
+}

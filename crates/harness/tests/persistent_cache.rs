@@ -267,6 +267,34 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// No format bump rode along with `harness::store`: what the parent build
+/// (0892a15, its own header parser and write sequence) stored for this model
+/// and configuration is a *hit* here, and steps like a fresh compile.
+#[test]
+fn entry_written_before_the_store_extraction_is_a_hit() {
+    let _g = serialized();
+    let dir = temp_cache_dir("parent-hit");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let parent_entry = include_bytes!("entry_written_at_0892a15.lke");
+    assert!(parent_entry.starts_with(b"limpet-kernel-cache 3 1 2 "));
+    std::fs::write(entry_path(&dir, &m), parent_entry).unwrap();
+
+    let cache = cache_with_disk(&disk);
+    let loaded = cache.get_or_compile(&m, CONFIG);
+    let s = cache.stats();
+    assert_eq!(
+        (s.disk_hits, s.disk_rejects, s.misses, s.disk_writes),
+        (1, 0, 0, 0),
+        "served from the parent's file, nothing recompiled or rewritten"
+    );
+    assert_eq!(
+        trajectory_bits(&loaded),
+        trajectory_bits(&CompiledKernel::compile(&m, CONFIG))
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The entry at `path` in its three parts: the header's tokens, the text
 /// part of the payload (the `model` line and the three framed sections) and
 /// the table block after it, which is bytes.

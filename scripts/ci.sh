@@ -203,11 +203,6 @@ cargo test -q -p limpet-opt --test fuzz_roundtrip
 echo "==> easyml no-panic lint gate"
 cargo clippy -q -p limpet-easyml -- -D clippy::unwrap_used -D clippy::expect_used
 
-echo "==> vm_dispatch bench smoke (bytecode-optimizer regression gate)"
-# Recomputes the deterministic executed-instrs/step of a 3-model subset
-# and fails if any optimized count regressed above BENCH_vm_dispatch.json.
-./target/release/vm_dispatch --check --models HodgkinHuxley,BeelerReuter,TenTusscherPanfilov
-
 echo "==> simulation service gate (limpet-serve end-to-end)"
 # Drives the daemon through the full service story: 12 concurrent jobs
 # across 2 tenants over one shared kernel cache with digests bit-identical
@@ -527,7 +522,7 @@ echo "==> limpet-perf --quick (all four workloads end to end, golden digests)"
 # reconciliation checks are inside the timing noise (2 of 6 runs miss).
 bash limpet-perf/run.sh --quick > /dev/null
 
-echo "==> limpet-perf sim_steady, traced (digests, exact counts, step-loop time vs BENCH_step_loop.json, LUT vs no-LUT)"
+echo "==> limpet-perf sim_steady, traced (digests, exact counts, step-loop time and executed instructions vs BENCH_step_loop.json, LUT vs no-LUT)"
 # One traced run of the step-loop workload. A non-zero exit is a wrong
 # golden digest, an exact count (instructions, flops, bytes, math calls
 # per step) that did not repeat, or `step_range` + `update_vm` drifting
@@ -584,11 +579,30 @@ hold_ms() {
     ok) echo "$what: primary_ms $now ms ($ledger: $ref ms)" ;;
   esac
 }
+# hold_count <metric> <result file> <ledger>: an exact count of what the
+# bytecode compiler and optimizer emit, summed over the roster (so any model's
+# increase shows), held on every host: no higher than the newest record of
+# the ledger, which is the first in the file.
+hold_count() {
+  local metric=$1 out=$2 ledger=$3 now ref
+  now=$(metric_value "$metric" "$out")
+  ref=$({ grep -o "\"$metric\": *[0-9][0-9]*" "$ledger" || true; } | head -1 | sed 's/^.*: *//')
+  [[ $now =~ ^[1-9][0-9]*$ && $ref =~ ^[1-9][0-9]*$ ]] \
+    || { echo "$metric: could not read the count (run '$now', $ledger '$ref')"; exit 1; }
+  if [ "$now" -gt "$ref" ]; then
+    echo "$metric: $now is above $ledger's $ref: the bytecode optimizer lost ground"
+    exit 1
+  fi
+  echo "$metric: $now ($ledger: $ref)"
+}
 # primary_ms as the benchmark defines it: geomean over the roster of the
 # W=8 ms per 8192-cell step.
 STEP_MS=$(json_values w8_ms_per_step "$STEP_OUT" \
   | awk '$1 > 0 { s += log($1); n++ } END { if (n) printf "%.4f", exp(s / n) }')
 hold_ms "step loop" "$STEP_MS" "$STEP_OUT" BENCH_step_loop.json
+# Executed W=8 instructions per 8192-cell step (what `vm_dispatch --check`
+# held for three models against a file of its own).
+hold_count vm.instrs_per_step_w8 "$STEP_OUT" BENCH_step_loop.json
 # The timed form of §3.4.2's claim (its exact form is
 # tests/paper_claims.rs::lut_beats_no_lut): the step of the no-LUT kernels
 # over the step of the LUT ones. Below 1 the paper's ordering is gone, below
@@ -633,7 +647,7 @@ else
 fi
 rm -f "$STEP_OUT"
 
-echo "==> limpet-perf compile_roster, traced (digests, exact counts, staged compile vs get_or_compile, cold compile vs BENCH_compile_cold.json, entry bytes vs table bytes)"
+echo "==> limpet-perf compile_roster, traced (digests, exact counts, staged compile vs get_or_compile, cold compile and static instructions vs BENCH_compile_cold.json, entry bytes vs table bytes)"
 # One traced run of the compile workload. A non-zero exit is a wrong golden
 # digest from a cold-compiled, disk-loaded or stage-by-stage kernel, an
 # exact count that differs between the two ways of compiling, or the stages
@@ -653,6 +667,8 @@ bash limpet-perf/run.sh --workload compile_roster --seconds 10 --trace 1 --out "
 COMPILE_MS=$(json_values cold_s "$COMPILE_RUN" | sort -n \
   | awk '{ v[NR] = $1 } END { if (NR) printf "%.1f", 500 * (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) }')
 hold_ms "cold compile" "$COMPILE_MS" "$COMPILE_RUN" BENCH_compile_cold.json
+# Instructions in the optimized programs, before any is executed.
+hold_count vm.static_instrs_opt "$COMPILE_RUN" BENCH_compile_cold.json
 ENTRY_BYTES=$(metric_value persist.entry_bytes "$COMPILE_RUN")
 LUT_BYTES=$(metric_value vm.lut_bytes "$COMPILE_RUN")
 [[ $ENTRY_BYTES =~ ^[1-9][0-9]*$ && $LUT_BYTES =~ ^[1-9][0-9]*$ ]] \
@@ -692,5 +708,16 @@ cargo clippy --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> one durable-record mechanism (fsync + rename only in harness::store)"
+# `store::publish` is the only File::create + write_all + sync_all + rename;
+# a second write sequence beside it is how `.lke`, `.lso`, `.lcp` and the
+# timing model came to have four, each with its own bugs. Allowed besides:
+# SnapshotStore's `.prev` rotation, which moves a complete record and says
+# so on its line. `Journal`'s `sync_data` is an append log, not a record.
+STRAY=$(grep -rn 'sync_all\|fs::rename' crates/harness/src crates/serve/src \
+  | grep -v '^crates/harness/src/store\.rs:' | grep -v '// rotation$' || true)
+[ -z "$STRAY" ] \
+  || { echo "a durable write outside harness::store (use store::publish):"; echo "$STRAY"; exit 1; }
 
 echo "CI: all gates passed"
