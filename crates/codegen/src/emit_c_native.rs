@@ -507,4 +507,45 @@ mod tests {
         assert_eq!(table[SLOT_MAX](1.0, 2.0), 2.0);
         assert_eq!(table[SLOT_REM](7.5, 2.0), 7.5 % 2.0);
     }
+
+    #[test]
+    fn scalar_row_emits_one_lut_call_per_column_in_row_order() {
+        let program = Program {
+            instrs: vec![
+                Instr::LoadExt { dst: 0, var: 0 },
+                Instr::LutRow {
+                    table: 0,
+                    key: 0,
+                    interp: LutInterp::Scalar,
+                    outs: vec![(1, 2), (0, 1)].into(),
+                },
+                Instr::BinF {
+                    op: FBin::Add,
+                    dst: 3,
+                    a: 1,
+                    b: 2,
+                },
+                Instr::StoreState { src: 3, var: 0 },
+                Instr::Ret,
+            ],
+            n_fregs: 4,
+            n_bregs: 0,
+            n_iregs: 0,
+            state_vars: vec!["x".into()],
+            ext_vars: vec!["Vm".into()],
+            params: vec![],
+            lut_tables: vec!["Vm".into()],
+            parent_vars: vec![],
+        };
+        let c = emit_c_native(&program, "row").unwrap();
+        let calls: Vec<&str> = c.lines().filter(|l| l.contains("m->lut_")).collect();
+        assert_eq!(
+            calls,
+            [
+                "    f2 = m->lut_linear(m->lut_ctx, 0, 1, f0); /* Vm */",
+                "    f1 = m->lut_linear(m->lut_ctx, 0, 0, f0); /* Vm */",
+            ],
+            "{c}"
+        );
+    }
 }

@@ -3,8 +3,9 @@
 //!
 //! * [`baseline`] — mimics openCARP's limpetC++ translation compiled by a
 //!   general compiler that fails to vectorize the cell loop (§5): scalar
-//!   kernel, scalar LUT interpolation, array-of-structures state layout,
-//!   and no IR-level optimization.
+//!   kernel, scalar LUT interpolation (one opaque call per cell and table
+//!   row, as openCARP's `LUT_interpRow`), array-of-structures state
+//!   layout, and no IR-level optimization ([`BASELINE_PIPELINE`]).
 //! * [`limpet_mlir`] — the paper's contribution: the preprocessor
 //!   (constant propagation), canonicalization, CSE, LICM, DCE, full
 //!   vectorization at the chosen ISA width, vectorized LUT interpolation,
@@ -96,11 +97,14 @@ pub fn baseline_with_report(model: &Model) -> (Lowered, RunReport) {
     try_baseline_with_report(model).unwrap_or_else(|e| panic!("baseline pipeline failed: {e}"))
 }
 
+/// The pass pipeline of [`baseline`]: lookups marked scalar, nothing else.
+pub const BASELINE_PIPELINE: &str = "scalar-lut-mode";
+
 /// Non-panicking [`baseline_with_report`]: pipeline verification failures
 /// come back as a structured [`PipelineError`].
 pub fn try_baseline_with_report(model: &Model) -> Result<(Lowered, RunReport), PipelineError> {
     let mut lowered = lower_model(model, &CodegenOptions { use_lut: true });
-    let report = try_apply_pipeline(&mut lowered.module, "scalar-lut-mode")?;
+    let report = try_apply_pipeline(&mut lowered.module, BASELINE_PIPELINE)?;
     lowered.module.attrs.set("layout", Layout::Aos.attr_value());
     lowered.module.attrs.set("pipeline", "baseline");
     Ok((lowered, report))
@@ -288,7 +292,9 @@ Iion = g * n * (Vm + 85.0);
     #[test]
     fn baseline_is_scalar_with_scalar_lut() {
         let m = compile_model("G", GATED).unwrap();
-        let l = baseline(&m);
+        let (l, report) = baseline_with_report(&m);
+        let passes: Vec<&str> = report.passes.iter().map(|p| p.name).collect();
+        assert_eq!(passes.join(","), BASELINE_PIPELINE);
         verify_module(&l.module).unwrap();
         assert_eq!(l.module.attrs.i64_of("vector_width"), None);
         assert_eq!(l.module.attrs.str_of("lut_mode"), Some("scalar"));

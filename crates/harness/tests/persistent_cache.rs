@@ -192,21 +192,23 @@ fn coarse_gate() -> limpet_easyml::Model {
     limpet_easyml::compile_model("CoarseGate", COARSE_GATE).expect("model compiles")
 }
 
-fn entry_path(dir: &Path, m: &limpet_easyml::Model) -> PathBuf {
-    dir.join(EntryKey::new(m, CONFIG, limpet_vm::bytecode_opt_enabled()).file_name())
+fn entry_path(dir: &Path, m: &limpet_easyml::Model, config: PipelineKind) -> PathBuf {
+    dir.join(EntryKey::new(m, config, limpet_vm::bytecode_opt_enabled()).file_name())
 }
 
-/// Looks `m` up through a fresh cache over `disk`, which holds a bad
-/// entry for it: the entry must be rejected for `reason`, recompiled
-/// bit-identically to `reference_bits`, and replaced by a good one.
+/// Looks `m` up under `config` through a fresh cache over `disk`, which
+/// holds a bad entry for it: the entry must be rejected for `reason`,
+/// recompiled bit-identically to `reference_bits`, and replaced by a good
+/// one.
 fn assert_rejected_and_healed(
     disk: &Arc<DiskCache>,
     m: &limpet_easyml::Model,
+    config: PipelineKind,
     reason: &str,
     reference_bits: &[u64],
 ) {
     let cache = cache_with_disk(disk);
-    let entry = cache.get_or_compile(m, CONFIG);
+    let entry = cache.get_or_compile(m, config);
     let s = cache.stats();
     assert_eq!(
         (s.disk_hits, s.disk_rejects, s.misses, s.disk_writes),
@@ -222,7 +224,7 @@ fn assert_rejected_and_healed(
     assert_eq!(trajectory_bits(&entry), reference_bits);
 
     let verify = cache_with_disk(disk);
-    verify.get_or_compile(m, CONFIG);
+    verify.get_or_compile(m, config);
     let s = verify.stats();
     assert_eq!(
         (s.disk_hits, s.disk_rejects, s.misses),
@@ -237,61 +239,59 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     let dir = temp_cache_dir("parent-entry");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = coarse_gate();
-    let reference_bits = trajectory_bits(&CompiledKernel::compile(&m, CONFIG));
     let (entry, bc) = (
         limpet_harness::persist::ENTRY_FORMAT_VERSION,
         limpet_vm::BYTECODE_FORMAT_VERSION,
     );
 
-    // What two earlier builds stored for this model and configuration:
-    // f9ea60c (bytecode format 1: `lutvec` per column, no `lutrow`) and
-    // 5b0cae0 (entry format 2: the tables as a fourth text section of hex,
-    // which this build has no reader for).
-    let fixtures: [(&[u8], &[u8]); 2] = [
+    // What four earlier builds stored for this model: f9ea60c (bytecode
+    // format 1: `lutvec` per column, no `lutrow`), 5b0cae0 (entry format 2:
+    // the tables as a fourth text section of hex, which this build has no
+    // reader for), 0892a15 and c5a12ba (bytecode format 2, which kept every
+    // scalar lookup a row of one column: c5a12ba's baseline entry reads the
+    // one table at one key in two rows where this build emits one).
+    let baseline = PipelineKind::Baseline;
+    let fixtures: [(&[u8], &[u8], PipelineKind); 4] = [
         (
             include_bytes!("entry_written_at_f9ea60c.lke"),
             b"limpet-kernel-cache 1 1 1 ",
+            CONFIG,
         ),
         (
             include_bytes!("entry_written_at_5b0cae0.lke"),
             b"limpet-kernel-cache 2 1 2 ",
+            CONFIG,
+        ),
+        (
+            include_bytes!("entry_written_at_0892a15.lke"),
+            b"limpet-kernel-cache 3 1 2 ",
+            CONFIG,
+        ),
+        (
+            include_bytes!("entry_written_at_c5a12ba.lke"),
+            b"limpet-kernel-cache 3 1 2 ",
+            baseline,
         ),
     ];
-    for (parent_entry, stamps) in fixtures {
+    for (parent_entry, stamps, config) in fixtures {
         assert!(parent_entry.starts_with(stamps));
-        std::fs::write(entry_path(&dir, &m), parent_entry).unwrap();
-        assert_rejected_and_healed(&disk, &m, "stale format version", &reference_bits);
-        let healed = std::fs::read(entry_path(&dir, &m)).unwrap();
+        let path = entry_path(&dir, &m, config);
+        std::fs::write(&path, parent_entry).unwrap();
+        let reference_bits = trajectory_bits(&CompiledKernel::compile(&m, config));
+        assert_rejected_and_healed(&disk, &m, config, "stale format version", &reference_bits);
+        let healed = std::fs::read(&path).unwrap();
         assert!(healed.starts_with(format!("limpet-kernel-cache {entry} 1 {bc} ").as_bytes()));
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
 
-/// No format bump rode along with `harness::store`: what the parent build
-/// (0892a15, its own header parser and write sequence) stored for this model
-/// and configuration is a *hit* here, and steps like a fresh compile.
-#[test]
-fn entry_written_before_the_store_extraction_is_a_hit() {
-    let _g = serialized();
-    let dir = temp_cache_dir("parent-hit");
-    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
-    let m = coarse_gate();
-    let parent_entry = include_bytes!("entry_written_at_0892a15.lke");
-    assert!(parent_entry.starts_with(b"limpet-kernel-cache 3 1 2 "));
-    std::fs::write(entry_path(&dir, &m), parent_entry).unwrap();
-
-    let cache = cache_with_disk(&disk);
-    let loaded = cache.get_or_compile(&m, CONFIG);
-    let s = cache.stats();
-    assert_eq!(
-        (s.disk_hits, s.disk_rejects, s.misses, s.disk_writes),
-        (1, 0, 0, 0),
-        "served from the parent's file, nothing recompiled or rewritten"
-    );
-    assert_eq!(
-        trajectory_bits(&loaded),
-        trajectory_bits(&CompiledKernel::compile(&m, CONFIG))
-    );
+    // The healed baseline entry runs a shorter program to the parent's bits:
+    // one row per program where the parent's had two, and the trajectory the
+    // parent build computed (its FNV-1a digest, printed by that build).
+    let rows = |text: &str| text.lines().filter(|l| l.starts_with("lutrow ")).count();
+    let parent_text = String::from_utf8_lossy(include_bytes!("entry_written_at_c5a12ba.lke"));
+    let (_, healed_text, _) = read_entry(&entry_path(&dir, &m, baseline));
+    assert_eq!((rows(&parent_text), rows(&healed_text)), (4, 2));
+    let healed = cache_with_disk(&disk).get_or_compile(&m, baseline);
+    assert_eq!(fnv_digest(&trajectory_bits(&healed)), 0x73ee_59cf_2d36_6425);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -376,7 +376,7 @@ fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
 
     // Point the first column of every row lookup past the table's two
     // columns.
-    let rows = forge_entry(&entry_path(&dir, &m), |tokens| {
+    let rows = forge_entry(&entry_path(&dir, &m, CONFIG), |tokens| {
         let row = tokens[0] == "lutrow";
         if row {
             tokens[5] = "7".into();
@@ -385,7 +385,7 @@ fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
     });
     assert!(rows >= 2, "main and raw programs each read the table");
 
-    assert_rejected_and_healed(&disk, &m, "lut column 7", &reference_bits);
+    assert_rejected_and_healed(&disk, &m, CONFIG, "lut column 7", &reference_bits);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -399,7 +399,7 @@ fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
 
     // A float binop writing a register no file of this size has: run, it
     // would index past the engine's register file inside the step loop.
-    let binops = forge_entry(&entry_path(&dir, &m), |tokens| {
+    let binops = forge_entry(&entry_path(&dir, &m, CONFIG), |tokens| {
         let binop = tokens[0] == "binf";
         if binop {
             tokens[2] = "60000".into();
@@ -407,11 +407,17 @@ fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
         binop
     });
     assert!(binops >= 2, "main and raw programs each have a float binop");
-    assert_rejected_and_healed(&disk, &m, "register f60000 out of range", &reference_bits);
+    assert_rejected_and_healed(
+        &disk,
+        &m,
+        CONFIG,
+        "register f60000 out of range",
+        &reference_bits,
+    );
 
     // And a register file no operand could address all of, which the engine
     // would try to allocate.
-    let headers = forge_entry(&entry_path(&dir, &m), |tokens| {
+    let headers = forge_entry(&entry_path(&dir, &m, CONFIG), |tokens| {
         let regs = tokens[0] == "regs";
         if regs {
             tokens[1] = "1152921504606846976".into();
@@ -419,7 +425,13 @@ fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
         regs
     });
     assert_eq!(headers, 2, "main and raw programs");
-    assert_rejected_and_healed(&disk, &m, "operands address at most 65536", &reference_bits);
+    assert_rejected_and_healed(
+        &disk,
+        &m,
+        CONFIG,
+        "operands address at most 65536",
+        &reference_bits,
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -452,7 +464,7 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
     let dir = temp_cache_dir("table-block");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = coarse_gate();
-    let path = entry_path(&dir, &m);
+    let path = entry_path(&dir, &m, CONFIG);
     let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
 
     // Each case re-signs the entry over an edited block, so only the block's
@@ -562,7 +574,7 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
     for (what, edit, reason) in &cases {
         println!("case: {what}"); // shown with a failure
         resign(edit.as_ref());
-        assert_rejected_and_healed(&disk, &m, reason, &reference_bits);
+        assert_rejected_and_healed(&disk, &m, CONFIG, reason, &reference_bits);
     }
 
     // A byte of a table flipped on disk, under the header's old sum: the
@@ -571,7 +583,7 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
     let at = bytes.len() - b"\nend\n".len() - GATE_TABLE_BYTES / 2;
     bytes[at] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    assert_rejected_and_healed(&disk, &m, "checksum mismatch", &reference_bits);
+    assert_rejected_and_healed(&disk, &m, CONFIG, "checksum mismatch", &reference_bits);
 
     // And the text framing in front of it: a section that claims the rest
     // of the address space.
@@ -580,7 +592,13 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
     assert!(framing.starts_with("section module "), "{framing}");
     let text = text.replacen(framing, "section module 18446744073709551615", 1);
     write_signed_entry(&path, header, &text, &tables);
-    assert_rejected_and_healed(&disk, &m, "section 'module' is truncated", &reference_bits);
+    assert_rejected_and_healed(
+        &disk,
+        &m,
+        CONFIG,
+        "section 'module' is truncated",
+        &reference_bits,
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,8 +1,9 @@
 //! Scalar-LUT interpolation mode.
 //!
 //! Marks every `lut.col` operation with `scalar_interp = true`. The
-//! execution engine then interpolates lane by lane instead of using the
-//! vectorized row interpolation the paper contributes in §3.4.2.
+//! execution engine then interpolates with one scalar call per lane and row
+//! (openCARP's `LUT_interpRow`) instead of the vectorized row interpolation
+//! the paper contributes in §3.4.2.
 //!
 //! This models the configuration discussed in §5: Intel icc can vectorize
 //! the compute loop when annotated with `omp simd`, but the LUT

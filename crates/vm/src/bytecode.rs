@@ -48,9 +48,8 @@ pub enum LutInterp {
     /// Linear, as branch-free lane loops — the paper's vectorized
     /// `LUT_interpRow_n_elements_vec`.
     Vec,
-    /// Linear, through one opaque call per lane — openCARP's scalar
-    /// `LUT_interpRow` (the baseline path). [`compile_program`] emits
-    /// these one column per row.
+    /// Linear, through one opaque call per lane and row — openCARP's
+    /// scalar `LUT_interpRow` (the baseline path).
     Scalar,
     /// Catmull-Rom cubic (the paper's future-work spline variant):
     /// four-row stencil, third-order accurate.
@@ -701,20 +700,13 @@ impl<'a> Compiler<'a> {
                     return Ok(());
                 }
                 // One row lookup serves every `lut.col` of this region
-                // that reads the same table at the same key the same way
-                // (paper §3.4.2: index and fraction once per cell, then
-                // the whole row). Scalar lookups stay a row of one each:
-                // they are the baseline every speed-up is a ratio to, and
-                // fusing them moves that baseline (ROADMAP, "fuse the
-                // scalar rows").
+                // that reads the same table at the same key the same way,
+                // in all three modes: index and fraction once per cell,
+                // then the whole row — paper §3.4.2 for the vector modes,
+                // openCARP's scalar `LUT_interpRow` for the baseline's.
                 let (table, interp, key_val, col) = self.lut_col(op_id)?;
                 let key = self.reg(key_val);
                 let mut outs = vec![(col, self.reg(op.result()))];
-                let rest = if interp == LutInterp::Scalar {
-                    &[]
-                } else {
-                    rest
-                };
                 for &later in rest {
                     if self.func.op(later).kind != OpKind::LutCol {
                         continue;
@@ -1167,7 +1159,11 @@ mod tests {
         let k = b.get_ext("Vm");
         let c0 = b.lut_col("Vm", 0, k);
         let c1 = b.lut_col("Vm", 1, k);
+        let one = b.const_f(1.0);
+        let k2 = b.addf(k, one);
+        let other_key = b.lut_col("Vm", 1, k2);
         let v = b.addf(c0, c1);
+        let v = b.addf(v, other_key);
         b.set_state("x", v);
         b.ret(&[]);
         m.add_func(f);
@@ -1179,17 +1175,22 @@ mod tests {
             func: "lut_Vm".into(),
             cols: vec!["c0".into(), "c1".into()],
         });
-        let rows = |p: &Program| -> Vec<(LutInterp, usize)> {
+        let rows = |p: &Program| -> Vec<(LutInterp, Vec<u16>)> {
             p.instrs
                 .iter()
                 .filter_map(|i| match i {
-                    Instr::LutRow { interp, outs, .. } => Some((*interp, outs.len())),
+                    Instr::LutRow { interp, outs, .. } => {
+                        Some((*interp, outs.iter().map(|&(col, _)| col).collect()))
+                    }
                     _ => None,
                 })
                 .collect()
         };
         let p = compile_program(&m, &["x".into()], &["Vm".into()], &[]).unwrap();
-        assert_eq!(rows(&p), [(LutInterp::Vec, 2)]);
+        assert_eq!(
+            rows(&p),
+            [(LutInterp::Vec, vec![0, 1]), (LutInterp::Vec, vec![1])]
+        );
 
         // Mark scalar and recompile.
         let f = m.func_mut("compute").unwrap();
@@ -1202,8 +1203,15 @@ mod tests {
         for t in targets {
             f.op_mut(t).attrs.set("scalar_interp", true);
         }
-        // The baseline's lookups are not fused: one row of one per column.
+        // The baseline's lookups form rows by the same rule: the two columns
+        // read at `k` are one row of two, the one at `k2` a row of its own.
         let p2 = compile_program(&m, &["x".into()], &["Vm".into()], &[]).unwrap();
-        assert_eq!(rows(&p2), [(LutInterp::Scalar, 1), (LutInterp::Scalar, 1)]);
+        assert_eq!(
+            rows(&p2),
+            [
+                (LutInterp::Scalar, vec![0, 1]),
+                (LutInterp::Scalar, vec![1])
+            ]
+        );
     }
 }

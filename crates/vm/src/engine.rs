@@ -43,7 +43,7 @@
 //!   lanes once, then gathers, blends and stores one column at a time (the
 //!   paper's `LUT_interpRow_n_elements_vec`, down to the vector gathers
 //!   where the build has them; the baseline's scalar lookups are the same
-//!   instruction with one column each, an opaque call per lane as in
+//!   instruction, one opaque call per lane for the whole row as in
 //!   openCARP's `LUT_interpRow`);
 //! * math calls use [`crate::vmath`] block kernels at `W > 1` (the SVML
 //!   stand-in; `exp` and `log` and everything built on them are

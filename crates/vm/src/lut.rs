@@ -17,10 +17,10 @@
 //!   loads become `vgatherqpd`, elsewhere they stay indexed scalar loads
 //!   (same bits — it is a load);
 //! * `Scalar` — the original openCARP scalar `LUT_interpRow`, modeled as
-//!   one non-inlined call per lane per column (this is the code the paper
-//!   found general compilers could not vectorize); the bytecode compiler
-//!   keeps these rows at one column each, so the baseline pays what it
-//!   paid before rows existed;
+//!   one non-inlined call per lane that finds the row and fraction once and
+//!   blends every requested column (this is the code the paper found
+//!   general compilers could not vectorize: the call stays opaque, so not
+//!   even the `compiler-simd` configuration's W=8 kernel gathers);
 //! * `Cubic` — Catmull–Rom over a four-row stencil, walked like `Vec`.
 //!
 //! The per-column functions ([`LutData::interp_block`],
@@ -248,8 +248,8 @@ impl LutData {
     /// Panics when a column is not in the table, a register is outside
     /// `regs`, or (vector and cubic mode) `lanes` exceeds 64.
     // Always inlined: the dispatch arm knows the lane count, and the lane
-    // loops are compiled for the arm's instruction set. Out of line, the
-    // baseline's rows of one cost a width-1 step 20 %.
+    // loops are compiled for the arm's instruction set. Out of line it cost a
+    // width-1 step 20 % (measured when every scalar row was one column).
     #[inline(always)]
     pub fn interp_row(
         &self,
@@ -263,9 +263,7 @@ impl LutData {
         if interp == LutInterp::Scalar {
             for lane in 0..lanes {
                 let key = regs[keys.start + lane];
-                for &(col, dst) in outs {
-                    regs[dst as usize * lanes + lane] = self.interp_one(key, col as usize);
-                }
+                self.interp_row_scalar(key, lane, lanes, outs, regs);
             }
             return;
         }
@@ -324,9 +322,34 @@ impl LutData {
         }
     }
 
-    /// One scalar interpolation of one column, as an opaque call: the
-    /// function-call structure of openCARP's `LUT_interpRow` that blocks
-    /// auto-vectorization of the baseline.
+    /// One lane of a scalar row, as an opaque call: openCARP's scalar
+    /// `LUT_interpRow`, which finds the row and fraction once and then
+    /// blends every column of `outs` into lane `lane` of its register — the
+    /// function-call structure that blocks auto-vectorization of the
+    /// baseline. Each value is [`Self::interp_one`]'s for its column, bit
+    /// for bit: the same `row_frac` and `lerp`.
+    #[inline(never)]
+    fn interp_row_scalar(
+        &self,
+        key: f64,
+        lane: usize,
+        lanes: usize,
+        outs: &[(u16, u16)],
+        regs: &mut [f64],
+    ) {
+        let (i, frac) = self.row_frac(key);
+        // Sliced to one row each, so a column past the row's end panics
+        // instead of reading the next row.
+        let below = &self.data[i * self.cols..][..self.cols];
+        let above = &self.data[(i + 1) * self.cols..][..self.cols];
+        for &(col, dst) in outs {
+            let col = col as usize;
+            regs[dst as usize * lanes + lane] = lerp(below[col], above[col], frac);
+        }
+    }
+
+    /// One scalar interpolation of one column, as an opaque call (the native
+    /// tier's `lut_linear` callback).
     #[inline(never)]
     pub fn interp_one(&self, key: f64, col: usize) -> f64 {
         let (i, frac) = self.row_frac(key);
@@ -510,7 +533,7 @@ mod tests {
             out[2] = (x / 7.0).sin();
         });
         check_rows(&three, &[(2, 3), (0, 1), (1, 4), (0, 2)]);
-        // A row of one, the baseline's shape.
+        // A row of one: a key at which a single column is read.
         check_rows(&three, &[(1, 1)]);
         // The smallest legal table: two rows, so every key is in the first
         // and the last interval at once and the cubic stencil never fits.
@@ -546,6 +569,14 @@ mod tests {
         let t = table();
         let mut regs = [1.0, 0.0];
         t.interp_row(LutInterp::Vec, 0, 1, &[(2, 1)], &mut regs);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn scalar_row_lookup_of_a_missing_column_panics_instead_of_reading_the_next_row() {
+        let t = table();
+        let mut regs = [1.0, 0.0, 0.0];
+        t.interp_row(LutInterp::Scalar, 0, 1, &[(0, 1), (2, 2)], &mut regs);
     }
 
     #[test]

@@ -1061,14 +1061,19 @@ mod tests {
         assert!(matches!(p.instrs[back], Instr::CmpI { .. }));
     }
 
-    /// `f0 = Vm; f1..=fN = row(f0)`, then `rest`.
-    fn row_program(outs: &[(u16, u16)], rest: Vec<Instr>, n_fregs: usize) -> Program {
+    /// `f0 = Vm; f1..=fN = row(f0)` in mode `interp`, then `rest`.
+    fn row_program(
+        interp: LutInterp,
+        outs: &[(u16, u16)],
+        rest: Vec<Instr>,
+        n_fregs: usize,
+    ) -> Program {
         let mut instrs = vec![
             Instr::LoadExt { dst: 0, var: 0 },
             Instr::LutRow {
                 table: 0,
                 key: 0,
-                interp: LutInterp::Vec,
+                interp,
                 outs: outs.into(),
             },
         ];
@@ -1087,40 +1092,52 @@ mod tests {
             .collect()
     }
 
+    /// The linear row modes: the vector pipelines' and the baseline's.
+    const LINEAR: [LutInterp; 2] = [LutInterp::Vec, LutInterp::Scalar];
+
     #[test]
     fn unused_column_is_dropped_from_its_row() {
-        let mut p = row_program(
-            &[(0, 1), (1, 2), (2, 3)],
-            vec![
-                Instr::StoreState { src: 1, var: 0 },
-                Instr::StoreState { src: 3, var: 1 },
-            ],
-            4,
-        );
-        let stats = optimize_program(&mut p);
-        let rows = rows_of(&p);
-        assert_eq!(rows.len(), 1);
-        let cols: Vec<u16> = rows[0].1.iter().map(|&(col, _)| col).collect();
-        assert_eq!(cols, [0, 2], "column 1 fed nothing");
-        // A column is not an instruction: nothing was deleted.
-        assert_eq!(stats.instrs_removed, 0);
-        assert_eq!(p.n_fregs, 3);
+        for interp in LINEAR {
+            let mut p = row_program(
+                interp,
+                &[(0, 1), (1, 2), (2, 3)],
+                vec![
+                    Instr::StoreState { src: 1, var: 0 },
+                    Instr::StoreState { src: 3, var: 1 },
+                ],
+                4,
+            );
+            let stats = optimize_program(&mut p);
+            let rows = rows_of(&p);
+            assert_eq!(rows.len(), 1, "{interp:?}");
+            let cols: Vec<u16> = rows[0].1.iter().map(|&(col, _)| col).collect();
+            assert_eq!(cols, [0, 2], "{interp:?}: column 1 fed nothing");
+            // A column is not an instruction: nothing was deleted.
+            assert_eq!(stats.instrs_removed, 0, "{interp:?}");
+            assert_eq!(p.n_fregs, 3, "{interp:?}");
+        }
     }
 
     #[test]
     fn row_with_no_live_column_disappears_with_its_key() {
-        let mut p = row_program(
-            &[(0, 1), (1, 2)],
-            vec![
-                Instr::LoadState { dst: 3, var: 0 },
-                Instr::StoreState { src: 3, var: 1 },
-            ],
-            4,
-        );
-        let stats = optimize_program(&mut p);
-        assert!(rows_of(&p).is_empty());
-        assert!(!p.instrs.iter().any(|i| matches!(i, Instr::LoadExt { .. })));
-        assert_eq!(stats.instrs_removed, 2, "the row and the key's load");
+        for interp in LINEAR {
+            let mut p = row_program(
+                interp,
+                &[(0, 1), (1, 2)],
+                vec![
+                    Instr::LoadState { dst: 3, var: 0 },
+                    Instr::StoreState { src: 3, var: 1 },
+                ],
+                4,
+            );
+            let stats = optimize_program(&mut p);
+            assert!(rows_of(&p).is_empty(), "{interp:?}");
+            assert!(!p.instrs.iter().any(|i| matches!(i, Instr::LoadExt { .. })));
+            assert_eq!(
+                stats.instrs_removed, 2,
+                "{interp:?}: the row and the key's load"
+            );
+        }
     }
 
     #[test]
@@ -1130,6 +1147,7 @@ mod tests {
         // column, and the per-column native expansion would then read a
         // clobbered key.
         let mut p = row_program(
+            LutInterp::Scalar,
             &[(0, 5), (1, 6), (2, 7)],
             vec![
                 Instr::BinF {

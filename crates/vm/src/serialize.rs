@@ -24,10 +24,13 @@ use limpet_ir::{CmpFPred, CmpIPred, MathFn};
 use std::fmt::Write as _;
 
 /// Version stamp of the textual bytecode format. Bump on any change to
-/// the serialized shape; readers reject mismatched stamps so old cache
-/// entries are recompiled rather than misread. Version 2 replaced the
-/// per-column `lutvec`/`lutscalar`/`lutcubic` by `lutrow`.
-pub const BYTECODE_FORMAT_VERSION: u32 = 2;
+/// the serialized shape, and also when `compile_program`/`optimize_program`
+/// would emit a different program for the same module; readers reject
+/// mismatched stamps so old cache entries are recompiled rather than misread
+/// or run as the older program. Version 2 replaced the per-column
+/// `lutvec`/`lutscalar`/`lutcubic` by `lutrow`; version 3 fuses scalar
+/// lookups of one table at one key into one `lutrow`, as vector ones were.
+pub const BYTECODE_FORMAT_VERSION: u32 = 3;
 
 /// Version stamp of the textual LUT payload, which did not change when
 /// the bytecode's did: the same tables still serialize to the same bytes.
