@@ -16,6 +16,12 @@
 //! part of the key because `--no-bytecode-opt` changes the compiled
 //! program: an ablation run must not be served a cached optimized
 //! kernel (or vice versa).
+//!
+//! An entry holds one program, the one its lookups run. The unoptimized
+//! sibling that opt-on/off measurements compare against is compiled only
+//! when asked for ([`CompiledKernel::raw_kernel`]); it is no rung of the
+//! degradation ladder, which at compile time is the requested pipeline,
+//! then the reference one ([`KernelCache::get_or_compile_resilient`]).
 
 use crate::checksum::{fnv1a_from, FNV_OFFSET};
 use crate::error::CompileError;
@@ -30,14 +36,15 @@ use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// One cached compilation: the lowered IR module, the executable kernel,
-/// the unoptimized sibling kernel (the raw tier of the degradation
-/// ladder), the storage layout the module mandates, and the pass
-/// manager's execution report from the cold compile that produced it.
+/// the storage layout the module mandates, and the pass manager's
+/// execution report from the cold compile that produced it. The
+/// unoptimized sibling kernel is compiled only when asked for
+/// ([`CompiledKernel::raw_kernel`]).
 #[derive(Debug)]
 pub struct CompiledKernel {
     module: limpet_ir::Module,
     kernel: Kernel,
-    raw_kernel: Kernel,
+    raw_kernel: OnceLock<Kernel>,
     layout: StateLayout,
     pass_report: limpet_passes::RunReport,
 }
@@ -89,11 +96,7 @@ impl CompiledKernel {
         }
         let info = model_info(model);
         let started = std::time::Instant::now();
-        // Compile both the optimized and the raw program in one go; the
-        // raw sibling shares the LUTs and is what the degradation ladder
-        // falls back to when the optimized bytecode misbehaves.
-        let (opt_kernel, opt_stats, raw_kernel) = Kernel::from_module_both(&module, &info)?;
-        let kernel = if opt { opt_kernel } else { raw_kernel.clone() };
+        let (kernel, opt_stats) = Kernel::from_module_opt(&module, &info, opt)?;
         // Surface the bytecode optimizer as one more (synthetic) pass so
         // `Compiled::pass_report()` shows its counters next to the IR
         // passes. When disabled it still appears, with zero counters, so
@@ -109,13 +112,13 @@ impl CompiledKernel {
             },
         });
         let layout = storage_layout(&module);
-        Ok(CompiledKernel {
+        Ok(CompiledKernel::from_parts(
             module,
             kernel,
-            raw_kernel,
+            opt,
             layout,
             pass_report,
-        })
+        ))
     }
 
     /// The lowered IR module.
@@ -130,10 +133,22 @@ impl CompiledKernel {
     }
 
     /// The unoptimized sibling of [`CompiledKernel::kernel`]: the same
-    /// module compiled with the bytecode optimizer off, sharing its LUTs.
-    /// This is the raw tier of the optimized → raw → reference ladder.
+    /// module compiled with the bytecode optimizer off, sharing its LUTs —
+    /// what the opt-on/off comparisons measure. Compiled on the first call
+    /// (an entry built with the optimizer off answers its own kernel).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the module, which already compiled once into
+    /// [`CompiledKernel::kernel`], does not compile again.
     pub fn raw_kernel(&self) -> &Kernel {
-        &self.raw_kernel
+        self.raw_kernel.get_or_init(|| {
+            let info = self.kernel.info();
+            let params: Vec<String> = info.params.iter().map(|(n, _)| n.clone()).collect();
+            limpet_vm::compile_program(&self.module, &info.state_names, &info.ext_names, &params)
+                .and_then(|program| self.kernel.with_program(program))
+                .unwrap_or_else(|e| panic!("raw recompile of {} failed: {e}", self.kernel.name()))
+        })
     }
 
     /// The state storage layout the module mandates.
@@ -151,17 +166,23 @@ impl CompiledKernel {
         &self.pass_report
     }
 
-    /// Reassembles an entry from parts reconstructed off disk
-    /// ([`crate::persist::DiskCache::load`]). Crate-private: the only
-    /// legitimate producer of parts is the persistence layer's verified
-    /// decode path.
+    /// Assembles an entry from a cold compile or from parts reconstructed
+    /// off disk ([`crate::persist::DiskCache::load`]); `opt` says whether
+    /// `kernel` runs the optimized program. Crate-private: the only
+    /// legitimate producers of parts are the compiler and the persistence
+    /// layer's verified decode path.
     pub(crate) fn from_parts(
         module: limpet_ir::Module,
         kernel: Kernel,
-        raw_kernel: Kernel,
+        opt: bool,
         layout: StateLayout,
         pass_report: limpet_passes::RunReport,
     ) -> CompiledKernel {
+        let raw_kernel = if opt {
+            OnceLock::new()
+        } else {
+            OnceLock::from(kernel.clone())
+        };
         CompiledKernel {
             module,
             kernel,
@@ -218,9 +239,9 @@ pub struct CacheStats {
     pub quarantined: usize,
     /// Times the map lock was found poisoned and recovered.
     pub poison_recoveries: u64,
-    /// Full-population steps executed through resident kernels (the
-    /// optimized and raw siblings of every entry, summed) — the signal
-    /// the native tier's promotion threshold watches.
+    /// Full-population steps executed through the resident entries'
+    /// kernels, summed — the signal the native tier's promotion threshold
+    /// watches.
     pub executed_steps: u64,
     /// Native kernels compiled and validated by this process.
     pub native_compiles: u64,
@@ -299,8 +320,8 @@ enum CacheSlot {
 
 /// A kernel obtained through the degradation-aware lookup
 /// ([`KernelCache::get_or_compile_resilient`]): the compiled entry plus
-/// which tier of the optimized → raw → reference ladder it landed on and
-/// every incident recorded getting there.
+/// which tier of the optimized → reference ladder it landed on and every
+/// incident recorded getting there.
 #[derive(Debug)]
 pub struct ResilientKernel {
     /// The compiled entry serving this kernel.
@@ -312,21 +333,6 @@ pub struct ResilientKernel {
     pub config: PipelineKind,
     /// Incidents recorded during this lookup (fallbacks, quarantines).
     pub incidents: Vec<Incident>,
-}
-
-impl ResilientKernel {
-    /// The kernel for the landed tier: the entry's optimized kernel on
-    /// [`Tier::Optimized`] and [`Tier::Reference`], its raw sibling on
-    /// [`Tier::Raw`]. A [`Tier::Native`] landing also hands back the
-    /// optimized bytecode kernel — the native code runs *beside* it (and
-    /// must agree bit-for-bit), so the bytecode kernel stays the
-    /// authoritative compilation the simulation owns.
-    pub fn kernel(&self) -> &Kernel {
-        match self.tier {
-            Tier::Raw => self.entry.raw_kernel(),
-            Tier::Native | Tier::Optimized | Tier::Reference => self.entry.kernel(),
-        }
-    }
 }
 
 /// A thread-safe map from `(model fingerprint, PipelineKind,
@@ -628,10 +634,8 @@ impl KernelCache {
     /// The degradation-aware lookup: tries the requested configuration
     /// first, and on compile failure falls back to the scalar reference
     /// pipeline ([`PipelineKind::Baseline`]), recording every step as an
-    /// [`Incident`]. An armed [`FaultKind::BytecodeCorrupt`] plan lands
-    /// the result on [`Tier::Raw`] (the unoptimized sibling kernel), and
-    /// an armed [`FaultKind::CachePoison`] plan poisons the map lock
-    /// first so the recovery path runs.
+    /// [`Incident`]. An armed [`FaultKind::CachePoison`] plan poisons the
+    /// map lock first so the recovery path runs.
     ///
     /// # Errors
     ///
@@ -646,7 +650,7 @@ impl KernelCache {
             self.poison();
         }
         let mut incidents = Vec::new();
-        let (entry, mut tier, config) = match self.try_get_or_compile(model, config) {
+        let (entry, tier, config) = match self.try_get_or_compile(model, config) {
             Ok(entry) => (entry, Tier::Optimized, config),
             Err(q) => {
                 let detail = if config == PipelineKind::Baseline {
@@ -674,19 +678,6 @@ impl KernelCache {
                 (entry, Tier::Reference, PipelineKind::Baseline)
             }
         };
-        // The raw sibling is the refuge from optimizer trouble on whatever
-        // entry we landed on — the requested pipeline's or the reference's.
-        if faults::take(FaultKind::BytecodeCorrupt).is_some() {
-            let incident = Incident::new(
-                IncidentKind::BytecodeFail,
-                &model.name,
-                "optimized bytecode rejected (injected); using raw bytecode",
-            )
-            .to_tier(Tier::Raw);
-            self.log(incident.clone());
-            incidents.push(incident);
-            tier = Tier::Raw;
-        }
         Ok(ResilientKernel {
             entry,
             tier,
@@ -721,17 +712,7 @@ impl KernelCache {
                     CacheSlot::Ready(e) => Some(e),
                     CacheSlot::Quarantined(_) => None,
                 })
-                .map(|e| {
-                    let main = e.kernel().executed_steps();
-                    // With the optimizer off, the entry's main kernel IS
-                    // the raw sibling (one shared counter) — don't count
-                    // the same steps twice.
-                    if e.kernel().shares_compilation(e.raw_kernel()) {
-                        main
-                    } else {
-                        main + e.raw_kernel().executed_steps()
-                    }
-                })
+                .map(|e| e.kernel().executed_steps())
                 .sum();
             (map.len() - quarantined, quarantined, executed_steps)
         };
@@ -866,6 +847,13 @@ mod tests {
         };
         assert!(!run(&optimized).counters.is_empty());
         assert!(run(&plain).counters.is_empty());
+        // An entry's raw sibling is its own kernel when the optimizer was
+        // off, and a second program over the same tables when it was on.
+        assert!(plain.raw_kernel().shares_compilation(plain.kernel()));
+        let raw = optimized.raw_kernel();
+        assert!(!raw.shares_compilation(optimized.kernel()));
+        assert_eq!(raw.program(), plain.kernel().program());
+        assert!(std::ptr::eq(raw.luts(), optimized.kernel().luts()));
     }
 
     #[test]
@@ -917,8 +905,7 @@ mod tests {
         cache.poison();
         // The next lookup recovers the lock, records the incident, and
         // serves the compilation as if nothing happened.
-        let entry = cache.get_or_compile(&m, PipelineKind::Baseline);
-        assert!(!entry.kernel().shares_compilation(entry.raw_kernel()));
+        cache.get_or_compile(&m, PipelineKind::Baseline);
         let s = cache.stats();
         assert!(s.poison_recoveries >= 1, "recovery must be counted: {s:?}");
         assert_eq!((s.entries, s.quarantined), (1, 0));
@@ -939,7 +926,6 @@ mod tests {
             .expect("healthy model compiles");
         assert_eq!(rk.tier, crate::Tier::Optimized);
         assert!(rk.incidents.is_empty());
-        assert!(rk.kernel().shares_compilation(rk.entry.kernel()));
     }
 
     #[test]

@@ -235,7 +235,7 @@ pub fn measure_run(
     let t = measure_median(opts.repeats, || {
         let _ = sim.run_guarded(opts.steps);
     });
-    // Runtime incidents (NaN clamps, tier fallbacks) otherwise die with
+    // Runtime incidents (NaN steps, tier fallbacks) otherwise die with
     // the simulation; forward them to the global log so the `figures`
     // summary reports the full degradation story, not just compile-time
     // events. Only injection runs produce them, so the fast path pays

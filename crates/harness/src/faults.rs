@@ -7,7 +7,7 @@
 //! consults the armed plans at exactly one spot. Each plan fires **once** —
 //! the first time its injection point is reached — so a recovery path can
 //! retry the same operation cleanly, which is precisely what the
-//! optimized → raw → reference ladder does.
+//! optimized → reference ladder does.
 //!
 //! Plans are process-global. Arm them programmatically ([`arm`]), through
 //! the `LIMPET_INJECT` environment variable ([`arm_from_env`]), or via the
@@ -36,8 +36,6 @@ pub enum FaultKind {
     /// Corrupt the lowered module so pipeline verification fails
     /// (quarantine + reference-tier fallback path).
     VerifyFail,
-    /// Fail the bytecode optimizer for one kernel (raw-tier fallback path).
-    BytecodeCorrupt,
     /// Poison the kernel-cache mutex (lock-recovery path).
     CachePoison,
     /// Write a NaN into the cell state mid-run (health-guard path).
@@ -90,10 +88,9 @@ pub enum FaultKind {
 }
 
 /// Every fault kind, in spec order — handy for exercising the whole chain.
-pub const ALL_FAULT_KINDS: [FaultKind; 19] = [
+pub const ALL_FAULT_KINDS: [FaultKind; 18] = [
     FaultKind::ParseError,
     FaultKind::VerifyFail,
-    FaultKind::BytecodeCorrupt,
     FaultKind::CachePoison,
     FaultKind::StateNan,
     FaultKind::DiskCorrupt,
@@ -118,7 +115,6 @@ impl FaultKind {
         match self {
             FaultKind::ParseError => "parse-error",
             FaultKind::VerifyFail => "verify-fail",
-            FaultKind::BytecodeCorrupt => "bytecode-corrupt",
             FaultKind::CachePoison => "cache-poison",
             FaultKind::StateNan => "state-nan",
             FaultKind::DiskCorrupt => "disk-corrupt",

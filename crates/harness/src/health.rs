@@ -8,13 +8,12 @@
 //! step is recorded as an [`Incident`] so the degradation is visible in the
 //! run report rather than silent.
 //!
-//! The execution [`Tier`] ladder is `Native → Optimized → Raw →
-//! Reference`: dlopen'd machine code compiled from the kernel's own
-//! bytecode at the top (entered only by *promotion*, never at startup
-//! cold), optimized bytecode below it, the unoptimized bytecode of the
-//! same module on optimizer trouble, and finally the scalar reference
-//! pipeline ([`crate::PipelineKind::Baseline`]) when the configured
-//! pipeline itself is at fault.
+//! The execution [`Tier`] ladder is `Native → Optimized → Reference`:
+//! dlopen'd machine code compiled from the kernel's own bytecode at the top
+//! (entered only by *promotion*, never at startup cold), the configured
+//! pipeline's bytecode below it, and the scalar reference pipeline
+//! ([`crate::PipelineKind::Baseline`]) at the bottom, for when the
+//! configured pipeline fails to compile or its step goes non-finite.
 
 use std::fmt;
 
@@ -26,12 +25,8 @@ pub enum HealthPolicy {
     /// silent NaN propagation is the worst outcome for a physiology run.
     #[default]
     Abort,
-    /// Overwrite every non-finite entry with its pre-step value, record the
-    /// incident, and keep going. Cheap, but the trajectory is no longer a
-    /// faithful integration.
-    ClampAndWarn,
-    /// Roll the whole step back, drop down one execution tier
-    /// (optimized → raw → reference), and re-run the step there. The
+    /// Roll the whole step back, drop one execution tier down
+    /// (native → optimized → reference), and re-run the step there. The
     /// post-fallback trajectory is exactly what the lower tier would have
     /// produced from the rolled-back state.
     FallbackRaw,
@@ -41,8 +36,7 @@ impl fmt::Display for HealthPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             HealthPolicy::Abort => "abort",
-            HealthPolicy::ClampAndWarn => "clamp-and-warn",
-            HealthPolicy::FallbackRaw => "fallback-raw",
+            HealthPolicy::FallbackRaw => "fallback-one-tier-down",
         })
     }
 }
@@ -55,10 +49,8 @@ pub enum Tier {
     /// promotion from [`Tier::Optimized`] after a probation run proves
     /// bit-identity; every failure falls back to `Optimized`.
     Native,
-    /// Optimized bytecode of the configured pipeline's module.
+    /// Bytecode of the configured pipeline's module.
     Optimized,
-    /// Unoptimized bytecode of the same module (shares its LUTs).
-    Raw,
     /// The scalar reference pipeline ([`crate::PipelineKind::Baseline`]),
     /// recompiled from the model source.
     Reference,
@@ -69,8 +61,7 @@ impl Tier {
     pub fn next_down(self) -> Option<Tier> {
         match self {
             Tier::Native => Some(Tier::Optimized),
-            Tier::Optimized => Some(Tier::Raw),
-            Tier::Raw => Some(Tier::Reference),
+            Tier::Optimized => Some(Tier::Reference),
             Tier::Reference => None,
         }
     }
@@ -81,7 +72,6 @@ impl fmt::Display for Tier {
         f.write_str(match self {
             Tier::Native => "native",
             Tier::Optimized => "optimized",
-            Tier::Raw => "raw",
             Tier::Reference => "reference",
         })
     }
@@ -93,12 +83,6 @@ impl fmt::Display for Tier {
 pub enum IncidentKind {
     /// The model source failed to parse or analyze.
     FrontendError,
-    /// A pass-manager pipeline reported a verification failure.
-    VerifyFail,
-    /// Bytecode emission or optimization failed for the lowered module.
-    BytecodeFail,
-    /// Compilation panicked; the panic was contained by the cache.
-    CompilePanic,
     /// A per-step health check found a non-finite state value.
     NonFiniteState,
     /// The kernel-cache mutex was found poisoned and recovered.
@@ -139,9 +123,6 @@ impl IncidentKind {
     pub fn as_str(self) -> &'static str {
         match self {
             IncidentKind::FrontendError => "frontend-error",
-            IncidentKind::VerifyFail => "verify-fail",
-            IncidentKind::BytecodeFail => "bytecode-fail",
-            IncidentKind::CompilePanic => "compile-panic",
             IncidentKind::NonFiniteState => "non-finite-state",
             IncidentKind::CachePoisonRecovered => "cache-poison-recovered",
             IncidentKind::TierFallback => "tier-fallback",
@@ -317,8 +298,7 @@ mod tests {
     #[test]
     fn tier_ladder_descends_to_reference() {
         assert_eq!(Tier::Native.next_down(), Some(Tier::Optimized));
-        assert_eq!(Tier::Optimized.next_down(), Some(Tier::Raw));
-        assert_eq!(Tier::Raw.next_down(), Some(Tier::Reference));
+        assert_eq!(Tier::Optimized.next_down(), Some(Tier::Reference));
         assert_eq!(Tier::Reference.next_down(), None);
     }
 
@@ -326,12 +306,12 @@ mod tests {
     fn incident_display_includes_annotations() {
         let i = Incident::new(IncidentKind::NonFiniteState, "HodgkinHuxley", "Vm went NaN")
             .at_step(17)
-            .to_tier(Tier::Raw);
+            .to_tier(Tier::Reference);
         let s = i.to_string();
         assert!(s.contains("non-finite-state"), "{s}");
         assert!(s.contains("HodgkinHuxley"), "{s}");
         assert!(s.contains("step 17"), "{s}");
-        assert!(s.contains("tier raw"), "{s}");
+        assert!(s.contains("tier reference"), "{s}");
     }
 
     #[test]
@@ -375,16 +355,16 @@ mod tests {
         let incidents = [
             Incident::new(IncidentKind::TierFallback, "M", "quote \" and\nnewline")
                 .at_step(7)
-                .to_tier(Tier::Raw),
+                .to_tier(Tier::Reference),
             Incident::new(IncidentKind::TierFallback, "M", "quote \" and\nnewline")
                 .at_step(8)
-                .to_tier(Tier::Raw),
+                .to_tier(Tier::Reference),
         ];
         let json = incidents_json(&incidents);
         assert_eq!(
             json,
             "[{\"kind\":\"tier-fallback\",\"model\":\"M\",\"step\":null,\
-             \"tier\":\"raw\",\"detail\":\"quote \\\" and\\nnewline\",\"count\":2}]"
+             \"tier\":\"reference\",\"detail\":\"quote \\\" and\\nnewline\",\"count\":2}]"
         );
         assert_eq!(incidents_json(&[]), "[]");
     }

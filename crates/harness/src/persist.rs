@@ -49,7 +49,7 @@ use std::time::{Duration, Instant, SystemTime};
 /// Version of the on-disk entry envelope (header + section framing). Bump
 /// on any layout change; old entries are then rejected as stale and
 /// recompiled rather than misparsed.
-pub const ENTRY_FORMAT_VERSION: u32 = 3;
+pub const ENTRY_FORMAT_VERSION: u32 = 4;
 
 /// First token of every entry file; anything else is not ours.
 const MAGIC: &str = "limpet-kernel-cache";
@@ -62,10 +62,10 @@ const NATIVE_MAGIC: &str = "limpet-native-cache";
 
 /// Default size cap: 512 MiB. It must hold what one run stores, or the run
 /// evicts its own entries while writing them: the largest is `figures`'
-/// full precompile, 43 models × 16 configurations = 688 entries, 393 MiB
-/// in entry format 3 (803 MiB in format 2, which evicted 455 of them;
+/// full precompile, 43 models × 16 configurations = 688 entries, 387 MiB
+/// in entry format 4 (803 MiB in format 2, which evicted 455 of them;
 /// `scripts/ci.sh` holds "688 writes, 0 evicted"). A roster under two
-/// configurations is 72 MiB.
+/// configurations is 71 MiB.
 pub const DEFAULT_CAP_BYTES: u64 = 512 * 1024 * 1024;
 
 /// First backoff delay while waiting for the directory lock; doubles per
@@ -632,7 +632,7 @@ impl EntryKey {
 }
 
 /// Serializes one compiled entry into its on-disk byte form — a header
-/// line, three framed text sections, and the lookup tables as bytes
+/// line, two framed text sections, and the lookup tables as bytes
 /// ([`limpet_vm::encode_luts`], the layout of `.lcp`'s state block):
 ///
 /// ```text
@@ -640,7 +640,6 @@ impl EntryKey {
 /// model <name>\n
 /// section module <len>\n<IR text>\n
 /// section program.main <len>\n<bytecode text>\n
-/// section program.raw <len>\n<bytecode text>\n
 /// luts <count>\n
 /// lut <lo:016x> <hi:016x> <step:016x> <rows> <cols>\n<rows·cols·8 bytes>\n     per table
 /// end\n
@@ -655,10 +654,6 @@ pub(crate) fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKer
         (
             "program.main",
             limpet_vm::serialize_program(entry.kernel().program()),
-        ),
-        (
-            "program.raw",
-            limpet_vm::serialize_program(entry.raw_kernel().program()),
         ),
     ] {
         let _ = writeln!(text, "section {name} {}", body.len());
@@ -688,15 +683,21 @@ pub(crate) fn decode_entry(
     let started = Instant::now();
     let [fp, label, opt] = key.echo();
     let payload = store::open(bytes, MAGIC, &ENTRY_STAMPS, &[&fp, &label, &opt])?;
-    parse_entry(payload, model, started).map_err(|detail| Reject {
+    parse_entry(payload, model, key.opt, started).map_err(|detail| Reject {
         reason: RejectReason::Malformed,
         detail,
     })
 }
 
-/// The payload grammar of an entry: the `model` line, three text sections
-/// and the table block.
-fn parse_entry(payload: &[u8], model: &Model, started: Instant) -> Result<CompiledKernel, String> {
+/// The payload grammar of an entry: the `model` line, two text sections
+/// and the table block. `opt` is the key's: whether the program is the
+/// optimized one.
+fn parse_entry(
+    payload: &[u8],
+    model: &Model,
+    opt: bool,
+    started: Instant,
+) -> Result<CompiledKernel, String> {
     // Text is validated as UTF-8 section by section; the table block
     // after the sections is bytes and is not.
     let mut rest = payload;
@@ -711,7 +712,6 @@ fn parse_entry(payload: &[u8], model: &Model, started: Instant) -> Result<Compil
     }
     let module_text = take_section(&mut rest, "module")?;
     let main_text = take_section(&mut rest, "program.main")?;
-    let raw_text = take_section(&mut rest, "program.raw")?;
     let lut_block = rest;
 
     let module =
@@ -722,14 +722,8 @@ fn parse_entry(payload: &[u8], model: &Model, started: Instant) -> Result<Compil
     let luts = limpet_vm::decode_luts(lut_block).map_err(|e| format!("bad LUT data: {e}"))?;
     let main_prog =
         limpet_vm::deserialize_program(main_text).map_err(|e| format!("bad main bytecode: {e}"))?;
-    let raw_prog =
-        limpet_vm::deserialize_program(raw_text).map_err(|e| format!("bad raw bytecode: {e}"))?;
-    // As in a cold compile, the pair shares one copy of the tables.
     let kernel = Kernel::from_parts(module.name(), main_prog, width, &info, luts)
         .map_err(|e| format!("main kernel rejected: {e}"))?;
-    let raw_kernel = kernel
-        .with_program(raw_prog)
-        .map_err(|e| format!("raw kernel rejected: {e}"))?;
     let layout = storage_layout(&module);
     // The entry's provenance is visible in the pass report: a disk load
     // shows a single synthetic "disk-load" pass instead of the pipeline.
@@ -743,7 +737,7 @@ fn parse_entry(payload: &[u8], model: &Model, started: Instant) -> Result<Compil
         dumps: Vec::new(),
     };
     Ok(CompiledKernel::from_parts(
-        module, kernel, raw_kernel, layout, report,
+        module, kernel, opt, layout, report,
     ))
 }
 

@@ -178,13 +178,13 @@ impl Stimulus {
 
 /// The runtime half of the fault-tolerant chain: everything a guarded
 /// simulation needs to detect non-finite state and descend the
-/// optimized → raw → reference ladder mid-run.
+/// optimized → reference ladder mid-run.
 #[derive(Debug)]
 struct GuardState {
     policy: crate::HealthPolicy,
     /// The model, kept so the reference tier can be (re)compiled.
     model: Model,
-    /// The compiled entry currently executing (holds the raw sibling).
+    /// The compiled entry currently executing.
     entry: std::sync::Arc<crate::CompiledKernel>,
     tier: crate::Tier,
     /// Completed guarded steps (1-based after the first step).
@@ -331,7 +331,8 @@ impl Simulation {
         policy: crate::HealthPolicy,
     ) -> Result<Simulation, std::sync::Arc<crate::QuarantineEntry>> {
         let rk = crate::KernelCache::global().get_or_compile_resilient(model, config)?;
-        let mut sim = Simulation::with_kernel(rk.kernel().clone(), rk.entry.layout(), workload);
+        let mut sim =
+            Simulation::with_kernel(rk.entry.kernel().clone(), rk.entry.layout(), workload);
         let nan_plan = crate::faults::take(crate::FaultKind::StateNan)
             .map(|seed| (crate::faults::nan_step(seed), seed));
         sim.guard = Some(Box::new(GuardState {
@@ -526,18 +527,21 @@ impl Simulation {
 
     /// Restores a snapshot into this (freshly built) simulation: state
     /// bits, sim clock, guard step counter, pending fault plan, and the
-    /// kernel's executed-step floor. When the snapshot was executing on
-    /// [`crate::Tier::Native`], re-promotion is attempted best-effort —
-    /// on failure the run continues on bytecode, which is bit-identical
-    /// by construction, so the trajectory is unaffected either way.
-    /// Snapshots taken below [`crate::Tier::Optimized`] likewise resume
-    /// on the optimized tier (all tiers compute identical bits; the
-    /// ladder re-descends only if the original fault recurs).
+    /// kernel's executed-step floor. A guarded simulation restoring a
+    /// snapshot taken on [`crate::Tier::Reference`] descends there too,
+    /// with a `tier-fallback` incident: the reference pipeline computes
+    /// other bits than the configured one, so resuming anywhere else would
+    /// continue a different trajectory. When the snapshot was executing on
+    /// [`crate::Tier::Native`], re-promotion is attempted best-effort — on
+    /// failure the run continues on bytecode, which is bit-identical by
+    /// construction, so the trajectory is unaffected either way.
     ///
     /// # Errors
     ///
     /// Returns a description when the snapshot's shape does not match
-    /// this simulation (wrong cell count or state width).
+    /// this simulation (wrong cell count or state width), or when it was
+    /// taken on the reference tier and the reference pipeline does not
+    /// compile.
     pub fn restore(&mut self, snap: &crate::checkpoint::Snapshot) -> Result<(), String> {
         if snap.n_cells != self.n_cells() {
             return Err(format!(
@@ -546,13 +550,35 @@ impl Simulation {
                 self.n_cells()
             ));
         }
+        // Descend before writing any cell, so that a reference pipeline
+        // which does not compile leaves this simulation as it was.
+        let reference = crate::Tier::Reference;
+        let descend = snap.tier == reference.to_string()
+            && self.guard.as_ref().is_some_and(|g| g.tier != reference);
+        if descend {
+            let mut g = self.guard.take().expect("guarded simulation");
+            let adopted = self.adopt_reference(&mut g);
+            if adopted.is_ok() {
+                g.incidents.push(
+                    crate::Incident::new(
+                        crate::IncidentKind::TierFallback,
+                        &g.model.name,
+                        "resumed from a snapshot taken on the reference tier",
+                    )
+                    .at_step(snap.steps_done as usize)
+                    .to_tier(reference),
+                );
+            }
+            self.guard = Some(g);
+            adopted?;
+        }
         self.restore_cells(&snap.state)?;
         self.t = f64::from_bits(snap.t_bits);
-        self.kernel.restore_executed_steps(snap.executed_steps);
         if let Some(g) = self.guard.as_mut() {
             g.step_count = snap.steps_done as usize;
             g.nan_plan = snap.nan_plan.map(|(step, seed)| (step as usize, seed));
         }
+        self.kernel.restore_executed_steps(snap.executed_steps);
         if snap.tier == crate::Tier::Native.to_string() && self.native.is_none() {
             // Best-effort: a missing toolchain or quarantined build just
             // means the resumed run re-earns native later (or never) —
@@ -849,11 +875,11 @@ impl Simulation {
     /// [`crate::HealthPolicy`]. On an unguarded simulation this is plain
     /// [`Simulation::step`] under the token.
     ///
-    /// The policies that need a step's pre-state (`ClampAndWarn`,
-    /// `FallbackRaw`) get it from one *rollback point* per
-    /// [`ROLLBACK_WINDOW`] steps, not from a copy per step: when step
-    /// `k + 1` of a window fails, the rollback point is restored and the
-    /// `k` steps that passed the scan are replayed with plain
+    /// `FallbackRaw`, which needs a failed step's pre-state, gets it from
+    /// one *rollback point* per [`ROLLBACK_WINDOW`] steps, not from a copy
+    /// per step: when step `k + 1` of a window fails, the rollback point
+    /// is restored and the `k` steps that passed the scan are replayed with
+    /// plain
     /// [`Simulation::step`], which rebuilds — bit for bit, stepping being
     /// a function of `(state, ext, t)` alone — the state the failed step
     /// started from. A handled step ends its window, since what the
@@ -875,10 +901,7 @@ impl Simulation {
         let policy = self.guard.as_ref().map(|g| g.policy);
         // `Abort` never restores, an unguarded simulation never scans:
         // neither takes a rollback point.
-        let rolls_back = matches!(
-            policy,
-            Some(HealthPolicy::ClampAndWarn | HealthPolicy::FallbackRaw)
-        );
+        let rolls_back = policy == Some(HealthPolicy::FallbackRaw);
         // The rollback point lives on this call's stack: nothing that
         // edits the simulation between two calls (`perturb_vm`, `restore`,
         // `set_stimulus`) can leave it stale.
@@ -958,19 +981,6 @@ impl Simulation {
                 g.incidents.push(incident.clone());
                 Err(incident)
             }
-            HealthPolicy::ClampAndWarn => {
-                let (state, ext, _) = point.as_ref().expect("rollback point taken for clamping");
-                let clamped = self.restore_non_finite(state, ext);
-                let incident = Incident::new(
-                    IncidentKind::NonFiniteState,
-                    &g.model.name,
-                    format!("{clamped} non-finite value(s) reset to pre-step values (policy clamp-and-warn)"),
-                )
-                .at_step(g.step_count)
-                .to_tier(g.tier);
-                g.incidents.push(incident);
-                Ok(())
-            }
             HealthPolicy::FallbackRaw => {
                 let (state, ext, t) = point.take().expect("rollback point taken for fallback");
                 self.fall_back_and_retry(&mut g, state, ext, t)
@@ -1039,30 +1049,15 @@ impl Simulation {
             // Adopt the lower tier's kernel, carrying the rolled-back
             // per-cell values across (layouts may differ).
             match next {
-                Tier::Raw => {
-                    self.adopt_kernel(g.entry.raw_kernel().clone(), g.entry.layout());
-                }
                 Tier::Reference => {
-                    let entry = match crate::KernelCache::global()
-                        .try_get_or_compile(&g.model, PipelineKind::Baseline)
-                    {
-                        Ok(entry) => entry,
-                        Err(q) => {
-                            let incident = Incident::new(
-                                IncidentKind::NonFiniteState,
-                                &g.model.name,
-                                format!("reference pipeline unavailable: {}", q.error),
-                            )
-                            .at_step(failed_step)
-                            .to_tier(g.tier);
-                            g.incidents.push(incident.clone());
-                            return Err(incident);
-                        }
-                    };
-                    // The raw program of the reference entry: the most
-                    // conservative executable we have.
-                    self.adopt_kernel(entry.raw_kernel().clone(), entry.layout());
-                    g.entry = entry;
+                    if let Err(detail) = self.adopt_reference(g) {
+                        let incident =
+                            Incident::new(IncidentKind::NonFiniteState, &g.model.name, detail)
+                                .at_step(failed_step)
+                                .to_tier(g.tier);
+                        g.incidents.push(incident.clone());
+                        return Err(incident);
+                    }
                 }
                 Tier::Optimized => {
                     // Falling off the native tier: drop the native code
@@ -1125,28 +1120,20 @@ impl Simulation {
         })
     }
 
-    /// Overwrites every non-finite entry with its value from the
-    /// snapshot, returning how many entries were restored.
-    fn restore_non_finite(&mut self, state: &CellStates, ext: &ExtArrays) -> usize {
-        let n = self.n_cells();
-        let n_state = self.kernel.info().state_names.len();
-        let n_ext = self.kernel.info().ext_names.len();
-        let mut restored = 0;
-        for cell in 0..n {
-            for v in 0..n_state {
-                if !self.state.get(cell, v).is_finite() {
-                    self.state.set(cell, v, state.get(cell, v));
-                    restored += 1;
-                }
-            }
-            for v in 0..n_ext {
-                if !self.ext.get(cell, v).is_finite() {
-                    self.ext.set(cell, v, ext.get(cell, v));
-                    restored += 1;
-                }
-            }
-        }
-        restored
+    /// Moves a guarded simulation onto the reference pipeline: the
+    /// [`PipelineKind::Baseline`] entry's kernel, with the current per-cell
+    /// values carried across. The one way down to [`crate::Tier::Reference`],
+    /// for a failed step and for a resumed snapshot alike.
+    fn adopt_reference(&mut self, g: &mut GuardState) -> Result<(), String> {
+        let entry = crate::KernelCache::global()
+            .try_get_or_compile(&g.model, PipelineKind::Baseline)
+            .map_err(|q| format!("reference pipeline unavailable: {}", q.error))?;
+        // A native build still in flight is of the kernel being left.
+        self.native_ctl = None;
+        self.adopt_kernel(entry.kernel().clone(), entry.layout());
+        g.entry = entry;
+        g.tier = crate::Tier::Reference;
+        Ok(())
     }
 
     /// Swaps in a different compiled kernel mid-run, migrating the
@@ -1390,7 +1377,7 @@ mod tests {
     /// A native kernel that lands *during* guarded stepping is recorded on
     /// the guard like one adopted by plain stepping, so that the ladder's
     /// first rung below it is the bytecode it was compiled from — not
-    /// `raw` with the native code still running.
+    /// `reference` with the native code still running.
     #[test]
     fn promotion_under_the_guard_is_recorded_and_falls_back_to_optimized() {
         if !crate::toolchain_available() {

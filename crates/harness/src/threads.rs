@@ -290,8 +290,8 @@ impl ShardedSimulation {
             let shard_snap = crate::checkpoint::Snapshot {
                 n_cells: cells,
                 // Shards never run native (it is width-1 single-sim
-                // only), so restore on the optimized tier regardless of
-                // what tier the writer was on — the bits are identical.
+                // only) and never descend (their policy is `Abort`), so
+                // a pool's snapshot is always of the optimized tier.
                 tier: crate::Tier::Optimized.to_string(),
                 nan_plan: None,
                 shards: Vec::new(),

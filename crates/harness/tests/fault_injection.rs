@@ -4,9 +4,9 @@
 //! Fault plans are process-global, so every test here serializes on one
 //! mutex and disarms all plans before and after its scenario. The
 //! compile/run acceptance scenario is one `--inject`-style spec with
-//! fixed seeds that exercises the five in-process fault kinds end to end
+//! fixed seeds that exercises the four in-process fault kinds end to end
 //! on the 3-model CI subset, each producing a recorded incident, with
-//! the optimized → raw → reference chain observed and the post-fallback
+//! the optimized → reference chain observed and the post-fallback
 //! trajectory bit-identical to the reference pipeline. The three disk
 //! faults (`disk-corrupt`, `disk-truncate`, `disk-stale-version`) get
 //! their own combined-spec scenario here; `persistent_cache.rs` covers
@@ -102,24 +102,6 @@ fn verify_fail_quarantines_and_falls_back_to_reference() {
 }
 
 #[test]
-fn bytecode_corrupt_falls_back_to_raw_kernel() {
-    let _g = serialized();
-    let cache = KernelCache::new();
-    let m = model("Plonsey");
-    faults::arm("bytecode-corrupt@1").unwrap();
-    let rk = cache
-        .get_or_compile_resilient(&m, PipelineKind::Baseline)
-        .expect("raw fallback must succeed");
-    assert_eq!(rk.tier, Tier::Raw);
-    assert!(rk.kernel().shares_compilation(rk.entry.raw_kernel()));
-    assert!(rk
-        .incidents
-        .iter()
-        .any(|i| i.kind == IncidentKind::BytecodeFail));
-    faults::disarm_all();
-}
-
-#[test]
 fn cache_poison_is_recovered_and_recorded() {
     let _g = serialized();
     let cache = KernelCache::new();
@@ -148,7 +130,7 @@ fn state_nan_descends_one_tier_under_fallback_policy() {
             .expect("healthy model compiles");
     assert_eq!(sim.tier(), Tier::Optimized);
     sim.run_guarded(30).expect("fallback absorbs the NaN");
-    assert_eq!(sim.tier(), Tier::Raw, "one rung down after the NaN");
+    assert_eq!(sim.tier(), Tier::Reference, "one rung down after the NaN");
     let kinds: Vec<IncidentKind> = sim.incidents().iter().map(|i| i.kind).collect();
     assert!(kinds.contains(&IncidentKind::NonFiniteState), "{kinds:?}");
     assert!(kinds.contains(&IncidentKind::TierFallback), "{kinds:?}");
@@ -225,21 +207,20 @@ fn combined_disk_fault_spec_spreads_over_consecutive_loads() {
     faults::disarm_all();
 }
 
-/// The acceptance scenario: one fixed-seed spec arms all five in-process
+/// The acceptance scenario: one fixed-seed spec arms all four in-process
 /// fault kinds; a roster-style pass over the 3-model CI subset trips every one
 /// of them, each leaving a recorded incident; the degradation chain runs
-/// optimized → raw → reference end to end; and the post-fallback
-/// trajectory is bit-identical to the reference pipeline.
+/// optimized → reference end to end; and the post-fallback trajectory is
+/// bit-identical to the reference pipeline.
 #[test]
-fn full_spec_exercises_all_five_faults_deterministically() {
+fn full_spec_exercises_every_in_process_fault_deterministically() {
     let _g = serialized();
     const SUBSET: [&str; 3] = ["HodgkinHuxley", "BeelerReuter", "TenTusscherPanfilov"];
     const STEPS: usize = 40;
 
     let run_scenario = |name: &str| -> (Vec<IncidentKind>, Vec<u64>) {
         faults::disarm_all();
-        faults::arm("parse-error@3,verify-fail@5,cache-poison@2,bytecode-corrupt@1,state-nan@9")
-            .unwrap();
+        faults::arm("parse-error@3,verify-fail@5,cache-poison@2,state-nan@9").unwrap();
         let mut seen = Vec::new();
 
         // 1. parse-error: the frontend shim reports a spanned diagnostic
@@ -255,10 +236,10 @@ fn full_spec_exercises_all_five_faults_deterministically() {
         );
         seen.push(IncidentKind::FrontendError);
 
-        // 2-4. verify-fail, cache-poison, bytecode-corrupt: the resilient
-        // lookup recovers the poisoned lock, quarantines the corrupted
-        // vectorized build, falls back to the reference pipeline, and
-        // lands on its raw bytecode. A fresh cache isolates the scenario.
+        // 2-3. verify-fail, cache-poison: the resilient lookup recovers the
+        // poisoned lock, quarantines the corrupted vectorized build, and
+        // falls back to the reference pipeline. A fresh cache isolates the
+        // scenario.
         let m = model(name);
         let cache = KernelCache::new();
         let config = PipelineKind::LimpetMlir(limpet_codegen::pipeline::VectorIsa::Avx512);
@@ -266,7 +247,7 @@ fn full_spec_exercises_all_five_faults_deterministically() {
             .get_or_compile_resilient(&m, config)
             .expect("chain ends on a working kernel");
         assert_eq!(rk.config, PipelineKind::Baseline, "reference pipeline");
-        assert_eq!(rk.tier, Tier::Raw, "raw bytecode of the reference entry");
+        assert_eq!(rk.tier, Tier::Reference);
         assert!(cache.stats().poison_recoveries >= 1);
         assert_eq!(cache.stats().quarantined, 1);
         for i in cache.incidents() {
@@ -276,7 +257,7 @@ fn full_spec_exercises_all_five_faults_deterministically() {
             seen.push(i.kind);
         }
 
-        // 5. state-nan: a guarded run (Baseline config so every tier is
+        // 4. state-nan: a guarded run (Baseline config so every tier is
         // the same arithmetic) absorbs a mid-run NaN by descending tiers.
         let mut sim =
             Simulation::new_resilient(&m, PipelineKind::Baseline, &WL, HealthPolicy::FallbackRaw)
@@ -310,7 +291,6 @@ fn full_spec_exercises_all_five_faults_deterministically() {
             IncidentKind::CachePoisonRecovered,
             IncidentKind::Quarantined,
             IncidentKind::TierFallback,
-            IncidentKind::BytecodeFail,
             IncidentKind::NonFiniteState,
         ] {
             assert!(seen.contains(&kind), "{name}: missing incident {kind}");

@@ -1,7 +1,7 @@
 //! Health-guard policy tests: the same injected mid-run NaN under each
-//! [`HealthPolicy`], proving `Abort` fails fast with a named incident,
-//! `ClampAndWarn` keeps going with finite state, and `FallbackRaw`
-//! resumes with a trajectory bit-identical to the reference pipeline.
+//! [`HealthPolicy`], proving `Abort` fails fast with a named incident and
+//! `FallbackRaw` resumes one tier down with a trajectory bit-identical to
+//! the reference pipeline's.
 //!
 //! Then the property the rollback window rests on — **chunking
 //! invariance**: however 100 guarded steps are cut into `run_guarded`
@@ -69,29 +69,11 @@ fn abort_policy_fails_fast_with_named_incident() {
 }
 
 #[test]
-fn clamp_policy_restores_and_continues() {
-    let _g = serialized();
-    let mut sim = guarded("BeelerReuter", HealthPolicy::ClampAndWarn);
-    sim.run_guarded(STEPS).expect("clamping absorbs the NaN");
-    assert_eq!(sim.tier(), Tier::Optimized, "clamping never changes tier");
-    let incident = sim
-        .incidents()
-        .iter()
-        .find(|i| i.kind == IncidentKind::NonFiniteState)
-        .expect("clamp must be recorded");
-    assert_eq!(incident.step, Some(faults::nan_step(SEED)));
-    for cell in 0..WL.n_cells {
-        assert!(sim.vm(cell).is_finite(), "cell {cell} not finite");
-    }
-    faults::disarm_all();
-}
-
-#[test]
 fn fallback_policy_resumes_bit_identical_to_reference() {
     let _g = serialized();
     let mut sim = guarded("BeelerReuter", HealthPolicy::FallbackRaw);
     sim.run_guarded(STEPS).expect("fallback absorbs the NaN");
-    assert_eq!(sim.tier(), Tier::Raw, "one rung down");
+    assert_eq!(sim.tier(), Tier::Reference, "one rung down");
 
     // An unguarded reference run of the same workload: the rolled-back
     // retry must leave no trace in the numbers.
@@ -131,14 +113,15 @@ fn unguarded_step_guarded_is_plain_stepping() {
 
 /// 13 cells: three padding lanes in the last block of a W=8 kernel.
 const ODD_CELLS: usize = 13;
+const ODD_WL: Workload = Workload {
+    n_cells: ODD_CELLS,
+    steps: 0,
+    dt: 0.01,
+};
 const TOTAL: usize = 100;
 /// A step in the second rollback window of a `run_guarded(100)`.
 const LATE_STEP: usize = 45;
-const POLICIES: [HealthPolicy; 3] = [
-    HealthPolicy::Abort,
-    HealthPolicy::ClampAndWarn,
-    HealthPolicy::FallbackRaw,
-];
+const POLICIES: [HealthPolicy; 2] = [HealthPolicy::Abort, HealthPolicy::FallbackRaw];
 const WIDTHS: [PipelineKind; 2] = [
     PipelineKind::Baseline,
     PipelineKind::LimpetMlir(VectorIsa::Avx512),
@@ -298,8 +281,10 @@ fn every_chunking_of_run_guarded_equals_one_step_per_call() {
     faults::disarm_all();
 }
 
-/// What a recovery costs: the good steps of the window are run once more,
-/// never more than 31 of them, and `Kernel::executed_steps` says so.
+/// What a recovery costs: the good steps of the window are run once more
+/// on the kernel that failed, never more than 31 of them, and
+/// `Kernel::executed_steps` says so; the reference kernel then runs the
+/// failed step and the rest.
 #[test]
 fn a_recovery_replays_only_the_good_steps_of_its_window() {
     let _g = serialized();
@@ -313,14 +298,15 @@ fn a_recovery_replays_only_the_good_steps_of_its_window() {
             (calls_of(7), (bad - 1) % 7),
             (vec![None; TOTAL], 0),
         ] {
-            let mut sim = scenario.build(config, HealthPolicy::ClampAndWarn);
-            let before = sim.kernel().executed_steps();
+            let mut sim = scenario.build(config, HealthPolicy::FallbackRaw);
+            let failed = sim.kernel().clone();
+            let before = failed.executed_steps();
             let seen = run_cut(&mut sim, &calls);
-            assert_eq!(seen.stopped, None);
+            assert_eq!((seen.stopped, seen.tier), (None, Tier::Reference));
             assert!(replayed < 32);
             assert_eq!(
-                sim.kernel().executed_steps() - before,
-                (TOTAL + replayed) as u64,
+                failed.executed_steps() - before,
+                (bad + replayed) as u64,
                 "{scenario:?}, calls {calls:?}"
             );
         }
@@ -328,31 +314,95 @@ fn a_recovery_replays_only_the_good_steps_of_its_window() {
     faults::disarm_all();
 }
 
+/// An unguarded run of `config` for `steps` steps, snapshot with its tier
+/// set to `tier`. Cell `c` starts `c × spread` mV above rest.
+fn snapshot_after(
+    config: PipelineKind,
+    spread: f64,
+    steps: usize,
+    tier: Tier,
+) -> limpet_harness::Snapshot {
+    let mut sim = Simulation::new(&model("BeelerReuter"), config, &ODD_WL);
+    for cell in 0..ODD_CELLS {
+        sim.perturb_vm(cell, cell as f64 * spread);
+    }
+    sim.run(steps);
+    let mut snap = sim.snapshot(&config.label(), steps as u64);
+    snap.tier = tier.to_string();
+    snap
+}
+
 /// `FallbackRaw` after a NaN injected past the first window — so behind a
-/// replay — still leaves no trace in the numbers, at either width.
+/// replay — still leaves no trace in the numbers. At W=1 the reference
+/// tier is the configured pipeline, so the run equals the unguarded one;
+/// at W=8 it equals the unguarded run up to the failed step continued on
+/// the reference tier — a snapshot resumed there.
 #[test]
 fn fallback_after_a_replay_is_bit_identical_to_the_unguarded_run() {
     let _g = serialized();
     for config in WIDTHS {
         let mut sim = Scenario::InjectedLate.build(config, HealthPolicy::FallbackRaw);
         sim.run_guarded(TOTAL).expect("fallback absorbs the NaN");
-        assert_eq!(sim.tier(), Tier::Raw, "one rung down");
-        let wl = Workload {
-            n_cells: ODD_CELLS,
-            steps: 0,
-            dt: 0.01,
+        assert_eq!(sim.tier(), Tier::Reference, "one rung down");
+        faults::disarm_all();
+        let twin = if config == PipelineKind::Baseline {
+            let mut unguarded = Simulation::new(&model("BeelerReuter"), config, &ODD_WL);
+            unguarded.run(TOTAL);
+            unguarded
+        } else {
+            let snap = snapshot_after(config, 0.0, LATE_STEP - 1, Tier::Reference);
+            let m = model("BeelerReuter");
+            let mut resumed =
+                Simulation::resume_from(&m, config, &ODD_WL, HealthPolicy::FallbackRaw, &snap)
+                    .expect("snapshot matches what is built");
+            assert_eq!(resumed.tier(), Tier::Reference);
+            resumed
+                .run_guarded(TOTAL - (LATE_STEP - 1))
+                .expect("healthy");
+            resumed
         };
-        let mut reference = Simulation::new(&model("BeelerReuter"), config, &wl);
-        reference.run(TOTAL);
-        assert_eq!(
-            sim.state_bits(),
-            reference.state_bits(),
-            "{}",
-            config.label()
-        );
-        assert_eq!(sim.time().to_bits(), reference.time().to_bits());
+        assert_eq!(sim.state_bits(), twin.state_bits(), "{}", config.label());
+        assert_eq!(sim.time().to_bits(), twin.time().to_bits());
     }
     faults::disarm_all();
+}
+
+/// A guarded run resumed from a snapshot taken on the reference tier
+/// continues there — not on the configured pipeline, whose bits differ —
+/// and records the descent.
+#[test]
+fn a_snapshot_taken_on_the_reference_tier_resumes_there() {
+    let _g = serialized();
+    let config = PipelineKind::LimpetMlir(VectorIsa::Avx512);
+    let snap = snapshot_after(config, 3.0, 20, Tier::Reference);
+    let m = model("BeelerReuter");
+    let mut resumed =
+        Simulation::resume_from(&m, config, &ODD_WL, HealthPolicy::FallbackRaw, &snap)
+            .expect("snapshot matches what is built");
+    assert_eq!(resumed.tier(), Tier::Reference);
+    let descent: Vec<_> = resumed
+        .incidents()
+        .iter()
+        .map(|i| (i.kind, i.step, i.tier))
+        .collect();
+    assert_eq!(
+        descent,
+        [(IncidentKind::TierFallback, Some(20), Some(Tier::Reference))]
+    );
+    resumed.run_guarded(STEPS).expect("healthy");
+
+    let mut reference = Simulation::new(&m, PipelineKind::Baseline, &ODD_WL);
+    reference.restore(&snap).expect("same cells");
+    reference.run(STEPS);
+    assert_eq!(resumed.state_bits(), reference.state_bits());
+    assert_eq!(resumed.time().to_bits(), reference.time().to_bits());
+
+    // The configured pipeline computes other bits from the same state,
+    // which is what resuming there would have continued.
+    let mut configured = Simulation::new(&m, config, &ODD_WL);
+    configured.restore(&snap).expect("same cells");
+    configured.run(STEPS);
+    assert_ne!(configured.state_bits(), reference.state_bits());
 }
 
 /// A token that trips inside a window stops the run before the next step:
@@ -361,11 +411,7 @@ fn fallback_after_a_replay_is_bit_identical_to_the_unguarded_run() {
 fn cancel_inside_a_window_stops_at_that_step_boundary_without_replay() {
     let _g = serialized();
     let config = PipelineKind::LimpetMlirAos(VectorIsa::Sse);
-    let wl = Workload {
-        n_cells: ODD_CELLS,
-        steps: 0,
-        dt: 0.01,
-    };
+    let wl = ODD_WL;
     let m = model("BeelerReuter");
     let mut inside_a_window = false;
     for _ in 0..8 {
@@ -418,7 +464,7 @@ fn snapshot_after_a_rolled_back_window_resumes_bit_identically() {
         cut.run_guarded(60).expect("fallback absorbs the NaN");
         assert_eq!(
             cut.tier(),
-            Tier::Raw,
+            Tier::Reference,
             "the window around step 45 rolled back"
         );
         let snap = cut.snapshot(&config.label(), cut.guarded_steps() as u64);
@@ -426,20 +472,16 @@ fn snapshot_after_a_rolled_back_window_resumes_bit_identically() {
         drop(cut);
 
         let loaded = store.load("job").snapshot.expect("just saved");
-        let wl = Workload {
-            n_cells: ODD_CELLS,
-            steps: 0,
-            dt: 0.01,
-        };
         let mut resumed = Simulation::resume_from(
             &model("BeelerReuter"),
             config,
-            &wl,
+            &ODD_WL,
             HealthPolicy::FallbackRaw,
             &loaded,
         )
         .expect("snapshot matches what is built");
         assert_eq!(resumed.guarded_steps(), 60);
+        assert_eq!(resumed.tier(), Tier::Reference, "{}", config.label());
         resumed.run_guarded(TOTAL - 60).expect("healthy from here");
         assert_eq!(
             resumed.state_bits(),

@@ -104,8 +104,8 @@ fn disk_hit_matches_cold_compile_bit_exactly() {
         cold_bits,
         "disk round-trip must be bit-identical to the cold compile"
     );
-    // Cold or loaded, the optimized/raw pair shares one copy of the
-    // tables (the same `Arc`, so the same slice address).
+    // Cold or loaded, the lazily compiled raw sibling shares the entry's
+    // one copy of the tables (the same `Arc`, so the same slice address).
     for entry in [&cold, &loaded] {
         assert!(!entry.kernel().luts().is_empty(), "model tabulates");
         assert!(
@@ -244,14 +244,16 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         limpet_vm::BYTECODE_FORMAT_VERSION,
     );
 
-    // What four earlier builds stored for this model: f9ea60c (bytecode
+    // What five earlier builds stored for this model: f9ea60c (bytecode
     // format 1: `lutvec` per column, no `lutrow`), 5b0cae0 (entry format 2:
     // the tables as a fourth text section of hex, which this build has no
     // reader for), 0892a15 and c5a12ba (bytecode format 2, which kept every
     // scalar lookup a row of one column: c5a12ba's baseline entry reads the
-    // one table at one key in two rows where this build emits one).
+    // one table at one key in two rows where this build emits one), and
+    // 091ed00 (entry format 3: a `program.raw` section after the main
+    // program, which this build neither writes nor reads).
     let baseline = PipelineKind::Baseline;
-    let fixtures: [(&[u8], &[u8], PipelineKind); 4] = [
+    let fixtures: [(&[u8], &[u8], PipelineKind); 5] = [
         (
             include_bytes!("entry_written_at_f9ea60c.lke"),
             b"limpet-kernel-cache 1 1 1 ",
@@ -272,6 +274,11 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
             b"limpet-kernel-cache 3 1 2 ",
             baseline,
         ),
+        (
+            include_bytes!("entry_written_at_091ed00.lke"),
+            b"limpet-kernel-cache 3 1 3 ",
+            CONFIG,
+        ),
     ];
     for (parent_entry, stamps, config) in fixtures {
         assert!(parent_entry.starts_with(stamps));
@@ -284,26 +291,34 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     }
 
     // The healed baseline entry runs a shorter program to the parent's bits:
-    // one row per program where the parent's had two, and the trajectory the
-    // parent build computed (its FNV-1a digest, printed by that build).
+    // one row where the parent's main and raw programs had two each, and the
+    // trajectory the parent build computed (its FNV-1a digest, printed by
+    // that build). The healed CONFIG entry holds one program where 091ed00's
+    // held two, and steps to the digest that build printed.
     let rows = |text: &str| text.lines().filter(|l| l.starts_with("lutrow ")).count();
+    let sections = |text: &str| text.lines().filter(|l| l.starts_with("section ")).count();
     let parent_text = String::from_utf8_lossy(include_bytes!("entry_written_at_c5a12ba.lke"));
     let (_, healed_text, _) = read_entry(&entry_path(&dir, &m, baseline));
-    assert_eq!((rows(&parent_text), rows(&healed_text)), (4, 2));
-    let healed = cache_with_disk(&disk).get_or_compile(&m, baseline);
-    assert_eq!(fnv_digest(&trajectory_bits(&healed)), 0x73ee_59cf_2d36_6425);
+    assert_eq!((rows(&parent_text), rows(&healed_text)), (4, 1));
+    let parent_text = String::from_utf8_lossy(include_bytes!("entry_written_at_091ed00.lke"));
+    let (_, healed_text, _) = read_entry(&entry_path(&dir, &m, CONFIG));
+    assert_eq!((sections(&parent_text), sections(&healed_text)), (3, 2));
+    for config in [baseline, CONFIG] {
+        let healed = cache_with_disk(&disk).get_or_compile(&m, config);
+        assert_eq!(fnv_digest(&trajectory_bits(&healed)), 0x73ee_59cf_2d36_6425);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The entry at `path` in its three parts: the header's tokens, the text
-/// part of the payload (the `model` line and the three framed sections) and
+/// part of the payload (the `model` line and the two framed sections) and
 /// the table block after it, which is bytes.
 fn read_entry(path: &Path) -> (Vec<String>, String, Vec<u8>) {
     let bytes = std::fs::read(path).unwrap();
     let line_end = |from: usize| from + bytes[from..].iter().position(|&b| b == b'\n').unwrap() + 1;
     let payload_at = line_end(0);
     let mut at = line_end(payload_at); // the `model` line
-    for _ in 0..3 {
+    for _ in 0..2 {
         let body_at = line_end(at);
         let framing = std::str::from_utf8(&bytes[at..body_at - 1]).unwrap();
         let len: usize = framing.rsplit(' ').next().unwrap().parse().unwrap();
@@ -383,7 +398,7 @@ fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
         }
         row
     });
-    assert!(rows >= 2, "main and raw programs each read the table");
+    assert!(rows >= 1, "the program reads the table");
 
     assert_rejected_and_healed(&disk, &m, CONFIG, "lut column 7", &reference_bits);
     let _ = std::fs::remove_dir_all(&dir);
@@ -406,7 +421,7 @@ fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
         }
         binop
     });
-    assert!(binops >= 2, "main and raw programs each have a float binop");
+    assert!(binops >= 1, "the program has a float binop");
     assert_rejected_and_healed(
         &disk,
         &m,
@@ -424,7 +439,7 @@ fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
         }
         regs
     });
-    assert_eq!(headers, 2, "main and raw programs");
+    assert_eq!(headers, 1, "one program per entry");
     assert_rejected_and_healed(
         &disk,
         &m,

@@ -147,36 +147,6 @@ fn pool_matches_single_under_injected_verify_fault() {
     faults::disarm_all();
 }
 
-/// Same differential under a bytecode-corruption fault, on its own
-/// (model, config) key (NygrenFiset + SSE).
-#[test]
-fn pool_matches_single_under_injected_bytecode_corruption() {
-    let _g = serialized();
-    let m = model("NygrenFiset");
-    let config = PipelineKind::LimpetMlir(VectorIsa::Sse);
-    let wl = Workload {
-        n_cells: 19,
-        steps: 0,
-        dt: 0.01,
-    };
-
-    faults::arm("bytecode-corrupt@7").unwrap();
-    let mut sharded = ShardedSimulation::new(&m, config, &wl, 3);
-    sharded.run_threaded(25);
-
-    let mut single = Simulation::new_resilient(&m, config, &wl, HealthPolicy::Abort)
-        .expect("degraded tier must still run");
-    for _ in 0..25 {
-        single.step();
-    }
-    assert_eq!(
-        single.state_bits(),
-        sharded.state_bits(),
-        "fault-degraded pool diverged from resilient single-thread driver"
-    );
-    faults::disarm_all();
-}
-
 /// Pool reuse across thread counts: the same workload re-run on pools of
 /// every size lands on the same bits (shard count is not observable).
 #[test]

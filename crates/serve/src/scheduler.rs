@@ -270,7 +270,7 @@ pub struct JobOutcome {
     pub status: JobStatus,
     /// FNV-1a trajectory digest (valid for [`JobStatus::Done`]).
     pub digest: Option<u64>,
-    /// The execution tier the job finished on (`optimized`, `raw`,
+    /// The execution tier the job finished on (`native`, `optimized`,
     /// `reference`), when a simulation was built at all.
     pub tier: Option<String>,
     /// Steps actually executed.

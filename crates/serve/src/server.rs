@@ -126,7 +126,6 @@ struct Counters {
     /// job ended on) — the operator's view of native promotion working.
     tier_native: AtomicU64,
     tier_optimized: AtomicU64,
-    tier_raw: AtomicU64,
     tier_reference: AtomicU64,
 }
 
@@ -187,7 +186,6 @@ impl ServerState {
         match outcome.tier.as_deref() {
             Some("native") => self.counters.tier_native.fetch_add(1, Ordering::SeqCst),
             Some("optimized") => self.counters.tier_optimized.fetch_add(1, Ordering::SeqCst),
-            Some("raw") => self.counters.tier_raw.fetch_add(1, Ordering::SeqCst),
             Some("reference") => self.counters.tier_reference.fetch_add(1, Ordering::SeqCst),
             _ => 0,
         };
@@ -232,7 +230,6 @@ impl ServerState {
                 Json::obj(vec![
                     ("native", c.tier_native.load(Ordering::SeqCst).into()),
                     ("optimized", c.tier_optimized.load(Ordering::SeqCst).into()),
-                    ("raw", c.tier_raw.load(Ordering::SeqCst).into()),
                     ("reference", c.tier_reference.load(Ordering::SeqCst).into()),
                 ]),
             ),
@@ -810,8 +807,8 @@ fn dispatch(
                 ("snapshot", store.has(id).into()),
             ]))
         }
-        "resume" => Some(resume(&v, state, pool, outbox)),
-        "submit" => Some(submit(&v, state, pool, outbox)),
+        "resume" => resume(&v, state, pool, outbox),
+        "submit" => submit(&v, state, pool, outbox),
         other => Some(error_event(&format!("unknown verb '{other}'"))),
     }
 }
@@ -821,11 +818,11 @@ fn submit(
     state: &Arc<ServerState>,
     pool: &PoolHandle,
     outbox: &Arc<Bounded<String>>,
-) -> Json {
+) -> Option<Json> {
     let fallback = state.fresh_id();
     let spec = match JobSpec::from_json(v, &fallback) {
         Ok(s) => s,
-        Err(e) => return error_event(&e),
+        Err(e) => return Some(error_event(&e)),
     };
     admit_and_queue(spec, state, pool, outbox, None)
 }
@@ -840,13 +837,13 @@ fn resume(
     state: &Arc<ServerState>,
     pool: &PoolHandle,
     outbox: &Arc<Bounded<String>>,
-) -> Json {
+) -> Option<Json> {
     let id = v.get("id").and_then(Json::as_str).unwrap_or("");
     if id.is_empty() {
-        return error_event("resume requires 'id'");
+        return Some(error_event("resume requires 'id'"));
     }
     let Some(store) = &state.snapshots else {
-        return error_event("checkpointing is disabled (no snapshot dir)");
+        return Some(error_event("checkpointing is disabled (no snapshot dir)"));
     };
     // Run the real load ladder: a corrupt current file is rejected,
     // healed, and the previous rotation (if any) serves the resume.
@@ -859,37 +856,42 @@ fn resume(
         );
     }
     let Some(snap) = &outcome.snapshot else {
-        return error_event(&format!("no durable snapshot for job '{id}'"));
+        return Some(error_event(&format!("no durable snapshot for job '{id}'")));
     };
     let Some(meta) = &snap.meta else {
-        return error_event(&format!("snapshot for job '{id}' carries no job spec"));
+        return Some(error_event(&format!(
+            "snapshot for job '{id}' carries no job spec"
+        )));
     };
     let spec = match Json::parse(meta).map_err(|e| e.to_string()).and_then(|m| {
         JobSpec::from_json(&m, id).map_err(|e| format!("snapshot spec for '{id}' invalid: {e}"))
     }) {
         Ok(s) => s,
-        Err(e) => return error_event(&e),
+        Err(e) => return Some(error_event(&e)),
     };
     admit_and_queue(spec, state, pool, outbox, Some(snap.steps_done))
 }
 
 /// Shared admission tail of `submit` and `resume`: quota check, journal
-/// `job` line, and hand-off to the pool.
+/// `job` line, and hand-off to the pool. An admitted job's `accepted`
+/// event goes into its outbox *before* the hand-off, so no worker can put
+/// a `chunk` ahead of it; the returned event, if any, is the caller's to
+/// push (`rejected`, or an `error` when the pool is shutting down).
 fn admit_and_queue(
     spec: JobSpec,
     state: &Arc<ServerState>,
     pool: &PoolHandle,
     outbox: &Arc<Bounded<String>>,
     resumed_from: Option<u64>,
-) -> Json {
+) -> Option<Json> {
     if let Err(r) = state.ledger.admit(&spec.tenant, spec.cost()) {
         state.counters.rejected.fetch_add(1, Ordering::SeqCst);
-        return Json::obj(vec![
+        return Some(Json::obj(vec![
             ("event", Json::str("rejected")),
             ("id", Json::str(&spec.id)),
             ("code", u64::from(r.code).into()),
             ("reason", Json::str(&r.reason)),
-        ]);
+        ]));
     }
     state.counters.submitted.fetch_add(1, Ordering::SeqCst);
     state.journal_line(&format!("job {}", spec.to_json()));
@@ -902,17 +904,20 @@ fn admit_and_queue(
     if let Some(step) = resumed_from {
         fields.push(("resumed_from_step", step.into()));
     }
-    let accepted = Json::obj(fields);
+    // A closed outbox means the client is gone; the job still runs to the
+    // journal's `done` line, as it would had the client left a moment later.
+    let _ = outbox.push(Json::obj(fields).to_string());
     let job = QueuedJob {
         spec: spec.clone(),
         outbox: Some(Arc::clone(outbox)),
     };
     if pool.submit(job).is_err() {
-        // Pool shutting down: undo the admission.
+        // Pool shutting down: undo the admission. The journal already
+        // holds the job, so the next incarnation replays it.
         state.ledger.release(&spec.tenant, spec.cost(), false);
-        return error_event("server is shutting down");
+        return Some(error_event("server is shutting down"));
     }
-    accepted
+    None
 }
 
 #[cfg(test)]
@@ -949,11 +954,8 @@ mod tests {
         assert!(replay(&lines).is_empty());
     }
 
-    /// Pins the key layout of `stats` and its survivability block so a
-    /// field rename cannot silently break dashboards or the CI greps.
-    #[test]
-    fn stats_json_shape_is_pinned() {
-        let state = ServerState {
+    fn bare_state() -> ServerState {
+        ServerState {
             ledger: Ledger::new(QuotaConfig::default()),
             journal: Mutex::new(None),
             results: Mutex::new((BTreeMap::new(), VecDeque::new())),
@@ -962,7 +964,14 @@ mod tests {
             started: Instant::now(),
             outbox_cap: 4,
             snapshots: None,
-        };
+        }
+    }
+
+    /// Pins the key layout of `stats` and its survivability block so a
+    /// field rename cannot silently break dashboards or the CI greps.
+    #[test]
+    fn stats_json_shape_is_pinned() {
+        let state = bare_state();
         state.counters.deadlines.store(3, Ordering::SeqCst);
         state.counters.watchdog_stalls.store(2, Ordering::SeqCst);
         state.counters.workers_respawned.store(2, Ordering::SeqCst);
@@ -1002,6 +1011,46 @@ mod tests {
             r#"{"checkpoint_rejects":0,"checkpoint_restarts":0,"checkpoint_save_failures":0,"checkpoints":0,"checkpoints_superseded":5,"deadlines":3,"resumes":0,"watchdog_stalls":2,"workers_respawned":2}"#,
             "survivability block shape drifted"
         );
+        assert_eq!(
+            stats.get("tiers").expect("tiers object").to_string(),
+            r#"{"native":0,"optimized":0,"reference":0}"#,
+            "one count per tier of the ladder"
+        );
+    }
+
+    /// The worker that runs an admitted job streams into the same outbox
+    /// the connection answers on, so `accepted` must be in it before the
+    /// job reaches the pool, or a `chunk` can overtake it.
+    #[test]
+    fn accepted_is_the_first_event_of_an_admitted_job() {
+        let state = Arc::new(bare_state());
+        let pool = Pool::new(
+            PoolConfig {
+                workers: 1,
+                ..PoolConfig::default()
+            },
+            |_: &JobSpec, _: &JobOutcome| {},
+            |_: &JobSpec, _: &str| {},
+        );
+        let outbox = Arc::new(Bounded::new(16));
+        let spec = Json::parse(
+            r#"{"id":"first","tenant":"t","model":"Plonsey","config":"baseline","cells":8,"steps":4,"dt":0.01,"chunk":2}"#,
+        )
+        .and_then(|v| JobSpec::from_json(&v, "first"))
+        .expect("valid spec");
+        let returned = admit_and_queue(spec, &state, &PoolHandle::new(&pool), &outbox, None);
+        assert!(
+            returned.is_none(),
+            "the caller pushes nothing: {returned:?}"
+        );
+        let first = outbox.pop().expect("an event");
+        let event = Json::parse(&first).expect("JSON event");
+        assert_eq!(
+            event.get("event").and_then(Json::as_str),
+            Some("accepted"),
+            "{first}"
+        );
+        pool.shutdown(true);
     }
 
     /// A `resume`-verb re-journal must re-open a job that already has a

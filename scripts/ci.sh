@@ -37,6 +37,23 @@ cargo test -q -p limpet-pm --test filecheck_golden
 echo "==> fault-injection suite (degradation chain + health guards + disk faults)"
 cargo test -q -p limpet-harness --test fault_injection --test health_guard
 
+echo "==> README fault list (the kinds --inject knows, no more, no fewer)"
+# `figures --inject` refuses an unknown name and lists every kind it knows
+# (exit 2); README's spec-grammar block (`# Faults: …` up to the line
+# ending in `.`) must name exactly those.
+set +e
+INJECT_ERR=$(./target/release/figures --inject nope 2>&1 > /dev/null)
+INJECT_STATUS=$?
+set -e
+[ "$INJECT_STATUS" -eq 2 ] \
+  || { echo "README fault list: figures --inject nope exited $INJECT_STATUS, not 2"; exit 1; }
+KNOWN_FAULTS=$(printf '%s\n' "$INJECT_ERR" | sed -n 's/.*(known: \(.*\))$/\1/p' | tr -d ' ' | tr ',' '\n' | sort)
+README_FAULTS=$(sed -n '/^# Faults: /,/\.$/p' README.md | sed 's/^# \(Faults: \)\{0,1\}//; s/\.$//' \
+  | tr -d ' ' | tr ',' '\n' | sed '/^$/d' | sort)
+[ -n "$KNOWN_FAULTS" ] || { echo "README fault list: no known: list in '$INJECT_ERR'"; exit 1; }
+diff <(echo "$KNOWN_FAULTS") <(echo "$README_FAULTS") \
+  || { echo "README fault list: README.md (>) differs from figures --inject (<)"; exit 1; }
+
 echo "==> persistent kernel-cache suite (disk tier, integrity, concurrency)"
 cargo test -q -p limpet-harness --test persistent_cache
 
@@ -75,7 +92,7 @@ rm -rf "$PERSIST_DIR" "$PERSIST_OUT"
 
 echo "==> disk-cache capacity gate (one full precompile fits the default cap)"
 # The most one run stores is figures' precompile of the roster under all 16
-# configurations: 688 entries, 393 MiB in entry format 3. Under the default
+# configurations: 688 entries, 387 MiB in entry format 4. Under the default
 # cap (no LIMPET_CACHE_CAP_MB) the run must keep every entry it writes —
 # format 2 wrote 803 MiB and evicted 455 of them on the way — and a second
 # process must then find all 688 on disk.
@@ -659,7 +676,7 @@ echo "==> limpet-perf compile_roster, traced (digests, exact counts, staged comp
 # summing to more than 10 % off `KernelCache::get_or_compile`. Its cold
 # roster compile + store is held against the change row of
 # BENCH_compile_cold.json, and the bytes it stored against the bytes of the
-# tables in them: 1.054 with the tables stored as bytes (entry format 3),
+# tables in them: 1.043 with the tables stored as bytes (entry format 4),
 # 2.18 as hex text — an exact count, so held on every host.
 COMPILE_RUN=$(mktemp)
 bash limpet-perf/run.sh --workload compile_roster --seconds 10 --trace 1 --out "$COMPILE_RUN" > /dev/null
