@@ -37,8 +37,9 @@
 //! bytecode optimizer, the ablation switch for its dispatch-overhead win.
 //! `--inject` arms the deterministic fault-injection framework (see
 //! `limpet_harness::faults`) — e.g. `--inject verify-fail@42` — which is
-//! also reachable through the `LIMPET_INJECT` environment variable; any
-//! recorded incidents and quarantined models print in the final summary.
+//! also reachable through the `LIMPET_INJECT` environment variable (the
+//! flag wins when both are given); any recorded incidents and quarantined
+//! models print in the final summary.
 //!
 //! Compiled kernels persist across processes in an on-disk cache
 //! (default `~/.cache/limpet-rs`, overridable via `--cache-dir` or
@@ -84,6 +85,7 @@ struct Args {
     cache_verb: Option<String>,
     cache_cap_mb: Option<u64>,
     checkpoint: Option<PathBuf>,
+    inject: Option<String>,
     json: bool,
     opts: ExperimentOptions,
 }
@@ -112,6 +114,7 @@ fn parse_args() -> Args {
         cache_verb: None,
         cache_cap_mb: None,
         checkpoint: None,
+        inject: None,
         json: false,
     };
     let mut it = std::env::args().skip(1);
@@ -215,13 +218,7 @@ fn parse_args() -> Args {
                 args.checkpoint =
                     Some(PathBuf::from(it.next().expect("--checkpoint needs a path")));
             }
-            "--inject" => {
-                let spec = it.next().unwrap_or_default();
-                if let Err(e) = limpet_harness::faults::arm(&spec) {
-                    eprintln!("--inject: {e}");
-                    std::process::exit(2);
-                }
-            }
+            "--inject" => args.inject = Some(it.next().unwrap_or_default()),
             "--no-bytecode-opt" => limpet_vm::set_bytecode_opt(false),
             "--help" | "-h" => {
                 println!(
@@ -291,10 +288,6 @@ fn region_label(timing: &ThreadTiming) -> String {
 }
 
 fn main() {
-    if let Err(e) = limpet_harness::faults::arm_from_env() {
-        eprintln!("LIMPET_INJECT: {e}");
-        std::process::exit(2);
-    }
     // LIMPET_NATIVE / LIMPET_NATIVE_THRESHOLD seed the native-promotion
     // config; --native / --no-native / --native-threshold override.
     limpet_harness::promotion_from_env();
@@ -302,6 +295,19 @@ fn main() {
     // kept for resume and the disk-cache lock is never left stale.
     limpet_harness::shutdown::install();
     let args = parse_args();
+    // The run's one fault plan, current on this thread and entered by every
+    // thread the harness spawns for it; --inject overrides LIMPET_INJECT.
+    let (source, spec) = match &args.inject {
+        Some(spec) => ("--inject", spec.clone()),
+        None => (
+            "LIMPET_INJECT",
+            std::env::var("LIMPET_INJECT").unwrap_or_default(),
+        ),
+    };
+    let _faults = limpet_harness::faults::arm(&spec).unwrap_or_else(|e| {
+        eprintln!("{source}: {e}");
+        std::process::exit(2);
+    });
     let cache_dir = args.cache_dir.clone().unwrap_or_else(default_cache_dir);
     // Maintenance verbs run and exit before any measurement machinery.
     if let Some(verb) = &args.cache_verb {

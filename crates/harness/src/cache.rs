@@ -764,16 +764,18 @@ impl KernelCache {
             .collect();
         let before = self.stats().misses;
         let cursor = AtomicUsize::new(0);
+        let plan = faults::Plan::current();
         std::thread::scope(|scope| {
             for _ in 0..jobs.min(pairs.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(model, config)) = pairs.get(i) else {
-                        break;
-                    };
-                    // A broken model quarantines instead of panicking, so
-                    // one bad roster entry cannot end precompilation.
-                    let _ = self.try_get_or_compile(model, config);
+                scope.spawn(|| {
+                    let _plan = plan.enter();
+                    while let Some(&(model, config)) =
+                        pairs.get(cursor.fetch_add(1, Ordering::Relaxed))
+                    {
+                        // A broken model quarantines instead of panicking,
+                        // so one bad roster entry cannot end precompilation.
+                        let _ = self.try_get_or_compile(model, config);
+                    }
                 });
             }
         });

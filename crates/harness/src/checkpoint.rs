@@ -514,15 +514,6 @@ mod tests {
         dir
     }
 
-    /// Held by every test that loads through a store: an armed `ckpt-*`
-    /// fault is process-global and fires on whichever load comes next,
-    /// whoever's it is (see [`faults::TEST_SERIAL`]).
-    fn faults_serial() -> std::sync::MutexGuard<'static, ()> {
-        faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     fn sample(state_len: usize) -> Snapshot {
         Snapshot {
             model: "HodgkinHuxley".into(),
@@ -589,7 +580,6 @@ mod tests {
 
     #[test]
     fn store_saves_rotates_and_loads() {
-        let _guard = faults_serial();
         let dir = temp_dir("rotate");
         let store = SnapshotStore::new(&dir).unwrap();
         let mut snap = sample(9);
@@ -628,7 +618,6 @@ mod tests {
 
     #[test]
     fn double_reject_falls_to_zero_and_heals_both_files() {
-        let _guard = faults_serial();
         let dir = temp_dir("fallzero");
         let store = SnapshotStore::new(&dir).unwrap();
         let snap = sample(5);
@@ -658,8 +647,6 @@ mod tests {
 
     #[test]
     fn injected_ckpt_faults_drive_the_real_ladder() {
-        let _guard = faults_serial();
-        faults::disarm_all();
         let dir = temp_dir("inject");
         let store = SnapshotStore::new(&dir).unwrap();
         let snap = sample(17);
@@ -672,14 +659,13 @@ mod tests {
             store.remove("j");
             store.save("j", &snap).unwrap();
             store.save("j", &snap).unwrap();
-            faults::arm(spec).unwrap();
+            let _plan = faults::arm(spec).unwrap();
             let out = store.load("j");
             // The fault fires once (on the current file); the previous
             // rotation then serves the identical snapshot.
             assert_eq!(out.snapshot.as_ref(), Some(&snap), "spec {spec}");
             assert_eq!(out.from_previous, expect_prev, "spec {spec}");
             assert_eq!(out.rejects.len(), 1, "spec {spec}");
-            faults::disarm_all();
         }
         let stats = store.stats();
         assert_eq!(stats.rejected_total(), 3);
@@ -689,7 +675,6 @@ mod tests {
 
     #[test]
     fn hostile_keys_cannot_escape_the_directory() {
-        let _guard = faults_serial();
         let dir = temp_dir("hostile");
         let store = SnapshotStore::new(&dir).unwrap();
         for key in ["../../etc/passwd", "a/b/c", "..", "x y\nz", ""] {
@@ -775,7 +760,6 @@ mod tests {
     /// and served the other thread's snapshot for almost every load.
     #[test]
     fn concurrent_saves_of_distinct_keys_do_not_interfere() {
-        let _guard = faults_serial();
         let dir = temp_dir("two-threads");
         let store = SnapshotStore::new(&dir).unwrap();
         std::thread::scope(|scope| {

@@ -610,72 +610,76 @@ pub fn fig2_checkpointed(
     });
     let slots = std::sync::Mutex::new(slots);
     let cursor = std::sync::atomic::AtomicUsize::new(0);
+    let plan = crate::faults::Plan::current();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| loop {
-                // Graceful interruption (SIGINT/SIGTERM): stop picking up
-                // work at the row boundary. Completed rows are already in
-                // the journal, which is kept for the resumed run.
-                if crate::shutdown::requested() {
-                    break;
-                }
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(e) = entries.get(i) else {
-                    break;
-                };
-                if slots.lock().unwrap()[i].is_some() {
-                    continue; // resumed from the journal
-                }
-                let m = model(e.name);
-                let (tb, tl) = if let Some(store) = &store {
-                    // Store keys carry the measurement shape not already
-                    // covered by the snapshot's own key echo (steps,
-                    // repeats), so a sweep re-run with different options
-                    // never stitches half-measurements together.
-                    let key = |cfg: &str| {
-                        format!("fig2/{}/{cfg}/s{}r{}", e.name, opts.steps, opts.repeats)
-                    };
-                    let Some(tb) = measure_run_resumable(
-                        &m,
-                        PipelineKind::Baseline,
-                        opts,
-                        store,
-                        &key("baseline"),
-                    ) else {
-                        break; // interrupted; state snapshot saved
-                    };
-                    let Some(tl) = measure_run_resumable(
-                        &m,
-                        PipelineKind::LimpetMlir(VectorIsa::Avx512),
-                        opts,
-                        store,
-                        &key("limpetMLIR-avx512"),
-                    ) else {
+            scope.spawn(|| {
+                let _plan = plan.enter();
+                loop {
+                    // Graceful interruption (SIGINT/SIGTERM): stop picking up
+                    // work at the row boundary. Completed rows are already in
+                    // the journal, which is kept for the resumed run.
+                    if crate::shutdown::requested() {
+                        break;
+                    }
+                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let Some(e) = entries.get(i) else {
                         break;
                     };
-                    (tb, tl)
-                } else {
-                    (
-                        measure_run(&m, PipelineKind::Baseline, opts),
-                        measure_run(&m, PipelineKind::LimpetMlir(VectorIsa::Avx512), opts),
-                    )
-                };
-                let row = SpeedupRow {
-                    model: e.name.to_owned(),
-                    class: e.class.name().to_owned(),
-                    baseline: tb,
-                    limpet_mlir: tl,
-                    speedup: tb / tl,
-                };
-                let mut slots = slots.lock().unwrap();
-                // Journal under the slots lock so lines are whole and the
-                // journal order matches completion order.
-                if let Some(j) = &journal {
-                    if let Err(e) = j.record(&fig2_journal_line(&row)) {
-                        eprintln!("warning: checkpoint append failed: {e}");
+                    if slots.lock().unwrap()[i].is_some() {
+                        continue; // resumed from the journal
                     }
+                    let m = model(e.name);
+                    let (tb, tl) = if let Some(store) = &store {
+                        // Store keys carry the measurement shape not already
+                        // covered by the snapshot's own key echo (steps,
+                        // repeats), so a sweep re-run with different options
+                        // never stitches half-measurements together.
+                        let key = |cfg: &str| {
+                            format!("fig2/{}/{cfg}/s{}r{}", e.name, opts.steps, opts.repeats)
+                        };
+                        let Some(tb) = measure_run_resumable(
+                            &m,
+                            PipelineKind::Baseline,
+                            opts,
+                            store,
+                            &key("baseline"),
+                        ) else {
+                            break; // interrupted; state snapshot saved
+                        };
+                        let Some(tl) = measure_run_resumable(
+                            &m,
+                            PipelineKind::LimpetMlir(VectorIsa::Avx512),
+                            opts,
+                            store,
+                            &key("limpetMLIR-avx512"),
+                        ) else {
+                            break;
+                        };
+                        (tb, tl)
+                    } else {
+                        (
+                            measure_run(&m, PipelineKind::Baseline, opts),
+                            measure_run(&m, PipelineKind::LimpetMlir(VectorIsa::Avx512), opts),
+                        )
+                    };
+                    let row = SpeedupRow {
+                        model: e.name.to_owned(),
+                        class: e.class.name().to_owned(),
+                        baseline: tb,
+                        limpet_mlir: tl,
+                        speedup: tb / tl,
+                    };
+                    let mut slots = slots.lock().unwrap();
+                    // Journal under the slots lock so lines are whole and the
+                    // journal order matches completion order.
+                    if let Some(j) = &journal {
+                        if let Err(e) = j.record(&fig2_journal_line(&row)) {
+                            eprintln!("warning: checkpoint append failed: {e}");
+                        }
+                    }
+                    slots[i] = Some(row);
                 }
-                slots[i] = Some(row);
             });
         }
     });
@@ -1518,12 +1522,7 @@ mod tests {
         // A zero/negative/NaN row trips a debug assertion (outside fault
         // injection it always means a measurement bug); in release it is
         // skipped with a warning instead of zeroing or NaN-ing the whole
-        // mean. Serialized against tests that arm fault plans — the
-        // assertion is relaxed while injection is active.
-        let _g = crate::faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        crate::faults::disarm_all();
+        // mean.
         for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
             let r = std::panic::catch_unwind(|| geomean([4.0, bad, 1.0]));
             if cfg!(debug_assertions) {

@@ -9,10 +9,15 @@
 //! retry the same operation cleanly, which is precisely what the
 //! optimized → reference ladder does.
 //!
-//! Plans are process-global. Arm them programmatically ([`arm`]), through
-//! the `LIMPET_INJECT` environment variable ([`arm_from_env`]), or via the
-//! figures binary's `--inject` flag. The spec grammar is a comma-separated
-//! list of `fault@seed` items:
+//! A plan belongs to the run that armed it: [`arm`] makes it the calling
+//! thread's plan until the returned [`PlanGuard`] drops, and the threads
+//! the harness spawns for that run (the precompile pool, the fig2 `--jobs`
+//! pool, the background `cc` build, the shard workers) enter the spawning
+//! thread's plan (`Plan::current`, `Plan::enter`). The `figures`
+//! process arms one plan in `main` (`--inject` or `LIMPET_INJECT`), a
+//! daemon job arms its own `inject` field, a test arms its own — none of
+//! them sees another's. The spec grammar is a comma-separated list of
+//! `fault@seed` items:
 //!
 //! ```text
 //! LIMPET_INJECT="verify-fail@42,state-nan@7" cargo run --bin figures -- ...
@@ -21,9 +26,9 @@
 //! Seeds feed [`limpet_rng::SmallRng`], so a given spec reproduces the same
 //! corruption — same removed op, same NaN step — on every run.
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use limpet_ir::Module;
 use limpet_rng::SmallRng;
@@ -61,17 +66,10 @@ pub enum FaultKind {
     /// stall, 504 the job, and respawn the worker (liveness path).
     WorkerHang,
     /// Hang the native `cc` compile (the child process sleeps instead of
-    /// compiling) so the compile watchdog must time it out, kill the
-    /// child, and quarantine the kernel as `cc-timeout` (liveness path).
+    /// compiling) so the compile watchdog must time it out after the
+    /// payload's milliseconds, kill the child, and quarantine the kernel
+    /// as `cc-timeout` (liveness path).
     CompileHang,
-    /// Drip-feed a request to the daemon one byte at a time (slow-loris
-    /// client) — the connection loop must keep other tenants live and
-    /// still parse the frame once it completes (liveness path).
-    SlowLoris,
-    /// Send a torn NDJSON frame (truncated mid-object) ahead of a real
-    /// request — the daemon must answer with a typed `error` event and
-    /// keep the connection usable (protocol-robustness path).
-    TornFrame,
     /// "Crash" while holding the disk-cache lock: the lock file is left
     /// behind un-released, so contending processes must retry with
     /// backoff and break the stale lock (lock-recovery path).
@@ -88,7 +86,7 @@ pub enum FaultKind {
 }
 
 /// Every fault kind, in spec order — handy for exercising the whole chain.
-pub const ALL_FAULT_KINDS: [FaultKind; 18] = [
+pub const ALL_FAULT_KINDS: [FaultKind; 16] = [
     FaultKind::ParseError,
     FaultKind::VerifyFail,
     FaultKind::CachePoison,
@@ -101,8 +99,6 @@ pub const ALL_FAULT_KINDS: [FaultKind; 18] = [
     FaultKind::NativeDivergent,
     FaultKind::WorkerHang,
     FaultKind::CompileHang,
-    FaultKind::SlowLoris,
-    FaultKind::TornFrame,
     FaultKind::LockHolderCrash,
     FaultKind::CkptTorn,
     FaultKind::CkptCorrupt,
@@ -125,8 +121,6 @@ impl FaultKind {
             FaultKind::NativeDivergent => "native-divergent",
             FaultKind::WorkerHang => "worker-hang",
             FaultKind::CompileHang => "compile-hang",
-            FaultKind::SlowLoris => "slow-loris",
-            FaultKind::TornFrame => "torn-frame",
             FaultKind::LockHolderCrash => "lock-holder-crash",
             FaultKind::CkptTorn => "ckpt-torn",
             FaultKind::CkptCorrupt => "ckpt-corrupt",
@@ -145,44 +139,64 @@ impl fmt::Display for FaultKind {
     }
 }
 
+#[derive(Debug)]
 struct ArmedFault {
     kind: FaultKind,
     seed: u64,
     fired: bool,
 }
 
-static PLANS: Mutex<Vec<ArmedFault>> = Mutex::new(Vec::new());
+/// The fault items of one run, each fired at most once. Clones share the
+/// items, so an item fires once across every thread of the run. The empty
+/// plan (the default) arms nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Plan(Option<Arc<Mutex<Vec<ArmedFault>>>>);
 
-/// Sticky "this process is an injection run" flag: set by [`arm`], cleared
-/// only by [`disarm_all`]. It outlives the plans themselves (which are
-/// once-fired), so the measurement harness can keep routing through the
-/// resilient compile path after a fault has already fired and quarantined
-/// a kernel.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// True once any fault plan has been armed in this process (and not wiped
-/// by [`disarm_all`]). The measurement drivers consult this to swap the
-/// plain, panicking `Simulation::new` path for the degradation-ladder one
-/// — a quarantined kernel must not kill an injection run, while normal
-/// runs keep the zero-overhead fast path.
-pub fn injection_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+thread_local! {
+    static CURRENT: RefCell<Plan> = const { RefCell::new(Plan(None)) };
 }
 
-fn plans() -> std::sync::MutexGuard<'static, Vec<ArmedFault>> {
-    // The fault registry must stay usable even if a test thread panicked
-    // while holding it — recovery is the whole point of this subsystem.
-    PLANS.lock().unwrap_or_else(|p| p.into_inner())
+impl Plan {
+    /// The calling thread's plan: what a thread spawned for the same run
+    /// enters.
+    pub(crate) fn current() -> Plan {
+        CURRENT.with(|current| current.borrow().clone())
+    }
+
+    /// Makes this plan the calling thread's until the guard drops, which
+    /// restores the plan that was current before.
+    pub(crate) fn enter(&self) -> PlanGuard {
+        PlanGuard {
+            previous: CURRENT.with(|current| current.replace(self.clone())),
+        }
+    }
 }
 
-/// Arms every `fault@seed` item in a comma-separated spec string.
+/// Keeps a plan current on its thread until dropped, then restores the
+/// plan that was current before.
+#[derive(Debug)]
+#[must_use = "the plan is current only while its guard lives"]
+pub struct PlanGuard {
+    previous: Plan,
+}
+
+impl Drop for PlanGuard {
+    fn drop(&mut self) {
+        let previous = std::mem::take(&mut self.previous);
+        // Nothing to restore on a thread whose locals are already gone.
+        let _ = CURRENT.try_with(|current| current.replace(previous));
+    }
+}
+
+/// Parses `spec`, a comma-separated list of `fault@seed` items, and makes
+/// it the calling thread's plan until the returned guard drops.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed item. Valid fault names
 /// are the [`FaultKind::as_str`] values; the seed is a decimal `u64` and
 /// defaults to `0` when the `@seed` part is omitted.
-pub fn arm(spec: &str) -> Result<(), String> {
+pub fn arm(spec: &str) -> Result<PlanGuard, String> {
     let mut parsed = Vec::new();
     for item in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let (name, seed) = match item.split_once('@') {
@@ -205,47 +219,35 @@ pub fn arm(spec: &str) -> Result<(), String> {
             fired: false,
         });
     }
-    if !parsed.is_empty() {
-        ACTIVE.store(true, Ordering::Relaxed);
-    }
-    plans().extend(parsed);
-    Ok(())
+    let plan = Plan((!parsed.is_empty()).then(|| Arc::new(Mutex::new(parsed))));
+    Ok(plan.enter())
 }
 
-/// Arms faults from the `LIMPET_INJECT` environment variable, if set.
-///
-/// # Errors
-///
-/// Propagates [`arm`]'s spec errors.
-pub fn arm_from_env() -> Result<(), String> {
-    match std::env::var("LIMPET_INJECT") {
-        Ok(spec) => arm(&spec),
-        Err(_) => Ok(()),
-    }
+/// True while the calling thread's plan has any item, fired or not: it
+/// outlives the once-fired items, so the measurement drivers keep swapping
+/// the plain, panicking `Simulation::new` path for the degradation-ladder
+/// one after a fault has fired and quarantined a kernel, while normal runs
+/// keep the zero-overhead fast path.
+pub fn injection_active() -> bool {
+    CURRENT.with(|current| current.borrow().0.is_some())
 }
 
-/// Disarms every plan, fired or not, and clears the
-/// [`injection_active`] flag. Tests call this between scenarios.
-pub fn disarm_all() {
-    ACTIVE.store(false, Ordering::Relaxed);
-    plans().clear();
-}
-
-/// Consumes the first unfired plan of `kind`, returning its seed.
+/// Consumes the first unfired item of `kind` in the calling thread's plan,
+/// returning its seed.
 ///
-/// Each armed plan fires at most once; arming the same kind twice makes it
-/// fire twice. Returns `None` when nothing (left) is armed for `kind` —
-/// the hot-path cost is one uncontended mutex lock.
+/// Each item fires at most once; arming the same kind twice makes it fire
+/// twice. Returns `None` when nothing (left) is armed for `kind` — without
+/// taking a lock when the thread has no plan.
 pub fn take(kind: FaultKind) -> Option<u64> {
-    let mut plans = plans();
-    let armed = plans.iter_mut().find(|p| p.kind == kind && !p.fired)?;
-    armed.fired = true;
-    Some(armed.seed)
-}
-
-/// True if an unfired plan of `kind` is armed, without consuming it.
-pub fn armed(kind: FaultKind) -> bool {
-    plans().iter().any(|p| p.kind == kind && !p.fired)
+    CURRENT.with(|current| {
+        let plan = current.borrow();
+        // A plan must stay usable even if a thread of its run panicked
+        // while holding it — recovery is the whole point of this module.
+        let mut items = plan.0.as_ref()?.lock().unwrap_or_else(|p| p.into_inner());
+        let item = items.iter_mut().find(|p| p.kind == kind && !p.fired)?;
+        item.fired = true;
+        Some(item.seed)
+    })
 }
 
 /// Deterministically corrupts EasyML source text: inserts an illegal byte
@@ -320,29 +322,45 @@ pub fn nan_step(seed: u64) -> usize {
     rng.gen_range(1usize..17)
 }
 
-/// Serializes unit tests that arm fault plans (or whose assertions depend
-/// on [`injection_active`] being false) — plans and the active flag are
-/// process-global state.
-#[cfg(test)]
-pub(crate) static TEST_SERIAL: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use super::TEST_SERIAL as LOCK;
-
     #[test]
     fn spec_round_trip_and_once_fired() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        disarm_all();
-        arm("verify-fail@42, state-nan@7").unwrap();
-        assert!(armed(FaultKind::VerifyFail));
-        assert!(!armed(FaultKind::ParseError));
+        let _plan = arm("verify-fail@42, state-nan@7").unwrap();
+        assert!(injection_active());
+        assert_eq!(take(FaultKind::ParseError), None);
         assert_eq!(take(FaultKind::VerifyFail), Some(42));
         assert_eq!(take(FaultKind::VerifyFail), None, "plans fire once");
         assert_eq!(take(FaultKind::StateNan), Some(7));
-        disarm_all();
+        assert!(injection_active(), "a spent plan still marks the run");
+    }
+
+    #[test]
+    fn a_plan_is_its_threads_until_the_guard_drops() {
+        assert!(!injection_active());
+        let outer = arm("cache-poison@1").unwrap();
+        // Another thread has no plan unless it enters this one.
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(take(FaultKind::CachePoison), None));
+        });
+        {
+            let _inner = arm("").unwrap();
+            assert!(!injection_active(), "the empty plan arms nothing");
+            assert_eq!(take(FaultKind::CachePoison), None);
+        }
+        // Entered elsewhere, the same items fire once across both threads.
+        let plan = Plan::current();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _entered = plan.enter();
+                assert_eq!(take(FaultKind::CachePoison), Some(1));
+            });
+        });
+        assert_eq!(take(FaultKind::CachePoison), None);
+        drop(outer);
+        assert!(!injection_active());
     }
 
     #[test]
@@ -360,11 +378,8 @@ mod tests {
 
     #[test]
     fn seedless_items_default_to_zero() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        disarm_all();
-        arm("cache-poison").unwrap();
+        let _plan = arm("cache-poison").unwrap();
         assert_eq!(take(FaultKind::CachePoison), Some(0));
-        disarm_all();
     }
 
     #[test]

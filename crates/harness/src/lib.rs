@@ -47,9 +47,9 @@ pub use experiments::{
 pub use faults::FaultKind;
 pub use health::{incidents_json, summarize_incidents, HealthPolicy, Incident, IncidentKind, Tier};
 pub use native::{
-    cc_timeout, native_eligible, promotion_enabled, promotion_from_env, promotion_threshold,
-    set_cc_timeout, set_promotion, set_promotion_threshold, toolchain_available, NativeKernel,
-    NativeRegistry, NativeSlot, NativeStats, CC_TIMEOUT_MARKER, DEFAULT_CC_TIMEOUT,
+    native_eligible, promotion_enabled, promotion_from_env, promotion_threshold, set_promotion,
+    set_promotion_threshold, toolchain_available, NativeKernel, NativeRegistry, NativeSlot,
+    NativeStats, CC_TIMEOUT_MARKER, DEFAULT_CC_TIMEOUT,
 };
 pub use persist::{
     default_cache_dir, native_file_name, DiskCache, DiskCacheStatus, DiskLoad, DiskStats, EntryKey,

@@ -99,38 +99,10 @@ pub fn promotion_from_env() {
     }
 }
 
-/// Default wall-clock budget for one compiler invocation. A healthy
-/// `cc -O2` over an emitted kernel finishes in well under a second;
-/// thirty seconds is pure headroom for loaded CI hosts.
+/// Wall-clock budget for one compiler invocation. A healthy `cc -O2` over
+/// an emitted kernel finishes in well under a second; thirty seconds is
+/// pure headroom for loaded CI hosts.
 pub const DEFAULT_CC_TIMEOUT: Duration = Duration::from_secs(30);
-
-static CC_TIMEOUT_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Overrides the compile watchdog budget process-wide. Zero-duration
-/// requests are clamped to one millisecond so the watchdog always gives
-/// the child a chance to start.
-pub fn set_cc_timeout(timeout: Duration) {
-    CC_TIMEOUT_MS.store((timeout.as_millis() as u64).max(1), Ordering::Relaxed);
-}
-
-/// The current compile watchdog budget: an explicit [`set_cc_timeout`]
-/// override wins, else `LIMPET_CC_TIMEOUT_MS` from the environment, else
-/// [`DEFAULT_CC_TIMEOUT`].
-pub fn cc_timeout() -> Duration {
-    let ms = CC_TIMEOUT_MS.load(Ordering::Relaxed);
-    if ms != 0 {
-        return Duration::from_millis(ms);
-    }
-    static ENV: OnceLock<Option<u64>> = OnceLock::new();
-    match ENV.get_or_init(|| {
-        std::env::var("LIMPET_CC_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-    }) {
-        Some(ms) => Duration::from_millis((*ms).max(1)),
-        None => DEFAULT_CC_TIMEOUT,
-    }
-}
 
 /// True when `kernel` can be promoted: the scalar (width-1) tier over
 /// AoS storage. Vectorized configurations never promote — their bytecode
@@ -446,7 +418,7 @@ pub const CC_TIMEOUT_MARKER: &str = "cc-timeout";
 
 /// Runs a compiler subprocess under a wall-clock watchdog: `spawn` +
 /// `try_wait` polling instead of a blocking `output()`, so a wedged
-/// toolchain is killed at the [`cc_timeout`] budget instead of hanging
+/// toolchain is killed at the `timeout` budget instead of hanging
 /// the builder thread (and with it the slot) forever.
 fn run_with_watchdog(
     cmd: &mut std::process::Command,
@@ -499,28 +471,29 @@ fn compile_so(source: &str, fingerprint: u64) -> Result<Vec<u8>, String> {
     if faults::take(FaultKind::CcFail).is_some() {
         return Err("injected C compiler failure".to_string());
     }
-    let hang = faults::take(FaultKind::CompileHang).is_some();
-    if !hang && !toolchain_available() {
+    let hang = faults::take(FaultKind::CompileHang);
+    if hang.is_none() && !toolchain_available() {
         return Err("no C toolchain: `cc` not found on PATH".to_string());
     }
     let c_file = TempFile(temp_path("c", fingerprint));
     let so_file = TempFile(temp_path("so", fingerprint));
     std::fs::write(&c_file.0, source).map_err(|e| format!("cannot write C source: {e}"))?;
     // The CompileHang injection swaps the toolchain for a command that
-    // sleeps far past any budget, so the real spawn/poll/kill watchdog
-    // path is exercised even on hosts with no compiler at all.
-    let mut cmd = if hang {
+    // sleeps far past any budget, and its payload (`compile-hang@MS`) is
+    // this compile's budget, so the real spawn/poll/kill watchdog path is
+    // exercised in milliseconds, even on hosts with no compiler at all.
+    let (mut cmd, budget) = if let Some(ms) = hang {
         let mut c = std::process::Command::new("sh");
         c.args(["-c", "sleep 600"]);
-        c
+        (c, Duration::from_millis(ms))
     } else {
         let mut c = std::process::Command::new("cc");
         c.args(["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-o"])
             .arg(&so_file.0)
             .arg(&c_file.0);
-        c
+        (c, DEFAULT_CC_TIMEOUT)
     };
-    let out = run_with_watchdog(&mut cmd, cc_timeout())?;
+    let out = run_with_watchdog(&mut cmd, budget)?;
     if !out.status.success() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         let first = stderr.lines().next().unwrap_or("no diagnostics");
@@ -657,7 +630,7 @@ pub struct NativeStats {
     pub ready: usize,
     /// Slots currently quarantined.
     pub quarantined: usize,
-    /// Compiler invocations killed by the watchdog ([`cc_timeout`]).
+    /// Compiler invocations killed by the watchdog ([`DEFAULT_CC_TIMEOUT`]).
     pub cc_timeouts: u64,
 }
 
@@ -790,9 +763,11 @@ impl NativeRegistry {
         }
         let fingerprint = req.fingerprint;
         let registry = Arc::clone(self);
+        let plan = faults::Plan::current();
         let spawned = std::thread::Builder::new()
             .name(format!("native-cc-{:08x}", fingerprint as u32))
             .spawn(move || {
+                let _plan = plan.enter();
                 let slot = registry.build_contained(&req);
                 registry.lock_slots().insert(req.fingerprint, slot);
             });
@@ -988,17 +963,6 @@ mod tests {
     use crate::sim::{model_info, PipelineKind};
     use limpet_models::model;
 
-    /// Fault plans are process-global and every native build consumes
-    /// the armed ones, so each test that arms a fault *or* builds takes
-    /// this lock, and starts from nothing armed.
-    fn serialized() -> std::sync::MutexGuard<'static, ()> {
-        let guard = faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
-        guard
-    }
-
     fn scalar_kernel(name: &str) -> Kernel {
         let m = model(name);
         let module = PipelineKind::Baseline.build(&m);
@@ -1027,7 +991,6 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
-        let _guard = serialized();
         let k = scalar_kernel("HodgkinHuxley");
         let registry = Arc::new(NativeRegistry::new());
         let slot = build_blocking(&registry, &k, "HodgkinHuxley", None).unwrap();
@@ -1064,8 +1027,7 @@ mod tests {
 
     #[test]
     fn injected_cc_failure_quarantines_with_incident() {
-        let _guard = serialized();
-        faults::arm("cc-fail@1").unwrap();
+        let _plan = faults::arm("cc-fail@1").unwrap();
         let k = scalar_kernel("Plonsey");
         let registry = Arc::new(NativeRegistry::new());
         let slot = build_blocking(&registry, &k, "Plonsey", None).unwrap();
@@ -1074,27 +1036,25 @@ mod tests {
             .incidents()
             .iter()
             .any(|i| i.kind == IncidentKind::NativeCcFail));
-        faults::disarm_all();
     }
 
     #[test]
     fn hung_compile_times_out_quarantines_and_bytecode_continues() {
-        let _guard = serialized();
-        faults::arm("compile-hang@1").unwrap();
-        set_cc_timeout(Duration::from_millis(200));
+        // The payload is the hung compile's budget in milliseconds.
+        let _plan = faults::arm("compile-hang@200").unwrap();
         let k = scalar_kernel("Plonsey");
         let registry = Arc::new(NativeRegistry::new());
         let started = std::time::Instant::now();
         let slot = build_blocking(&registry, &k, "Plonsey", None).unwrap();
         assert!(
-            started.elapsed() < Duration::from_secs(30),
+            started.elapsed() < DEFAULT_CC_TIMEOUT,
             "watchdog must kill the hung compiler, not wait it out"
         );
         let NativeSlot::Quarantined(reason) = slot else {
             panic!("expected quarantined slot, got {slot:?}");
         };
         assert!(
-            reason.starts_with(CC_TIMEOUT_MARKER),
+            reason.starts_with(CC_TIMEOUT_MARKER) && reason.contains("its 200ms budget"),
             "quarantine reason must be tagged {CC_TIMEOUT_MARKER}: {reason}"
         );
         assert!(registry
@@ -1117,16 +1077,13 @@ mod tests {
         }
         let bits = |s: &CellStates| s.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&attempted), bits(&control));
-        set_cc_timeout(DEFAULT_CC_TIMEOUT);
-        faults::disarm_all();
     }
 
     #[test]
     fn watchdog_quarantine_by_model_lands_on_the_requested_slot() {
-        let _guard = serialized();
         // cc-fail keeps the build away from the real toolchain; the
         // watchdog quarantine below overwrites the slot either way.
-        faults::arm("cc-fail@1").unwrap();
+        let _plan = faults::arm("cc-fail@1").unwrap();
         let k = scalar_kernel("MitchellSchaeffer");
         let registry = Arc::new(NativeRegistry::new());
         assert!(
@@ -1141,7 +1098,6 @@ mod tests {
             kernel: k,
             disk: None,
         });
-        faults::disarm_all();
         assert!(registry.quarantine_for_model("MitchellSchaeffer", "stuck worker"));
         assert!(matches!(
             registry.poll(fp),
@@ -1159,8 +1115,7 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
-        let _guard = serialized();
-        faults::arm("dlopen-fail@1").unwrap();
+        let _plan = faults::arm("dlopen-fail@1").unwrap();
         let k = scalar_kernel("Plonsey");
         let registry = Arc::new(NativeRegistry::new());
         let slot = build_blocking(&registry, &k, "Plonsey", None).unwrap();
@@ -1169,7 +1124,6 @@ mod tests {
             .incidents()
             .iter()
             .any(|i| i.kind == IncidentKind::NativeDlopenFail));
-        faults::disarm_all();
     }
 
     #[test]
@@ -1178,8 +1132,7 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
-        let _guard = serialized();
-        faults::arm("native-divergent@1").unwrap();
+        let _plan = faults::arm("native-divergent@1").unwrap();
         let dir = std::env::temp_dir().join(format!("limpet-native-quar-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let disk = Arc::new(crate::persist::DiskCache::open(&dir).unwrap());
@@ -1194,7 +1147,6 @@ mod tests {
         // The quarantined object must not have been persisted.
         let (fp, _) = emit_for_kernel(&k).unwrap();
         assert!(matches!(disk.load_native(fp), DiskLoad::Miss));
-        faults::disarm_all();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1204,7 +1156,6 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
-        let _guard = serialized();
         let dir = std::env::temp_dir().join(format!("limpet-native-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let disk = Arc::new(crate::persist::DiskCache::open(&dir).unwrap());
@@ -1232,7 +1183,6 @@ mod tests {
             eprintln!("skipping: no C toolchain in this environment");
             return;
         }
-        let _guard = serialized();
         let dir = std::env::temp_dir().join(format!("limpet-native-heal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let disk = Arc::new(crate::persist::DiskCache::open(&dir).unwrap());

@@ -1058,16 +1058,12 @@ mod tests {
 
     #[test]
     fn lock_holder_crash_is_survived_by_backoff_and_stale_break() {
-        let _g = faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
         let dir = temp_dir("crashlock");
         let cache = DiskCache::open(&dir).unwrap();
         cache.set_stale_lock_after(Duration::from_millis(100));
         cache.set_lock_timeout(Duration::from_secs(5));
         let (m, key, entry) = sample_entry();
-        faults::arm("lock-holder-crash").unwrap();
+        let _plan = faults::arm("lock-holder-crash").unwrap();
         let err = cache.store(&key, &m.name, &entry).unwrap_err();
         assert!(err.contains("lock-holder crash"), "{err}");
         assert!(
@@ -1082,7 +1078,6 @@ mod tests {
         assert!(s.lock_retries >= 1, "backoff retries were counted: {s:?}");
         assert!(matches!(cache.load(&key, &m), DiskLoad::Hit(_)));
         assert!(!cache.lock_path().exists(), "lock released after store");
-        faults::disarm_all();
         let _ = fs::remove_dir_all(&dir);
     }
 

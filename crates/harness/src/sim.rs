@@ -1384,10 +1384,6 @@ mod tests {
             println!("skipping: no C toolchain on this host");
             return;
         }
-        let _serial = crate::faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        crate::faults::disarm_all();
         let m = model("BeelerReuter");
         let wl = Workload {
             n_cells: 5,

@@ -512,10 +512,6 @@ pub(crate) mod tests {
     /// could land on a header byte the lenient parser read the same).
     #[test]
     fn injected_faults_always_damage_the_record() {
-        let _serial = faults::TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
         let kinds = [
             FaultKind::DiskTruncate,
             FaultKind::DiskCorrupt,
@@ -526,18 +522,19 @@ pub(crate) mod tests {
         });
         let header_len = record.len() - 5;
         for seed in 0..64 {
-            faults::arm(&format!("disk-corrupt@{seed}")).unwrap();
+            let corrupt = faults::arm(&format!("disk-corrupt@{seed}")).unwrap();
             let mut bytes = record.clone();
             inject(&mut bytes, kinds);
             assert_eq!(bytes[..header_len], record[..header_len], "seed {seed}");
             assert_ne!(bytes[header_len..], record[header_len..], "seed {seed}");
+            drop(corrupt);
 
-            faults::arm(&format!("disk-truncate@{seed}")).unwrap();
+            let _truncate = faults::arm(&format!("disk-truncate@{seed}")).unwrap();
             let mut bytes = record.clone();
             inject(&mut bytes, kinds);
             assert!(bytes.len() < record.len() && record.starts_with(&bytes));
         }
-        faults::arm("disk-stale-version@1").unwrap();
+        let _plan = faults::arm("disk-stale-version@1").unwrap();
         let mut bytes = record.clone();
         inject(&mut bytes, kinds);
         let sum = payload_sum(b"hello");
@@ -549,6 +546,5 @@ pub(crate) mod tests {
         let mut bytes = record.clone();
         inject(&mut bytes, kinds);
         assert_eq!(bytes, record);
-        faults::disarm_all();
     }
 }

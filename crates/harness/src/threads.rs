@@ -113,6 +113,7 @@ impl ShardedSimulation {
         let n = shards.len();
         let rendezvous = Arc::new(Barrier::new(n + 1));
         let step_barrier = Arc::new(Barrier::new(n));
+        let plan = crate::faults::Plan::current();
         let workers = shards
             .into_iter()
             .enumerate()
@@ -120,9 +121,13 @@ impl ShardedSimulation {
                 let (tx, rx) = mpsc::channel();
                 let rendezvous = Arc::clone(&rendezvous);
                 let step_barrier = Arc::clone(&step_barrier);
+                let plan = plan.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("limpet-shard-{i}"))
-                    .spawn(move || worker_loop(shard, &rx, &rendezvous, &step_barrier))
+                    .spawn(move || {
+                        let _plan = plan.enter();
+                        worker_loop(shard, &rx, &rendezvous, &step_barrier)
+                    })
                     .expect("spawn shard worker");
                 Worker {
                     tx,

@@ -18,12 +18,10 @@
 //!   bit-identical (the previous snapshot is just an earlier boundary of
 //!   the same trajectory).
 //!
-//! Fault plans are process-global, so every test here serializes on one
-//! mutex and disarms before its scenario (the sharded test too: armed
-//! plans flip `ShardedSimulation::new` onto its resilient path).
+//! A fault plan is current only on the thread that armed it, so the tests
+//! run in parallel.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use limpet_harness::{
     faults, HealthPolicy, KernelCache, PipelineKind, RejectReason, ShardedSimulation, Simulation,
@@ -33,14 +31,6 @@ use limpet_models::{model, ROSTER};
 
 const CELLS: usize = 7;
 const STEPS: usize = 96;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    let guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    faults::disarm_all();
-    guard
-}
 
 fn wl() -> Workload {
     Workload {
@@ -96,7 +86,6 @@ fn guarded(m: &limpet_easyml::Model, config: PipelineKind) -> Simulation {
 /// bit-identity with the uninterrupted twin.
 #[test]
 fn resume_is_bit_identical_across_roster_and_widths() {
-    let _g = serialized();
     let (dir, store) = tmp_store("widths");
     let configs = [
         PipelineKind::Baseline,
@@ -155,7 +144,6 @@ fn resume_is_bit_identical_across_roster_and_widths() {
 /// (Pools carry no stimulus, so the reference twin runs without one.)
 #[test]
 fn sharded_resume_is_thread_count_independent_across_roster() {
-    let _g = serialized();
     let (dir, store) = tmp_store("sharded");
     let config = PipelineKind::LimpetMlir(limpet_codegen::pipeline::VectorIsa::Avx512);
     for entry in &ROSTER {
@@ -198,7 +186,6 @@ fn native_resume_is_bit_identical_across_roster() {
         eprintln!("skipping: no C toolchain on this host");
         return;
     }
-    let _g = serialized();
     let cache = KernelCache::global();
     let (dir, store) = tmp_store("native");
     let config = PipelineKind::Baseline;
@@ -253,7 +240,6 @@ fn native_resume_is_bit_identical_across_roster() {
 /// wall-clock, never bits.
 #[test]
 fn ckpt_faults_self_heal_and_fall_back_to_previous_rotation() {
-    let _g = serialized();
     let m = model("HodgkinHuxley");
     let config = PipelineKind::Baseline;
     let (k1, k2) = (24usize, 48usize);
@@ -285,7 +271,7 @@ fn ckpt_faults_self_heal_and_fall_back_to_previous_rotation() {
             .save("job", &sim.snapshot(&config.label(), k2 as u64))
             .expect("save second"); // rotates: prev = step 24, current = step 48
 
-        faults::arm(spec).unwrap();
+        let _plan = faults::arm(spec).unwrap();
         let out = store.load("job");
         assert_eq!(out.rejects.len(), 1, "{spec}: current must be rejected");
         let reason = out.rejects[0].1;
@@ -319,7 +305,6 @@ fn ckpt_faults_self_heal_and_fall_back_to_previous_rotation() {
         );
         assert_eq!(stats.loaded_previous, 1, "{spec}");
         assert_eq!(stats.fell_to_zero, 0, "{spec}");
-        faults::disarm_all();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -333,7 +318,6 @@ fn ckpt_faults_self_heal_and_fall_back_to_previous_rotation() {
 /// otherwise, and the next save writes the current format.
 #[test]
 fn snapshot_written_by_the_parent_build_is_stale_not_misparsed() {
-    let _g = serialized();
     let v1 = include_bytes!("snapshot_written_at_0bbe8bc.lcp");
     assert!(v1.starts_with(b"limpet-checkpoint 1 400 "));
     let m = model("MitchellSchaeffer");
@@ -397,7 +381,6 @@ fn snapshot_written_by_the_parent_build_is_stale_not_misparsed() {
 /// writes.
 #[test]
 fn snapshot_written_before_the_store_extraction_loads_as_current() {
-    let _g = serialized();
     let parent = include_bytes!("snapshot_written_at_0892a15.lcp");
     assert!(parent.starts_with(b"limpet-checkpoint 2 265 "));
     let m = model("MitchellSchaeffer");

@@ -1,9 +1,8 @@
 //! The deterministic fault-injection suite: proves every degradation path
 //! of the fault-tolerant compile/run chain fires and recovers.
 //!
-//! Fault plans are process-global, so every test here serializes on one
-//! mutex and disarms all plans before and after its scenario. The
-//! compile/run acceptance scenario is one `--inject`-style spec with
+//! Each test arms its own plan, current on its own thread only, so the
+//! tests run in parallel. The compile/run acceptance scenario is one `--inject`-style spec with
 //! fixed seeds that exercises the four in-process fault kinds end to end
 //! on the 3-model CI subset, each producing a recorded incident, with
 //! the optimized → reference chain observed and the post-fallback
@@ -17,15 +16,7 @@ use limpet_harness::{
     PipelineKind, Simulation, Tier, Workload,
 };
 use limpet_models::{model, source};
-use std::sync::{Arc, Mutex};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    let guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    faults::disarm_all();
-    guard
-}
+use std::sync::Arc;
 
 const WL: Workload = Workload {
     n_cells: 8,
@@ -35,8 +26,7 @@ const WL: Workload = Workload {
 
 #[test]
 fn parse_error_fault_yields_spanned_diagnostic_then_clears() {
-    let _g = serialized();
-    faults::arm("parse-error@11").unwrap();
+    let _first = faults::arm("parse-error@11").unwrap();
     let src = source("HodgkinHuxley");
     let err = compile_source("HodgkinHuxley", &src).expect_err("injected corruption must fail");
     assert_eq!(err.stage(), "parse");
@@ -45,24 +35,22 @@ fn parse_error_fault_yields_spanned_diagnostic_then_clears() {
     assert!(text.contains("error[E0"), "coded diagnostic in '{text}'");
 
     // Determinism: the same seed corrupts the same way.
-    faults::arm("parse-error@11").unwrap();
+    let _again = faults::arm("parse-error@11").unwrap();
     let again = compile_source("HodgkinHuxley", &src).expect_err("same seed, same failure");
     assert_eq!(err.to_string(), again.to_string());
 
     // Once-fired: with the plan spent, the same call succeeds.
     let ok = compile_source("HodgkinHuxley", &src).expect("plan is spent");
     assert_eq!(ok.name, "HodgkinHuxley");
-    faults::disarm_all();
 }
 
 #[test]
 fn verify_fail_quarantines_and_falls_back_to_reference() {
-    let _g = serialized();
     let cache = KernelCache::new();
     let m = model("BeelerReuter");
     let config = PipelineKind::LimpetMlir(limpet_codegen::pipeline::VectorIsa::Avx2);
 
-    faults::arm("verify-fail@9").unwrap();
+    let _plan = faults::arm("verify-fail@9").unwrap();
     let rk = cache
         .get_or_compile_resilient(&m, config)
         .expect("reference fallback must succeed");
@@ -98,15 +86,13 @@ fn verify_fail_quarantines_and_falls_back_to_reference() {
         misses_before,
         "quarantine hit must not recompile"
     );
-    faults::disarm_all();
 }
 
 #[test]
 fn cache_poison_is_recovered_and_recorded() {
-    let _g = serialized();
     let cache = KernelCache::new();
     let m = model("HodgkinHuxley");
-    faults::arm("cache-poison@0").unwrap();
+    let _plan = faults::arm("cache-poison@0").unwrap();
     let rk = cache
         .get_or_compile_resilient(&m, PipelineKind::Baseline)
         .expect("poisoned lock must not end the run");
@@ -117,14 +103,12 @@ fn cache_poison_is_recovered_and_recorded() {
         .incidents()
         .iter()
         .any(|i| i.kind == IncidentKind::CachePoisonRecovered));
-    faults::disarm_all();
 }
 
 #[test]
 fn state_nan_descends_one_tier_under_fallback_policy() {
-    let _g = serialized();
     let m = model("MitchellSchaeffer");
-    faults::arm("state-nan@5").unwrap();
+    let _plan = faults::arm("state-nan@5").unwrap();
     let mut sim =
         Simulation::new_resilient(&m, PipelineKind::Baseline, &WL, HealthPolicy::FallbackRaw)
             .expect("healthy model compiles");
@@ -144,7 +128,6 @@ fn state_nan_descends_one_tier_under_fallback_policy() {
     for cell in 0..WL.n_cells {
         assert!(sim.vm(cell).is_finite());
     }
-    faults::disarm_all();
 }
 
 /// The disk-fault trio rides the same spec grammar as the in-process
@@ -156,7 +139,6 @@ fn state_nan_descends_one_tier_under_fallback_policy() {
 /// whose trajectory stays bit-identical to the original cold compile.
 #[test]
 fn combined_disk_fault_spec_spreads_over_consecutive_loads() {
-    let _g = serialized();
     let dir = std::env::temp_dir().join(format!("limpet-fault-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
@@ -176,7 +158,7 @@ fn combined_disk_fault_spec_spreads_over_consecutive_loads() {
     seeder.set_disk_cache(Some(Arc::clone(&disk)));
     let reference = trajectory(&seeder);
 
-    faults::arm("disk-corrupt@3,disk-truncate@5,disk-stale-version@1").unwrap();
+    let _plan = faults::arm("disk-corrupt@3,disk-truncate@5,disk-stale-version@1").unwrap();
     for round in 1..=3 {
         // A fresh process-level cache forces each round down to disk.
         let cache = KernelCache::new();
@@ -204,7 +186,6 @@ fn combined_disk_fault_spec_spreads_over_consecutive_loads() {
     assert_eq!((s.disk_hits, s.disk_rejects, s.misses), (1, 0, 0), "{s:?}");
     assert_eq!(bits, reference);
     let _ = std::fs::remove_dir_all(&dir);
-    faults::disarm_all();
 }
 
 /// The acceptance scenario: one fixed-seed spec arms all four in-process
@@ -214,13 +195,11 @@ fn combined_disk_fault_spec_spreads_over_consecutive_loads() {
 /// bit-identical to the reference pipeline.
 #[test]
 fn full_spec_exercises_every_in_process_fault_deterministically() {
-    let _g = serialized();
     const SUBSET: [&str; 3] = ["HodgkinHuxley", "BeelerReuter", "TenTusscherPanfilov"];
     const STEPS: usize = 40;
 
     let run_scenario = |name: &str| -> (Vec<IncidentKind>, Vec<u64>) {
-        faults::disarm_all();
-        faults::arm("parse-error@3,verify-fail@5,cache-poison@2,state-nan@9").unwrap();
+        let _plan = faults::arm("parse-error@3,verify-fail@5,cache-poison@2,state-nan@9").unwrap();
         let mut seen = Vec::new();
 
         // 1. parse-error: the frontend shim reports a spanned diagnostic
@@ -280,7 +259,6 @@ fn full_spec_exercises_every_in_process_fault_deterministically() {
             );
             bits.push(sim.vm(cell).to_bits());
         }
-        faults::disarm_all();
         (seen, bits)
     };
 

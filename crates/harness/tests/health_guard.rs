@@ -10,9 +10,10 @@
 //! are those of `step_guarded()` called 100 times, whose windows are one
 //! step long: a rollback copy before every step.
 //!
-//! Fault plans are process-global; every test serializes on one mutex.
-//! The same mutex makes `Kernel::executed_steps` — shared by every
-//! simulation of one cached compilation — countable here.
+//! Each test arms its own plan, current on its own thread only, so the
+//! tests run in parallel. `Kernel::executed_steps` is shared by every
+//! simulation of one cached compilation, so the two tests that count it
+//! count a (model, config) kernel no other test here runs.
 
 use limpet_codegen::pipeline::VectorIsa;
 use limpet_harness::{
@@ -20,15 +21,6 @@ use limpet_harness::{
     Workload,
 };
 use limpet_models::model;
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    let guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    faults::disarm_all();
-    guard
-}
 
 const WL: Workload = Workload {
     n_cells: 8,
@@ -39,14 +31,13 @@ const SEED: u64 = 13;
 const STEPS: usize = 50;
 
 fn guarded(model_name: &str, policy: HealthPolicy) -> Simulation {
-    faults::arm(&format!("state-nan@{SEED}")).unwrap();
+    let _plan = faults::arm(&format!("state-nan@{SEED}")).unwrap();
     Simulation::new_resilient(&model(model_name), PipelineKind::Baseline, &WL, policy)
         .expect("healthy model compiles")
 }
 
 #[test]
 fn abort_policy_fails_fast_with_named_incident() {
-    let _g = serialized();
     let mut sim = guarded("BeelerReuter", HealthPolicy::Abort);
     let err = sim
         .run_guarded(STEPS)
@@ -65,12 +56,10 @@ fn abort_policy_fails_fast_with_named_incident() {
         .iter()
         .any(|i| i.kind == IncidentKind::NonFiniteState));
     assert_eq!(sim.tier(), Tier::Optimized);
-    faults::disarm_all();
 }
 
 #[test]
 fn fallback_policy_resumes_bit_identical_to_reference() {
-    let _g = serialized();
     let mut sim = guarded("BeelerReuter", HealthPolicy::FallbackRaw);
     sim.run_guarded(STEPS).expect("fallback absorbs the NaN");
     assert_eq!(sim.tier(), Tier::Reference, "one rung down");
@@ -91,12 +80,10 @@ fn fallback_policy_resumes_bit_identical_to_reference() {
             }
         }
     }
-    faults::disarm_all();
 }
 
 #[test]
 fn unguarded_step_guarded_is_plain_stepping() {
-    let _g = serialized();
     let m = model("Plonsey");
     let mut guarded = Simulation::new(&m, PipelineKind::Baseline, &WL);
     let mut plain = Simulation::new(&m, PipelineKind::Baseline, &WL);
@@ -108,7 +95,6 @@ fn unguarded_step_guarded_is_plain_stepping() {
     for cell in 0..WL.n_cells {
         assert_eq!(guarded.vm(cell).to_bits(), plain.vm(cell).to_bits());
     }
-    faults::disarm_all();
 }
 
 /// 13 cells: three padding lanes in the last block of a W=8 kernel.
@@ -151,9 +137,8 @@ impl Scenario {
             steps: 0,
             dt,
         };
-        if matches!(self, Scenario::Injected | Scenario::InjectedLate) {
-            faults::arm(&format!("state-nan@{SEED}")).unwrap();
-        }
+        let _plan = matches!(self, Scenario::Injected | Scenario::InjectedLate)
+            .then(|| faults::arm(&format!("state-nan@{SEED}")).unwrap());
         let mut sim = Simulation::new_resilient(&model(name), config, &wl, policy)
             .expect("healthy model compiles");
         if self == Scenario::InjectedLate {
@@ -229,7 +214,6 @@ fn calls_of(n: usize) -> Vec<Option<usize>> {
 
 #[test]
 fn every_chunking_of_run_guarded_equals_one_step_per_call() {
-    let _g = serialized();
     let scenarios = [
         Scenario::Healthy,
         Scenario::Injected,
@@ -278,7 +262,6 @@ fn every_chunking_of_run_guarded_equals_one_step_per_call() {
             }
         }
     }
-    faults::disarm_all();
 }
 
 /// What a recovery costs: the good steps of the window are run once more
@@ -287,7 +270,7 @@ fn every_chunking_of_run_guarded_equals_one_step_per_call() {
 /// failed step and the rest.
 #[test]
 fn a_recovery_replays_only_the_good_steps_of_its_window() {
-    let _g = serialized();
+    // The kernel whose executed steps are counted: no other test runs it.
     let config = PipelineKind::LimpetMlirAos(VectorIsa::Avx2);
     for (scenario, bad) in [
         (Scenario::Injected, faults::nan_step(SEED)),
@@ -311,7 +294,6 @@ fn a_recovery_replays_only_the_good_steps_of_its_window() {
             );
         }
     }
-    faults::disarm_all();
 }
 
 /// An unguarded run of `config` for `steps` steps, snapshot with its tier
@@ -339,12 +321,10 @@ fn snapshot_after(
 /// the reference tier — a snapshot resumed there.
 #[test]
 fn fallback_after_a_replay_is_bit_identical_to_the_unguarded_run() {
-    let _g = serialized();
     for config in WIDTHS {
         let mut sim = Scenario::InjectedLate.build(config, HealthPolicy::FallbackRaw);
         sim.run_guarded(TOTAL).expect("fallback absorbs the NaN");
         assert_eq!(sim.tier(), Tier::Reference, "one rung down");
-        faults::disarm_all();
         let twin = if config == PipelineKind::Baseline {
             let mut unguarded = Simulation::new(&model("BeelerReuter"), config, &ODD_WL);
             unguarded.run(TOTAL);
@@ -364,7 +344,6 @@ fn fallback_after_a_replay_is_bit_identical_to_the_unguarded_run() {
         assert_eq!(sim.state_bits(), twin.state_bits(), "{}", config.label());
         assert_eq!(sim.time().to_bits(), twin.time().to_bits());
     }
-    faults::disarm_all();
 }
 
 /// A guarded run resumed from a snapshot taken on the reference tier
@@ -372,7 +351,6 @@ fn fallback_after_a_replay_is_bit_identical_to_the_unguarded_run() {
 /// and records the descent.
 #[test]
 fn a_snapshot_taken_on_the_reference_tier_resumes_there() {
-    let _g = serialized();
     let config = PipelineKind::LimpetMlir(VectorIsa::Avx512);
     let snap = snapshot_after(config, 3.0, 20, Tier::Reference);
     let m = model("BeelerReuter");
@@ -409,7 +387,7 @@ fn a_snapshot_taken_on_the_reference_tier_resumes_there() {
 /// state whole, nothing replayed, nothing recorded but the deadline.
 #[test]
 fn cancel_inside_a_window_stops_at_that_step_boundary_without_replay() {
-    let _g = serialized();
+    // The kernel whose executed steps are counted: no other test runs it.
     let config = PipelineKind::LimpetMlirAos(VectorIsa::Sse);
     let wl = ODD_WL;
     let m = model("BeelerReuter");
@@ -452,7 +430,6 @@ fn cancel_inside_a_window_stops_at_that_step_boundary_without_replay() {
 /// state that continues, from disk, exactly as the uninterrupted run does.
 #[test]
 fn snapshot_after_a_rolled_back_window_resumes_bit_identically() {
-    let _g = serialized();
     let dir = std::env::temp_dir().join(format!("limpet-guard-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = SnapshotStore::new(&dir).unwrap();
@@ -493,5 +470,4 @@ fn snapshot_after_a_rolled_back_window_resumes_bit_identically() {
         assert_eq!(resumed.guarded_steps(), TOTAL);
     }
     let _ = std::fs::remove_dir_all(&dir);
-    faults::disarm_all();
 }

@@ -5,11 +5,11 @@
 //! racing threads in one process and a spawned second process — must
 //! serialize to exactly one valid entry per key.
 //!
-//! Fault plans are process-global, so tests that arm them serialize on
-//! one mutex, mirroring `fault_injection.rs`. The second-process tests
-//! re-exec this test binary (`std::env::current_exe()`) with an `--exact`
-//! filter on an env-gated child test, so no extra fixture binary is
-//! needed.
+//! A fault plan is current only on the thread that armed it, and every
+//! test works through caches and directories of its own, so the tests run
+//! in parallel. The second-process tests re-exec this test binary
+//! (`std::env::current_exe()`) with an `--exact` filter on an env-gated
+//! child test, so no extra fixture binary is needed.
 
 use limpet_harness::{
     faults, CompiledKernel, DiskCache, EntryKey, IncidentKind, KernelCache, PipelineKind,
@@ -18,15 +18,7 @@ use limpet_harness::{
 use limpet_models::model;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::{Arc, Barrier, Mutex};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    let guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    faults::disarm_all();
-    guard
-}
+use std::sync::{Arc, Barrier};
 
 const WL: Workload = Workload {
     n_cells: 8,
@@ -74,7 +66,6 @@ fn fnv_digest(bits: &[u64]) -> u64 {
 
 #[test]
 fn disk_hit_matches_cold_compile_bit_exactly() {
-    let _g = serialized();
     let dir = temp_cache_dir("roundtrip");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = model("HodgkinHuxley");
@@ -126,7 +117,6 @@ fn disk_hit_matches_cold_compile_bit_exactly() {
 
 #[test]
 fn each_disk_fault_degrades_to_recompile_and_self_heals() {
-    let _g = serialized();
     let dir = temp_cache_dir("faults");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = model("BeelerReuter");
@@ -135,7 +125,7 @@ fn each_disk_fault_degrades_to_recompile_and_self_heals() {
     let reference_bits = trajectory_bits(&seeder.get_or_compile(&m, CONFIG));
 
     for spec in ["disk-corrupt@3", "disk-truncate@5", "disk-stale-version@1"] {
-        faults::arm(spec).unwrap();
+        let plan = faults::arm(spec).unwrap();
         let cache = cache_with_disk(&disk);
         let entry = cache.get_or_compile(&m, CONFIG);
         let s = cache.stats();
@@ -161,7 +151,7 @@ fn each_disk_fault_degrades_to_recompile_and_self_heals() {
             reference_bits,
             "{spec}: degraded path must stay bit-identical"
         );
-        faults::disarm_all();
+        drop(plan);
 
         // Self-heal: the re-stored entry satisfies the next process
         // cleanly — no lingering rejected file, no recompile.
@@ -235,7 +225,6 @@ fn assert_rejected_and_healed(
 
 #[test]
 fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
-    let _g = serialized();
     let dir = temp_cache_dir("parent-entry");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = coarse_gate();
@@ -383,7 +372,6 @@ fn forge_entry(path: &Path, mut edit: impl FnMut(&mut Vec<String>) -> bool) -> u
 
 #[test]
 fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
-    let _g = serialized();
     let dir = temp_cache_dir("lut-column");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = coarse_gate();
@@ -406,7 +394,6 @@ fn entry_naming_a_missing_lut_column_is_rejected_not_executed() {
 
 #[test]
 fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
-    let _g = serialized();
     let dir = temp_cache_dir("register");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = coarse_gate();
@@ -475,7 +462,6 @@ fn with_dims(rows: &'static str, cols: &'static str) -> impl Fn(&mut Vec<u8>) {
 
 #[test]
 fn malformed_table_blocks_are_rejected_not_loaded() {
-    let _g = serialized();
     let dir = temp_cache_dir("table-block");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = coarse_gate();
@@ -619,12 +605,11 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
 
 #[test]
 fn quarantined_compilations_are_never_persisted() {
-    let _g = serialized();
     let dir = temp_cache_dir("quarantine");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = model("BeelerReuter");
 
-    faults::arm("verify-fail@9").unwrap();
+    let plan = faults::arm("verify-fail@9").unwrap();
     let cache = cache_with_disk(&disk);
     let err = cache
         .try_get_or_compile(&m, CONFIG)
@@ -636,7 +621,7 @@ fn quarantined_compilations_are_never_persisted() {
     let status = disk.status().expect("readable cache dir");
     assert_eq!(status.entries, 0, "no entry file for a quarantined build");
     assert_eq!(disk.stats().writes, 0, "no store was even attempted");
-    faults::disarm_all();
+    drop(plan);
 
     // Sanity: with the fault spent, the same key compiles and persists —
     // so the empty dir above was the quarantine gate, not a broken store.
@@ -648,7 +633,6 @@ fn quarantined_compilations_are_never_persisted() {
 
 #[test]
 fn racing_threads_serialize_to_one_valid_entry() {
-    let _g = serialized();
     let dir = temp_cache_dir("thread-race");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = model("HodgkinHuxley");
@@ -768,7 +752,6 @@ fn parse_child_result(child: std::process::Child) -> ChildResult {
 
 #[test]
 fn second_process_warm_run_has_zero_cold_compiles() {
-    let _g = serialized();
     let dir = temp_cache_dir("second-process");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = model("HodgkinHuxley");
@@ -787,7 +770,6 @@ fn second_process_warm_run_has_zero_cold_compiles() {
 
 #[test]
 fn racing_processes_serialize_to_one_valid_entry() {
-    let _g = serialized();
     let dir = temp_cache_dir("process-race");
     // Note: no seeding — both children start from an empty dir, so both
     // (very likely) compile cold and race their stores through the lock
@@ -820,7 +802,6 @@ fn racing_processes_serialize_to_one_valid_entry() {
 
 #[test]
 fn stale_lock_from_crashed_process_is_broken_by_the_next() {
-    let _g = serialized();
     let dir = temp_cache_dir("stale-lock");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = model("HodgkinHuxley");
@@ -830,10 +811,10 @@ fn stale_lock_from_crashed_process_is_broken_by_the_next() {
     // but the lock file stays behind — exactly what a killed process
     // leaves. The compile itself succeeds in memory, so we still get the
     // reference digest.
-    faults::arm("lock-holder-crash@1").unwrap();
+    let plan = faults::arm("lock-holder-crash@1").unwrap();
     let crashed = cache_with_disk(&disk);
     let parent_digest = fnv_digest(&trajectory_bits(&crashed.get_or_compile(&m, CONFIG)));
-    faults::disarm_all();
+    drop(plan);
     assert!(
         disk.lock_path().exists(),
         "crashed writer abandons its lock file"

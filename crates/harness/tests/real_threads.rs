@@ -4,26 +4,17 @@
 //! {2, 4, 8}, across uneven shard shapes, and while the fault-injection
 //! framework is degrading kernels underneath it.
 //!
-//! Fault plans are process-global, so the injected scenarios serialize on
-//! one mutex and disarm all plans around themselves (same idiom as
-//! `fault_injection.rs`). They also use (model, config) pairs no other
-//! scenario in this binary touches, because quarantine entries live in
-//! the process-global kernel cache.
+//! A fault plan is current on the thread that armed it and on the shard
+//! workers that thread spawns, so the tests run in parallel. The injected
+//! scenario uses a (model, config) pair no other test in this binary
+//! touches, because its quarantine entry lives in the process-global
+//! kernel cache.
 
 use limpet_codegen::pipeline::VectorIsa;
 use limpet_harness::{
     faults, HealthPolicy, KernelCache, PipelineKind, ShardedSimulation, Simulation, Workload,
 };
 use limpet_models::{model, ROSTER};
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    let guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    faults::disarm_all();
-    guard
-}
 
 /// Runs `steps` on a fresh single-thread driver and on a fresh pool of
 /// `threads` workers, returning both full-state bit vectors.
@@ -53,7 +44,6 @@ fn run_pair(
 /// vector bit-identical between the pool and the single-thread driver.
 #[test]
 fn roster_wide_pool_matches_single_thread_bit_exactly() {
-    let _g = serialized();
     let config = PipelineKind::LimpetMlir(VectorIsa::Avx512);
     let wl = Workload {
         n_cells: 24,
@@ -85,7 +75,6 @@ fn roster_wide_pool_matches_single_thread_bit_exactly() {
 /// width, so the shard boundaries land differently each time).
 #[test]
 fn uneven_shard_shapes_stay_bit_identical() {
-    let _g = serialized();
     for config in [
         PipelineKind::Baseline,
         PipelineKind::LimpetMlir(VectorIsa::Sse),
@@ -109,12 +98,12 @@ fn uneven_shard_shapes_stay_bit_identical() {
 /// Under an injected verifier fault, every shard must degrade through the
 /// same quarantine entry (the resilient lookup is deterministic per
 /// (model, config)), so the pool still matches a resilient single-thread
-/// run bit for bit. Courtemanche + AVX2 is used by no other scenario in
-/// this binary — the quarantine it leaves in the global cache cannot
-/// leak into the clean differential tests above.
+/// run bit for bit. Courtemanche + AVX2 is used by no other test in this
+/// binary: the quarantine it leaves in the global cache cannot leak into
+/// the clean differential tests, which now run beside it, and a clean
+/// test compiling the key first would leave the fault nothing to fire on.
 #[test]
 fn pool_matches_single_under_injected_verify_fault() {
-    let _g = serialized();
     let m = model("Courtemanche");
     let config = PipelineKind::LimpetMlir(VectorIsa::Avx2);
     let wl = Workload {
@@ -123,7 +112,7 @@ fn pool_matches_single_under_injected_verify_fault() {
         dt: 0.01,
     };
 
-    faults::arm("verify-fail@9").unwrap();
+    let _plan = faults::arm("verify-fail@9").unwrap();
     let mut sharded = ShardedSimulation::new(&m, config, &wl, 4);
     sharded.run_threaded(25);
     assert!(
@@ -144,14 +133,12 @@ fn pool_matches_single_under_injected_verify_fault() {
         sharded.state_bits(),
         "fault-degraded pool diverged from resilient single-thread driver"
     );
-    faults::disarm_all();
 }
 
 /// Pool reuse across thread counts: the same workload re-run on pools of
 /// every size lands on the same bits (shard count is not observable).
 #[test]
 fn every_pool_size_produces_identical_bits() {
-    let _g = serialized();
     let m = model("HodgkinHuxley");
     let wl = Workload {
         n_cells: 24,

@@ -379,13 +379,13 @@ pub fn run_job(spec: &JobSpec, outbox: &Outbox, ctl: &RunCtl) -> JobOutcome {
         Ok(c) => c,
         Err(e) => return JobOutcome::failed(spec, e),
     };
-    if let Some(inject) = &spec.inject {
-        if let Err(e) = faults::arm(inject) {
-            return JobOutcome::failed(spec, format!("bad inject spec: {e}"));
-        }
-    }
-    // The WorkerHang injection (taken after arming, so a job's own
-    // inject spec wedges *this* job) stalls the thread for the payload's
+    // The job's own fault plan, current on this worker (and the threads the
+    // harness spawns for it) until the job returns; no other job sees it.
+    let _plan = match faults::arm(spec.inject.as_deref().unwrap_or_default()) {
+        Ok(plan) => plan,
+        Err(e) => return JobOutcome::failed(spec, format!("bad inject spec: {e}")),
+    };
+    // The WorkerHang injection stalls the thread for the payload's
     // duration in milliseconds ("worker-hang@3000" = 3s), deliberately
     // ignoring the token — a genuine non-cooperative stall only the
     // watchdog can deal with.
@@ -400,9 +400,6 @@ pub fn run_job(spec: &JobSpec, outbox: &Outbox, ctl: &RunCtl) -> JobOutcome {
     let mut sim = match Simulation::new_resilient(&model, config, &wl, HealthPolicy::FallbackRaw) {
         Ok(sim) => sim,
         Err(q) => {
-            if spec.inject.is_some() {
-                faults::disarm_all();
-            }
             return JobOutcome::failed(
                 spec,
                 format!("model quarantined on every tier: {}", q.error),
@@ -477,12 +474,6 @@ pub fn run_job(spec: &JobSpec, outbox: &Outbox, ctl: &RunCtl) -> JobOutcome {
         if stopped {
             break;
         }
-    }
-    if spec.inject.is_some() {
-        // Injection is process-global in the harness; disarm here so a
-        // tenant's fault spec is scoped to its own job and cannot leak
-        // into later compiles on this daemon.
-        faults::disarm_all();
     }
     let status = if deadline.is_some() {
         JobStatus::Deadline
@@ -1184,11 +1175,6 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Serializes tests that arm fault injections: the fault registry is
-    /// process-global, so a concurrently running test could steal an
-    /// armed plan.
-    static TEST_SERIAL: Mutex<()> = Mutex::new(());
-
     fn spec(id: &str, model: &str, config: &str, cells: usize, steps: usize) -> JobSpec {
         JobSpec {
             id: id.into(),
@@ -1331,8 +1317,6 @@ mod tests {
     /// finish with the digest an uninterrupted run produces.
     #[test]
     fn run_job_resumes_from_snapshot_bit_identically() {
-        let _guard = TEST_SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
         let dir = std::env::temp_dir().join(format!(
             "limpet-sched-ckpt-{}-{:?}",
             std::process::id(),
@@ -1544,8 +1528,6 @@ mod tests {
     /// writer got to first — and nothing is written over it afterwards.
     #[test]
     fn deadline_snapshot_is_durable_and_final_when_run_job_returns() {
-        let _guard = TEST_SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
         let (dir, store) = temp_store("deadline");
         let writer = CheckpointWriter::new(Arc::clone(&store));
         let mut s = spec("dl", "HodgkinHuxley", "baseline", 8, 2_000_000);
@@ -1692,8 +1674,6 @@ mod tests {
 
     #[test]
     fn watchdog_reclaims_wedged_worker_and_pool_keeps_serving() {
-        let _guard = TEST_SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        faults::disarm_all();
         let done: Arc<Mutex<Vec<(String, JobStatus)>>> = Arc::new(Mutex::new(Vec::new()));
         let stalled: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let done2 = Arc::clone(&done);
@@ -1753,6 +1733,5 @@ mod tests {
         // The wedged thread is still sleeping; shutdown must not hang on
         // it (wedged threads are skipped at join).
         pool.shutdown(true);
-        faults::disarm_all();
     }
 }

@@ -448,6 +448,67 @@ fn wedged_worker_gets_504_and_daemon_keeps_serving() {
     assert!(health.get("survivability").is_some());
 }
 
+/// Reads one job's events to its `done`, returning its last `chunk` too.
+fn last_chunk_and_done(c: &mut Client) -> (Json, Json) {
+    let mut last_chunk = Json::Null;
+    loop {
+        let v = c.recv();
+        match v.get("event").and_then(Json::as_str) {
+            Some("chunk") => last_chunk = v,
+            Some("done") => return (last_chunk, v),
+            _ => {}
+        }
+    }
+}
+
+/// A fault plan belongs to the job that armed it. Job `a` wedges its
+/// worker for 500 ms with a `state-nan` armed; job `b`, the same shape with
+/// no `inject`, runs on the other worker inside that window and must
+/// neither take the NaN nor lose its digest, while `a` takes its own.
+#[test]
+fn a_jobs_fault_plan_never_reaches_a_concurrent_job() {
+    let listen = start_server(
+        Listen::Tcp("127.0.0.1:0".into()),
+        2,
+        QuotaConfig::default(),
+        16,
+    );
+    let job = |id: &str, inject: &str| {
+        format!(
+            r#"{{"verb":"submit","id":"{id}","tenant":"{id}","model":"HodgkinHuxley","config":"limpetMLIR-AVX-512","cells":16,"steps":40,"chunk":8{inject}}}"#
+        )
+    };
+    let str_of = |v: &Json, key: &str| v.get(key).and_then(Json::as_str).map(str::to_owned);
+    // The undisturbed twin: its digest is the reference, and it leaves the
+    // kernel compiled, so `b` reaches its NaN-plan lookup in microseconds.
+    let mut c = Client::connect(&listen);
+    c.send(&job("clean", ""));
+    let (_, clean) = last_chunk_and_done(&mut c);
+    assert_eq!(str_of(&clean, "tier").as_deref(), Some("optimized"));
+
+    let mut a = Client::connect(&listen);
+    a.send(&job("a", r#","inject":"worker-hang@500,state-nan@3""#));
+    a.recv_until("accepted");
+    // Once `a` is off the queue its worker arms the plan and hangs.
+    loop {
+        c.send(r#"{"verb":"stats"}"#);
+        let stats = c.recv_until("stats");
+        let jobs = stats.get("jobs").expect("jobs in stats");
+        if jobs.get("queued").and_then(Json::as_u64) == Some(0) {
+            break;
+        }
+    }
+    let mut b = Client::connect(&listen);
+    b.send(&job("b", ""));
+    let (b_chunk, b_done) = last_chunk_and_done(&mut b);
+    assert_eq!(str_of(&b_chunk, "tier").as_deref(), Some("optimized"));
+    assert_eq!(str_of(&b_done, "digest"), str_of(&clean, "digest"));
+
+    let (a_chunk, a_done) = last_chunk_and_done(&mut a);
+    assert_eq!(str_of(&a_chunk, "tier").as_deref(), Some("reference"));
+    assert_eq!(str_of(&a_done, "tier").as_deref(), Some("reference"));
+}
+
 #[test]
 fn concurrent_tenants_share_one_cache_and_agree_on_digests() {
     let listen = start_server(

@@ -742,4 +742,13 @@ STRAY=$(grep -rn 'sync_all\|fs::rename' crates/harness/src crates/serve/src \
 [ -z "$STRAY" ] \
   || { echo "a durable write outside harness::store (use store::publish):"; echo "$STRAY"; exit 1; }
 
+echo "==> fault plans are scoped (no serializing test lock, no global disarm)"
+# A fault plan belongs to the thread that armed it and the threads the
+# harness spawns for it (DESIGN.md §10), so tests need no lock to keep one
+# another's plans apart. A `static …: Mutex<()>` or a `disarm_all` is the
+# process-global registry and its test-serializing locks coming back.
+SERIAL=$(grep -rnE 'static [A-Za-z_]+: *(std::sync::)?Mutex<\(\)>|disarm_all' crates || true)
+[ -z "$SERIAL" ] \
+  || { echo "a serializing lock or a global disarm (arm a scoped plan with faults::arm):"; echo "$SERIAL"; exit 1; }
+
 echo "CI: all gates passed"
