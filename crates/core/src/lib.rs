@@ -338,11 +338,14 @@ Iion = 0.2 * x * (Vm + 80.0);
             "limpetMLIR pipeline must record its vectorize pass"
         );
         assert_eq!(report.counter("vectorize", "kernels-vectorized"), Some(1));
+        // Tabulating the one table (-100..100 by 0.1: 2002 rows) is its
+        // own row, not part of the bytecode optimizer's.
+        assert_eq!(report.counter("lut-tabulate", "tables"), Some(1));
+        assert_eq!(report.counter("lut-tabulate", "rows"), Some(2002));
         let table = c.pass_report().timing_table();
-        assert!(
-            table.contains("vectorize"),
-            "timing table lists passes:\n{table}"
-        );
+        for pass in ["vectorize", "bytecode-opt", "lut-tabulate"] {
+            assert!(table.contains(pass), "timing table lists {pass}:\n{table}");
+        }
     }
 
     #[test]

@@ -96,20 +96,32 @@ impl CompiledKernel {
         }
         let info = model_info(model);
         let started = std::time::Instant::now();
-        let (kernel, opt_stats) = Kernel::from_module_opt(&module, &info, opt)?;
-        // Surface the bytecode optimizer as one more (synthetic) pass so
-        // `Compiled::pass_report()` shows its counters next to the IR
-        // passes. When disabled it still appears, with zero counters, so
-        // ablation reports are visibly "optimizer off" rather than silent.
+        let (kernel, opt_stats, tabulating) = Kernel::from_module_opt(&module, &info, opt)?;
+        // Surface the bytecode compiler and optimizer, and the lookup-table
+        // tabulation, as two more (synthetic) passes, so
+        // `Compiled::pass_report()` shows their time and counters next to
+        // the IR passes. The optimizer's row appears even when it is
+        // disabled, with zero counters, so ablation reports are visibly
+        // "optimizer off" rather than silent.
         pass_report.passes.push(limpet_pm::PassRun {
             name: "bytecode-opt",
             changed: opt && opt_stats.changed(),
-            duration: started.elapsed(),
+            duration: started.elapsed().saturating_sub(tabulating),
             counters: if opt {
                 opt_stats.counters()
             } else {
                 Vec::new()
             },
+        });
+        let luts = kernel.luts();
+        pass_report.passes.push(limpet_pm::PassRun {
+            name: "lut-tabulate",
+            changed: false,
+            duration: tabulating,
+            counters: vec![
+                ("tables", luts.len() as u64),
+                ("rows", luts.iter().map(|t| t.rows() as u64).sum()),
+            ],
         });
         let layout = storage_layout(&module);
         Ok(CompiledKernel::from_parts(

@@ -58,6 +58,7 @@ use limpet_ir::{CmpFPred, MathFn, Module};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Static model facts the kernel needs to bind storage: names, order, and
 /// initial values of state variables, external variables, and parameters.
@@ -172,7 +173,10 @@ pub struct Kernel {
 
 /// Tabulates every lookup table `module` declares by evaluating its
 /// `@lut_*` column function once per key (paper §3.4.2) — the step of
-/// [`Kernel::from_module`] that dominates a cold compile's CPU time.
+/// [`Kernel::from_module`] that dominates a cold compile's CPU time. Each
+/// key is one [`eval_func`] call, whose values live in flat slots of that
+/// call alone; nothing is carried from one row to the next (the module
+/// doc of `eval` says why not yet).
 ///
 /// # Errors
 ///
@@ -248,12 +252,14 @@ impl Kernel {
     /// bytecode or a LUT function fails to evaluate.
     pub fn from_module(module: &Module, info: &ModelInfo) -> Result<Kernel, CompileError> {
         Kernel::from_module_opt(module, info, crate::optimize::bytecode_opt_enabled())
-            .map(|(kernel, _)| kernel)
+            .map(|(kernel, ..)| kernel)
     }
 
     /// Like [`Kernel::from_module`] but with explicit control over the
     /// bytecode optimizer (ignoring the process-global toggle), also
-    /// returning the optimizer's counters.
+    /// returning the optimizer's counters and how long [`tabulate_luts`]
+    /// took — most of the call, so a compile report can show it apart
+    /// from the bytecode compiler and optimizer.
     ///
     /// # Errors
     ///
@@ -262,7 +268,7 @@ impl Kernel {
         module: &Module,
         info: &ModelInfo,
         optimize: bool,
-    ) -> Result<(Kernel, crate::optimize::OptStats), CompileError> {
+    ) -> Result<(Kernel, crate::optimize::OptStats, Duration), CompileError> {
         let width = module.attrs.i64_of("vector_width").unwrap_or(1) as usize;
         if !matches!(width, 1 | 2 | 4 | 8) {
             return Err(CompileError(format!("unsupported vector width {width}")));
@@ -297,7 +303,9 @@ impl Kernel {
             .map(|n| *param_map.get(n.as_str()).unwrap_or(&0.0))
             .collect();
 
+        let started = Instant::now();
         let luts = tabulate_luts(module, info)?;
+        let tabulating = started.elapsed();
         check_lut_columns(&program, &luts)?;
 
         Ok((
@@ -312,15 +320,17 @@ impl Kernel {
                 steps: Arc::new(AtomicU64::new(0)),
             },
             stats,
+            tabulating,
         ))
     }
 
     /// Compiles the optimized and the unoptimized kernel of one module
     /// in a single call, sharing the lookup-table tabulation and
-    /// parameter binding between them (tabulation evaluates the `@lut_*`
-    /// functions over thousands of keys and holds megabytes per model, and
-    /// is identical whichever way the toggle points; for where a cold
-    /// compile's time goes, see DESIGN.md §11).
+    /// parameter binding between them (tabulation is one [`eval_func`]
+    /// call per key over thousands of keys, most of a cold compile's
+    /// time, holds megabytes per model, and is identical whichever way
+    /// the toggle points; for where a cold compile's time goes, see
+    /// DESIGN.md §11).
     /// Returns `(optimized, its stats, unoptimized)` — the pair
     /// differential opt-on/off comparisons and ablation benchmarks need.
     ///
@@ -331,7 +341,7 @@ impl Kernel {
         module: &Module,
         info: &ModelInfo,
     ) -> Result<(Kernel, crate::optimize::OptStats, Kernel), CompileError> {
-        let (raw, _) = Kernel::from_module_opt(module, info, false)?;
+        let (raw, ..) = Kernel::from_module_opt(module, info, false)?;
         let mut program = (*raw.program).clone();
         let stats = crate::optimize::optimize_program(&mut program);
         let opt = raw.with_program(program)?;
@@ -1615,8 +1625,8 @@ mod tests {
             params: vec![],
         };
         let (opt, stats, raw) = Kernel::from_module_both(&m, &info).unwrap();
-        let (opt2, stats2) = Kernel::from_module_opt(&m, &info, true).unwrap();
-        let (raw2, _) = Kernel::from_module_opt(&m, &info, false).unwrap();
+        let (opt2, stats2, _) = Kernel::from_module_opt(&m, &info, true).unwrap();
+        let (raw2, ..) = Kernel::from_module_opt(&m, &info, false).unwrap();
         assert_eq!(*opt.program, *opt2.program);
         assert_eq!(*raw.program, *raw2.program);
         assert_eq!(stats, stats2);

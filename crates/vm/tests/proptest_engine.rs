@@ -394,9 +394,9 @@ proptest! {
             let mut m = module.clone();
             let pm = limpet_passes::standard_pipeline(width);
             pm.run(&mut m).expect("pipeline runs");
-            let (opt, stats) =
+            let (opt, stats, _) =
                 Kernel::from_module_opt(&m, &info, true).expect("optimized compile");
-            let (unopt, _) =
+            let (unopt, ..) =
                 Kernel::from_module_opt(&m, &info, false).expect("unoptimized compile");
             prop_assert!(stats.instrs_after <= stats.instrs_before);
 

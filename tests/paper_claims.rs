@@ -10,10 +10,11 @@
 //! * at 32 modeled threads, large models keep large speedups while small
 //!   models collapse toward (or below) 1x (Fig. 3).
 //!
-//! Every claim but the two ISA orderings is asserted on quantities that
-//! repeat exactly on every run — for the speedups, counts from
-//! `step_profiled()` (instructions, flops, bytes, math calls per step) that
-//! imply them — with the wall-clock form printed beside the assertion.
+//! Every claim is asserted on quantities that repeat exactly on every run —
+//! for the speedups, counts from `step_profiled()` (instructions, flops,
+//! bytes, math calls per step) that imply them — with the wall-clock form
+//! printed beside the assertion. The one timed check left is that the Fig. 5
+//! runner's overall geomean speedup exceeds 1x.
 
 use limpet::codegen::pipeline::VectorIsa;
 use limpet::harness::{
@@ -34,34 +35,43 @@ fn time_config(model: &str, kind: PipelineKind, n_cells: usize, steps: usize) ->
     measure_median(3, || sim.run(steps))
 }
 
+/// Fig. 5's configurations: the baseline, then limpetMLIR at SSE, AVX2 and
+/// AVX-512.
+const FIG5: [PipelineKind; 4] = [
+    PipelineKind::Baseline,
+    PipelineKind::LimpetMlir(VectorIsa::Sse),
+    PipelineKind::LimpetMlir(VectorIsa::Avx2),
+    PipelineKind::LimpetMlir(VectorIsa::Avx512),
+];
+
+/// Asserts Fig. 5's ordering for `model` on what it is made of here — how
+/// many instruction dispatches per cell-step each configuration executes,
+/// exact and the same on every run: every wider ISA executes strictly fewer
+/// (at 1024 cells BeelerReuter 179 / 72 / 36 / 18, LuoRudy91 181 / 74 / 37 /
+/// 18.5). `timed` is the wall-clock form, printed beside it.
+fn assert_isa_ordering(model: &str, cells: usize, timed: &str) {
+    let per_cell = FIG5.map(|kind| instrs_per_step(model, kind, cells) / cells as f64);
+    println!("{model} instructions per cell-step, baseline / SSE / AVX2 / AVX-512: {per_cell:?}");
+    println!("{model} wall-clock (not asserted): {timed}");
+    assert!(
+        per_cell.windows(2).all(|pair| pair[0] > pair[1]),
+        "{model}: instructions per cell-step {per_cell:?} do not fall with every wider ISA"
+    );
+}
+
 /// Fig. 5 ordering on a representative medium model: wider ISAs win.
 #[test]
 fn isa_ordering_holds() {
     let (cells, steps) = (2048, 12);
-    let base = time_config("BeelerReuter", PipelineKind::Baseline, cells, steps);
-    let sse = time_config(
-        "BeelerReuter",
-        PipelineKind::LimpetMlir(VectorIsa::Sse),
-        cells,
-        steps,
+    let [base, sse, avx2, avx512] =
+        FIG5.map(|kind| time_config("BeelerReuter", kind, cells, steps));
+    let timed = format!(
+        "SSE {:.2}x, AVX2 {:.2}x, AVX-512 {:.2}x",
+        base / sse,
+        base / avx2,
+        base / avx512
     );
-    let avx2 = time_config(
-        "BeelerReuter",
-        PipelineKind::LimpetMlir(VectorIsa::Avx2),
-        cells,
-        steps,
-    );
-    let avx512 = time_config(
-        "BeelerReuter",
-        PipelineKind::LimpetMlir(VectorIsa::Avx512),
-        cells,
-        steps,
-    );
-    let (s2, s4, s8) = (base / sse, base / avx2, base / avx512);
-    assert!(s2 > 1.0, "SSE did not beat baseline: {s2:.2}");
-    // Allow 10% timing noise in the pairwise ordering.
-    assert!(s4 > s2 * 0.9, "AVX2 {s4:.2} not above SSE {s2:.2}");
-    assert!(s8 > s4 * 0.9, "AVX-512 {s8:.2} not above AVX2 {s4:.2}");
+    assert_isa_ordering("BeelerReuter", cells, &timed);
 }
 
 /// The three configurations of §5: the baseline, compiler-simd and
@@ -269,11 +279,15 @@ fn fig5_runner_preserves_isa_ordering_at_one_thread() {
             .map(|p| p.geomean)
             .unwrap()
     };
-    let (sse, avx2, avx512) = (get("SSE", 1), get("AVX2", 1), get("AVX-512", 1));
-    assert!(
-        avx512 > avx2 * 0.9 && avx2 > sse * 0.9,
-        "ISA ordering violated: {sse:.2} {avx2:.2} {avx512:.2}"
+    let timed = format!(
+        "runner geomean SSE {:.2}x, AVX2 {:.2}x, AVX-512 {:.2}x",
+        get("SSE", 1),
+        get("AVX2", 1),
+        get("AVX-512", 1)
     );
+    for model in &opts.only {
+        assert_isa_ordering(model, opts.n_cells, &timed);
+    }
     assert!(f.overall_geomean > 1.0);
 }
 
