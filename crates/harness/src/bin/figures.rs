@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [--fig2] [--fig3] [--fig4] [--fig5] [--layout] [--lut]
-//!         [--icc] [--roofline] [--stats] [--digest] [--all]
+//!         [--ablations] [--icc] [--roofline] [--stats] [--digest] [--all]
 //!         [--real-threads] [--max-threads N] [--validate-tm]
 //!         [--cells N] [--steps N] [--repeats N] [--models a,b,c]
 //!         [--jobs N] [--no-cache] [--no-bytecode-opt]
@@ -51,11 +51,11 @@
 //! checks (CI compares them across cold, warm, and fault-injected runs).
 
 use limpet_harness::{
-    all_pipeline_kinds, available_cores, default_cache_dir, fig2_checkpointed, fig3_threads32,
-    fig4_scaling, fig5_isa_threads, fig6_roofline, icc_comparison, kernel_stats, layout_ablation,
-    lut_ablation, native_tier_bench, summarize_incidents, trajectory_digest_tiered,
-    validate_timing_model, DiskCache, ExperimentOptions, KernelCache, PipelineKind, ThreadTiming,
-    TimingModel, Workload,
+    ablations, all_pipeline_kinds, available_cores, default_cache_dir, fig2_checkpointed,
+    fig3_threads32, fig4_scaling, fig5_isa_threads, fig6_roofline, icc_comparison, kernel_stats,
+    layout_ablation, lut_ablation, native_tier_bench, summarize_incidents,
+    trajectory_digest_tiered, validate_timing_model, DiskCache, ExperimentOptions, KernelCache,
+    PipelineKind, ThreadTiming, TimingModel, Workload,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -70,6 +70,7 @@ struct Args {
     fig5: bool,
     layout: bool,
     lut: bool,
+    ablations: bool,
     icc: bool,
     roofline: bool,
     stats: bool,
@@ -99,6 +100,7 @@ fn parse_args() -> Args {
         fig5: false,
         layout: false,
         lut: false,
+        ablations: false,
         icc: false,
         roofline: false,
         stats: false,
@@ -126,6 +128,7 @@ fn parse_args() -> Args {
             "--fig5" => args.fig5 = true,
             "--layout" => args.layout = true,
             "--lut" => args.lut = true,
+            "--ablations" => args.ablations = true,
             "--icc" => args.icc = true,
             "--roofline" => args.roofline = true,
             "--stats" => args.stats = true,
@@ -136,6 +139,7 @@ fn parse_args() -> Args {
                 args.fig5 = true;
                 args.layout = true;
                 args.lut = true;
+                args.ablations = true;
                 args.icc = true;
                 args.roofline = true;
                 args.stats = true;
@@ -222,7 +226,7 @@ fn parse_args() -> Args {
             "--no-bytecode-opt" => limpet_vm::set_bytecode_opt(false),
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig2|--fig3|--fig4|--fig5|--layout|--lut|--icc|--roofline|--stats|--digest|--all]\n\
+                    "usage: figures [--fig2|--fig3|--fig4|--fig5|--layout|--lut|--ablations|--icc|--roofline|--stats|--digest|--all]\n\
                      \x20              [--real-threads] [--max-threads N] [--validate-tm]\n\
                      \x20              [--cells N] [--steps N] [--repeats N] [--models a,b,c]\n\
                      \x20              [--jobs N] [--no-cache] [--no-bytecode-opt]\n\
@@ -245,6 +249,7 @@ fn parse_args() -> Args {
         || args.fig5
         || args.layout
         || args.lut
+        || args.ablations
         || args.icc
         || args.roofline
         || args.stats
@@ -723,6 +728,34 @@ fn main() {
         save_csv(
             "lut_ablation.csv",
             "model,no_lut,scalar_lut,vector_lut",
+            &rows,
+        );
+    }
+
+    if args.ablations {
+        println!(
+            "== Ablations: FMA contraction, if-conversion (Section 5), spline LUTs (Section 7) =="
+        );
+        let mut rows = Vec::new();
+        for r in ablations(&args.opts) {
+            let ((reference, t_ref), (variant, t_var)) = (r.reference, r.variant);
+            println!(
+                "  {:14} {:24} {variant} over {reference}: {:5.2}x",
+                r.ablation,
+                r.model,
+                r.speedup()
+            );
+            rows.push(format!(
+                "{},{},{reference},{variant},{t_ref},{t_var},{}",
+                r.ablation,
+                r.model,
+                r.speedup()
+            ));
+        }
+        println!();
+        save_csv(
+            "ablations.csv",
+            "ablation,model,reference,variant,reference_s,variant_s,speedup",
             &rows,
         );
     }

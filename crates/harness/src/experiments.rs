@@ -10,6 +10,7 @@
 //! | [`fig5_isa_threads`] | Fig. 5 — geomean speedup per ISA × threads |
 //! | [`layout_ablation`] | §4.4 — AoS vs. AoSoA |
 //! | [`lut_ablation`] | §3.4.2 — LUT on/off, scalar/vector interp |
+//! | [`ablations`] | FMA contraction, §5 if-conversion, §7 spline LUTs |
 //! | [`icc_comparison`] | §5 — compiler-simd vs. limpetMLIR geomean |
 //! | [`fig6_roofline`] | Fig. 6 — operational intensity vs. GFlops/s |
 
@@ -17,8 +18,10 @@ use crate::cache::KernelCache;
 use crate::checksum::fnv1a_words;
 use crate::sim::{PipelineKind, Simulation, Workload};
 use crate::threads::{measure_median, measure_median_secs, ShardedSimulation, TimingModel};
-use limpet_codegen::pipeline::VectorIsa;
+use limpet_codegen::pipeline::{try_apply_pipeline, VectorIsa};
+use limpet_codegen::{lower_model, CodegenOptions};
 use limpet_models::{model, ModelEntry, SizeClass, ROSTER};
+use limpet_vm::{Kernel, StateLayout};
 
 /// Thread counts evaluated by the paper (powers of two, 1..32).
 pub const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -227,14 +230,7 @@ pub fn measure_run(
     let Some(mut sim) = measurement_sim(m, config, &wl) else {
         return f64::NAN;
     };
-    // Warm up: tables built in `new`; run a couple of steps for caches.
-    // `run_guarded` on an unguarded simulation is plain stepping; under
-    // injection it additionally absorbs a seeded mid-run NaN by tier
-    // fallback (give-up is recorded as an incident, not a crash).
-    let _ = sim.run_guarded(2);
-    let t = measure_median(opts.repeats, || {
-        let _ = sim.run_guarded(opts.steps);
-    });
+    let t = time_steps(&mut sim, opts);
     // Runtime incidents (NaN steps, tier fallbacks) otherwise die with
     // the simulation; forward them to the global log so the `figures`
     // summary reports the full degradation story, not just compile-time
@@ -246,6 +242,18 @@ pub fn measure_run(
         }
     }
     t
+}
+
+/// Median wall time of `opts.steps` steps of `sim` over `opts.repeats` runs.
+fn time_steps(sim: &mut Simulation, opts: &ExperimentOptions) -> f64 {
+    // Warm up: tables built in `new`; run a couple of steps for caches.
+    // `run_guarded` on an unguarded simulation is plain stepping; under
+    // injection it additionally absorbs a seeded mid-run NaN by tier
+    // fallback (give-up is recorded as an incident, not a crash).
+    let _ = sim.run_guarded(2);
+    measure_median(opts.repeats, || {
+        let _ = sim.run_guarded(opts.steps);
+    })
 }
 
 /// FNV-1a digest of every cell's membrane-potential bits after a short
@@ -1187,6 +1195,144 @@ pub fn lut_ablation(opts: &ExperimentOptions) -> LutAblation {
     LutAblation { rows }
 }
 
+/// One row of [`ablations`]: a pipeline choice on one model, timed with and
+/// without it at one thread.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// The choice: `fma-contract`, `if-conversion` or `spline-lut`.
+    pub ablation: &'static str,
+    /// Model name.
+    pub model: String,
+    /// The configuration without the choice, and its time (s).
+    pub reference: (&'static str, f64),
+    /// The configuration with it, and its time (s).
+    pub variant: (&'static str, f64),
+}
+
+impl AblationRow {
+    /// Reference time over variant time.
+    pub fn speedup(&self) -> f64 {
+        self.reference.1 / self.variant.1
+    }
+}
+
+/// [`measure_run`] of limpetMLIR at AVX-512 compiled without `fma-contract`:
+/// the standard pipeline text minus that pass.
+fn measure_unfused_run(m: &limpet_easyml::Model, opts: &ExperimentOptions) -> f64 {
+    let lanes = VectorIsa::Avx512.lanes();
+    let standard = limpet_codegen::pipeline::standard_text(lanes);
+    let text = standard
+        .strip_suffix(",fma-contract")
+        .expect("the standard pipeline ends in fma-contract");
+    let mut lowered = lower_model(m, &CodegenOptions { use_lut: true });
+    try_apply_pipeline(&mut lowered.module, text)
+        .unwrap_or_else(|e| panic!("unfused pipeline failed for {}: {e}", m.name));
+    let kernel = Kernel::from_module(&lowered.module, &crate::model_info(m))
+        .unwrap_or_else(|e| panic!("unfused kernel failed for {}: {e}", m.name));
+    let wl = Workload {
+        n_cells: opts.n_cells,
+        steps: 0,
+        dt: 0.01,
+    };
+    let layout = StateLayout::AoSoA {
+        block: lanes as usize,
+    };
+    time_steps(&mut Simulation::with_kernel(kernel, layout, &wl), opts)
+}
+
+/// A synthetic model for the if-conversion ablation: `branchless` computes
+/// one transcendental chain, `light_branch` picks between two divisions, and
+/// `heavy_branch` between two chains as long as `branchless`'s.
+fn if_conversion_source(kind: &str) -> String {
+    let chain = |sign: &str| {
+        let terms: Vec<String> = (0..8)
+            .map(|i| {
+                format!(
+                    "exp(-square(Vm {sign} {:.2}) / 900.0)",
+                    1.0 + i as f64 * 0.37
+                )
+            })
+            .collect();
+        terms.join(" + ")
+    };
+    let body = match kind {
+        "branchless" => format!("w = {};", chain("+")),
+        "light_branch" => "if (Vm > 0.0) { w = Vm / 50.0; } else { w = -Vm / 80.0; }".to_owned(),
+        _ => format!(
+            "if (Vm > 0.0) {{ w = {}; }} else {{ w = {}; }}",
+            chain("+"),
+            chain("-")
+        ),
+    };
+    format!(
+        "Vm; .external();\nIion; .external();\n\
+         diff_x = (0.5 - x) / 10.0;\n{body}\nIion = 0.1 * w * x * (Vm + 80.0);"
+    )
+}
+
+/// The three ablations no figure of the paper isolates, at AVX-512:
+///
+/// * `fma-contract` (BeelerReuter, OHara): limpetMLIR without and with the
+///   multiply-add fusion pass, which halves dispatch for the `a*b+c` chains
+///   of current summation;
+/// * `if-conversion` (three synthetic models): the baseline against
+///   limpetMLIR, whose masked kernel executes both sides of a branch — §5's
+///   caveat, so its speedup shrinks on `heavy_branch`;
+/// * `spline-lut` (HodgkinHuxley, LuoRudy91, Courtemanche): linear
+///   interpolation against §7's Catmull-Rom splines on 4x-coarser tables.
+///
+/// `opts.only`, when set, filters the roster models; the synthetic ones
+/// always run.
+pub fn ablations(opts: &ExperimentOptions) -> Vec<AblationRow> {
+    let avx512 = VectorIsa::Avx512;
+    let selected = |name: &&str| opts.only.is_empty() || opts.only.iter().any(|n| n == name);
+    let mut rows = Vec::new();
+    for name in ["BeelerReuter", "OHara"].into_iter().filter(selected) {
+        let m = model(name);
+        rows.push(AblationRow {
+            ablation: "fma-contract",
+            model: name.to_string(),
+            reference: ("unfused", measure_unfused_run(&m, opts)),
+            variant: (
+                "fused",
+                measure_run(&m, PipelineKind::LimpetMlir(avx512), opts),
+            ),
+        });
+    }
+    for kind in ["branchless", "light_branch", "heavy_branch"] {
+        let m = limpet_easyml::compile_model(kind, &if_conversion_source(kind))
+            .unwrap_or_else(|e| panic!("if-conversion model {kind}: {e}"));
+        rows.push(AblationRow {
+            ablation: "if-conversion",
+            model: kind.to_owned(),
+            reference: ("baseline", measure_run(&m, PipelineKind::Baseline, opts)),
+            variant: (
+                "limpetMLIR",
+                measure_run(&m, PipelineKind::LimpetMlir(avx512), opts),
+            ),
+        });
+    }
+    for name in ["HodgkinHuxley", "LuoRudy91", "Courtemanche"]
+        .into_iter()
+        .filter(selected)
+    {
+        let m = model(name);
+        rows.push(AblationRow {
+            ablation: "spline-lut",
+            model: name.to_string(),
+            reference: (
+                "linear",
+                measure_run(&m, PipelineKind::LimpetMlir(avx512), opts),
+            ),
+            variant: (
+                "spline4x",
+                measure_run(&m, PipelineKind::LimpetMlirSpline(avx512), opts),
+            ),
+        });
+    }
+    rows
+}
+
 /// §5 comparison result.
 #[derive(Debug, Clone)]
 pub struct IccComparison {
@@ -1695,6 +1841,28 @@ mod tests {
         let (_, aos, aosoa) = &f.rows[0];
         assert!(*aos > 0.0 && *aosoa > 0.0);
         assert!(f.geomeans.0.is_finite() && f.geomeans.1.is_finite());
+    }
+
+    #[test]
+    fn ablations_runner_times_every_choice() {
+        let rows = ablations(&tiny_opts(&["BeelerReuter", "HodgkinHuxley"]));
+        let kinds: Vec<_> = rows
+            .iter()
+            .map(|r| (r.ablation, r.model.as_str()))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ("fma-contract", "BeelerReuter"),
+                ("if-conversion", "branchless"),
+                ("if-conversion", "light_branch"),
+                ("if-conversion", "heavy_branch"),
+                ("spline-lut", "HodgkinHuxley"),
+            ]
+        );
+        assert!(rows
+            .iter()
+            .all(|r| r.speedup() > 0.0 && r.speedup().is_finite()));
     }
 
     #[test]

@@ -38,11 +38,11 @@ pub use checksum::{fnv1a, fnv1a_words};
 pub use deadline::{backoff_delay, retry_with_backoff, CancelCause, CancelToken};
 pub use error::{compile_source, CompileError};
 pub use experiments::{
-    available_cores, fig2_checkpointed, fig2_single_thread, fig2_with_jobs, fig3_threads32,
-    fig4_scaling, fig5_isa_threads, fig6_roofline, geomean, icc_comparison, kernel_stats,
-    layout_ablation, lut_ablation, measure_run_threaded, native_tier_bench, trajectory_digest,
-    trajectory_digest_tiered, validate_timing_model, ExperimentOptions, NativeBench,
-    NativeBenchRow, Provenance, ThreadTiming, TmValidation, THREAD_COUNTS,
+    ablations, available_cores, fig2_checkpointed, fig2_single_thread, fig2_with_jobs,
+    fig3_threads32, fig4_scaling, fig5_isa_threads, fig6_roofline, geomean, icc_comparison,
+    kernel_stats, layout_ablation, lut_ablation, measure_run_threaded, native_tier_bench,
+    trajectory_digest, trajectory_digest_tiered, validate_timing_model, ExperimentOptions,
+    NativeBench, NativeBenchRow, Provenance, ThreadTiming, TmValidation, THREAD_COUNTS,
 };
 pub use faults::FaultKind;
 pub use health::{incidents_json, summarize_incidents, HealthPolicy, Incident, IncidentKind, Tier};

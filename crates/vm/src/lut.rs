@@ -278,25 +278,13 @@ impl LutData {
         // Pass 2, per column: gather it for all lanes, blend, and store one
         // contiguous register. `row_frac` clamps `i` to `rows - 2` and `col`
         // is checked below, so no offset exceeds `last` and the clamp in
-        // `at!` never engages — it is there for the optimiser, which can
+        // `at` never engages — it is there for the optimiser, which can
         // then drop the per-element bounds check and turn the lane loop
         // into vector gathers where the instruction set has them.
-        //
-        // The clamp is a `min` spelled out in a macro, the mode test is
-        // hoisted and the lane loop is a `while` for the unoptimised build,
-        // where a closure, `Ord::min` and above all `Range::next` are calls
-        // per element (13 of 25 ns the last): Tier-1's timed shape tests
-        // (`tests/paper_claims.rs`) run in it and compare this path against
-        // the scalar one. As written it costs there what a lane-major row did.
         let (cols, data) = (self.cols, self.data.as_slice());
         let last = data.len().checked_sub(1).expect("a table has rows");
-        macro_rules! at {
-            ($offset:expr) => {{
-                let offset = $offset;
-                data[if offset < last { offset } else { last }]
-            }};
-        }
-        let cubic = interp == LutInterp::Cubic;
+        // An `if` and a `while`: `Ord::min` or a range loop changes the release code.
+        let at = |offset: usize| data[if offset < last { offset } else { last }];
         for &(col, dst) in outs {
             let col = col as usize;
             assert!(col < cols, "lut column {col} is not in a table of {cols}");
@@ -309,11 +297,12 @@ impl LutData {
                 let lo = base[lane] + col;
                 // The cubic stencil needs a row on either side (see
                 // [`Self::interp_block_cubic`]).
+                let cubic = interp == LutInterp::Cubic;
                 column[lane] = if cubic && base[lane] > 0 && base[lane] + 2 * cols <= last {
-                    let (before, after) = (at!(lo - cols), at!(lo + 2 * cols));
-                    catmull_rom(before, at!(lo), at!(lo + cols), after, frac[lane])
+                    let (before, after) = (at(lo - cols), at(lo + 2 * cols));
+                    catmull_rom(before, at(lo), at(lo + cols), after, frac[lane])
                 } else {
-                    lerp(at!(lo), at!(lo + cols), frac[lane])
+                    lerp(at(lo), at(lo + cols), frac[lane])
                 };
                 lane += 1;
             }

@@ -13,8 +13,7 @@
 //! Every claim is asserted on quantities that repeat exactly on every run —
 //! for the speedups, counts from `step_profiled()` (instructions, flops,
 //! bytes, math calls per step) that imply them — with the wall-clock form
-//! printed beside the assertion. The one timed check left is that the Fig. 5
-//! runner's overall geomean speedup exceeds 1x.
+//! printed beside the assertion. No wall-clock value is asserted.
 
 use limpet::codegen::pipeline::VectorIsa;
 use limpet::harness::{
@@ -280,15 +279,15 @@ fn fig5_runner_preserves_isa_ordering_at_one_thread() {
             .unwrap()
     };
     let timed = format!(
-        "runner geomean SSE {:.2}x, AVX2 {:.2}x, AVX-512 {:.2}x",
+        "runner geomean SSE {:.2}x, AVX2 {:.2}x, AVX-512 {:.2}x, overall {:.2}x",
         get("SSE", 1),
         get("AVX2", 1),
-        get("AVX-512", 1)
+        get("AVX-512", 1),
+        f.overall_geomean
     );
     for model in &opts.only {
         assert_isa_ordering(model, opts.n_cells, &timed);
     }
-    assert!(f.overall_geomean > 1.0);
 }
 
 /// §5 comparison through the runner.
