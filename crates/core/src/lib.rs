@@ -98,15 +98,16 @@ impl Isa {
 pub enum CompileError {
     /// The EasyML source failed to parse or analyze.
     Frontend(Box<dyn std::error::Error>),
-    /// The generated module failed verification (a compiler bug).
-    Verify(limpet_ir::VerifyError),
+    /// The module of a kernel loaded from the disk cache does not parse or
+    /// verify. (A cold compile's module is verified after every pass.)
+    Module(limpet_harness::ModuleError),
 }
 
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompileError::Frontend(e) => write!(f, "frontend error: {e}"),
-            CompileError::Verify(e) => write!(f, "verification error: {e}"),
+            CompileError::Module(e) => write!(f, "module error: {e}"),
         }
     }
 }
@@ -172,8 +173,8 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Verify`] if the generated IR fails
-    /// verification.
+    /// Returns [`CompileError::Module`] when the kernel comes from the disk
+    /// cache and its stored module does not parse or verify.
     pub fn compile_model(&self, model: Model) -> Result<Compiled, CompileError> {
         let kind = match self.isa.vector_isa() {
             None => PipelineKind::Baseline,
@@ -188,7 +189,7 @@ impl Compiler {
             }
         };
         let entry = KernelCache::global().get_or_compile(&model, kind);
-        limpet_ir::verify_module(entry.module()).map_err(CompileError::Verify)?;
+        entry.try_module().map_err(CompileError::Module)?;
         Ok(Compiled { model, kind, entry })
     }
 }

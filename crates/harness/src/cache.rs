@@ -24,12 +24,13 @@
 //! then the reference one ([`KernelCache::get_or_compile_resilient`]).
 
 use crate::checksum::{fnv1a_from, FNV_OFFSET};
-use crate::error::CompileError;
+use crate::error::{CompileError, ModuleError};
 use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind, Tier};
 use crate::sim::{model_info, storage_layout, PipelineKind};
 use limpet_easyml::Model;
 use limpet_vm::{Kernel, StateLayout};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,13 +41,32 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// execution report from the cold compile that produced it. The
 /// unoptimized sibling kernel is compiled only when asked for
 /// ([`CompiledKernel::raw_kernel`]).
+///
+/// An entry loaded from the disk tier keeps its module as the text it was
+/// stored with and parses it on the first [`CompiledKernel::try_module`]:
+/// its kernel, width and layout come from the stored program and tables
+/// and the text's header line, so a lookup that only runs the kernel never
+/// parses the module.
 #[derive(Debug)]
 pub struct CompiledKernel {
-    module: limpet_ir::Module,
+    module: ModuleSource,
     kernel: Kernel,
     raw_kernel: OnceLock<Kernel>,
     layout: StateLayout,
     pass_report: limpet_passes::RunReport,
+}
+
+/// Where an entry's module comes from.
+#[derive(Debug)]
+pub(crate) enum ModuleSource {
+    /// A cold compile's module, verified by its pipeline.
+    Compiled(limpet_ir::Module),
+    /// A disk-loaded entry's printed module, parsed and verified once, on
+    /// first use.
+    Stored {
+        text: String,
+        parsed: OnceLock<Result<limpet_ir::Module, ModuleError>>,
+    },
 }
 
 impl CompiledKernel {
@@ -125,7 +145,7 @@ impl CompiledKernel {
         });
         let layout = storage_layout(&module);
         Ok(CompiledKernel::from_parts(
-            module,
+            ModuleSource::Compiled(module),
             kernel,
             opt,
             layout,
@@ -133,9 +153,63 @@ impl CompiledKernel {
         ))
     }
 
-    /// The lowered IR module.
+    /// The lowered IR module. A disk-loaded entry parses and verifies its
+    /// stored text on the first call and keeps the outcome, error or not.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ModuleError`], naming the model, of a disk-loaded
+    /// entry whose module text does not parse or does not verify. A cold
+    /// compile's module never errs.
+    pub fn try_module(&self) -> Result<&limpet_ir::Module, ModuleError> {
+        match &self.module {
+            ModuleSource::Compiled(module) => Ok(module),
+            ModuleSource::Stored { text, parsed } => parsed
+                .get_or_init(|| {
+                    let model = self.kernel.name();
+                    let module =
+                        limpet_ir::parse_module(text).map_err(|error| ModuleError::Parse {
+                            model: model.to_owned(),
+                            error,
+                        })?;
+                    limpet_ir::verify_module(&module).map_err(|error| ModuleError::Verify {
+                        model: model.to_owned(),
+                        error,
+                    })?;
+                    Ok(module)
+                })
+                .as_ref()
+                .map_err(Clone::clone),
+        }
+    }
+
+    /// The lowered IR module ([`CompiledKernel::try_module`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the model, when a disk-loaded entry's module text
+    /// does not parse or does not verify.
     pub fn module(&self) -> &limpet_ir::Module {
-        &self.module
+        self.try_module().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The module as printed text: a disk-loaded entry's stored text as it
+    /// is, a cold compile's module printed.
+    pub(crate) fn module_text(&self) -> Cow<'_, str> {
+        match &self.module {
+            ModuleSource::Compiled(module) => Cow::Owned(limpet_ir::print_module(module)),
+            ModuleSource::Stored { text, .. } => Cow::Borrowed(text),
+        }
+    }
+
+    /// Whether the module has been parsed: always for a cold compile, after
+    /// the first [`CompiledKernel::try_module`] for a disk-loaded entry.
+    #[cfg(test)]
+    pub(crate) fn module_parsed(&self) -> bool {
+        match &self.module {
+            ModuleSource::Compiled(_) => true,
+            ModuleSource::Stored { parsed, .. } => parsed.get().is_some(),
+        }
     }
 
     /// The executable kernel (clone it to run — clones share the
@@ -151,13 +225,14 @@ impl CompiledKernel {
     ///
     /// # Panics
     ///
-    /// Panics when the module, which already compiled once into
-    /// [`CompiledKernel::kernel`], does not compile again.
+    /// Panics, naming the model, when the module does not compile again
+    /// (it already compiled once into [`CompiledKernel::kernel`]), or when
+    /// a disk-loaded entry's module text does not parse or verify.
     pub fn raw_kernel(&self) -> &Kernel {
         self.raw_kernel.get_or_init(|| {
             let info = self.kernel.info();
             let params: Vec<String> = info.params.iter().map(|(n, _)| n.clone()).collect();
-            limpet_vm::compile_program(&self.module, &info.state_names, &info.ext_names, &params)
+            limpet_vm::compile_program(self.module(), &info.state_names, &info.ext_names, &params)
                 .and_then(|program| self.kernel.with_program(program))
                 .unwrap_or_else(|e| panic!("raw recompile of {} failed: {e}", self.kernel.name()))
         })
@@ -182,9 +257,9 @@ impl CompiledKernel {
     /// off disk ([`crate::persist::DiskCache::load`]); `opt` says whether
     /// `kernel` runs the optimized program. Crate-private: the only
     /// legitimate producers of parts are the compiler and the persistence
-    /// layer's verified decode path.
+    /// layer's checked decode path.
     pub(crate) fn from_parts(
-        module: limpet_ir::Module,
+        module: ModuleSource,
         kernel: Kernel,
         opt: bool,
         layout: StateLayout,

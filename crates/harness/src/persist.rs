@@ -20,9 +20,11 @@
 //!   recompile", never "try to parse anyway") and repeats the
 //!   fingerprint/pipeline/opt key, so a renamed or mislabelled file cannot
 //!   serve the wrong kernel;
-//! * the **payload grammar**: the IR is re-verified and the bytecode
-//!   re-validated on load, so even a checksum collision cannot smuggle in
-//!   a malformed kernel;
+//! * the **payload grammar**: on load the bytecode is re-validated and
+//!   the kernel re-checked against the current model, so even a checksum
+//!   collision cannot smuggle in a malformed kernel; of the module text
+//!   only the header line is read, and the body is parsed and verified by
+//!   its first reader ([`CompiledKernel::try_module`]);
 //! * the directory: one lock for writers, an LRU size cap, and the removal
 //!   of what killed writers leave behind.
 //!
@@ -31,7 +33,7 @@
 //! removes the file, so the recompile's store heals the cache — a corrupt
 //! cache can cost time, never correctness.
 
-use crate::cache::{model_fingerprint, CompiledKernel};
+use crate::cache::{model_fingerprint, CompiledKernel, ModuleSource};
 use crate::checksum::fnv1a;
 use crate::faults::{self, FaultKind};
 use crate::sim::{model_info, storage_layout, PipelineKind};
@@ -43,7 +45,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Version of the on-disk entry envelope (header + section framing). Bump
@@ -650,10 +652,10 @@ impl EntryKey {
 pub(crate) fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKernel) -> Vec<u8> {
     let mut text = format!("model {model_name}\n");
     for (name, body) in [
-        ("module", limpet_ir::print_module(entry.module())),
+        ("module", entry.module_text()),
         (
             "program.main",
-            limpet_vm::serialize_program(entry.kernel().program()),
+            limpet_vm::serialize_program(entry.kernel().program()).into(),
         ),
     ] {
         let _ = writeln!(text, "section {name} {}", body.len());
@@ -683,19 +685,24 @@ pub(crate) fn decode_entry(
     let started = Instant::now();
     let [fp, label, opt] = key.echo();
     let payload = store::open(bytes, MAGIC, &ENTRY_STAMPS, &[&fp, &label, &opt])?;
-    parse_entry(payload, model, key.opt, started).map_err(|detail| Reject {
+    parse_entry(payload, model, key, started).map_err(|detail| Reject {
         reason: RejectReason::Malformed,
         detail,
     })
 }
 
 /// The payload grammar of an entry: the `model` line, two text sections
-/// and the table block. `opt` is the key's: whether the program is the
-/// optimized one.
+/// and the table block, for the entry's `key`.
+///
+/// Of the module text only the header line is read here — the name, which
+/// must be the model's, the `vector_width`, which must be the key's
+/// configuration's, and the layout. The body is kept as text and parsed on
+/// first use ([`CompiledKernel::try_module`]): the kernel runs the stored
+/// program, which [`Kernel::from_parts`] checks against the model.
 fn parse_entry(
     payload: &[u8],
     model: &Model,
-    opt: bool,
+    key: &EntryKey,
     started: Instant,
 ) -> Result<CompiledKernel, String> {
     // Text is validated as UTF-8 section by section; the table block
@@ -714,17 +721,30 @@ fn parse_entry(
     let main_text = take_section(&mut rest, "program.main")?;
     let lut_block = rest;
 
-    let module =
-        limpet_ir::parse_module(module_text).map_err(|e| format!("unparseable IR: {e}"))?;
-    limpet_ir::verify_module(&module).map_err(|e| format!("IR failed verification: {e}"))?;
-    let width = module.attrs.i64_of("vector_width").unwrap_or(1) as usize;
+    let header = limpet_ir::parse_module_header(module_text)
+        .map_err(|e| format!("unparseable module header: {e}"))?;
+    if header.name() != model.name {
+        return Err(format!(
+            "module header names '{}', wanted '{}'",
+            header.name(),
+            model.name
+        ));
+    }
+    let width = header.attrs.i64_of("vector_width").unwrap_or(1);
+    if width != key.config.lanes() as i64 {
+        return Err(format!(
+            "module vector_width {width} where {} compiles at {}",
+            key.config.label(),
+            key.config.lanes()
+        ));
+    }
     let info = model_info(model);
     let luts = limpet_vm::decode_luts(lut_block).map_err(|e| format!("bad LUT data: {e}"))?;
     let main_prog =
         limpet_vm::deserialize_program(main_text).map_err(|e| format!("bad main bytecode: {e}"))?;
-    let kernel = Kernel::from_parts(module.name(), main_prog, width, &info, luts)
+    let kernel = Kernel::from_parts(&model.name, main_prog, width as usize, &info, luts)
         .map_err(|e| format!("main kernel rejected: {e}"))?;
-    let layout = storage_layout(&module);
+    let layout = storage_layout(&header);
     // The entry's provenance is visible in the pass report: a disk load
     // shows a single synthetic "disk-load" pass instead of the pipeline.
     let report = limpet_passes::RunReport {
@@ -737,7 +757,14 @@ fn parse_entry(
         dumps: Vec::new(),
     };
     Ok(CompiledKernel::from_parts(
-        module, kernel, opt, layout, report,
+        ModuleSource::Stored {
+            text: module_text.to_owned(),
+            parsed: OnceLock::new(),
+        },
+        kernel,
+        key.opt,
+        layout,
+        report,
     ))
 }
 
@@ -902,6 +929,39 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.rejects, s.writes), (1, 0, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_loaded_entry_parses_its_module_on_first_use() {
+        let dir = temp_dir("lazy");
+        let cache = DiskCache::open(&dir).unwrap();
+        let (m, key, entry) = sample_entry();
+        cache.store(&key, &m.name, &entry).unwrap();
+        let stored = fs::read(entry_path(&cache, &key)).unwrap();
+        let DiskLoad::Hit(loaded) = cache.load(&key, &m) else {
+            panic!("expected a hit");
+        };
+        assert!(!loaded.module_parsed(), "a load reads the header line only");
+        let mut sim = crate::Simulation::with_kernel(
+            loaded.kernel().clone(),
+            loaded.layout(),
+            &crate::Workload::default(),
+        );
+        sim.run(2);
+        // Storing it again writes the text it holds, byte for byte.
+        cache.store(&key, &m.name, &loaded).unwrap();
+        assert_eq!(fs::read(entry_path(&cache, &key)).unwrap(), stored);
+        assert!(
+            !loaded.module_parsed(),
+            "running and storing need no module"
+        );
+
+        assert_eq!(
+            limpet_ir::print_module(loaded.module()),
+            limpet_ir::print_module(entry.module())
+        );
+        assert!(loaded.module_parsed());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -71,6 +71,19 @@ impl PipelineKind {
         }
     }
 
+    /// The vector width this configuration compiles for: its ISA's lanes,
+    /// or 1 for the scalar baseline, whose module states no `vector_width`.
+    pub fn lanes(self) -> usize {
+        match self {
+            PipelineKind::Baseline => 1,
+            PipelineKind::LimpetMlir(isa)
+            | PipelineKind::LimpetMlirAos(isa)
+            | PipelineKind::LimpetMlirNoLut(isa)
+            | PipelineKind::CompilerSimd(isa)
+            | PipelineKind::LimpetMlirSpline(isa) => isa.lanes() as usize,
+        }
+    }
+
     /// Builds the IR module for a model under this configuration.
     pub fn build(self, model: &Model) -> limpet_ir::Module {
         self.build_with_report(model).0

@@ -12,8 +12,8 @@
 //! child test, so no extra fixture binary is needed.
 
 use limpet_harness::{
-    faults, CompiledKernel, DiskCache, EntryKey, IncidentKind, KernelCache, PipelineKind,
-    Simulation, Workload,
+    faults, CompiledKernel, DiskCache, EntryKey, IncidentKind, KernelCache, ModuleError,
+    PipelineKind, Simulation, Workload,
 };
 use limpet_models::model;
 use std::path::{Path, PathBuf};
@@ -40,7 +40,12 @@ fn temp_cache_dir(tag: &str) -> PathBuf {
 /// Runs the compiled kernel for [`STEPS`] and returns every cell's Vm as
 /// raw bits — the bit-identity currency of this suite.
 fn trajectory_bits(entry: &CompiledKernel) -> Vec<u64> {
-    let mut sim = Simulation::with_kernel(entry.kernel().clone(), entry.layout(), &WL);
+    kernel_bits(entry.kernel(), entry.layout())
+}
+
+/// [`trajectory_bits`] of one kernel of an entry.
+fn kernel_bits(kernel: &limpet_vm::Kernel, layout: limpet_vm::StateLayout) -> Vec<u64> {
+    let mut sim = Simulation::with_kernel(kernel.clone(), layout, &WL);
     sim.run(STEPS);
     (0..WL.n_cells).map(|c| sim.vm(c).to_bits()).collect()
 }
@@ -600,6 +605,152 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
         "section 'module' is truncated",
         &reference_bits,
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the module's header line — `module @Name attributes {…} {` —
+/// of the entry at `path` with `edit`, re-signed like [`forge_entry`].
+fn forge_module_header(path: &Path, edit: impl Fn(&str) -> String) {
+    let edited = forge_entry(path, |tokens| {
+        let header = tokens[0] == "module";
+        if header {
+            let line = edit(&tokens.join(" "));
+            *tokens = line.split(' ').map(String::from).collect();
+        }
+        header
+    });
+    assert_eq!(edited, 1, "one module header per entry");
+}
+
+#[test]
+fn damaged_module_header_is_rejected_not_loaded() {
+    let dir = temp_cache_dir("module-header");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let path = entry_path(&dir, &m, CONFIG);
+    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
+
+    // An attribute dict that does not parse, a W=8 module that states no
+    // width (which reads as 1), and another model's name.
+    let cases = [
+        (
+            "vector_width = 8",
+            "vector_width 8",
+            "unparseable module header",
+        ),
+        (", vector_width = 8}", "}", "module vector_width 1 where"),
+        (
+            "@CoarseGate",
+            "@FineGate",
+            "module header names 'FineGate', wanted 'CoarseGate'",
+        ),
+    ];
+    for (from, to, reason) in cases {
+        println!("case: {from} -> {to}"); // shown with a failure
+        forge_module_header(&path, |line| {
+            assert!(line.contains(from), "{line}");
+            line.replacen(from, to, 1)
+        });
+        assert_rejected_and_healed(&disk, &m, CONFIG, reason, &reference_bits);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn damaged_module_body_loads_and_fails_on_first_use() {
+    let dir = temp_cache_dir("module-body");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let path = entry_path(&dir, &m, CONFIG);
+    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
+    let good = std::fs::read(&path).unwrap();
+
+    // An op the parser does not know, and vector products typed as
+    // scalars, which parse and fail verification.
+    let misspell = |tokens: &mut Vec<String>| {
+        let ret = tokens.last().is_some_and(|t| t == "func.return");
+        if ret {
+            *tokens.last_mut().unwrap() = "func.retrun".into();
+        }
+        ret
+    };
+    let mistype = |tokens: &mut Vec<String>| {
+        let mul = tokens.contains(&"arith.mulf".to_string())
+            && tokens.last().is_some_and(|t| t == "vector<8xf64>");
+        if mul {
+            *tokens.last_mut().unwrap() = "f64".into();
+        }
+        mul
+    };
+    type Edit = Box<dyn Fn(&mut Vec<String>) -> bool>;
+    let cases: [(Edit, &str); 2] = [
+        (Box::new(misspell), "does not parse"),
+        (Box::new(mistype), "fails verification"),
+    ];
+    for (edit, what) in cases {
+        std::fs::write(&path, &good).unwrap();
+        assert!(forge_entry(&path, edit) >= 1, "{what}: nothing to damage");
+        let cache = cache_with_disk(&disk);
+        let entry = cache.get_or_compile(&m, CONFIG);
+        let s = cache.stats();
+        assert_eq!(
+            (s.disk_hits, s.disk_rejects, s.misses),
+            (1, 0, 0),
+            "{what}: a load reads the header line only"
+        );
+        assert_eq!(trajectory_bits(&entry), reference_bits, "{what}");
+
+        let err = entry.try_module().expect_err(what);
+        assert!(matches!(
+            (&err, what),
+            (ModuleError::Parse { .. }, "does not parse")
+                | (ModuleError::Verify { .. }, "fails verification")
+        ));
+        let message = err.to_string();
+        assert!(
+            message.contains("stored module of CoarseGate") && message.contains(what),
+            "{message}"
+        );
+        assert_eq!(entry.try_module().unwrap_err(), err, "parsed once");
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            entry.raw_kernel();
+        }))
+        .expect_err("the raw sibling needs the module");
+        let panic = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(panic.contains("CoarseGate"), "{panic}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn disk_warm_entries_match_their_cold_twins_over_the_roster() {
+    let dir = temp_cache_dir("roster");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let (cold_cache, warm_cache) = (cache_with_disk(&disk), cache_with_disk(&disk));
+    let configs = [PipelineKind::Baseline, CONFIG];
+    for name in limpet_models::all_names() {
+        let m = model(name);
+        for config in configs {
+            let cold = cold_cache.get_or_compile(&m, config);
+            let warm = warm_cache.get_or_compile(&m, config);
+            let what = format!("{name} {}", config.label());
+            assert_eq!(
+                limpet_ir::print_module(warm.module()),
+                limpet_ir::print_module(cold.module()),
+                "{what}"
+            );
+            assert_eq!(warm.layout(), cold.layout(), "{what}");
+            assert_eq!(warm.kernel().width(), cold.kernel().width(), "{what}");
+            assert_eq!(warm.kernel().width(), config.lanes(), "{what}");
+            let raw_digest =
+                |e: &CompiledKernel| fnv_digest(&kernel_bits(e.raw_kernel(), e.layout()));
+            assert_eq!(raw_digest(&warm), raw_digest(&cold), "{what}");
+        }
+    }
+    let kernels = (limpet_models::all_names().len() * configs.len()) as u64;
+    let (c, w) = (cold_cache.stats(), warm_cache.stats());
+    assert_eq!((c.misses, c.disk_writes), (kernels, kernels));
+    assert_eq!((w.disk_hits, w.disk_rejects, w.misses), (kernels, 0, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

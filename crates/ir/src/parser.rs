@@ -234,46 +234,66 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
-    pos: usize,
+/// A recursive-descent parser over a one-token lookahead: the lexer runs
+/// one token ahead of the parse, so a caller that stops early (the header
+/// parse) leaves the rest of the input unlexed.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token; `None` at the end of the input or at a lexical
+    /// error.
+    ahead: Option<Tok>,
+    /// The lexical error the lexer stopped at, if it did. It outranks
+    /// whatever parse error it causes.
+    lex_error: Option<ParseError>,
+    /// The line of the last token lexed: the lookahead's, or at the end of
+    /// the input the last token's (0 for an empty input).
+    line: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser> {
-        let mut lexer = Lexer::new(src);
-        let mut toks = Vec::new();
-        while let Some(t) = lexer.next_tok()? {
-            toks.push(t);
-        }
-        Ok(Parser { toks, pos: 0 })
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            ahead: None,
+            lex_error: None,
+            line: 0,
+        };
+        p.lex_ahead();
+        p
     }
 
-    fn line(&self) -> usize {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map_or(0, |(_, l)| *l)
+    fn lex_ahead(&mut self) {
+        match self.lexer.next_tok() {
+            Ok(Some((tok, line))) => {
+                self.ahead = Some(tok);
+                self.line = line;
+            }
+            Ok(None) => self.ahead = None,
+            Err(e) => {
+                self.ahead = None;
+                self.lex_error = Some(e);
+            }
+        }
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.line(),
+        self.lex_error.clone().unwrap_or_else(|| ParseError {
+            line: self.line,
             message: message.into(),
-        }
+        })
     }
 
     fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+        self.ahead.as_ref()
     }
 
     fn next(&mut self) -> Result<Tok> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .map(|(t, _)| t.clone())
+        let tok = self
+            .ahead
+            .take()
             .ok_or_else(|| self.error("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(t)
+        self.lex_ahead();
+        Ok(tok)
     }
 
     fn expect(&mut self, want: &Tok) -> Result<()> {
@@ -287,7 +307,7 @@ impl Parser {
 
     fn eat(&mut self, want: &Tok) -> bool {
         if self.peek() == Some(want) {
-            self.pos += 1;
+            self.lex_ahead();
             true
         } else {
             false
@@ -318,7 +338,12 @@ impl Parser {
     // type := f64 | i1 | i64 | index | vector '<' N 'x' scalar '>' | memref '<' ? 'x' scalar '>'
     fn parse_type(&mut self) -> Result<Type> {
         let head = self.expect_ident()?;
-        match head.as_str() {
+        self.parse_type_named(&head)
+    }
+
+    /// The rest of a type whose leading identifier `head` has been read.
+    fn parse_type_named(&mut self, head: &str) -> Result<Type> {
+        match head {
             "f64" => Ok(Type::F64),
             "i1" => Ok(Type::I1),
             "i64" => Ok(Type::I64),
@@ -380,14 +405,8 @@ impl Parser {
             Tok::Ident(w) => match w.as_str() {
                 "true" => Ok(Attr::Bool(true)),
                 "false" => Ok(Attr::Bool(false)),
-                "f64" => Ok(Attr::Ty(Type::F64)),
-                "i1" => Ok(Attr::Ty(Type::I1)),
-                "i64" => Ok(Attr::Ty(Type::I64)),
-                "index" => Ok(Attr::Ty(Type::INDEX)),
-                "vector" => {
-                    // Re-parse the tail of a vector type.
-                    self.pos -= 1;
-                    Ok(Attr::Ty(self.parse_type()?))
+                "f64" | "i1" | "i64" | "index" | "vector" => {
+                    Ok(Attr::Ty(self.parse_type_named(&w)?))
                 }
                 other => Err(self.error(format!("bad attribute value {other:?}"))),
             },
@@ -415,13 +434,13 @@ impl Parser {
     }
 }
 
-struct FuncParser<'p> {
-    p: &'p mut Parser,
+struct FuncParser<'p, 'a> {
+    p: &'p mut Parser<'a>,
     func: Func,
     scope: HashMap<String, ValueId>,
 }
 
-impl<'p> FuncParser<'p> {
+impl FuncParser<'_, '_> {
     fn lookup(&self, name: &str) -> Result<ValueId> {
         self.scope
             .get(name)
@@ -717,6 +736,52 @@ fn op_kind_from_name(name: &str, pred: Option<&str>) -> Option<OpKind> {
     })
 }
 
+/// Parses the header of a textual IR module — `module @name [attributes
+/// {…}] {` — and nothing after the `{` that opens its body: the module's
+/// name and attributes, without its lookup tables or functions. This is
+/// the first step of [`parse_module`], so the two agree on every header.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] when the header is malformed or the opening
+/// `{` is missing.
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), limpet_ir::ParseError> {
+/// let header = limpet_ir::parse_module_header(
+///     "module @m attributes {vector_width = 8} {\n  func.func @f() {\n",
+/// )?;
+/// assert_eq!(header.name(), "m");
+/// assert_eq!(header.attrs.i64_of("vector_width"), Some(8));
+/// assert!(header.funcs().is_empty());
+/// # Ok(())
+/// # }
+/// ```
+pub fn parse_module_header(src: &str) -> Result<Module> {
+    parse_header(&mut Parser::new(src))
+}
+
+/// Parses a module header off the front of `p`, leaving it at the first
+/// token of the body.
+fn parse_header(p: &mut Parser<'_>) -> Result<Module> {
+    let kw = p.expect_ident()?;
+    if kw != "module" {
+        return Err(p.error("expected `module`"));
+    }
+    let name = p.expect_at()?;
+    let mut module = Module::new(&name);
+    if matches!(p.peek(), Some(Tok::Ident(w)) if w == "attributes") {
+        p.next()?;
+        module.attrs = p.parse_attr_dict()?;
+    }
+    if !p.eat(&Tok::LBrace) {
+        return Err(p.error("expected `{` opening the module body"));
+    }
+    Ok(module)
+}
+
 /// Parses a textual IR module.
 ///
 /// # Errors
@@ -737,18 +802,8 @@ fn op_kind_from_name(name: &str, pred: Option<&str>) -> Option<OpKind> {
 /// # }
 /// ```
 pub fn parse_module(src: &str) -> Result<Module> {
-    let mut p = Parser::new(src)?;
-    let kw = p.expect_ident()?;
-    if kw != "module" {
-        return Err(p.error("expected `module`"));
-    }
-    let name = p.expect_at()?;
-    let mut module = Module::new(&name);
-    if matches!(p.peek(), Some(Tok::Ident(w)) if w == "attributes") {
-        p.next()?;
-        module.attrs = p.parse_attr_dict()?;
-    }
-    p.expect(&Tok::LBrace)?;
+    let mut p = Parser::new(src);
+    let mut module = parse_header(&mut p)?;
     loop {
         match p.peek() {
             Some(Tok::RBrace) => {
@@ -937,6 +992,37 @@ mod tests {
         assert_eq!(lut.cols, vec!["e0", "e1"]);
         assert_eq!(lut.rows(), 4002);
         assert_eq!(print_module(&m), src);
+    }
+
+    #[test]
+    fn header_parse_stops_at_the_body() {
+        let src = "module @m attributes {layout = \"aos\", vector_width = 8} {\n  ^ not IR\n";
+        let header = parse_module_header(src).unwrap();
+        assert_eq!(header.name(), "m");
+        assert_eq!(header.attrs.str_of("layout"), Some("aos"));
+        assert_eq!(header.attrs.i64_of("vector_width"), Some(8));
+        let err = parse_module(src).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("unexpected character"), "{err}");
+    }
+
+    #[test]
+    fn header_without_an_opening_brace_is_an_error() {
+        for src in [
+            "module @m attributes {vector_width = 8}",
+            "module @m attributes {vector_width = 8}\n",
+            "module @m",
+            "module @m attributes {vector_width = 8} func.func",
+        ] {
+            let err = parse_module_header(src).unwrap_err();
+            assert!(
+                err.message.contains("opening the module body"),
+                "{src:?}: {err}"
+            );
+        }
+        for src in ["module @m attributes {vector_width 8} {", "module m {", ""] {
+            assert!(parse_module_header(src).is_err(), "{src:?}");
+        }
     }
 
     #[test]
