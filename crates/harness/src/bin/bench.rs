@@ -6,12 +6,7 @@
 //! bench <model> [--duration MS] [--dt MS] [--cells N]
 //!       [--config baseline|sse|avx2|avx512|icc|aos|nolut|spline]
 //!       [--bcl MS] [--list] [--emit-ir] [--emit-c] [--validate]
-//!       [--no-bytecode-opt]
 //! ```
-//!
-//! `--no-bytecode-opt` disables the VM's post-compile bytecode optimizer
-//! (copy coalescing, superinstruction fusion, register compaction) — the
-//! ablation switch for measuring the optimizer's dispatch-overhead win.
 
 use limpet_codegen::pipeline::VectorIsa;
 use limpet_harness::{KernelCache, PipelineKind, Simulation, Stimulus, Workload};
@@ -21,7 +16,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench <model|--model-file F> [--duration MS] [--dt MS] [--cells N] [--threads T]\n\
          \x20             [--config baseline|sse|avx2|avx512|icc|aos|nolut|spline]\n\
-         \x20             [--bcl MS] [--emit-ir] [--emit-c] [--validate] [--no-bytecode-opt]\n\
+         \x20             [--bcl MS] [--emit-ir] [--emit-c] [--validate]\n\
          \x20      bench --list"
     );
     std::process::exit(2);
@@ -111,7 +106,6 @@ fn main() {
             "--emit-ir" => emit_ir = true,
             "--emit-c" => emit_c = true,
             "--validate" => validate = true,
-            "--no-bytecode-opt" => limpet_vm::set_bytecode_opt(false),
             "--config" => {
                 config = match it.next().map(String::as_str) {
                     Some("baseline") => PipelineKind::Baseline,

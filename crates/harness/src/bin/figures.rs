@@ -5,8 +5,7 @@
 //!         [--ablations] [--icc] [--roofline] [--stats] [--digest] [--all]
 //!         [--real-threads] [--max-threads N] [--validate-tm]
 //!         [--cells N] [--steps N] [--repeats N] [--models a,b,c]
-//!         [--jobs N] [--no-cache] [--no-bytecode-opt]
-//!         [--native] [--no-native] [--native-threshold N] [--native-bench]
+//!         [--jobs N] [--no-cache] [--native] [--native-bench]
 //!         [--cache-dir PATH] [--no-disk-cache] [--cache clear|stat]
 //!         [--json] [--cache-cap-mb N] [--checkpoint PATH]
 //!         [--inject fault@seed[,fault@seed...]]
@@ -33,8 +32,9 @@
 //! `--no-cache` disables the cache entirely — every simulation compiles
 //! from scratch, as the harness did before the compilation service
 //! existed — which is useful for validating that cached runs produce
-//! identical results. `--no-bytecode-opt` disables the VM's post-compile
-//! bytecode optimizer, the ablation switch for its dispatch-overhead win.
+//! identical results. `--native` promotes every eligible (width-1 AoS)
+//! simulation to native code when it is built (DESIGN.md §13);
+//! `--native-bench` times that tier against bytecode per model.
 //! `--inject` arms the deterministic fault-injection framework (see
 //! `limpet_harness::faults`) — e.g. `--inject verify-fail@42` — which is
 //! also reachable through the `LIMPET_INJECT` environment variable (the
@@ -179,15 +179,7 @@ fn parse_args() -> Args {
             "--no-cache" => args.no_cache = true,
             "--no-disk-cache" => args.no_disk_cache = true,
             "--digest" => args.digest = true,
-            "--native" => limpet_harness::set_promotion(true),
-            "--no-native" => limpet_harness::set_promotion(false),
-            "--native-threshold" => {
-                limpet_harness::set_promotion_threshold(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--native-threshold needs a number >= 1"),
-                );
-            }
+            "--native" => KernelCache::global().set_native_promotion(true),
             "--native-bench" => args.native_bench = true,
             "--json" => args.json = true,
             "--validate-tm" => args.validate_tm = true,
@@ -223,14 +215,12 @@ fn parse_args() -> Args {
                     Some(PathBuf::from(it.next().expect("--checkpoint needs a path")));
             }
             "--inject" => args.inject = Some(it.next().unwrap_or_default()),
-            "--no-bytecode-opt" => limpet_vm::set_bytecode_opt(false),
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--fig2|--fig3|--fig4|--fig5|--layout|--lut|--ablations|--icc|--roofline|--stats|--digest|--all]\n\
                      \x20              [--real-threads] [--max-threads N] [--validate-tm]\n\
                      \x20              [--cells N] [--steps N] [--repeats N] [--models a,b,c]\n\
-                     \x20              [--jobs N] [--no-cache] [--no-bytecode-opt]\n\
-                     \x20              [--native] [--no-native] [--native-threshold N] [--native-bench]\n\
+                     \x20              [--jobs N] [--no-cache] [--native] [--native-bench]\n\
                      \x20              [--cache-dir PATH] [--no-disk-cache] [--cache clear|stat]\n\
                      \x20              [--json] [--cache-cap-mb N] [--checkpoint PATH]\n\
                      \x20              [--inject fault@seed[,fault@seed...]]"
@@ -293,9 +283,6 @@ fn region_label(timing: &ThreadTiming) -> String {
 }
 
 fn main() {
-    // LIMPET_NATIVE / LIMPET_NATIVE_THRESHOLD seed the native-promotion
-    // config; --native / --no-native / --native-threshold override.
-    limpet_harness::promotion_from_env();
     // Ctrl-C / SIGTERM stop long sweeps at a row boundary: journals are
     // kept for resume and the disk-cache lock is never left stale.
     limpet_harness::shutdown::install();

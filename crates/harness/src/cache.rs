@@ -8,14 +8,19 @@
 //! clones, which are a few refcount bumps since the kernel's program and
 //! LUTs sit behind `Arc` (see `limpet_vm::Kernel`).
 //!
-//! Keys are `(model fingerprint, PipelineKind, bytecode-opt toggle)`.
+//! Keys are `(model fingerprint, PipelineKind, bytecode-opt setting)`.
 //! The fingerprint hashes the model's full checked structure (name,
 //! states, parameters, statements), so two models that happen to share a
 //! name but differ in content — e.g. synthetic specs with different
-//! knobs — occupy distinct entries. The bytecode-optimizer toggle is
-//! part of the key because `--no-bytecode-opt` changes the compiled
-//! program: an ablation run must not be served a cached optimized
-//! kernel (or vice versa).
+//! knobs — occupy distinct entries. Every public lookup runs the bytecode
+//! optimizer; the setting is in the key because an entry compiled
+//! without it (`KernelCache::lookup(.., false)`, what tests of the
+//! unoptimized program use) holds a different program.
+//!
+//! The cache also owns the native tier's policy: with
+//! [`KernelCache::set_native_promotion`] on, a simulation built through
+//! it promotes its kernel to native code once, at construction
+//! ([`crate::native`]).
 //!
 //! An entry holds one program, the one its lookups run. The unoptimized
 //! sibling that opt-on/off measurements compare against is compiled only
@@ -91,12 +96,12 @@ impl CompiledKernel {
         model: &Model,
         config: PipelineKind,
     ) -> Result<CompiledKernel, CompileError> {
-        CompiledKernel::try_compile_opt(model, config, limpet_vm::bytecode_opt_enabled())
+        CompiledKernel::try_compile_opt(model, config, true)
     }
 
     /// [`CompiledKernel::try_compile`] with the bytecode optimizer's
     /// setting passed in, so a cache lookup compiles under the same value
-    /// it keyed the entry with (the process-wide toggle is read once).
+    /// it keyed the entry with.
     fn try_compile_opt(
         model: &Model,
         config: PipelineKind,
@@ -327,15 +332,14 @@ pub struct CacheStats {
     /// Times the map lock was found poisoned and recovered.
     pub poison_recoveries: u64,
     /// Full-population steps executed through the resident entries'
-    /// kernels, summed — the signal the native tier's promotion threshold
-    /// watches.
+    /// kernels, summed.
     pub executed_steps: u64,
     /// Native kernels compiled and validated by this process.
     pub native_compiles: u64,
     /// Native kernels reloaded from the persisted `.so` container (no
     /// compiler ran).
     pub native_disk_hits: u64,
-    /// Native slots currently ready to hot-swap.
+    /// Native slots currently ready to run.
     pub native_ready: usize,
     /// Native slots quarantined (compile, load, or probation failure).
     pub native_quarantined: usize,
@@ -423,7 +427,7 @@ pub struct ResilientKernel {
 }
 
 /// A thread-safe map from `(model fingerprint, PipelineKind,
-/// bytecode-opt toggle)` to compiled kernels.
+/// bytecode-opt setting)` to compiled kernels.
 ///
 /// Compilation happens outside the map lock, so concurrent misses on
 /// *different* keys compile in parallel; concurrent misses on the *same*
@@ -450,9 +454,12 @@ pub struct KernelCache {
     /// When set, every lookup compiles fresh and nothing is stored
     /// (`figures --no-cache`, A/B validation).
     bypass: std::sync::atomic::AtomicBool,
-    /// The native-tier slot registry: background C compilations keyed by
+    /// The native-tier slot registry: C compilations keyed by
     /// emitted-source fingerprint (see [`crate::native`]).
-    native: Arc<crate::native::NativeRegistry>,
+    native: crate::native::NativeRegistry,
+    /// Whether simulations built through this cache promote their kernel
+    /// to the native tier at construction (off by default).
+    native_promotion: std::sync::atomic::AtomicBool,
 }
 
 impl KernelCache {
@@ -488,11 +495,25 @@ impl KernelCache {
     }
 
     /// The native-tier slot registry owned by this cache. Simulations
-    /// route promotion requests here so background compilations are
-    /// shared across runs and their counters/incidents surface in
-    /// [`KernelCache::stats`] / [`KernelCache::incidents`].
-    pub fn native_registry(&self) -> &Arc<crate::native::NativeRegistry> {
+    /// route promotions here so compilations are shared across runs and
+    /// their counters/incidents surface in [`KernelCache::stats`] /
+    /// [`KernelCache::incidents`].
+    pub fn native_registry(&self) -> &crate::native::NativeRegistry {
         &self.native
+    }
+
+    /// Turns native promotion on or off for simulations built through
+    /// this cache ([`crate::Simulation::new`] and
+    /// [`crate::Simulation::new_resilient`] promote an eligible kernel once,
+    /// at construction). Off by default: promotion costs a compiler
+    /// subprocess, which short-lived tool invocations should opt into.
+    pub fn set_native_promotion(&self, enabled: bool) {
+        self.native_promotion.store(enabled, Ordering::Relaxed);
+    }
+
+    /// Whether simulations built through this cache promote to native.
+    pub fn native_promotion(&self) -> bool {
+        self.native_promotion.load(Ordering::Relaxed)
     }
 
     /// Locks the entry map, recovering (and recording) a poisoned lock.
@@ -587,7 +608,7 @@ impl KernelCache {
         model: &Model,
         config: PipelineKind,
     ) -> Result<Arc<CompiledKernel>, Arc<QuarantineEntry>> {
-        self.lookup(model, config, limpet_vm::bytecode_opt_enabled())
+        self.lookup(model, config, true)
     }
 
     /// [`KernelCache::try_get_or_compile`] for an explicit bytecode-opt
@@ -913,8 +934,6 @@ mod tests {
 
     #[test]
     fn bytecode_opt_toggle_is_part_of_the_key() {
-        // Through `lookup`, not `set_bytecode_opt`: the toggle is
-        // process-wide and the other tests here build keys from it.
         let cache = KernelCache::new();
         let m = model("Plonsey");
         let optimized = cache.lookup(&m, PipelineKind::Baseline, true).unwrap();

@@ -4,8 +4,8 @@
 //! A [`Snapshot`] carries the full logical state vectors (the exact bits
 //! [`crate::Simulation::state_bits`] reports), the sim clock and step
 //! counters, the seeded-fault "RNG state" (`nan_plan`), the [`Tier`] the
-//! run was executing at, and the per-kernel executed-step counter that
-//! feeds native promotion. Padding lanes are deliberately *not*
+//! run was executing at, and the per-kernel executed-step counter.
+//! Padding lanes are deliberately *not*
 //! captured: element-wise SIMD never lets a padded lane feed a logical
 //! one, so restoring logical cells into a freshly initialised simulation
 //! — at any width, layout, or shard count — reproduces the identical
@@ -90,8 +90,8 @@ pub struct Snapshot {
     pub steps_done: u64,
     /// Tier label (`Tier::as_str`) the run was executing at.
     pub tier: String,
-    /// The kernel's executed-step counter (feeds native promotion), so a
-    /// resumed process re-earns its tier instead of starting cold.
+    /// The kernel's executed-step counter, so a resumed process's
+    /// `CacheStats::executed_steps` continues from the crashed one's.
     pub executed_steps: u64,
     /// Pending seeded-fault plan `(fire_at_step, seed)` — the only RNG
     /// state a run carries. `None` once fired or never armed.

@@ -1587,7 +1587,10 @@ pub fn native_tier_bench(opts: &ExperimentOptions) -> NativeBench {
     let mut rows = Vec::new();
     for e in opts.roster() {
         let m = model(e.name);
-        let mut bytecode = Simulation::new(&m, PipelineKind::Baseline, &wl);
+        let entry = cache.get_or_compile(&m, PipelineKind::Baseline);
+        // `with_kernel` never promotes, so this twin stays on bytecode
+        // even under `--native`.
+        let mut bytecode = Simulation::with_kernel(entry.kernel().clone(), entry.layout(), &wl);
         let mut native = Simulation::new(&m, PipelineKind::Baseline, &wl);
         let note = match native.promote_native_blocking(cache) {
             Ok(()) => String::new(),

@@ -12,8 +12,7 @@
 //! A plan belongs to the run that armed it: [`arm`] makes it the calling
 //! thread's plan until the returned [`PlanGuard`] drops, and the threads
 //! the harness spawns for that run (the precompile pool, the fig2 `--jobs`
-//! pool, the background `cc` build, the shard workers) enter the spawning
-//! thread's plan (`Plan::current`, `Plan::enter`). The `figures`
+//! pool, the shard workers) enter the spawning thread's plan (`Plan::current`, `Plan::enter`). The `figures`
 //! process arms one plan in `main` (`--inject` or `LIMPET_INJECT`), a
 //! daemon job arms its own `inject` field, a test arms its own — none of
 //! them sees another's. The spec grammar is a comma-separated list of

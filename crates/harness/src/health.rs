@@ -10,7 +10,7 @@
 //!
 //! The execution [`Tier`] ladder is `Native → Optimized → Reference`:
 //! dlopen'd machine code compiled from the kernel's own bytecode at the top
-//! (entered only by *promotion*, never at startup cold), the configured
+//! (entered only by *promotion*, never by a descent), the configured
 //! pipeline's bytecode below it, and the scalar reference pipeline
 //! ([`crate::PipelineKind::Baseline`]) at the bottom, for when the
 //! configured pipeline fails to compile or its step goes non-finite.
@@ -107,7 +107,7 @@ pub enum IncidentKind {
     /// A native kernel's probation run diverged bitwise from the bytecode
     /// tier; the native slot was quarantined and never persisted.
     NativeDivergent,
-    /// A kernel was promoted to the native tier (hot-swap or warm load).
+    /// A kernel was promoted to the native tier (compiled or warm-loaded).
     NativePromoted,
     /// A job's wall-clock budget expired (or it was explicitly
     /// cancelled): the run stopped cooperatively at a step boundary, so

@@ -47,8 +47,7 @@ pub use experiments::{
 pub use faults::FaultKind;
 pub use health::{incidents_json, summarize_incidents, HealthPolicy, Incident, IncidentKind, Tier};
 pub use native::{
-    native_eligible, promotion_enabled, promotion_from_env, promotion_threshold, set_promotion,
-    set_promotion_threshold, toolchain_available, NativeKernel, NativeRegistry, NativeSlot,
+    native_eligible, set_promotion, toolchain_available, NativeKernel, NativeRegistry, NativeSlot,
     NativeStats, CC_TIMEOUT_MARKER, DEFAULT_CC_TIMEOUT,
 };
 pub use persist::{

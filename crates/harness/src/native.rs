@@ -1,14 +1,16 @@
-//! The native execution tier: background C compilation, `dlopen`
-//! loading, probation, and hot-swap plumbing for [`crate::Tier::Native`].
+//! The native execution tier: C compilation, `dlopen` loading,
+//! probation, and the slot registry behind [`crate::Tier::Native`].
 //!
-//! A long-lived width-1 simulation spends its life in the bytecode
-//! interpreter. Once its kernel's executed-step counter crosses the
-//! promotion threshold, this module turns the *exact bytecode program*
-//! into serial C ([`limpet_codegen::emit_c_native`]), compiles it with
-//! the system toolchain (`cc -O2 -fPIC -shared -ffp-contract=off`) on a
-//! background thread, `dlopen`s the shared object, and — only after the
-//! candidate passes a bit-identity probation run against the interpreter
-//! — publishes it for the simulation to hot-swap in at a step boundary.
+//! Promotion is one blocking step,
+//! [`crate::Simulation::promote_native_blocking`]: this module turns the
+//! width-1 kernel's *exact bytecode program* into serial C
+//! ([`limpet_codegen::emit_c_native`]), compiles it with the system
+//! toolchain (`cc -O2 -fPIC -shared -ffp-contract=off`), `dlopen`s the
+//! shared object, and — only after the candidate passes a bit-identity
+//! probation run against the interpreter — hands it to the simulation,
+//! which steps through it from then on. A simulation built through a
+//! [`crate::KernelCache`] with [`crate::KernelCache::set_native_promotion`]
+//! on takes that step once, at construction.
 //!
 //! Bit-identity is the contract, not a best effort: the emitted C calls
 //! back into the *same Rust `f64` math* the VM executes (through a
@@ -44,59 +46,19 @@ use limpet_codegen::{
 use limpet_vm::{CellStates, ExtArrays, Kernel, LutData, SimContext, StateLayout};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
-
-/// Default executed-step count at which a kernel is offered for native
-/// promotion. Low enough that any real run promotes early, high enough
-/// that short-lived probes (tests, `--digest` spot checks) never pay a
-/// compiler invocation.
-pub const DEFAULT_PROMOTION_THRESHOLD: u64 = 200;
 
 /// Cells in the probation differential.
 const PROBATION_CELLS: usize = 5;
 /// Steps in the probation differential.
 const PROBATION_STEPS: usize = 8;
 
-static PROMOTION_ENABLED: AtomicBool = AtomicBool::new(false);
-static PROMOTION_THRESHOLD: AtomicU64 = AtomicU64::new(DEFAULT_PROMOTION_THRESHOLD);
-
-/// Turns automatic native-tier promotion on or off process-wide
-/// (`figures --native` / `--no-native`). Off by default: promotion costs
-/// a compiler subprocess, which short-lived tool invocations should opt
-/// into, not discover.
+/// [`crate::KernelCache::set_native_promotion`] on the process-wide
+/// cache, which [`crate::Simulation::new`] builds through.
 pub fn set_promotion(enabled: bool) {
-    PROMOTION_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether automatic promotion is enabled.
-pub fn promotion_enabled() -> bool {
-    PROMOTION_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Overrides the promotion threshold (executed steps).
-pub fn set_promotion_threshold(steps: u64) {
-    PROMOTION_THRESHOLD.store(steps.max(1), Ordering::Relaxed);
-}
-
-/// The current promotion threshold (executed steps).
-pub fn promotion_threshold() -> u64 {
-    PROMOTION_THRESHOLD.load(Ordering::Relaxed)
-}
-
-/// Arms promotion from the environment: `LIMPET_NATIVE=1` enables it,
-/// `LIMPET_NATIVE_THRESHOLD=<steps>` overrides the threshold. Used by
-/// the service daemon, where there is no per-run flag.
-pub fn promotion_from_env() {
-    if let Ok(v) = std::env::var("LIMPET_NATIVE") {
-        set_promotion(v == "1" || v.eq_ignore_ascii_case("true"));
-    }
-    if let Ok(v) = std::env::var("LIMPET_NATIVE_THRESHOLD") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            set_promotion_threshold(n);
-        }
-    }
+    crate::KernelCache::global().set_native_promotion(enabled);
 }
 
 /// Wall-clock budget for one compiler invocation. A healthy `cc -O2` over
@@ -403,11 +365,9 @@ impl Drop for TempFile {
 }
 
 fn temp_path(ext: &str, fingerprint: u64) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "limpet-native-{fingerprint:016x}-{}-{}.{ext}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
+        "limpet-native-{fingerprint:016x}-{}.{ext}",
+        crate::store::unique_suffix()
     ))
 }
 
@@ -585,15 +545,13 @@ pub fn probation(native: &NativeKernel, kernel: &Kernel) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// The slot registry (background compilation + publication)
+// The slot registry (one build per emitted program)
 // ---------------------------------------------------------------------
 
-/// The state of one native compilation slot.
+/// The outcome of one native compilation slot.
 #[derive(Debug, Clone)]
 pub enum NativeSlot {
-    /// A build is in flight on a background thread.
-    Pending,
-    /// Probation passed; ready to hot-swap.
+    /// Probation passed; ready to run.
     Ready(Arc<NativeKernel>),
     /// The build or probation failed; bytecode stays authoritative. The
     /// failure is sticky for the process so a broken toolchain costs one
@@ -601,7 +559,7 @@ pub enum NativeSlot {
     Quarantined(Arc<str>),
 }
 
-/// Everything a background build needs, captured by value.
+/// Everything a build needs, captured by value.
 #[derive(Debug)]
 pub struct NativeRequest {
     /// Fingerprint of the emitted C ([`native_fingerprint`]).
@@ -634,17 +592,15 @@ pub struct NativeStats {
     pub cc_timeouts: u64,
 }
 
-/// The process-wide ledger of native compilations: one slot per emitted
-/// C fingerprint, built on background threads, published atomically.
+/// The ledger of native compilations: one slot per emitted C
+/// fingerprint, built once by the first caller that asks for it.
 /// Owned by [`crate::KernelCache`] so stats and incidents surface
 /// through the same channels as the bytecode tiers.
 #[derive(Debug, Default)]
 pub struct NativeRegistry {
-    slots: Mutex<HashMap<u64, NativeSlot>>,
-    /// Model name → fingerprint of the most recent build request for
-    /// that model, so an external watchdog (which knows only which
-    /// *job* wedged) can quarantine the right slot without re-emitting C.
-    by_model: Mutex<HashMap<String, u64>>,
+    /// One cell per fingerprint: the first caller builds it, and a
+    /// concurrent caller of the same fingerprint waits for that build.
+    slots: Mutex<HashMap<u64, Arc<OnceLock<NativeSlot>>>>,
     compiles: AtomicU64,
     disk_hits: AtomicU64,
     disk_writes: AtomicU64,
@@ -658,12 +614,6 @@ impl NativeRegistry {
         NativeRegistry::default()
     }
 
-    /// The current state of the slot for `fingerprint`, if any build was
-    /// ever requested.
-    pub fn poll(&self, fingerprint: u64) -> Option<NativeSlot> {
-        self.lock_slots().get(&fingerprint).cloned()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> NativeStats {
         let (ready, quarantined) = {
@@ -671,11 +621,11 @@ impl NativeRegistry {
             (
                 slots
                     .values()
-                    .filter(|s| matches!(s, NativeSlot::Ready(_)))
+                    .filter(|s| matches!(s.get(), Some(NativeSlot::Ready(_))))
                     .count(),
                 slots
                     .values()
-                    .filter(|s| matches!(s, NativeSlot::Quarantined(_)))
+                    .filter(|s| matches!(s.get(), Some(NativeSlot::Quarantined(_))))
                     .count(),
             )
         };
@@ -706,40 +656,8 @@ impl NativeRegistry {
             .clear();
     }
 
-    fn lock_slots(&self) -> std::sync::MutexGuard<'_, HashMap<u64, NativeSlot>> {
+    fn lock_slots(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<OnceLock<NativeSlot>>>> {
         self.slots.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn remember_model(&self, model: &str, fingerprint: u64) {
-        self.by_model
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(model.to_string(), fingerprint);
-    }
-
-    /// Quarantines the native slot most recently requested for `model`,
-    /// on behalf of an external watchdog that caught the slot's code
-    /// wedging a worker. The bytecode `(model, config)` cache entry is
-    /// deliberately untouched: the interpreter is still trusted, so
-    /// subsequent jobs rerun on bytecode bit-identically instead of
-    /// falling all the way back to the Baseline pipeline. Returns false
-    /// when no build was ever requested for `model`.
-    pub fn quarantine_for_model(&self, model: &str, reason: &str) -> bool {
-        let fp = {
-            let by_model = self.by_model.lock().unwrap_or_else(|p| p.into_inner());
-            match by_model.get(model) {
-                Some(&fp) => fp,
-                None => return false,
-            }
-        };
-        self.lock_slots()
-            .insert(fp, NativeSlot::Quarantined(Arc::from(reason)));
-        self.log(Incident::new(
-            IncidentKind::DeadlineExceeded,
-            model,
-            format!("watchdog quarantined native kernel {fp:016x}: {reason}"),
-        ));
-        true
     }
 
     fn log(&self, incident: Incident) {
@@ -749,58 +667,16 @@ impl NativeRegistry {
             .push(incident);
     }
 
-    /// Begins a background build for the request's fingerprint if no
-    /// slot exists yet. Returns immediately; the simulation keeps
-    /// stepping bytecode and polls for the published slot.
-    pub fn request(self: &Arc<Self>, req: NativeRequest) {
-        self.remember_model(&req.model, req.fingerprint);
-        {
-            let mut slots = self.lock_slots();
-            if slots.contains_key(&req.fingerprint) {
-                return;
-            }
-            slots.insert(req.fingerprint, NativeSlot::Pending);
-        }
-        let fingerprint = req.fingerprint;
-        let registry = Arc::clone(self);
-        let plan = faults::Plan::current();
-        let spawned = std::thread::Builder::new()
-            .name(format!("native-cc-{:08x}", fingerprint as u32))
-            .spawn(move || {
-                let _plan = plan.enter();
-                let slot = registry.build_contained(&req);
-                registry.lock_slots().insert(req.fingerprint, slot);
-            });
-        // Thread exhaustion degrades like any other build failure.
-        if let Err(e) = spawned {
-            self.lock_slots().insert(
-                fingerprint,
-                NativeSlot::Quarantined(Arc::from(format!("cannot spawn builder: {e}"))),
-            );
-        }
-    }
-
-    /// Synchronous [`NativeRegistry::request`]: builds (or reuses) the
-    /// slot on the calling thread and returns its final state. Benches
-    /// and tests use this to reach the native tier deterministically.
-    pub fn request_blocking(self: &Arc<Self>, req: NativeRequest) -> NativeSlot {
-        self.remember_model(&req.model, req.fingerprint);
-        {
-            let mut slots = self.lock_slots();
-            match slots.get(&req.fingerprint) {
-                None | Some(NativeSlot::Pending) => {
-                    slots.insert(req.fingerprint, NativeSlot::Pending);
-                }
-                Some(done) => return done.clone(),
-            }
-        }
-        let slot = self.build_contained(&req);
-        self.lock_slots().insert(req.fingerprint, slot.clone());
-        slot
+    /// Builds the slot for the request's fingerprint on the calling
+    /// thread, or returns the one an earlier request built (waiting for
+    /// it when that build is still running on another thread).
+    pub fn request_blocking(&self, req: NativeRequest) -> NativeSlot {
+        let cell = Arc::clone(self.lock_slots().entry(req.fingerprint).or_default());
+        cell.get_or_init(|| self.build_contained(&req)).clone()
     }
 
     /// Runs a build with panic containment: a panicking builder
-    /// quarantines its slot instead of leaving it `Pending` forever.
+    /// quarantines its slot instead of unwinding into the simulation.
     fn build_contained(&self, req: &NativeRequest) -> NativeSlot {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.build(req))).unwrap_or_else(
             |payload| {
@@ -937,12 +813,11 @@ impl NativeRegistry {
     }
 }
 
-/// Persists nothing, compiles nothing: a one-call helper that emits,
-/// builds, and validates a native kernel for `kernel` through
-/// `registry`, returning the final slot. The blocking entry used by
-/// benches, tests, and `Simulation::promote_native_blocking`.
+/// Emits, builds, and validates a native kernel for `kernel` through
+/// `registry`, returning the final slot — the build behind
+/// `Simulation::promote_native_blocking`.
 pub fn build_blocking(
-    registry: &Arc<NativeRegistry>,
+    registry: &NativeRegistry,
     kernel: &Kernel,
     model: &str,
     disk: Option<Arc<crate::persist::DiskCache>>,
@@ -992,7 +867,7 @@ mod tests {
             return;
         }
         let k = scalar_kernel("HodgkinHuxley");
-        let registry = Arc::new(NativeRegistry::new());
+        let registry = NativeRegistry::new();
         let slot = build_blocking(&registry, &k, "HodgkinHuxley", None).unwrap();
         let NativeSlot::Ready(native) = slot else {
             panic!("expected ready slot, got {slot:?}");
@@ -1029,7 +904,7 @@ mod tests {
     fn injected_cc_failure_quarantines_with_incident() {
         let _plan = faults::arm("cc-fail@1").unwrap();
         let k = scalar_kernel("Plonsey");
-        let registry = Arc::new(NativeRegistry::new());
+        let registry = NativeRegistry::new();
         let slot = build_blocking(&registry, &k, "Plonsey", None).unwrap();
         assert!(matches!(slot, NativeSlot::Quarantined(_)), "{slot:?}");
         assert!(registry
@@ -1043,7 +918,7 @@ mod tests {
         // The payload is the hung compile's budget in milliseconds.
         let _plan = faults::arm("compile-hang@200").unwrap();
         let k = scalar_kernel("Plonsey");
-        let registry = Arc::new(NativeRegistry::new());
+        let registry = NativeRegistry::new();
         let started = std::time::Instant::now();
         let slot = build_blocking(&registry, &k, "Plonsey", None).unwrap();
         assert!(
@@ -1080,36 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_quarantine_by_model_lands_on_the_requested_slot() {
-        // cc-fail keeps the build away from the real toolchain; the
-        // watchdog quarantine below overwrites the slot either way.
-        let _plan = faults::arm("cc-fail@1").unwrap();
-        let k = scalar_kernel("MitchellSchaeffer");
-        let registry = Arc::new(NativeRegistry::new());
-        assert!(
-            !registry.quarantine_for_model("MitchellSchaeffer", "stuck worker"),
-            "unknown model must report false"
-        );
-        let (fp, source) = emit_for_kernel(&k).unwrap();
-        registry.request_blocking(NativeRequest {
-            fingerprint: fp,
-            source,
-            model: "MitchellSchaeffer".to_string(),
-            kernel: k,
-            disk: None,
-        });
-        assert!(registry.quarantine_for_model("MitchellSchaeffer", "stuck worker"));
-        assert!(matches!(
-            registry.poll(fp),
-            Some(NativeSlot::Quarantined(reason)) if reason.as_ref() == "stuck worker"
-        ));
-        assert!(registry
-            .incidents()
-            .iter()
-            .any(|i| i.kind == IncidentKind::DeadlineExceeded));
-    }
-
-    #[test]
     fn injected_dlopen_failure_quarantines_with_incident() {
         if !toolchain_available() {
             eprintln!("skipping: no C toolchain in this environment");
@@ -1117,7 +962,7 @@ mod tests {
         }
         let _plan = faults::arm("dlopen-fail@1").unwrap();
         let k = scalar_kernel("Plonsey");
-        let registry = Arc::new(NativeRegistry::new());
+        let registry = NativeRegistry::new();
         let slot = build_blocking(&registry, &k, "Plonsey", None).unwrap();
         assert!(matches!(slot, NativeSlot::Quarantined(_)), "{slot:?}");
         assert!(registry
@@ -1137,7 +982,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let disk = Arc::new(crate::persist::DiskCache::open(&dir).unwrap());
         let k = scalar_kernel("Plonsey");
-        let registry = Arc::new(NativeRegistry::new());
+        let registry = NativeRegistry::new();
         let slot = build_blocking(&registry, &k, "Plonsey", Some(Arc::clone(&disk))).unwrap();
         assert!(matches!(slot, NativeSlot::Quarantined(_)), "{slot:?}");
         assert!(registry
@@ -1160,13 +1005,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let disk = Arc::new(crate::persist::DiskCache::open(&dir).unwrap());
         let k = scalar_kernel("MitchellSchaeffer");
-        let cold = Arc::new(NativeRegistry::new());
+        let cold = NativeRegistry::new();
         let slot = build_blocking(&cold, &k, "MitchellSchaeffer", Some(Arc::clone(&disk))).unwrap();
         assert!(matches!(slot, NativeSlot::Ready(_)));
         assert_eq!(cold.stats().compiles, 1);
         assert_eq!(cold.stats().disk_writes, 1);
         // A second registry models a warm process: no compiler run.
-        let warm = Arc::new(NativeRegistry::new());
+        let warm = NativeRegistry::new();
         let slot = build_blocking(&warm, &k, "MitchellSchaeffer", Some(Arc::clone(&disk))).unwrap();
         let NativeSlot::Ready(native) = slot else {
             panic!("warm reload failed");
@@ -1187,7 +1032,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let disk = Arc::new(crate::persist::DiskCache::open(&dir).unwrap());
         let k = scalar_kernel("Plonsey");
-        let cold = Arc::new(NativeRegistry::new());
+        let cold = NativeRegistry::new();
         build_blocking(&cold, &k, "Plonsey", Some(Arc::clone(&disk))).unwrap();
         let (fp, _) = emit_for_kernel(&k).unwrap();
         // Flip a payload byte on disk.
@@ -1197,7 +1042,7 @@ mod tests {
         bytes[at] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         // The warm process rejects the container, recompiles, re-stores.
-        let warm = Arc::new(NativeRegistry::new());
+        let warm = NativeRegistry::new();
         let slot = build_blocking(&warm, &k, "Plonsey", Some(Arc::clone(&disk))).unwrap();
         assert!(matches!(slot, NativeSlot::Ready(_)));
         assert_eq!(warm.stats().compiles, 1, "corrupt container must recompile");

@@ -208,24 +208,6 @@ struct GuardState {
     nan_plan: Option<(usize, u64)>,
 }
 
-/// Native-promotion bookkeeping, armed on eligible simulations: watches
-/// the kernel's executed-step counter, files one background build
-/// request past the threshold, and polls for the published slot.
-#[derive(Debug)]
-struct NativeCtl {
-    /// Fingerprint of the emitted C (the registry/persistence key).
-    fingerprint: u64,
-    /// The emitted C source, handed to the registry with the request.
-    source: String,
-    /// Executed-step count that triggers the build request.
-    threshold: u64,
-    /// Steps taken since arming (the counter-check is amortized: the
-    /// registry is only consulted every 16th step).
-    ticks: u64,
-    /// Whether the build request has been filed.
-    requested: bool,
-}
-
 /// Guarded steps between two rollback points (see
 /// [`Simulation::run_guarded`]): one copy of the state per window instead
 /// of one per step, for a replay of at most `ROLLBACK_WINDOW - 1` steps
@@ -253,12 +235,10 @@ pub struct Simulation {
     tissue: Option<Monodomain>,
     /// Health-guard state; present only on guarded simulations.
     guard: Option<Box<GuardState>>,
-    /// Hot-swapped native kernel; present only after promotion to
+    /// The native kernel; present only after promotion to
     /// [`crate::Tier::Native`]. The bytecode kernel stays authoritative
     /// (emission source, fallback target); native runs beside it.
     native: Option<std::sync::Arc<crate::native::NativeKernel>>,
-    /// Native-promotion bookkeeping; present while promotion is armed.
-    native_ctl: Option<Box<NativeCtl>>,
     /// Cooperative cancellation/deadline token, polled by
     /// [`Simulation::step_guarded`] *before* each step so cancellation
     /// always lands at a step boundary (no torn mid-step state).
@@ -269,15 +249,20 @@ impl Simulation {
     /// Builds a simulation for `model` under `config`, compiling through
     /// the process-wide [`crate::KernelCache`]: the first call for a
     /// `(model, config)` pair compiles, every later call reuses that
-    /// compilation and only allocates fresh cell storage.
+    /// compilation and only allocates fresh cell storage. With the
+    /// cache's native promotion on, an eligible kernel is promoted here
+    /// ([`Simulation::promote_native_blocking`]).
     ///
     /// # Panics
     ///
     /// Panics when the module fails bytecode compilation (roster models
     /// are tested not to).
     pub fn new(model: &Model, config: PipelineKind, workload: &Workload) -> Simulation {
-        let entry = crate::KernelCache::global().get_or_compile(model, config);
-        Simulation::with_kernel(entry.kernel().clone(), entry.layout(), workload)
+        let cache = crate::KernelCache::global();
+        let entry = cache.get_or_compile(model, config);
+        let mut sim = Simulation::with_kernel(entry.kernel().clone(), entry.layout(), workload);
+        sim.promote_if_enabled(cache);
+        sim
     }
 
     /// Builds a simulation with a fresh compilation, bypassing every
@@ -299,13 +284,14 @@ impl Simulation {
     /// Builds a simulation from an already-compiled kernel (e.g. a
     /// [`crate::KernelCache`] entry), allocating storage for the
     /// workload. The kernel clone is cheap: compiled programs and LUTs
-    /// are shared behind `Arc`.
+    /// are shared behind `Arc`. It runs on bytecode: no cache is involved,
+    /// so nothing promotes it.
     pub fn with_kernel(kernel: Kernel, layout: StateLayout, workload: &Workload) -> Simulation {
         let state = kernel.new_states(workload.n_cells, layout);
         let ext = kernel.new_ext(workload.n_cells);
         let vm_index = kernel.info().ext_names.iter().position(|n| n == "Vm");
         let iion_index = kernel.info().ext_names.iter().position(|n| n == "Iion");
-        let mut sim = Simulation {
+        Simulation {
             kernel,
             state,
             ext,
@@ -317,13 +303,8 @@ impl Simulation {
             tissue: None,
             guard: None,
             native: None,
-            native_ctl: None,
             cancel: None,
-        };
-        if crate::native::promotion_enabled() {
-            sim.arm_native(crate::native::promotion_threshold());
         }
-        sim
     }
 
     /// Builds a *guarded* simulation: compiles through the cache's
@@ -343,7 +324,8 @@ impl Simulation {
         workload: &Workload,
         policy: crate::HealthPolicy,
     ) -> Result<Simulation, std::sync::Arc<crate::QuarantineEntry>> {
-        let rk = crate::KernelCache::global().get_or_compile_resilient(model, config)?;
+        let cache = crate::KernelCache::global();
+        let rk = cache.get_or_compile_resilient(model, config)?;
         let mut sim =
             Simulation::with_kernel(rk.entry.kernel().clone(), rk.entry.layout(), workload);
         let nan_plan = crate::faults::take(crate::FaultKind::StateNan)
@@ -357,7 +339,21 @@ impl Simulation {
             incidents: rk.incidents,
             nan_plan,
         }));
+        sim.promote_if_enabled(cache);
         Ok(sim)
+    }
+
+    /// The construction-time promotion of [`Simulation::new`] and
+    /// [`Simulation::new_resilient`]: when `cache` has native promotion on,
+    /// an eligible simulation on the optimized tier is promoted. A guarded
+    /// simulation that compiled on the reference tier stays there, so its
+    /// snapshots keep saying which pipeline's bits they hold. A failed
+    /// build leaves the simulation on bytecode, which computes the same
+    /// bits; the registry records why.
+    fn promote_if_enabled(&mut self, cache: &crate::KernelCache) {
+        if cache.native_promotion() && self.tier() == crate::Tier::Optimized {
+            let _ = self.promote_native_blocking(cache);
+        }
     }
 
     /// Replaces the stimulus protocol.
@@ -635,7 +631,7 @@ impl Simulation {
 
     /// Advances one step: compute stage, then membrane/tissue update.
     ///
-    /// When a validated native kernel has been hot-swapped in
+    /// When a validated native kernel has been swapped in
     /// ([`crate::Tier::Native`]), the compute stage runs through it;
     /// the native code is bit-identical to the bytecode tier by
     /// construction (emitted from the same `Program`, probated before
@@ -655,82 +651,13 @@ impl Simulation {
         } else {
             self.kernel
                 .run_step(&mut self.state, &mut self.ext, None, ctx);
-            if self.native_ctl.is_some() {
-                self.maybe_promote_native();
-            }
         }
         self.update_vm();
         self.t += self.dt;
     }
 
-    /// Arms native-tier promotion on this simulation: once the kernel's
-    /// executed-step counter crosses `threshold`, a background build is
-    /// requested through the process-wide [`crate::KernelCache`]'s
-    /// native registry, and the resulting kernel is hot-swapped in at a
-    /// step boundary once it passes probation. Returns whether the
-    /// simulation is eligible (native is width-1 AoS only) and armed.
-    pub fn arm_native(&mut self, threshold: u64) -> bool {
-        if self.native.is_some() || self.native_ctl.is_some() {
-            return true;
-        }
-        if !crate::native::native_eligible(&self.kernel, self.state.layout()) {
-            return false;
-        }
-        let Ok((fingerprint, source)) = crate::native::emit_for_kernel(&self.kernel) else {
-            return false;
-        };
-        self.native_ctl = Some(Box::new(NativeCtl {
-            fingerprint,
-            source,
-            threshold: threshold.max(1),
-            ticks: 0,
-            requested: false,
-        }));
-        true
-    }
-
-    /// The amortized promotion poll: every 16th step, check the
-    /// executed-step counter against the threshold (filing the build
-    /// request on crossing) and then the registry slot (hot-swapping on
-    /// `Ready`, disarming on `Quarantined` — the registry has already
-    /// recorded the incident and the slot stays quarantined for the
-    /// process lifetime, so this simulation simply stays on bytecode).
-    fn maybe_promote_native(&mut self) {
-        let Some(ctl) = self.native_ctl.as_mut() else {
-            return;
-        };
-        ctl.ticks += 1;
-        if ctl.ticks & 0xF != 0 {
-            return;
-        }
-        let cache = crate::KernelCache::global();
-        if !ctl.requested {
-            if self.kernel.executed_steps() < ctl.threshold {
-                return;
-            }
-            let req = crate::native::NativeRequest {
-                fingerprint: ctl.fingerprint,
-                source: std::mem::take(&mut ctl.source),
-                model: self.kernel.name().to_string(),
-                kernel: self.kernel.clone(),
-                disk: cache.disk_cache(),
-            };
-            cache.native_registry().request(req);
-            ctl.requested = true;
-            return;
-        }
-        match cache.native_registry().poll(ctl.fingerprint) {
-            Some(crate::native::NativeSlot::Ready(native)) => self.adopt_native(native),
-            Some(crate::native::NativeSlot::Pending) => {}
-            Some(crate::native::NativeSlot::Quarantined(_)) | None => {
-                self.native_ctl = None;
-            }
-        }
-    }
-
-    /// Hot-swaps a validated native kernel in at a step boundary.
+    /// Swaps a validated native kernel in at a step boundary.
     fn adopt_native(&mut self, native: std::sync::Arc<crate::native::NativeKernel>) {
-        self.native_ctl = None;
         self.native = Some(native);
         if let Some(g) = self.guard.as_mut() {
             g.incidents.push(
@@ -746,11 +673,12 @@ impl Simulation {
         }
     }
 
-    /// Drives native promotion synchronously through `cache`: emits C
-    /// for the kernel, compiles it (or loads the shared object from the
-    /// disk cache), probates it, and hot-swaps it in before returning.
-    /// The deterministic counterpart of the background promotion path,
-    /// for benches and differential tests.
+    /// Promotes this simulation to [`crate::Tier::Native`] through
+    /// `cache`: emits C for the kernel, compiles it (or loads the shared
+    /// object from the disk cache), probates it, and swaps it in before
+    /// returning. The one promotion path: construction through a cache
+    /// with native promotion on, [`Simulation::restore`] of a `native`
+    /// snapshot, benches and tests all come here.
     ///
     /// # Errors
     ///
@@ -776,9 +704,6 @@ impl Simulation {
                 Ok(())
             }
             crate::native::NativeSlot::Quarantined(reason) => Err(reason.to_string()),
-            crate::native::NativeSlot::Pending => {
-                Err("native build already in flight for this fingerprint".into())
-            }
         }
     }
 
@@ -1031,9 +956,6 @@ impl Simulation {
     ) -> Result<(), crate::Incident> {
         use crate::{Incident, IncidentKind, Tier};
         let failed_step = g.step_count;
-        // A build still in flight would be of the kernel this step is
-        // about to leave; adopting it later would climb back onto it.
-        self.native_ctl = None;
         self.state = state;
         self.ext = ext;
         self.t = t;
@@ -1141,8 +1063,8 @@ impl Simulation {
         let entry = crate::KernelCache::global()
             .try_get_or_compile(&g.model, PipelineKind::Baseline)
             .map_err(|q| format!("reference pipeline unavailable: {}", q.error))?;
-        // A native build still in flight is of the kernel being left.
-        self.native_ctl = None;
+        // Native code, if any, is of the kernel being left.
+        self.native = None;
         self.adopt_kernel(entry.kernel().clone(), entry.layout());
         g.entry = entry;
         g.tier = crate::Tier::Reference;
@@ -1387,10 +1309,10 @@ mod tests {
         }
     }
 
-    /// A native kernel that lands *during* guarded stepping is recorded on
-    /// the guard like one adopted by plain stepping, so that the ladder's
-    /// first rung below it is the bytecode it was compiled from — not
-    /// `reference` with the native code still running.
+    /// A native kernel adopted by a guarded simulation mid-run is recorded
+    /// on the guard, so that the ladder's first rung below it is the
+    /// bytecode it was compiled from — not `reference` with the native
+    /// code still running.
     #[test]
     fn promotion_under_the_guard_is_recorded_and_falls_back_to_optimized() {
         if !crate::toolchain_available() {
@@ -1406,24 +1328,19 @@ mod tests {
         let policy = crate::HealthPolicy::FallbackRaw;
         let mut sim = Simulation::new_resilient(&m, PipelineKind::Baseline, &wl, policy)
             .expect("roster model compiles");
-        assert!(sim.arm_native(1), "baseline kernels are eligible");
-        let patience = std::time::Instant::now() + std::time::Duration::from_secs(120);
-        while sim.tier() != crate::Tier::Native {
-            assert!(
-                std::time::Instant::now() < patience,
-                "cc never delivered: {:?}",
-                KernelCache::global().native_registry().incidents()
-            );
-            sim.run_guarded(16).expect("healthy model");
-        }
+        sim.run_guarded(16).expect("healthy model");
+        let cache = KernelCache::global();
+        sim.promote_native_blocking(cache)
+            .unwrap_or_else(|e| panic!("{e}: {:?}", cache.native_registry().incidents()));
+        assert_eq!(sim.tier(), crate::Tier::Native);
+        sim.run_guarded(16).expect("healthy model");
         let promoted: Vec<_> = sim
             .incidents()
             .iter()
             .filter(|i| i.kind == crate::IncidentKind::NativePromoted)
             .collect();
         assert_eq!(promoted.len(), 1, "{:?}", sim.incidents());
-        let at = promoted[0].step.expect("recorded with its step");
-        assert!(at > 0 && at <= sim.guarded_steps(), "step {at}");
+        assert_eq!(promoted[0].step, Some(16), "recorded with its step");
         assert_eq!(sim.snapshot("baseline", 0).tier, "native");
 
         sim.perturb_vm(0, f64::NAN);

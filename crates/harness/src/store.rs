@@ -211,10 +211,18 @@ pub(crate) fn take_line<'a>(rest: &mut &'a [u8]) -> Option<&'a str> {
     Some(line)
 }
 
-/// Numbers the staging files of this process, so that concurrent
-/// publishers — the daemon's workers each save at every chunk boundary —
-/// never share one.
-static STAGED: AtomicU64 = AtomicU64::new(0);
+/// `<pid>-<seq>`: a name suffix no other call in this process or in a
+/// process alive beside it returns, for staging and other transient
+/// files — concurrent publishers (the daemon's workers each save at every
+/// chunk boundary) and concurrent native builds never share one.
+pub(crate) fn unique_suffix() -> String {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    format!(
+        "{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    )
+}
 
 /// Atomically replaces `final_path` with `bytes`: staged in
 /// `<final>.tmp-<pid>-<seq>` beside it, flushed to the device, then
@@ -225,11 +233,7 @@ static STAGED: AtomicU64 = AtomicU64::new(0);
 /// which costs what a rejection costs.
 pub(crate) fn publish(final_path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut staging = final_path.as_os_str().to_owned();
-    staging.push(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        STAGED.fetch_add(1, Ordering::Relaxed)
-    ));
+    staging.push(format!(".tmp-{}", unique_suffix()));
     let staging = PathBuf::from(staging);
     let published = fs::File::create(&staging).and_then(|mut f| {
         f.write_all(bytes)?;

@@ -1,9 +1,9 @@
 //! Roster-wide differential test for the native execution tier: for
-//! every ionic model, a simulation hot-swapped onto compiled C must
+//! every ionic model, a simulation promoted onto compiled C must
 //! reproduce the bytecode tier's trajectory bit for bit — every state
 //! variable and every external of every cell, after every tested step
-//! count. This is the acceptance gate behind `BENCH_native_tier.json`:
-//! the native tier is only a performance tier, never a numerics tier.
+//! count. The native tier is only a performance tier, never a numerics
+//! tier.
 //!
 //! Skips (with a note) on hosts without a C toolchain — the promotion
 //! path itself degrades to bytecode there, which `fault_injection.rs`

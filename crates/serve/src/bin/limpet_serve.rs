@@ -126,10 +126,6 @@ fn main() -> ExitCode {
         }
     };
     shutdown::install();
-    // LIMPET_NATIVE=1 turns on native-tier promotion for job simulations
-    // (LIMPET_NATIVE_THRESHOLD tunes the executed-step trigger); the
-    // `stats` verb's per-tier counts show promoted jobs as "native".
-    limpet_harness::promotion_from_env();
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => {

@@ -808,7 +808,9 @@ struct ActiveJob {
     force_ckpt: Arc<AtomicBool>,
 }
 
-/// Completion callback: invoked once per job with its final outcome.
+/// Completion callback: invoked once per job with its final outcome
+/// (once for each of [`PoolShared::on_settled`] and
+/// [`PoolShared::on_done`]).
 type DoneHook = Arc<dyn Fn(&JobSpec, &JobOutcome) + Send + Sync>;
 
 /// Stall callback: invoked with the spec and a reason when the watchdog
@@ -821,10 +823,14 @@ struct PoolShared {
     abort: AtomicBool,
     /// One slot per worker index; `None` when that worker is idle.
     slots: Vec<Mutex<Option<ActiveJob>>>,
+    /// Invoked before the job's `done` event is pushed to its client, so
+    /// whatever the client asks next already counts the job.
+    on_settled: DoneHook,
+    /// Invoked after the `done` event is pushed: for work no reply waits
+    /// on (the journal's synced `done` line).
     on_done: DoneHook,
     /// Invoked (with the spec and a reason) when the watchdog reclaims a
-    /// wedged worker — the server's hook for counters and native-slot
-    /// quarantine.
+    /// wedged worker — the server's hook for its counters.
     on_stall: StallHook,
     default_deadline_ms: Option<u64>,
     /// The checkpoint writer over the configured snapshot store.
@@ -897,6 +903,7 @@ fn spawn_worker(shared: &Arc<PoolShared>, i: usize) {
                 if !claimed {
                     return;
                 }
+                (sh.on_settled)(&spec, &outcome);
                 if let Some(out) = &outbox {
                     // Best effort: the client may already be gone.
                     let _ = out.push(outcome.to_json().to_string());
@@ -973,6 +980,7 @@ fn watchdog_sweep(sh: &Arc<PoolShared>, grace: Duration) {
             incidents: Json::Arr(Vec::new()),
             error: Some(reason.clone()),
         };
+        (sh.on_settled)(spec, &outcome);
         if let Some(out) = &active.outbox {
             let _ = out.try_push(outcome.to_json().to_string());
         }
@@ -1045,12 +1053,15 @@ impl std::fmt::Debug for Pool {
 
 impl Pool {
     /// Spawns the configured worker threads popping jobs from a bounded
-    /// queue. Every finished job is handed to `on_done` (journal
-    /// done-line, ledger release, results map — the server's business,
-    /// injected so the pool stays mechanism-only); every watchdog
-    /// reclaim additionally fires `on_stall` with the wedged job's spec.
-    pub fn new<F, G>(config: PoolConfig, on_done: F, on_stall: G) -> Pool
+    /// queue. Every finished job is handed to `on_settled` before its
+    /// `done` event reaches the client (ledger release, counters, results
+    /// map) and to `on_done` after (the journal's `done` line) — the
+    /// server's business, injected so the pool stays mechanism-only;
+    /// every watchdog reclaim additionally fires `on_stall` with the
+    /// wedged job's spec.
+    pub fn new<S, F, G>(config: PoolConfig, on_settled: S, on_done: F, on_stall: G) -> Pool
     where
+        S: Fn(&JobSpec, &JobOutcome) + Send + Sync + 'static,
         F: Fn(&JobSpec, &JobOutcome) + Send + Sync + 'static,
         G: Fn(&JobSpec, &str) + Send + Sync + 'static,
     {
@@ -1059,6 +1070,7 @@ impl Pool {
             queue: Arc::new(Bounded::new(config.queue_cap.max(1))),
             abort: AtomicBool::new(false),
             slots: (0..workers).map(|_| Mutex::new(None)).collect(),
+            on_settled: Arc::new(on_settled),
             on_done: Arc::new(on_done),
             on_stall: Arc::new(on_stall),
             default_deadline_ms: config.default_deadline_ms,
@@ -1135,7 +1147,7 @@ impl Pool {
     /// Stops the pool. With `drain`, queued and running jobs finish
     /// first; without, running jobs abort at their next chunk boundary
     /// and still-queued jobs drain through as immediate aborts (their
-    /// `on_done` fires with [`JobStatus::Aborted`], so the journal and
+    /// hooks fire with [`JobStatus::Aborted`], so the journal and
     /// ledger stay consistent). Threads the watchdog marked wedged are
     /// not joined — they may never return, and their late completions
     /// are already suppressed.
@@ -1270,6 +1282,7 @@ mod tests {
                 queue_cap: 8,
                 ..PoolConfig::default()
             },
+            |_, _| {},
             move |spec, outcome| {
                 assert_eq!(outcome.status, JobStatus::Done);
                 done2.lock().unwrap().push(spec.id.clone());
@@ -1287,6 +1300,47 @@ mod tests {
         let mut ids = done.lock().unwrap().clone();
         ids.sort();
         assert_eq!(ids, ["j0", "j1", "j2", "j3"]);
+    }
+
+    /// A client that asks for `stats` or `result` as soon as it reads
+    /// `done` must find the job counted, so the settle hook runs before
+    /// the `done` event is pushed.
+    #[test]
+    fn a_job_is_settled_before_its_client_sees_done() {
+        let settled: Arc<Mutex<Vec<String>>> = Arc::default();
+        let settled2 = Arc::clone(&settled);
+        let pool = Pool::new(
+            PoolConfig {
+                workers: 1,
+                queue_cap: 8,
+                ..PoolConfig::default()
+            },
+            move |spec, _| {
+                // Slow enough that a push made before this hook ran would
+                // be read while the job is still unsettled.
+                std::thread::sleep(Duration::from_millis(20));
+                settled2.lock().unwrap().push(spec.id.clone());
+            },
+            |_, _| {},
+            |_, _| {},
+        );
+        for i in 0..8 {
+            let id = format!("s{i}");
+            let outbox = Arc::new(Bounded::new(64));
+            pool.submit(QueuedJob {
+                spec: spec(&id, "HodgkinHuxley", "baseline", 8, 4),
+                outbox: Some(Arc::clone(&outbox)),
+            })
+            .unwrap();
+            while let Some(event) = outbox.pop() {
+                let event = Json::parse(&event).unwrap();
+                if event.get("event").and_then(Json::as_str) == Some("done") {
+                    break;
+                }
+            }
+            assert!(settled.lock().unwrap().contains(&id), "{id} not settled");
+        }
+        pool.shutdown(true);
     }
 
     #[test]
@@ -1495,6 +1549,7 @@ mod tests {
                 snapshot_store: Some(Arc::clone(&store)),
                 ..PoolConfig::default()
             },
+            |_, _| {},
             move |spec, outcome| {
                 assert_eq!(outcome.status, JobStatus::Done);
                 assert!(!store2.has(&spec.id), "{} done but on disk", spec.id);
@@ -1635,6 +1690,7 @@ mod tests {
                     snapshot_store: Some(Arc::clone(&store)),
                     ..PoolConfig::default()
                 },
+                |_, _| {},
                 move |_, outcome| outcomes2.lock().unwrap().push(outcome.clone()),
                 |_, _| {},
             );
@@ -1686,6 +1742,7 @@ mod tests {
                 watchdog: Some(Duration::from_millis(60)),
                 ..PoolConfig::default()
             },
+            |_, _| {},
             move |spec, outcome| {
                 done2
                     .lock()

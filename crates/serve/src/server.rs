@@ -173,8 +173,10 @@ impl ServerState {
         }
     }
 
-    /// The terminal bookkeeping every job goes through, however it ran.
-    fn on_done(&self, spec: &JobSpec, outcome: &JobOutcome) {
+    /// The terminal bookkeeping every job goes through, however it ran,
+    /// before its client sees `done`: a `stats` or `result` sent right
+    /// after `done` counts the job.
+    fn on_settled(&self, spec: &JobSpec, outcome: &JobOutcome) {
         let completed = outcome.status == JobStatus::Done;
         self.ledger.release(&spec.tenant, spec.cost(), completed);
         match outcome.status {
@@ -189,6 +191,12 @@ impl ServerState {
             Some("reference") => self.counters.tier_reference.fetch_add(1, Ordering::SeqCst),
             _ => 0,
         };
+        self.record_result(outcome.clone());
+    }
+
+    /// The journal's `done` line, after the client has its `done`: the
+    /// line is synced to disk, which no reply should wait for.
+    fn on_done(&self, outcome: &JobOutcome) {
         // A job aborted by daemon shutdown keeps its journal slot open so
         // the next incarnation resumes it; any other terminal state is
         // recorded so it is *not* re-run. A `deadline` job journals its
@@ -198,7 +206,6 @@ impl ServerState {
         if !shutdown_abort {
             self.journal_line(&format!("done {}", outcome.to_json()));
         }
-        self.record_result(outcome.clone());
     }
 
     fn stats_json(&self, queued: usize, ckpt_superseded: u64) -> Json {
@@ -418,7 +425,8 @@ impl Server {
             outbox_cap: config.outbox_cap.max(1),
             snapshots: snapshots.clone(),
         });
-        let pool_state = Arc::clone(&state);
+        let settle_state = Arc::clone(&state);
+        let done_state = Arc::clone(&state);
         let stall_state = Arc::clone(&state);
         let pool = Pool::new(
             PoolConfig {
@@ -431,12 +439,10 @@ impl Server {
                 snapshot_store: snapshots,
                 checkpoint_every_chunks: config.checkpoint_every_chunks,
             },
-            move |spec, outcome| pool_state.on_done(spec, outcome),
-            move |spec, reason| {
-                // A worker that had to be forcibly reclaimed was most
-                // likely wedged inside this model's native kernel:
-                // quarantine that slot so reruns take the bytecode tier,
-                // and count the stall + respawn for `stats`/`health`.
+            move |spec, outcome| settle_state.on_settled(spec, outcome),
+            move |_, outcome| done_state.on_done(outcome),
+            move |_, _| {
+                // Count the stall and the respawn for `stats`/`health`.
                 stall_state
                     .counters
                     .watchdog_stalls
@@ -445,9 +451,6 @@ impl Server {
                     .counters
                     .workers_respawned
                     .fetch_add(1, Ordering::SeqCst);
-                KernelCache::global()
-                    .native_registry()
-                    .quarantine_for_model(spec.model.name(), reason);
             },
         );
 
@@ -1029,6 +1032,7 @@ mod tests {
                 workers: 1,
                 ..PoolConfig::default()
             },
+            |_: &JobSpec, _: &JobOutcome| {},
             |_: &JobSpec, _: &JobOutcome| {},
             |_: &JobSpec, _: &str| {},
         );

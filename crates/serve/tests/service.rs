@@ -564,5 +564,5 @@ fn concurrent_tenants_share_one_cache_and_agree_on_digests() {
         .and_then(|j| j.get("completed"))
         .and_then(Json::as_u64)
         .unwrap();
-    assert!(completed >= 4, "completed={completed}");
+    assert_eq!(completed, 4);
 }

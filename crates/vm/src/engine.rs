@@ -166,8 +166,8 @@ pub struct Kernel {
     /// Whether the program runs [`BATCH`] blocks per dispatch.
     batched: bool,
     /// Full-population steps executed through this compilation, shared by
-    /// every clone (relaxed increments — a promotion heuristic, not an
-    /// exact count under contention).
+    /// every clone (relaxed increments — a usage statistic, not an exact
+    /// count under contention).
     steps: Arc<AtomicU64>,
 }
 
@@ -251,15 +251,13 @@ impl Kernel {
     /// Returns [`CompileError`] when the module cannot be expressed in
     /// bytecode or a LUT function fails to evaluate.
     pub fn from_module(module: &Module, info: &ModelInfo) -> Result<Kernel, CompileError> {
-        Kernel::from_module_opt(module, info, crate::optimize::bytecode_opt_enabled())
-            .map(|(kernel, ..)| kernel)
+        Kernel::from_module_opt(module, info, true).map(|(kernel, ..)| kernel)
     }
 
-    /// Like [`Kernel::from_module`] but with explicit control over the
-    /// bytecode optimizer (ignoring the process-global toggle), also
-    /// returning the optimizer's counters and how long [`tabulate_luts`]
-    /// took — most of the call, so a compile report can show it apart
-    /// from the bytecode compiler and optimizer.
+    /// Like [`Kernel::from_module`] but with the bytecode optimizer on or
+    /// off as `optimize` says, also returning the optimizer's counters and
+    /// how long [`tabulate_luts`] took — most of the call, so a compile
+    /// report can show it apart from the bytecode compiler and optimizer.
     ///
     /// # Errors
     ///
@@ -328,8 +326,8 @@ impl Kernel {
     /// in a single call, sharing the lookup-table tabulation and
     /// parameter binding between them (tabulation is one [`eval_func`]
     /// call per key over thousands of keys, most of a cold compile's
-    /// time, holds megabytes per model, and is identical whichever way
-    /// the toggle points; for where a cold compile's time goes, see
+    /// time, holds megabytes per model, and is identical with the optimizer
+    /// on or off; for where a cold compile's time goes, see
     /// DESIGN.md §11).
     /// Returns `(optimized, its stats, unoptimized)` — the pair
     /// differential opt-on/off comparisons and ablation benchmarks need.
@@ -488,15 +486,14 @@ impl Kernel {
 
     /// Full-population steps executed through this compilation (summed
     /// over every clone — the kernel cache hands the same compilation to
-    /// many simulations, and promotion heuristics want the total heat).
+    /// many simulations, and its stats report the total).
     pub fn executed_steps(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)
     }
 
     /// Raises the executed-step counter to at least `floor`. Used when a
-    /// checkpoint restores a kernel's pre-crash heat so promotion
-    /// heuristics resume where they left off; `fetch_max` keeps the
-    /// restore idempotent and never double-counts a warm process.
+    /// checkpoint restores a kernel's pre-crash count; `fetch_max` keeps
+    /// the restore idempotent and never double-counts a warm process.
     pub fn restore_executed_steps(&self, floor: u64) {
         self.steps.fetch_max(floor, Ordering::Relaxed);
     }

@@ -63,7 +63,7 @@ pub use bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, LutIn
 pub use engine::{step_isa, tabulate_luts, Kernel, ModelInfo, ParentView, Profile, SimContext};
 pub use eval::{eval_func, EvalContext, EvalError, ParamOnlyContext, Val};
 pub use lut::LutData;
-pub use optimize::{bytecode_opt_enabled, optimize_program, set_bytecode_opt, OptStats};
+pub use optimize::{bytecode_opt_enabled, optimize_program, OptStats};
 pub use serialize::{
     decode_luts, deserialize_luts, deserialize_program, encode_luts, encoded_luts_len,
     serialize_luts, serialize_program, BYTECODE_FORMAT_VERSION,

@@ -32,27 +32,19 @@
 //! linear-scan allocator over conservative live intervals (extended
 //! across loop backedges), shrinking the per-chunk working set.
 //!
-//! The whole stage is toggleable — [`set_bytecode_opt`] — so ablations
-//! (`--no-bytecode-opt`) are one flag, and it reports [`OptStats`]
-//! counters that the harness surfaces as a synthetic pass in
-//! `Compiled::pass_report()`.
+//! The stage always runs when a kernel is compiled. Callers that measure
+//! or test the unoptimized program pass the setting per call
+//! (`Kernel::from_module_opt`, `limpet-opt --no-bytecode-opt`). It
+//! reports [`OptStats`] counters that the harness surfaces as a synthetic
+//! pass in `Compiled::pass_report()`.
 
 use crate::bytecode::{FBin, Instr, Program};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Process-global toggle consulted by `Kernel::from_module` (default on).
-static BYTECODE_OPT_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the bytecode optimizer for subsequently compiled
-/// kernels (the `--no-bytecode-opt` ablation flag).
-pub fn set_bytecode_opt(enabled: bool) {
-    BYTECODE_OPT_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether the bytecode optimizer is currently enabled.
+/// Always `true`: the optimizer has no process-wide switch. Kept only
+/// because the benchmark package still calls it to key its cache entries.
 pub fn bytecode_opt_enabled() -> bool {
-    BYTECODE_OPT_ENABLED.load(Ordering::SeqCst)
+    true
 }
 
 /// Counters reported by [`optimize_program`].
@@ -1175,14 +1167,5 @@ mod tests {
         regs.dedup();
         assert_eq!(regs.len(), 4, "key and three columns in four registers");
         assert!(p.n_fregs < 10, "compaction ran");
-    }
-
-    #[test]
-    fn toggle_round_trips() {
-        assert!(bytecode_opt_enabled());
-        set_bytecode_opt(false);
-        assert!(!bytecode_opt_enabled());
-        set_bytecode_opt(true);
-        assert!(bytecode_opt_enabled());
     }
 }

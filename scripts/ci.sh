@@ -91,7 +91,7 @@ CAP_DIR=$(mktemp -d)
 CAP_OUT=$(mktemp -d)
 for RUN in cold warm; do
   env -u LIMPET_CACHE_CAP_MB ./target/release/figures --stats --jobs "$(nproc)" \
-    --cells 64 --steps 2 --no-native --cache-dir "$CAP_DIR" > "$CAP_OUT/$RUN.txt"
+    --cells 64 --steps 2 --cache-dir "$CAP_DIR" > "$CAP_OUT/$RUN.txt"
 done
 grep -q "disk tier .*: 688 entries, .* 688 writes, 0 rejected, 0 evicted" "$CAP_OUT/cold.txt" \
   || { echo "capacity gate: the precompile did not keep its 688 entries"; grep -A2 "^kernel cache" "$CAP_OUT/cold.txt"; exit 1; }
@@ -131,11 +131,11 @@ cmp output/digests.csv "$RT_OUT/real_digests.csv" \
 rm -rf "$RT_DIR" "$RT_OUT"
 
 echo "==> native-tier gate (promotion, bit-identity, fault degradation, warm restart)"
-# The CI-subset roster runs with native promotion on: blocking promotion
-# must compile, probate, and hot-swap every model with full-state
-# bit-identity against bytecode; the async path (--digest --native) must
-# leave digests bit-identical to the bytecode tier regardless of swap
-# timing; a warm second process must start at the native tier with zero
+# The CI-subset roster runs with native promotion on: promotion must
+# compile, probate, and swap in every model with full-state bit-identity
+# against bytecode; simulations promoted where they are built
+# (--digest --native) must leave digests bit-identical to the bytecode
+# tier; a warm second process must start at the native tier with zero
 # recompiles; and each injected native fault must degrade cleanly to
 # bytecode with the incident surfaced and nothing quarantined persisted.
 NATIVE_DIR=$(mktemp -d)
@@ -144,9 +144,9 @@ NATIVE_OUT=$(mktemp -d)
   --cache-dir "$NATIVE_DIR" > "$NATIVE_OUT/bytecode.txt"
 cp output/digests.csv "$NATIVE_OUT/bytecode.csv"
 ./target/release/figures --digest --models "$SUBSET" --cells 64 --steps 400 \
-  --native --native-threshold 1 --cache-dir "$NATIVE_DIR" > "$NATIVE_OUT/async.txt"
+  --native --cache-dir "$NATIVE_DIR" > "$NATIVE_OUT/async.txt"
 cp output/digests.csv "$NATIVE_OUT/async.csv"
-# Compare model/config/digest only: the async run legitimately reports
+# Compare model/config/digest only: the --native run legitimately reports
 # tier native where the bytecode run reports optimized — the digest
 # equality is the claim.
 cmp <(cut -d, -f1-3 "$NATIVE_OUT/bytecode.csv") <(cut -d, -f1-3 "$NATIVE_OUT/async.csv") \
@@ -181,7 +181,7 @@ for FAULT in cc-fail dlopen-fail native-divergent compile-hang; do
   # its own incident kind, not the generic compiler-failure one.
   MARK="$FAULT"; [ "$FAULT" = compile-hang ] && MARK=cc-timeout
   LIMPET_INJECT="$FAULT@7" ./target/release/figures --digest --models HodgkinHuxley \
-    --cells 64 --steps 400 --native --native-threshold 1 --cache-dir "$FDIR" \
+    --cells 64 --steps 400 --native --cache-dir "$FDIR" \
     > "$NATIVE_OUT/fault-$FAULT.txt"
   cp output/digests.csv "$NATIVE_OUT/fault-$FAULT.csv"
   LIMPET_INJECT="$FAULT@7" ./target/release/figures --native-bench --models HodgkinHuxley \
@@ -736,5 +736,20 @@ echo "==> fault plans are scoped (no serializing test lock, no global disarm)"
 SERIAL=$(grep -rnE 'static [A-Za-z_]+: *(std::sync::)?Mutex<\(\)>|disarm_all' crates || true)
 [ -z "$SERIAL" ] \
   || { echo "a serializing lock or a global disarm (arm a scoped plan with faults::arm):"; echo "$SERIAL"; exit 1; }
+
+echo "==> engine switches are not process-wide (no config static in the vm, the native tier, sim, cache)"
+# The bytecode optimizer always runs (a caller that wants the raw program
+# says so per call) and native promotion is a field of the KernelCache
+# that governs it. A process-wide atomic, or the flags and variables that
+# set the old ones, is that global state coming back.
+SWITCH=$(grep -rnE 'set_bytecode_opt|set_promotion_threshold|promotion_from_env|arm_native|LIMPET_NATIVE|static [A-Za-z_]+: *(std::sync::atomic::)?Atomic(Bool|U64)' \
+  crates/vm/src crates/harness/src/native.rs crates/harness/src/sim.rs crates/harness/src/cache.rs || true)
+[ -z "$SWITCH" ] \
+  || { echo "a process-wide engine switch (make it a per-call value or a KernelCache field):"; echo "$SWITCH"; exit 1; }
+
+echo "==> size held (scripts/size.sh against size.budget)"
+# Production lines per crate and the three long documents may not grow
+# past size.budget; a change that grows one raises its line in the same diff.
+bash scripts/size.sh --check
 
 echo "CI: all gates passed"
