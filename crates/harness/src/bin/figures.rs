@@ -332,10 +332,12 @@ fn main() {
                     );
                 }
                 Ok(s) => println!(
-                    "disk cache {}: {} entr{}, {:.1} KiB used, cap {} MiB",
+                    "disk cache {}: {} entr{}, {} table record{}, {:.1} KiB used, cap {} MiB",
                     cache_dir.display(),
                     s.entries,
                     if s.entries == 1 { "y" } else { "ies" },
+                    s.tables,
+                    if s.tables == 1 { "" } else { "s" },
                     s.bytes as f64 / 1024.0,
                     s.cap_bytes / (1024 * 1024)
                 ),
@@ -833,9 +835,11 @@ fn main() {
             .status()
             .map(|s| {
                 format!(
-                    "{} entr{}, {:.1} KiB",
+                    "{} entr{}, {} table record{}, {:.1} KiB",
                     s.entries,
                     if s.entries == 1 { "y" } else { "ies" },
+                    s.tables,
+                    if s.tables == 1 { "" } else { "s" },
                     s.bytes as f64 / 1024.0
                 )
             })

@@ -243,6 +243,17 @@ impl CompiledKernel {
         })
     }
 
+    /// Makes the entry's kernels read `luts`, the disk tier's copy of
+    /// their tables, where those are equal bit for bit
+    /// ([`Kernel::share_luts`]), so the configurations of one model hold
+    /// one copy.
+    pub(crate) fn share_luts(&mut self, luts: &Arc<[limpet_vm::LutData]>) {
+        self.kernel.share_luts(luts);
+        if let Some(raw) = self.raw_kernel.get_mut() {
+            raw.share_luts(luts);
+        }
+    }
+
     /// The state storage layout the module mandates.
     pub fn layout(&self) -> StateLayout {
         self.layout
@@ -674,12 +685,11 @@ impl KernelCache {
             Err(CompileError::Panicked(msg))
         });
         let slot = match built {
-            Ok(entry) => {
-                let entry = Arc::new(entry);
+            Ok(mut entry) => {
                 if !bypass {
-                    self.persist_entry(&key, model, &entry);
+                    self.persist_entry(&key, model, &mut entry);
                 }
-                CacheSlot::Ready(entry)
+                CacheSlot::Ready(Arc::new(entry))
             }
             Err(error) => {
                 let q = Arc::new(QuarantineEntry {
@@ -708,16 +718,16 @@ impl KernelCache {
     }
 
     /// Writes a freshly compiled entry to the disk tier, if one is
-    /// attached. Only successful compilations reach this — quarantined
-    /// failures stay process-local (a negative result must be retried,
-    /// not replayed, by the next process). Store failures degrade to an
-    /// incident: persistence is an optimization, never a correctness
-    /// dependency.
+    /// attached, and makes it share the tier's copy of its tables. Only
+    /// successful compilations reach this — quarantined failures stay
+    /// process-local (a negative result must be retried, not replayed, by
+    /// the next process). Store failures degrade to an incident:
+    /// persistence is an optimization, never a correctness dependency.
     fn persist_entry(
         &self,
         key: &(u64, PipelineKind, bool),
         model: &Model,
-        entry: &CompiledKernel,
+        entry: &mut CompiledKernel,
     ) {
         let Some(disk) = self.disk_cache() else {
             return;
@@ -728,7 +738,8 @@ impl KernelCache {
             opt: key.2,
         };
         match disk.store(&disk_key, &model.name, entry) {
-            Ok(()) => {
+            Ok(luts) => {
+                entry.share_luts(&luts);
                 self.disk_writes.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => self.log(Incident::new(

@@ -1,5 +1,6 @@
-//! The durable tier of the kernel cache: one record per compiled kernel,
-//! multi-process locking, LRU eviction, and the resumable-sweep journal.
+//! The durable tier of the kernel cache: one entry per compiled kernel,
+//! one table record per model's lookup tables, multi-process locking, LRU
+//! eviction, and the resumable-sweep journal.
 //!
 //! [`crate::KernelCache`] is process-lifetime only — every `figures`
 //! invocation used to recompile the full roster from scratch. [`DiskCache`]
@@ -9,28 +10,35 @@
 //! [`limpet_vm::encode_luts`]) so a later process can reload the
 //! *identical* compilation and produce bit-identical trajectories.
 //!
-//! Entries (`.lke`) and native containers (`.lso`) are records of
-//! [`crate::store`], which owns the header grammar, the atomic write, the
-//! reject ladder and the `disk-*` fault injection. What this module adds
-//! is what differs per store:
+//! The tables belong to the model, not to the configuration: every
+//! configuration of a model that tabulates the same tables names the same
+//! table record (`.lkt`, keyed by the model's fingerprint and the tables'
+//! payload sum), which is written once and read once per [`DiskCache`],
+//! and the kernels loaded or stored through one cache share one copy of
+//! them.
 //!
-//! * the **fields**: every header stamps the entry format version,
-//!   [`limpet_ir::TEXT_FORMAT_VERSION`] and
-//!   [`limpet_vm::BYTECODE_FORMAT_VERSION`] (any mismatch means "stale:
-//!   recompile", never "try to parse anyway") and repeats the
-//!   fingerprint/pipeline/opt key, so a renamed or mislabelled file cannot
-//!   serve the wrong kernel;
+//! Entries (`.lke`), table records (`.lkt`) and native containers (`.lso`)
+//! are records of [`crate::store`], which owns the header grammar, the
+//! atomic write, the reject ladder and the `disk-*` fault injection. What
+//! this module adds is what differs per store:
+//!
+//! * the **fields**: every header stamps the entry format version (an
+//!   entry also [`limpet_ir::TEXT_FORMAT_VERSION`] and
+//!   [`limpet_vm::BYTECODE_FORMAT_VERSION`]; any mismatch means "stale:
+//!   recompile", never "try to parse anyway") and repeats its key, so a
+//!   renamed or mislabelled file cannot serve the wrong kernel or tables;
 //! * the **payload grammar**: on load the bytecode is re-validated and
-//!   the kernel re-checked against the current model, so even a checksum
-//!   collision cannot smuggle in a malformed kernel; of the module text
-//!   only the header line is read, and the body is parsed and verified by
-//!   its first reader ([`CompiledKernel::try_module`]);
+//!   the kernel re-checked against the current model and its tables, so
+//!   even a checksum collision cannot smuggle in a malformed kernel; of
+//!   the module text only the header line is read, and the body is parsed
+//!   and verified by its first reader ([`CompiledKernel::try_module`]);
 //! * the directory: one lock for writers, an LRU size cap, and the removal
 //!   of what killed writers leave behind.
 //!
 //! Every rejection degrades to a recompile (reported via
 //! [`DiskLoad::Rejected`], which the cache records as an incident) and
-//! removes the file, so the recompile's store heals the cache — a corrupt
+//! removes the file — an entry whose table record is missing or refused is
+//! rejected with it — so the recompile's store heals the cache: a corrupt
 //! cache can cost time, never correctness.
 
 use crate::cache::{model_fingerprint, CompiledKernel, ModuleSource};
@@ -39,22 +47,26 @@ use crate::faults::{self, FaultKind};
 use crate::sim::{model_info, storage_layout, PipelineKind};
 use crate::store::{self, older_than, take_line, Reject, RejectReason};
 use limpet_easyml::Model;
-use limpet_vm::Kernel;
+use limpet_vm::{Kernel, LutData};
+use std::collections::{HashMap, HashSet};
 use std::fmt::{Display, Write as _};
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::{Duration, Instant, SystemTime};
 
-/// Version of the on-disk entry envelope (header + section framing). Bump
-/// on any layout change; old entries are then rejected as stale and
-/// recompiled rather than misparsed.
-pub const ENTRY_FORMAT_VERSION: u32 = 4;
+/// Version of the on-disk entry and table-record envelopes (header +
+/// section framing + table block). Bump on any layout change; old records
+/// are then rejected as stale and recompiled rather than misparsed.
+pub const ENTRY_FORMAT_VERSION: u32 = 5;
 
 /// First token of every entry file; anything else is not ours.
 const MAGIC: &str = "limpet-kernel-cache";
+
+/// First token of every table record.
+const TABLES_MAGIC: &str = "limpet-lut-tables";
 
 /// Version of the native shared-object container envelope.
 pub const NATIVE_CONTAINER_VERSION: u32 = 2;
@@ -63,11 +75,13 @@ pub const NATIVE_CONTAINER_VERSION: u32 = 2;
 const NATIVE_MAGIC: &str = "limpet-native-cache";
 
 /// Default size cap: 512 MiB. It must hold what one run stores, or the run
-/// evicts its own entries while writing them: the largest is `figures`'
-/// full precompile, 43 models × 16 configurations = 688 entries, 387 MiB
-/// in entry format 4 (803 MiB in format 2, which evicted 455 of them;
-/// `scripts/ci.sh` holds "688 writes, 0 evicted"). A roster under two
-/// configurations is 71 MiB.
+/// evicts its own records while writing them: the largest is `figures`'
+/// full precompile, 43 models × 16 configurations = 688 entries and 117
+/// table records, 64.8 MiB in entry format 5 (387 MiB in format 4, where
+/// every entry carried its tables; 803 MiB in format 2, which evicted 455
+/// entries; `scripts/ci.sh` holds "688 writes, 0 evicted" and 70 MiB). A
+/// roster under two configurations is 86 entries and 43 table records,
+/// 37 MiB.
 pub const DEFAULT_CAP_BYTES: u64 = 512 * 1024 * 1024;
 
 /// First backoff delay while waiting for the directory lock; doubles per
@@ -111,6 +125,34 @@ impl EntryKey {
             self.config.label(),
             u8::from(self.opt)
         )
+    }
+}
+
+/// The identity of one table record: the fingerprint of the model whose
+/// tables it holds and the [`crate::checksum::payload_sum`] of the tables'
+/// bytes, so every configuration of the model that tabulates the same
+/// tables names the same record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct TableKey {
+    /// [`model_fingerprint`] of the model.
+    pub(crate) fingerprint: u64,
+    /// The payload sum of the record's payload, the
+    /// [`limpet_vm::encode_luts`] block.
+    pub(crate) sum: u64,
+}
+
+impl TableKey {
+    /// The record's file name inside the cache directory.
+    pub(crate) fn file_name(&self) -> String {
+        format!("luts-{:016x}-{:016x}.lkt", self.fingerprint, self.sum)
+    }
+
+    /// The key as the record's header echoes it.
+    fn echo(&self) -> [String; 2] {
+        [
+            format!("{:016x}", self.fingerprint),
+            format!("{:016x}", self.sum),
+        ]
     }
 }
 
@@ -174,9 +216,11 @@ pub struct DiskStats {
 /// report).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DiskCacheStatus {
-    /// Entry files present.
+    /// Entry files and native containers present.
     pub entries: usize,
-    /// Their total size in bytes.
+    /// Table records present.
+    pub tables: usize,
+    /// The total size of every record in bytes, tables included.
     pub bytes: u64,
     /// The configured size cap in bytes.
     pub cap_bytes: u64,
@@ -187,8 +231,8 @@ impl DiskCacheStatus {
     /// --json` and the service daemon's `stats` verb.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"entries\":{},\"bytes\":{},\"cap_bytes\":{}}}",
-            self.entries, self.bytes, self.cap_bytes
+            "{{\"entries\":{},\"tables\":{},\"bytes\":{},\"cap_bytes\":{}}}",
+            self.entries, self.tables, self.bytes, self.cap_bytes
         )
     }
 }
@@ -222,18 +266,42 @@ impl Drop for DirLock {
     }
 }
 
-/// Whether `name` is a record of this cache: an entry or a native
-/// container.
+/// Whether `name` is a record of this cache: an entry, a table record or a
+/// native container.
 fn is_record(name: &str) -> bool {
     (name.starts_with("entry-") && name.ends_with(".lke"))
+        || (name.starts_with("luts-") && name.ends_with(".lkt"))
         || (name.starts_with("native-") && name.ends_with(".lso"))
 }
 
-/// The durable kernel-cache tier: one checksummed file per
-/// `(fingerprint, pipeline, opt)` key under `dir`.
+/// Whether the record at `path` is a table record.
+fn is_tables_path(path: &Path) -> bool {
+    path.extension().is_some_and(|ext| ext == "lkt")
+}
+
+/// What a [`DiskCache`] knows of the table records in this process.
+#[derive(Debug, Default)]
+struct Tables {
+    /// Per record, the tables as this cache loaded or stored them, while a
+    /// kernel still reads them.
+    held: HashMap<TableKey, Weak<[LutData]>>,
+    /// The file names of the records this cache wrote or read intact and
+    /// has not removed since. A file that merely exists does not count: it
+    /// may be damaged.
+    on_disk: HashSet<String>,
+}
+
+/// The durable kernel-cache tier: one checksummed entry per
+/// `(fingerprint, pipeline, opt)` key under `dir`, and one table record
+/// per model's tables.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
+    tables: Mutex<Tables>,
+    /// What table records are read into, kept from one read to the next:
+    /// its pages are faulted in once, where a fresh buffer per record cost
+    /// more than the read itself. A read that finds it busy takes its own.
+    read_buf: Mutex<Vec<u8>>,
     cap_bytes: AtomicU64,
     lock_timeout_ms: AtomicU64,
     stale_lock_after_ms: AtomicU64,
@@ -263,6 +331,8 @@ impl DiskCache {
             .unwrap_or(DEFAULT_CAP_BYTES);
         Ok(DiskCache {
             dir: dir.to_path_buf(),
+            tables: Mutex::default(),
+            read_buf: Mutex::default(),
             cap_bytes: AtomicU64::new(cap),
             lock_timeout_ms: AtomicU64::new(5_000),
             stale_lock_after_ms: AtomicU64::new(store::STALE_AFTER.as_millis() as u64),
@@ -358,16 +428,19 @@ impl DiskCache {
     /// Propagates directory-walk I/O errors.
     pub fn status(&self) -> io::Result<DiskCacheStatus> {
         let files = self.scan()?;
+        let tables = files.iter().filter(|(path, ..)| is_tables_path(path));
         Ok(DiskCacheStatus {
-            entries: files.len(),
+            entries: files.len() - tables.clone().count(),
+            tables: tables.count(),
             bytes: files.iter().map(|(_, len, _)| len).sum(),
             cap_bytes: self.cap_bytes(),
         })
     }
 
-    /// Removes every entry file (the `--cache clear` verb), returning how
-    /// many were removed, and the orphaned staging files with them. Takes
-    /// the directory lock.
+    /// Removes every record (the `--cache clear` verb) and the orphaned
+    /// staging files with them, returning how many entries and native
+    /// containers were removed (the table records go too, uncounted).
+    /// Takes the directory lock.
     ///
     /// # Errors
     ///
@@ -381,9 +454,45 @@ impl DiskCache {
         let mut removed = 0;
         for (path, _, _) in files {
             fs::remove_file(&path).map_err(|e| format!("cannot remove {}: {e}", path.display()))?;
-            removed += 1;
+            removed += usize::from(!is_tables_path(&path));
         }
+        self.tables().on_disk.clear();
         Ok(removed)
+    }
+
+    /// What this cache knows of the table records.
+    fn tables(&self) -> MutexGuard<'_, Tables> {
+        self.tables.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The copy of `luts` this cache already holds for the model
+    /// `fingerprint` — the same allocation, or tables equal to them bit for
+    /// bit that another configuration loaded or stored — and its record.
+    fn held_copy(
+        &self,
+        fingerprint: u64,
+        luts: &Arc<[LutData]>,
+    ) -> Option<(TableKey, Arc<[LutData]>)> {
+        self.tables()
+            .held
+            .iter()
+            .filter(|(key, _)| key.fingerprint == fingerprint)
+            .filter_map(|(key, held)| Some((*key, held.upgrade()?)))
+            .find(|(_, held)| limpet_vm::same_luts(held, luts))
+    }
+
+    /// Holds `luts` as the tables of record `key`, or returns the copy held
+    /// already when that one is equal bit for bit; `None` when the held
+    /// copy differs, i.e. two table sets of one model share a sum.
+    fn hold(&self, key: TableKey, luts: &Arc<[LutData]>) -> Option<Arc<[LutData]>> {
+        let mut tables = self.tables();
+        match tables.held.get(&key).and_then(Weak::upgrade) {
+            Some(held) => limpet_vm::same_luts(&held, luts).then_some(held),
+            None => {
+                tables.held.insert(key, Arc::downgrade(luts));
+                Some(Arc::clone(luts))
+            }
+        }
     }
 
     /// Takes the directory lock with bounded exponential backoff:
@@ -453,9 +562,15 @@ impl DiskCache {
         }
     }
 
-    /// Persists a compiled entry for `key`. Quarantined compilations must
-    /// never reach this — only successful ones are worth (or safe)
-    /// replaying in another process.
+    /// Persists a compiled entry for `key` and, unless this cache wrote or
+    /// read it intact before, the table record it names — both under one
+    /// acquisition of the directory lock, the tables first. Quarantined
+    /// compilations must never reach this — only successful ones are worth
+    /// (or safe) replaying in another process.
+    ///
+    /// Returns the entry's tables as this cache holds them: the entry's
+    /// own, or an equal copy another configuration of the model loaded or
+    /// stored, for the caller to share ([`Kernel::share_luts`]).
     ///
     /// # Errors
     ///
@@ -466,27 +581,49 @@ impl DiskCache {
         key: &EntryKey,
         model_name: &str,
         entry: &CompiledKernel,
-    ) -> Result<(), String> {
-        self.put(&key.file_name(), &encode_entry(key, model_name, entry))
-    }
-
-    /// Publishes one record atomically ([`store::publish`]) under the
-    /// directory lock, then enforces the size cap.
-    fn put(&self, file_name: &str, bytes: &[u8]) -> Result<(), String> {
+    ) -> Result<Arc<[LutData]>, String> {
+        let built = entry.kernel().shared_luts();
+        // Tables this cache holds already need no encoding to be named.
+        let (tables, luts, sealed) = match self.held_copy(key.fingerprint, built) {
+            Some((tables, held)) => (tables, held, None),
+            None => {
+                let (tables, record) = seal_tables(key.fingerprint, built);
+                (tables, Arc::clone(built), Some(record))
+            }
+        };
+        let bytes = encode_entry(key, model_name, entry, &tables);
+        let name = tables.file_name();
         let _lock = self.acquire_lock()?;
-        let final_path = self.dir.join(file_name);
-        store::publish(&final_path, bytes).map_err(|e| format!("cannot write {file_name}: {e}"))?;
+        let luts = self.hold(tables, &luts).ok_or_else(|| {
+            format!("{name} holds other tables of {model_name} under the same sum")
+        })?;
+        if !self.tables().on_disk.contains(&name) {
+            let record = sealed.unwrap_or_else(|| seal_tables(key.fingerprint, &luts).1);
+            self.publish_locked(&name, &record)?;
+            self.tables().on_disk.insert(name.clone());
+        }
+        let entry_path = self.publish_locked(&key.file_name(), &bytes)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.enforce_cap_locked(&final_path);
-        Ok(())
+        self.enforce_cap_locked(&[&self.dir.join(name), &entry_path]);
+        Ok(luts)
     }
 
-    /// Evicts least-recently-used entries (by mtime, which loads refresh)
-    /// until the directory fits the cap. The just-written entry is
+    /// Publishes the record `file_name` atomically ([`store::publish`]);
+    /// the caller holds the directory lock. Returns its path.
+    fn publish_locked(&self, file_name: &str, bytes: &[u8]) -> Result<PathBuf, String> {
+        let path = self.dir.join(file_name);
+        store::publish(&path, bytes).map_err(|e| format!("cannot write {file_name}: {e}"))?;
+        Ok(path)
+    }
+
+    /// Evicts least-recently-used records (by mtime, which loads refresh)
+    /// until the directory fits the cap. The records just written are
     /// protected so a tiny cap cannot make every store a self-defeating
     /// write-then-evict. Orphaned staging files go first: they are not
-    /// entries, so nothing else would ever count or remove them.
-    fn enforce_cap_locked(&self, protect: &Path) {
+    /// records, so nothing else would ever count or remove them. An evicted
+    /// table record costs every entry that names it a recompile, which
+    /// writes it again.
+    fn enforce_cap_locked(&self, protect: &[&Path]) {
         let cap = self.cap_bytes();
         self.remove_orphans_locked();
         let Ok(mut files) = self.scan() else {
@@ -498,11 +635,14 @@ impl DiskCache {
         }
         files.sort_by_key(|(_, _, mtime)| *mtime);
         for (path, len, _) in files {
-            if total <= cap || path == protect {
+            if total <= cap || protect.contains(&path.as_path()) {
                 continue;
             }
             if fs::remove_file(&path).is_ok() {
                 total -= len;
+                if let Some(name) = path.file_name().and_then(|name| name.to_str()) {
+                    self.tables().on_disk.remove(name);
+                }
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -513,46 +653,93 @@ impl DiskCache {
     /// [`DiskLoad::Rejected`] (or [`DiskLoad::Miss`] when no entry exists).
     pub fn load(&self, key: &EntryKey, model: &Model) -> DiskLoad {
         self.get(&key.file_name(), |bytes| {
-            decode_entry(bytes, key, model).map(Box::new)
+            decode_entry(bytes, key, model, |tables| self.load_tables(tables)).map(Box::new)
         })
     }
 
-    /// Reads one record, lets any armed `disk-*` fault damage the bytes,
-    /// and decodes them. A hit refreshes the file's mtime so LRU eviction
-    /// sees it as live (best-effort: a read-only cache dir still serves
-    /// hits); a refused file is removed, so that the recompile's store
-    /// heals the cache instead of re-rejecting forever.
-    fn get<T>(
+    /// The tables of record `key`: the copy this cache holds while a kernel
+    /// reads it, else the record, read down the ladder and then held. A
+    /// missing or refused record refuses the entry that names it.
+    fn load_tables(&self, key: &TableKey) -> Result<Arc<[LutData]>, Reject> {
+        if let Some(held) = self.tables().held.get(key).and_then(Weak::upgrade) {
+            return Ok(held);
+        }
+        let name = key.file_name();
+        let (mut shared, mut own) = (self.read_buf.try_lock().ok(), Vec::new());
+        let buf = shared.as_deref_mut().unwrap_or(&mut own);
+        let loaded = self.read(&name, buf, |bytes| open_tables(bytes, key));
+        if matches!(loaded, Some(Ok(_))) {
+            self.tables().on_disk.insert(name.clone());
+        } else {
+            self.tables().on_disk.remove(&name);
+        }
+        match loaded {
+            // Tables read beside a copy another thread loaded are that copy,
+            // or (under one sum) what this record holds.
+            Some(Ok(luts)) => {
+                let luts = luts.into();
+                Ok(self.hold(*key, &luts).unwrap_or(luts))
+            }
+            Some(Err(reject)) => Err(Reject {
+                reason: reject.reason,
+                detail: format!("table record {name}: {reject}"),
+            }),
+            None => Err(malformed(format!("table record {name} is missing"))),
+        }
+    }
+
+    /// Reads one record into `bytes`, lets any armed `disk-*` fault damage
+    /// them, and decodes them; `None` when there is no such file. A record
+    /// that decodes has its mtime refreshed so LRU eviction sees it as live
+    /// (best-effort: a read-only cache dir still serves it); a refused file
+    /// is removed, so that the recompile's store heals the cache instead of
+    /// re-rejecting forever.
+    fn read<T>(
         &self,
         file_name: &str,
+        bytes: &mut Vec<u8>,
         decode: impl FnOnce(&[u8]) -> Result<T, Reject>,
-    ) -> DiskLoad<T> {
+    ) -> Option<Result<T, Reject>> {
         let path = self.dir.join(file_name);
-        let decoded = match fs::read(&path) {
-            Ok(mut bytes) => {
-                store::inject(&mut bytes, DISK_FAULTS);
-                decode(&bytes)
+        bytes.clear();
+        let decoded = match fs::File::open(&path).and_then(|mut file| file.read_to_end(bytes)) {
+            Ok(_) => {
+                store::inject(bytes, DISK_FAULTS);
+                decode(bytes)
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return DiskLoad::Miss,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
             Err(e) => Err(Reject {
                 reason: RejectReason::BadHeader,
                 detail: format!("unreadable ({e})"),
             }),
         };
-        match decoded {
-            Ok(loaded) => {
+        if decoded.is_ok() {
+            let _ = fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .and_then(|f| f.set_modified(SystemTime::now()));
+        } else {
+            let _ = fs::remove_file(&path);
+        }
+        Some(decoded)
+    }
+
+    /// [`DiskCache::read`] of an entry or a native container, counted.
+    fn get<T>(
+        &self,
+        file_name: &str,
+        decode: impl FnOnce(&[u8]) -> Result<T, Reject>,
+    ) -> DiskLoad<T> {
+        match self.read(file_name, &mut Vec::new(), decode) {
+            Some(Ok(loaded)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .and_then(|f| f.set_modified(SystemTime::now()));
                 DiskLoad::Hit(loaded)
             }
-            Err(reject) => {
+            Some(Err(reject)) => {
                 self.rejects.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(&path);
                 DiskLoad::Rejected(reject)
             }
+            None => DiskLoad::Miss,
         }
     }
 
@@ -568,10 +755,12 @@ impl DiskCache {
     /// Returns a description on lock timeout or I/O failure; the caller
     /// degrades to in-memory-only.
     pub fn store_native(&self, fingerprint: u64, so_bytes: &[u8]) -> Result<(), String> {
-        self.put(
-            &native_file_name(fingerprint),
-            &seal_container(fingerprint, so_bytes),
-        )
+        let record = seal_container(fingerprint, so_bytes);
+        let _lock = self.acquire_lock()?;
+        let path = self.publish_locked(&native_file_name(fingerprint), &record)?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.enforce_cap_locked(&[&path]);
+        Ok(())
     }
 
     /// Loads the persisted shared object for `fingerprint` down the same
@@ -634,22 +823,21 @@ impl EntryKey {
 }
 
 /// Serializes one compiled entry into its on-disk byte form — a header
-/// line, two framed text sections, and the lookup tables as bytes
-/// ([`limpet_vm::encode_luts`], the layout of `.lcp`'s state block):
+/// line, two framed text sections, and the name of its table record:
 ///
 /// ```text
 /// limpet-kernel-cache <entry-ver> <ir-ver> <bc-ver> <fp:016x> <label> <opt> <payload-len> <sum:016x>\n
 /// model <name>\n
 /// section module <len>\n<IR text>\n
 /// section program.main <len>\n<bytecode text>\n
-/// luts <count>\n
-/// lut <lo:016x> <hi:016x> <step:016x> <rows> <cols>\n<rows·cols·8 bytes>\n     per table
-/// end\n
+/// tables <tables-sum:016x>\n           names luts-<fp:016x>-<tables-sum:016x>.lkt
 /// ```
-///
-/// One allocation of the final size ([`store::seal`]): the tables are
-/// copied into place once.
-pub(crate) fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKernel) -> Vec<u8> {
+pub(crate) fn encode_entry(
+    key: &EntryKey,
+    model_name: &str,
+    entry: &CompiledKernel,
+    tables: &TableKey,
+) -> Vec<u8> {
     let mut text = format!("model {model_name}\n");
     for (name, body) in [
         ("module", entry.module_text()),
@@ -662,88 +850,108 @@ pub(crate) fn encode_entry(key: &EntryKey, model_name: &str, entry: &CompiledKer
         text.push_str(&body);
         text.push('\n');
     }
-    let luts = entry.kernel().luts();
+    let _ = writeln!(text, "tables {:016x}", tables.sum);
     let [fp, label, opt] = key.echo();
     store::seal(
         MAGIC,
         &ENTRY_STAMPS,
         &[&fp, &label, &opt],
-        text.len() + limpet_vm::encoded_luts_len(luts),
-        |out| {
-            out.extend_from_slice(text.as_bytes());
-            limpet_vm::encode_luts(luts, out);
-        },
+        text.len(),
+        |out| out.extend_from_slice(text.as_bytes()),
     )
 }
 
-/// Walks the ladder over raw entry bytes and reconstructs the compilation.
+/// Walks the ladder over raw entry bytes and reconstructs the compilation
+/// on the tables `load_tables` returns for the record the entry names.
 pub(crate) fn decode_entry(
     bytes: &[u8],
     key: &EntryKey,
     model: &Model,
+    load_tables: impl FnOnce(&TableKey) -> Result<Arc<[LutData]>, Reject>,
 ) -> Result<CompiledKernel, Reject> {
     let started = Instant::now();
     let [fp, label, opt] = key.echo();
     let payload = store::open(bytes, MAGIC, &ENTRY_STAMPS, &[&fp, &label, &opt])?;
-    parse_entry(payload, model, key, started).map_err(|detail| Reject {
+    parse_entry(payload, model, key, started, load_tables)
+}
+
+/// A refusal at the payload rung.
+fn malformed(detail: impl Into<String>) -> Reject {
+    Reject {
         reason: RejectReason::Malformed,
-        detail,
-    })
+        detail: detail.into(),
+    }
 }
 
 /// The payload grammar of an entry: the `model` line, two text sections
-/// and the table block, for the entry's `key`.
+/// and the `tables` line, for the entry's `key`.
 ///
 /// Of the module text only the header line is read here — the name, which
 /// must be the model's, the `vector_width`, which must be the key's
 /// configuration's, and the layout. The body is kept as text and parsed on
 /// first use ([`CompiledKernel::try_module`]): the kernel runs the stored
-/// program, which [`Kernel::from_parts`] checks against the model.
+/// program, which [`Kernel::from_parts`] checks against the model and the
+/// tables.
 fn parse_entry(
     payload: &[u8],
     model: &Model,
     key: &EntryKey,
     started: Instant,
-) -> Result<CompiledKernel, String> {
-    // Text is validated as UTF-8 section by section; the table block
-    // after the sections is bytes and is not.
+    load_tables: impl FnOnce(&TableKey) -> Result<Arc<[LutData]>, Reject>,
+) -> Result<CompiledKernel, Reject> {
     let mut rest = payload;
     let recorded_model = take_line(&mut rest)
         .and_then(|line| line.strip_prefix("model "))
-        .ok_or("payload missing model line")?;
+        .ok_or_else(|| malformed("payload missing model line"))?;
     if recorded_model != model.name {
-        return Err(format!(
+        return Err(malformed(format!(
             "model mismatch (entry records '{recorded_model}', wanted '{}')",
             model.name
-        ));
+        )));
     }
-    let module_text = take_section(&mut rest, "module")?;
-    let main_text = take_section(&mut rest, "program.main")?;
-    let lut_block = rest;
+    let module_text = take_section(&mut rest, "module").map_err(malformed)?;
+    let main_text = take_section(&mut rest, "program.main").map_err(malformed)?;
+    let sum = take_line(&mut rest)
+        .and_then(|line| line.strip_prefix("tables "))
+        .and_then(|sum| {
+            u64::from_str_radix(sum, 16)
+                .ok()
+                .filter(|n| format!("{n:016x}") == sum)
+        })
+        .ok_or_else(|| malformed("payload missing its tables line"))?;
+    if !rest.is_empty() {
+        return Err(malformed(format!(
+            "{} bytes after the tables line",
+            rest.len()
+        )));
+    }
 
     let header = limpet_ir::parse_module_header(module_text)
-        .map_err(|e| format!("unparseable module header: {e}"))?;
+        .map_err(|e| malformed(format!("unparseable module header: {e}")))?;
     if header.name() != model.name {
-        return Err(format!(
+        return Err(malformed(format!(
             "module header names '{}', wanted '{}'",
             header.name(),
             model.name
-        ));
+        )));
     }
     let width = header.attrs.i64_of("vector_width").unwrap_or(1);
     if width != key.config.lanes() as i64 {
-        return Err(format!(
+        return Err(malformed(format!(
             "module vector_width {width} where {} compiles at {}",
             key.config.label(),
             key.config.lanes()
-        ));
+        )));
     }
     let info = model_info(model);
-    let luts = limpet_vm::decode_luts(lut_block).map_err(|e| format!("bad LUT data: {e}"))?;
-    let main_prog =
-        limpet_vm::deserialize_program(main_text).map_err(|e| format!("bad main bytecode: {e}"))?;
+    let main_prog = limpet_vm::deserialize_program(main_text)
+        .map_err(|e| malformed(format!("bad main bytecode: {e}")))?;
+    let luts = load_tables(&TableKey {
+        fingerprint: key.fingerprint,
+        sum,
+    })?;
     let kernel = Kernel::from_parts(&model.name, main_prog, width as usize, &info, luts)
-        .map_err(|e| format!("main kernel rejected: {e}"))?;
+        .map_err(|e| malformed(format!("main kernel rejected: {e}")))?;
     let layout = storage_layout(&header);
     // The entry's provenance is visible in the pass report: a disk load
     // shows a single synthetic "disk-load" pass instead of the pipeline.
@@ -766,6 +974,41 @@ fn parse_entry(
         layout,
         report,
     ))
+}
+
+/// The format stamps of a table record.
+const TABLE_STAMPS: [&dyn Display; 1] = [&ENTRY_FORMAT_VERSION];
+
+/// The table record of `luts`, the tables of the model `fingerprint`, and
+/// its key — the payload is the [`limpet_vm::encode_luts`] block:
+///
+/// ```text
+/// limpet-lut-tables <entry-ver> <fp:016x> <tables-sum:016x> <payload-len> <sum:016x>\n
+/// luts <count>\n
+/// lut <lo:016x> <hi:016x> <step:016x> <rows> <cols>\n<rows·cols·8 bytes>\n     per table
+/// end\n
+/// ```
+///
+/// `tables-sum` is the payload's sum when it is written: the key a
+/// configuration's entry names the record by.
+pub(crate) fn seal_tables(fingerprint: u64, luts: &[LutData]) -> (TableKey, Vec<u8>) {
+    let fp = format!("{fingerprint:016x}");
+    let (record, sum) = store::seal_by_sum(
+        TABLES_MAGIC,
+        &TABLE_STAMPS,
+        &[&fp],
+        limpet_vm::encoded_luts_len(luts),
+        |out| limpet_vm::encode_luts(luts, out),
+    );
+    (TableKey { fingerprint, sum }, record)
+}
+
+/// The tables of the table record `key` (the grammar of
+/// [`limpet_vm::decode_luts`]: nothing after `end`).
+pub(crate) fn open_tables(bytes: &[u8], key: &TableKey) -> Result<Vec<LutData>, Reject> {
+    let [fp, sum] = key.echo();
+    let payload = store::open(bytes, TABLES_MAGIC, &TABLE_STAMPS, &[&fp, &sum])?;
+    limpet_vm::decode_luts(payload).map_err(|e| malformed(format!("bad LUT data: {e}")))
 }
 
 /// Splits the text section `want` — `section <want> <len>\n<len bytes of
@@ -1151,7 +1394,14 @@ mod tests {
         assert_eq!(status.entries, 1);
         assert!(status.bytes > 0);
         assert_eq!(cache.clear().unwrap(), 1);
-        assert_eq!(cache.status().unwrap().entries, 0);
+        let status = cache.status().unwrap();
+        assert_eq!((status.entries, status.tables), (0, 0));
+        // The cache that cleared the table record writes it again.
+        cache.store(&key, &m.name, &entry).unwrap();
+        assert!(matches!(
+            DiskCache::open(&dir).unwrap().load(&key, &m),
+            DiskLoad::Hit(_)
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1177,14 +1427,302 @@ mod tests {
         assert!(foreign.exists());
         assert_eq!(cache.stats().orphans_removed, 2);
         let status = cache.status().unwrap();
-        let stored = fs::metadata(entry_path(&cache, &key)).unwrap().len();
-        assert_eq!((status.entries, status.bytes), (1, stored));
+        let stored = fs::metadata(entry_path(&cache, &key)).unwrap().len()
+            + fs::metadata(tables_path(&dir)).unwrap().len();
+        assert_eq!(
+            (status.entries, status.tables, status.bytes),
+            (1, 1, stored)
+        );
 
         // `clear` sweeps them too, by the same rule.
         let dead_again = plant(format!("{}.tmp-4244-0", key.file_name()), old);
         assert_eq!(cache.clear().unwrap(), 1, "entries removed");
         assert!(!dead_again.exists() && live.exists());
         assert_eq!(cache.stats().orphans_removed, 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    const CONFIGS: [PipelineKind; 2] = [
+        PipelineKind::Baseline,
+        PipelineKind::LimpetMlir(limpet_codegen::pipeline::VectorIsa::Avx512),
+    ];
+
+    /// The one table record in `dir`.
+    fn tables_path(dir: &Path) -> PathBuf {
+        let mut found = fs::read_dir(dir)
+            .unwrap()
+            .map(|item| item.unwrap().path())
+            .filter(|path| is_tables_path(path));
+        let path = found.next().expect("a table record");
+        assert!(found.next().is_none(), "one table record");
+        path
+    }
+
+    /// Every cell's Vm bits after 50 steps of `entry`'s kernel.
+    fn bits(entry: &CompiledKernel) -> Vec<u64> {
+        let wl = crate::Workload {
+            n_cells: 8,
+            steps: 0,
+            dt: 0.01,
+        };
+        let mut sim = crate::Simulation::with_kernel(entry.kernel().clone(), entry.layout(), &wl);
+        sim.run(50);
+        (0..wl.n_cells).map(|cell| sim.vm(cell).to_bits()).collect()
+    }
+
+    /// Stores `m` under both configurations through `cache`, as a cold
+    /// lookup does: each entry then shares the tables `store` hands back.
+    fn store_both(cache: &DiskCache, m: &Model) -> Vec<CompiledKernel> {
+        CONFIGS
+            .map(|config| {
+                let mut entry = CompiledKernel::compile(m, config);
+                let luts = cache
+                    .store(&EntryKey::new(m, config, true), &m.name, &entry)
+                    .unwrap();
+                entry.share_luts(&luts);
+                entry
+            })
+            .into()
+    }
+
+    #[test]
+    fn one_table_record_serves_every_configuration_of_a_model() {
+        let dir = temp_dir("shared-tables");
+        let cache = DiskCache::open(&dir).unwrap();
+        let m = model("HodgkinHuxley");
+        let stored = store_both(&cache, &m);
+        assert!(!stored[0].kernel().luts().is_empty(), "the model tabulates");
+        assert!(
+            stored[0].kernel().shares_luts(stored[1].kernel()),
+            "the second store hands back the first one's tables"
+        );
+        let status = cache.status().unwrap();
+        assert_eq!((status.entries, status.tables), (2, 1));
+        assert_eq!(cache.stats().writes, 2, "writes count entries");
+
+        // A new process reads the record once: with it gone after the first
+        // load, the second configuration still loads, on the same tables.
+        let (fresh, record) = (DiskCache::open(&dir).unwrap(), tables_path(&dir));
+        let mut loaded = Vec::new();
+        for config in CONFIGS {
+            match fresh.load(&EntryKey::new(&m, config, true), &m) {
+                DiskLoad::Hit(entry) => loaded.push(entry),
+                other => panic!("{}: expected a hit, got {other:?}", config.label()),
+            }
+            let _ = fs::remove_file(&record);
+        }
+        assert!(loaded[0].kernel().shares_luts(loaded[1].kernel()));
+        for (loaded, stored) in loaded.iter().zip(&stored) {
+            assert_eq!(bits(loaded), bits(stored));
+        }
+        assert_eq!((fresh.stats().hits, fresh.stats().rejects), (2, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_table_record_is_skipped_only_when_this_cache_wrote_or_read_it() {
+        let dir = temp_dir("tables-known");
+        let m = model("HodgkinHuxley");
+        let [base, avx] = CONFIGS.map(|config| (EntryKey::new(&m, config, true), config));
+        let writer = DiskCache::open(&dir).unwrap();
+        writer
+            .store(&base.0, &m.name, &CompiledKernel::compile(&m, base.1))
+            .unwrap();
+        let path = tables_path(&dir);
+        let mut damaged = fs::read(&path).unwrap();
+        let at = damaged.len() - 7;
+        damaged[at] ^= 0x20;
+        fs::write(&path, &damaged).unwrap();
+
+        // The writer wrote the record, so its next store names it unwritten;
+        // another cache has only the file's word for it, and writes it.
+        let avx_entry = CompiledKernel::compile(&m, avx.1);
+        writer.store(&avx.0, &m.name, &avx_entry).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), damaged);
+        DiskCache::open(&dir)
+            .unwrap()
+            .store(&avx.0, &m.name, &avx_entry)
+            .unwrap();
+        assert_ne!(fs::read(&path).unwrap(), damaged);
+
+        let fresh = DiskCache::open(&dir).unwrap();
+        for (key, _) in [base, avx] {
+            assert!(matches!(fresh.load(&key, &m), DiskLoad::Hit(_)));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Stores HodgkinHuxley under both configurations, lets `damage` spoil
+    /// their one table record (given the storing cache and the record's
+    /// path), and checks what follows in a new process: loaded before
+    /// anything writes the record again, every entry that names it is
+    /// refused — the first for `reason`, the next for the record it removed
+    /// — and removed; a cache over the directory recompiles with an
+    /// incident, bit-identically, and its store writes the record again,
+    /// so that the process after it loads both entries on one copy.
+    fn assert_tables_refused_and_healed(
+        tag: &str,
+        reason: RejectReason,
+        damage: impl Fn(&DiskCache, &Path),
+    ) {
+        let dir = temp_dir(tag);
+        let m = model("HodgkinHuxley");
+        let keys = CONFIGS.map(|config| EntryKey::new(&m, config, true));
+        let seed = || {
+            let seeder = DiskCache::open(&dir).unwrap();
+            let reference: Vec<_> = store_both(&seeder, &m).iter().map(bits).collect();
+            let path = tables_path(&dir);
+            damage(&seeder, &path);
+            (reference, path)
+        };
+
+        let (_, path) = seed();
+        let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+        let fresh = DiskCache::open(&dir).unwrap();
+        for (n, key) in keys.iter().enumerate() {
+            let DiskLoad::Rejected(reject) = fresh.load(key, &m) else {
+                panic!("{tag}: {} loaded", key.config.label());
+            };
+            let want = if n == 0 {
+                reason
+            } else {
+                RejectReason::Malformed
+            };
+            assert_eq!(reject.reason, want, "{tag}: {reject}");
+            assert!(reject.detail.contains(&name), "{tag}: {reject}");
+            assert!(!entry_path(&fresh, key).exists(), "{tag}: entry removed");
+        }
+        assert!(!path.exists(), "{tag}: the refused record is removed");
+
+        let (reference, _) = seed();
+        let cache = crate::KernelCache::new();
+        cache.set_disk_cache(Some(Arc::new(DiskCache::open(&dir).unwrap())));
+        for (config, bits_then) in CONFIGS.iter().zip(&reference) {
+            assert_eq!(
+                &bits(&cache.get_or_compile(&m, *config)),
+                bits_then,
+                "{tag}"
+            );
+        }
+        let s = cache.stats();
+        assert_eq!(
+            (s.disk_rejects, s.misses, s.disk_writes, s.disk_hits),
+            (1, 1, 1, 1),
+            "{tag}: the first entry recompiled, whose store heals the record"
+        );
+        let incidents = cache.incidents();
+        assert!(
+            incidents
+                .iter()
+                .any(|i| i.kind == crate::IncidentKind::DiskCacheRejected
+                    && i.detail.contains(&name)),
+            "{tag}: {incidents:?}"
+        );
+
+        let healed = DiskCache::open(&dir).unwrap();
+        let loaded: Vec<_> = keys
+            .iter()
+            .map(|key| match healed.load(key, &m) {
+                DiskLoad::Hit(entry) => entry,
+                other => panic!("{tag}: not healed: {other:?}"),
+            })
+            .collect();
+        assert!(loaded[0].kernel().shares_luts(loaded[1].kernel()), "{tag}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_table_record_refuses_every_entry_that_names_it() {
+        assert_tables_refused_and_healed("tables-truncated", RejectReason::TornTail, |_, path| {
+            let bytes = fs::read(path).unwrap();
+            fs::write(path, &bytes[..bytes.len() - 100]).unwrap();
+        });
+        assert_tables_refused_and_healed(
+            "tables-corrupted",
+            RejectReason::ChecksumMismatch,
+            |_, path| {
+                let mut bytes = fs::read(path).unwrap();
+                let at = bytes.len() / 2;
+                bytes[at] ^= 0x01;
+                fs::write(path, &bytes).unwrap();
+            },
+        );
+        assert_tables_refused_and_healed("tables-stale", RejectReason::StaleVersion, |_, path| {
+            let bytes = fs::read(path).unwrap();
+            let stamp = format!("{TABLES_MAGIC} {ENTRY_FORMAT_VERSION} ");
+            assert!(bytes.starts_with(stamp.as_bytes()));
+            let stale = format!("{TABLES_MAGIC} 999999 ");
+            fs::write(path, [stale.as_bytes(), &bytes[stamp.len()..]].concat()).unwrap();
+        });
+        // Another model's record under this one's name.
+        assert_tables_refused_and_healed("tables-renamed", RejectReason::KeyMismatch, |_, path| {
+            let other = model("BeelerReuter");
+            let entry = CompiledKernel::compile(&other, PipelineKind::Baseline);
+            let fingerprint = model_fingerprint(&other);
+            let (_, record) = seal_tables(fingerprint, entry.kernel().luts());
+            fs::write(path, record).unwrap();
+        });
+    }
+
+    #[test]
+    fn an_evicted_table_record_refuses_every_entry_that_names_it() {
+        // Under a cap one table record short of what the next store leaves,
+        // the least recently used record goes: the one HodgkinHuxley's two
+        // entries name, aged for it.
+        assert_tables_refused_and_healed(
+            "tables-evicted",
+            RejectReason::Malformed,
+            |seeder, path| {
+                let aged = SystemTime::now() - Duration::from_secs(100);
+                fs::OpenOptions::new()
+                    .append(true)
+                    .open(path)
+                    .and_then(|f| f.set_modified(aged))
+                    .unwrap();
+                let other = model("BeelerReuter");
+                let key = EntryKey::new(&other, PipelineKind::Baseline, true);
+                let entry = CompiledKernel::compile(&other, PipelineKind::Baseline);
+                let (tables, record) = seal_tables(key.fingerprint, entry.kernel().luts());
+                let adds = record.len() + encode_entry(&key, &other.name, &entry, &tables).len();
+                let evicted = fs::metadata(path).unwrap().len();
+                seeder.set_cap_bytes(seeder.status().unwrap().bytes + adds as u64 - evicted);
+                seeder.store(&key, &other.name, &entry).unwrap();
+                assert!(!path.exists(), "the table record is evicted");
+                let status = seeder.status().unwrap();
+                assert_eq!((status.entries, status.tables), (3, 1), "and nothing else");
+                assert_eq!(seeder.stats().evictions, 1);
+                // The other model's record would confuse `tables_path`.
+                fs::remove_file(dir_of(path).join(tables.file_name())).unwrap();
+            },
+        );
+    }
+
+    fn dir_of(path: &Path) -> &Path {
+        path.parent().unwrap()
+    }
+
+    #[test]
+    fn the_cache_that_evicted_a_table_record_writes_it_again() {
+        let dir = temp_dir("tables-evicted-rewritten");
+        let cache = DiskCache::open(&dir).unwrap();
+        let (m, other) = (model("HodgkinHuxley"), model("BeelerReuter"));
+        let store = |m: &Model, config| {
+            let entry = CompiledKernel::compile(m, config);
+            cache
+                .store(&EntryKey::new(m, config, true), &m.name, &entry)
+                .unwrap();
+        };
+        store(&m, CONFIGS[0]);
+        let path = tables_path(&dir);
+        cache.set_cap_bytes(0);
+        store(&other, CONFIGS[0]);
+        assert!(!path.exists(), "evicted");
+        cache.set_cap_bytes(DEFAULT_CAP_BYTES);
+        store(&m, CONFIGS[1]);
+        assert!(path.exists(), "written with the next entry that names it");
+        let fresh = DiskCache::open(&dir).unwrap();
+        let key = EntryKey::new(&m, CONFIGS[1], true);
+        assert!(matches!(fresh.load(&key, &m), DiskLoad::Hit(_)));
         let _ = fs::remove_dir_all(&dir);
     }
 

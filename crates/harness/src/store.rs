@@ -1,9 +1,9 @@
 //! The record: the one durable-file mechanism of the harness.
 //!
-//! Four kinds of file outlive a process — `.lke` kernel-cache entries and
-//! `.lso` native containers ([`crate::persist`]), `.lcp` snapshots
-//! ([`crate::checkpoint`]) and the timing model's calibration
-//! ([`crate::threads`]) — and all four are one *record*:
+//! Five kinds of file outlive a process — `.lke` kernel-cache entries,
+//! `.lkt` table records and `.lso` native containers ([`crate::persist`]),
+//! `.lcp` snapshots ([`crate::checkpoint`]) and the timing model's
+//! calibration ([`crate::threads`]) — and all five are one *record*:
 //!
 //! ```text
 //! <magic> <field>… <payload-len> <sum:016x>\n<payload-len bytes of payload>
@@ -125,6 +125,31 @@ pub(crate) fn seal(
     let sum = format!("{:016x}", payload_sum(&out[payload_at..]));
     out[sum_at..sum_at + 16].copy_from_slice(sum.as_bytes());
     out
+}
+
+/// [`seal`] for a record keyed by what it holds: the last field of its key
+/// is the payload's sum, which `seal` computes for the header anyway. The
+/// record is sealed under a placeholder for it, and the sum is copied in.
+/// Returns the record and the sum.
+pub(crate) fn seal_by_sum(
+    magic: &str,
+    stamps: &[&dyn Display],
+    key: &[&dyn Display],
+    payload_len: usize,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> (Vec<u8>, u64) {
+    let placeholder = "0".repeat(16);
+    let key: Vec<&dyn Display> = key.iter().copied().chain([&placeholder as _]).collect();
+    let mut record = seal(magic, stamps, &key, payload_len, fill);
+    let header_end = record.iter().position(|&b| b == b'\n');
+    let sum_at = header_end.expect("a sealed record has a header line") - 16;
+    // `… <sum> <payload-len> <sum>\n`: the placeholder ends where the length
+    // begins.
+    let key_at = sum_at - 1 - payload_len.to_string().len() - 1 - 16;
+    record.copy_within(sum_at..sum_at + 16, key_at);
+    let sum = std::str::from_utf8(&record[sum_at..sum_at + 16]).ok();
+    let sum = sum.and_then(|hex| u64::from_str_radix(hex, 16).ok());
+    (record, sum.expect("seal spells the sum in hex"))
 }
 
 /// Walks the ladder over `bytes` down to the payload, for the store that
@@ -311,7 +336,7 @@ pub(crate) fn inject(bytes: &mut Vec<u8>, [torn, corrupt, stale]: [FaultKind; 3]
 
 #[cfg(test)]
 pub(crate) mod tests {
-    //! One attack suite over the frame, run on all three record kinds a
+    //! One attack suite over the frame, run on all four record kinds a
     //! fault can reach. What is a store's own — stale stamps, key echoes,
     //! payload grammars, rotation, LRU — is tested in that store.
 
@@ -320,6 +345,7 @@ pub(crate) mod tests {
     use crate::persist::{self, EntryKey};
     use crate::sim::PipelineKind;
     use crate::CompiledKernel;
+    use std::sync::Arc;
 
     /// What a writer killed between staging and rename leaves, as old as
     /// `age`: for the orphan tests of the stores.
@@ -427,10 +453,24 @@ pub(crate) mod tests {
         .unwrap();
         let key = EntryKey::new(&m, PipelineKind::Baseline, true);
         let compiled = CompiledKernel::compile(&m, PipelineKind::Baseline);
-        let entry = persist::encode_entry(&key, &m.name, &compiled);
+        let luts = compiled.kernel().shared_luts();
+        let (tables, record) = persist::seal_tables(key.fingerprint, luts);
+        let entry = persist::encode_entry(&key, &m.name, &compiled, &tables);
         attack("lke", &entry, &|bytes| {
-            persist::decode_entry(bytes, &key, &m)
-                .map(drop)
+            persist::decode_entry(bytes, &key, &m, |named| {
+                assert_eq!(*named, tables, "a checksummed entry names its tables");
+                Ok(Arc::clone(luts))
+            })
+            .map(drop)
+            .map_err(|reject| reject.reason)
+        });
+
+        // `.lkt`: the tables that entry names.
+        attack("lkt", &record, &|bytes| {
+            persist::open_tables(bytes, &tables)
+                .map(|decoded| {
+                    assert!(limpet_vm::same_luts(&decoded, luts));
+                })
                 .map_err(|reject| reject.reason)
         });
 
@@ -477,6 +517,21 @@ pub(crate) mod tests {
         // An empty payload is a record too, and `0` its one spelling.
         let empty = seal("magic", &[], &[], 0, |_| ());
         assert_eq!(open(&empty, "magic", &[], &[]).unwrap(), b"");
+        // A record keyed by its sum names it in the key, spelled as the
+        // header's sum is.
+        let (keyed, sum) = seal_by_sum("magic", &[&7], &[&"key"], 5, |out| {
+            out.extend_from_slice(b"hello")
+        });
+        assert_eq!(sum, payload_sum(b"hello"));
+        let hex = format!("{sum:016x}");
+        assert_eq!(
+            open(&keyed, "magic", &[&7], &[&"key", &hex]).unwrap(),
+            b"hello"
+        );
+        assert_eq!(
+            keyed,
+            format!("magic 7 key {hex} 5 {hex}\nhello").as_bytes()
+        );
         // The rungs above the payload, in order: another store's record or
         // one of another shape, another build's, another key's.
         let rung = |magic, stamps: &[&dyn Display], key: &str| {

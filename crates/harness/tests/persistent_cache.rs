@@ -238,16 +238,18 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         limpet_vm::BYTECODE_FORMAT_VERSION,
     );
 
-    // What five earlier builds stored for this model: f9ea60c (bytecode
+    // What six earlier builds stored for this model: f9ea60c (bytecode
     // format 1: `lutvec` per column, no `lutrow`), 5b0cae0 (entry format 2:
     // the tables as a fourth text section of hex, which this build has no
     // reader for), 0892a15 and c5a12ba (bytecode format 2, which kept every
     // scalar lookup a row of one column: c5a12ba's baseline entry reads the
-    // one table at one key in two rows where this build emits one), and
-    // 091ed00 (entry format 3: a `program.raw` section after the main
-    // program, which this build neither writes nor reads).
+    // one table at one key in two rows where this build emits one), 091ed00
+    // (entry format 3: a `program.raw` section after the main program,
+    // which this build neither writes nor reads) and 58854f8 (entry format
+    // 4: the tables as bytes inside the entry, where this build names a
+    // table record).
     let baseline = PipelineKind::Baseline;
-    let fixtures: [(&[u8], &[u8], PipelineKind); 5] = [
+    let fixtures: [(&[u8], &[u8], PipelineKind); 6] = [
         (
             include_bytes!("entry_written_at_f9ea60c.lke"),
             b"limpet-kernel-cache 1 1 1 ",
@@ -273,6 +275,11 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
             b"limpet-kernel-cache 3 1 3 ",
             CONFIG,
         ),
+        (
+            include_bytes!("entry_written_at_58854f8.lke"),
+            b"limpet-kernel-cache 4 1 3 ",
+            CONFIG,
+        ),
     ];
     for (parent_entry, stamps, config) in fixtures {
         assert!(parent_entry.starts_with(stamps));
@@ -282,13 +289,24 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         assert_rejected_and_healed(&disk, &m, config, "stale format version", &reference_bits);
         let healed = std::fs::read(&path).unwrap();
         assert!(healed.starts_with(format!("limpet-kernel-cache {entry} 1 {bc} ").as_bytes()));
+        // A healed entry names its table record, which is on disk.
+        let (_, _, named) = read_entry(&path);
+        let sum = std::str::from_utf8(&named).unwrap();
+        let sum = sum.strip_prefix("tables ").unwrap().trim_end();
+        let (_, tables) = read_tables(&dir);
+        assert_eq!(tables[3], sum, "{tables:?}");
+        assert_eq!(
+            tables[..2],
+            ["limpet-lut-tables".to_string(), entry.to_string()]
+        );
     }
 
     // The healed baseline entry runs a shorter program to the parent's bits:
     // one row where the parent's main and raw programs had two each, and the
     // trajectory the parent build computed (its FNV-1a digest, printed by
     // that build). The healed CONFIG entry holds one program where 091ed00's
-    // held two, and steps to the digest that build printed.
+    // held two, and steps to the digest that build printed, as 58854f8's
+    // entry does.
     let rows = |text: &str| text.lines().filter(|l| l.starts_with("lutrow ")).count();
     let sections = |text: &str| text.lines().filter(|l| l.starts_with("section ")).count();
     let parent_text = String::from_utf8_lossy(include_bytes!("entry_written_at_c5a12ba.lke"));
@@ -304,9 +322,9 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The entry at `path` in its three parts: the header's tokens, the text
-/// part of the payload (the `model` line and the two framed sections) and
-/// the table block after it, which is bytes.
+/// The entry at `path` in its three parts: the header's tokens, the
+/// `model` line and the two framed sections, and the `tables` line after
+/// them that names the entry's table record.
 fn read_entry(path: &Path) -> (Vec<String>, String, Vec<u8>) {
     let bytes = std::fs::read(path).unwrap();
     let line_end = |from: usize| from + bytes[from..].iter().position(|&b| b == b'\n').unwrap() + 1;
@@ -326,12 +344,36 @@ fn read_entry(path: &Path) -> (Vec<String>, String, Vec<u8>) {
     )
 }
 
+/// The one table record in `dir`: its path and its header's tokens.
+fn read_tables(dir: &Path) -> (PathBuf, Vec<String>) {
+    let mut found = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|item| item.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "lkt"));
+    let path = found.next().expect("a table record");
+    assert!(
+        found.next().is_none(),
+        "one table record in {}",
+        dir.display()
+    );
+    let bytes = std::fs::read(&path).unwrap();
+    let line = bytes.split(|&b| b == b'\n').next().unwrap();
+    let header = std::str::from_utf8(line).unwrap().split(' ');
+    (path.clone(), header.map(String::from).collect())
+}
+
 /// Writes `text` + `tables` to `path` as the payload of an entry signed the
 /// way a mismatched but intact writer would have: the header states the
 /// payload's length and sum.
-fn write_signed_entry(path: &Path, mut header: Vec<String>, text: &str, tables: &[u8]) {
-    let payload = [text.as_bytes(), tables].concat();
-    header[7] = payload.len().to_string();
+fn write_signed_entry(path: &Path, header: Vec<String>, text: &str, tables: &[u8]) {
+    write_signed(path, header, &[text.as_bytes(), tables].concat());
+}
+
+/// Writes `payload` to `path` as a record under `header`, whose last two
+/// tokens — the payload's length and sum — are set to match.
+fn write_signed(path: &Path, mut header: Vec<String>, payload: &[u8]) {
+    let n = header.len();
+    header[n - 2] = payload.len().to_string();
     // The envelope's payload sum, spelled out: FNV-1a folded over 8-byte
     // little-endian words, then over the tail bytes.
     let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0100_0000_01b3);
@@ -341,9 +383,9 @@ fn write_signed_entry(path: &Path, mut header: Vec<String>, text: &str, tables: 
         .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
         .fold(0xcbf2_9ce4_8422_2325, fold);
     let sum = tail.iter().map(|&b| u64::from(b)).fold(sum, fold);
-    header[8] = format!("{sum:016x}");
-    let entry = [header.join(" ").as_bytes(), b"\n", &payload[..]].concat();
-    std::fs::write(path, entry).unwrap();
+    header[n - 1] = format!("{sum:016x}");
+    let record = [header.join(" ").as_bytes(), b"\n", payload].concat();
+    std::fs::write(path, record).unwrap();
 }
 
 /// Rewrites the text part of the entry at `path` line by line — `edit` gets
@@ -442,8 +484,8 @@ fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The table block of [`coarse_gate`]'s entry is one 42-row, 2-column
-/// table: `luts 1\n`, the `lut … 42 2\n` line, 672 bytes, `\n`, `end\n`.
+/// The table block of [`coarse_gate`]'s table record is one 42-row,
+/// 2-column table: `luts 1\n`, the `lut … 42 2\n` line, 672 bytes, `\n`, `end\n`.
 const GATE_TABLE_BYTES: usize = 42 * 2 * 8;
 
 /// Where the table's line starts in that block, and where its data does.
@@ -473,12 +515,14 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
     let path = entry_path(&dir, &m, CONFIG);
     let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
 
-    // Each case re-signs the entry over an edited block, so only the block's
-    // own reader stands between it and the step loop.
+    // Each case re-signs the table record over an edited block, so only the
+    // block's own reader stands between it and the step loop.
     let resign = |edit: &dyn Fn(&mut Vec<u8>)| {
-        let (header, text, mut tables) = read_entry(&path);
+        let (tables_path, header) = read_tables(&dir);
+        let bytes = std::fs::read(&tables_path).unwrap();
+        let mut tables = bytes[header.join(" ").len() + 1..].to_vec();
         edit(&mut tables);
-        write_signed_entry(&path, header, &text, &tables);
+        write_signed(&tables_path, header, &tables);
     };
     type Edit = Box<dyn Fn(&mut Vec<u8>)>;
     let cases: Vec<(&str, Edit, &str)> = vec![
@@ -584,15 +628,16 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
     }
 
     // A byte of a table flipped on disk, under the header's old sum: the
-    // checksum rung covers the block like the text.
-    let mut bytes = std::fs::read(&path).unwrap();
+    // checksum rung covers the block.
+    let (tables_path, _) = read_tables(&dir);
+    let mut bytes = std::fs::read(&tables_path).unwrap();
     let at = bytes.len() - b"\nend\n".len() - GATE_TABLE_BYTES / 2;
     bytes[at] ^= 0x01;
-    std::fs::write(&path, &bytes).unwrap();
+    std::fs::write(&tables_path, &bytes).unwrap();
     assert_rejected_and_healed(&disk, &m, CONFIG, "checksum mismatch", &reference_bits);
 
-    // And the text framing in front of it: a section that claims the rest
-    // of the address space.
+    // And the entry's text framing: a section that claims the rest of the
+    // address space.
     let (header, text, tables) = read_entry(&path);
     let framing = text.lines().nth(1).unwrap();
     assert!(framing.starts_with("section module "), "{framing}");
@@ -751,6 +796,51 @@ fn disk_warm_entries_match_their_cold_twins_over_the_roster() {
     let (c, w) = (cold_cache.stats(), warm_cache.stats());
     assert_eq!((c.misses, c.disk_writes), (kernels, kernels));
     assert_eq!((w.disk_hits, w.disk_rejects, w.misses), (kernels, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_models_configurations_write_one_table_record_and_share_it() {
+    let dir = temp_cache_dir("one-table-record");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = model("HodgkinHuxley");
+    let configs = [PipelineKind::Baseline, CONFIG];
+
+    // The cold cache stores both entries and one table record, and its two
+    // kernels read one copy of the tables.
+    let cold_cache = cache_with_disk(&disk);
+    let cold = configs.map(|config| cold_cache.get_or_compile(&m, config));
+    assert!(!cold[0].kernel().luts().is_empty(), "the model tabulates");
+    assert!(cold[0].kernel().shares_luts(cold[1].kernel()));
+    assert_eq!(cold_cache.stats().disk_writes, 2, "writes count entries");
+    let status = disk.status().expect("readable cache dir");
+    assert_eq!((status.entries, status.tables), (2, 1));
+    let (tables_path, _) = read_tables(&dir);
+    let on_disk = std::fs::metadata(&tables_path).unwrap().len();
+    let entries: u64 = configs
+        .iter()
+        .map(|&config| {
+            std::fs::metadata(entry_path(&dir, &m, config))
+                .unwrap()
+                .len()
+        })
+        .sum();
+    assert_eq!(status.bytes, on_disk + entries, "bytes count every record");
+
+    // So do a fresh cache's, loaded from disk, and they step as the cold
+    // ones do.
+    let warm_cache = cache_with_disk(&Arc::new(DiskCache::open(&dir).expect("dir")));
+    let warm = configs.map(|config| warm_cache.get_or_compile(&m, config));
+    let s = warm_cache.stats();
+    assert_eq!((s.disk_hits, s.disk_rejects, s.misses), (2, 0, 0));
+    assert!(warm[0].kernel().shares_luts(warm[1].kernel()));
+    assert!(
+        !warm[0].kernel().shares_luts(cold[0].kernel()),
+        "another cache"
+    );
+    for (warm, cold) in warm.iter().zip(&cold) {
+        assert_eq!(trajectory_bits(warm), trajectory_bits(cold));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

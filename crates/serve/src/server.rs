@@ -211,6 +211,13 @@ impl ServerState {
     fn stats_json(&self, queued: usize, ckpt_superseded: u64) -> Json {
         let cache = KernelCache::global();
         let cache_stats = Json::parse(&cache.stats().to_json()).unwrap_or(Json::Null);
+        // What the disk tier holds (entries, table records, bytes), when
+        // one is attached.
+        let disk = cache
+            .disk_cache()
+            .and_then(|disk| disk.status().ok())
+            .and_then(|status| Json::parse(&status.to_json()).ok())
+            .unwrap_or(Json::Null);
         let incidents = Json::parse(&limpet_harness::incidents_json(&cache.incidents()))
             .unwrap_or(Json::Arr(Vec::new()));
         let c = &self.counters;
@@ -242,6 +249,7 @@ impl ServerState {
             ),
             ("survivability", self.survivability_json(ckpt_superseded)),
             ("cache", cache_stats),
+            ("disk", disk),
             ("incidents", incidents),
             ("tenants", self.ledger.usage_json()),
         ])
@@ -987,6 +995,7 @@ mod tests {
             "tiers",
             "survivability",
             "cache",
+            "disk",
             "incidents",
             "tenants",
         ] {

@@ -193,6 +193,14 @@ fn killed_daemon_resumes_jobs_with_identical_digests() {
         .and_then(Json::as_u64)
         .unwrap();
     assert_eq!(resumed, 1, "only the victim resumes: {stats}");
+    // One model under one configuration: one entry and its table record.
+    let disk = stats.get("disk").expect("the daemon has a disk tier");
+    let count = |key| disk.get(key).and_then(Json::as_u64);
+    assert_eq!(
+        (count("entries"), count("tables")),
+        (Some(1), Some(1)),
+        "{stats}"
+    );
 
     // Graceful shutdown path: the daemon acknowledges and exits cleanly.
     c.send(r#"{"verb":"shutdown"}"#);

@@ -398,8 +398,9 @@ impl Kernel {
         program: Program,
         width: usize,
         info: &ModelInfo,
-        luts: Vec<LutData>,
+        luts: impl Into<Arc<[LutData]>>,
     ) -> Result<Kernel, CompileError> {
+        let luts = luts.into();
         if !matches!(width, 1 | 2 | 4 | 8) {
             return Err(CompileError(format!("unsupported vector width {width}")));
         }
@@ -436,7 +437,7 @@ impl Kernel {
             program: Arc::new(program),
             width,
             param_values: param_values.into(),
-            luts: luts.into(),
+            luts,
             info: Arc::new(info.clone()),
             steps: Arc::new(AtomicU64::new(0)),
         })
@@ -446,6 +447,26 @@ impl Kernel {
     /// same `Arc`'d program), i.e. one is a cheap clone of the other.
     pub fn shares_compilation(&self, other: &Kernel) -> bool {
         Arc::ptr_eq(&self.program, &other.program)
+    }
+
+    /// Whether two kernels read one allocation of lookup tables: clones,
+    /// an entry's raw sibling, or kernels that [`Kernel::share_luts`] made
+    /// share.
+    pub fn shares_luts(&self, other: &Kernel) -> bool {
+        Arc::ptr_eq(&self.luts, &other.luts)
+    }
+
+    /// Makes the kernel read `luts` instead of its own tables when the two
+    /// are equal bit for bit — kernels of one model under several
+    /// configurations tabulate the same tables — and says whether it did.
+    /// Tables that differ are left alone, so the kernel computes what it
+    /// did either way.
+    pub fn share_luts(&mut self, luts: &Arc<[LutData]>) -> bool {
+        let same = crate::lut::same_luts(&self.luts, luts);
+        if same {
+            self.luts = Arc::clone(luts);
+        }
+        same
     }
 
     /// The model name.
@@ -471,6 +492,13 @@ impl Kernel {
     /// The precomputed lookup tables, in program table order (what
     /// [`Kernel::from_parts`] takes back to reassemble the kernel).
     pub fn luts(&self) -> &[LutData] {
+        &self.luts
+    }
+
+    /// The lookup tables as the kernel holds them: the allocation its
+    /// clones share, which a cache that keeps one copy per model compares
+    /// and hands to [`Kernel::share_luts`].
+    pub fn shared_luts(&self) -> &Arc<[LutData]> {
         &self.luts
     }
 
@@ -1585,6 +1613,34 @@ mod tests {
         f.op_mut(col).attrs.set("col", 5i64);
         let err = Kernel::from_module(&wide, &info).unwrap_err();
         assert!(err.0.contains("lut column 5"), "{err}");
+    }
+
+    #[test]
+    fn share_luts_takes_only_a_bit_identical_copy() {
+        let (m, info) = two_column_lut_module();
+        let (a, b) = (
+            Kernel::from_module(&m, &info).unwrap(),
+            Kernel::from_module(&m, &info).unwrap(),
+        );
+        assert!(a.shares_luts(&a.clone()) && !a.shares_luts(&b));
+        let mut shared = b.clone();
+        assert!(shared.share_luts(a.shared_luts()));
+        assert!(shared.shares_luts(&a) && shared.shares_compilation(&b));
+        // One value's sign bit apart: `==` calls the tables equal, the
+        // kernel keeps its own.
+        let t = &a.luts()[0];
+        let mut data = t.data().to_vec();
+        let zero = data
+            .iter()
+            .position(|&v| v == 0.0)
+            .expect("the key column crosses 0");
+        data[zero] = -data[zero];
+        let flipped: Arc<[LutData]> =
+            vec![LutData::from_raw(t.lo(), t.hi(), t.step(), t.cols(), data).unwrap()].into();
+        assert!(*flipped == *a.luts() && !crate::lut::same_luts(&flipped, a.luts()));
+        let mut kept = b.clone();
+        assert!(!kept.share_luts(&flipped));
+        assert!(kept.shares_luts(&b));
     }
 
     #[test]

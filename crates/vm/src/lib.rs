@@ -62,7 +62,7 @@ pub mod vmath;
 pub use bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, LutInterp, Program};
 pub use engine::{step_isa, tabulate_luts, Kernel, ModelInfo, ParentView, Profile, SimContext};
 pub use eval::{eval_func, EvalContext, EvalError, ParamOnlyContext, Val};
-pub use lut::LutData;
+pub use lut::{same_luts, LutData};
 pub use optimize::{bytecode_opt_enabled, optimize_program, OptStats};
 pub use serialize::{
     decode_luts, deserialize_luts, deserialize_program, encode_luts, encoded_luts_len,

@@ -34,6 +34,21 @@ use crate::bytecode::LutInterp;
 /// of its two per-lane scratch arrays (the engine's widest dispatch is 32).
 const ROW_LANES: usize = 64;
 
+/// Whether two sets of tables are equal bit for bit: one slice, or the
+/// same grids with the same bits in every value (`==` would refuse a NaN and
+/// take `-0.0` for `0.0`).
+pub fn same_luts(a: &[LutData], b: &[LutData]) -> bool {
+    let grid = |t: &LutData| ([t.lo, t.hi, t.step].map(f64::to_bits), t.rows, t.cols);
+    let same = |a: &LutData, b: &LutData| {
+        grid(a) == grid(b)
+            && a.data
+                .iter()
+                .zip(&b.data)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    std::ptr::eq(a, b) || (a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b)))
+}
+
 /// One precomputed lookup table.
 ///
 /// # Examples
