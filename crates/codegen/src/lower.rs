@@ -12,7 +12,8 @@
 use crate::lut::{extract_luts, LutTable, LUT_COL_MARKER};
 use limpet_easyml::{affine_in, BinOp, Expr, Method, Model, Stmt, UnOp};
 use limpet_ir::{Builder, CmpFPred, Func, LutSpec, MathFn, Module, Type, ValueId};
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 
 /// Options controlling code generation.
 #[derive(Debug, Clone)]
@@ -78,6 +79,8 @@ pub fn lower_model(model: &Model, opts: &CodegenOptions) -> Lowered {
         model,
         stmts: &stmts,
         tables: &tables,
+        deps: OnceCell::new(),
+        cones: vec![OnceCell::new(); model.states.len()],
     };
 
     // LUT column functions + specs.
@@ -102,6 +105,36 @@ struct Lowerer<'m> {
     model: &'m Model,
     stmts: &'m [Stmt],
     tables: &'m [LutTable],
+    /// Who defines and reads what, built on the first [`Lowerer::cone`].
+    deps: OnceCell<Deps>,
+    /// [`Lowerer::cone`] of each entry of `model.states`, built once.
+    cones: Vec<OnceCell<Vec<usize>>>,
+}
+
+/// The def-use index of the statement list.
+struct Deps {
+    /// The statements that assign each name.
+    defs: HashMap<String, Vec<usize>>,
+    /// The names each statement reads.
+    reads: Vec<Vec<String>>,
+}
+
+impl Deps {
+    fn of(stmts: &[Stmt]) -> Deps {
+        let mut defs: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut reads = Vec::with_capacity(stmts.len());
+        for (i, s) in stmts.iter().enumerate() {
+            let mut names = Vec::new();
+            s.assigned_names(&mut names);
+            for n in names {
+                defs.entry(n).or_default().push(i);
+            }
+            let mut r = Vec::new();
+            s.read_names(&mut r);
+            reads.push(r);
+        }
+        Deps { defs, reads }
+    }
 }
 
 /// Per-context value environment: defined names plus cached source reads.
@@ -462,7 +495,7 @@ impl<'m> Lowerer<'m> {
                     for (n, v) in &half_overrides {
                         hov.insert((*n).to_string(), *v);
                     }
-                    self.lower_stmts(b, &self.cone(state), &mut henv, &hov);
+                    self.lower_cone(b, state, &mut henv, &hov);
                     let a2 = self.lower_num(b, &a_expr, &mut henv, &hov);
                     let b2 = self.lower_num(b, &b_expr, &mut henv, &hov);
                     let d2 = henv[&format!("diff_{state}")];
@@ -559,15 +592,14 @@ impl<'m> Lowerer<'m> {
             _ => None,
         })?;
         // Transitive check: intermediates feeding diff may not read X.
-        for s in self.cone(state) {
-            if let Stmt::Assign { lhs, .. } = &s {
+        let reads = &self.deps().reads;
+        for &i in self.cone(state) {
+            if let Stmt::Assign { lhs, .. } = &self.stmts[i] {
                 if *lhs == diff_name {
                     continue;
                 }
             }
-            let mut reads = Vec::new();
-            s.read_names(&mut reads);
-            if reads.iter().any(|r| r == state) {
+            if reads[i].iter().any(|r| r == state) {
                 return None;
             }
         }
@@ -589,41 +621,49 @@ impl<'m> Lowerer<'m> {
         for (n, v) in overrides {
             ov.insert((*n).to_string(), *v);
         }
-        self.lower_stmts(b, &self.cone(state), &mut env, &ov);
+        self.lower_cone(b, state, &mut env, &ov);
         env[&format!("diff_{state}")]
     }
 
-    /// The ordered subset of statements needed to compute `diff_X`.
-    fn cone(&self, state: &str) -> Vec<Stmt> {
-        let target = format!("diff_{state}");
-        let mut needed: Vec<bool> = vec![false; self.stmts.len()];
-        // defs per statement
-        let defs: Vec<Vec<String>> = self
-            .stmts
+    fn lower_cone(&self, b: &mut Builder<'_>, state: &str, env: &mut Env, ov: &Env) {
+        for &i in self.cone(state) {
+            self.lower_stmt(b, &self.stmts[i], env, ov);
+        }
+    }
+
+    fn deps(&self) -> &Deps {
+        self.deps.get_or_init(|| Deps::of(self.stmts))
+    }
+
+    /// The indices, in order, of the statements needed to compute
+    /// `diff_X`: those that assign `diff_X` or, transitively, a name one
+    /// of them reads.
+    fn cone(&self, state: &str) -> &[usize] {
+        let at = self
+            .model
+            .states
             .iter()
-            .map(|s| {
-                let mut d = Vec::new();
-                s.assigned_names(&mut d);
-                d
-            })
-            .collect();
-        let mut want: Vec<String> = vec![target];
-        while let Some(w) = want.pop() {
-            for (i, d) in defs.iter().enumerate() {
-                if !needed[i] && d.contains(&w) {
-                    needed[i] = true;
-                    let mut reads = Vec::new();
-                    self.stmts[i].read_names(&mut reads);
-                    want.extend(reads);
+            .position(|s| s.name == state)
+            .expect("cones are taken of state variables");
+        self.cones[at].get_or_init(|| {
+            let deps = self.deps();
+            let mut needed = vec![false; self.stmts.len()];
+            let mut seen: HashSet<&str> = HashSet::new();
+            let target = format!("diff_{state}");
+            let mut want: Vec<&str> = vec![&target];
+            while let Some(w) = want.pop() {
+                if !seen.insert(w) {
+                    continue;
+                }
+                for &i in deps.defs.get(w).into_iter().flatten() {
+                    if !needed[i] {
+                        needed[i] = true;
+                        want.extend(deps.reads[i].iter().map(String::as_str));
+                    }
                 }
             }
-        }
-        self.stmts
-            .iter()
-            .zip(&needed)
-            .filter(|(_, &n)| n)
-            .map(|(s, _)| s.clone())
-            .collect()
+            (0..needed.len()).filter(|&i| needed[i]).collect()
+        })
     }
 }
 

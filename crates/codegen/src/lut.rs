@@ -74,9 +74,13 @@ pub fn extract_luts(model: &Model) -> LutExtraction {
                     {
                         continue;
                     }
-                    if is_closed(expr, &var, &param_names, &pure)
-                        && expr.references_any(&var, &pure)
-                    {
+                    let mut reads_key = false;
+                    let closed = all_vars(expr, &mut |v| {
+                        let known = v == var || pure.contains_key(v);
+                        reads_key |= known;
+                        known || param_names.contains(v)
+                    });
+                    if closed && reads_key {
                         pure.insert(lhs.clone(), expr.clone());
                         grew = true;
                     }
@@ -92,38 +96,32 @@ pub fn extract_luts(model: &Model) -> LutExtraction {
             .keys()
             .map(|k| (k.clone(), inline_pure(&pure[k], &pure)))
             .collect();
-        stmts = stmts
-            .into_iter()
-            .filter(|s| match s {
-                Stmt::Assign { lhs, .. } => !inlined.contains_key(lhs),
-                Stmt::If { .. } => true,
-            })
-            .map(|s| substitute_stmt(s, &inlined))
-            .collect();
+        stmts.retain(|s| match s {
+            Stmt::Assign { lhs, .. } => !inlined.contains_key(lhs),
+            Stmt::If { .. } => true,
+        });
+        for s in &mut stmts {
+            for_each_expr_mut(s, &mut |e| substitute(e, &inlined));
+        }
 
         // Step 3: extract maximal closed subexpressions containing calls.
-        let table_index = tables.len();
-        let mut columns: Vec<Expr> = Vec::new();
-        let mut col_keys: HashMap<String, usize> = HashMap::new();
-        stmts = stmts
-            .into_iter()
-            .map(|s| {
-                extract_stmt(
-                    s,
-                    &var,
-                    &param_names,
-                    table_index,
-                    &mut columns,
-                    &mut col_keys,
-                )
-            })
-            .collect();
+        let mut ex = Extractor {
+            var: &lookup.var,
+            params: &param_names,
+            table: tables.len(),
+            classes: Vec::new(),
+            columns: Vec::new(),
+            col_keys: HashMap::new(),
+        };
+        for s in &mut stmts {
+            for_each_expr_mut(s, &mut |e| ex.extract(e));
+        }
 
-        if !columns.is_empty() {
+        if !ex.columns.is_empty() {
             tables.push(LutTable {
                 var,
                 lookup: lookup.clone(),
-                columns,
+                columns: ex.columns,
             });
         }
     }
@@ -131,32 +129,16 @@ pub fn extract_luts(model: &Model) -> LutExtraction {
     LutExtraction { stmts, tables }
 }
 
-trait ReferencesAny {
-    fn references_any(&self, var: &str, pure: &HashMap<String, Expr>) -> bool;
-}
-
-impl ReferencesAny for Expr {
-    /// Whether the expression references `var` directly or through an
-    /// already-classified L-pure intermediate.
-    fn references_any(&self, var: &str, pure: &HashMap<String, Expr>) -> bool {
-        let mut vars = Vec::new();
-        self.collect_vars(&mut vars);
-        vars.iter().any(|v| v == var || pure.contains_key(v))
+/// Whether `f` holds for every variable `expr` reads (no allocation).
+fn all_vars(expr: &Expr, f: &mut impl FnMut(&str) -> bool) -> bool {
+    match expr {
+        Expr::Num(_) => true,
+        Expr::Var(v) => f(v),
+        Expr::Unary(_, e) => all_vars(e, f),
+        Expr::Binary(_, l, r) => all_vars(l, f) && all_vars(r, f),
+        Expr::Call(_, args) => args.iter().all(|a| all_vars(a, f)),
+        Expr::Cond(c, t, e) => all_vars(c, f) && all_vars(t, f) && all_vars(e, f),
     }
-}
-
-/// Whether all free variables of `expr` are `var`, parameters, or
-/// already-known L-pure intermediates.
-fn is_closed(
-    expr: &Expr,
-    var: &str,
-    params: &HashSet<String>,
-    pure: &HashMap<String, Expr>,
-) -> bool {
-    let mut vars = Vec::new();
-    expr.collect_vars(&mut vars);
-    vars.iter()
-        .all(|v| v == var || params.contains(v) || pure.contains_key(v))
 }
 
 /// Recursively inlines L-pure variable references.
@@ -185,130 +167,164 @@ fn inline_pure(expr: &Expr, pure: &HashMap<String, Expr>) -> Expr {
     }
 }
 
-fn substitute_stmt(stmt: Stmt, defs: &HashMap<String, Expr>) -> Stmt {
+/// Replaces every reference to an inlined variable by its definition.
+/// The definitions are fully inlined already, so one level suffices.
+fn substitute(expr: &mut Expr, inlined: &HashMap<String, Expr>) {
+    if let Expr::Var(v) = expr {
+        if let Some(def) = inlined.get(v) {
+            *expr = def.clone();
+        }
+        return;
+    }
+    for_each_child_mut(expr, &mut |e| substitute(e, inlined));
+}
+
+/// Visits the statement's expressions in source order: an `if`'s
+/// condition, then its `then` body, then its `else` body.
+fn for_each_expr_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
     match stmt {
-        Stmt::Assign { lhs, expr, line } => Stmt::Assign {
-            lhs,
-            expr: inline_pure(&expr, &to_pure_map(defs)),
-            line,
-        },
+        Stmt::Assign { expr, .. } => f(expr),
         Stmt::If {
             cond,
             then_body,
             else_body,
-            line,
-        } => Stmt::If {
-            cond: inline_pure(&cond, &to_pure_map(defs)),
-            then_body: then_body
-                .into_iter()
-                .map(|s| substitute_stmt(s, defs))
-                .collect(),
-            else_body: else_body
-                .into_iter()
-                .map(|s| substitute_stmt(s, defs))
-                .collect(),
-            line,
-        },
+            ..
+        } => {
+            f(cond);
+            for s in then_body.iter_mut().chain(else_body) {
+                for_each_expr_mut(s, f);
+            }
+        }
     }
 }
 
-fn to_pure_map(defs: &HashMap<String, Expr>) -> HashMap<String, Expr> {
-    defs.clone()
-}
-
-fn extract_stmt(
-    stmt: Stmt,
-    var: &str,
-    params: &HashSet<String>,
-    table: usize,
-    columns: &mut Vec<Expr>,
-    col_keys: &mut HashMap<String, usize>,
-) -> Stmt {
-    match stmt {
-        Stmt::Assign { lhs, expr, line } => Stmt::Assign {
-            lhs,
-            expr: extract_expr(expr, var, params, table, columns, col_keys),
-            line,
-        },
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-            line,
-        } => Stmt::If {
-            cond: extract_expr(cond, var, params, table, columns, col_keys),
-            then_body: then_body
-                .into_iter()
-                .map(|s| extract_stmt(s, var, params, table, columns, col_keys))
-                .collect(),
-            else_body: else_body
-                .into_iter()
-                .map(|s| extract_stmt(s, var, params, table, columns, col_keys))
-                .collect(),
-            line,
-        },
-    }
-}
-
-/// Whether the expression contains a math call (the "worth tabulating"
-/// criterion — LUTs pay off when they elide transcendental evaluations).
-fn contains_call(expr: &Expr) -> bool {
+/// Visits the direct operands of `expr`, left to right.
+fn for_each_child_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
     match expr {
-        Expr::Num(_) | Expr::Var(_) => false,
-        Expr::Unary(_, e) => contains_call(e),
-        Expr::Binary(_, l, r) => contains_call(l) || contains_call(r),
-        Expr::Call(..) => true,
-        Expr::Cond(c, t, e) => contains_call(c) || contains_call(t) || contains_call(e),
+        Expr::Num(_) | Expr::Var(_) => {}
+        Expr::Unary(_, e) => f(e),
+        Expr::Binary(_, l, r) => {
+            f(l);
+            f(r);
+        }
+        Expr::Call(_, args) => args.iter_mut().for_each(f),
+        Expr::Cond(c, t, e) => {
+            f(c);
+            f(t);
+            f(e);
+        }
     }
 }
 
-fn extract_expr(
-    expr: Expr,
-    var: &str,
-    params: &HashSet<String>,
+/// What step 3 needs to know of one expression node, computed bottom-up.
+#[derive(Debug, Clone, Copy)]
+struct Class {
+    /// The subtree reads the lookup variable.
+    reads_key: bool,
+    /// Every variable the subtree reads is the lookup variable or a
+    /// parameter.
+    closed: bool,
+    /// The subtree contains a call — the "worth tabulating" criterion:
+    /// LUTs pay off when they elide transcendental evaluations.
+    has_call: bool,
+    /// Nodes in the subtree, to skip it in pre-order.
+    size: usize,
+}
+
+impl Class {
+    fn eligible(self) -> bool {
+        self.reads_key && self.closed && self.has_call
+    }
+}
+
+/// Step 3 for one lookup variable: replaces each maximal eligible
+/// subexpression by a reference to a (deduplicated) table column.
+struct Extractor<'a> {
+    var: &'a str,
+    params: &'a HashSet<String>,
     table: usize,
-    columns: &mut Vec<Expr>,
-    col_keys: &mut HashMap<String, usize>,
-) -> Expr {
-    let empty = HashMap::new();
-    if expr.references(var) && is_closed(&expr, var, params, &empty) && contains_call(&expr) {
+    /// Scratch: the classes of the expression being rewritten, pre-order.
+    classes: Vec<Class>,
+    columns: Vec<Expr>,
+    col_keys: HashMap<String, usize>,
+}
+
+impl Extractor<'_> {
+    fn extract(&mut self, expr: &mut Expr) {
+        self.classes.clear();
+        self.classify(expr);
+        let mut at = 0;
+        self.rewrite(expr, &mut at);
+    }
+
+    /// Appends the classes of `expr`'s subtree in pre-order and returns
+    /// the root's.
+    fn classify(&mut self, expr: &Expr) -> Class {
+        let at = self.classes.len();
+        let mut class = Class {
+            reads_key: false,
+            closed: true,
+            has_call: matches!(expr, Expr::Call(..)),
+            size: 1,
+        };
+        self.classes.push(class);
+        match expr {
+            Expr::Num(_) => {}
+            Expr::Var(v) => {
+                class.reads_key = v == self.var;
+                class.closed = class.reads_key || self.params.contains(v);
+            }
+            Expr::Unary(_, e) => self.absorb(&mut class, e),
+            Expr::Binary(_, l, r) => {
+                self.absorb(&mut class, l);
+                self.absorb(&mut class, r);
+            }
+            Expr::Call(_, args) => {
+                for a in args {
+                    self.absorb(&mut class, a);
+                }
+            }
+            Expr::Cond(c, t, e) => {
+                self.absorb(&mut class, c);
+                self.absorb(&mut class, t);
+                self.absorb(&mut class, e);
+            }
+        }
+        self.classes[at] = class;
+        class
+    }
+
+    fn absorb(&mut self, node: &mut Class, child: &Expr) {
+        let c = self.classify(child);
+        node.reads_key |= c.reads_key;
+        node.closed &= c.closed;
+        node.has_call |= c.has_call;
+        node.size += c.size;
+    }
+
+    fn rewrite(&mut self, expr: &mut Expr, at: &mut usize) {
+        let class = self.classes[*at];
+        if !class.eligible() {
+            *at += 1;
+            for_each_child_mut(expr, &mut |e| self.rewrite(e, at));
+            return;
+        }
         // Maximal eligible node: replace by a (deduplicated) column ref.
-        let key = expr.to_string();
-        let col = *col_keys.entry(key).or_insert_with(|| {
-            columns.push(expr.clone());
+        *at += class.size;
+        let column = std::mem::replace(expr, Expr::Num(0.0));
+        let columns = &mut self.columns;
+        let col = *self.col_keys.entry(column.to_string()).or_insert_with(|| {
+            columns.push(column);
             columns.len() - 1
         });
-        return Expr::Call(
+        *expr = Expr::Call(
             LUT_COL_MARKER.to_owned(),
             vec![
-                Expr::Num(table as f64),
+                Expr::Num(self.table as f64),
                 Expr::Num(col as f64),
-                Expr::Var(var.to_owned()),
+                Expr::Var(self.var.to_owned()),
             ],
         );
-    }
-    match expr {
-        Expr::Num(_) | Expr::Var(_) => expr,
-        Expr::Unary(op, e) => Expr::Unary(
-            op,
-            Box::new(extract_expr(*e, var, params, table, columns, col_keys)),
-        ),
-        Expr::Binary(op, l, r) => Expr::Binary(
-            op,
-            Box::new(extract_expr(*l, var, params, table, columns, col_keys)),
-            Box::new(extract_expr(*r, var, params, table, columns, col_keys)),
-        ),
-        Expr::Call(name, args) => Expr::Call(
-            name,
-            args.into_iter()
-                .map(|a| extract_expr(a, var, params, table, columns, col_keys))
-                .collect(),
-        ),
-        Expr::Cond(c, t, e) => Expr::Cond(
-            Box::new(extract_expr(*c, var, params, table, columns, col_keys)),
-            Box::new(extract_expr(*t, var, params, table, columns, col_keys)),
-            Box::new(extract_expr(*e, var, params, table, columns, col_keys)),
-        ),
     }
 }
 
@@ -430,5 +446,64 @@ mod tests {
         assert_eq!(ex.tables.len(), 2);
         assert_eq!(ex.tables[0].var, "Vm");
         assert_eq!(ex.tables[1].var, "Ca");
+    }
+
+    #[test]
+    fn classification_picks_maximal_closed_calls_in_order() {
+        // `am` is L-pure and read by an `if` condition and by both of its
+        // branches; `k*Vm + 1` is closed over {Vm, k} but call-free, so
+        // only the call above it is a column; `exp(Vm*x)` has a call but
+        // reads state, so neither it nor anything under it is one.
+        let m = model(
+            "Vm; .external(); .lookup(-100, 100, 0.5);\n\
+             group{ k = 2.0; }.param();\n\
+             am = exp(Vm / 10.0);\n\
+             if (am > 1.0) { a = am * x; } else { a = exp(am) - x; }\n\
+             diff_x = a + log(k * Vm + 1.0) * x + exp(Vm * x) + am;",
+        );
+        let ex = extract_luts(&m);
+        assert_eq!(ex.tables.len(), 1);
+        let columns: Vec<String> = ex.tables[0].columns.iter().map(Expr::to_string).collect();
+        assert_eq!(
+            columns,
+            [
+                "(exp((Vm/10))>1)",
+                "exp((Vm/10))",
+                "exp(exp((Vm/10)))",
+                "log(((k*Vm)+1))"
+            ]
+        );
+        let rendered: Vec<String> = ex
+            .stmts
+            .iter()
+            .map(|s| match s {
+                Stmt::Assign { lhs, expr, .. } => format!("{lhs} = {expr}"),
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    let body = |b: &[Stmt]| match b {
+                        [Stmt::Assign { lhs, expr, .. }] => format!("{lhs} = {expr}"),
+                        other => panic!("unexpected branch {other:?}"),
+                    };
+                    format!(
+                        "if {cond} {{ {} }} else {{ {} }}",
+                        body(then_body),
+                        body(else_body)
+                    )
+                }
+            })
+            .collect();
+        // `am`'s definition is gone; the second read of `exp(Vm/10)` reuses
+        // column 1.
+        assert_eq!(
+            rendered,
+            [
+                "if __lut_col(0,0,Vm) { a = (__lut_col(0,1,Vm)*x) } else { a = (__lut_col(0,2,Vm)-x) }",
+                "diff_x = (((a+(__lut_col(0,3,Vm)*x))+exp((Vm*x)))+__lut_col(0,1,Vm))",
+            ]
+        );
     }
 }

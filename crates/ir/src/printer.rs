@@ -8,8 +8,7 @@
 use crate::attr::Attr;
 use crate::module::{Func, Module, OpId, RegionId, ValueId};
 use crate::ops::OpKind;
-use std::collections::HashMap;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Prints a module in textual IR form.
 ///
@@ -59,13 +58,12 @@ pub fn print_module(module: &Module) -> String {
 pub fn print_func(func: &Func, out: &mut String) {
     let mut p = FuncPrinter {
         func,
-        names: HashMap::new(),
+        names: vec![Name::Unnamed; func.num_values()],
         next_result: 0,
         next_arg: 0,
     };
     write!(out, "  func.func @{}(", func.name()).unwrap();
-    let args = func.args().to_vec();
-    for (i, &a) in args.iter().enumerate() {
+    for (i, &a) in func.args().iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -75,12 +73,7 @@ pub fn print_func(func: &Func, out: &mut String) {
     out.push(')');
     if !func.result_types().is_empty() {
         out.push_str(" -> (");
-        for (i, t) in func.result_types().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write!(out, "{t}").unwrap();
-        }
+        write_list(out, func.result_types());
         out.push(')');
     }
     out.push_str(" {\n");
@@ -88,73 +81,108 @@ pub fn print_func(func: &Func, out: &mut String) {
     out.push_str("  }\n");
 }
 
+/// A value's printed name, assigned in print order.
+#[derive(Debug, Clone, Copy)]
+enum Name {
+    Unnamed,
+    /// `%N`: the N-th op result.
+    Result(usize),
+    /// `%argN`: the N-th region argument.
+    Arg(usize),
+}
+
+/// A value as printed: its name, or `%<undef:I>` before it has one.
+struct Shown(Name, ValueId);
+
+impl fmt::Display for Shown {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Name::Result(n) => write!(f, "%{n}"),
+            Name::Arg(n) => write!(f, "%arg{n}"),
+            Name::Unnamed => write!(f, "%<undef:{}>", self.1.index()),
+        }
+    }
+}
+
+/// Writes `items` separated by `", "`.
+fn write_list<T: fmt::Display>(out: &mut String, items: impl IntoIterator<Item = T>) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write!(out, "{item}").unwrap();
+    }
+}
+
+fn indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
 struct FuncPrinter<'a> {
     func: &'a Func,
-    names: HashMap<ValueId, String>,
+    names: Vec<Name>,
     next_result: usize,
     next_arg: usize,
 }
 
 impl<'a> FuncPrinter<'a> {
-    fn name_arg(&mut self, v: ValueId) -> String {
-        let n = format!("%arg{}", self.next_arg);
+    fn name_arg(&mut self, v: ValueId) -> Shown {
+        self.names[v.index()] = Name::Arg(self.next_arg);
         self.next_arg += 1;
-        self.names.insert(v, n.clone());
-        n
+        self.name_of(v)
     }
 
-    fn name_result(&mut self, v: ValueId) -> String {
-        let n = format!("%{}", self.next_result);
+    fn name_result(&mut self, v: ValueId) -> Shown {
+        self.names[v.index()] = Name::Result(self.next_result);
         self.next_result += 1;
-        self.names.insert(v, n.clone());
-        n
+        self.name_of(v)
     }
 
-    fn name_of(&self, v: ValueId) -> String {
-        self.names
-            .get(&v)
-            .cloned()
-            .unwrap_or_else(|| format!("%<undef:{}>", v.index()))
+    fn name_of(&self, v: ValueId) -> Shown {
+        Shown(self.names[v.index()], v)
     }
 
     fn print_region_body(&mut self, region: RegionId, depth: usize, out: &mut String) {
-        let ops = self.func.region(region).ops.clone();
-        for op in ops {
+        let func = self.func;
+        for &op in &func.region(region).ops {
             self.print_op(op, depth, out);
         }
     }
 
     fn print_op(&mut self, op_id: OpId, depth: usize, out: &mut String) {
-        let pad = "  ".repeat(depth);
-        let op = self.func.op(op_id).clone();
-        out.push_str(&pad);
+        let func = self.func;
+        let op = func.op(op_id);
+        indent(out, depth);
 
         // Results.
         if !op.results.is_empty() {
-            let names: Vec<String> = op.results.iter().map(|&r| self.name_result(r)).collect();
-            write!(out, "{} = ", names.join(", ")).unwrap();
+            let names: Vec<Shown> = op.results.iter().map(|&r| self.name_result(r)).collect();
+            write_list(out, names);
+            out.push_str(" = ");
         }
+        let result_types = op.results.iter().map(|&r| func.value_type(r));
 
         match &op.kind {
             OpKind::If => {
                 write!(out, "scf.if {}", self.name_of(op.operands[0])).unwrap();
                 if !op.results.is_empty() {
-                    let tys: Vec<String> = op
-                        .results
-                        .iter()
-                        .map(|&r| self.func.value_type(r).to_string())
-                        .collect();
-                    write!(out, " -> ({})", tys.join(", ")).unwrap();
+                    out.push_str(" -> (");
+                    write_list(out, result_types);
+                    out.push(')');
                 }
                 out.push_str(" {\n");
                 self.print_region_body(op.regions[0], depth + 1, out);
-                writeln!(out, "{pad}}} else {{").unwrap();
+                indent(out, depth);
+                out.push_str("} else {\n");
                 self.print_region_body(op.regions[1], depth + 1, out);
-                writeln!(out, "{pad}}}").unwrap();
+                indent(out, depth);
+                out.push_str("}\n");
             }
             OpKind::For => {
                 let body = op.regions[0];
-                let args = self.func.region(body).args.clone();
+                let args = &func.region(body).args;
                 let iv = self.name_arg(args[0]);
                 write!(
                     out,
@@ -174,17 +202,14 @@ impl<'a> FuncPrinter<'a> {
                         let an = self.name_arg(a);
                         write!(out, "{an} = {}", self.name_of(op.operands[3 + i])).unwrap();
                     }
+                    out.push_str(") -> (");
+                    write_list(out, result_types);
                     out.push(')');
-                    let tys: Vec<String> = op
-                        .results
-                        .iter()
-                        .map(|&r| self.func.value_type(r).to_string())
-                        .collect();
-                    write!(out, " -> ({})", tys.join(", ")).unwrap();
                 }
                 out.push_str(" {\n");
                 self.print_region_body(body, depth + 1, out);
-                writeln!(out, "{pad}}}").unwrap();
+                indent(out, depth);
+                out.push_str("}\n");
             }
             kind => {
                 out.push_str(kind.name());
@@ -200,8 +225,7 @@ impl<'a> FuncPrinter<'a> {
                 // Operands.
                 if !op.operands.is_empty() {
                     out.push(' ');
-                    let names: Vec<String> = op.operands.iter().map(|&v| self.name_of(v)).collect();
-                    out.push_str(&names.join(", "));
+                    write_list(out, op.operands.iter().map(|&v| self.name_of(v)));
                 }
                 // Attributes.
                 if !op.attrs.is_empty() {
@@ -211,8 +235,8 @@ impl<'a> FuncPrinter<'a> {
                 let ty = op
                     .results
                     .first()
-                    .map(|&r| self.func.value_type(r))
-                    .or_else(|| op.operands.first().map(|&v| self.func.value_type(v)));
+                    .or(op.operands.first())
+                    .map(|&v| func.value_type(v));
                 if let Some(ty) = ty {
                     write!(out, " : {ty}").unwrap();
                 }

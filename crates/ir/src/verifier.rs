@@ -7,7 +7,6 @@
 use crate::module::{Func, Module, OpId, RegionId, ValueId};
 use crate::ops::OpKind;
 use crate::types::Type;
-use std::collections::HashSet;
 use std::fmt;
 
 /// The category of a verification failure — a stable code for
@@ -178,7 +177,7 @@ fn verify_func(module: &Module, func: &Func) -> Result<(), VErr> {
     let mut v = Verifier {
         module,
         func,
-        defined: HashSet::new(),
+        defined: vec![false; func.num_values()],
     };
     v.verify_region(func.body(), None)
 }
@@ -186,12 +185,20 @@ fn verify_func(module: &Module, func: &Func) -> Result<(), VErr> {
 struct Verifier<'a> {
     module: &'a Module,
     func: &'a Func,
-    defined: HashSet<ValueId>,
+    /// Whether each value, by index, is defined and in scope.
+    defined: Vec<bool>,
 }
 
 impl<'a> Verifier<'a> {
     fn ty(&self, v: ValueId) -> Type {
         self.func.value_type(v)
+    }
+
+    fn define(&mut self, v: ValueId, added: &mut Vec<ValueId>) {
+        if !self.defined[v.index()] {
+            self.defined[v.index()] = true;
+            added.push(v);
+        }
     }
 
     /// Verifies ops of `region`; `enclosing` is the op owning the region
@@ -203,13 +210,11 @@ impl<'a> Verifier<'a> {
         let mut added: Vec<ValueId> = Vec::new();
         // Region arguments are visible within the region only.
         for &a in &self.func.region(region).args {
-            if self.defined.insert(a) {
-                added.push(a);
-            }
+            self.define(a, &mut added);
         }
         let result = self.verify_region_inner(region, enclosing, &mut added);
         for v in added {
-            self.defined.remove(&v);
+            self.defined[v.index()] = false;
         }
         result
     }
@@ -225,7 +230,7 @@ impl<'a> Verifier<'a> {
             let op = self.func.op(op_id);
             // Dominance: all operands already defined and in scope.
             for &operand in &op.operands {
-                if !self.defined.contains(&operand) {
+                if !self.defined.get(operand.index()).copied().unwrap_or(false) {
                     return Err(VErr::new(
                         VerifyCode::Dominance,
                         format!("{} uses value defined later or out of scope", op.kind),
@@ -244,9 +249,7 @@ impl<'a> Verifier<'a> {
                 self.verify_region(r, Some(op_id))?;
             }
             for &r in &op.results {
-                if self.defined.insert(r) {
-                    added.push(r);
-                }
+                self.define(r, added);
             }
         }
         // Sub-regions must end with a terminator.
