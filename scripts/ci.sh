@@ -48,6 +48,18 @@ README_FAULTS=$(sed -n '/^# Faults: /,/\.$/p' README.md | sed 's/^# \(Faults: \)
 diff <(echo "$KNOWN_FAULTS") <(echo "$README_FAULTS") \
   || { echo "README fault list: README.md (>) differs from figures --inject (<)"; exit 1; }
 
+echo "==> paths named in DESIGN.md and README.md exist"
+# Every `dir/.../name.rs|.sh|.csv` the two documents name must be a file at
+# the repository root or under one crate directory (`crates/*/`), so a
+# moved or deleted file cannot stay documented. Paths under `output/` are
+# what `figures` writes, not sources; a bare file name is not checked.
+MISSING_PATHS=""
+for p in $(grep -ohE '[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)+\.(rs|sh|csv)' DESIGN.md README.md | sort -u); do
+  case $p in output/*) continue ;; esac
+  [ -e "$p" ] || compgen -G "crates/*/$p" > /dev/null || MISSING_PATHS="$MISSING_PATHS $p"
+done
+[ -z "$MISSING_PATHS" ] || { echo "DESIGN.md or README.md names missing paths:$MISSING_PATHS"; exit 1; }
+
 echo "==> disk-cache persistence gate (warm second process, fault degradation)"
 # Cold run populates a throwaway cache dir; a second, fresh process must
 # then produce zero cold compiles and bit-identical trajectory digests;
