@@ -16,7 +16,8 @@
 //! * `Add/Sub/Mul/Div` and comparisons become plain C operators
 //!   (IEEE-identical under `-ffp-contract=off`, no fast-math);
 //! * `FmaF` is emitted **unfused** (`a * b + c`) because the width-1
-//!   interpreter never fuses;
+//!   interpreter never fuses; a `RushLarsen` gate update is one block
+//!   with the engine's operations in its order;
 //! * every `math` call, plus `Rem`/`Min`/`Max`, is routed through a
 //!   function-pointer table ([`native_math_table`]) of the same Rust
 //!   `f64` operations the VM calls — the C side never touches libm;
@@ -418,6 +419,24 @@ fn emit_instr(w: &mut String, ins: &Instr, program: &Program, label: &dyn Fn(u32
                 )
             })
         }
+        // The engine's operations in its order: `exp` and `fabs` through
+        // the call table, both sides computed, the guard picking one.
+        Instr::RushLarsen {
+            dst,
+            x,
+            a,
+            b,
+            dt,
+            diff,
+        } => writeln!(
+            w,
+            "    {{ double e = m->fns[{exp}](f{b} * f{dt}, 0.0); \
+             f{dst} = m->fns[{abs}](f{b}, 0.0) > {guard} \
+             ? f{x} * e + f{a} / f{b} * (e - 1.0) : f{x} + f{diff} * f{dt}; }}",
+            exp = math_slot(MathFn::Exp),
+            abs = math_slot(MathFn::Abs),
+            guard = c_f64(limpet_vm::RUSH_LARSEN_GUARD),
+        ),
         Instr::Jump { target } => writeln!(w, "    goto {};", label(target)),
         Instr::JumpIfNot { cond, target } => {
             writeln!(w, "    if (!b{cond}) goto {};", label(target))
@@ -506,6 +525,50 @@ mod tests {
         assert_eq!(table[SLOT_MIN](1.0, 2.0), 1.0);
         assert_eq!(table[SLOT_MAX](1.0, 2.0), 2.0);
         assert_eq!(table[SLOT_REM](7.5, 2.0), 7.5 % 2.0);
+    }
+
+    #[test]
+    fn a_gate_update_is_one_statement_in_the_engines_operation_order() {
+        let load = |dst| Instr::LoadState { dst, var: 0 };
+        let program = Program {
+            instrs: vec![
+                load(0),
+                load(1),
+                load(2),
+                Instr::LoadDt { dst: 3 },
+                load(4),
+                Instr::RushLarsen {
+                    dst: 5,
+                    x: 0,
+                    a: 1,
+                    b: 2,
+                    dt: 3,
+                    diff: 4,
+                },
+                Instr::StoreState { src: 5, var: 0 },
+                Instr::Ret,
+            ],
+            n_fregs: 6,
+            n_bregs: 0,
+            n_iregs: 0,
+            state_vars: vec!["x".into()],
+            ext_vars: vec![],
+            params: vec![],
+            lut_tables: vec![],
+            parent_vars: vec![],
+        };
+        let c = emit_c_native(&program, "gate").unwrap();
+        let calls: Vec<&str> = c.lines().filter(|l| l.contains("m->fns[")).collect();
+        let (exp, abs) = (math_slot(MathFn::Exp), math_slot(MathFn::Abs));
+        let guard = c_f64(limpet_vm::RUSH_LARSEN_GUARD);
+        assert_eq!(
+            calls,
+            [format!(
+                "    {{ double e = m->fns[{exp}](f2 * f3, 0.0); f5 = m->fns[{abs}](f2, 0.0) > \
+                 {guard} ? f0 * e + f1 / f2 * (e - 1.0) : f0 + f4 * f3; }}"
+            )],
+            "{c}"
+        );
     }
 
     #[test]

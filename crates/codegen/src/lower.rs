@@ -557,7 +557,8 @@ impl<'m> Lowerer<'m> {
 
     /// One Rush-Larsen exponential step for `x' = a + b·x`:
     /// `x_new = x·e^{b·dt} + (a/b)(e^{b·dt} − 1)`, guarded against `b ≈ 0`
-    /// (where it degenerates to forward Euler).
+    /// (where it degenerates to forward Euler). The bytecode optimizer
+    /// fuses what this emits into one `Instr::RushLarsen`.
     fn rl_step(
         &self,
         bld: &mut Builder<'_>,
@@ -577,7 +578,7 @@ impl<'m> Lowerer<'m> {
         let rl = bld.addf(xe, inhom);
         // |b| tiny => division blows up; fall back to fe.
         let absb = bld.math1(MathFn::Abs, b);
-        let tiny = bld.const_f(1e-12);
+        let tiny = bld.const_f(limpet_vm::RUSH_LARSEN_GUARD);
         let safe = bld.cmpf(CmpFPred::Ogt, absb, tiny);
         let fe = self.fe_step(bld, x, diff, dt);
         bld.select(safe, rl, fe)

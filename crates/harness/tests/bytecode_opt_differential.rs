@@ -4,13 +4,14 @@
 //! the optimized and unoptimized kernels must produce bit-identical
 //! state trajectories — not approximately equal, identical to the last
 //! mantissa bit, because every rewrite (copy coalescing, mul+add→fma
-//! with the engine's split fma semantics, constant-operand forms,
-//! register compaction) preserves the exact arithmetic.
+//! with the engine's split fma semantics, constant-operand forms, the
+//! Rush-Larsen gate update as one instruction, register compaction)
+//! preserves the exact arithmetic.
 
 use limpet_codegen::pipeline::VectorIsa;
 use limpet_harness::{model_info, storage_layout, PipelineKind, Simulation, Workload};
 use limpet_models::ROSTER;
-use limpet_vm::Kernel;
+use limpet_vm::{optimize_program_with, Instr, Kernel, Profile};
 
 /// Widths 1 (baseline, AoS), 4 (AVX2, AoS layout ablation), and
 /// 8 (AVX-512, AoSoA) — every lane count and layout the engine runs.
@@ -78,4 +79,74 @@ fn optimizer_is_bit_exact_on_every_roster_model_all_widths_and_layouts() {
             check_bit_exact(&m, config);
         }
     }
+}
+
+/// The counts a profiled step reports that the ledger's `vm.flops_per_step`,
+/// `vm.bytes_per_step` and `vm.math_calls_per_step` sum.
+fn counts(p: &Profile) -> (u64, u64, u64) {
+    (p.flops, p.bytes_read + p.bytes_written, p.math_calls)
+}
+
+/// Every roster model at width 1 (baseline) and width 8 (AVX-512), its
+/// program optimized with and without the Rush-Larsen fusion: the two
+/// compute the same bits and count the same work step by step — one
+/// `RushLarsen` counts what the instructions it replaces did — and the
+/// fused one dispatches fewer instructions wherever it fused a gate.
+#[test]
+fn rush_larsen_fusion_keeps_bits_and_profile_counts_over_the_roster() {
+    let wl = Workload {
+        n_cells: 16,
+        steps: 0,
+        dt: 0.02,
+    };
+    let mut gates = [0usize; 2];
+    for entry in &ROSTER {
+        let m = limpet_models::model(entry.name);
+        let info = model_info(&m);
+        for (width, config) in [
+            PipelineKind::Baseline,
+            PipelineKind::LimpetMlir(VectorIsa::Avx512),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let module = config.build(&m);
+            let layout = storage_layout(&module);
+            let (raw, ..) = Kernel::from_module_opt(&module, &info, false).unwrap();
+            let [fused, unfused] = [true, false].map(|rush_larsen| {
+                let mut program = raw.program().clone();
+                optimize_program_with(&mut program, rush_larsen);
+                raw.with_program(program).unwrap()
+            });
+            let fused_gates = fused
+                .program()
+                .instrs
+                .iter()
+                .filter(|i| matches!(i, Instr::RushLarsen { .. }))
+                .count();
+            gates[width] += fused_gates;
+            let [mut f, mut u] = [fused, unfused].map(|k| {
+                let mut sim = Simulation::with_kernel(k, layout, &wl);
+                for cell in 0..wl.n_cells {
+                    sim.perturb_vm(cell, cell as f64 * 1.5);
+                }
+                sim
+            });
+            let what = format!("{} {}", m.name, config.label());
+            for step in 0..4 {
+                let (pf, pu) = (f.step_profiled(), u.step_profiled());
+                assert_eq!(counts(&pf), counts(&pu), "{what} step {step}");
+                assert_eq!(pf.instrs < pu.instrs, fused_gates > 0, "{what} step {step}");
+            }
+            for cell in 0..wl.n_cells {
+                for s in &m.states {
+                    let (a, b) = (f.state_of(cell, &s.name), u.state_of(cell, &s.name));
+                    let (a, b) = (a.unwrap(), b.unwrap());
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what} cell {cell} {}", s.name);
+                }
+            }
+        }
+    }
+    // Every gate of the roster, at both widths.
+    assert_eq!(gates, [274, 274]);
 }

@@ -322,6 +322,48 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// [`COARSE_GATE`] with its gate integrated by Rush-Larsen.
+const COARSE_RL_GATE: &str = "\
+Vm; .external(); .nodal(); .lookup(-100, 100, 5);
+Iion; .external(); .nodal();
+Vm_init = -65.0;
+alpha = 0.1 * exp(-(Vm + 65.0) / 18.0);
+beta = 1.0 / (1.0 + exp(-(Vm + 35.0) / 10.0));
+diff_g = alpha * (1.0 - g) - beta * g;
+g_init = 0.5;
+g; .method(rush_larsen);
+Iion = 0.3 * g * (Vm + 54.0);
+";
+
+#[test]
+fn entry_holding_an_unfused_gate_update_is_stale_and_heals_fused() {
+    let dir = temp_cache_dir("unfused-gate");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = limpet_easyml::compile_model("CoarseRlGate", COARSE_RL_GATE).expect("model compiles");
+    // What 6e8ae84 stored for it (entry format 5, bytecode format 3): the
+    // gate update as the ten instructions this build fuses into one. Run
+    // from a warm cache, it would keep the slower program.
+    let parent_entry = include_bytes!("entry_written_at_6e8ae84.lke");
+    assert!(parent_entry.starts_with(b"limpet-kernel-cache 5 1 3 "));
+    let path = entry_path(&dir, &m, CONFIG);
+    std::fs::write(&path, parent_entry).unwrap();
+    let reference_bits = trajectory_bits(&CompiledKernel::compile(&m, CONFIG));
+    assert_rejected_and_healed(&disk, &m, CONFIG, "stale format version", &reference_bits);
+    let gates = |text: &str| {
+        text.lines()
+            .filter(|l| l.starts_with("rushlarsen "))
+            .count()
+    };
+    let (_, healed_text, _) = read_entry(&path);
+    let parent_text = String::from_utf8_lossy(parent_entry);
+    assert_eq!((gates(&parent_text), gates(&healed_text)), (0, 1));
+    // The fused program steps to the trajectory the parent build computed
+    // (its FNV-1a digest, printed by that build).
+    let healed = cache_with_disk(&disk).get_or_compile(&m, CONFIG);
+    assert_eq!(fnv_digest(&trajectory_bits(&healed)), 0xa5d7_c6be_e528_e8a5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The entry at `path` in its three parts: the header's tokens, the
 /// `model` line and the two framed sections, and the `tables` line after
 /// them that names the entry's table record.

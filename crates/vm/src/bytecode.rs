@@ -56,6 +56,12 @@ pub enum LutInterp {
     Cubic,
 }
 
+/// The `|b|` at and below which a Rush-Larsen gate update takes the
+/// forward-Euler step instead (its `a/b` would blow up): the constant
+/// `codegen::lower::rl_step` compares against, and the one an
+/// [`Instr::RushLarsen`] builds in.
+pub const RUSH_LARSEN_GUARD: f64 = 1e-12;
+
 /// One bytecode instruction. Register operands index the float (`f`),
 /// boolean (`b`), or integer (`i`) register file as indicated per field.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,6 +168,19 @@ pub enum Instr {
         key: u16,
         interp: LutInterp,
         outs: Box<[(u16, u16)]>,
+    },
+    /// One Rush-Larsen gate update (`codegen::lower::rl_step`), per lane:
+    /// `f[dst] = |f[b]| > 1e-12 ? f[x]·e + (f[a]/f[b])·(e − 1) : f[x] +
+    /// f[diff]·f[dt]` with `e = exp(f[b]·f[dt])` — the float operations of
+    /// the instructions it replaces, in their order (optimizer-only; the
+    /// guard is [`RUSH_LARSEN_GUARD`]).
+    RushLarsen {
+        dst: u16,
+        x: u16,
+        a: u16,
+        b: u16,
+        dt: u16,
+        diff: u16,
     },
     /// Unconditional jump to instruction index.
     Jump { target: u32 },
@@ -340,6 +359,17 @@ impl Program {
                             .unwrap_or("?")
                     )
                 }
+                Instr::RushLarsen {
+                    dst,
+                    x,
+                    a,
+                    b,
+                    dt,
+                    diff,
+                } => writeln!(
+                    out,
+                    "f{dst} = rush_larsen(x f{x}, a f{a}, b f{b}, dt f{dt}, diff f{diff})"
+                ),
                 Instr::Jump { target } => writeln!(out, "jump -> {target}"),
                 Instr::JumpIfNot { cond, target } => {
                     writeln!(out, "jump_if_not b{cond} -> {target}")

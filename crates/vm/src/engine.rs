@@ -29,8 +29,9 @@
 //! a per-lane function of its inputs, so all of them — and any `K` —
 //! compute the same bits: [`Kernel::run_step_profiled`], always `K = 1` on
 //! the portable build, is the counting path and the differential
-//! reference. The two halves pay together (measured, DESIGN.md §9b: either
-//! alone takes an eighth off a width-8 roster step, both a third): under
+//! reference. The two halves pay together (measured, EXPERIMENTS.md
+//! "Step-loop bench": either alone takes 6–14 % off a width-8 roster step,
+//! both a third): under
 //! SSE2 an eight-lane instruction is four two-lane ones and that lane work
 //! is most of what a dispatch buys; under AVX-512 at `K = 1` the dispatch
 //! is what is left.
@@ -48,9 +49,13 @@
 //! * math calls use [`crate::vmath`] block kernels at `W > 1` (the SVML
 //!   stand-in; `exp` and `log` and everything built on them are
 //!   branch-free lane loops) and plain `std` scalar calls at `W == 1` (the
-//!   unvectorized libm of the baseline).
+//!   unvectorized libm of the baseline);
+//! * a Rush-Larsen gate update is one [`Instr::RushLarsen`], whose `exp`
+//!   runs as a `Math1`'s does.
 
-use crate::bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, LutInterp, Program};
+use crate::bytecode::{
+    compile_program, BBin, CompileError, FBin, IBin, Instr, LutInterp, Program, RUSH_LARSEN_GUARD,
+};
 use crate::eval::{eval_func, EvalError, ParamOnlyContext, Val};
 use crate::lut::LutData;
 use crate::state::{CellStates, ExtArrays};
@@ -1081,6 +1086,49 @@ impl Kernel {
                         prof.flops += flops * n;
                     }
                 }
+                Instr::RushLarsen {
+                    dst,
+                    x,
+                    a,
+                    b,
+                    dt,
+                    diff,
+                } => {
+                    // `exp` over the whole register first, as a `Math1` runs.
+                    let mut e = [[0.0f64; W]; K];
+                    for (k, e) in e.iter_mut().enumerate() {
+                        let (bv, dtv) = (rd!(f, b, k), rd!(f, dt, k));
+                        for i in 0..W {
+                            e[i] = bv[i] * dtv[i];
+                        }
+                    }
+                    apply_math1::<W>(MathFn::Exp, e.as_flattened_mut());
+                    for (k, e) in e.iter().enumerate() {
+                        let (xv, av, bv) = (rd!(f, x, k), rd!(f, a, k), rd!(f, b, k));
+                        let (dtv, dv) = (rd!(f, dt, k), rd!(f, diff, k));
+                        let mut abs_b = bv;
+                        apply_math1::<W>(MathFn::Abs, &mut abs_b);
+                        let mut out = [0.0f64; W];
+                        for i in 0..W {
+                            let rush_larsen = xv[i] * e[i] + av[i] / bv[i] * (e[i] - 1.0);
+                            let euler = xv[i] + dv[i] * dtv[i];
+                            out[i] = if abs_b[i] > RUSH_LARSEN_GUARD {
+                                rush_larsen
+                            } else {
+                                euler
+                            };
+                        }
+                        wr!(f, dst, k, out);
+                    }
+                    if COUNT {
+                        // As the instructions it replaces counted: eight
+                        // arithmetic operations, the compare and the select,
+                        // and two math calls.
+                        let math = math_flops(MathFn::Exp) + math_flops(MathFn::Abs);
+                        prof.flops += (10 + math) * lanes as u64;
+                        prof.math_calls += 2 * lanes as u64;
+                    }
+                }
                 Instr::Jump { target } => {
                     pc = target as usize;
                     continue;
@@ -1523,6 +1571,140 @@ mod tests {
             err.0.contains("failed to evaluate @lut_Vm") && err.0.contains("column value B("),
             "{err}"
         );
+    }
+
+    /// One Rush-Larsen gate update as `codegen::lower::rl_step` lowers it,
+    /// over states `x`, `a`, `b` and `diff`, into `x`.
+    fn gate_module(width: i64) -> (Module, ModelInfo) {
+        let mut m = Module::new("gate");
+        let mut f = Func::new("compute", &[], &[]);
+        let mut bld = Builder::new(&mut f);
+        let names = ["x", "a", "b", "diff"];
+        let [x, a, b, diff] = names.map(|name| bld.get_state(name));
+        let dt = bld.dt();
+        let b_dt = bld.mulf(b, dt);
+        let e = bld.exp(b_dt);
+        let xe = bld.mulf(x, e);
+        let one = bld.const_f(1.0);
+        let e_minus_1 = bld.subf(e, one);
+        let ratio = bld.divf(a, b);
+        let inhom = bld.mulf(ratio, e_minus_1);
+        let rush_larsen = bld.addf(xe, inhom);
+        let abs_b = bld.math1(MathFn::Abs, b);
+        let guard = bld.const_f(RUSH_LARSEN_GUARD);
+        let safe = bld.cmpf(CmpFPred::Ogt, abs_b, guard);
+        let step = bld.mulf(diff, dt);
+        let euler = bld.addf(x, step);
+        let next = bld.select(safe, rush_larsen, euler);
+        bld.set_state("x", next);
+        bld.ret(&[]);
+        m.add_func(f);
+        m.attrs.set("vector_width", width);
+        let info = ModelInfo {
+            state_names: names.map(String::from).to_vec(),
+            state_inits: vec![0.0; 4],
+            ..Default::default()
+        };
+        (m, info)
+    }
+
+    #[test]
+    fn fused_gate_updates_equal_unfused_ones_at_every_width() {
+        // Random gates, with a quarter of the inputs special: `b` on and
+        // inside the guard, both zeros, infinities and NaN everywhere.
+        let mut bits = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            bits
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            RUSH_LARSEN_GUARD,
+            -RUSH_LARSEN_GUARD,
+            f64::from_bits(RUSH_LARSEN_GUARD.to_bits() + 1),
+            3e-13,
+            -7e-14,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            800.0,
+        ];
+        let gates: Vec<[f64; 4]> = (0..4096)
+            .map(|_| {
+                [(); 4].map(|()| {
+                    let r = next();
+                    if r % 4 == 0 {
+                        specials[(r >> 8) as usize % specials.len()]
+                    } else {
+                        ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 4.0
+                    }
+                })
+            })
+            .collect();
+        // Same bits, or NaN on both sides: Rust does not fix which NaN a
+        // float operation returns, and pair fusion already swaps the
+        // operands of an `Add`.
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        fn check<const W: usize>(gates: &[[f64; 4]], same: impl Fn(f64, f64) -> bool) {
+            let (m, info) = gate_module(W as i64);
+            let fused = Kernel::from_module(&m, &info).unwrap();
+            let (raw, ..) = Kernel::from_module_opt(&m, &info, false).unwrap();
+            let mut program = raw.program().clone();
+            crate::optimize::optimize_program_with(&mut program, false);
+            let unfused = raw.with_program(program).unwrap();
+            let gates_of = |k: &Kernel| {
+                let is_gate = |i: &&Instr| matches!(i, Instr::RushLarsen { .. });
+                k.program().instrs.iter().filter(is_gate).count()
+            };
+            assert_eq!((gates_of(&fused), gates_of(&unfused)), (1, 0), "W={W}");
+            let layout = StateLayout::AoSoA { block: W };
+            for dt in [0.01, 0.0, 1e3] {
+                let ctx = SimContext { dt, t: 0.0 };
+                let mut outs = Vec::new();
+                for k in [&fused, &unfused] {
+                    for batched in [true, false] {
+                        let mut st = k.new_states(gates.len(), layout);
+                        let mut ext = k.new_ext(gates.len());
+                        for (cell, gate) in gates.iter().enumerate() {
+                            for (var, &v) in gate.iter().enumerate() {
+                                st.set(cell, var, v);
+                            }
+                        }
+                        let prof = if batched {
+                            k.run_step(&mut st, &mut ext, None, ctx);
+                            None
+                        } else {
+                            Some(k.run_step_profiled(&mut st, &mut ext, None, ctx))
+                        };
+                        let x: Vec<f64> = (0..gates.len()).map(|c| st.get(c, 0)).collect();
+                        outs.push((x, prof));
+                    }
+                }
+                let want = &outs[3].0;
+                for (x, _) in &outs {
+                    for (cell, (g, w)) in x.iter().zip(want).enumerate() {
+                        assert!(
+                            same(*g, *w),
+                            "W={W} dt={dt} gate {:?}: {g} vs {w}",
+                            gates[cell]
+                        );
+                    }
+                }
+                // What the step counted, but for the dispatches saved.
+                let (f, u) = (outs[1].1.unwrap(), outs[3].1.unwrap());
+                let counts = |p: Profile| (p.flops, p.bytes_read + p.bytes_written, p.math_calls);
+                assert_eq!(counts(f), counts(u), "W={W}");
+                assert!(f.instrs < u.instrs, "W={W}");
+            }
+        }
+        check::<1>(&gates, same);
+        check::<2>(&gates, same);
+        check::<4>(&gates, same);
+        check::<8>(&gates, same);
     }
 
     /// A module reading both columns of a two-column table on `Vm`.

@@ -59,11 +59,13 @@ mod state;
 #[rustfmt::skip]
 pub mod vmath;
 
-pub use bytecode::{compile_program, BBin, CompileError, FBin, IBin, Instr, LutInterp, Program};
+pub use bytecode::{
+    compile_program, BBin, CompileError, FBin, IBin, Instr, LutInterp, Program, RUSH_LARSEN_GUARD,
+};
 pub use engine::{step_isa, tabulate_luts, Kernel, ModelInfo, ParentView, Profile, SimContext};
 pub use eval::{eval_func, EvalContext, EvalError, ParamOnlyContext, Val};
 pub use lut::{same_luts, LutData};
-pub use optimize::{bytecode_opt_enabled, optimize_program, OptStats};
+pub use optimize::{bytecode_opt_enabled, optimize_program, optimize_program_with, OptStats};
 pub use serialize::{
     decode_luts, deserialize_luts, deserialize_program, encode_luts, encoded_luts_len,
     serialize_luts, serialize_program, BYTECODE_FORMAT_VERSION,

@@ -194,13 +194,25 @@ impl LutData {
         self.data.len() * std::mem::size_of::<f64>()
     }
 
+    /// The low row of `key` and how far towards the next row it lies: the
+    /// row is the key's offset clamped into the table (openCARP clamps
+    /// out-of-range keys too) and rounded down, and a NaN key reads row 0
+    /// at a NaN fraction — what `t as usize` gives, without the cast.
     #[inline]
     fn row_frac(&self, key: f64) -> (usize, f64) {
+        use crate::vmath::SHIFTER;
         let t = (key - self.lo) * self.inv_step;
-        // Clamp into the table (openCARP clamps out-of-range keys too).
         let t = t.clamp(0.0, (self.rows - 2) as f64);
-        let i = t as usize;
-        (i, t - i as f64)
+        // Float arithmetic and integer arithmetic on the bits only: LLVM
+        // compiles a saturating float-to-integer `as` cast to a scalar
+        // sequence per lane, which keeps a lane loop from vectorizing
+        // (`vmath::round_half_away`). Round to nearest, then step down
+        // where that went up; NaN fails both compares and takes row 0.
+        let near = (t + SHIFTER) - SHIFTER;
+        let row = if near > t { near - 1.0 } else { near };
+        let row = if t >= 0.0 { row } else { 0.0 };
+        let i = (row + SHIFTER).to_bits() - SHIFTER.to_bits();
+        (i as usize, t - row)
     }
 
     /// Vectorized interpolation: for each lane `keys[i]`, writes the
@@ -449,6 +461,40 @@ mod tests {
         t.interp_block(&keys, 0, &mut a);
         let b: Vec<f64> = keys.iter().map(|&k| t.interp_one(k, 0)).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn row_frac_equals_the_saturating_cast_it_replaces() {
+        // What `row_frac` computed with `t as usize`.
+        let cast = |t: &LutData, key: f64| {
+            let x = ((key - t.lo) * t.inv_step).clamp(0.0, (t.rows - 2) as f64);
+            let i = x as usize;
+            (i, x - i as f64)
+        };
+        let coarse = LutData::build(-100.0, 100.0, 5.0, 1, |x, out| out[0] = x);
+        for t in [table(), coarse] {
+            let mut keys = vec![f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            keys.extend([
+                -1e300,
+                1e300,
+                t.lo - 1.0,
+                t.hi + 1.0,
+                -0.0,
+                0.0,
+                f64::MIN_POSITIVE,
+            ]);
+            // Every row boundary with its neighbours, and the midpoints.
+            for row in 0..t.rows() {
+                let at = t.lo + row as f64 * t.step;
+                let step = |by: i64| f64::from_bits((at.to_bits() as i64 + by) as u64);
+                keys.extend([step(-1), at, step(1), at + 0.5 * t.step]);
+            }
+            for key in keys {
+                let ((i, frac), (want_i, want_frac)) = (t.row_frac(key), cast(&t, key));
+                assert_eq!(i, want_i, "row of {key:e}, step {}", t.step);
+                assert_eq!(frac.to_bits(), want_frac.to_bits(), "fraction of {key:e}");
+            }
+        }
     }
 
     /// Keys that stress the clamp, the index and the fraction: far out of

@@ -6,26 +6,31 @@
 //! stage shaves the interpreter overhead of *how* — dispatches per step
 //! and register-file footprint.
 //!
-//! Four rewrites run to a local fixpoint, then registers are renumbered:
+//! Five rewrites run in order — the gate-update fusion once, the others to
+//! a local fixpoint — then registers are renumbered:
 //!
 //! 1. **Copy propagation** (block-local): uses of a `Mov` destination are
 //!    rewritten to read the source directly, turning branch/loop plumbing
 //!    movs into dead code.
-//! 2. **Superinstruction fusion** (peephole, adjacent pairs): `Mul`+`Add`
+//! 2. **Gate-update fusion** (once, after the first copy propagation):
+//!    the 10–12 instructions of a Rush-Larsen gate update become one
+//!    [`Instr::RushLarsen`] (see `fuse_rush_larsen`), before rewrite 3 can
+//!    take its sums apart.
+//! 3. **Superinstruction fusion** (peephole, adjacent pairs): `Mul`+`Add`
 //!    becomes [`Instr::FmaF`]; a state/ext load feeding one float binop
 //!    becomes [`Instr::LoadStateOp`]/[`Instr::LoadExtOp`]. Fusion halves
 //!    the dispatch count of the pair and is bit-exact because the engine
 //!    evaluates `FmaF` as a separate multiply and add.
-//! 3. **Constant-operand fusion**: a register whose only definition is a
+//! 4. **Constant-operand fusion**: a register whose only definition is a
 //!    [`Instr::ConstF`] is a compile-time constant everywhere (the input
 //!    IR is verified SSA, so the definition dominates every use); binops
 //!    reading it become [`Instr::BinFK`]/[`Instr::BinKF`] ("`AddK`",
 //!    "`MulK`", ...) and binops with two constant operands fold to a
 //!    `ConstF`.
-//! 4. **Dead-code elimination** (use counts, to fixpoint): pure
+//! 5. **Dead-code elimination** (use counts, to fixpoint): pure
 //!    instructions whose destination register is never read are dropped —
 //!    this is what actually deletes the movs and constants orphaned by
-//!    rewrites 1–3. An [`Instr::LutRow`] writes one register per column:
+//!    rewrites 1–4. An [`Instr::LutRow`] writes one register per column:
 //!    it loses each column nothing reads and goes with the last one.
 //!
 //! Finally **register compaction** renumbers each register file with a
@@ -38,7 +43,8 @@
 //! reports [`OptStats`] counters that the harness surfaces as a synthetic
 //! pass in `Compiled::pass_report()`.
 
-use crate::bytecode::{FBin, Instr, Program};
+use crate::bytecode::{FBin, Instr, Program, RUSH_LARSEN_GUARD};
+use limpet_ir::{CmpFPred, MathFn};
 use std::collections::BinaryHeap;
 
 /// Always `true`: the optimizer has no process-wide switch. Kept only
@@ -56,6 +62,8 @@ pub struct OptStats {
     pub fused_fma: u64,
     /// Load+binop pairs fused into `LoadStateOp`/`LoadExtOp`.
     pub fused_loadop: u64,
+    /// Gate updates fused into `RushLarsen`.
+    pub fused_rush_larsen: u64,
     /// Binops rewritten to a constant-operand form (`BinFK`/`BinKF`).
     pub fused_const: u64,
     /// Binops with two constant operands folded to a `ConstF`.
@@ -90,6 +98,7 @@ impl OptStats {
             ("movs-removed", self.movs_removed),
             ("fma-fused", self.fused_fma),
             ("loadop-fused", self.fused_loadop),
+            ("rl-fused", self.fused_rush_larsen),
             ("const-fused", self.fused_const),
             ("consts-folded", self.consts_folded),
             ("instrs-removed", self.instrs_removed),
@@ -134,7 +143,8 @@ fn for_each_def_mut(instr: &mut Instr, mut f: impl FnMut(RegClass, &mut u16)) {
         | Math1 { dst, .. }
         | Math2 { dst, .. }
         | SelectF { dst, .. }
-        | SIToFP { dst, .. } => f(RegClass::F, dst),
+        | SIToFP { dst, .. }
+        | RushLarsen { dst, .. } => f(RegClass::F, dst),
         LutRow { outs, .. } => {
             for (_, dst) in outs.iter_mut() {
                 f(RegClass::F, dst);
@@ -212,6 +222,13 @@ fn for_each_use_mut(instr: &mut Instr, mut f: impl FnMut(RegClass, &mut u16)) {
             f(RegClass::I, b);
         }
         LutRow { key, .. } => f(RegClass::F, key),
+        RushLarsen {
+            x, a, b, dt, diff, ..
+        } => {
+            for r in [x, a, b, dt, diff] {
+                f(RegClass::F, r);
+            }
+        }
         ConstF { .. }
         | ConstI { .. }
         | ConstB { .. }
@@ -501,6 +518,300 @@ fn fuse_peepholes(p: &mut Program, stats: &mut OptStats) -> bool {
     changed
 }
 
+/// What the gate-update fusion reads of a program: each register's only
+/// definition, if it has one, how often each is read, the float registers
+/// whose only definition is a `ConstF`, and the basic block of each pc.
+struct DefUse<'a> {
+    instrs: &'a [Instr],
+    /// pc of the only definition of each float register.
+    def_f: Vec<Option<usize>>,
+    /// pc of the only definition of each boolean register.
+    def_b: Vec<Option<usize>>,
+    reads_f: Vec<u32>,
+    reads_b: Vec<u32>,
+    konst: Vec<Option<f64>>,
+    block: Vec<usize>,
+}
+
+impl<'a> DefUse<'a> {
+    fn new(p: &'a Program) -> DefUse<'a> {
+        let (mut def_f, mut def_b) = (vec![None; p.n_fregs], vec![None; p.n_bregs]);
+        let (mut count_f, mut count_b) = (vec![0u32; p.n_fregs], vec![0u32; p.n_bregs]);
+        let (mut reads_f, mut reads_b) = (vec![0u32; p.n_fregs], vec![0u32; p.n_bregs]);
+        for (pc, instr) in p.instrs.iter().enumerate() {
+            for_each_def(instr, |cls, d| {
+                let (def, count) = match cls {
+                    RegClass::F => (&mut def_f, &mut count_f),
+                    RegClass::B => (&mut def_b, &mut count_b),
+                    RegClass::I => return,
+                };
+                def[d as usize] = Some(pc);
+                count[d as usize] += 1;
+            });
+            for_each_use(instr, |cls, r| match cls {
+                RegClass::F => reads_f[r as usize] += 1,
+                RegClass::B => reads_b[r as usize] += 1,
+                RegClass::I => {}
+            });
+        }
+        let once = |def: &mut Vec<Option<usize>>, count: &[u32]| {
+            for (d, &c) in def.iter_mut().zip(count) {
+                if c != 1 {
+                    *d = None;
+                }
+            }
+        };
+        once(&mut def_f, &count_f);
+        once(&mut def_b, &count_b);
+        let konst = def_f
+            .iter()
+            .map(|&pc| match p.instrs[pc?] {
+                Instr::ConstF { v, .. } => Some(v),
+                _ => None,
+            })
+            .collect();
+        let lead = leader_set(p);
+        let block = lead[..p.instrs.len()]
+            .iter()
+            .scan(0, |b, &l| {
+                *b += usize::from(l);
+                Some(*b)
+            })
+            .collect();
+        DefUse {
+            instrs: &p.instrs,
+            def_f,
+            def_b,
+            reads_f,
+            reads_b,
+            konst,
+            block,
+        }
+    }
+
+    /// The only definition of float register `r`, with its pc.
+    fn f(&self, r: u16) -> Option<(usize, &'a Instr)> {
+        let pc = self.def_f[r as usize]?;
+        Some((pc, &self.instrs[pc]))
+    }
+
+    /// `r = op(p, q)` as a `BinF`: its pc and `[p, q]`.
+    fn binf(&self, r: u16, op: FBin) -> Option<(usize, [u16; 2])> {
+        match self.f(r)? {
+            (pc, &Instr::BinF { op: o, a, b, .. }) if o == op => Some((pc, [a, b])),
+            _ => None,
+        }
+    }
+
+    /// `r = f(a)` as a `Math1`: its pc and `a`.
+    fn math1(&self, r: u16, f: MathFn) -> Option<(usize, u16)> {
+        match self.f(r)? {
+            (pc, &Instr::Math1 { f: g, a, .. }) if g == f => Some((pc, a)),
+            _ => None,
+        }
+    }
+
+    /// `r = a − 1`, the one an immediate or a constant register: its pc
+    /// and `a`.
+    fn minus_one(&self, r: u16) -> Option<(usize, u16)> {
+        if let (
+            pc,
+            &Instr::BinFK {
+                op: FBin::Sub,
+                a,
+                k,
+                ..
+            },
+        ) = self.f(r)?
+        {
+            return (k == 1.0).then_some((pc, a));
+        }
+        let (pc, [a, one]) = self.binf(r, FBin::Sub)?;
+        (self.konst[one as usize] == Some(1.0)).then_some((pc, a))
+    }
+
+    /// `r` as the sum of two products — an `Add` of two `Mul`s, or an
+    /// `FmaF` whose addend is a `Mul` — with the pcs of the instructions.
+    fn two_products(&self, r: u16) -> Option<(Vec<usize>, [[u16; 2]; 2])> {
+        if let (pc, &Instr::FmaF { a, b, c, .. }) = self.f(r)? {
+            let (mul, product) = self.binf(c, FBin::Mul)?;
+            return Some((vec![pc, mul], [[a, b], product]));
+        }
+        let (add, [a, b]) = self.binf(r, FBin::Add)?;
+        let (mul_a, pa) = self.binf(a, FBin::Mul)?;
+        let (mul_b, pb) = self.binf(b, FBin::Mul)?;
+        Some((vec![add, mul_a, mul_b], [pa, pb]))
+    }
+
+    /// `r = addend + p·q` — an `FmaF`, or an `Add` of `addend` and a `Mul`
+    /// — with the pcs of the instructions and `[p, q]`.
+    fn plus_product(&self, r: u16, addend: u16) -> Option<(Vec<usize>, [u16; 2])> {
+        if let (pc, &Instr::FmaF { a, b, c, .. }) = self.f(r)? {
+            return (c == addend).then(|| (vec![pc], [a, b]));
+        }
+        let (add, sum) = self.binf(r, FBin::Add)?;
+        let (mul, product) = self.binf(other_of(sum, addend)?, FBin::Mul)?;
+        Some((vec![add, mul], product))
+    }
+}
+
+/// The operand of a commutative pair that is not `known`, if one is.
+fn other_of([p, q]: [u16; 2], known: u16) -> Option<u16> {
+    if p == known {
+        Some(q)
+    } else if q == known {
+        Some(p)
+    } else {
+        None
+    }
+}
+
+/// Matches the gate update whose `SelectF` is at `pc` (see
+/// [`fuse_rush_larsen`]): the fused instruction, and the pcs of the
+/// instructions it replaces, the select's first.
+fn match_rush_larsen(defs: &DefUse<'_>, pc: usize) -> Option<(Instr, Vec<usize>)> {
+    let Instr::SelectF {
+        dst,
+        cond,
+        a: rl,
+        b: euler,
+    } = defs.instrs[pc]
+    else {
+        return None;
+    };
+    let cmp = defs.def_b[cond as usize]?;
+    let Instr::CmpF {
+        pred: CmpFPred::Ogt,
+        a: abs_b,
+        b: guard,
+        ..
+    } = defs.instrs[cmp]
+    else {
+        return None;
+    };
+    if defs.konst[guard as usize] != Some(RUSH_LARSEN_GUARD) {
+        return None;
+    }
+    let (abs, b) = defs.math1(abs_b, MathFn::Abs)?;
+    // `x·e + (a/b)·(e − 1)`: which product is which, and the factors of
+    // each in either order.
+    let (sum, [p, q]) = defs.two_products(rl)?;
+    let gate = |xe: [u16; 2], [ratio, e_minus_1]: [u16; 2]| {
+        let (div, [a, divisor]) = defs.binf(ratio, FBin::Div)?;
+        let (sub, e) = defs.minus_one(e_minus_1)?;
+        let (exp, b_dt) = defs.math1(e, MathFn::Exp)?;
+        let (mul, b_and_dt) = defs.binf(b_dt, FBin::Mul)?;
+        let (x, dt) = (other_of(xe, e)?, other_of(b_and_dt, b)?);
+        (divisor == b).then_some((x, a, dt, [div, sub, exp, mul]))
+    };
+    let (x, a, dt, gate_pcs) = [(p, q), (q, p)]
+        .into_iter()
+        .flat_map(|(xe, [r, s])| [(xe, [r, s]), (xe, [s, r])])
+        .find_map(|(xe, inhom)| gate(xe, inhom))?;
+    // `x + diff·dt`.
+    let (step, diff_and_dt) = defs.plus_product(euler, x)?;
+    let diff = other_of(diff_and_dt, dt)?;
+    let mut pcs = vec![pc, cmp, abs];
+    pcs.extend(sum.into_iter().chain(gate_pcs).chain(step));
+    let fused = Instr::RushLarsen {
+        dst,
+        x,
+        a,
+        b,
+        dt,
+        diff,
+    };
+    Some((fused, pcs))
+}
+
+/// Whether the matched instructions at `pcs` (the select's first) may
+/// become one instruction at the select: each is a distinct instruction of
+/// the select's basic block at or before it that `keep` still keeps; every
+/// register one of them but the select defines is read only by them (and
+/// after its definition, which as its only one dominates its uses: the IR
+/// is verified SSA); and no instruction from the first of them to the
+/// select redefines an input of `fused`.
+fn replaceable(defs: &DefUse<'_>, pcs: &[usize], fused: &Instr, keep: &[bool]) -> bool {
+    let root = pcs[0];
+    let mut sorted = pcs.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let in_block = |q: &usize| *q <= root && defs.block[*q] == defs.block[root] && keep[*q];
+    if sorted.len() != pcs.len() || !sorted.iter().all(in_block) {
+        return false;
+    }
+    // (class, register) of every intermediate.
+    let mut inner = Vec::new();
+    for &q in &pcs[1..] {
+        for_each_def(&defs.instrs[q], |cls, r| inner.push((cls, r)));
+    }
+    let mut inside = vec![0u32; inner.len()];
+    for &q in pcs {
+        for_each_use(&defs.instrs[q], |cls, r| {
+            if let Some(i) = inner.iter().position(|&(c, d)| (c, d) == (cls, r)) {
+                inside[i] += 1;
+            }
+        });
+    }
+    let read_only_inside = inner.iter().zip(&inside).all(|(&(cls, r), &n)| match cls {
+        RegClass::F => defs.reads_f[r as usize] == n,
+        RegClass::B => defs.reads_b[r as usize] == n,
+        RegClass::I => false,
+    });
+    let mut inputs = Vec::new();
+    for_each_use(fused, |_, r| inputs.push(r));
+    let mut clobbered = false;
+    for instr in &defs.instrs[sorted[0]..root] {
+        for_each_def(instr, |cls, d| {
+            clobbered |= cls == RegClass::F && inputs.contains(&d)
+        });
+    }
+    read_only_inside && !clobbered
+}
+
+/// Fuses every Rush-Larsen gate update (`codegen::lower::rl_step`) into one
+/// [`Instr::RushLarsen`] at its select:
+///
+/// ```text
+/// select(|b| > 1e-12, x·e + (a/b)·(e − 1), x + diff·dt),   e = exp(b·dt)
+/// ```
+///
+/// The DAG is read back from the select through each operand's only
+/// definition. A sum may be an `Add` of two `Mul`s or an `FmaF` (the IR
+/// pipeline's `fma-contract` or pair fusion made it), and the operands of
+/// sums and products may come in either order — `Add` and `Mul` commute
+/// bit-exactly (see [`commutes`]), and the engine evaluates every other
+/// operation as the instructions did. The guard must be a register holding
+/// exactly [`RUSH_LARSEN_GUARD`] and `e − 1` a `Sub` of the constant one
+/// ([`replaceable`] says what else must hold). Runs once, after the first
+/// copy propagation and before pair fusion, so that the two `Mul`+`Add`
+/// sums of a width-1 program are still whole.
+fn fuse_rush_larsen(p: &mut Program, stats: &mut OptStats) -> bool {
+    let mut keep = vec![true; p.instrs.len()];
+    let mut fused = Vec::new();
+    let defs = DefUse::new(p);
+    for pc in 0..p.instrs.len() {
+        let Some((instr, pcs)) = match_rush_larsen(&defs, pc) else {
+            continue;
+        };
+        if replaceable(&defs, &pcs, &instr, &keep) {
+            for &q in &pcs[1..] {
+                keep[q] = false;
+            }
+            fused.push((pc, instr));
+        }
+    }
+    if fused.is_empty() {
+        return false;
+    }
+    stats.fused_rush_larsen += fused.len() as u64;
+    for (pc, instr) in fused {
+        p.instrs[pc] = instr;
+    }
+    retain_instrs(p, &keep);
+    true
+}
+
 /// Rewrites binops whose operands are known constants. A register counts
 /// as constant when its *only* definition in the whole program is a
 /// `ConstF` — the source IR is verified SSA, so that definition dominates
@@ -743,15 +1054,27 @@ fn compact_class(p: &mut Program, cls: RegClass) -> (usize, usize) {
 /// engine evaluates with the exact same float operations in the same
 /// order.
 pub fn optimize_program(p: &mut Program) -> OptStats {
+    optimize_program_with(p, true)
+}
+
+/// [`optimize_program`], with the Rush-Larsen fusion on or off: the
+/// unfused program is what the fused one is held against (same bits,
+/// same `Profile` counts).
+pub fn optimize_program_with(p: &mut Program, rush_larsen: bool) -> OptStats {
     let mut stats = OptStats {
         instrs_before: p.instrs.len() as u64,
         ..OptStats::default()
     };
     // Rewrites enable each other (DCE exposes new adjacent pairs, fusion
     // orphans temps, ...); iterate the sequence to a bounded fixpoint.
-    for _ in 0..8 {
+    for round in 0..8 {
         let mut changed = false;
         changed |= copy_propagate(p);
+        // Gate updates once and whole: pair fusion would take their sums
+        // apart, and no later round makes a new one.
+        if round == 0 && rush_larsen {
+            changed |= fuse_rush_larsen(p, &mut stats);
+        }
         changed |= fuse_peepholes(p, &mut stats);
         changed |= fuse_const_operands(p, &mut stats);
         changed |= dce(p, &mut stats);
@@ -1051,6 +1374,153 @@ mod tests {
             })
             .expect("backward jump survived");
         assert!(matches!(p.instrs[back], Instr::CmpI { .. }));
+    }
+
+    /// A Rush-Larsen gate update as `codegen::lower::rl_step` emits it,
+    /// before any rewrite: `x`, `a`, `b`, `diff` in f0–f3, `dt` in f4, the
+    /// constants one and `guard` in f8 and f14, the update in f17, stored.
+    /// `rest` goes between the gate and the store.
+    fn gate_program(guard: f64, rest: Vec<Instr>) -> Program {
+        use limpet_ir::{CmpFPred, MathFn};
+        let bin = |op, dst, a, b| Instr::BinF { op, dst, a, b };
+        let mut instrs = vec![
+            Instr::LoadState { dst: 0, var: 0 },
+            Instr::LoadState { dst: 1, var: 1 },
+            Instr::LoadState { dst: 2, var: 2 },
+            Instr::LoadState { dst: 3, var: 3 },
+            Instr::LoadDt { dst: 4 },
+            bin(FBin::Mul, 5, 2, 4),
+            Instr::Math1 {
+                f: MathFn::Exp,
+                dst: 6,
+                a: 5,
+            },
+            bin(FBin::Mul, 7, 0, 6),
+            Instr::ConstF { dst: 8, v: 1.0 },
+            bin(FBin::Sub, 9, 6, 8),
+            bin(FBin::Div, 10, 1, 2),
+            bin(FBin::Mul, 11, 10, 9),
+            bin(FBin::Add, 12, 7, 11),
+            Instr::Math1 {
+                f: MathFn::Abs,
+                dst: 13,
+                a: 2,
+            },
+            Instr::ConstF { dst: 14, v: guard },
+            Instr::CmpF {
+                pred: CmpFPred::Ogt,
+                dst: 0,
+                a: 13,
+                b: 14,
+            },
+            bin(FBin::Mul, 15, 3, 4),
+            bin(FBin::Add, 16, 0, 15),
+            Instr::SelectF {
+                dst: 17,
+                cond: 0,
+                a: 12,
+                b: 16,
+            },
+        ];
+        instrs.extend(rest);
+        instrs.extend([Instr::StoreState { src: 17, var: 0 }, Instr::Ret]);
+        let mut p = program(instrs, 18, 1, 0);
+        p.state_vars = ["x", "a", "b", "diff"].map(String::from).to_vec();
+        p
+    }
+
+    fn rush_larsens(p: &Program) -> Vec<&Instr> {
+        p.instrs
+            .iter()
+            .filter(|i| matches!(i, Instr::RushLarsen { .. }))
+            .collect()
+    }
+
+    #[test]
+    fn a_gate_update_fuses_into_one_instruction_reading_its_inputs() {
+        let mut p = gate_program(RUSH_LARSEN_GUARD, vec![]);
+        let stats = optimize_program(&mut p);
+        assert_eq!(stats.fused_rush_larsen, 1);
+        // Four loads, `dt`, the update and its store, `ret`: both constants
+        // went with the instructions that read them.
+        assert_eq!(p.instrs.len(), 8, "{}", p.disassemble());
+        let Instr::RushLarsen {
+            x, a, b, dt, diff, ..
+        } = *rush_larsens(&p)[0]
+        else {
+            unreachable!()
+        };
+        let loaded = |r: u16| {
+            p.instrs.iter().find_map(|i| match *i {
+                Instr::LoadState { dst, var } if dst == r => Some(var),
+                Instr::LoadDt { dst } if dst == r => Some(99),
+                _ => None,
+            })
+        };
+        let inputs = [x, a, b, diff, dt].map(|r| loaded(r).unwrap());
+        assert_eq!(inputs, [0, 1, 2, 3, 99]);
+        // The walkers see one definition and five reads, so compaction keeps
+        // the five inputs, all live into the update, apart from each other
+        // and from its destination.
+        let (mut defs, mut uses) = (Vec::new(), Vec::new());
+        for_each_def(rush_larsens(&p)[0], |_, r| defs.push(r));
+        for_each_use(rush_larsens(&p)[0], |_, r| uses.push(r));
+        assert_eq!((defs.len(), uses), (1, vec![x, a, b, dt, diff]));
+        assert!(![x, a, b, dt, diff].contains(&defs[0]));
+        assert_eq!(p.n_fregs, 6);
+    }
+
+    #[test]
+    fn the_sums_fuse_as_fmas_too() {
+        // `FmaF(a/b, e − 1, x·e)`, what pair fusion makes of a width-1 gate,
+        // and `FmaF(x, e, (a/b)·(e − 1))`, what the IR's `fma-contract`
+        // makes of a vector one; either way `x + diff·dt` as `FmaF(diff, dt,
+        // x)`. Every `FmaF` takes the place of the sum and drops a `Mul`.
+        let fma = |dst, a, b, c| Instr::FmaF { dst, a, b, c };
+        for (sum, dropped) in [(fma(12, 10, 9, 7), 11), (fma(12, 0, 6, 11), 7)] {
+            let mut p = gate_program(RUSH_LARSEN_GUARD, vec![]);
+            p.instrs[17] = fma(16, 3, 4, 0);
+            p.instrs.remove(16);
+            p.instrs[12] = sum;
+            p.instrs.remove(dropped);
+            let stats = optimize_program(&mut p);
+            assert_eq!(stats.fused_rush_larsen, 1, "{}", p.disassemble());
+            assert_eq!(p.instrs.len(), 8, "{}", p.disassemble());
+        }
+    }
+
+    #[test]
+    fn a_gate_update_stays_unfused_when_it_does_not_match_exactly() {
+        // An intermediate (`e`, f6) read outside the pattern.
+        let leak = vec![Instr::StoreState { src: 6, var: 1 }];
+        // A guard that is not the lowering's.
+        let guard = 1e-10;
+        // A jump landing inside the pattern: the select's block starts
+        // after the `exp`.
+        let split = |mut p: Program| {
+            let at = 7;
+            p.instrs.splice(
+                at..at,
+                [
+                    Instr::ConstB { dst: 1, v: true },
+                    Instr::JumpIfNot {
+                        cond: 1,
+                        target: at as u32 + 2,
+                    },
+                ],
+            );
+            p.n_bregs = 2;
+            p
+        };
+        for (what, mut p) in [
+            ("read outside", gate_program(RUSH_LARSEN_GUARD, leak)),
+            ("other guard", gate_program(guard, vec![])),
+            ("split", split(gate_program(RUSH_LARSEN_GUARD, vec![]))),
+        ] {
+            let stats = optimize_program(&mut p);
+            assert_eq!(stats.fused_rush_larsen, 0, "{what}");
+            assert!(rush_larsens(&p).is_empty(), "{what}");
+        }
     }
 
     /// `f0 = Vm; f1..=fN = row(f0)` in mode `interp`, then `rest`.

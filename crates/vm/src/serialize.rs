@@ -29,8 +29,10 @@ use std::fmt::Write as _;
 /// mismatched stamps so old cache entries are recompiled rather than misread
 /// or run as the older program. Version 2 replaced the per-column
 /// `lutvec`/`lutscalar`/`lutcubic` by `lutrow`; version 3 fuses scalar
-/// lookups of one table at one key into one `lutrow`, as vector ones were.
-pub const BYTECODE_FORMAT_VERSION: u32 = 3;
+/// lookups of one table at one key into one `lutrow`, as vector ones were;
+/// version 4 adds `rushlarsen`, which the optimizer fuses every gate update
+/// into.
+pub const BYTECODE_FORMAT_VERSION: u32 = 4;
 
 /// Version stamp of the textual LUT payload, which did not change when
 /// the bytecode's did: the same tables still serialize to the same bytes.
@@ -218,6 +220,14 @@ fn write_instr(out: &mut String, instr: &Instr) {
             }
             writeln!(out)
         }
+        Instr::RushLarsen {
+            dst,
+            x,
+            a,
+            b,
+            dt,
+            diff,
+        } => writeln!(out, "rushlarsen {dst} {x} {a} {b} {dt} {diff}"),
         Instr::Jump { target } => writeln!(out, "jump {target}"),
         Instr::JumpIfNot { cond, target } => writeln!(out, "jumpifnot {cond} {target}"),
         Instr::Ret => writeln!(out, "ret"),
@@ -589,6 +599,14 @@ fn read_instr(line: &str, no: usize) -> Result<Instr, String> {
                 outs: outs.into(),
             }
         }
+        "rushlarsen" => Instr::RushLarsen {
+            dst: f.u16()?,
+            x: f.u16()?,
+            a: f.u16()?,
+            b: f.u16()?,
+            dt: f.u16()?,
+            diff: f.u16()?,
+        },
         "jump" => Instr::Jump { target: f.u32()? },
         "jumpifnot" => Instr::JumpIfNot {
             cond: f.u16()?,
@@ -1083,10 +1101,18 @@ mod tests {
                 interp: LutInterp::Cubic,
                 outs: [(0, 12)].into(),
             },
-            Instr::Jump { target: 38 },
+            Instr::RushLarsen {
+                dst: 12,
+                x: 0,
+                a: 8,
+                b: 9,
+                dt: 3,
+                diff: 10,
+            },
+            Instr::Jump { target: 39 },
             Instr::JumpIfNot {
                 cond: 5,
-                target: 38,
+                target: 39,
             },
             Instr::Ret,
         ];
@@ -1179,7 +1205,7 @@ mod tests {
     /// position after the mnemonic and its file — written out from the
     /// format, not derived from the walkers `validate` uses. A row lookup
     /// holds its key and, from field 5 on, every second field a destination.
-    const REG_FIELDS: [(&str, &[(usize, char)]); 37] = [
+    const REG_FIELDS: [(&str, &[(usize, char)]); 38] = [
         ("constf", &[(0, 'f')]),
         ("consti", &[(0, 'i')]),
         ("constb", &[(0, 'b')]),
@@ -1214,6 +1240,10 @@ mod tests {
         ("sitofp", &[(0, 'f'), (1, 'i')]),
         ("bini", &[(1, 'i'), (2, 'i'), (3, 'i')]),
         ("lutrow", &[(1, 'f'), (5, 'f'), (7, 'f'), (9, 'f')]),
+        (
+            "rushlarsen",
+            &[(0, 'f'), (1, 'f'), (2, 'f'), (3, 'f'), (4, 'f'), (5, 'f')],
+        ),
         ("jump", &[]),
         ("jumpifnot", &[(0, 'b')]),
         ("ret", &[]),
@@ -1255,7 +1285,7 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), REG_FIELDS.len(), "the sample has every variant");
-        assert_eq!(forged, 74, "register fields in the sample");
+        assert_eq!(forged, 80, "register fields in the sample");
     }
 
     #[test]

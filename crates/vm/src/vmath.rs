@@ -22,6 +22,30 @@
 /// through at a time; longer inputs are processed in chunks of this.
 const SCRATCH: usize = 64;
 
+/// 1.5·2⁵²: adding it to a float below 2⁵¹ in magnitude leaves that float
+/// rounded to an integer (ties to even) in the low mantissa bits.
+pub(crate) const SHIFTER: f64 = 6_755_399_441_055_744.0;
+
+/// `t` rounded half away from zero, as a float and as an integer, for
+/// `|t| < 2³¹`: what `t.round()` and `t.round() as i32` give.
+///
+/// Float arithmetic and integer arithmetic on the bits only. A saturating
+/// `as` cast from float to integer is a per-lane scalar sequence to LLVM
+/// (`vcvttsd2si` with its clamps), so a lane loop holding one is not
+/// vectorized; `round`, `trunc` and `floor` are libm calls on the portable
+/// SSE2 build.
+#[inline(always)]
+pub(crate) fn round_half_away(t: f64) -> (f64, i32) {
+    // Ties to even, then a tie the even way moves one further from zero:
+    // `t - r` is exact, so a tie is seen exactly.
+    let r = (t + SHIFTER) - SHIFTER;
+    let tie = t - r == 0.5f64.copysign(t);
+    // The sign of `t`, as `round` keeps it: `-0.3` rounds to `-0.0`.
+    let r = if tie { r + 1.0f64.copysign(t) } else { r }.copysign(t);
+    // `r + SHIFTER` is exact; its low 32 bits are `r` in two's complement.
+    (r, (r + SHIFTER).to_bits() as i32)
+}
+
 /// Computes `e^x` per lane.
 ///
 /// Range-reduces `x = k·ln2 + r` with `|r| ≤ ln2/2` and evaluates a
@@ -30,8 +54,8 @@ const SCRATCH: usize = 64;
 ///
 /// Branch-free: every lane runs the main path on its input clamped into
 /// the representable range, and saturation and NaN are selected in at
-/// the end, so the lane loop has no data-dependent control flow and no
-/// call.
+/// the end, so the lane loop has no data-dependent control flow, no call
+/// and no float-to-integer cast (see `round_half_away`).
 #[inline(always)]
 pub fn exp_block(x: &mut [f64]) {
     const LOG2E: f64 = std::f64::consts::LOG2_E;
@@ -40,18 +64,12 @@ pub fn exp_block(x: &mut [f64]) {
     // Inputs beyond these saturate.
     const HI: f64 = 709.782_712_893_384;
     const LO: f64 = -745.133_219_101_941_1;
-    // The largest double below one half: `trunc(t ± it)` is `t` rounded
-    // half away from zero for every `t` the clamp lets through, where
-    // `t ± 0.5` would round 0.49999999999999994 up to 1.
-    const ALMOST_HALF: f64 = 0.499_999_999_999_999_94;
     for v in x.iter_mut() {
         let xi = *v;
         // NaN compares false and takes `LO`; the last select overrides it.
         let xc = if xi > LO { xi } else { LO };
         let xc = if xc < HI { xc } else { HI };
-        let t = xc * LOG2E;
-        let ki = (t + ALMOST_HALF.copysign(t)) as i32;
-        let k = f64::from(ki);
+        let (k, ki) = round_half_away(xc * LOG2E);
         let r = (xc - k * LN2_HI) - k * LN2_LO;
         // e^r by Horner, degree 11 (|r| <= 0.3466 ⇒ error < 1e-16).
         let p = 1.0
@@ -305,9 +323,10 @@ fn sincos_block(x: &mut [f64], want_cos: bool) {
             *v = if want_cos { xi.cos() } else { xi.sin() };
             continue;
         }
-        let q = (xi * FRAC_2_PI).round();
+        let (q, qi) = round_half_away(xi * FRAC_2_PI);
         let r = ((xi - q * PIO2_HI) - q * PIO2_LO) - q * PIO2_LO2;
-        let quadrant = ((q as i64 % 4) + 4) % 4;
+        // `q` modulo 4, non-negative: two's complement makes it a mask.
+        let quadrant = qi & 3;
         let r2 = r * r;
         let sin_r = r
             * (1.0
@@ -322,7 +341,7 @@ fn sincos_block(x: &mut [f64], want_cos: bool) {
                     + r2 * (-1.0 / 720.0
                         + r2 * (1.0 / 40320.0
                             + r2 * (-1.0 / 3628800.0 + r2 * (1.0 / 479001600.0))))));
-        let eff = if want_cos { quadrant + 1 } else { quadrant } % 4;
+        let eff = (quadrant + i32::from(want_cos)) & 3;
         *v = match eff {
             0 => sin_r,
             1 => cos_r,
@@ -649,6 +668,140 @@ mod tests {
                                     + s2 * (1.0 / 13.0 + s2 * (1.0 / 15.0 + s2 / 17.0)))))));
             *v = 2.0 * s * p + e as f64 * LN2;
         }
+    }
+
+    /// `sincos_block` before its quadrant lost the libm `round()` and the
+    /// saturating `q as i64`, verbatim: the oracle for the current one.
+    fn sincos_block_parent(x: &mut [f64], want_cos: bool) {
+        const FRAC_2_PI: f64 = std::f64::consts::FRAC_2_PI;
+        const PIO2_HI: f64 = 1.570_796_326_734_125_6;
+        const PIO2_LO: f64 = 6.077_100_506_506_192e-11;
+        const PIO2_LO2: f64 = 2.022_266_248_795_950_7e-21;
+        for v in x.iter_mut() {
+            let xi = *v;
+            if !xi.is_finite() {
+                *v = f64::NAN;
+                continue;
+            }
+            if xi.abs() >= 1_048_576.0 {
+                *v = if want_cos { xi.cos() } else { xi.sin() };
+                continue;
+            }
+            let q = (xi * FRAC_2_PI).round();
+            let r = ((xi - q * PIO2_HI) - q * PIO2_LO) - q * PIO2_LO2;
+            let quadrant = ((q as i64 % 4) + 4) % 4;
+            let r2 = r * r;
+            let sin_r = r
+                * (1.0
+                    + r2 * (-1.0 / 6.0
+                        + r2 * (1.0 / 120.0
+                            + r2 * (-1.0 / 5040.0
+                                + r2 * (1.0 / 362880.0
+                                    + r2 * (-1.0 / 39916800.0 + r2 * (1.0 / 6227020800.0)))))));
+            let cos_r = 1.0
+                + r2 * (-0.5
+                    + r2 * (1.0 / 24.0
+                        + r2 * (-1.0 / 720.0
+                            + r2 * (1.0 / 40320.0
+                                + r2 * (-1.0 / 3628800.0 + r2 * (1.0 / 479001600.0))))));
+            let eff = if want_cos { quadrant + 1 } else { quadrant } % 4;
+            *v = match eff {
+                0 => sin_r,
+                1 => cos_r,
+                2 => -sin_r,
+                _ => -cos_r,
+            };
+        }
+    }
+
+    #[test]
+    fn round_half_away_equals_round_and_its_cast_at_every_tie() {
+        let check = |t: f64| {
+            let (r, ri) = round_half_away(t);
+            assert_eq!(r.to_bits(), t.round().to_bits(), "round({t:e})");
+            assert_eq!(ri, t.round() as i32, "round({t:e}) as i32");
+        };
+        // Every tie `k + 1/2` of exp's range reduction — the first tie fix
+        // tried got the negative ones wrong — each with its neighbours,
+        // and every integer.
+        for k in -1075..=1024 {
+            let tie = f64::from(k) + 0.5;
+            with_neighbours(tie).into_iter().for_each(check);
+            // Zero's bit neighbours below it are NaNs; it is checked below.
+            if k != 0 {
+                with_neighbours(f64::from(k)).into_iter().for_each(check);
+            }
+        }
+        // Both zeros and the smallest subnormals, the ties nearest zero, the
+        // largest double below one half, the edges of the range the sin/cos
+        // quadrant uses.
+        for t in [0.0, -0.0, 5e-324, -5e-324] {
+            check(t);
+        }
+        for t in [0.5, 1.5, 0.499_999_999_999_999_94, 1e-300] {
+            with_neighbours(t).into_iter().for_each(check);
+            with_neighbours(-t).into_iter().for_each(check);
+        }
+        for t in [667_544.0, 667_544.5, 2_147_483_647.0, -2_147_483_648.0] {
+            with_neighbours(t).into_iter().for_each(check);
+        }
+        let mut rng = Bits(0x5851_f42d_4c95_7f2d);
+        for _ in 0..200_000 {
+            check(rng.uniform(-1100.0, 1100.0));
+            check(rng.uniform(-1e6, 1e6));
+        }
+    }
+
+    #[test]
+    fn exp_at_every_rounding_tie_and_subnormal_result_matches_the_parent() {
+        // An `x` whose `x·log2e` is exactly a tie `k + 1/2`, where one lies
+        // within a few ulps of `(k + 1/2)·ln2`, for every `k` the clamp lets
+        // through.
+        let mut inputs = Vec::new();
+        for k in -1075..=1024 {
+            let tie = f64::from(k) + 0.5;
+            let near = tie / std::f64::consts::LOG2_E;
+            for by in -4i64..=4 {
+                let x = f64::from_bits((near.to_bits() as i64 + by) as u64);
+                if x * std::f64::consts::LOG2_E == tie {
+                    inputs.push(x);
+                }
+            }
+        }
+        assert!(inputs.len() > 500, "{} exact ties", inputs.len());
+        // Results below the smallest normal, down to the last subnormal.
+        let mut rng = Bits(0x2545_f491_4f6c_dd1d);
+        for _ in 0..200_000 {
+            inputs.push(rng.uniform(-745.2, -708.3));
+        }
+        for i in 0..=20_000 {
+            inputs.push(-745.14 + f64::from(i) * (745.14 - 708.39) / 20_000.0);
+        }
+        let mut got = inputs.clone();
+        exp_block(&mut got);
+        assert!(got.iter().any(|y| *y > 0.0 && *y < f64::MIN_POSITIVE));
+        assert_same_bits(exp_block, exp_block_parent, &inputs);
+    }
+
+    #[test]
+    fn sin_cos_are_bit_identical_to_their_parent_quadrant_code() {
+        let mut rng = Bits(0x1405_7b7e_f767_814f);
+        let mut inputs: Vec<f64> = SPECIALS.iter().map(|&b| f64::from_bits(b)).collect();
+        // Every quadrant boundary and quadrant tie (`x·2/π = k` and
+        // `k + 1/2`) of a few thousand quadrants on either side of zero,
+        // and the fallback edge.
+        for k in -4000..=4000 {
+            let q = f64::from(k) * 0.5 / std::f64::consts::FRAC_2_PI;
+            inputs.extend(with_neighbours(q));
+        }
+        inputs.extend(with_neighbours(1_048_576.0));
+        inputs.extend(with_neighbours(-1_048_576.0));
+        for _ in 0..200_000 {
+            inputs.push(rng.uniform(-10.0, 10.0));
+            inputs.push(rng.uniform(-1_100_000.0, 1_100_000.0));
+        }
+        assert_same_bits(sin_block, |x| sincos_block_parent(x, false), &inputs);
+        assert_same_bits(cos_block, |x| sincos_block_parent(x, true), &inputs);
     }
 
     /// xorshift64*: reproducible inputs without a dependency.

@@ -23,6 +23,35 @@ else
   echo "skipped: target aarch64-unknown-linux-gnu is not installed"
 fi
 
+echo "==> step-loop lane loops stay vector code (float-to-integer conversions in the AVX-512 build)"
+# A saturating float-to-integer `as` cast in a lane loop compiles to a
+# per-lane scalar `vcvttsd2si` sequence and keeps LLVM from vectorizing
+# the loop (DESIGN.md §9b). `Run::batched_avx512` held 204 of them while
+# `vmath::exp_block`, `LutData::row_frac` and the sin/cos quadrant cast,
+# and holds 0 without; more than 8 means a lane loop went scalar again.
+# On x86_64 with objdump only; a missing symbol fails rather than skips.
+if [ "$(uname -m)" = x86_64 ] && command -v objdump > /dev/null; then
+  CVT=$(objdump -d --no-show-raw-insn -C target/release/figures | awk '
+    /^[0-9a-f]+ <.*>:$/ { inside = index($0, "<limpet_vm::engine::Run::batched_avx512>") > 0; found += inside }
+    inside && /vcvttsd2u?si/ { n++ }
+    END { print found ? n + 0 : "missing" }')
+  case $CVT in
+    missing)
+      echo "limpet_vm::engine::Run::batched_avx512 is not in target/release/figures"
+      exit 1
+      ;;
+    *)
+      if [ "$CVT" -gt 8 ]; then
+        echo "batched_avx512 holds $CVT scalar float-to-integer conversions (at most 8)"
+        exit 1
+      fi
+      echo "batched_avx512: $CVT scalar float-to-integer conversions (at most 8)"
+      ;;
+  esac
+else
+  echo "skipped: not x86_64, or no objdump"
+fi
+
 echo "==> limpet-opt smoke (pipeline round-trip)"
 ./target/release/limpet-opt --list-passes > /dev/null
 printf 'module @m {\n  func.func @compute() {\n    func.return\n  }\n}\n' \
