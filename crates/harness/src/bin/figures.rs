@@ -820,8 +820,8 @@ fn main() {
 
     let cs = KernelCache::global().stats();
     println!(
-        "kernel cache: {} entries, {} memory hits, {} disk hits, {} cold compilations, {} executed steps",
-        cs.entries, cs.hits, cs.disk_hits, cs.misses, cs.executed_steps
+        "kernel cache: {} entries, {} memory hits, {} disk hits, {} cold compilations, {} executed steps, {} table sets, {} table bytes",
+        cs.entries, cs.hits, cs.disk_hits, cs.misses, cs.executed_steps, cs.table_sets, cs.table_bytes
     );
     if cs.native_ready + cs.native_quarantined > 0 || cs.native_compiles + cs.native_disk_hits > 0 {
         println!(

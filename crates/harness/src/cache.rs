@@ -22,6 +22,14 @@
 //! it promotes its kernel to native code once, at construction
 //! ([`crate::native`]).
 //!
+//! Every entry that enters the map, cold-compiled or loaded from the disk
+//! tier, passes through one registry of the table sets the resident
+//! entries read, keyed by model fingerprint: an entry whose tables equal a
+//! held set bit for bit reads that set, any other registers its own. The
+//! configurations of one model that tabulate the same tables (paper
+//! §3.4.2's tables belong to the model) so hold one copy of them, with or
+//! without a disk tier ([`CacheStats::table_sets`]).
+//!
 //! An entry holds one program, the one its lookups run. The unoptimized
 //! sibling that opt-on/off measurements compare against is compiled only
 //! when asked for ([`CompiledKernel::raw_kernel`]); it is no rung of the
@@ -34,11 +42,11 @@ use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind, Tier};
 use crate::sim::{model_info, storage_layout, PipelineKind};
 use limpet_easyml::Model;
-use limpet_vm::{Kernel, StateLayout};
+use limpet_vm::{Kernel, LutData, StateLayout};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// One cached compilation: the lowered IR module, the executable kernel,
@@ -243,11 +251,11 @@ impl CompiledKernel {
         })
     }
 
-    /// Makes the entry's kernels read `luts`, the disk tier's copy of
-    /// their tables, where those are equal bit for bit
-    /// ([`Kernel::share_luts`]), so the configurations of one model hold
-    /// one copy.
-    pub(crate) fn share_luts(&mut self, luts: &Arc<[limpet_vm::LutData]>) {
+    /// Makes the entry's kernels — its raw sibling included — read `luts`,
+    /// the set another resident entry of the model reads, where those are
+    /// equal bit for bit to their own ([`Kernel::share_luts`]), so the
+    /// configurations of one model hold one copy.
+    pub(crate) fn share_luts(&mut self, luts: &Arc<[LutData]>) {
         self.kernel.share_luts(luts);
         if let Some(raw) = self.raw_kernel.get_mut() {
             raw.share_luts(luts);
@@ -361,6 +369,11 @@ pub struct CacheStats {
     pub disk_lock_retries: u64,
     /// Stale (crashed-writer) disk lock files broken.
     pub disk_stale_locks_broken: u64,
+    /// Distinct allocations of lookup tables the resident entries read
+    /// (one per model and table grid when they share).
+    pub table_sets: usize,
+    /// Bytes of those allocations.
+    pub table_bytes: u64,
 }
 
 impl CacheStats {
@@ -378,7 +391,8 @@ impl CacheStats {
                 "\"native_disk_hits\":{},\"native_ready\":{},",
                 "\"native_quarantined\":{},\"native_cc_timeouts\":{},",
                 "\"disk_lock_retries\":{},",
-                "\"disk_stale_locks_broken\":{}}}"
+                "\"disk_stale_locks_broken\":{},",
+                "\"table_sets\":{},\"table_bytes\":{}}}"
             ),
             self.hits,
             self.misses,
@@ -396,6 +410,8 @@ impl CacheStats {
             self.native_cc_timeouts,
             self.disk_lock_retries,
             self.disk_stale_locks_broken,
+            self.table_sets,
+            self.table_bytes,
         )
     }
 }
@@ -451,6 +467,10 @@ pub struct ResilientKernel {
 #[derive(Debug, Default)]
 pub struct KernelCache {
     map: Mutex<HashMap<(u64, PipelineKind, bool), CacheSlot>>,
+    /// Per model fingerprint, the table sets the resident entries read
+    /// ([`KernelCache::share_tables`]); locked on its own, never under the
+    /// map lock.
+    tables: Mutex<HashMap<u64, Vec<Weak<[LutData]>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -651,8 +671,9 @@ impl KernelCache {
                     opt: key.2,
                 };
                 match disk.load(&disk_key, model) {
-                    crate::persist::DiskLoad::Hit(entry) => {
+                    crate::persist::DiskLoad::Hit(mut entry) => {
                         self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        self.share_tables(key.0, &mut entry);
                         let slot = CacheSlot::Ready(Arc::new(*entry));
                         return match self.map_lock().entry(key).or_insert(slot) {
                             CacheSlot::Ready(entry) => Ok(Arc::clone(entry)),
@@ -687,7 +708,8 @@ impl KernelCache {
         let slot = match built {
             Ok(mut entry) => {
                 if !bypass {
-                    self.persist_entry(&key, model, &mut entry);
+                    self.share_tables(key.0, &mut entry);
+                    self.persist_entry(&key, model, &entry);
                 }
                 CacheSlot::Ready(Arc::new(entry))
             }
@@ -717,17 +739,37 @@ impl KernelCache {
         }
     }
 
+    /// Makes `entry`, about to enter the map, read a table set of the
+    /// model `fingerprint` that a resident entry reads, when one equals its
+    /// own bit for bit; otherwise registers its own set. Runs under the
+    /// registry's lock, so two threads that finish two configurations of
+    /// one model at the same moment still end on one allocation.
+    fn share_tables(&self, fingerprint: u64, entry: &mut CompiledKernel) {
+        let mut tables = self.tables.lock().unwrap_or_else(|p| p.into_inner());
+        let sets = tables.entry(fingerprint).or_default();
+        sets.retain(|set| set.strong_count() > 0);
+        let own = entry.kernel().shared_luts();
+        match sets
+            .iter()
+            .filter_map(Weak::upgrade)
+            .find(|set| limpet_vm::same_luts(set, own))
+        {
+            Some(held) => entry.share_luts(&held),
+            None => sets.push(Arc::downgrade(own)),
+        }
+    }
+
     /// Writes a freshly compiled entry to the disk tier, if one is
-    /// attached, and makes it share the tier's copy of its tables. Only
-    /// successful compilations reach this — quarantined failures stay
-    /// process-local (a negative result must be retried, not replayed, by
-    /// the next process). Store failures degrade to an incident:
-    /// persistence is an optimization, never a correctness dependency.
+    /// attached. Only successful compilations reach this — quarantined
+    /// failures stay process-local (a negative result must be retried, not
+    /// replayed, by the next process). Store failures degrade to an
+    /// incident: persistence is an optimization, never a correctness
+    /// dependency.
     fn persist_entry(
         &self,
         key: &(u64, PipelineKind, bool),
         model: &Model,
-        entry: &mut CompiledKernel,
+        entry: &CompiledKernel,
     ) {
         let Some(disk) = self.disk_cache() else {
             return;
@@ -738,8 +780,7 @@ impl KernelCache {
             opt: key.2,
         };
         match disk.store(&disk_key, &model.name, entry) {
-            Ok(luts) => {
-                entry.share_luts(&luts);
+            Ok(()) => {
                 self.disk_writes.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => self.log(Incident::new(
@@ -817,23 +858,30 @@ impl KernelCache {
     }
 
     /// Hit/miss/occupancy counters, the resident kernels' executed-step
-    /// total, and the native registry's counters.
+    /// total and table sets, and the native registry's counters.
     pub fn stats(&self) -> CacheStats {
-        let (entries, quarantined, executed_steps) = {
+        let (entries, quarantined, executed_steps, table_sets, table_bytes) = {
             let map = self.map_lock();
-            let quarantined = map
-                .values()
-                .filter(|s| matches!(s, CacheSlot::Quarantined(_)))
-                .count();
-            let executed_steps = map
-                .values()
-                .filter_map(|s| match s {
-                    CacheSlot::Ready(e) => Some(e),
-                    CacheSlot::Quarantined(_) => None,
-                })
-                .map(|e| e.kernel().executed_steps())
-                .sum();
-            (map.len() - quarantined, quarantined, executed_steps)
+            let mut sets = HashSet::new();
+            let (mut entries, mut executed_steps, mut table_bytes) = (0, 0, 0);
+            for slot in map.values() {
+                let CacheSlot::Ready(entry) = slot else {
+                    continue;
+                };
+                let kernel = entry.kernel();
+                entries += 1;
+                executed_steps += kernel.executed_steps();
+                if sets.insert(Arc::as_ptr(kernel.shared_luts()).cast::<LutData>()) {
+                    table_bytes += kernel.lut_bytes() as u64;
+                }
+            }
+            (
+                entries,
+                map.len() - entries,
+                executed_steps,
+                sets.len(),
+                table_bytes,
+            )
         };
         let native = self.native.stats();
         let disk = self.disk_cache().map(|d| d.stats()).unwrap_or_default();
@@ -854,13 +902,19 @@ impl KernelCache {
             native_cc_timeouts: native.cc_timeouts,
             disk_lock_retries: disk.lock_retries,
             disk_stale_locks_broken: disk.stale_locks_broken,
+            table_sets,
+            table_bytes,
         }
     }
 
-    /// Drops every entry, including quarantined ones (counters are
-    /// preserved).
+    /// Drops every entry, including quarantined ones, and the table
+    /// registry (counters are preserved).
     pub fn clear(&self) {
         self.map_lock().clear();
+        self.tables
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .clear();
         self.incidents
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -1069,6 +1123,8 @@ mod tests {
             native_cc_timeouts: 14,
             disk_lock_retries: 15,
             disk_stale_locks_broken: 16,
+            table_sets: 17,
+            table_bytes: 18,
         };
         assert_eq!(
             stats.to_json(),
@@ -1079,7 +1135,8 @@ mod tests {
                 "\"executed_steps\":9,\"native_compiles\":10,",
                 "\"native_disk_hits\":11,\"native_ready\":12,",
                 "\"native_quarantined\":13,\"native_cc_timeouts\":14,",
-                "\"disk_lock_retries\":15,\"disk_stale_locks_broken\":16}"
+                "\"disk_lock_retries\":15,\"disk_stale_locks_broken\":16,",
+                "\"table_sets\":17,\"table_bytes\":18}"
             )
         );
     }

@@ -13,9 +13,10 @@
 //! The tables belong to the model, not to the configuration: every
 //! configuration of a model that tabulates the same tables names the same
 //! table record (`.lkt`, keyed by the model's fingerprint and the tables'
-//! payload sum), which is written once and read once per [`DiskCache`],
-//! and the kernels loaded or stored through one cache share one copy of
-//! them.
+//! payload sum), which is written once and read once per [`DiskCache`]:
+//! the entries loaded through one cache read one copy of it. Sharing one
+//! copy among a process's kernels is [`crate::KernelCache`]'s, with or
+//! without this tier.
 //!
 //! Entries (`.lke`), table records (`.lkt`) and native containers (`.lso`)
 //! are records of [`crate::store`], which owns the header grammar, the
@@ -564,13 +565,10 @@ impl DiskCache {
 
     /// Persists a compiled entry for `key` and, unless this cache wrote or
     /// read it intact before, the table record it names — both under one
-    /// acquisition of the directory lock, the tables first. Quarantined
+    /// acquisition of the directory lock, the tables first — and holds the
+    /// entry's tables for the loads that name the same record. Quarantined
     /// compilations must never reach this — only successful ones are worth
     /// (or safe) replaying in another process.
-    ///
-    /// Returns the entry's tables as this cache holds them: the entry's
-    /// own, or an equal copy another configuration of the model loaded or
-    /// stored, for the caller to share ([`Kernel::share_luts`]).
     ///
     /// # Errors
     ///
@@ -581,7 +579,7 @@ impl DiskCache {
         key: &EntryKey,
         model_name: &str,
         entry: &CompiledKernel,
-    ) -> Result<Arc<[LutData]>, String> {
+    ) -> Result<(), String> {
         let built = entry.kernel().shared_luts();
         // Tables this cache holds already need no encoding to be named.
         let (tables, luts, sealed) = match self.held_copy(key.fingerprint, built) {
@@ -605,7 +603,7 @@ impl DiskCache {
         let entry_path = self.publish_locked(&key.file_name(), &bytes)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.enforce_cap_locked(&[&self.dir.join(name), &entry_path]);
-        Ok(luts)
+        Ok(())
     }
 
     /// Publishes the record `file_name` atomically ([`store::publish`]);
@@ -1471,15 +1469,14 @@ mod tests {
     }
 
     /// Stores `m` under both configurations through `cache`, as a cold
-    /// lookup does: each entry then shares the tables `store` hands back.
+    /// lookup does.
     fn store_both(cache: &DiskCache, m: &Model) -> Vec<CompiledKernel> {
         CONFIGS
             .map(|config| {
-                let mut entry = CompiledKernel::compile(m, config);
-                let luts = cache
+                let entry = CompiledKernel::compile(m, config);
+                cache
                     .store(&EntryKey::new(m, config, true), &m.name, &entry)
                     .unwrap();
-                entry.share_luts(&luts);
                 entry
             })
             .into()
@@ -1488,17 +1485,18 @@ mod tests {
     #[test]
     fn one_table_record_serves_every_configuration_of_a_model() {
         let dir = temp_dir("shared-tables");
-        let cache = DiskCache::open(&dir).unwrap();
+        let disk = Arc::new(DiskCache::open(&dir).unwrap());
         let m = model("HodgkinHuxley");
-        let stored = store_both(&cache, &m);
+        // A kernel cache over the tier compiles and stores both
+        // configurations, whose kernels read one copy of the tables.
+        let cache = crate::KernelCache::new();
+        cache.set_disk_cache(Some(Arc::clone(&disk)));
+        let stored = CONFIGS.map(|config| cache.get_or_compile(&m, config));
         assert!(!stored[0].kernel().luts().is_empty(), "the model tabulates");
-        assert!(
-            stored[0].kernel().shares_luts(stored[1].kernel()),
-            "the second store hands back the first one's tables"
-        );
-        let status = cache.status().unwrap();
+        assert!(stored[0].kernel().shares_luts(stored[1].kernel()));
+        let status = disk.status().unwrap();
         assert_eq!((status.entries, status.tables), (2, 1));
-        assert_eq!(cache.stats().writes, 2, "writes count entries");
+        assert_eq!(disk.stats().writes, 2, "writes count entries");
 
         // A new process reads the record once: with it gone after the first
         // load, the second configuration still loads, on the same tables.

@@ -887,6 +887,27 @@ fn a_models_configurations_write_one_table_record_and_share_it() {
 }
 
 #[test]
+fn a_disk_hit_and_a_cold_compile_of_one_model_share_its_tables() {
+    let dir = temp_cache_dir("disk-hit-meets-cold");
+    let m = model("HodgkinHuxley");
+    cache_with_disk(&Arc::new(DiskCache::open(&dir).expect("temp cache dir")))
+        .get_or_compile(&m, PipelineKind::Baseline);
+
+    // A new process loads the stored configuration and compiles the other.
+    let warm_cache = cache_with_disk(&Arc::new(DiskCache::open(&dir).expect("dir")));
+    let loaded = warm_cache.get_or_compile(&m, PipelineKind::Baseline);
+    let cold = warm_cache.get_or_compile(&m, CONFIG);
+    let s = warm_cache.stats();
+    assert_eq!((s.disk_hits, s.misses), (1, 1));
+    assert!(loaded.kernel().shares_luts(cold.kernel()));
+    assert_eq!(
+        (s.table_sets, s.table_bytes),
+        (1, cold.kernel().lut_bytes() as u64)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn quarantined_compilations_are_never_persisted() {
     let dir = temp_cache_dir("quarantine");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));

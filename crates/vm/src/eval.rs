@@ -26,8 +26,8 @@
 //! table) would be faster still, but only [`crate::tabulate_luts`] would
 //! use it: the benchmark's stage-by-stage compile tabulates through this
 //! function, one call per row, and must time within 10 % of the cache's
-//! compile. It waits for that check to change (ROADMAP, "Tabulate each
-//! table once").
+//! compile. Tabulating with the engine's bytecode instead waits for that
+//! check to change (ROADMAP item 3, "One interpreter").
 
 use limpet_ir::{Func, Module, OpKind, RegionId, ValueId};
 use std::collections::HashMap;

@@ -717,9 +717,9 @@ bash limpet-perf/run.sh --workload compile_roster --seconds 10 --trace 1 --out "
 # primary_ms as the benchmark defines it: the median round's cold seconds (a
 # traced result file carries the rounds, not the end-to-end block). A traced
 # run times one round where an untraced one takes the median of several
-# that get slower as the scratch directory fills, so it reads up to ~5 %
-# below the ledger's untraced median (622 and 648 ms against 647 in the
-# newest record; 975 and 1022 against 1030 at its parent).
+# that get slower as the scratch directory fills, so it reads within ~10 %
+# of the ledger's untraced median (530 and 516 ms against 525 in
+# the newest record; 512 and 509 against 560 at its parent).
 median_ms_of() {
   json_values "$1" "$COMPILE_RUN" | sort -n \
     | awk '{ v[NR] = $1 } END { if (NR) printf "%.1f", 500 * (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) }'
@@ -730,7 +730,7 @@ hold_ms "cold compile" primary_ms "$(median_ms_of cold_s)" "$COMPILE_RUN" BENCH_
 hold_ms "disk-warm load" secondary_ms "$(median_ms_of disk_warm_s)" "$COMPILE_RUN" BENCH_compile_cold.json
 # Instructions in the optimized programs, before any is executed.
 hold_count vm.static_instrs_opt "$COMPILE_RUN" BENCH_compile_cold.json
-# Bytes of every record the cold half stored: 38.6 MB with one table record
+# Bytes of every record the cold half stored: 38.5 MB with one table record
 # per model; a copy of the tables per configuration would double it.
 hold_count persist.entry_bytes "$COMPILE_RUN" BENCH_compile_cold.json
 ENTRY_BYTES=$(metric_value persist.entry_bytes "$COMPILE_RUN")
