@@ -98,16 +98,12 @@ impl Isa {
 pub enum CompileError {
     /// The EasyML source failed to parse or analyze.
     Frontend(Box<dyn std::error::Error>),
-    /// The module of a kernel loaded from the disk cache does not parse or
-    /// verify. (A cold compile's module is verified after every pass.)
-    Module(limpet_harness::ModuleError),
 }
 
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompileError::Frontend(e) => write!(f, "frontend error: {e}"),
-            CompileError::Module(e) => write!(f, "module error: {e}"),
         }
     }
 }
@@ -169,12 +165,14 @@ impl Compiler {
     /// bytecode-compiles; every later compile of the same pair (from this
     /// facade or from [`limpet_harness::Simulation::new`]) shares that
     /// entry. The per-pass timing of the cold compile is available via
-    /// [`Compiled::pass_report`].
+    /// [`Compiled::pass_report`]; the IR module is built on the first
+    /// [`Compiled::module`] or [`Compiled::ir_text`].
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Module`] when the kernel comes from the disk
-    /// cache and its stored module does not parse or verify.
+    /// None: an analyzed model compiles, or the cache panics as
+    /// [`KernelCache::get_or_compile`] does. The `Result` matches
+    /// [`Compiler::compile`].
     pub fn compile_model(&self, model: Model) -> Result<Compiled, CompileError> {
         let kind = match self.isa.vector_isa() {
             None => PipelineKind::Baseline,
@@ -189,14 +187,13 @@ impl Compiler {
             }
         };
         let entry = KernelCache::global().get_or_compile(&model, kind);
-        entry.try_module().map_err(CompileError::Module)?;
         Ok(Compiled { model, kind, entry })
     }
 }
 
 /// A compiled model: the checked frontend model plus a shared
-/// [`KernelCache`] entry holding the optimized IR module and the
-/// executable kernel — repeated [`Compiled::kernel`] /
+/// [`KernelCache`] entry holding the executable kernel (and, once asked
+/// for, the optimized IR module) — repeated [`Compiled::kernel`] /
 /// [`Compiled::simulation`] calls (and clones of this value) all share
 /// one compilation instead of re-lowering per call.
 #[derive(Debug, Clone)]
@@ -212,7 +209,7 @@ impl Compiled {
         &self.model
     }
 
-    /// The optimized IR module.
+    /// The optimized IR module, built on the first call.
     pub fn module(&self) -> &Module {
         self.entry.module()
     }

@@ -23,12 +23,14 @@
 //! ([`crate::native`]).
 //!
 //! Every entry that enters the map, cold-compiled or loaded from the disk
-//! tier, passes through one registry of the table sets the resident
-//! entries read, keyed by model fingerprint: an entry whose tables equal a
-//! held set bit for bit reads that set, any other registers its own. The
-//! configurations of one model that tabulate the same tables (paper
-//! §3.4.2's tables belong to the model) so hold one copy of them, with or
-//! without a disk tier ([`CacheStats::table_sets`]).
+//! tier, passes through one registry of what the resident entries of a
+//! model share, keyed by model fingerprint: the checked model they were
+//! compiled from, and the table sets they read — an entry whose tables
+//! equal a held set bit for bit reads that set, any other registers its
+//! own. The configurations of one model that tabulate the same tables
+//! (paper §3.4.2's tables belong to the model) so hold one copy of them,
+//! and of the model, with or without a disk tier
+//! ([`CacheStats::table_sets`]).
 //!
 //! An entry holds one program, the one its lookups run. The unoptimized
 //! sibling that opt-on/off measurements compare against is compiled only
@@ -37,49 +39,36 @@
 //! then the reference one ([`KernelCache::get_or_compile_resilient`]).
 
 use crate::checksum::{fnv1a_from, FNV_OFFSET};
-use crate::error::{CompileError, ModuleError};
+use crate::error::CompileError;
 use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind, Tier};
-use crate::sim::{model_info, storage_layout, PipelineKind};
+use crate::sim::{model_info, PipelineKind};
 use limpet_easyml::Model;
 use limpet_vm::{Kernel, LutData, StateLayout};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// One cached compilation: the lowered IR module, the executable kernel,
-/// the storage layout the module mandates, and the pass manager's
-/// execution report from the cold compile that produced it. The
-/// unoptimized sibling kernel is compiled only when asked for
-/// ([`CompiledKernel::raw_kernel`]).
+/// One cached compilation: the executable kernel, the checked model and
+/// configuration it was compiled from, and the pass manager's execution
+/// report from the cold compile that produced it.
 ///
-/// An entry loaded from the disk tier keeps its module as the text it was
-/// stored with and parses it on the first [`CompiledKernel::try_module`]:
-/// its kernel, width and layout come from the stored program and tables
-/// and the text's header line, so a lookup that only runs the kernel never
-/// parses the module.
+/// The IR module is a compile-time object: an entry keeps its model and
+/// configuration instead, and builds the module through the deterministic
+/// pipeline on the first [`CompiledKernel::try_module`],
+/// [`CompiledKernel::module`] or [`CompiledKernel::raw_kernel`] call — cold
+/// compile and disk load alike. A lookup that only runs the kernel never
+/// holds a module. The unoptimized sibling kernel is compiled only when
+/// asked for.
 #[derive(Debug)]
 pub struct CompiledKernel {
-    module: ModuleSource,
+    model: Arc<Model>,
+    config: PipelineKind,
+    module: OnceLock<limpet_ir::Module>,
     kernel: Kernel,
     raw_kernel: OnceLock<Kernel>,
-    layout: StateLayout,
     pass_report: limpet_passes::RunReport,
-}
-
-/// Where an entry's module comes from.
-#[derive(Debug)]
-pub(crate) enum ModuleSource {
-    /// A cold compile's module, verified by its pipeline.
-    Compiled(limpet_ir::Module),
-    /// A disk-loaded entry's printed module, parsed and verified once, on
-    /// first use.
-    Stored {
-        text: String,
-        parsed: OnceLock<Result<limpet_ir::Module, ModuleError>>,
-    },
 }
 
 impl CompiledKernel {
@@ -104,14 +93,15 @@ impl CompiledKernel {
         model: &Model,
         config: PipelineKind,
     ) -> Result<CompiledKernel, CompileError> {
-        CompiledKernel::try_compile_opt(model, config, true)
+        CompiledKernel::try_compile_opt(&Arc::new(model.clone()), config, true)
     }
 
     /// [`CompiledKernel::try_compile`] with the bytecode optimizer's
     /// setting passed in, so a cache lookup compiles under the same value
-    /// it keyed the entry with.
+    /// it keyed the entry with. The module is dropped once the kernel and
+    /// its tables exist.
     fn try_compile_opt(
-        model: &Model,
+        model: &Arc<Model>,
         config: PipelineKind,
         opt: bool,
     ) -> Result<CompiledKernel, CompileError> {
@@ -156,73 +146,49 @@ impl CompiledKernel {
                 ("rows", luts.iter().map(|t| t.rows() as u64).sum()),
             ],
         });
-        let layout = storage_layout(&module);
         Ok(CompiledKernel::from_parts(
-            ModuleSource::Compiled(module),
+            model,
+            config,
             kernel,
             opt,
-            layout,
             pass_report,
         ))
     }
 
-    /// The lowered IR module. A disk-loaded entry parses and verifies its
-    /// stored text on the first call and keeps the outcome, error or not.
+    /// The lowered IR module, built from the entry's model and
+    /// configuration on the first call and kept.
     ///
     /// # Errors
     ///
-    /// Returns the [`ModuleError`], naming the model, of a disk-loaded
-    /// entry whose module text does not parse or does not verify. A cold
-    /// compile's module never errs.
-    pub fn try_module(&self) -> Result<&limpet_ir::Module, ModuleError> {
-        match &self.module {
-            ModuleSource::Compiled(module) => Ok(module),
-            ModuleSource::Stored { text, parsed } => parsed
-                .get_or_init(|| {
-                    let model = self.kernel.name();
-                    let module =
-                        limpet_ir::parse_module(text).map_err(|error| ModuleError::Parse {
-                            model: model.to_owned(),
-                            error,
-                        })?;
-                    limpet_ir::verify_module(&module).map_err(|error| ModuleError::Verify {
-                        model: model.to_owned(),
-                        error,
-                    })?;
-                    Ok(module)
-                })
-                .as_ref()
-                .map_err(Clone::clone),
+    /// Returns the [`limpet_pm::PipelineError`] of a pipeline that fails
+    /// verification — which the pipeline that compiled the kernel did not,
+    /// and it is deterministic. A failed build is not kept.
+    pub fn try_module(&self) -> Result<&limpet_ir::Module, limpet_pm::PipelineError> {
+        if let Some(module) = self.module.get() {
+            return Ok(module);
         }
+        let (module, _) = self.config.try_build_with_report(&self.model)?;
+        Ok(self.module.get_or_init(|| module))
     }
 
     /// The lowered IR module ([`CompiledKernel::try_module`]).
     ///
     /// # Panics
     ///
-    /// Panics, naming the model, when a disk-loaded entry's module text
-    /// does not parse or does not verify.
+    /// Panics, naming the model, when its pipeline fails verification.
     pub fn module(&self) -> &limpet_ir::Module {
-        self.try_module().unwrap_or_else(|e| panic!("{e}"))
+        self.try_module().unwrap_or_else(|e| {
+            panic!(
+                "{} pipeline failed for {}: {e}",
+                self.config.label(),
+                self.model.name
+            )
+        })
     }
 
-    /// The module as printed text: a disk-loaded entry's stored text as it
-    /// is, a cold compile's module printed.
-    pub(crate) fn module_text(&self) -> Cow<'_, str> {
-        match &self.module {
-            ModuleSource::Compiled(module) => Cow::Owned(limpet_ir::print_module(module)),
-            ModuleSource::Stored { text, .. } => Cow::Borrowed(text),
-        }
-    }
-
-    /// Whether the module has been parsed: always for a cold compile, after
-    /// the first [`CompiledKernel::try_module`] for a disk-loaded entry.
-    #[cfg(test)]
-    pub(crate) fn module_parsed(&self) -> bool {
-        match &self.module {
-            ModuleSource::Compiled(_) => true,
-            ModuleSource::Stored { parsed, .. } => parsed.get().is_some(),
-        }
+    /// Whether the module has been built ([`CompiledKernel::try_module`]).
+    pub fn module_built(&self) -> bool {
+        self.module.get().is_some()
     }
 
     /// The executable kernel (clone it to run — clones share the
@@ -234,13 +200,13 @@ impl CompiledKernel {
     /// The unoptimized sibling of [`CompiledKernel::kernel`]: the same
     /// module compiled with the bytecode optimizer off, sharing its LUTs —
     /// what the opt-on/off comparisons measure. Compiled on the first call
-    /// (an entry built with the optimizer off answers its own kernel).
+    /// (an entry built with the optimizer off answers its own kernel),
+    /// which builds the module.
     ///
     /// # Panics
     ///
-    /// Panics, naming the model, when the module does not compile again
-    /// (it already compiled once into [`CompiledKernel::kernel`]), or when
-    /// a disk-loaded entry's module text does not parse or verify.
+    /// Panics, naming the model, when the module does not build or compile
+    /// again (it already compiled once into [`CompiledKernel::kernel`]).
     pub fn raw_kernel(&self) -> &Kernel {
         self.raw_kernel.get_or_init(|| {
             let info = self.kernel.info();
@@ -262,9 +228,10 @@ impl CompiledKernel {
         }
     }
 
-    /// The state storage layout the module mandates.
+    /// The state storage layout the configuration mandates
+    /// ([`PipelineKind::layout`]).
     pub fn layout(&self) -> StateLayout {
-        self.layout
+        self.config.layout()
     }
 
     /// The pass manager's execution report from the cold compile: one
@@ -272,21 +239,22 @@ impl CompiledKernel {
     /// counters. Cache hits share the entry, so this is always the
     /// timing of the compile that actually ran — except for entries
     /// reloaded from the disk tier, whose report is a single synthetic
-    /// `"disk-load"` pass (see [`crate::persist`]).
+    /// `"disk-load"` pass (see [`crate::persist`]). Building the module
+    /// later leaves it as it is.
     pub fn pass_report(&self) -> &limpet_passes::RunReport {
         &self.pass_report
     }
 
-    /// Assembles an entry from a cold compile or from parts reconstructed
-    /// off disk ([`crate::persist::DiskCache::load`]); `opt` says whether
-    /// `kernel` runs the optimized program. Crate-private: the only
-    /// legitimate producers of parts are the compiler and the persistence
-    /// layer's checked decode path.
+    /// Assembles an entry of `model` under `config` from a cold compile or
+    /// from parts reconstructed off disk ([`crate::persist::DiskCache::load`]);
+    /// `opt` says whether `kernel` runs the optimized program. Crate-private:
+    /// the only legitimate producers of parts are the compiler and the
+    /// persistence layer's checked decode path.
     pub(crate) fn from_parts(
-        module: ModuleSource,
+        model: &Arc<Model>,
+        config: PipelineKind,
         kernel: Kernel,
         opt: bool,
-        layout: StateLayout,
         pass_report: limpet_passes::RunReport,
     ) -> CompiledKernel {
         let raw_kernel = if opt {
@@ -295,10 +263,11 @@ impl CompiledKernel {
             OnceLock::from(kernel.clone())
         };
         CompiledKernel {
-            module,
+            model: Arc::clone(model),
+            config,
+            module: OnceLock::new(),
             kernel,
             raw_kernel,
-            layout,
             pass_report,
         }
     }
@@ -430,6 +399,15 @@ pub struct QuarantineEntry {
     pub error: CompileError,
 }
 
+/// What the resident entries of one model share.
+#[derive(Debug, Default)]
+struct Held {
+    /// The checked model they were compiled from.
+    model: Weak<Model>,
+    /// The table sets they read.
+    tables: Vec<Weak<[LutData]>>,
+}
+
 #[derive(Debug, Clone)]
 enum CacheSlot {
     Ready(Arc<CompiledKernel>),
@@ -467,10 +445,10 @@ pub struct ResilientKernel {
 #[derive(Debug, Default)]
 pub struct KernelCache {
     map: Mutex<HashMap<(u64, PipelineKind, bool), CacheSlot>>,
-    /// Per model fingerprint, the table sets the resident entries read
-    /// ([`KernelCache::share_tables`]); locked on its own, never under the
-    /// map lock.
-    tables: Mutex<HashMap<u64, Vec<Weak<[LutData]>>>>,
+    /// Per model fingerprint, what the resident entries of the model share
+    /// ([`KernelCache::held_model`], [`KernelCache::share_tables`]); locked
+    /// on its own, never under the map lock.
+    held: Mutex<HashMap<u64, Held>>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -652,7 +630,9 @@ impl KernelCache {
     ) -> Result<Arc<CompiledKernel>, Arc<QuarantineEntry>> {
         let bypass = self.bypass.load(Ordering::Relaxed);
         let key = (model_fingerprint(model), config, opt);
-        if !bypass {
+        let shared = if bypass {
+            Arc::new(model.clone())
+        } else {
             if let Some(slot) = self.map_lock().get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return match slot {
@@ -660,6 +640,7 @@ impl KernelCache {
                     CacheSlot::Quarantined(q) => Err(Arc::clone(q)),
                 };
             }
+            let shared = self.held_model(key.0, model);
             // Memory miss: consult the durable tier before compiling.
             // Quarantines are never persisted, so disk can only hand back
             // verified successful compilations; any integrity failure
@@ -670,7 +651,7 @@ impl KernelCache {
                     config: key.1,
                     opt: key.2,
                 };
-                match disk.load(&disk_key, model) {
+                match disk.load_shared(&disk_key, &shared) {
                     crate::persist::DiskLoad::Hit(mut entry) => {
                         self.disk_hits.fetch_add(1, Ordering::Relaxed);
                         self.share_tables(key.0, &mut entry);
@@ -691,11 +672,12 @@ impl KernelCache {
                     }
                 }
             }
-        }
+            shared
+        };
         // Miss: compile without holding the lock, containing panics.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            CompiledKernel::try_compile_opt(model, config, opt)
+            CompiledKernel::try_compile_opt(&shared, config, opt)
         }))
         .unwrap_or_else(|payload| {
             let msg = payload
@@ -739,14 +721,27 @@ impl KernelCache {
         }
     }
 
+    /// The checked `model` (of fingerprint `fingerprint`) as the resident
+    /// entries of the model hold it, or a copy of it that the next entries
+    /// will share: a cache holds one per model, not one per configuration.
+    fn held_model(&self, fingerprint: u64, model: &Model) -> Arc<Model> {
+        let mut held = self.held.lock().unwrap_or_else(|p| p.into_inner());
+        let slot = &mut held.entry(fingerprint).or_default().model;
+        slot.upgrade().unwrap_or_else(|| {
+            let model = Arc::new(model.clone());
+            *slot = Arc::downgrade(&model);
+            model
+        })
+    }
+
     /// Makes `entry`, about to enter the map, read a table set of the
     /// model `fingerprint` that a resident entry reads, when one equals its
     /// own bit for bit; otherwise registers its own set. Runs under the
     /// registry's lock, so two threads that finish two configurations of
     /// one model at the same moment still end on one allocation.
     fn share_tables(&self, fingerprint: u64, entry: &mut CompiledKernel) {
-        let mut tables = self.tables.lock().unwrap_or_else(|p| p.into_inner());
-        let sets = tables.entry(fingerprint).or_default();
+        let mut held = self.held.lock().unwrap_or_else(|p| p.into_inner());
+        let sets = &mut held.entry(fingerprint).or_default().tables;
         sets.retain(|set| set.strong_count() > 0);
         let own = entry.kernel().shared_luts();
         match sets
@@ -907,14 +902,11 @@ impl KernelCache {
         }
     }
 
-    /// Drops every entry, including quarantined ones, and the table
-    /// registry (counters are preserved).
+    /// Drops every entry, including quarantined ones, and the registry of
+    /// what they share (counters are preserved).
     pub fn clear(&self) {
         self.map_lock().clear();
-        self.tables
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clear();
+        self.held.lock().unwrap_or_else(|p| p.into_inner()).clear();
         self.incidents
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -991,9 +983,10 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
 
-        // A different pipeline is a different entry.
+        // A different pipeline is a different entry, of the same model.
         let c = cache.get_or_compile(&m, PipelineKind::LimpetMlir(VectorIsa::Avx2));
         assert!(!Arc::ptr_eq(&a, &c));
+        assert!(Arc::ptr_eq(&a.model, &c.model), "one copy of the model");
         assert_eq!(cache.stats().entries, 2);
     }
 

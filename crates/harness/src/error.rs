@@ -92,49 +92,6 @@ impl From<limpet_vm::CompileError> for CompileError {
     }
 }
 
-/// Why the stored module text of an entry loaded from the disk tier gave
-/// no module on first use ([`crate::CompiledKernel::try_module`]): a load
-/// reads only the text's header line, so a damaged body is found here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ModuleError {
-    /// The text does not parse.
-    Parse {
-        /// The model whose entry holds the text.
-        model: String,
-        /// The parser's diagnostic.
-        error: limpet_ir::ParseError,
-    },
-    /// The text parses into a module that fails verification.
-    Verify {
-        /// The model whose entry holds the text.
-        model: String,
-        /// The verifier's diagnostic.
-        error: limpet_ir::VerifyError,
-    },
-}
-
-impl fmt::Display for ModuleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModuleError::Parse { model, error } => {
-                write!(f, "stored module of {model} does not parse: {error}")
-            }
-            ModuleError::Verify { model, error } => {
-                write!(f, "stored module of {model} fails verification: {error}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ModuleError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ModuleError::Parse { error, .. } => Some(error),
-            ModuleError::Verify { error, .. } => Some(error),
-        }
-    }
-}
-
 /// Compiles EasyML source to a checked model, returning structured
 /// diagnostics instead of panicking. This is also the
 /// [`crate::FaultKind::ParseError`] injection point: an armed plan

@@ -36,7 +36,7 @@ pub use checkpoint::{
 };
 pub use checksum::{fnv1a, fnv1a_words};
 pub use deadline::{backoff_delay, retry_with_backoff, CancelCause, CancelToken};
-pub use error::{compile_source, CompileError, ModuleError};
+pub use error::{compile_source, CompileError};
 pub use experiments::{
     ablations, available_cores, fig2_checkpointed, fig2_single_thread, fig2_with_jobs,
     fig3_threads32, fig4_scaling, fig5_isa_threads, fig6_roofline, geomean, icc_comparison,

@@ -5,10 +5,13 @@
 //! [`crate::KernelCache`] is process-lifetime only — every `figures`
 //! invocation used to recompile the full roster from scratch. [`DiskCache`]
 //! persists each compiled kernel through the round-trips the compiler
-//! already owns (IR text via [`limpet_ir::print_module`], bytecode text via
-//! [`limpet_vm::serialize_program`], the lookup tables as bytes via
-//! [`limpet_vm::encode_luts`]) so a later process can reload the
-//! *identical* compilation and produce bit-identical trajectories.
+//! already owns (bytecode text via [`limpet_vm::serialize_program`], the
+//! lookup tables as bytes via [`limpet_vm::encode_luts`]) so a later
+//! process can reload the *identical* compilation and produce
+//! bit-identical trajectories. No IR is stored: a loaded entry, like a cold
+//! one, builds its module from the model on first use
+//! ([`CompiledKernel::try_module`]), and takes its width and layout from
+//! its key's configuration.
 //!
 //! The tables belong to the model, not to the configuration: every
 //! configuration of a model that tabulates the same tables names the same
@@ -30,9 +33,7 @@
 //!   renamed or mislabelled file cannot serve the wrong kernel or tables;
 //! * the **payload grammar**: on load the bytecode is re-validated and
 //!   the kernel re-checked against the current model and its tables, so
-//!   even a checksum collision cannot smuggle in a malformed kernel; of
-//!   the module text only the header line is read, and the body is parsed
-//!   and verified by its first reader ([`CompiledKernel::try_module`]);
+//!   even a checksum collision cannot smuggle in a malformed kernel;
 //! * the directory: one lock for writers, an LRU size cap, and the removal
 //!   of what killed writers leave behind.
 //!
@@ -42,10 +43,10 @@
 //! rejected with it — so the recompile's store heals the cache: a corrupt
 //! cache can cost time, never correctness.
 
-use crate::cache::{model_fingerprint, CompiledKernel, ModuleSource};
+use crate::cache::{model_fingerprint, CompiledKernel};
 use crate::checksum::fnv1a;
 use crate::faults::{self, FaultKind};
-use crate::sim::{model_info, storage_layout, PipelineKind};
+use crate::sim::{model_info, PipelineKind};
 use crate::store::{self, older_than, take_line, Reject, RejectReason};
 use limpet_easyml::Model;
 use limpet_vm::{Kernel, LutData};
@@ -55,13 +56,13 @@ use std::fs;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Version of the on-disk entry and table-record envelopes (header +
 /// section framing + table block). Bump on any layout change; old records
 /// are then rejected as stale and recompiled rather than misparsed.
-pub const ENTRY_FORMAT_VERSION: u32 = 5;
+pub const ENTRY_FORMAT_VERSION: u32 = 6;
 
 /// First token of every entry file; anything else is not ours.
 const MAGIC: &str = "limpet-kernel-cache";
@@ -78,11 +79,11 @@ const NATIVE_MAGIC: &str = "limpet-native-cache";
 /// Default size cap: 512 MiB. It must hold what one run stores, or the run
 /// evicts its own records while writing them: the largest is `figures`'
 /// full precompile, 43 models × 16 configurations = 688 entries and 117
-/// table records, 64.8 MiB in entry format 5 (387 MiB in format 4, where
-/// every entry carried its tables; 803 MiB in format 2, which evicted 455
-/// entries; `scripts/ci.sh` holds "688 writes, 0 evicted" and 70 MiB). A
-/// roster under two configurations is 86 entries and 43 table records,
-/// 37 MiB.
+/// table records, 45.9 MiB in entry format 6 (64.8 MiB in format 5, which
+/// also stored each printed module; 387 MiB in format 4, where every entry
+/// carried its tables; 803 MiB in format 2, which evicted 455 entries;
+/// `scripts/ci.sh` holds "688 writes, 0 evicted" and 70 MiB). A roster
+/// under two configurations is 86 entries and 43 table records, 34 MiB.
 pub const DEFAULT_CAP_BYTES: u64 = 512 * 1024 * 1024;
 
 /// First backoff delay while waiting for the directory lock; doubles per
@@ -650,6 +651,12 @@ impl DiskCache {
     /// ladder (see the module docs). Never panics: every failure mode is a
     /// [`DiskLoad::Rejected`] (or [`DiskLoad::Miss`] when no entry exists).
     pub fn load(&self, key: &EntryKey, model: &Model) -> DiskLoad {
+        self.load_shared(key, &Arc::new(model.clone()))
+    }
+
+    /// [`DiskCache::load`] of an entry that is to hold `model` as it is,
+    /// shared with the entries of the model a [`crate::KernelCache`] holds.
+    pub(crate) fn load_shared(&self, key: &EntryKey, model: &Arc<Model>) -> DiskLoad {
         self.get(&key.file_name(), |bytes| {
             decode_entry(bytes, key, model, |tables| self.load_tables(tables)).map(Box::new)
         })
@@ -802,7 +809,9 @@ pub(crate) fn open_container(bytes: &[u8], fingerprint: u64) -> Result<Vec<u8>, 
     store::open(bytes, NATIVE_MAGIC, &NATIVE_STAMPS, &[&key]).map(<[u8]>::to_vec)
 }
 
-/// The format stamps of an entry.
+/// The format stamps of an entry. It holds no IR text since entry format 6;
+/// the IR stamp stays so that every older header has as many fields and
+/// reads as stale, not as a bad header.
 const ENTRY_STAMPS: [&dyn Display; 3] = [
     &ENTRY_FORMAT_VERSION,
     &limpet_ir::TEXT_FORMAT_VERSION,
@@ -821,12 +830,11 @@ impl EntryKey {
 }
 
 /// Serializes one compiled entry into its on-disk byte form — a header
-/// line, two framed text sections, and the name of its table record:
+/// line, the framed bytecode text, and the name of its table record:
 ///
 /// ```text
 /// limpet-kernel-cache <entry-ver> <ir-ver> <bc-ver> <fp:016x> <label> <opt> <payload-len> <sum:016x>\n
 /// model <name>\n
-/// section module <len>\n<IR text>\n
 /// section program.main <len>\n<bytecode text>\n
 /// tables <tables-sum:016x>\n           names luts-<fp:016x>-<tables-sum:016x>.lkt
 /// ```
@@ -836,19 +844,13 @@ pub(crate) fn encode_entry(
     entry: &CompiledKernel,
     tables: &TableKey,
 ) -> Vec<u8> {
-    let mut text = format!("model {model_name}\n");
-    for (name, body) in [
-        ("module", entry.module_text()),
-        (
-            "program.main",
-            limpet_vm::serialize_program(entry.kernel().program()).into(),
-        ),
-    ] {
-        let _ = writeln!(text, "section {name} {}", body.len());
-        text.push_str(&body);
-        text.push('\n');
-    }
-    let _ = writeln!(text, "tables {:016x}", tables.sum);
+    let program = limpet_vm::serialize_program(entry.kernel().program());
+    let mut text = format!(
+        "model {model_name}\nsection program.main {}\n",
+        program.len()
+    );
+    text.push_str(&program);
+    let _ = writeln!(text, "\ntables {:016x}", tables.sum);
     let [fp, label, opt] = key.echo();
     store::seal(
         MAGIC,
@@ -864,7 +866,7 @@ pub(crate) fn encode_entry(
 pub(crate) fn decode_entry(
     bytes: &[u8],
     key: &EntryKey,
-    model: &Model,
+    model: &Arc<Model>,
     load_tables: impl FnOnce(&TableKey) -> Result<Arc<[LutData]>, Reject>,
 ) -> Result<CompiledKernel, Reject> {
     let started = Instant::now();
@@ -881,18 +883,15 @@ fn malformed(detail: impl Into<String>) -> Reject {
     }
 }
 
-/// The payload grammar of an entry: the `model` line, two text sections
+/// The payload grammar of an entry: the `model` line, the bytecode section
 /// and the `tables` line, for the entry's `key`.
 ///
-/// Of the module text only the header line is read here — the name, which
-/// must be the model's, the `vector_width`, which must be the key's
-/// configuration's, and the layout. The body is kept as text and parsed on
-/// first use ([`CompiledKernel::try_module`]): the kernel runs the stored
-/// program, which [`Kernel::from_parts`] checks against the model and the
-/// tables.
+/// The kernel runs the stored program at the width of the key's
+/// configuration, which [`Kernel::from_parts`] checks against the model and
+/// the tables.
 fn parse_entry(
     payload: &[u8],
-    model: &Model,
+    model: &Arc<Model>,
     key: &EntryKey,
     started: Instant,
     load_tables: impl FnOnce(&TableKey) -> Result<Arc<[LutData]>, Reject>,
@@ -907,7 +906,6 @@ fn parse_entry(
             model.name
         )));
     }
-    let module_text = take_section(&mut rest, "module").map_err(malformed)?;
     let main_text = take_section(&mut rest, "program.main").map_err(malformed)?;
     let sum = take_line(&mut rest)
         .and_then(|line| line.strip_prefix("tables "))
@@ -924,23 +922,6 @@ fn parse_entry(
         )));
     }
 
-    let header = limpet_ir::parse_module_header(module_text)
-        .map_err(|e| malformed(format!("unparseable module header: {e}")))?;
-    if header.name() != model.name {
-        return Err(malformed(format!(
-            "module header names '{}', wanted '{}'",
-            header.name(),
-            model.name
-        )));
-    }
-    let width = header.attrs.i64_of("vector_width").unwrap_or(1);
-    if width != key.config.lanes() as i64 {
-        return Err(malformed(format!(
-            "module vector_width {width} where {} compiles at {}",
-            key.config.label(),
-            key.config.lanes()
-        )));
-    }
     let info = model_info(model);
     let main_prog = limpet_vm::deserialize_program(main_text)
         .map_err(|e| malformed(format!("bad main bytecode: {e}")))?;
@@ -948,9 +929,8 @@ fn parse_entry(
         fingerprint: key.fingerprint,
         sum,
     })?;
-    let kernel = Kernel::from_parts(&model.name, main_prog, width as usize, &info, luts)
+    let kernel = Kernel::from_parts(&model.name, main_prog, key.config.lanes(), &info, luts)
         .map_err(|e| malformed(format!("main kernel rejected: {e}")))?;
-    let layout = storage_layout(&header);
     // The entry's provenance is visible in the pass report: a disk load
     // shows a single synthetic "disk-load" pass instead of the pipeline.
     let report = limpet_passes::RunReport {
@@ -963,14 +943,7 @@ fn parse_entry(
         dumps: Vec::new(),
     };
     Ok(CompiledKernel::from_parts(
-        ModuleSource::Stored {
-            text: module_text.to_owned(),
-            parsed: OnceLock::new(),
-        },
-        kernel,
-        key.opt,
-        layout,
-        report,
+        model, key.config, kernel, key.opt, report,
     ))
 }
 
@@ -1174,27 +1147,28 @@ mod tests {
     }
 
     #[test]
-    fn a_loaded_entry_parses_its_module_on_first_use() {
+    fn a_loaded_entry_builds_its_module_on_first_use() {
         let dir = temp_dir("lazy");
         let cache = DiskCache::open(&dir).unwrap();
         let (m, key, entry) = sample_entry();
+        assert!(!entry.module_built(), "a cold compile keeps no module");
         cache.store(&key, &m.name, &entry).unwrap();
         let stored = fs::read(entry_path(&cache, &key)).unwrap();
+        assert!(!String::from_utf8_lossy(&stored).contains("section module"));
         let DiskLoad::Hit(loaded) = cache.load(&key, &m) else {
             panic!("expected a hit");
         };
-        assert!(!loaded.module_parsed(), "a load reads the header line only");
         let mut sim = crate::Simulation::with_kernel(
             loaded.kernel().clone(),
             loaded.layout(),
             &crate::Workload::default(),
         );
         sim.run(2);
-        // Storing it again writes the text it holds, byte for byte.
+        // Storing it again writes the same bytes.
         cache.store(&key, &m.name, &loaded).unwrap();
         assert_eq!(fs::read(entry_path(&cache, &key)).unwrap(), stored);
         assert!(
-            !loaded.module_parsed(),
+            !loaded.module_built() && !entry.module_built(),
             "running and storing need no module"
         );
 
@@ -1202,7 +1176,7 @@ mod tests {
             limpet_ir::print_module(loaded.module()),
             limpet_ir::print_module(entry.module())
         );
-        assert!(loaded.module_parsed());
+        assert!(loaded.module_built() && entry.module_built());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -84,6 +84,22 @@ impl PipelineKind {
         }
     }
 
+    /// The state storage layout this configuration's module mandates (its
+    /// `layout` attribute, [`storage_layout`]): blocks of its lanes for the
+    /// AoSoA pipelines, AoS for the rest.
+    pub fn layout(self) -> StateLayout {
+        match self {
+            PipelineKind::LimpetMlir(isa)
+            | PipelineKind::LimpetMlirNoLut(isa)
+            | PipelineKind::LimpetMlirSpline(isa) => StateLayout::AoSoA {
+                block: isa.lanes() as usize,
+            },
+            PipelineKind::Baseline
+            | PipelineKind::LimpetMlirAos(_)
+            | PipelineKind::CompilerSimd(_) => StateLayout::Aos,
+        }
+    }
+
     /// Builds the IR module for a model under this configuration.
     pub fn build(self, model: &Model) -> limpet_ir::Module {
         self.build_with_report(model).0

@@ -451,6 +451,7 @@ pub(crate) mod tests {
              Iion = 0.3 * g * (Vm + 54.0);\n",
         )
         .unwrap();
+        let m = Arc::new(m);
         let key = EntryKey::new(&m, PipelineKind::Baseline, true);
         let compiled = CompiledKernel::compile(&m, PipelineKind::Baseline);
         let luts = compiled.kernel().shared_luts();

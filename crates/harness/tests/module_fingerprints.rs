@@ -9,9 +9,13 @@
 //! this pins the IR itself, so a change to extraction, lowering, a pass or
 //! the printer that alters one op, one operand order or one printed
 //! character fails here even when the numbers it computes stay equal.
+//!
+//! Each final module's `layout` attribute must also be what its
+//! configuration states ([`PipelineKind::layout`]), which is where a
+//! kernel-cache entry takes its layout from.
 
 use limpet_codegen::{lower_model, CodegenOptions};
-use limpet_harness::{all_pipeline_kinds, fnv1a, PipelineKind};
+use limpet_harness::{all_pipeline_kinds, fnv1a, storage_layout, PipelineKind};
 use limpet_ir::print_module;
 use limpet_models::{model, ROSTER};
 
@@ -29,7 +33,9 @@ fn roster_modules_match_the_recorded_fingerprints() {
                 PipelineKind::LimpetMlirNoLut(_) => without_lut,
                 _ => with_lut,
             };
-            let built = fnv1a(print_module(&kind.build(&m)).as_bytes());
+            let module = kind.build(&m);
+            assert_eq!(storage_layout(&module), kind.layout(), "{}", kind.label());
+            let built = fnv1a(print_module(&module).as_bytes());
             computed.push_str(&format!(
                 "{},{},{lowered:016x},{built:016x}\n",
                 entry.name,

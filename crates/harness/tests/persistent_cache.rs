@@ -12,8 +12,8 @@
 //! child test, so no extra fixture binary is needed.
 
 use limpet_harness::{
-    faults, CompiledKernel, DiskCache, EntryKey, IncidentKind, KernelCache, ModuleError,
-    PipelineKind, Simulation, Workload,
+    faults, CompiledKernel, DiskCache, EntryKey, IncidentKind, KernelCache, PipelineKind,
+    Simulation, Workload,
 };
 use limpet_models::model;
 use std::path::{Path, PathBuf};
@@ -238,18 +238,19 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         limpet_vm::BYTECODE_FORMAT_VERSION,
     );
 
-    // What six earlier builds stored for this model: f9ea60c (bytecode
+    // What seven earlier builds stored for this model: f9ea60c (bytecode
     // format 1: `lutvec` per column, no `lutrow`), 5b0cae0 (entry format 2:
     // the tables as a fourth text section of hex, which this build has no
     // reader for), 0892a15 and c5a12ba (bytecode format 2, which kept every
     // scalar lookup a row of one column: c5a12ba's baseline entry reads the
     // one table at one key in two rows where this build emits one), 091ed00
     // (entry format 3: a `program.raw` section after the main program,
-    // which this build neither writes nor reads) and 58854f8 (entry format
+    // which this build neither writes nor reads), 58854f8 (entry format
     // 4: the tables as bytes inside the entry, where this build names a
-    // table record).
+    // table record) and ec7e877 (entry format 5: the printed module as a
+    // section before the program, which this build builds from the model).
     let baseline = PipelineKind::Baseline;
-    let fixtures: [(&[u8], &[u8], PipelineKind); 6] = [
+    let fixtures: [(&[u8], &[u8], PipelineKind); 7] = [
         (
             include_bytes!("entry_written_at_f9ea60c.lke"),
             b"limpet-kernel-cache 1 1 1 ",
@@ -280,6 +281,11 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
             b"limpet-kernel-cache 4 1 3 ",
             CONFIG,
         ),
+        (
+            include_bytes!("entry_written_at_ec7e877.lke"),
+            b"limpet-kernel-cache 5 1 4 ",
+            CONFIG,
+        ),
     ];
     for (parent_entry, stamps, config) in fixtures {
         assert!(parent_entry.starts_with(stamps));
@@ -304,17 +310,34 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     // The healed baseline entry runs a shorter program to the parent's bits:
     // one row where the parent's main and raw programs had two each, and the
     // trajectory the parent build computed (its FNV-1a digest, printed by
-    // that build). The healed CONFIG entry holds one program where 091ed00's
-    // held two, and steps to the digest that build printed, as 58854f8's
-    // entry does.
+    // that build). The healed CONFIG entry holds its program alone where
+    // 091ed00's held a module and two programs and ec7e877's a module and
+    // one, and steps to the digest those builds printed, as 58854f8's entry
+    // does.
     let rows = |text: &str| text.lines().filter(|l| l.starts_with("lutrow ")).count();
-    let sections = |text: &str| text.lines().filter(|l| l.starts_with("section ")).count();
+    let sections = |text: &str| {
+        let names = text.lines().filter_map(|l| l.strip_prefix("section "));
+        names
+            .map(|l| l.split(' ').next().unwrap().to_owned())
+            .collect::<Vec<_>>()
+    };
     let parent_text = String::from_utf8_lossy(include_bytes!("entry_written_at_c5a12ba.lke"));
     let (_, healed_text, _) = read_entry(&entry_path(&dir, &m, baseline));
     assert_eq!((rows(&parent_text), rows(&healed_text)), (4, 1));
-    let parent_text = String::from_utf8_lossy(include_bytes!("entry_written_at_091ed00.lke"));
     let (_, healed_text, _) = read_entry(&entry_path(&dir, &m, CONFIG));
-    assert_eq!((sections(&parent_text), sections(&healed_text)), (3, 2));
+    assert_eq!(sections(&healed_text), ["program.main"]);
+    for (parent, held) in [
+        (
+            &include_bytes!("entry_written_at_091ed00.lke")[..],
+            &["module", "program.main", "program.raw"][..],
+        ),
+        (
+            include_bytes!("entry_written_at_ec7e877.lke"),
+            &["module", "program.main"],
+        ),
+    ] {
+        assert_eq!(sections(&String::from_utf8_lossy(parent)), held);
+    }
     for config in [baseline, CONFIG] {
         let healed = cache_with_disk(&disk).get_or_compile(&m, config);
         assert_eq!(fnv_digest(&trajectory_bits(&healed)), 0x73ee_59cf_2d36_6425);
@@ -365,19 +388,17 @@ fn entry_holding_an_unfused_gate_update_is_stale_and_heals_fused() {
 }
 
 /// The entry at `path` in its three parts: the header's tokens, the
-/// `model` line and the two framed sections, and the `tables` line after
-/// them that names the entry's table record.
+/// `model` line and the framed program, and the `tables` line after them
+/// that names the entry's table record.
 fn read_entry(path: &Path) -> (Vec<String>, String, Vec<u8>) {
     let bytes = std::fs::read(path).unwrap();
     let line_end = |from: usize| from + bytes[from..].iter().position(|&b| b == b'\n').unwrap() + 1;
     let payload_at = line_end(0);
-    let mut at = line_end(payload_at); // the `model` line
-    for _ in 0..2 {
-        let body_at = line_end(at);
-        let framing = std::str::from_utf8(&bytes[at..body_at - 1]).unwrap();
-        let len: usize = framing.rsplit(' ').next().unwrap().parse().unwrap();
-        at = body_at + len + 1;
-    }
+    let framing_at = line_end(payload_at); // after the `model` line
+    let body_at = line_end(framing_at);
+    let framing = std::str::from_utf8(&bytes[framing_at..body_at - 1]).unwrap();
+    let len: usize = framing.rsplit(' ').next().unwrap().parse().unwrap();
+    let at = body_at + len + 1;
     let header = std::str::from_utf8(&bytes[..payload_at - 1]).unwrap();
     (
         header.split(' ').map(String::from).collect(),
@@ -682,130 +703,39 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
     // address space.
     let (header, text, tables) = read_entry(&path);
     let framing = text.lines().nth(1).unwrap();
-    assert!(framing.starts_with("section module "), "{framing}");
-    let text = text.replacen(framing, "section module 18446744073709551615", 1);
+    assert!(framing.starts_with("section program.main "), "{framing}");
+    let text = text.replacen(framing, "section program.main 18446744073709551615", 1);
     write_signed_entry(&path, header, &text, &tables);
     assert_rejected_and_healed(
         &disk,
         &m,
         CONFIG,
-        "section 'module' is truncated",
+        "section 'program.main' is truncated",
         &reference_bits,
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Rewrites the module's header line — `module @Name attributes {…} {` —
-/// of the entry at `path` with `edit`, re-signed like [`forge_entry`].
-fn forge_module_header(path: &Path, edit: impl Fn(&str) -> String) {
-    let edited = forge_entry(path, |tokens| {
-        let header = tokens[0] == "module";
-        if header {
-            let line = edit(&tokens.join(" "));
-            *tokens = line.split(' ').map(String::from).collect();
-        }
-        header
-    });
-    assert_eq!(edited, 1, "one module header per entry");
-}
-
 #[test]
-fn damaged_module_header_is_rejected_not_loaded() {
-    let dir = temp_cache_dir("module-header");
+fn entry_naming_another_model_is_rejected_not_loaded() {
+    let dir = temp_cache_dir("model-line");
     let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
     let m = coarse_gate();
     let path = entry_path(&dir, &m, CONFIG);
     let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
 
-    // An attribute dict that does not parse, a W=8 module that states no
-    // width (which reads as 1), and another model's name.
-    let cases = [
-        (
-            "vector_width = 8",
-            "vector_width 8",
-            "unparseable module header",
-        ),
-        (", vector_width = 8}", "}", "module vector_width 1 where"),
-        (
-            "@CoarseGate",
-            "@FineGate",
-            "module header names 'FineGate', wanted 'CoarseGate'",
-        ),
-    ];
-    for (from, to, reason) in cases {
-        println!("case: {from} -> {to}"); // shown with a failure
-        forge_module_header(&path, |line| {
-            assert!(line.contains(from), "{line}");
-            line.replacen(from, to, 1)
-        });
-        assert_rejected_and_healed(&disk, &m, CONFIG, reason, &reference_bits);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn damaged_module_body_loads_and_fails_on_first_use() {
-    let dir = temp_cache_dir("module-body");
-    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
-    let m = coarse_gate();
-    let path = entry_path(&dir, &m, CONFIG);
-    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
-    let good = std::fs::read(&path).unwrap();
-
-    // An op the parser does not know, and vector products typed as
-    // scalars, which parse and fail verification.
-    let misspell = |tokens: &mut Vec<String>| {
-        let ret = tokens.last().is_some_and(|t| t == "func.return");
-        if ret {
-            *tokens.last_mut().unwrap() = "func.retrun".into();
-        }
-        ret
-    };
-    let mistype = |tokens: &mut Vec<String>| {
-        let mul = tokens.contains(&"arith.mulf".to_string())
-            && tokens.last().is_some_and(|t| t == "vector<8xf64>");
-        if mul {
-            *tokens.last_mut().unwrap() = "f64".into();
-        }
-        mul
-    };
-    type Edit = Box<dyn Fn(&mut Vec<String>) -> bool>;
-    let cases: [(Edit, &str); 2] = [
-        (Box::new(misspell), "does not parse"),
-        (Box::new(mistype), "fails verification"),
-    ];
-    for (edit, what) in cases {
-        std::fs::write(&path, &good).unwrap();
-        assert!(forge_entry(&path, edit) >= 1, "{what}: nothing to damage");
-        let cache = cache_with_disk(&disk);
-        let entry = cache.get_or_compile(&m, CONFIG);
-        let s = cache.stats();
-        assert_eq!(
-            (s.disk_hits, s.disk_rejects, s.misses),
-            (1, 0, 0),
-            "{what}: a load reads the header line only"
-        );
-        assert_eq!(trajectory_bits(&entry), reference_bits, "{what}");
-
-        let err = entry.try_module().expect_err(what);
-        assert!(matches!(
-            (&err, what),
-            (ModuleError::Parse { .. }, "does not parse")
-                | (ModuleError::Verify { .. }, "fails verification")
-        ));
-        let message = err.to_string();
-        assert!(
-            message.contains("stored module of CoarseGate") && message.contains(what),
-            "{message}"
-        );
-        assert_eq!(entry.try_module().unwrap_err(), err, "parsed once");
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            entry.raw_kernel();
-        }))
-        .expect_err("the raw sibling needs the module");
-        let panic = panic.downcast_ref::<String>().expect("a formatted panic");
-        assert!(panic.contains("CoarseGate"), "{panic}");
-    }
+    // Re-signed, so that only the payload's own reader sees the other name:
+    // the program is bound by position, and would run.
+    let (header, text, tables) = read_entry(&path);
+    let text = text.replacen("model CoarseGate\n", "model FineGate\n", 1);
+    write_signed_entry(&path, header, &text, &tables);
+    assert_rejected_and_healed(
+        &disk,
+        &m,
+        CONFIG,
+        "model mismatch (entry records 'FineGate', wanted 'CoarseGate')",
+        &reference_bits,
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -821,6 +751,7 @@ fn disk_warm_entries_match_their_cold_twins_over_the_roster() {
             let cold = cold_cache.get_or_compile(&m, config);
             let warm = warm_cache.get_or_compile(&m, config);
             let what = format!("{name} {}", config.label());
+            assert!(!cold.module_built() && !warm.module_built(), "{what}");
             assert_eq!(
                 limpet_ir::print_module(warm.module()),
                 limpet_ir::print_module(cold.module()),

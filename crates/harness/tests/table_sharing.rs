@@ -7,11 +7,14 @@
 //!   two threads into a cache with no disk tier, holds one set per model —
 //!   half the bytes its kernels tabulate — whichever thread finishes a
 //!   model's second configuration first.
+//!   Its entries hold no IR module until one is asked for; then each
+//!   builds the module `module_fingerprints.csv` pins, and the raw sibling
+//!   compiled from it steps to the optimized kernel's bits.
 //! * A configuration that tabulates other tables (the spline's grid) keeps
 //!   its own; those that tabulate the baseline's read the baseline's.
 
 use limpet_codegen::pipeline::VectorIsa;
-use limpet_harness::{KernelCache, PipelineKind};
+use limpet_harness::{fnv1a, KernelCache, PipelineKind, Simulation, Workload};
 use limpet_models::{model, ROSTER};
 
 const CONFIGS: [PipelineKind; 2] = [
@@ -41,6 +44,53 @@ fn a_diskless_cache_holds_one_table_set_per_roster_model() {
         (ROSTER.len(), ROSTER_LUT_BYTES / 2)
     );
     assert!(cache.disk_cache().is_none());
+
+    // What `module_fingerprints.csv` pins in its final column, per model and
+    // configuration label.
+    let pinned: std::collections::HashMap<(&str, &str), &str> =
+        include_str!("module_fingerprints.csv")
+            .lines()
+            .skip(1)
+            .map(|row| {
+                let cols: Vec<&str> = row.split(',').collect();
+                ((cols[0], cols[1]), cols[3])
+            })
+            .collect();
+    let entries: Vec<_> = models
+        .iter()
+        .flat_map(|m| CONFIGS.map(|config| (m, config, cache.get_or_compile(m, config))))
+        .collect();
+    for (m, config, entry) in &entries {
+        assert!(!entry.module_built(), "{} {}", m.name, config.label());
+    }
+    let wl = Workload {
+        n_cells: 8,
+        steps: 0,
+        dt: 0.01,
+    };
+    let bits = |kernel: &limpet_vm::Kernel, layout| {
+        let mut sim = Simulation::with_kernel(kernel.clone(), layout, &wl);
+        sim.run(20);
+        (0..wl.n_cells)
+            .map(|cell| sim.vm(cell).to_bits())
+            .collect::<Vec<_>>()
+    };
+    for (m, config, entry) in &entries {
+        let what = format!("{} {}", m.name, config.label());
+        let printed = limpet_ir::print_module(entry.module());
+        let fnv = format!("{:016x}", fnv1a(printed.as_bytes()));
+        assert_eq!(
+            pinned[&(m.name.as_str(), config.label().as_str())],
+            fnv,
+            "{what}"
+        );
+        assert_eq!(
+            bits(entry.raw_kernel(), entry.layout()),
+            bits(entry.kernel(), entry.layout()),
+            "{what}"
+        );
+    }
+    drop(entries);
 
     cache.clear();
     let s = cache.stats();

@@ -124,9 +124,10 @@ rm -rf "$PERSIST_DIR" "$PERSIST_OUT"
 
 echo "==> disk-cache capacity gate (one full precompile fits the default cap)"
 # The most one run stores is figures' precompile of the roster under all 16
-# configurations: 688 entries and 117 table records, 64.8 MiB in entry
-# format 5 (387 MiB in format 4, where every entry carried its own tables;
-# format 2 wrote 803 MiB and evicted 455 entries on the way). Under the
+# configurations: 688 entries and 117 table records, 45.9 MiB in entry
+# format 6 (64.8 MiB in format 5, which also stored each printed module;
+# 387 MiB in format 4, where every entry carried its own tables; format 2
+# wrote 803 MiB and evicted 455 entries on the way). Under the
 # default cap (no LIMPET_CACHE_CAP_MB) the run must keep every record it
 # writes, and a second process must then find all 688 entries on disk. The
 # directory is held under 70 MiB, so tables copied back into the entries
@@ -652,6 +653,22 @@ geomean_of() {
 }
 hold_ms "step loop W=8" primary_ms "$(geomean_of w8_ms_per_step)" "$STEP_OUT" BENCH_step_loop.json
 hold_ms "step loop W=1" secondary_ms "$(geomean_of w1_ms_per_step)" "$STEP_OUT" BENCH_step_loop.json
+# Where the step loop's code lands moves its time with nothing else changed:
+# one build that shifted every `Run::*` symbol by 16 bytes read W=1 6 %
+# slower over 6 pairs. So the offsets of each instance within its 64-byte
+# line (address mod 64, in symbol order) are printed beside the times, as
+# information only; a ledger record states them for the builds it compares.
+if command -v nm > /dev/null; then
+  PLACEMENT=$(nm target/release/figures | sort -k3 | while read -r ADDR _ NAME; do
+    case $NAME in
+      *engine3Run8run_loop17h*) printf ' run_loop:%d' $((16#$ADDR % 64)) ;;
+      *engine3Run14batched_avx51217h*) printf ' batched_avx512:%d' $((16#$ADDR % 64)) ;;
+    esac
+  done)
+  echo "step-loop placement in target/release/figures (address mod 64, information only):${PLACEMENT:- none found}"
+else
+  echo "step-loop placement: skipped, no nm"
+fi
 # Executed instructions per 8192-cell step at W=8 (what `vm_dispatch --check`
 # held for three models against a file of its own) and at W=1 (the baseline:
 # one row per table and key since its scalar lookups were fused).
@@ -708,8 +725,9 @@ echo "==> limpet-perf compile_roster, traced (digests, exact counts, staged comp
 # summing to more than 10 % off `KernelCache::get_or_compile`. Its cold
 # roster compile + store and its disk-warm roster load are held against the
 # change row of BENCH_compile_cold.json, and the bytes it stored against the
-# bytes of the tables: 0.54 with one table record per model (entry format 5),
-# 1.043 with every entry carrying its tables as bytes (format 4), 2.18 as hex
+# bytes of the tables: 0.51 with one table record per model and no module
+# (entry format 6), 0.54 with each printed module (format 5), 1.043 with
+# every entry carrying its tables as bytes (format 4), 2.18 as hex
 # text — an exact count, so held on every host, as is the count itself
 # against the ledger's newest record.
 COMPILE_RUN=$(mktemp)
@@ -726,11 +744,11 @@ median_ms_of() {
 }
 hold_ms "cold compile" primary_ms "$(median_ms_of cold_s)" "$COMPILE_RUN" BENCH_compile_cold.json
 # secondary_ms the same way: the disk-warm roster, a load of every entry the
-# cold half stored (the module bodies are not parsed on this path).
+# cold half stored (no module is built on this path).
 hold_ms "disk-warm load" secondary_ms "$(median_ms_of disk_warm_s)" "$COMPILE_RUN" BENCH_compile_cold.json
 # Instructions in the optimized programs, before any is executed.
 hold_count vm.static_instrs_opt "$COMPILE_RUN" BENCH_compile_cold.json
-# Bytes of every record the cold half stored: 38.5 MB with one table record
+# Bytes of every record the cold half stored: 36.0 MB with one table record
 # per model; a copy of the tables per configuration would double it.
 hold_count persist.entry_bytes "$COMPILE_RUN" BENCH_compile_cold.json
 ENTRY_BYTES=$(metric_value persist.entry_bytes "$COMPILE_RUN")
