@@ -191,6 +191,12 @@ impl CompiledKernel {
         self.module.get().is_some()
     }
 
+    /// The model the entry was compiled from, shared with every entry of
+    /// it in the cache that holds this one.
+    pub(crate) fn model(&self) -> &Arc<Model> {
+        &self.model
+    }
+
     /// The executable kernel (clone it to run — clones share the
     /// compilation).
     pub fn kernel(&self) -> &Kernel {

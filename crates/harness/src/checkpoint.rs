@@ -2,7 +2,8 @@
 //! run **bit-identically** after a crash, deadline, or disconnect.
 //!
 //! A [`Snapshot`] carries the full logical state vectors (the exact bits
-//! [`crate::Simulation::state_bits`] reports), the sim clock and step
+//! [`crate::Simulation::state_bits`] reports, copied out of storage block
+//! by block and written back the same way), the sim clock and step
 //! counters, the seeded-fault "RNG state" (`nan_plan`), the [`Tier`] the
 //! run was executing at, and the per-kernel executed-step counter.
 //! Padding lanes are deliberately *not*
@@ -16,8 +17,10 @@
 //! header grammar, the atomic write, the reject ladder and the `ckpt-*`
 //! fault injection — with a single field, the format version. The payload
 //! is text key lines and the state vector as one binary block, so that
-//! encoding and decoding it cost a block copy (format v2; v1 spelled every
-//! state word as 16 hex digits and is rejected as stale):
+//! encoding and decoding it cost a block copy (format v3 is v2's payload
+//! under the four-lane [`crate::checksum::payload_sum`]; v2 summed it in
+//! one serial chain and v1 spelled every state word as 16 hex digits, and
+//! both are rejected as stale before any sum is computed):
 //!
 //! ```text
 //! limpet-checkpoint <format-ver> <payload-len> <sum:016x>\n
@@ -61,7 +64,7 @@ pub use crate::store::RejectReason;
 /// Version of the snapshot envelope + payload grammar. Bump on any layout
 /// change; older files are then rejected as stale (and the run restarts
 /// or falls to the previous rotation) rather than misparsed.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// First token of every snapshot file; anything else is not ours.
 const MAGIC: &str = "limpet-checkpoint";
@@ -144,8 +147,8 @@ impl Snapshot {
     }
 
     /// Serializes to the on-disk byte form (header + checksummed payload).
-    /// One allocation of the final size; the state words are copied in
-    /// place.
+    /// One allocation of the final size; each state word is appended
+    /// once, with no zero-fill before it.
     pub fn encode(&self) -> Vec<u8> {
         let mut keys = String::new();
         let _ = writeln!(keys, "model {}", self.model);
@@ -181,10 +184,8 @@ impl Snapshot {
             payload_len,
             |out| {
                 out.extend_from_slice(keys.as_bytes());
-                let state_at = out.len();
-                out.resize(state_at + block_len, 0);
-                for (dst, v) in out[state_at..].chunks_exact_mut(8).zip(&self.state) {
-                    dst.copy_from_slice(&v.to_le_bytes());
+                for v in &self.state {
+                    out.extend_from_slice(&v.to_le_bytes());
                 }
                 out.extend_from_slice(END);
             },

@@ -61,8 +61,9 @@ use std::time::{Duration, Instant, SystemTime};
 
 /// Version of the on-disk entry and table-record envelopes (header +
 /// section framing + table block). Bump on any layout change; old records
-/// are then rejected as stale and recompiled rather than misparsed.
-pub const ENTRY_FORMAT_VERSION: u32 = 6;
+/// are then rejected as stale and recompiled rather than misparsed. Format
+/// 7 is format 6 under the four-lane [`crate::checksum::payload_sum`].
+pub const ENTRY_FORMAT_VERSION: u32 = 7;
 
 /// First token of every entry file; anything else is not ours.
 const MAGIC: &str = "limpet-kernel-cache";
@@ -70,8 +71,9 @@ const MAGIC: &str = "limpet-kernel-cache";
 /// First token of every table record.
 const TABLES_MAGIC: &str = "limpet-lut-tables";
 
-/// Version of the native shared-object container envelope.
-pub const NATIVE_CONTAINER_VERSION: u32 = 2;
+/// Version of the native shared-object container envelope (3: the
+/// four-lane payload sum).
+pub const NATIVE_CONTAINER_VERSION: u32 = 3;
 
 /// First token of every native container file.
 const NATIVE_MAGIC: &str = "limpet-native-cache";
@@ -79,7 +81,7 @@ const NATIVE_MAGIC: &str = "limpet-native-cache";
 /// Default size cap: 512 MiB. It must hold what one run stores, or the run
 /// evicts its own records while writing them: the largest is `figures`'
 /// full precompile, 43 models × 16 configurations = 688 entries and 117
-/// table records, 45.9 MiB in entry format 6 (64.8 MiB in format 5, which
+/// table records, 45.9 MiB in entry formats 6 and 7 (64.8 MiB in format 5, which
 /// also stored each printed module; 387 MiB in format 4, where every entry
 /// carried its tables; 803 MiB in format 2, which evicted 455 entries;
 /// `scripts/ci.sh` holds "688 writes, 0 evicted" and 70 MiB). A roster

@@ -211,8 +211,9 @@ impl Stimulus {
 #[derive(Debug)]
 struct GuardState {
     policy: crate::HealthPolicy,
-    /// The model, kept so the reference tier can be (re)compiled.
-    model: Model,
+    /// The model, kept so the reference tier can be (re)compiled: the
+    /// compiled entry's own, not a copy.
+    model: std::sync::Arc<Model>,
     /// The compiled entry currently executing.
     entry: std::sync::Arc<crate::CompiledKernel>,
     tier: crate::Tier,
@@ -348,7 +349,7 @@ impl Simulation {
             .map(|seed| (crate::faults::nan_step(seed), seed));
         sim.guard = Some(Box::new(GuardState {
             policy,
-            model: model.clone(),
+            model: std::sync::Arc::clone(rk.entry.model()),
             entry: rk.entry,
             tier: rk.tier,
             step_count: 0,
@@ -466,18 +467,15 @@ impl Simulation {
     /// order. Two runs are bit-identical iff their vectors are equal;
     /// this is the payload of the real-thread differential gate (compare
     /// a `ShardedSimulation::state_bits` against a single-thread run's).
+    /// One allocation of the final size, filled block by block
+    /// ([`CellStates::copy_to_rows`], [`ExtArrays::copy_to_rows`]).
     pub fn state_bits(&self) -> Vec<u64> {
-        let n_state = self.kernel.info().state_names.len();
-        let n_ext = self.kernel.info().ext_names.len();
-        let mut bits = Vec::with_capacity(self.n_cells() * (n_state + n_ext));
-        for cell in 0..self.n_cells() {
-            for var in 0..n_state {
-                bits.push(self.state.get(cell, var).to_bits());
-            }
-            for ext in 0..n_ext {
-                bits.push(self.ext.get(cell, ext).to_bits());
-            }
-        }
+        let n_state = self.state.n_vars();
+        let stride = n_state + self.ext.n_vars();
+        let mut bits = vec![0; self.n_cells() * stride];
+        self.state.copy_to_rows(&mut bits, stride);
+        self.ext
+            .copy_to_rows(bits.get_mut(n_state..).unwrap_or_default(), stride);
         bits
     }
 
@@ -518,7 +516,8 @@ impl Simulation {
     }
 
     /// Writes a flat run of logical-cell bits (the [`Simulation::state_bits`]
-    /// layout) into this simulation's storage. The shard-level restore
+    /// layout) into this simulation's storage, block by block; padding
+    /// lanes keep their initial values. The shard-level restore
     /// primitive: key validation and counter restore live in
     /// [`Simulation::restore`]; sharded resume slices one snapshot across
     /// shards with this.
@@ -528,25 +527,18 @@ impl Simulation {
     /// Returns a description when `bits` is not exactly
     /// `n_cells * (n_state + n_ext)` values.
     pub fn restore_cells(&mut self, bits: &[u64]) -> Result<(), String> {
-        let n_state = self.kernel.info().state_names.len();
-        let n_ext = self.kernel.info().ext_names.len();
-        let expect = self.n_cells() * (n_state + n_ext);
+        let n_state = self.state.n_vars();
+        let stride = n_state + self.ext.n_vars();
+        let expect = self.n_cells() * stride;
         if bits.len() != expect {
             return Err(format!(
                 "snapshot carries {} state values, this simulation needs {expect}",
                 bits.len()
             ));
         }
-        let mut it = bits.iter();
-        for cell in 0..self.n_cells() {
-            for var in 0..n_state {
-                self.state
-                    .set(cell, var, f64::from_bits(*it.next().unwrap()));
-            }
-            for ext in 0..n_ext {
-                self.ext.set(cell, ext, f64::from_bits(*it.next().unwrap()));
-            }
-        }
+        self.state.copy_from_rows(bits, stride);
+        self.ext
+            .copy_from_rows(bits.get(n_state..).unwrap_or_default(), stride);
         Ok(())
     }
 
@@ -1384,6 +1376,62 @@ mod tests {
         let err = sim.run_guarded(5).expect_err("expired budget");
         assert_eq!(err.kind, crate::IncidentKind::DeadlineExceeded);
         assert!(err.detail.contains("deadline-exceeded"), "{}", err.detail);
+    }
+
+    /// The whole-storage copies against per-element access, under every
+    /// layout a configuration uses (AoS, AoSoA blocks of 2, 4 and 8), at
+    /// 13 cells — one whole block of 8 and a ragged one: `state_bits` reads
+    /// what `get` reads, and `restore_cells` writes what `set` writes,
+    /// which leaves every padding lane at its initial value.
+    #[test]
+    fn state_bits_and_restore_cells_equal_per_element_access() {
+        let m = model("BeelerReuter");
+        let wl = Workload {
+            n_cells: 13,
+            steps: 0,
+            dt: 0.01,
+        };
+        let mut layouts = Vec::new();
+        let configs = VectorIsa::ALL.map(PipelineKind::LimpetMlir);
+        for config in [PipelineKind::Baseline].into_iter().chain(configs) {
+            let what = config.label();
+            let mut sim = Simulation::new(&m, config, &wl);
+            sim.perturb_vm(3, 7.5);
+            sim.run(20);
+            let (n_state, n_ext) = (sim.state.n_vars(), sim.ext.n_vars());
+            assert!(n_state > 1 && n_ext > 1, "{what}");
+            let mut read = Vec::new();
+            for cell in 0..wl.n_cells {
+                read.extend((0..n_state).map(|var| sim.state.get(cell, var).to_bits()));
+                read.extend((0..n_ext).map(|var| sim.ext.get(cell, var).to_bits()));
+            }
+            assert_eq!(sim.state_bits(), read, "{what}: state_bits");
+
+            let bits: Vec<u64> = (0..read.len())
+                .map(|i| (i as f64 - 0.25).to_bits())
+                .collect();
+            let mut restored = Simulation::new(&m, config, &wl);
+            let (mut state, mut ext) = (restored.state.clone(), restored.ext.clone());
+            let mut slots = bits.iter().map(|&b| f64::from_bits(b));
+            for cell in 0..wl.n_cells {
+                for var in 0..n_state {
+                    state.set(cell, var, slots.next().unwrap());
+                }
+                for var in 0..n_ext {
+                    ext.set(cell, var, slots.next().unwrap());
+                }
+            }
+            restored.restore_cells(&bits).expect("shape matches");
+            // Storage equality covers the padding lanes, which `set` never
+            // writes: they hold the initial values.
+            assert_eq!((&restored.state, &restored.ext), (&state, &ext), "{what}");
+            assert_eq!(restored.state_bits(), bits, "{what}: round trip");
+            assert!(restored.restore_cells(&bits[1..]).is_err(), "{what}");
+            layouts.push(config.layout());
+        }
+        let blocks = [2, 4, 8].map(|block| StateLayout::AoSoA { block });
+        assert_eq!(layouts[0], StateLayout::Aos);
+        assert_eq!(layouts[1..], blocks);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! ```
 //!
 //! The header has **one spelling**: single spaces, the length in plain
-//! decimal with no sign and no leading zero, the sum
-//! (`payload_sum` of the payload) as exactly 16 lowercase hex digits.
+//! decimal with no sign and no leading zero, the sum (the four-lane
+//! `payload_sum` of the payload, [`crate::checksum`]) as exactly 16
+//! lowercase hex digits.
 //! A store differs from the next only in its magic, in the fields — its
 //! format stamps first, then whatever key it echoes — and in the grammar
 //! of its payload; everything else lives here, once:
@@ -21,7 +22,7 @@
 //!   → wrong key → length → checksum** ([`RejectReason`]), down to the
 //!   payload, whose grammar is the store's last rung. A stale record is
 //!   refused before any sum is computed: an older format may have summed
-//!   differently;
+//!   differently (every stamp before the four-lane sum did);
 //! * `publish` is the only write sequence: stage beside the final name,
 //!   `fsync`, rename. A reader finds the old complete record or the new
 //!   one, never part of either; what a killed writer leaves is a

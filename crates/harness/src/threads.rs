@@ -442,8 +442,9 @@ const TIMING_MODEL_FILE: &str = "timing-model.v1";
 const TIMING_MODEL_MAGIC: &str = "limpet-timing-model";
 /// Format stamp of the record; bump on layout changes so stale files are
 /// recalibrated instead of misread. Format 1 was four bare text lines
-/// under a `timing-model-v1` line, with no length and no checksum.
-const TIMING_MODEL_VERSION: u32 = 2;
+/// under a `timing-model-v1` line, with no length and no checksum; format
+/// 2 summed its payload in one serial chain, not four lanes.
+const TIMING_MODEL_VERSION: u32 = 3;
 
 impl TimingModel {
     /// Calibrates the stream bandwidth on the current host; other
@@ -756,6 +757,39 @@ mod tests {
                     single.state_bits(),
                     "{label} n_cells={n_cells} threads={threads}: full state diverged"
                 );
+            }
+        }
+    }
+
+    /// One single-thread snapshot resumes into pools of 1, 2 and 3 shards
+    /// (13 cells: shards of 13, 7 + 6 and 5 + 4 + 4, each with a ragged
+    /// block) under AoS and AoSoA blocks of 8, and every pool finishes on
+    /// the single-thread run's digest.
+    #[test]
+    fn sharded_resume_equals_the_single_thread_digest() {
+        let m = model("BeelerReuter");
+        let wl = Workload {
+            n_cells: 13,
+            steps: 0,
+            dt: 0.01,
+        };
+        for config in [
+            PipelineKind::Baseline,
+            PipelineKind::LimpetMlir(VectorIsa::Avx512),
+        ] {
+            let mut single = Simulation::new(&m, config, &wl);
+            single.perturb_vm(5, 12.0);
+            single.run(30);
+            let snap = single.snapshot(&config.label(), 30);
+            single.run(30);
+            let digest = crate::checksum::fnv1a_words(single.state_bits().into_iter());
+            for threads in 1..=3 {
+                let mut pool = ShardedSimulation::resume_from(&m, config, &wl, threads, &snap)
+                    .expect("snapshot fits the pool");
+                assert_eq!(pool.shard_cells.len(), threads);
+                pool.run_threaded(30);
+                let resumed = crate::checksum::fnv1a_words(pool.state_bits().into_iter());
+                assert_eq!(resumed, digest, "{} threads={threads}", config.label());
             }
         }
     }

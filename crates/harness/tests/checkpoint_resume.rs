@@ -374,38 +374,88 @@ fn snapshot_written_by_the_parent_build_is_stale_not_misparsed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// No format bump rode along with `harness::store`: what the parent build
-/// (0892a15, its own header parser and write sequence) saved for
-/// MitchellSchaeffer × 5 cells at step 40 loads from the current slot, holds
-/// the state this build computes, and is byte for byte what this build
-/// writes.
+/// A daemon upgraded across the `.lcp` v2 → v3 change (the four-lane
+/// payload sum) finds v2 snapshots on disk: what 0892a15 (before
+/// `harness::store`) saved for MitchellSchaeffer × 5 cells and what
+/// 7fd044a (the last build to sum serially) saved for Courtemanche × 13
+/// cells — one whole AoSoA block and a ragged one — each at step 40 under
+/// AVX-512. Each is refused on the stale rung before any sum is computed
+/// (a v2 sum is not a v3 sum, but it must never read as damage) and
+/// removed; the next save writes v3 with the very payload the parent wrote,
+/// and that payload's state block holds the words this build's
+/// `state_bits` reads out of its blocks.
 #[test]
-fn snapshot_written_before_the_store_extraction_loads_as_current() {
-    let parent = include_bytes!("snapshot_written_at_0892a15.lcp");
-    assert!(parent.starts_with(b"limpet-checkpoint 2 265 "));
-    let m = model("MitchellSchaeffer");
+fn snapshot_written_at_format_2_is_stale_not_misparsed() {
     let config = PipelineKind::LimpetMlir(limpet_codegen::pipeline::VectorIsa::Avx512);
-    let wl = Workload {
-        n_cells: 5,
-        steps: 0,
-        dt: 0.01,
-    };
-    let mut sim = Simulation::new_resilient(&m, config, &wl, HealthPolicy::Abort).unwrap();
-    sim.run_guarded(40).expect("healthy");
-    // The kernel's executed-step counter is shared through the process-wide
-    // cache with whatever ran before; the parent's process ran only this.
-    let at_40 = limpet_harness::Snapshot {
-        executed_steps: 40,
-        ..sim.snapshot(&config.label(), 40)
-    };
+    let fixtures: [(&[u8], &str, usize, &[u8]); 2] = [
+        (
+            include_bytes!("snapshot_written_at_0892a15.lcp"),
+            "MitchellSchaeffer",
+            5,
+            b"limpet-checkpoint 2 265 ",
+        ),
+        (
+            include_bytes!("snapshot_written_at_7fd044a.lcp"),
+            "Courtemanche",
+            13,
+            b"limpet-checkpoint 2 1494 ",
+        ),
+    ];
+    let version = limpet_harness::SNAPSHOT_FORMAT_VERSION;
+    for (parent, name, n_cells, header) in fixtures {
+        assert!(parent.starts_with(header), "{name}");
+        let m = model(name);
+        let wl = Workload {
+            n_cells,
+            steps: 0,
+            dt: 0.01,
+        };
+        let mut sim = Simulation::new_resilient(&m, config, &wl, HealthPolicy::Abort).unwrap();
+        sim.run_guarded(40).expect("healthy");
+        // The kernel's executed-step counter is shared through the
+        // process-wide cache with whatever ran before; the parent's process
+        // ran only this.
+        let at_40 = limpet_harness::Snapshot {
+            executed_steps: 40,
+            ..sim.snapshot(&config.label(), 40)
+        };
 
-    let (dir, store) = tmp_store("parent-v2");
-    std::fs::write(store.path_for("job"), parent).unwrap();
-    let out = store.load("job");
-    assert!(!out.from_previous && out.rejects.is_empty());
-    assert_eq!(out.snapshot.as_ref(), Some(&at_40));
-    let stats = store.stats();
-    assert_eq!((stats.loaded_current, stats.rejected_total()), (1, 0));
-    assert_eq!(at_40.encode(), parent);
-    let _ = std::fs::remove_dir_all(&dir);
+        let (dir, store) = tmp_store(&format!("parent-v2-{name}"));
+        std::fs::write(store.path_for("job"), parent).unwrap();
+        let out = store.load("job");
+        assert!(out.snapshot.is_none(), "{name}");
+        let rungs: Vec<_> = out.rejects.iter().map(|(_, reason)| *reason).collect();
+        assert_eq!(rungs, [RejectReason::StaleVersion], "{name}");
+        assert!(!store.has("job"), "{name}: the stale file must be removed");
+
+        let path = store.save("job", &at_40).unwrap();
+        let current = std::fs::read(path).unwrap();
+        assert!(current.starts_with(format!("limpet-checkpoint {version} ").as_bytes()));
+        let payload = |bytes: &[u8]| {
+            let at = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+            bytes[at..].to_vec()
+        };
+        assert_eq!(payload(&current), payload(parent), "{name}");
+        let block = payload(parent);
+        let state_at = block.windows(7).position(|w| w == b"\nstate ").unwrap() + 1;
+        let words_at = state_at + block[state_at..].iter().position(|&b| b == b'\n').unwrap() + 1;
+        let parent_words: Vec<u64> = block[words_at..block.len() - 4]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(parent_words, sim.state_bits(), "{name}");
+        let out = store.load("job");
+        assert_eq!(out.snapshot.as_ref(), Some(&at_40), "{name}");
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.rejected_stale_version,
+                stats.loaded_current,
+                stats.rejected_checksum
+            ),
+            (1, 1, 0),
+            "{name}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -238,7 +238,7 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         limpet_vm::BYTECODE_FORMAT_VERSION,
     );
 
-    // What seven earlier builds stored for this model: f9ea60c (bytecode
+    // What eight earlier builds stored for this model: f9ea60c (bytecode
     // format 1: `lutvec` per column, no `lutrow`), 5b0cae0 (entry format 2:
     // the tables as a fourth text section of hex, which this build has no
     // reader for), 0892a15 and c5a12ba (bytecode format 2, which kept every
@@ -247,10 +247,12 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     // (entry format 3: a `program.raw` section after the main program,
     // which this build neither writes nor reads), 58854f8 (entry format
     // 4: the tables as bytes inside the entry, where this build names a
-    // table record) and ec7e877 (entry format 5: the printed module as a
-    // section before the program, which this build builds from the model).
+    // table record), ec7e877 (entry format 5: the printed module as a
+    // section before the program, which this build builds from the model)
+    // and 7fd044a (entry format 6: this build's grammar under the serial
+    // payload sum, refused on its stamp before any sum is computed).
     let baseline = PipelineKind::Baseline;
-    let fixtures: [(&[u8], &[u8], PipelineKind); 7] = [
+    let fixtures: [(&[u8], &[u8], PipelineKind); 8] = [
         (
             include_bytes!("entry_written_at_f9ea60c.lke"),
             b"limpet-kernel-cache 1 1 1 ",
@@ -284,6 +286,11 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         (
             include_bytes!("entry_written_at_ec7e877.lke"),
             b"limpet-kernel-cache 5 1 4 ",
+            CONFIG,
+        ),
+        (
+            include_bytes!("entry_written_at_7fd044a.lke"),
+            b"limpet-kernel-cache 6 1 4 ",
             CONFIG,
         ),
     ];
@@ -437,14 +444,27 @@ fn write_signed_entry(path: &Path, header: Vec<String>, text: &str, tables: &[u8
 fn write_signed(path: &Path, mut header: Vec<String>, payload: &[u8]) {
     let n = header.len();
     header[n - 2] = payload.len().to_string();
-    // The envelope's payload sum, spelled out: FNV-1a folded over 8-byte
-    // little-endian words, then over the tail bytes.
+    // The envelope's payload sum, spelled out: FNV-1a's step over 8-byte
+    // little-endian words, word 4k + i of each 32-byte group into lane i
+    // (from 32 bytes on), the four lanes folded in order, then the words
+    // left over and the tail bytes.
     let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0100_0000_01b3);
-    let words = payload.chunks_exact(8);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+    let offset = 0xcbf2_9ce4_8422_2325;
+    let groups = payload.chunks_exact(32);
+    let words = groups.remainder().chunks_exact(8);
+    let mut sum = offset;
+    if payload.len() >= 32 {
+        let mut lanes = [offset; 4];
+        for group in groups {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = fold(*lane, word(&group[8 * i..8 * i + 8]));
+            }
+        }
+        sum = lanes.into_iter().fold(sum, fold);
+    }
     let tail = words.remainder();
-    let sum = words
-        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-        .fold(0xcbf2_9ce4_8422_2325, fold);
+    let sum = words.map(word).fold(sum, fold);
     let sum = tail.iter().map(|&b| u64::from(b)).fold(sum, fold);
     header[n - 1] = format!("{sum:016x}");
     let record = [header.join(" ").as_bytes(), b"\n", payload].concat();

@@ -12,8 +12,7 @@
 //!   region; `scf.if` / `scf.for` own nested single-block regions. Values
 //!   are SSA.
 //! * **Text format** — [`print_module`] emits an MLIR-style textual form
-//!   that [`parse_module`] parses back (round-trip tested);
-//!   [`parse_module_header`] reads only the module's name and attributes.
+//!   that [`parse_module`] parses back (round-trip tested).
 //! * **Verification** — [`verify_module`] enforces dominance, typing, and
 //!   terminator rules.
 //!
@@ -69,7 +68,7 @@ pub use module::{
     Func, LutSpec, Module, OpData, OpId, RegionData, RegionId, ValueData, ValueDef, ValueId,
 };
 pub use ops::{CmpFPred, CmpIPred, MathFn, OpKind};
-pub use parser::{parse_module, parse_module_header, ParseError};
+pub use parser::{parse_module, ParseError};
 pub use printer::{print_func, print_module};
 pub use types::{ScalarType, Type};
 pub use verifier::{verify_module, VerifyCode, VerifyError};

@@ -736,33 +736,6 @@ fn op_kind_from_name(name: &str, pred: Option<&str>) -> Option<OpKind> {
     })
 }
 
-/// Parses the header of a textual IR module — `module @name [attributes
-/// {…}] {` — and nothing after the `{` that opens its body: the module's
-/// name and attributes, without its lookup tables or functions. This is
-/// the first step of [`parse_module`], so the two agree on every header.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] when the header is malformed or the opening
-/// `{` is missing.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), limpet_ir::ParseError> {
-/// let header = limpet_ir::parse_module_header(
-///     "module @m attributes {vector_width = 8} {\n  func.func @f() {\n",
-/// )?;
-/// assert_eq!(header.name(), "m");
-/// assert_eq!(header.attrs.i64_of("vector_width"), Some(8));
-/// assert!(header.funcs().is_empty());
-/// # Ok(())
-/// # }
-/// ```
-pub fn parse_module_header(src: &str) -> Result<Module> {
-    parse_header(&mut Parser::new(src))
-}
-
 /// Parses a module header off the front of `p`, leaving it at the first
 /// token of the body.
 fn parse_header(p: &mut Parser<'_>) -> Result<Module> {
@@ -995,18 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn header_parse_stops_at_the_body() {
-        let src = "module @m attributes {layout = \"aos\", vector_width = 8} {\n  ^ not IR\n";
-        let header = parse_module_header(src).unwrap();
-        assert_eq!(header.name(), "m");
-        assert_eq!(header.attrs.str_of("layout"), Some("aos"));
-        assert_eq!(header.attrs.i64_of("vector_width"), Some(8));
-        let err = parse_module(src).unwrap_err();
-        assert_eq!(err.line, 2, "{err}");
-        assert!(err.message.contains("unexpected character"), "{err}");
-    }
-
-    #[test]
     fn header_without_an_opening_brace_is_an_error() {
         for src in [
             "module @m attributes {vector_width = 8}",
@@ -1014,14 +975,14 @@ mod tests {
             "module @m",
             "module @m attributes {vector_width = 8} func.func",
         ] {
-            let err = parse_module_header(src).unwrap_err();
+            let err = parse_module(src).unwrap_err();
             assert!(
                 err.message.contains("opening the module body"),
                 "{src:?}: {err}"
             );
         }
         for src in ["module @m attributes {vector_width 8} {", "module m {", ""] {
-            assert!(parse_module_header(src).is_err(), "{src:?}");
+            assert!(parse_module(src).is_err(), "{src:?}");
         }
     }
 

@@ -64,31 +64,34 @@ impl Clone for CellStates {
 
 impl CellStates {
     /// Creates storage for `n_cells` cells, each with `inits.len()` state
-    /// variables initialized to `inits`.
+    /// variables initialized to `inits`. Every value is written once: a
+    /// row per cell under AoS, a `fill` per variable of each block under
+    /// AoSoA.
     ///
     /// # Panics
     ///
-    /// Panics if `inits` is empty and `n_cells > 0` is requested with an
-    /// AoSoA block of 0.
+    /// Panics on an AoSoA block of 0.
     pub fn new(n_cells: usize, inits: &[f64], layout: StateLayout) -> CellStates {
-        if let StateLayout::AoSoA { block } = layout {
-            assert!(block > 0, "AoSoA block must be positive");
-        }
+        let block = storage_block(layout);
+        assert!(block > 0, "AoSoA block must be positive");
         let n_vars = inits.len();
         let padded = n_cells.div_ceil(8).max(1) * 8;
-        let mut s = CellStates {
+        // Whole blocks: a block wider than 8 may reach past `padded`.
+        let mut data = vec![0.0; padded.next_multiple_of(block) * n_vars];
+        if n_vars > 0 {
+            for cells in data.chunks_exact_mut(n_vars * block) {
+                for (run, &v) in cells.chunks_exact_mut(block).zip(inits) {
+                    run.fill(v);
+                }
+            }
+        }
+        CellStates {
             n_cells,
             padded,
             n_vars,
             layout,
-            data: vec![0.0; padded * n_vars],
-        };
-        for cell in 0..padded {
-            for (var, &v) in inits.iter().enumerate() {
-                s.set_raw(cell, var, v);
-            }
+            data,
         }
-        s
     }
 
     /// Logical cell count.
@@ -217,8 +220,86 @@ impl CellStates {
         }
     }
 
+    /// Copies every logical cell's values, as bit patterns, into rows of
+    /// `stride` slots: variable `var` of cell `c` goes to
+    /// `rows[c * stride + var]`; the other slots are left as they are.
+    /// Storage is walked block by block — under AoSoA each variable's run
+    /// of `block` lanes goes to one slot of `block` consecutive rows, under
+    /// AoS each row is one copy — so there is no per-value index
+    /// arithmetic, and padding lanes are never read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride < n_vars()` or `rows` is shorter than
+    /// `(n_cells() - 1) * stride + n_vars()`.
+    pub fn copy_to_rows(&self, rows: &mut [u64], stride: usize) {
+        let span = rows_span(self.n_cells, self.n_vars, rows.len(), stride);
+        let rows = &mut rows[..span];
+        let n = self.n_vars;
+        if n == 0 {
+            return;
+        }
+        match self.layout {
+            StateLayout::Aos => {
+                for (row, vals) in rows.chunks_mut(stride).zip(self.data.chunks_exact(n)) {
+                    for (slot, v) in row.iter_mut().zip(vals) {
+                        *slot = v.to_bits();
+                    }
+                }
+            }
+            StateLayout::AoSoA { block } => {
+                let blocks = self.data.chunks_exact(n * block);
+                for (cells, runs) in rows.chunks_mut(stride * block).zip(blocks) {
+                    for (var, run) in runs.chunks_exact(block).enumerate() {
+                        let slots = cells[var..].iter_mut().step_by(stride);
+                        for (slot, v) in slots.zip(run) {
+                            *slot = v.to_bits();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The inverse of [`CellStates::copy_to_rows`]: writes every logical
+    /// cell's values from the bit patterns at `rows[c * stride + var]`,
+    /// block by block. Padding lanes keep the values they hold.
+    ///
+    /// # Panics
+    ///
+    /// As [`CellStates::copy_to_rows`].
+    pub fn copy_from_rows(&mut self, rows: &[u64], stride: usize) {
+        let rows = &rows[..rows_span(self.n_cells, self.n_vars, rows.len(), stride)];
+        let n = self.n_vars;
+        if n == 0 {
+            return;
+        }
+        match self.layout {
+            StateLayout::Aos => {
+                for (vals, row) in self.data.chunks_exact_mut(n).zip(rows.chunks(stride)) {
+                    for (v, slot) in vals.iter_mut().zip(row) {
+                        *v = f64::from_bits(*slot);
+                    }
+                }
+            }
+            StateLayout::AoSoA { block } => {
+                let blocks = self.data.chunks_exact_mut(n * block);
+                for (runs, cells) in blocks.zip(rows.chunks(stride * block)) {
+                    for (var, run) in runs.chunks_exact_mut(block).enumerate() {
+                        let slots = cells[var..].iter().step_by(stride);
+                        for (v, slot) in run.iter_mut().zip(slots) {
+                            *v = f64::from_bits(*slot);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The raw storage slice (`padded_cells() * n_vars()` values, indexed
-    /// per [`StateLayout`]) — what a native (dlopen'd) kernel receives.
+    /// per [`StateLayout`], plus the lanes that complete the last block
+    /// when the block is wider than 8) — what a native (dlopen'd) kernel
+    /// receives.
     pub fn raw(&self) -> &[f64] {
         &self.data
     }
@@ -231,8 +312,6 @@ impl CellStates {
     /// Converts to another layout, preserving all values.
     pub fn to_layout(&self, layout: StateLayout) -> CellStates {
         let mut out = CellStates::new(self.n_cells, &vec![0.0; self.n_vars], layout);
-        out.padded = self.padded;
-        out.data = vec![0.0; self.padded * self.n_vars];
         for cell in 0..self.padded {
             for var in 0..self.n_vars {
                 let v = self.data[self.index(cell, var)];
@@ -241,6 +320,28 @@ impl CellStates {
         }
         out
     }
+}
+
+/// Cells per block of storage: AoS is stored as AoSoA with blocks of one
+/// cell, whose one run per variable is one slot of the cell's row.
+fn storage_block(layout: StateLayout) -> usize {
+    match layout {
+        StateLayout::Aos => 1,
+        StateLayout::AoSoA { block } => block,
+    }
+}
+
+/// How many slots of rows of `stride` the values of `n_vars` variables of
+/// `n_cells` cells span (the last row ends after its `n_vars`-th slot),
+/// checked against the `rows` slots there are: the one check of a
+/// whole-storage copy.
+fn rows_span(n_cells: usize, n_vars: usize, rows: usize, stride: usize) -> usize {
+    let span = n_cells.checked_sub(1).map_or(0, |c| c * stride + n_vars);
+    assert!(
+        stride >= n_vars && rows >= span,
+        "{rows} slots in rows of {stride} cannot hold {n_cells} cells of {n_vars} values"
+    );
+    span
 }
 
 /// External variable arrays (`Vm_ext`, `Iion_ext`, … in Listing 2): one
@@ -321,6 +422,42 @@ impl ExtArrays {
     #[inline(always)]
     pub fn store_block(&mut self, cell0: usize, var: usize, vals: &[f64]) {
         self.arrays[var][cell0..cell0 + vals.len()].copy_from_slice(vals);
+    }
+
+    /// Copies every logical cell's values, as bit patterns, into rows of
+    /// `stride` slots: variable `var` of cell `c` goes to
+    /// `rows[c * stride + var]`, one loop per array (see
+    /// [`CellStates::copy_to_rows`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride < n_vars()` or `rows` is shorter than
+    /// `(n_cells - 1) * stride + n_vars()`.
+    pub fn copy_to_rows(&self, rows: &mut [u64], stride: usize) {
+        let span = rows_span(self.n_cells, self.n_vars(), rows.len(), stride);
+        let rows = &mut rows[..span];
+        for (var, array) in self.arrays.iter().enumerate() {
+            let slots = rows[var..].iter_mut().step_by(stride);
+            for (slot, v) in slots.zip(&array[..self.n_cells]) {
+                *slot = v.to_bits();
+            }
+        }
+    }
+
+    /// The inverse of [`ExtArrays::copy_to_rows`]; padding cells keep the
+    /// values they hold.
+    ///
+    /// # Panics
+    ///
+    /// As [`ExtArrays::copy_to_rows`].
+    pub fn copy_from_rows(&mut self, rows: &[u64], stride: usize) {
+        let rows = &rows[..rows_span(self.n_cells, self.n_vars(), rows.len(), stride)];
+        for (var, array) in self.arrays.iter_mut().enumerate() {
+            let slots = rows[var..].iter().step_by(stride);
+            for (v, slot) in array[..self.n_cells].iter_mut().zip(slots) {
+                *v = f64::from_bits(*slot);
+            }
+        }
     }
 
     /// Immutable view of one variable's full (padded) array.
@@ -500,6 +637,96 @@ mod tests {
         block_ops_equal_per_cell_access::<2>();
         block_ops_equal_per_cell_access::<4>();
         block_ops_equal_per_cell_access::<8>();
+    }
+
+    /// AoS and AoSoA blocks of 1, 2, 4, 8 and 16 (wider than the padding
+    /// of 8) at cell counts of one cell, a ragged block, a whole block,
+    /// two blocks, and 8192 + 1.
+    fn layouts_and_sizes() -> impl Iterator<Item = (StateLayout, usize)> {
+        let layouts = [1, 2, 4, 8, 16]
+            .map(|block| StateLayout::AoSoA { block })
+            .into_iter()
+            .chain([StateLayout::Aos]);
+        layouts.flat_map(|layout| [1, 7, 8, 13, 8193].map(|n| (layout, n)))
+    }
+
+    /// `new` writes every slot of the storage — padding lanes and the lanes
+    /// that complete a block wider than the padding included — with what
+    /// a `set` per element writes into storage that starts as NaN.
+    #[test]
+    fn new_equals_a_per_element_oracle() {
+        let inits = [0.5, -85.0, 3.25];
+        for (layout, n_cells) in layouts_and_sizes() {
+            let s = CellStates::new(n_cells, &inits, layout);
+            let lanes = s.padded.next_multiple_of(storage_block(layout));
+            let mut oracle = CellStates {
+                data: vec![f64::NAN; lanes * inits.len()],
+                ..s.clone()
+            };
+            for cell in 0..lanes {
+                for (var, &v) in inits.iter().enumerate() {
+                    oracle.set_raw(cell, var, v);
+                }
+            }
+            assert_eq!(s, oracle, "{layout:?} n_cells={n_cells}");
+        }
+    }
+
+    /// The whole-storage copies against `get` and `set`, in rows wider
+    /// than the variables: `copy_to_rows` fills exactly each cell's slots,
+    /// and `copy_from_rows` writes exactly the logical cells.
+    #[test]
+    fn row_copies_equal_per_element_access() {
+        let inits = [0.5, -85.0, 3.25];
+        let stride = 5;
+        for (layout, n_cells) in layouts_and_sizes() {
+            let what = format!("{layout:?} n_cells={n_cells}");
+            let fresh = CellStates::new(n_cells, &inits, layout);
+            let mut s = fresh.clone();
+            for cell in 0..n_cells {
+                for var in 0..3 {
+                    s.set(cell, var, (cell * 3 + var) as f64);
+                }
+            }
+            let mut rows = vec![u64::MAX; n_cells * stride];
+            s.copy_to_rows(&mut rows, stride);
+            for (cell, row) in rows.chunks(stride).enumerate() {
+                let want: Vec<u64> = (0..3).map(|var| s.get(cell, var).to_bits()).collect();
+                assert_eq!(row[..3], want, "{what}: cell {cell}");
+                assert_eq!(row[3..], [u64::MAX; 2], "{what}: cell {cell}");
+            }
+            let mut restored = fresh.clone();
+            restored.copy_from_rows(&rows, stride);
+            assert_eq!(restored, s, "{what}");
+
+            let mut e = ExtArrays::new(n_cells, &[-85.0, 0.0]);
+            for cell in 0..n_cells {
+                e.set(cell, 1, cell as f64);
+            }
+            e.copy_to_rows(&mut rows[3..], stride);
+            let mut back = ExtArrays::new(n_cells, &[1.0, 2.0]);
+            back.copy_from_rows(&rows[3..], stride);
+            for cell in 0..e.padded {
+                let logical = cell < n_cells;
+                assert_eq!(
+                    back.get(cell, 0),
+                    if logical { -85.0 } else { 1.0 },
+                    "{what}"
+                );
+                assert_eq!(
+                    back.get(cell, 1),
+                    if logical { cell as f64 } else { 2.0 },
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold")]
+    fn row_copies_refuse_rows_too_short() {
+        let s = CellStates::new(3, &[1.0, 2.0], StateLayout::AoSoA { block: 2 });
+        s.copy_to_rows(&mut [0; 7], 3);
     }
 
     #[test]

@@ -762,16 +762,17 @@ fi
 echo "entry bytes: persist.entry_bytes $ENTRY_BYTES for vm.lut_bytes $LUT_BYTES"
 rm -f "$COMPILE_RUN"
 
-echo "==> limpet-perf ckpt_resume (resume equals the uninterrupted twin, save time vs BENCH_checkpoint.json)"
+echo "==> limpet-perf ckpt_resume (resume equals the uninterrupted twin, save and resume time vs BENCH_checkpoint.json)"
 # One untraced run of the checkpoint workload. A non-zero exit is a
 # failed save, a loaded snapshot that differs from the saved one, or a
 # run resumed from disk that differs from its uninterrupted twin. Its
-# median snapshot + save of OHara x 8192 cells is held against the
-# change row of BENCH_checkpoint.json by the same rule.
+# median snapshot + save and its median load + resume of OHara x 8192
+# cells are held against the change row of BENCH_checkpoint.json by the
+# same rule.
 CKPT_RUN=$(mktemp)
 bash limpet-perf/run.sh --workload ckpt_resume --seconds 10 --trace 0 --out "$CKPT_RUN" > /dev/null
-CKPT_MS=$(metric_value primary_ms "$CKPT_RUN")
-hold_ms "checkpoint save" primary_ms "$CKPT_MS" "$CKPT_RUN" BENCH_checkpoint.json
+hold_ms "checkpoint save" primary_ms "$(metric_value primary_ms "$CKPT_RUN")" "$CKPT_RUN" BENCH_checkpoint.json
+hold_ms "checkpoint resume" secondary_ms "$(metric_value secondary_ms "$CKPT_RUN")" "$CKPT_RUN" BENCH_checkpoint.json
 rm -f "$CKPT_RUN"
 
 echo "==> limpet-perf serve_closed (golden digests through the wire, daemon job time vs BENCH_serve.json)"
