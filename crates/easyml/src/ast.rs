@@ -104,32 +104,43 @@ impl Expr {
     /// Collects the free variable names referenced by this expression into
     /// `out` (duplicates included, in reference order).
     pub fn collect_vars(&self, out: &mut Vec<String>) {
+        self.for_each_var(&mut |v| out.push(v.to_owned()));
+    }
+
+    /// Calls `f` on every free variable name, in the order of
+    /// [`Expr::collect_vars`], without copying any.
+    pub(crate) fn for_each_var<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
             Expr::Num(_) => {}
-            Expr::Var(v) => out.push(v.clone()),
-            Expr::Unary(_, e) => e.collect_vars(out),
+            Expr::Var(v) => f(v),
+            Expr::Unary(_, e) => e.for_each_var(f),
             Expr::Binary(_, l, r) => {
-                l.collect_vars(out);
-                r.collect_vars(out);
+                l.for_each_var(f);
+                r.for_each_var(f);
             }
             Expr::Call(_, args) => {
                 for a in args {
-                    a.collect_vars(out);
+                    a.for_each_var(f);
                 }
             }
             Expr::Cond(c, t, e) => {
-                c.collect_vars(out);
-                t.collect_vars(out);
-                e.collect_vars(out);
+                c.for_each_var(f);
+                t.for_each_var(f);
+                e.for_each_var(f);
             }
         }
     }
 
     /// Whether `var` appears free in this expression.
     pub fn references(&self, var: &str) -> bool {
-        let mut vars = Vec::new();
-        self.collect_vars(&mut vars);
-        vars.iter().any(|v| v == var)
+        match self {
+            Expr::Num(_) => false,
+            Expr::Var(v) => v == var,
+            Expr::Unary(_, e) => e.references(var),
+            Expr::Binary(_, l, r) => l.references(var) || r.references(var),
+            Expr::Call(_, args) => args.iter().any(|a| a.references(var)),
+            Expr::Cond(c, t, e) => c.references(var) || t.references(var) || e.references(var),
+        }
     }
 
     /// Number of AST nodes, a rough complexity measure.
@@ -195,33 +206,43 @@ pub enum Stmt {
 impl Stmt {
     /// Names assigned by this statement (recursively for `if`).
     pub fn assigned_names(&self, out: &mut Vec<String>) {
+        self.for_each_assigned(&mut |n| out.push(n.to_owned()));
+    }
+
+    /// Names read by this statement (recursively for `if`).
+    pub fn read_names(&self, out: &mut Vec<String>) {
+        self.for_each_read(&mut |n| out.push(n.to_owned()));
+    }
+
+    /// Calls `f` on every name [`Stmt::assigned_names`] lists, in order.
+    pub(crate) fn for_each_assigned<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            Stmt::Assign { lhs, .. } => out.push(lhs.clone()),
+            Stmt::Assign { lhs, .. } => f(lhs),
             Stmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
                 for s in then_body.iter().chain(else_body) {
-                    s.assigned_names(out);
+                    s.for_each_assigned(f);
                 }
             }
         }
     }
 
-    /// Names read by this statement (recursively for `if`).
-    pub fn read_names(&self, out: &mut Vec<String>) {
+    /// Calls `f` on every name [`Stmt::read_names`] lists, in order.
+    pub(crate) fn for_each_read<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            Stmt::Assign { expr, .. } => expr.collect_vars(out),
+            Stmt::Assign { expr, .. } => expr.for_each_var(f),
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
                 ..
             } => {
-                cond.collect_vars(out);
+                cond.for_each_var(f);
                 for s in then_body.iter().chain(else_body) {
-                    s.read_names(out);
+                    s.for_each_read(f);
                 }
             }
         }

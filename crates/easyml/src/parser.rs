@@ -47,12 +47,15 @@ pub fn parse_model(name: &str, src: &str) -> Result<ModelAst> {
     inner().map_err(|e| e.with_model(name))
 }
 
-struct Parser {
-    toks: Vec<Token>,
+/// The token stream and the cursor into it. Tokens are `Copy` and their
+/// identifiers borrow from the source: the only allocations are the AST's
+/// own names and nodes.
+struct Parser<'src> {
+    toks: Vec<Token<'src>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'src> Parser<'src> {
     fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
     }
@@ -73,25 +76,25 @@ impl Parser {
         Diagnostic::new(code, self.span(), message)
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.toks.get(self.pos).map(|t| &t.kind)
+    fn peek(&self) -> Option<TokenKind<'src>> {
+        self.toks.get(self.pos).map(|t| t.kind)
     }
 
-    fn peek2(&self) -> Option<&TokenKind> {
-        self.toks.get(self.pos + 1).map(|t| &t.kind)
+    fn peek2(&self) -> Option<TokenKind<'src>> {
+        self.toks.get(self.pos + 1).map(|t| t.kind)
     }
 
-    fn next(&mut self) -> Result<TokenKind> {
+    fn next(&mut self) -> Result<TokenKind<'src>> {
         let t = self
             .toks
             .get(self.pos)
-            .map(|t| t.kind.clone())
+            .map(|t| t.kind)
             .ok_or_else(|| self.error(ErrorCode::UnexpectedEof, "unexpected end of input"))?;
         self.pos += 1;
         Ok(t)
     }
 
-    fn eat(&mut self, want: &TokenKind) -> bool {
+    fn eat(&mut self, want: TokenKind<'_>) -> bool {
         if self.peek() == Some(want) {
             self.pos += 1;
             true
@@ -100,9 +103,9 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: &TokenKind) -> Result<()> {
+    fn expect(&mut self, want: TokenKind<'_>) -> Result<()> {
         let got = self.next()?;
-        if &got == want {
+        if got == want {
             Ok(())
         } else {
             Err(self.error(
@@ -112,7 +115,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String> {
+    fn expect_ident(&mut self) -> Result<&'src str> {
         match self.next()? {
             TokenKind::Ident(s) => Ok(s),
             other => Err(self.error(
@@ -125,13 +128,13 @@ impl Parser {
     fn parse_item(&mut self, items: &mut Vec<Item>) -> Result<()> {
         let line = self.line();
         match self.peek() {
-            Some(TokenKind::Ident(w)) if w == "group" => {
+            Some(TokenKind::Ident("group")) => {
                 self.pos += 1;
                 let item = self.parse_group(line)?;
                 items.push(item);
                 Ok(())
             }
-            Some(TokenKind::Ident(w)) if w == "if" => {
+            Some(TokenKind::Ident("if")) => {
                 self.pos += 1;
                 let stmt = self.parse_if(line)?;
                 items.push(Item::Stmt(stmt));
@@ -139,18 +142,18 @@ impl Parser {
             }
             Some(TokenKind::Ident(_)) => {
                 let name = self.expect_ident()?;
-                if self.eat(&TokenKind::Assign) {
+                if self.eat(TokenKind::Assign) {
                     let expr = self.parse_expr()?;
-                    self.expect(&TokenKind::Semi)?;
+                    self.expect(TokenKind::Semi)?;
                     items.push(Item::Stmt(Stmt::Assign {
-                        lhs: name,
+                        lhs: name.to_owned(),
                         expr,
                         line,
                     }));
                 } else {
-                    self.expect(&TokenKind::Semi)?;
+                    self.expect(TokenKind::Semi)?;
                     items.push(Item::Decl {
-                        name,
+                        name: name.to_owned(),
                         markups: Vec::new(),
                         line,
                     });
@@ -161,10 +164,10 @@ impl Parser {
                 // Markup statement: one or more `.name(args)` then `;`,
                 // attaching to the last declaration or group.
                 let mut markups = Vec::new();
-                while self.eat(&TokenKind::Dot) {
+                while self.eat(TokenKind::Dot) {
                     markups.push(self.parse_markup()?);
                 }
-                self.expect(&TokenKind::Semi)?;
+                self.expect(TokenKind::Semi)?;
                 let target = items.iter_mut().rev().find_map(|item| match item {
                     Item::Decl { markups, .. } | Item::Group { markups, .. } => Some(markups),
                     Item::Stmt(_) => None,
@@ -190,24 +193,27 @@ impl Parser {
     }
 
     fn parse_group(&mut self, line: usize) -> Result<Item> {
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let mut group_items = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
+        while !self.eat(TokenKind::RBrace) {
             let name = self.expect_ident()?;
-            let default = if self.eat(&TokenKind::Assign) {
+            let default = if self.eat(TokenKind::Assign) {
                 Some(self.parse_expr()?)
             } else {
                 None
             };
-            self.expect(&TokenKind::Semi)?;
-            group_items.push(GroupItem { name, default });
+            self.expect(TokenKind::Semi)?;
+            group_items.push(GroupItem {
+                name: name.to_owned(),
+                default,
+            });
         }
         // Optional inline markup chain, then `;`.
         let mut markups = Vec::new();
-        while self.eat(&TokenKind::Dot) {
+        while self.eat(TokenKind::Dot) {
             markups.push(self.parse_markup()?);
         }
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         Ok(Item::Group {
             items: group_items,
             markups,
@@ -218,17 +224,17 @@ impl Parser {
     fn parse_markup(&mut self) -> Result<Markup> {
         let line = self.line();
         let name = self.expect_ident()?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
-        if !self.eat(&TokenKind::RParen) {
+        if !self.eat(TokenKind::RParen) {
             loop {
                 let mut neg = false;
-                while self.eat(&TokenKind::Minus) {
+                while self.eat(TokenKind::Minus) {
                     neg = !neg;
                 }
                 match self.next()? {
                     TokenKind::Num(v) => args.push(MarkupArg::Num(if neg { -v } else { v })),
-                    TokenKind::Ident(s) if !neg => args.push(MarkupArg::Ident(s)),
+                    TokenKind::Ident(s) if !neg => args.push(MarkupArg::Ident(s.to_owned())),
                     other => {
                         return Err(self.error(
                             ErrorCode::BadMarkupArg,
@@ -236,27 +242,31 @@ impl Parser {
                         ));
                     }
                 }
-                if self.eat(&TokenKind::RParen) {
+                if self.eat(TokenKind::RParen) {
                     break;
                 }
-                self.expect(&TokenKind::Comma)?;
+                self.expect(TokenKind::Comma)?;
             }
         }
-        Ok(Markup { name, args, line })
+        Ok(Markup {
+            name: name.to_owned(),
+            args,
+            line,
+        })
     }
 
     fn parse_if(&mut self, line: usize) -> Result<Stmt> {
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let cond = self.parse_expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let then_body = self.parse_block()?;
         let mut else_body = Vec::new();
-        if matches!(self.peek(), Some(TokenKind::Ident(w)) if w == "else") {
+        if matches!(self.peek(), Some(TokenKind::Ident("else"))) {
             self.pos += 1;
-            if matches!(self.peek(), Some(TokenKind::Ident(w)) if w == "if") {
+            if matches!(self.peek(), Some(TokenKind::Ident("if"))) {
                 let line2 = self.line();
                 self.pos += 1;
-                else_body.push(self.parse_if(line2)?);
+                else_body = vec![self.parse_if(line2)?];
             } else {
                 else_body = self.parse_block()?;
             }
@@ -270,21 +280,24 @@ impl Parser {
     }
 
     fn parse_block(&mut self) -> Result<Vec<Stmt>> {
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let mut stmts = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
+        while !self.eat(TokenKind::RBrace) {
             let line = self.line();
-            if matches!(self.peek(), Some(TokenKind::Ident(w)) if w == "if") {
+            if matches!(self.peek(), Some(TokenKind::Ident("if"))) {
                 self.pos += 1;
                 stmts.push(self.parse_if(line)?);
             } else {
-                let lhs = self.expect_ident()?;
-                self.expect(&TokenKind::Assign)?;
+                let lhs = self.expect_ident()?.to_owned();
+                self.expect(TokenKind::Assign)?;
                 let expr = self.parse_expr()?;
-                self.expect(&TokenKind::Semi)?;
+                self.expect(TokenKind::Semi)?;
                 stmts.push(Stmt::Assign { lhs, expr, line });
             }
         }
+        // The model keeps the AST's lists (`analyze_owned`): none of them
+        // holds spare capacity.
+        stmts.shrink_to_fit();
         Ok(stmts)
     }
 
@@ -295,10 +308,10 @@ impl Parser {
     }
 
     fn parse_ternary(&mut self) -> Result<Expr> {
-        let cond = self.parse_or()?;
-        if self.eat(&TokenKind::Question) {
+        let cond = self.parse_binary(1)?;
+        if self.eat(TokenKind::Question) {
             let t = self.parse_expr()?;
-            self.expect(&TokenKind::Colon)?;
+            self.expect(TokenKind::Colon)?;
             let e = self.parse_ternary()?;
             Ok(Expr::Cond(Box::new(cond), Box::new(t), Box::new(e)))
         } else {
@@ -306,92 +319,28 @@ impl Parser {
         }
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_and()?;
-        while self.eat(&TokenKind::OrOr) {
-            let rhs = self.parse_and()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_equality()?;
-        while self.eat(&TokenKind::AndAnd) {
-            let rhs = self.parse_equality()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_relational()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::EqEq) => BinOp::Eq,
-                Some(TokenKind::NotEq) => BinOp::Ne,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.parse_relational()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_relational(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Lt) => BinOp::Lt,
-                Some(TokenKind::Le) => BinOp::Le,
-                Some(TokenKind::Gt) => BinOp::Gt,
-                Some(TokenKind::Ge) => BinOp::Ge,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.parse_additive()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Plus) => BinOp::Add,
-                Some(TokenKind::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr> {
+    /// Binary operators by precedence climbing: an operand, then every
+    /// operator binding at least as tightly as `min`, each with a
+    /// right-hand side of strictly tighter operators — the left-associative
+    /// C tree, from one loop per operand instead of one call per level.
+    fn parse_binary(&mut self, min: u8) -> Result<Expr> {
         let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Star) => BinOp::Mul,
-                Some(TokenKind::Slash) => BinOp::Div,
-                Some(TokenKind::Percent) => BinOp::Rem,
-                _ => break,
-            };
+        while let Some((op, prec)) = self.peek().and_then(binary_op) {
+            if prec < min {
+                break;
+            }
             self.pos += 1;
-            let rhs = self.parse_unary()?;
+            let rhs = self.parse_binary(prec + 1)?;
             lhs = Expr::bin(op, lhs, rhs);
         }
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
-        if self.eat(&TokenKind::Minus) {
+        if self.eat(TokenKind::Minus) {
             let e = self.parse_unary()?;
             Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
-        } else if self.eat(&TokenKind::Not) {
+        } else if self.eat(TokenKind::Not) {
             let e = self.parse_unary()?;
             Ok(Expr::Unary(UnOp::Not, Box::new(e)))
         } else {
@@ -403,26 +352,27 @@ impl Parser {
         match self.next()? {
             TokenKind::Num(v) => Ok(Expr::Num(v)),
             TokenKind::Ident(name) => {
-                if self.peek() == Some(&TokenKind::LParen) && self.peek2().is_some() {
+                if self.peek() == Some(TokenKind::LParen) && self.peek2().is_some() {
                     self.pos += 1;
-                    let mut args = Vec::new();
-                    if !self.eat(&TokenKind::RParen) {
+                    let mut args = Vec::with_capacity(1);
+                    if !self.eat(TokenKind::RParen) {
                         loop {
                             args.push(self.parse_expr()?);
-                            if self.eat(&TokenKind::RParen) {
+                            if self.eat(TokenKind::RParen) {
                                 break;
                             }
-                            self.expect(&TokenKind::Comma)?;
+                            self.expect(TokenKind::Comma)?;
                         }
                     }
-                    Ok(Expr::Call(name, args))
+                    args.shrink_to_fit();
+                    Ok(Expr::Call(name.to_owned(), args))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok(Expr::Var(name.to_owned()))
                 }
             }
             TokenKind::LParen => {
                 let e = self.parse_expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
             other => Err(self.error(
@@ -431,6 +381,27 @@ impl Parser {
             )),
         }
     }
+}
+
+/// A binary operator token's operator and precedence, loosest (`||`) 1
+/// to tightest (`*` `/` `%`) 6.
+fn binary_op(t: TokenKind<'_>) -> Option<(BinOp, u8)> {
+    Some(match t {
+        TokenKind::OrOr => (BinOp::Or, 1),
+        TokenKind::AndAnd => (BinOp::And, 2),
+        TokenKind::EqEq => (BinOp::Eq, 3),
+        TokenKind::NotEq => (BinOp::Ne, 3),
+        TokenKind::Lt => (BinOp::Lt, 4),
+        TokenKind::Le => (BinOp::Le, 4),
+        TokenKind::Gt => (BinOp::Gt, 4),
+        TokenKind::Ge => (BinOp::Ge, 4),
+        TokenKind::Plus => (BinOp::Add, 5),
+        TokenKind::Minus => (BinOp::Sub, 5),
+        TokenKind::Star => (BinOp::Mul, 6),
+        TokenKind::Slash => (BinOp::Div, 6),
+        TokenKind::Percent => (BinOp::Rem, 6),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

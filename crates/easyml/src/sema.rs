@@ -15,7 +15,7 @@
 
 use crate::ast::{BinOp, Expr, Item, Markup, ModelAst, Stmt, UnOp};
 use crate::diag::{Diagnostic, ErrorCode, Span};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A temporal integration method (paper §3.3.2).
@@ -261,19 +261,24 @@ pub const IMPLICIT_SOURCES: [&str; 2] = ["t", "dt"];
 /// Evaluates an expression to a constant under `env` (typically the
 /// parameter defaults). Returns `None` when any referenced name is missing.
 pub fn eval_const(expr: &Expr, env: &HashMap<String, f64>) -> Option<f64> {
+    eval_with(expr, &|name| env.get(name).copied())
+}
+
+/// [`eval_const`] with the environment as a lookup function.
+fn eval_with(expr: &Expr, env: &impl Fn(&str) -> Option<f64>) -> Option<f64> {
     Some(match expr {
         Expr::Num(v) => *v,
-        Expr::Var(name) => *env.get(name)?,
-        Expr::Unary(UnOp::Neg, e) => -eval_const(e, env)?,
+        Expr::Var(name) => env(name)?,
+        Expr::Unary(UnOp::Neg, e) => -eval_with(e, env)?,
         Expr::Unary(UnOp::Not, e) => {
-            if eval_const(e, env)? != 0.0 {
+            if eval_with(e, env)? != 0.0 {
                 0.0
             } else {
                 1.0
             }
         }
         Expr::Binary(op, l, r) => {
-            let (a, b) = (eval_const(l, env)?, eval_const(r, env)?);
+            let (a, b) = (eval_with(l, env)?, eval_with(r, env)?);
             match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
@@ -291,7 +296,7 @@ pub fn eval_const(expr: &Expr, env: &HashMap<String, f64>) -> Option<f64> {
             }
         }
         Expr::Call(name, args) => {
-            let vals: Option<Vec<f64>> = args.iter().map(|a| eval_const(a, env)).collect();
+            let vals: Option<Vec<f64>> = args.iter().map(|a| eval_with(a, env)).collect();
             let vals = vals?;
             match (name.as_str(), vals.as_slice()) {
                 ("exp", [a]) => a.exp(),
@@ -325,10 +330,10 @@ pub fn eval_const(expr: &Expr, env: &HashMap<String, f64>) -> Option<f64> {
             }
         }
         Expr::Cond(c, t, e) => {
-            if eval_const(c, env)? != 0.0 {
-                eval_const(t, env)?
+            if eval_with(c, env)? != 0.0 {
+                eval_with(t, env)?
             } else {
-                eval_const(e, env)?
+                eval_with(e, env)?
             }
         }
     })
@@ -404,52 +409,104 @@ pub fn affine_in(expr: &Expr, var: &str) -> Option<(Expr, Expr)> {
 /// one-sided conditional definitions, bad markups, non-constant initial
 /// values, dependency cycles, and calls to unknown functions.
 pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
-    let mut errors: Vec<SemaError> = Vec::new();
+    let checked = check(ast)?;
+    let mut stmts = Vec::with_capacity(checked.order.len());
+    stmts.extend(checked.order.iter().filter_map(|&i| match &ast.items[i] {
+        Item::Stmt(s) => Some(s.clone()),
+        _ => None,
+    }));
+    Ok(checked.into_model(ast.name.clone(), stmts))
+}
 
-    // ---- collect declarations & markups ----
-    let mut external_names: Vec<String> = Vec::new();
-    let mut parent_names: Vec<String> = Vec::new();
-    let mut params: Vec<Param> = Vec::new();
-    let mut lookups: Vec<Lookup> = Vec::new();
-    let mut methods: HashMap<String, (Method, usize)> = HashMap::new();
-    let mut declared: Vec<String> = Vec::new();
+/// [`analyze`] for an AST the caller no longer needs: the model takes its
+/// statements by move instead of copying them.
+///
+/// # Errors
+///
+/// As [`analyze`].
+pub fn analyze_owned(ast: ModelAst) -> Result<Model, SemaErrors> {
+    let checked = check(&ast)?;
+    let mut slots: Vec<Option<Stmt>> = ast
+        .items
+        .into_iter()
+        .map(|item| match item {
+            Item::Stmt(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    let mut stmts = Vec::with_capacity(checked.order.len());
+    stmts.extend(checked.order.iter().filter_map(|&i| slots[i].take()));
+    Ok(checked.into_model(ast.name, stmts))
+}
 
-    let handle_markup = |names: &[String],
-                         m: &Markup,
-                         errors: &mut Vec<SemaError>,
-                         lookups: &mut Vec<Lookup>,
-                         external_names: &mut Vec<String>,
-                         parent_names: &mut Vec<String>,
-                         methods: &mut HashMap<String, (Method, usize)>| {
+/// Everything of a [`Model`] but its statements, which stay in the AST:
+/// `order` lists the indices of `ModelAst::items` holding the body
+/// statements, in dependency order.
+struct Checked {
+    states: Vec<StateVar>,
+    externals: Vec<ExtVar>,
+    params: Vec<Param>,
+    lookups: Vec<Lookup>,
+    order: Vec<usize>,
+}
+
+impl Checked {
+    fn into_model(self, name: String, stmts: Vec<Stmt>) -> Model {
+        Model {
+            name,
+            states: self.states,
+            externals: self.externals,
+            params: self.params,
+            lookups: self.lookups,
+            stmts,
+        }
+    }
+}
+
+/// The markups' effect on the names they are attached to. Every name
+/// borrows from the AST.
+#[derive(Default)]
+struct Markups<'a> {
+    external: Vec<&'a str>,
+    parent: Vec<&'a str>,
+    lookups: Vec<Lookup>,
+    /// `.method()` per name and the line of its markup, in first-seen
+    /// order; a later markup for the same name replaces the earlier one.
+    methods: Vec<(&'a str, Method, usize)>,
+}
+
+impl<'a> Markups<'a> {
+    fn method(&self, name: &str) -> Option<Method> {
+        self.methods
+            .iter()
+            .find(|(n, ..)| *n == name)
+            .map(|&(_, m, _)| m)
+    }
+
+    fn apply(&mut self, names: &[&'a str], m: &Markup, errors: &mut Vec<SemaError>) {
         match m.name.as_str() {
-            "external" => {
-                for n in names {
-                    if !external_names.contains(n) {
-                        external_names.push(n.clone());
-                    }
-                }
-            }
-            "parent" => {
-                for n in names {
-                    if !parent_names.contains(n) {
-                        parent_names.push(n.clone());
-                    }
-                }
-            }
+            "external" => push_new(&mut self.external, names),
+            "parent" => push_new(&mut self.parent, names),
             "lookup" => {
-                let nums: Vec<Option<f64>> = m.args.iter().map(|a| a.as_num()).collect();
-                match nums.as_slice() {
-                    [Some(lo), Some(hi), Some(step)] if *step > 0.0 && hi > lo => {
-                        for n in names {
-                            lookups.push(Lookup {
-                                var: n.clone(),
-                                lo: *lo,
-                                hi: *hi,
-                                step: *step,
-                            });
+                let range = match m.args.as_slice() {
+                    [lo, hi, step] => match (lo.as_num(), hi.as_num(), step.as_num()) {
+                        (Some(lo), Some(hi), Some(step)) if step > 0.0 && hi > lo => {
+                            Some((lo, hi, step))
                         }
+                        _ => None,
+                    },
+                    _ => None,
+                };
+                match range {
+                    Some((lo, hi, step)) => {
+                        self.lookups.extend(names.iter().map(|&n| Lookup {
+                            var: n.to_owned(),
+                            lo,
+                            hi,
+                            step,
+                        }));
                     }
-                    _ => errors.push(Diagnostic::new(
+                    None => errors.push(Diagnostic::new(
                         ErrorCode::BadLookupRange,
                         Span::line(m.line),
                         ".lookup() needs (lo, hi, step) with step > 0 and hi > lo",
@@ -459,20 +516,23 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
             "method" => {
                 let arg = m.args.first().and_then(|a| a.as_ident());
                 match arg.and_then(Method::parse) {
-                        Some(method) => {
-                            for n in names {
-                                methods.insert(n.clone(), (method, m.line));
+                    Some(method) => {
+                        for &n in names {
+                            match self.methods.iter_mut().find(|(have, ..)| *have == n) {
+                                Some(slot) => *slot = (n, method, m.line),
+                                None => self.methods.push((n, method, m.line)),
                             }
                         }
-                        None => errors.push(Diagnostic::new(
-                            ErrorCode::UnknownMethod,
-                            Span::line(m.line),
-                            format!(
-                                "unknown integration method {:?} (expected one of fe, rk2, rk4, rush_larsen, sundnes, markov_be)",
-                                arg.unwrap_or("<missing>")
-                            ),
-                        )),
                     }
+                    None => errors.push(Diagnostic::new(
+                        ErrorCode::UnknownMethod,
+                        Span::line(m.line),
+                        format!(
+                            "unknown integration method {:?} (expected one of fe, rk2, rk4, rush_larsen, sundnes, markov_be)",
+                            arg.unwrap_or("<missing>")
+                        ),
+                    )),
+                }
             }
             // Markups that affect storage or tracing, not code shape.
             "nodal" | "regional" | "units" | "trace" | "store" | "param" => {}
@@ -482,22 +542,30 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
                 format!("unknown markup .{other}()"),
             )),
         }
-    };
+    }
+}
 
+/// Appends each of `names` that `list` does not hold yet.
+fn push_new<'a>(list: &mut Vec<&'a str>, names: &[&'a str]) {
+    for &n in names {
+        if !list.contains(&n) {
+            list.push(n);
+        }
+    }
+}
+
+/// The checks of [`analyze`], borrowing every name from `ast`.
+fn check(ast: &ModelAst) -> Result<Checked, SemaErrors> {
+    let mut errors: Vec<SemaError> = Vec::new();
+
+    // ---- collect declarations & markups ----
+    let mut marks = Markups::default();
+    let mut params: Vec<Param> = Vec::new();
     for item in &ast.items {
         match item {
             Item::Decl { name, markups, .. } => {
-                declared.push(name.clone());
                 for m in markups {
-                    handle_markup(
-                        std::slice::from_ref(name),
-                        m,
-                        &mut errors,
-                        &mut lookups,
-                        &mut external_names,
-                        &mut parent_names,
-                        &mut methods,
-                    );
+                    marks.apply(&[name.as_str()], m, &mut errors);
                 }
             }
             Item::Group {
@@ -505,13 +573,11 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
                 markups,
                 line,
             } => {
-                let names: Vec<String> = items.iter().map(|i| i.name.clone()).collect();
-                declared.extend(names.iter().cloned());
                 let is_param = markups.iter().any(|m| m.name == "param");
                 if is_param {
                     for gi in items {
                         let default = match &gi.default {
-                            Some(e) => eval_const(e, &HashMap::new()).unwrap_or_else(|| {
+                            Some(e) => eval_with(e, &|_| None).unwrap_or_else(|| {
                                 errors.push(Diagnostic::new(
                                     ErrorCode::NonConstParamDefault,
                                     Span::line(*line),
@@ -540,16 +606,11 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
                         }
                     }
                 }
-                for m in markups {
-                    handle_markup(
-                        &names,
-                        m,
-                        &mut errors,
-                        &mut lookups,
-                        &mut external_names,
-                        &mut parent_names,
-                        &mut methods,
-                    );
+                if !markups.is_empty() {
+                    let names: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
+                    for m in markups {
+                        marks.apply(&names, m, &mut errors);
+                    }
                 }
             }
             Item::Stmt(_) => {}
@@ -557,14 +618,15 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
     }
 
     // ---- partition statements ----
-    let mut body: Vec<Stmt> = Vec::new();
-    let mut inits: HashMap<String, (Expr, usize)> = HashMap::new();
-    for item in &ast.items {
+    // The body: item index and statement, in source order.
+    let mut body: Vec<(usize, &Stmt)> = Vec::with_capacity(ast.items.len());
+    let mut inits: HashMap<&str, (&Expr, usize)> = HashMap::new();
+    for (i, item) in ast.items.iter().enumerate() {
         if let Item::Stmt(stmt) = item {
             match stmt {
                 Stmt::Assign { lhs, expr, line } if lhs.ends_with("_init") => {
-                    let base = lhs.trim_end_matches("_init").to_owned();
-                    if inits.insert(base, (expr.clone(), *line)).is_some() {
+                    let base = lhs.trim_end_matches("_init");
+                    if inits.insert(base, (expr, *line)).is_some() {
                         errors.push(Diagnostic::new(
                             ErrorCode::DuplicateInit,
                             Span::line(*line),
@@ -572,77 +634,81 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
                         ));
                     }
                 }
-                s => body.push(s.clone()),
+                s => body.push((i, s)),
             }
         }
     }
 
     // ---- classify: state vars are those with diff_ equations ----
-    let mut assigned_names: Vec<(String, usize)> = Vec::new();
-    for s in &body {
+    let mut assigned_names: Vec<(&str, usize)> = Vec::with_capacity(body.len());
+    for (_, s) in &body {
         collect_top_defs(s, &mut assigned_names, &mut errors);
     }
+    // Every name the checks ask about, in one map: parameters, assigned
+    // names and the states they define, externals, `t` and `dt`.
+    let mut known: HashMap<&str, Known> =
+        HashMap::with_capacity(params.len() + 2 * assigned_names.len() + 4);
+    for p in &params {
+        let k = known.entry(&p.name).or_default();
+        k.flags |= PARAM;
+        k.param_default = p.default;
+    }
     // Single-assignment check.
-    {
-        let mut seen: HashMap<&str, usize> = HashMap::new();
-        for (n, line) in &assigned_names {
-            if let Some(_first) = seen.insert(n.as_str(), *line) {
-                errors.push(Diagnostic::new(
-                    ErrorCode::DoubleAssignment,
-                    Span::line(*line),
-                    format!("{n} assigned more than once (EasyML is single-assignment)"),
-                ));
-            }
+    for &(n, line) in &assigned_names {
+        let k = known.entry(n).or_default();
+        if k.flags & ASSIGNED != 0 {
+            errors.push(Diagnostic::new(
+                ErrorCode::DoubleAssignment,
+                Span::line(line),
+                format!("{n} assigned more than once (EasyML is single-assignment)"),
+            ));
         }
+        k.flags |= ASSIGNED;
     }
 
-    let state_names: Vec<String> = assigned_names
-        .iter()
-        .filter_map(|(n, _)| n.strip_prefix("diff_").map(str::to_owned))
-        .collect();
-
-    // Parameter environment for init evaluation.
-    let param_env: HashMap<String, f64> =
-        params.iter().map(|p| (p.name.clone(), p.default)).collect();
-
+    let param_default = |n: &str| known.get(n).filter(|k| k.flags & PARAM != 0);
     let init_of = |name: &str, errors: &mut Vec<SemaError>| -> f64 {
         match inits.get(name) {
-            Some((expr, line)) => match eval_const(expr, &param_env) {
-                Some(v) => v,
-                None => {
-                    errors.push(Diagnostic::new(
-                        ErrorCode::NonConstInit,
-                        Span::line(*line),
-                        format!("{name}_init must be a constant expression over parameters"),
-                    ));
-                    0.0
+            Some(&(expr, line)) => {
+                match eval_with(expr, &|n| param_default(n).map(|k| k.param_default)) {
+                    Some(v) => v,
+                    None => {
+                        errors.push(Diagnostic::new(
+                            ErrorCode::NonConstInit,
+                            Span::line(line),
+                            format!("{name}_init must be a constant expression over parameters"),
+                        ));
+                        0.0
+                    }
                 }
-            },
+            }
             None => 0.0,
         }
     };
 
-    let states: Vec<StateVar> = state_names
+    let states: Vec<StateVar> = assigned_names
         .iter()
+        .filter_map(|(n, _)| n.strip_prefix("diff_"))
         .map(|n| StateVar {
-            name: n.clone(),
+            name: n.to_owned(),
             init: init_of(n, &mut errors),
-            method: methods.get(n).map(|(m, _)| *m).unwrap_or_default(),
+            method: marks.method(n).unwrap_or_default(),
         })
         .collect();
 
-    let externals: Vec<ExtVar> = external_names
+    let externals: Vec<ExtVar> = marks
+        .external
         .iter()
-        .map(|n| ExtVar {
-            name: n.clone(),
+        .map(|&n| ExtVar {
+            name: n.to_owned(),
             init: init_of(n, &mut errors),
-            assigned: assigned_names.iter().any(|(a, _)| a == n),
-            parent: parent_names.contains(n),
+            assigned: known.get(n).is_some_and(|k| k.flags & ASSIGNED != 0),
+            parent: marks.parent.contains(&n),
         })
         .collect();
 
-    for p in &parent_names {
-        if !external_names.contains(p) {
+    for p in &marks.parent {
+        if !marks.external.contains(p) {
             errors.push(Diagnostic::new(
                 ErrorCode::ParentNotExternal,
                 Span::none(),
@@ -652,24 +718,25 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
     }
 
     // ---- validity checks on names ----
-    let state_set: HashSet<&str> = states.iter().map(|s| s.name.as_str()).collect();
-    let ext_set: HashSet<&str> = externals.iter().map(|e| e.name.as_str()).collect();
-    let param_set: HashSet<&str> = params.iter().map(|p| p.name.as_str()).collect();
+    for s in &states {
+        known.entry(&s.name).or_default().flags |= STATE;
+    }
+    for e in &externals {
+        known.entry(&e.name).or_default().flags |= EXTERNAL;
+    }
+    let is = |n: &str, kinds: u8| known.get(n).is_some_and(|k| k.flags & kinds != 0);
 
-    for (m, (_, line)) in &methods {
-        if !state_set.contains(m.as_str()) {
+    for &(m, _, line) in &marks.methods {
+        if !is(m, STATE) {
             errors.push(Diagnostic::new(
                 ErrorCode::MethodOnNonState,
-                Span::line(*line),
+                Span::line(line),
                 format!(".method() applied to {m}, which has no diff_{m} equation"),
             ));
         }
     }
-    for l in &lookups {
-        let known = state_set.contains(l.var.as_str())
-            || ext_set.contains(l.var.as_str())
-            || assigned_names.iter().any(|(a, _)| *a == l.var);
-        if !known {
+    for l in &marks.lookups {
+        if !is(&l.var, STATE | EXTERNAL | ASSIGNED) {
             errors.push(Diagnostic::new(
                 ErrorCode::LookupOnUndefined,
                 Span::none(),
@@ -677,38 +744,44 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
             ));
         }
     }
-    for (n, line) in &assigned_names {
-        if state_set.contains(n.as_str()) {
+    for &(n, line) in &assigned_names {
+        if is(n, STATE) {
             errors.push(Diagnostic::new(
                 ErrorCode::DirectStateAssignment,
-                Span::line(*line),
+                Span::line(line),
                 format!("state variable {n} cannot be assigned directly; assign diff_{n} instead"),
             ));
         }
-        if param_set.contains(n.as_str()) {
+        if is(n, PARAM) {
             errors.push(Diagnostic::new(
                 ErrorCode::ParamAssignment,
-                Span::line(*line),
+                Span::line(line),
                 format!("parameter {n} cannot be assigned in the model body"),
             ));
         }
     }
 
-    // Known sources readable without definition.
-    let mut sources: HashSet<String> = HashSet::new();
-    sources.extend(state_set.iter().map(|s| s.to_string()));
-    sources.extend(ext_set.iter().map(|s| s.to_string()));
-    sources.extend(param_set.iter().map(|s| s.to_string()));
-    sources.extend(IMPLICIT_SOURCES.iter().map(|s| s.to_string()));
-
-    // Check expressions: unknown names & calls.
-    let defined_names: HashSet<&str> = assigned_names.iter().map(|(n, _)| n.as_str()).collect();
-    for s in &body {
-        check_stmt(s, &sources, &defined_names, &mut errors);
+    // Names readable without a definition are the sources; the body's
+    // statements define the rest.
+    for n in IMPLICIT_SOURCES {
+        known.entry(n).or_default().flags |= IMPLICIT;
     }
+    for (i, (_, s)) in body.iter().enumerate() {
+        s.for_each_assigned(&mut |d| known.entry(d).or_default().def = Some(i));
+    }
+    // One walk checks every read and collects the def-use edges.
+    let mut uses = Uses {
+        known: &known,
+        errors: &mut errors,
+        edges: Vec::new(),
+    };
+    for (i, (_, s)) in body.iter().enumerate() {
+        uses.stmt(s, i);
+    }
+    let edges = uses.edges;
 
     // ---- topological order ----
-    let ordered = match topo_order(&body, &sources) {
+    let order = match topo_order(&body, &edges) {
         Ok(o) => o,
         Err(cycle) => {
             errors.push(Diagnostic::new(
@@ -716,18 +789,17 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
                 Span::none(),
                 format!("dependency cycle through {cycle}"),
             ));
-            body.clone()
+            Vec::new()
         }
     };
 
     if errors.is_empty() {
-        Ok(Model {
-            name: ast.name.clone(),
+        Ok(Checked {
             states,
             externals,
             params,
-            lookups,
-            stmts: ordered,
+            lookups: marks.lookups,
+            order,
         })
     } else {
         Err(SemaErrors(
@@ -739,11 +811,35 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
     }
 }
 
+/// What the checks know of one name: the kinds it has ([`STATE`],
+/// [`EXTERNAL`], [`PARAM`], [`IMPLICIT`], [`ASSIGNED`]; any kind makes it
+/// readable), its default when it is a parameter, and the body statement
+/// that assigns it (the last, when several do).
+#[derive(Default)]
+struct Known {
+    flags: u8,
+    param_default: f64,
+    def: Option<usize>,
+}
+
+const STATE: u8 = 1;
+const EXTERNAL: u8 = 2;
+const PARAM: u8 = 4;
+/// `t` and `dt` ([`IMPLICIT_SOURCES`]).
+const IMPLICIT: u8 = 8;
+/// Defined by a top-level statement (on both branches of an `if`).
+const ASSIGNED: u8 = 16;
+
 /// Collects the names defined by a top-level statement. For `if` statements
-/// every name must be assigned in both branches.
-fn collect_top_defs(stmt: &Stmt, out: &mut Vec<(String, usize)>, errors: &mut Vec<SemaError>) {
+/// every name must be assigned in both branches: each name assigned in
+/// either branch is reported once, the then branch's in its order first.
+fn collect_top_defs<'a>(
+    stmt: &'a Stmt,
+    out: &mut Vec<(&'a str, usize)>,
+    errors: &mut Vec<SemaError>,
+) {
     match stmt {
-        Stmt::Assign { lhs, line, .. } => out.push((lhs.clone(), *line)),
+        Stmt::Assign { lhs, line, .. } => out.push((lhs.as_str(), *line)),
         Stmt::If {
             then_body,
             else_body,
@@ -753,16 +849,22 @@ fn collect_top_defs(stmt: &Stmt, out: &mut Vec<(String, usize)>, errors: &mut Ve
             let mut then_names = Vec::new();
             let mut else_names = Vec::new();
             for s in then_body {
-                s.assigned_names(&mut then_names);
+                s.for_each_assigned(&mut |n| then_names.push(n));
             }
             for s in else_body {
-                s.assigned_names(&mut else_names);
+                s.for_each_assigned(&mut |n| else_names.push(n));
             }
-            let then_set: HashSet<&String> = then_names.iter().collect();
-            let else_set: HashSet<&String> = else_names.iter().collect();
-            for n in then_set.union(&else_set) {
-                if then_set.contains(*n) && else_set.contains(*n) {
-                    out.push(((*n).clone(), *line));
+            let firsts = |names: &[&'a str]| {
+                (0..names.len())
+                    .filter(|&i| !names[..i].contains(&names[i]))
+                    .map(|i| names[i])
+                    .collect::<Vec<_>>()
+            };
+            let (then_firsts, else_firsts) = (firsts(&then_names), firsts(&else_names));
+            let else_only = else_firsts.iter().filter(|n| !then_names.contains(*n));
+            for &n in then_firsts.iter().chain(else_only) {
+                if then_names.contains(&n) && else_names.contains(&n) {
+                    out.push((n, *line));
                 } else {
                     errors.push(Diagnostic::new(
                         ErrorCode::OneSidedConditional,
@@ -778,140 +880,129 @@ fn collect_top_defs(stmt: &Stmt, out: &mut Vec<(String, usize)>, errors: &mut Ve
     }
 }
 
-fn check_expr(
-    expr: &Expr,
-    sources: &HashSet<String>,
-    defined: &HashSet<&str>,
-    errors: &mut Vec<SemaError>,
-    line: usize,
-) {
-    match expr {
-        Expr::Num(_) => {}
-        Expr::Var(name) => {
-            if !sources.contains(name) && !defined.contains(name.as_str()) {
-                errors.push(Diagnostic::new(
-                    ErrorCode::UndefinedVariable,
-                    Span::line(line),
-                    format!("use of undefined variable {name}"),
-                ));
-            }
-        }
-        Expr::Unary(_, e) => check_expr(e, sources, defined, errors, line),
-        Expr::Binary(_, l, r) => {
-            check_expr(l, sources, defined, errors, line);
-            check_expr(r, sources, defined, errors, line);
-        }
-        Expr::Call(name, args) => {
-            match builtin_arity(name) {
-                None => errors.push(Diagnostic::new(
-                    ErrorCode::UnknownFunction,
-                    Span::line(line),
-                    format!("call to unknown function {name}()"),
-                )),
-                Some(arity) if arity != args.len() => errors.push(Diagnostic::new(
-                    ErrorCode::WrongArity,
-                    Span::line(line),
-                    format!("{name}() expects {arity} argument(s), got {}", args.len()),
-                )),
-                Some(_) => {}
-            }
-            for a in args {
-                check_expr(a, sources, defined, errors, line);
-            }
-        }
-        Expr::Cond(c, t, e) => {
-            check_expr(c, sources, defined, errors, line);
-            check_expr(t, sources, defined, errors, line);
-            check_expr(e, sources, defined, errors, line);
-        }
-    }
+/// The walk over the body's reads: reports each unknown name and call,
+/// and records a def-use edge (definer, reader) for each read of a name
+/// another statement assigns — one per read, so a name read twice gives
+/// two edges.
+struct Uses<'k, 'a> {
+    known: &'k HashMap<&'a str, Known>,
+    errors: &'k mut Vec<SemaError>,
+    edges: Vec<(usize, usize)>,
 }
 
-fn check_stmt(
-    stmt: &Stmt,
-    sources: &HashSet<String>,
-    defined: &HashSet<&str>,
-    errors: &mut Vec<SemaError>,
-) {
-    match stmt {
-        Stmt::Assign { expr, line, .. } => check_expr(expr, sources, defined, errors, *line),
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-            line,
-        } => {
-            check_expr(cond, sources, defined, errors, *line);
-            for s in then_body.iter().chain(else_body) {
-                check_stmt(s, sources, defined, errors);
-            }
-        }
-    }
-}
-
-/// Kahn topological sort of statements by def-use dependencies. Reads of
-/// source names (state, external, parameter, `t`, `dt`) do not create edges;
-/// reads of names defined by another statement do — with the exception of
-/// assigned externals, whose *reads as sources* are allowed only if no
-/// statement defines them.
-fn topo_order(body: &[Stmt], sources: &HashSet<String>) -> Result<Vec<Stmt>, String> {
-    let n = body.len();
-    // def name -> statement index
-    let mut def_of: HashMap<String, usize> = HashMap::new();
-    for (i, s) in body.iter().enumerate() {
-        let mut defs = Vec::new();
-        s.assigned_names(&mut defs);
-        for d in defs {
-            def_of.insert(d, i);
-        }
-    }
-    let mut deps: Vec<HashSet<usize>> = vec![HashSet::new(); n];
-    for (i, s) in body.iter().enumerate() {
-        let mut reads = Vec::new();
-        s.read_names(&mut reads);
-        for r in reads {
-            if let Some(&j) = def_of.get(&r) {
-                if j != i {
-                    deps[i].insert(j);
+impl Uses<'_, '_> {
+    /// Statement `i` of the body, or a statement nested in it.
+    fn stmt(&mut self, stmt: &Stmt, i: usize) {
+        match stmt {
+            Stmt::Assign { expr, line, .. } => self.expr(expr, i, *line),
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                line,
+            } => {
+                self.expr(cond, i, *line);
+                for s in then_body.iter().chain(else_body) {
+                    self.stmt(s, i);
                 }
-            } else if !sources.contains(&r) {
-                // Unknown name: reported by check_stmt; ignore here.
             }
         }
     }
-    let mut indegree: Vec<usize> = vec![0; n];
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, ds) in deps.iter().enumerate() {
-        indegree[i] = ds.len();
-        for &j in ds {
-            rev[j].push(i);
+
+    fn expr(&mut self, expr: &Expr, i: usize, line: usize) {
+        match expr {
+            Expr::Num(_) => {}
+            Expr::Var(name) => {
+                let known = self.known.get(name.as_str());
+                if known.is_none_or(|k| k.flags == 0) {
+                    self.errors.push(Diagnostic::new(
+                        ErrorCode::UndefinedVariable,
+                        Span::line(line),
+                        format!("use of undefined variable {name}"),
+                    ));
+                }
+                if let Some(j) = known.and_then(|k| k.def).filter(|&j| j != i) {
+                    self.edges.push((j, i));
+                }
+            }
+            Expr::Unary(_, e) => self.expr(e, i, line),
+            Expr::Binary(_, l, r) => {
+                self.expr(l, i, line);
+                self.expr(r, i, line);
+            }
+            Expr::Call(name, args) => {
+                match builtin_arity(name) {
+                    None => self.errors.push(Diagnostic::new(
+                        ErrorCode::UnknownFunction,
+                        Span::line(line),
+                        format!("call to unknown function {name}()"),
+                    )),
+                    Some(arity) if arity != args.len() => self.errors.push(Diagnostic::new(
+                        ErrorCode::WrongArity,
+                        Span::line(line),
+                        format!("{name}() expects {arity} argument(s), got {}", args.len()),
+                    )),
+                    Some(_) => {}
+                }
+                for a in args {
+                    self.expr(a, i, line);
+                }
+            }
+            Expr::Cond(c, t, e) => {
+                self.expr(c, i, line);
+                self.expr(t, i, line);
+                self.expr(e, i, line);
+            }
         }
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    // Stable order: prefer original source order among ready nodes.
-    ready.sort_unstable();
-    let mut order = Vec::with_capacity(n);
-    let mut queue = std::collections::BinaryHeap::new();
-    for i in ready {
-        queue.push(std::cmp::Reverse(i));
+}
+
+/// Kahn topological sort of the body along its def-use `edges`, returning
+/// the item index of each statement in order (among ready statements, the
+/// earliest in the source first). A repeated edge adds one to its
+/// reader's in-degree and is taken once more when its definer is
+/// ordered, so it delays nothing. On a cycle, returns the names one
+/// statement stuck in it defines.
+fn topo_order(body: &[(usize, &Stmt)], edges: &[(usize, usize)]) -> Result<Vec<usize>, String> {
+    let n = body.len();
+    let mut indegree: Vec<usize> = vec![0; n];
+    // `readers[first[j]..first[j + 1]]` read what statement `j` defines.
+    let mut first: Vec<usize> = vec![0; n + 1];
+    for &(j, i) in edges {
+        indegree[i] += 1;
+        first[j + 1] += 1;
     }
-    while let Some(std::cmp::Reverse(i)) = queue.pop() {
-        order.push(i);
-        for &k in &rev[i] {
-            indegree[k] -= 1;
-            if indegree[k] == 0 {
-                queue.push(std::cmp::Reverse(k));
+    for j in 0..n {
+        first[j + 1] += first[j];
+    }
+    let mut readers = vec![0; edges.len()];
+    let mut next = first.clone();
+    for &(j, i) in edges {
+        readers[next[j]] = i;
+        next[j] += 1;
+    }
+    let mut order = Vec::with_capacity(n);
+    let mut queue: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
+        .filter(|&i| indegree[i] == 0)
+        .map(std::cmp::Reverse)
+        .collect();
+    while let Some(std::cmp::Reverse(j)) = queue.pop() {
+        order.push(j);
+        for &i in &readers[first[j]..first[j + 1]] {
+            indegree[i] -= 1;
+            if indegree[i] == 0 {
+                queue.push(std::cmp::Reverse(i));
             }
         }
     }
     if order.len() != n {
-        // Find a statement stuck in the cycle for the message.
-        let stuck = (0..n).find(|i| !order.contains(i)).unwrap_or(0);
+        // Name a statement stuck in the cycle.
+        let stuck = (0..n).find(|i| indegree[*i] != 0).unwrap_or(0);
         let mut defs = Vec::new();
-        body[stuck].assigned_names(&mut defs);
+        body[stuck].1.for_each_assigned(&mut |d| defs.push(d));
         return Err(defs.join(", "));
     }
-    Ok(order.into_iter().map(|i| body[i].clone()).collect())
+    Ok(order.into_iter().map(|i| body[i].0).collect())
 }
 
 #[cfg(test)]

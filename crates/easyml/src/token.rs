@@ -7,18 +7,19 @@
 use crate::diag::{Diagnostic, ErrorCode, Span};
 use std::fmt;
 
-/// A lexical token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// A lexical token with its source position. Identifiers borrow from the
+/// source text, so lexing allocates nothing per token.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// 1-based source line.
     pub line: usize,
     /// 1-based source column of the token's first byte.
     pub col: usize,
 }
 
-impl Token {
+impl Token<'_> {
     /// The token's source span.
     pub fn span(&self) -> Span {
         Span {
@@ -29,10 +30,11 @@ impl Token {
 }
 
 /// Token kinds of EasyML.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Identifier or keyword (`group`, `if`, `else` are recognized later).
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'src> {
+    /// Identifier or keyword (`group`, `if`, `else` are recognized later),
+    /// as a slice of the source.
+    Ident(&'src str),
     /// Numeric literal.
     Num(f64),
     /// `(`
@@ -85,7 +87,7 @@ pub enum TokenKind {
     Not,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -136,9 +138,10 @@ pub type LexError = Diagnostic;
 /// let toks = lex("diff_u2 = -(u1+u3-Vm)*cube(u2);").unwrap();
 /// assert_eq!(toks.len(), 16);
 /// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = src.as_bytes();
-    let mut toks = Vec::new();
+    // About one token per four source bytes in the roster's models.
+    let mut toks = Vec::with_capacity(src.len() / 4);
     let mut pos = 0usize;
     let mut line = 1usize;
     // Byte offset of the current line's first byte; columns derive from it.
@@ -333,9 +336,9 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         _ => break,
                     }
                 }
-                // The scanned bytes are ASCII by construction; lossy
-                // conversion cannot actually lose anything and never panics.
-                let text = String::from_utf8_lossy(&bytes[start..pos]);
+                // The scanned bytes are ASCII, so both ends are char
+                // boundaries of `src`.
+                let text = &src[start..pos];
                 let v: f64 = text
                     .parse()
                     .map_err(|_| err!(ErrorCode::MalformedNumber, "malformed number `{text}`"))?;
@@ -360,7 +363,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                             _ => break,
                         }
                     }
-                    let text = String::from_utf8_lossy(&bytes[start..pos]);
+                    let text = &src[start..pos];
                     let v: f64 = text.parse().map_err(|_| {
                         err!(ErrorCode::MalformedNumber, "malformed number `{text}`")
                     })?;
@@ -377,8 +380,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 {
                     pos += 1;
                 }
-                let text = String::from_utf8_lossy(&bytes[start..pos]).into_owned();
-                push_at!(TokenKind::Ident(text), start);
+                push_at!(TokenKind::Ident(&src[start..pos]), start);
             }
             other => {
                 return Err(err!(
@@ -396,17 +398,17 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
     fn lexes_markup_line() {
         let k = kinds("Vm; .external(); .lookup(-100,100,0.05);");
-        assert_eq!(k[0], TokenKind::Ident("Vm".into()));
+        assert_eq!(k[0], TokenKind::Ident("Vm"));
         assert_eq!(k[1], TokenKind::Semi);
         assert_eq!(k[2], TokenKind::Dot);
-        assert_eq!(k[3], TokenKind::Ident("external".into()));
+        assert_eq!(k[3], TokenKind::Ident("external"));
         assert!(k.contains(&TokenKind::Num(0.05)));
         // -100 lexes as Minus then Num(100).
         assert!(k.contains(&TokenKind::Minus));
@@ -432,11 +434,11 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Assign,
                 TokenKind::Num(1.0),
                 TokenKind::Semi,
-                TokenKind::Ident("y".into()),
+                TokenKind::Ident("y"),
                 TokenKind::Assign,
                 TokenKind::Num(2.0),
                 TokenKind::Semi,
@@ -468,7 +470,7 @@ mod tests {
         let toks = lex("a = 1;\nb = 2;\n\nc = 3;").unwrap();
         let line_of = |name: &str| {
             toks.iter()
-                .find(|t| t.kind == TokenKind::Ident(name.into()))
+                .find(|t| t.kind == TokenKind::Ident(name))
                 .unwrap()
                 .line
         };
@@ -497,7 +499,7 @@ mod tests {
         let toks = lex("a = 1;\n  bb = 22;").unwrap();
         let tok = |name: &str| {
             toks.iter()
-                .find(|t| t.kind == TokenKind::Ident(name.into()))
+                .find(|t| t.kind == TokenKind::Ident(name))
                 .unwrap()
         };
         assert_eq!((tok("a").line, tok("a").col), (1, 1));
