@@ -38,12 +38,12 @@
 //! degradation ladder, which at compile time is the requested pipeline,
 //! then the reference one ([`KernelCache::get_or_compile_resilient`]).
 
-use crate::checksum::{fnv1a_from, FNV_OFFSET};
+use crate::checksum::{fnv1a_from, mix, FNV_OFFSET};
 use crate::error::CompileError;
 use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind, Tier};
 use crate::sim::{model_info, PipelineKind};
-use limpet_easyml::Model;
+use limpet_easyml::{Expr, ExtVar, Lookup, Model, Param, StateVar, Stmt};
 use limpet_vm::{Kernel, LutData, StateLayout};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -279,26 +279,149 @@ impl CompiledKernel {
     }
 }
 
-/// FNV-1a accumulator that consumes formatted text directly, so hashing
-/// a model's debug representation allocates nothing.
-struct FnvWriter(u64);
+/// FNV-1a along the fields of a checked model, in one walk: each name is
+/// its length and its bytes; each value's bits, method, flag and line,
+/// each node's variant tag and each list's length is one word step
+/// ([`mix`]). The encoding is prefix-free — each list says how long it
+/// is, each node which variant it is — so two models walk alike only when
+/// every field is alike, including where one expression's operands end
+/// (`a-(b-c)` against `(a-b)-c`, `f(g(a),b)` against `f(g(a,b))`).
+struct ModelHasher(u64);
 
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+impl ModelHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = mix(self.0, w);
+    }
+
+    fn len(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn name(&mut self, s: &str) {
+        self.len(s.len());
         self.0 = fnv1a_from(self.0, s.as_bytes());
-        Ok(())
+    }
+
+    fn value(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match e {
+            Expr::Num(v) => {
+                self.word(0);
+                self.value(*v);
+            }
+            Expr::Var(name) => {
+                self.word(1);
+                self.name(name);
+            }
+            Expr::Unary(op, e) => {
+                self.word(2 | (*op as u64) << 8);
+                self.expr(e);
+            }
+            Expr::Binary(op, l, r) => {
+                self.word(3 | (*op as u64) << 8);
+                self.expr(l);
+                self.expr(r);
+            }
+            Expr::Call(name, args) => {
+                self.word(4);
+                self.name(name);
+                self.len(args.len());
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            Expr::Cond(c, t, e) => {
+                self.word(5);
+                self.expr(c);
+                self.expr(t);
+                self.expr(e);
+            }
+        }
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt]) {
+        self.len(stmts.len());
+        for s in stmts {
+            match s {
+                Stmt::Assign { lhs, expr, line } => {
+                    self.word(0);
+                    self.name(lhs);
+                    self.expr(expr);
+                    self.len(*line);
+                }
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                    line,
+                } => {
+                    self.word(1);
+                    self.expr(cond);
+                    self.stmts(then_body);
+                    self.stmts(else_body);
+                    self.len(*line);
+                }
+            }
+        }
+    }
+
+    fn model(&mut self, model: &Model) {
+        // Destructured whole, so a field added to the model (or to any
+        // part of it) does not compile until it is hashed here too.
+        let Model {
+            name,
+            states,
+            externals,
+            params,
+            lookups,
+            stmts,
+        } = model;
+        self.name(name);
+        self.len(states.len());
+        for StateVar { name, init, method } in states {
+            self.name(name);
+            self.value(*init);
+            self.word(*method as u64);
+        }
+        self.len(externals.len());
+        for ExtVar {
+            name,
+            init,
+            assigned,
+            parent,
+        } in externals
+        {
+            self.name(name);
+            self.value(*init);
+            self.word(u64::from(*assigned) | u64::from(*parent) << 1);
+        }
+        self.len(params.len());
+        for Param { name, default } in params {
+            self.name(name);
+            self.value(*default);
+        }
+        self.len(lookups.len());
+        for Lookup { var, lo, hi, step } in lookups {
+            self.name(var);
+            self.value(*lo);
+            self.value(*hi);
+            self.value(*step);
+        }
+        self.stmts(stmts);
     }
 }
 
-/// A content fingerprint of a checked model: stable within a process and
-/// across identical sources, sensitive to any structural change (the
-/// debug representation covers the name, every state/external/parameter,
-/// and the full statement bodies).
+/// A content fingerprint of a checked model: stable across processes and
+/// across identical sources, sensitive to any change of any field (see
+/// [`ModelHasher`]). It costs one walk of the model and allocates
+/// nothing, so every cache lookup can afford it.
 pub fn model_fingerprint(model: &Model) -> u64 {
-    use std::fmt::Write;
-    let mut w = FnvWriter(FNV_OFFSET);
-    write!(w, "{model:?}").expect("fmt to hasher cannot fail");
-    w.0
+    let mut h = ModelHasher(FNV_OFFSET);
+    h.model(model);
+    h.0
 }
 
 /// Cache hit/miss counters (monotonic over the cache's lifetime).
@@ -976,6 +1099,7 @@ mod tests {
     use super::*;
     use crate::sim::{Simulation, Workload};
     use limpet_codegen::pipeline::VectorIsa;
+    use limpet_easyml::{BinOp, Method};
     use limpet_models::model;
 
     #[test]
@@ -1035,6 +1159,89 @@ mod tests {
         assert_eq!(model_fingerprint(&m1), model_fingerprint(&m2));
         let other = model("BeelerReuter");
         assert_ne!(model_fingerprint(&m1), model_fingerprint(&other));
+    }
+
+    /// Every field the fingerprint walks moves it: one edit per kind of
+    /// field, each against the same base model.
+    #[test]
+    fn fingerprint_moves_with_every_field() {
+        let base = limpet_easyml::compile_model(
+            "Probe",
+            "Vm; .external(); .lookup(-100, 100, 0.05);\n\
+             Iion; .external(); .parent();\n\
+             group{ g = 0; }.param();\n\
+             x_init = 0.25;\n\
+             diff_x = (a - (x - Vm)) * g;\n\
+             a = pow(exp(Vm), x);\n\
+             Iion = g * x;\n\
+             x; .method(rk2);",
+        )
+        .unwrap();
+        let fp = model_fingerprint(&base);
+        let moved = |what: &str, edit: &dyn Fn(&mut Model)| {
+            let mut m = base.clone();
+            edit(&mut m);
+            assert_ne!(
+                model_fingerprint(&m),
+                fp,
+                "{what} did not move the fingerprint"
+            );
+        };
+        moved("name", &|m| m.name.push('2'));
+        moved("state init", &|m| m.states[0].init = 0.5);
+        moved("state method", &|m| m.states[0].method = Method::Rk4);
+        moved("external assigned", &|m| m.externals[0].assigned ^= true);
+        moved("external parent", &|m| m.externals[1].parent ^= true);
+        assert_eq!(base.params[0].default.to_bits(), 0.0f64.to_bits());
+        moved("parameter default -0.0", &|m| m.params[0].default = -0.0);
+        moved("lookup bound", &|m| m.lookups[0].hi = 101.0);
+        moved("statement line", &|m| match &mut m.stmts[0] {
+            Stmt::Assign { line, .. } | Stmt::If { line, .. } => *line += 1,
+        });
+        let var = |n: &str| Expr::Var(n.into());
+        let rhs_of = |m: &mut Model, lhs: &str, e: Expr| {
+            for s in &mut m.stmts {
+                if let Stmt::Assign { lhs: l, expr, .. } = s {
+                    if l == lhs {
+                        *expr = e.clone();
+                    }
+                }
+            }
+        };
+        // `a - (x - Vm)` regrouped as `(a - x) - Vm`.
+        moved("grouping", &|m| {
+            let e = Expr::bin(
+                BinOp::Mul,
+                Expr::bin(
+                    BinOp::Sub,
+                    Expr::bin(BinOp::Sub, var("a"), var("x")),
+                    var("Vm"),
+                ),
+                var("g"),
+            );
+            rhs_of(m, "diff_x", e);
+        });
+        // `pow(exp(Vm), x)` with `x` moved into the inner call.
+        moved("argument count", &|m| {
+            let e = Expr::Call(
+                "pow".into(),
+                vec![Expr::Call("exp".into(), vec![var("Vm"), var("x")])],
+            );
+            rhs_of(m, "a", e);
+        });
+        // The same bytes split between two names another way.
+        let mut ab = base.clone();
+        ab.params = vec![param("ab", 1.0), param("c", 1.0)];
+        let mut bc = base.clone();
+        bc.params = vec![param("a", 1.0), param("bc", 1.0)];
+        assert_ne!(model_fingerprint(&ab), model_fingerprint(&bc));
+    }
+
+    fn param(name: &str, default: f64) -> Param {
+        Param {
+            name: name.into(),
+            default,
+        }
     }
 
     #[test]

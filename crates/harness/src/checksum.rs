@@ -46,7 +46,7 @@ pub fn fnv1a_words(words: impl Iterator<Item = u64>) -> u64 {
 /// FNV-1a's step over one 8-byte word: `(h ⊕ w)·p`, a bijection in `h`
 /// for fixed `w` and in `w` for fixed `h` (`p` is odd).
 #[inline(always)]
-fn mix(h: u64, w: u64) -> u64 {
+pub(crate) fn mix(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
