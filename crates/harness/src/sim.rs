@@ -470,13 +470,27 @@ impl Simulation {
     /// One allocation of the final size, filled block by block
     /// ([`CellStates::copy_to_rows`], [`ExtArrays::copy_to_rows`]).
     pub fn state_bits(&self) -> Vec<u64> {
-        let n_state = self.state.n_vars();
-        let stride = n_state + self.ext.n_vars();
-        let mut bits = vec![0; self.n_cells() * stride];
-        self.state.copy_to_rows(&mut bits, stride);
-        self.ext
-            .copy_to_rows(bits.get_mut(n_state..).unwrap_or_default(), stride);
+        let mut bits = Vec::new();
+        self.append_state_bits(&mut bits);
         bits
+    }
+
+    /// Values per cell in [`Simulation::state_bits`]: every state
+    /// variable, then every external.
+    pub(crate) fn row_width(&self) -> usize {
+        self.state.n_vars() + self.ext.n_vars()
+    }
+
+    /// Appends [`Simulation::state_bits`] to `out` — how a pool gathers
+    /// its shards' rows into one vector.
+    pub(crate) fn append_state_bits(&self, out: &mut Vec<u64>) {
+        let (n_state, stride) = (self.state.n_vars(), self.row_width());
+        let start = out.len();
+        out.resize(start + self.n_cells() * stride, 0);
+        let rows = &mut out[start..];
+        self.state.copy_to_rows(rows, stride);
+        self.ext
+            .copy_to_rows(rows.get_mut(n_state..).unwrap_or_default(), stride);
     }
 
     /// Captures everything needed to continue this run bit-identically
@@ -491,6 +505,17 @@ impl Simulation {
     /// state to capture (guarded stepping already lands cancellation at
     /// boundaries, so every natural snapshot point qualifies).
     pub fn snapshot(&self, config_label: &str, steps_done: u64) -> crate::checkpoint::Snapshot {
+        self.snapshot_with_state(config_label, steps_done, self.state_bits())
+    }
+
+    /// [`Simulation::snapshot`] around a given `state` — a pool's, which
+    /// it gathered from every shard.
+    pub(crate) fn snapshot_with_state(
+        &self,
+        config_label: &str,
+        steps_done: u64,
+        state: Vec<u64>,
+    ) -> crate::checkpoint::Snapshot {
         let model = self
             .guard
             .as_ref()
@@ -511,7 +536,7 @@ impl Simulation {
                 .map(|(step, seed)| (step as u64, seed)),
             shards: Vec::new(),
             meta: None,
-            state: self.state_bits(),
+            state,
         }
     }
 
@@ -527,8 +552,7 @@ impl Simulation {
     /// Returns a description when `bits` is not exactly
     /// `n_cells * (n_state + n_ext)` values.
     pub fn restore_cells(&mut self, bits: &[u64]) -> Result<(), String> {
-        let n_state = self.state.n_vars();
-        let stride = n_state + self.ext.n_vars();
+        let (n_state, stride) = (self.state.n_vars(), self.row_width());
         let expect = self.n_cells() * stride;
         if bits.len() != expect {
             return Err(format!(
@@ -589,19 +613,43 @@ impl Simulation {
             self.guard = Some(g);
             adopted?;
         }
-        self.restore_cells(&snap.state)?;
-        self.t = f64::from_bits(snap.t_bits);
-        if let Some(g) = self.guard.as_mut() {
-            g.step_count = snap.steps_done as usize;
-            g.nan_plan = snap.nan_plan.map(|(step, seed)| (step as usize, seed));
-        }
-        self.kernel.restore_executed_steps(snap.executed_steps);
+        self.restore_rows(snap, &snap.state, snap.nan_plan)?;
         if snap.tier == crate::Tier::Native.to_string() && self.native.is_none() {
             // Best-effort: a missing toolchain or quarantined build just
             // means the resumed run re-earns native later (or never) —
             // the bits are the same either way.
             let _ = self.promote_native_blocking(crate::KernelCache::global());
         }
+        Ok(())
+    }
+
+    /// Restores one shard of a pool-wide snapshot: the values `rows` of
+    /// its state, and its clock and counters. A shard never runs native,
+    /// never descends (its policy is `Abort`) and carries no fault plan,
+    /// so the snapshot's tier and plan do not apply to it.
+    pub(crate) fn restore_shard(
+        &mut self,
+        snap: &crate::checkpoint::Snapshot,
+        rows: std::ops::Range<usize>,
+    ) -> Result<(), String> {
+        let bits = snap.state.get(rows).unwrap_or_default();
+        self.restore_rows(snap, bits, None)
+    }
+
+    /// The cells `bits`, then the clock and counters of `snap`.
+    fn restore_rows(
+        &mut self,
+        snap: &crate::checkpoint::Snapshot,
+        bits: &[u64],
+        nan_plan: Option<(u64, u64)>,
+    ) -> Result<(), String> {
+        self.restore_cells(bits)?;
+        self.t = f64::from_bits(snap.t_bits);
+        if let Some(g) = self.guard.as_mut() {
+            g.step_count = snap.steps_done as usize;
+            g.nan_plan = nan_plan.map(|(step, seed)| (step as usize, seed));
+        }
+        self.kernel.restore_executed_steps(snap.executed_steps);
         Ok(())
     }
 

@@ -237,10 +237,22 @@ impl ShardedSimulation {
     /// cell order — the payload of the real-thread differential gate
     /// (compare against [`Simulation::state_bits`] of a single-thread
     /// run).
+    ///
+    /// The vector is sized once, for the whole pool, and travels from
+    /// shard to shard: each appends its rows, so every value is copied
+    /// once.
     pub fn state_bits(&self) -> Vec<u64> {
-        let mut bits = Vec::new();
-        for i in 0..self.workers.len() {
-            bits.extend(self.with_shard(i, |s| s.state_bits()));
+        let total = self.n_cells();
+        let mut bits = self.with_shard(0, move |s| {
+            let mut bits = Vec::with_capacity(total * s.row_width());
+            s.append_state_bits(&mut bits);
+            bits
+        });
+        for i in 1..self.workers.len() {
+            bits = self.with_shard(i, move |s| {
+                s.append_state_bits(&mut bits);
+                bits
+            });
         }
         bits
     }
@@ -255,11 +267,10 @@ impl ShardedSimulation {
     /// 4-thread snapshot restores into a 1- or 8-thread pool unchanged.
     pub fn snapshot(&self, config_label: &str, steps_done: u64) -> crate::checkpoint::Snapshot {
         let label = config_label.to_string();
-        let mut snap = self.with_shard(0, move |sim| sim.snapshot(&label, steps_done));
-        for i in 1..self.workers.len() {
-            let shard_bits = self.with_shard(i, |sim| sim.state_bits());
-            snap.state.extend(shard_bits);
-        }
+        let state = self.state_bits();
+        let mut snap = self.with_shard(0, move |sim| {
+            sim.snapshot_with_state(&label, steps_done, state)
+        });
         snap.n_cells = self.n_cells();
         snap.shards = self.shard_cells.clone();
         snap
@@ -267,13 +278,14 @@ impl ShardedSimulation {
 
     /// Restores a snapshot into this pool, slicing the flat logical-cell
     /// state across shards by the pool's own (deterministic)
-    /// [`shard_sizes`] partition.
+    /// [`shard_sizes`] partition. Every worker reads its rows straight
+    /// out of the one shared snapshot.
     ///
     /// # Errors
     ///
     /// Returns a description when the snapshot's cell count or state
     /// width does not match this pool.
-    pub fn restore(&mut self, snap: &crate::checkpoint::Snapshot) -> Result<(), String> {
+    pub fn restore(&mut self, snap: &Arc<crate::checkpoint::Snapshot>) -> Result<(), String> {
         if snap.n_cells != self.n_cells() {
             return Err(format!(
                 "snapshot has {} cells, pool has {}",
@@ -292,24 +304,9 @@ impl ShardedSimulation {
         let mut offset = 0;
         for i in 0..self.workers.len() {
             let cells = self.shard_cells[i];
-            let shard_snap = crate::checkpoint::Snapshot {
-                n_cells: cells,
-                // Shards never run native (it is width-1 single-sim
-                // only) and never descend (their policy is `Abort`), so
-                // a pool's snapshot is always of the optimized tier.
-                tier: crate::Tier::Optimized.to_string(),
-                nan_plan: None,
-                shards: Vec::new(),
-                meta: None,
-                state: snap.state[offset * per_cell..(offset + cells) * per_cell].to_vec(),
-                model: snap.model.clone(),
-                config: snap.config.clone(),
-                dt_bits: snap.dt_bits,
-                t_bits: snap.t_bits,
-                steps_done: snap.steps_done,
-                executed_steps: snap.executed_steps,
-            };
-            self.with_shard(i, move |sim| sim.restore(&shard_snap))?;
+            let rows = offset * per_cell..(offset + cells) * per_cell;
+            let snap = Arc::clone(snap);
+            self.with_shard(i, move |sim| sim.restore_shard(&snap, rows))?;
             offset += cells;
         }
         Ok(())
@@ -328,7 +325,7 @@ impl ShardedSimulation {
         config: PipelineKind,
         workload: &Workload,
         threads: usize,
-        snap: &crate::checkpoint::Snapshot,
+        snap: &Arc<crate::checkpoint::Snapshot>,
     ) -> Result<ShardedSimulation, String> {
         snap.key_matches(&model.name, &config.label(), workload.n_cells, workload.dt)?;
         let mut sharded = ShardedSimulation::new(model, config, workload, threads);
@@ -780,7 +777,7 @@ mod tests {
             let mut single = Simulation::new(&m, config, &wl);
             single.perturb_vm(5, 12.0);
             single.run(30);
-            let snap = single.snapshot(&config.label(), 30);
+            let snap = Arc::new(single.snapshot(&config.label(), 30));
             single.run(30);
             let digest = crate::checksum::fnv1a_words(single.state_bits().into_iter());
             for threads in 1..=3 {
@@ -790,6 +787,44 @@ mod tests {
                 pool.run_threaded(30);
                 let resumed = crate::checksum::fnv1a_words(pool.state_bits().into_iter());
                 assert_eq!(resumed, digest, "{} threads={threads}", config.label());
+            }
+        }
+    }
+
+    /// A 2- and a 3-shard pool's own snapshots: each gathers the state
+    /// of the single-simulation twin at the cut, restores into a fresh
+    /// pool of its shape as that state, and steps on to the twin's
+    /// digest (13 cells: ragged blocks under AoSoA blocks of 8).
+    #[test]
+    fn pool_snapshots_restore_to_the_single_simulation_twin() {
+        let m = model("BeelerReuter");
+        let wl = Workload {
+            n_cells: 13,
+            steps: 0,
+            dt: 0.01,
+        };
+        for config in [
+            PipelineKind::Baseline,
+            PipelineKind::LimpetMlir(VectorIsa::Avx512),
+        ] {
+            let mut single = Simulation::new(&m, config, &wl);
+            single.run(25);
+            let at_cut = single.state_bits();
+            single.run(25);
+            let digest = crate::checksum::fnv1a_words(single.state_bits().into_iter());
+            for threads in [2, 3] {
+                let what = format!("{} threads={threads}", config.label());
+                let mut writer = ShardedSimulation::new(&m, config, &wl, threads);
+                writer.run_threaded(25);
+                let snap = Arc::new(writer.snapshot(&config.label(), 25));
+                assert_eq!(snap.shards.len(), threads, "{what}");
+                assert_eq!(snap.state, at_cut, "{what}: gathered state");
+                let mut pool = ShardedSimulation::resume_from(&m, config, &wl, threads, &snap)
+                    .expect("snapshot fits the pool");
+                assert_eq!(pool.state_bits(), at_cut, "{what}: restored state");
+                pool.run_threaded(25);
+                let resumed = crate::checksum::fnv1a_words(pool.state_bits().into_iter());
+                assert_eq!(resumed, digest, "{what}: next steps");
             }
         }
     }

@@ -22,6 +22,7 @@
 //! run in parallel.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use limpet_harness::{
     faults, HealthPolicy, KernelCache, PipelineKind, RejectReason, ShardedSimulation, Simulation,
@@ -159,7 +160,7 @@ fn sharded_resume_is_thread_count_independent_across_roster() {
         let snap = writer.snapshot(&config.label(), k as u64);
         assert_eq!(snap.shards.len(), writer.threads(), "{}", entry.name);
         store.save(entry.name, &snap).expect("save snapshot");
-        let snap = store.load(entry.name).snapshot.expect("durable round-trip");
+        let snap = Arc::new(store.load(entry.name).snapshot.expect("durable round-trip"));
 
         for threads in [1usize, 4] {
             let mut resumed = ShardedSimulation::resume_from(&m, config, &wl(), threads, &snap)
