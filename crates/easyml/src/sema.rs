@@ -15,7 +15,7 @@
 
 use crate::ast::{BinOp, Expr, Item, Markup, ModelAst, Stmt, UnOp};
 use crate::diag::{Diagnostic, ErrorCode, Span};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A temporal integration method (paper §3.3.2).
@@ -409,13 +409,14 @@ pub fn affine_in(expr: &Expr, var: &str) -> Option<(Expr, Expr)> {
 /// one-sided conditional definitions, bad markups, non-constant initial
 /// values, dependency cycles, and calls to unknown functions.
 pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
-    let checked = check(ast)?;
-    let mut stmts = Vec::with_capacity(checked.order.len());
-    stmts.extend(checked.order.iter().filter_map(|&i| match &ast.items[i] {
-        Item::Stmt(s) => Some(s.clone()),
-        _ => None,
-    }));
-    Ok(checked.into_model(ast.name.clone(), stmts))
+    let (mut model, order) = check(ast)?;
+    model
+        .stmts
+        .extend(order.iter().filter_map(|&i| match &ast.items[i] {
+            Item::Stmt(s) => Some(s.clone()),
+            _ => None,
+        }));
+    Ok(model)
 }
 
 /// [`analyze`] for an AST the caller no longer needs: the model takes its
@@ -425,7 +426,7 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
 ///
 /// As [`analyze`].
 pub fn analyze_owned(ast: ModelAst) -> Result<Model, SemaErrors> {
-    let checked = check(&ast)?;
+    let (mut model, order) = check(&ast)?;
     let mut slots: Vec<Option<Stmt>> = ast
         .items
         .into_iter()
@@ -434,33 +435,10 @@ pub fn analyze_owned(ast: ModelAst) -> Result<Model, SemaErrors> {
             _ => None,
         })
         .collect();
-    let mut stmts = Vec::with_capacity(checked.order.len());
-    stmts.extend(checked.order.iter().filter_map(|&i| slots[i].take()));
-    Ok(checked.into_model(ast.name, stmts))
-}
-
-/// Everything of a [`Model`] but its statements, which stay in the AST:
-/// `order` lists the indices of `ModelAst::items` holding the body
-/// statements, in dependency order.
-struct Checked {
-    states: Vec<StateVar>,
-    externals: Vec<ExtVar>,
-    params: Vec<Param>,
-    lookups: Vec<Lookup>,
-    order: Vec<usize>,
-}
-
-impl Checked {
-    fn into_model(self, name: String, stmts: Vec<Stmt>) -> Model {
-        Model {
-            name,
-            states: self.states,
-            externals: self.externals,
-            params: self.params,
-            lookups: self.lookups,
-            stmts,
-        }
-    }
+    model
+        .stmts
+        .extend(order.iter().filter_map(|&i| slots[i].take()));
+    Ok(model)
 }
 
 /// The markups' effect on the names they are attached to. Every name
@@ -470,43 +448,30 @@ struct Markups<'a> {
     external: Vec<&'a str>,
     parent: Vec<&'a str>,
     lookups: Vec<Lookup>,
-    /// `.method()` per name and the line of its markup, in first-seen
-    /// order; a later markup for the same name replaces the earlier one.
-    methods: Vec<(&'a str, Method, usize)>,
+    /// `.method()` and the line of its markup, per name (the last markup
+    /// wins); ordered, so the diagnostics come out in one order.
+    methods: BTreeMap<&'a str, (Method, usize)>,
 }
 
 impl<'a> Markups<'a> {
-    fn method(&self, name: &str) -> Option<Method> {
-        self.methods
-            .iter()
-            .find(|(n, ..)| *n == name)
-            .map(|&(_, m, _)| m)
-    }
-
     fn apply(&mut self, names: &[&'a str], m: &Markup, errors: &mut Vec<SemaError>) {
         match m.name.as_str() {
             "external" => push_new(&mut self.external, names),
             "parent" => push_new(&mut self.parent, names),
             "lookup" => {
-                let range = match m.args.as_slice() {
-                    [lo, hi, step] => match (lo.as_num(), hi.as_num(), step.as_num()) {
-                        (Some(lo), Some(hi), Some(step)) if step > 0.0 && hi > lo => {
-                            Some((lo, hi, step))
+                let nums: Vec<Option<f64>> = m.args.iter().map(|a| a.as_num()).collect();
+                match nums.as_slice() {
+                    [Some(lo), Some(hi), Some(step)] if *step > 0.0 && hi > lo => {
+                        for n in names {
+                            self.lookups.push(Lookup {
+                                var: (*n).to_owned(),
+                                lo: *lo,
+                                hi: *hi,
+                                step: *step,
+                            });
                         }
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                match range {
-                    Some((lo, hi, step)) => {
-                        self.lookups.extend(names.iter().map(|&n| Lookup {
-                            var: n.to_owned(),
-                            lo,
-                            hi,
-                            step,
-                        }));
                     }
-                    None => errors.push(Diagnostic::new(
+                    _ => errors.push(Diagnostic::new(
                         ErrorCode::BadLookupRange,
                         Span::line(m.line),
                         ".lookup() needs (lo, hi, step) with step > 0 and hi > lo",
@@ -518,10 +483,7 @@ impl<'a> Markups<'a> {
                 match arg.and_then(Method::parse) {
                     Some(method) => {
                         for &n in names {
-                            match self.methods.iter_mut().find(|(have, ..)| *have == n) {
-                                Some(slot) => *slot = (n, method, m.line),
-                                None => self.methods.push((n, method, m.line)),
-                            }
+                            self.methods.insert(n, (method, m.line));
                         }
                     }
                     None => errors.push(Diagnostic::new(
@@ -554,8 +516,10 @@ fn push_new<'a>(list: &mut Vec<&'a str>, names: &[&'a str]) {
     }
 }
 
-/// The checks of [`analyze`], borrowing every name from `ast`.
-fn check(ast: &ModelAst) -> Result<Checked, SemaErrors> {
+/// The checks of [`analyze`], borrowing every name from `ast`. Returns the
+/// model with room for, but not yet, its statements, and the indices of
+/// the `ModelAst::items` that hold them, in dependency order.
+fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
     let mut errors: Vec<SemaError> = Vec::new();
 
     // ---- collect declarations & markups ----
@@ -666,22 +630,23 @@ fn check(ast: &ModelAst) -> Result<Checked, SemaErrors> {
         k.flags |= ASSIGNED;
     }
 
-    let param_default = |n: &str| known.get(n).filter(|k| k.flags & PARAM != 0);
+    let param_default = |n: &str| {
+        let k = known.get(n).filter(|k| k.flags & PARAM != 0);
+        k.map(|k| k.param_default)
+    };
     let init_of = |name: &str, errors: &mut Vec<SemaError>| -> f64 {
         match inits.get(name) {
-            Some(&(expr, line)) => {
-                match eval_with(expr, &|n| param_default(n).map(|k| k.param_default)) {
-                    Some(v) => v,
-                    None => {
-                        errors.push(Diagnostic::new(
-                            ErrorCode::NonConstInit,
-                            Span::line(line),
-                            format!("{name}_init must be a constant expression over parameters"),
-                        ));
-                        0.0
-                    }
+            Some(&(expr, line)) => match eval_with(expr, &param_default) {
+                Some(v) => v,
+                None => {
+                    errors.push(Diagnostic::new(
+                        ErrorCode::NonConstInit,
+                        Span::line(line),
+                        format!("{name}_init must be a constant expression over parameters"),
+                    ));
+                    0.0
                 }
-            }
+            },
             None => 0.0,
         }
     };
@@ -692,7 +657,7 @@ fn check(ast: &ModelAst) -> Result<Checked, SemaErrors> {
         .map(|n| StateVar {
             name: n.to_owned(),
             init: init_of(n, &mut errors),
-            method: marks.method(n).unwrap_or_default(),
+            method: marks.methods.get(n).map(|(m, _)| *m).unwrap_or_default(),
         })
         .collect();
 
@@ -726,7 +691,7 @@ fn check(ast: &ModelAst) -> Result<Checked, SemaErrors> {
     }
     let is = |n: &str, kinds: u8| known.get(n).is_some_and(|k| k.flags & kinds != 0);
 
-    for &(m, _, line) in &marks.methods {
+    for (&m, &(_, line)) in &marks.methods {
         if !is(m, STATE) {
             errors.push(Diagnostic::new(
                 ErrorCode::MethodOnNonState,
@@ -794,13 +759,15 @@ fn check(ast: &ModelAst) -> Result<Checked, SemaErrors> {
     };
 
     if errors.is_empty() {
-        Ok(Checked {
+        let model = Model {
+            name: ast.name.clone(),
             states,
             externals,
             params,
             lookups: marks.lookups,
-            order,
-        })
+            stmts: Vec::with_capacity(order.len()),
+        };
+        Ok((model, order))
     } else {
         Err(SemaErrors(
             errors
@@ -854,15 +821,13 @@ fn collect_top_defs<'a>(
             for s in else_body {
                 s.for_each_assigned(&mut |n| else_names.push(n));
             }
-            let firsts = |names: &[&'a str]| {
-                (0..names.len())
-                    .filter(|&i| !names[..i].contains(&names[i]))
-                    .map(|i| names[i])
-                    .collect::<Vec<_>>()
-            };
-            let (then_firsts, else_firsts) = (firsts(&then_names), firsts(&else_names));
-            let else_only = else_firsts.iter().filter(|n| !then_names.contains(*n));
-            for &n in then_firsts.iter().chain(else_only) {
+            let mut either: Vec<&str> = Vec::new();
+            for &n in then_names.iter().chain(&else_names) {
+                if !either.contains(&n) {
+                    either.push(n);
+                }
+            }
+            for n in either {
                 if then_names.contains(&n) && else_names.contains(&n) {
                     out.push((n, *line));
                 } else {

@@ -623,21 +623,11 @@ impl Simulation {
         Ok(())
     }
 
-    /// Restores one shard of a pool-wide snapshot: the values `rows` of
-    /// its state, and its clock and counters. A shard never runs native,
-    /// never descends (its policy is `Abort`) and carries no fault plan,
-    /// so the snapshot's tier and plan do not apply to it.
-    pub(crate) fn restore_shard(
-        &mut self,
-        snap: &crate::checkpoint::Snapshot,
-        rows: std::ops::Range<usize>,
-    ) -> Result<(), String> {
-        let bits = snap.state.get(rows).unwrap_or_default();
-        self.restore_rows(snap, bits, None)
-    }
-
-    /// The cells `bits`, then the clock and counters of `snap`.
-    fn restore_rows(
+    /// Restores the cells `bits` ([`Simulation::restore_cells`]), then the
+    /// clock and counters of `snap`, with `nan_plan` pending — the part of
+    /// [`Simulation::restore`] a pool's shard runs on its rows of a
+    /// pool-wide snapshot.
+    pub(crate) fn restore_rows(
         &mut self,
         snap: &crate::checkpoint::Snapshot,
         bits: &[u64],

@@ -306,7 +306,13 @@ impl ShardedSimulation {
             let cells = self.shard_cells[i];
             let rows = offset * per_cell..(offset + cells) * per_cell;
             let snap = Arc::clone(snap);
-            self.with_shard(i, move |sim| sim.restore_shard(&snap, rows))?;
+            // Shards never run native (it is width-1 single-sim only) and
+            // never descend (their policy is `Abort`), so a pool's
+            // snapshot is always of the optimized tier; nor do they carry
+            // a fault plan.
+            self.with_shard(i, move |sim| {
+                sim.restore_rows(&snap, &snap.state[rows], None)
+            })?;
             offset += cells;
         }
         Ok(())
