@@ -1229,19 +1229,6 @@ mod tests {
             );
             rhs_of(m, "a", e);
         });
-        // The same bytes split between two names another way.
-        let mut ab = base.clone();
-        ab.params = vec![param("ab", 1.0), param("c", 1.0)];
-        let mut bc = base.clone();
-        bc.params = vec![param("a", 1.0), param("bc", 1.0)];
-        assert_ne!(model_fingerprint(&ab), model_fingerprint(&bc));
-    }
-
-    fn param(name: &str, default: f64) -> Param {
-        Param {
-            name: name.into(),
-            default,
-        }
     }
 
     #[test]

@@ -335,7 +335,10 @@ wait "$SLOW_PID" 2>/dev/null || true
 SLOW_PID=""
 
 # Restart over the same journal: the victim resumes headless and its
-# digest must be bit-identical to the uninterrupted reference run.
+# digest must be bit-identical to the uninterrupted reference run. The
+# killed daemon's socket file is removed first, so that the wait below
+# sees the new daemon's and not a stale one the new daemon replaces.
+rm -f "$SERVE_SOCK"
 ./target/release/limpet-serve --unix "$SERVE_SOCK" --workers 2 \
   --cache-dir "$SERVE_DIR" --journal "$SERVE_DIR/jobs.journal" \
   --checkpoint-every 1000 > "$SERVE_OUT/serve2.log" 2>&1 &
@@ -471,15 +474,29 @@ for _ in $(seq 1 100); do [ -S "$CKPT_SOCK" ] && break; sleep 0.1; done
 REF_DIGEST=$(grep -o '"digest":"[0-9a-f]\{16\}"' "$CKPT_OUT/ref.txt" | head -1)
 [ -n "$REF_DIGEST" ] || { echo "checkpoint gate: no reference digest"; cat "$CKPT_OUT/ref.txt"; exit 1; }
 
-# Victim: a slow reader keeps it mid-trajectory while the cadence writes
-# snapshots; kill -9 lands only after a snapshot is durably on disk.
+# A job is held mid-trajectory by backpressure, not by timing: one chunk
+# per step is 6000 events (~660 KB), far more than the connection's outbox
+# (64 events) and socket buffer hold while the client reads five a second,
+# so the job stops at a full outbox long before its last step and cannot
+# finish (and remove its snapshots) until its client or daemon goes away.
+# The `checkpoint` verb says whether a job still holds a worker.
+held() {
+  "$CLIENT" --unix "$CKPT_SOCK" checkpoint --id "$1" > "$CKPT_OUT/held.txt" || true
+  grep -q "\"active\":$2" "$CKPT_OUT/held.txt"
+}
+
+# Victim: held while the cadence writes snapshots; kill -9 lands only after
+# a snapshot is durably on disk.
 "$CLIENT" --unix "$CKPT_SOCK" submit --model BeelerReuter --cells 64 \
-  --steps 6000 --chunk 50 --id ckpt-victim --tenant ci-a --slow-ms 200 \
+  --steps 6000 --chunk 1 --id ckpt-victim --tenant ci-a --slow-ms 200 \
   > /dev/null 2>&1 &
 CKPT_SLOW_PID=$!
 SNAPPED=""
 for _ in $(seq 1 100); do
-  ls "$SNAPDIR"/ckpt-*-ckpt-victim.lcp > /dev/null 2>&1 && { SNAPPED=yes; break; }
+  if ls "$SNAPDIR"/ckpt-*-ckpt-victim.lcp > /dev/null 2>&1 && held ckpt-victim true; then
+    SNAPPED=yes
+    break
+  fi
   sleep 0.1
 done
 [ -n "$SNAPPED" ] \
@@ -493,6 +510,9 @@ CKPT_SLOW_PID=""
 
 # Restart: journal replay re-admits the victim, which must resume from
 # the snapshot — mid-trajectory, not step 0 — and finish bit-identical.
+# The killed daemon's socket file is still there: remove it, so that the
+# wait below sees the new daemon's.
+rm -f "$CKPT_SOCK"
 ./target/release/limpet-serve --unix "$CKPT_SOCK" --workers 2 \
   --cache-dir "$CKPT_DIR" --journal "$CKPT_DIR/jobs.journal" \
   --checkpoint-every 5 > "$CKPT_OUT/serve2.log" 2>&1 &
@@ -517,22 +537,35 @@ VICTIM_DIGEST=$(grep -o '"digest":"[0-9a-f]\{16\}"' "$CKPT_OUT/victim.txt" | hea
 # rotations, then re-submit the same id with the fault armed. The load
 # must reject the corrupted current (self-healing it away), fall back to
 # the previous rotation, and still finish with the reference digest.
+# The job is held as the victim was.
 "$CLIENT" --unix "$CKPT_SOCK" submit --model BeelerReuter --cells 64 \
-  --steps 6000 --chunk 50 --id ckpt-prev --tenant ci-a --slow-ms 500 \
+  --steps 6000 --chunk 1 --id ckpt-prev --tenant ci-a --slow-ms 500 \
   > /dev/null 2>&1 &
 CKPT_SLOW_PID=$!
 ROTATED=""
 for _ in $(seq 1 100); do
   if ls "$SNAPDIR"/ckpt-*-ckpt-prev.lcp > /dev/null 2>&1 \
-     && ls "$SNAPDIR"/ckpt-*-ckpt-prev.prev.lcp > /dev/null 2>&1; then ROTATED=yes; break; fi
+     && ls "$SNAPDIR"/ckpt-*-ckpt-prev.prev.lcp > /dev/null 2>&1 && held ckpt-prev true; then
+    ROTATED=yes
+    break
+  fi
   sleep 0.1
 done
 [ -n "$ROTATED" ] \
-  || { echo "checkpoint gate: no rotated snapshot pair"; ls -la "$SNAPDIR" 2>/dev/null; exit 1; }
+  || { echo "checkpoint gate: no rotated snapshot pair of a running job"; ls -la "$SNAPDIR" 2>/dev/null; cat "$CKPT_OUT/held.txt"; exit 1; }
 kill "$CKPT_SLOW_PID" 2>/dev/null || true
 wait "$CKPT_SLOW_PID" 2>/dev/null || true
 CKPT_SLOW_PID=""
-sleep 1  # the disconnect abort lands and writes its final snapshot
+# The disconnect aborts the job at its full outbox. Its worker writes the
+# final snapshot before it frees its slot, so a job no longer active has
+# left that snapshot on disk.
+ABORTED=""
+for _ in $(seq 1 100); do
+  held ckpt-prev false && { ABORTED=yes; break; }
+  sleep 0.1
+done
+[ -n "$ABORTED" ] \
+  || { echo "checkpoint gate: the held job did not abort after its client left"; cat "$CKPT_OUT/held.txt"; exit 1; }
 "$CLIENT" --unix "$CKPT_SOCK" submit --model BeelerReuter --cells 64 \
   --steps 6000 --chunk 50 --id ckpt-prev --tenant ci-a \
   --inject ckpt-corrupt@7 > "$CKPT_OUT/corrupt.txt"
@@ -746,6 +779,21 @@ hold_ms "cold compile" primary_ms "$(median_ms_of cold_s)" "$COMPILE_RUN" BENCH_
 # secondary_ms the same way: the disk-warm roster, a load of every entry the
 # cold half stored (no module is built on this path).
 hold_ms "disk-warm load" secondary_ms "$(median_ms_of disk_warm_s)" "$COMPILE_RUN" BENCH_compile_cold.json
+# A memory hit costs its key, one walk of the model (`model_fingerprint`).
+# The ledger's traced runs read it 21-26 us per hit, where hashing the model's
+# formatted text read 54-83; one traced run is noisy, so the hit is held at
+# twice the ledger's traced median, on the ledger's host only (as hold_ms).
+MEM_HIT=$(metric_value cache.mem_hit_us "$COMPILE_RUN")
+MEM_HIT_REF=$(awk '/"cache.mem_hit_us"/ { m = 1 } m && /"change_median"/ {
+  gsub(/[^0-9.]/, "", $2); print $2; exit }' BENCH_compile_cold.json)
+if [ "$(host_of "$COMPILE_RUN")" != "$(host_of BENCH_compile_cold.json)" ]; then
+  echo "memory hit: cache.mem_hit_us $MEM_HIT us; BENCH_compile_cold.json is from a different host, skipped"
+elif awk -v now="$MEM_HIT" -v ref="$MEM_HIT_REF" 'BEGIN { exit !(now > 0 && ref > 0 && now <= 2 * ref) }'; then
+  echo "memory hit: cache.mem_hit_us $MEM_HIT us (BENCH_compile_cold.json: $MEM_HIT_REF us)"
+else
+  echo "memory hit: cache.mem_hit_us '$MEM_HIT' us is not within twice BENCH_compile_cold.json's '$MEM_HIT_REF' us: does the key format the model again?"
+  exit 1
+fi
 # Instructions in the optimized programs, before any is executed.
 hold_count vm.static_instrs_opt "$COMPILE_RUN" BENCH_compile_cold.json
 # Bytes of every record the cold half stored: 36.0 MB with one table record
