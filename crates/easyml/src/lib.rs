@@ -54,8 +54,8 @@ pub use ast::{BinOp, Expr, GroupItem, Item, Markup, MarkupArg, ModelAst, Stmt, U
 pub use diag::{Diagnostic, ErrorCode, Span};
 pub use parser::{parse_model, ParseError};
 pub use sema::{
-    affine_in, analyze, analyze_owned, builtin_arity, eval_const, ExtVar, Lookup, Method, Model,
-    Param, SemaError, SemaErrors, StateVar, BUILTINS, IMPLICIT_SOURCES,
+    affine_in, analyze, builtin_arity, eval_const, ExtVar, Lookup, Method, Model, Param, SemaError,
+    SemaErrors, StateVar, BUILTINS, IMPLICIT_SOURCES,
 };
 pub use token::{lex, LexError, Token, TokenKind};
 
@@ -73,5 +73,5 @@ pub use token::{lex, LexError, Token, TokenKind};
 /// ```
 pub fn compile_model(name: &str, src: &str) -> Result<Model, Box<dyn std::error::Error>> {
     let ast = parse_model(name, src)?;
-    Ok(analyze_owned(ast)?)
+    Ok(analyze(&ast)?)
 }

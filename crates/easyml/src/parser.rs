@@ -295,9 +295,6 @@ impl<'src> Parser<'src> {
                 stmts.push(Stmt::Assign { lhs, expr, line });
             }
         }
-        // The model keeps the AST's lists (`analyze_owned`): none of them
-        // holds spare capacity.
-        stmts.shrink_to_fit();
         Ok(stmts)
     }
 
@@ -354,7 +351,7 @@ impl<'src> Parser<'src> {
             TokenKind::Ident(name) => {
                 if self.peek() == Some(TokenKind::LParen) && self.peek2().is_some() {
                     self.pos += 1;
-                    let mut args = Vec::with_capacity(1);
+                    let mut args = Vec::new();
                     if !self.eat(TokenKind::RParen) {
                         loop {
                             args.push(self.parse_expr()?);
@@ -364,7 +361,6 @@ impl<'src> Parser<'src> {
                             self.expect(TokenKind::Comma)?;
                         }
                     }
-                    args.shrink_to_fit();
                     Ok(Expr::Call(name.to_owned(), args))
                 } else {
                     Ok(Expr::Var(name.to_owned()))

@@ -419,28 +419,6 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
     Ok(model)
 }
 
-/// [`analyze`] for an AST the caller no longer needs: the model takes its
-/// statements by move instead of copying them.
-///
-/// # Errors
-///
-/// As [`analyze`].
-pub fn analyze_owned(ast: ModelAst) -> Result<Model, SemaErrors> {
-    let (mut model, order) = check(&ast)?;
-    let mut slots: Vec<Option<Stmt>> = ast
-        .items
-        .into_iter()
-        .map(|item| match item {
-            Item::Stmt(s) => Some(s),
-            _ => None,
-        })
-        .collect();
-    model
-        .stmts
-        .extend(order.iter().filter_map(|&i| slots[i].take()));
-    Ok(model)
-}
-
 /// The markups' effect on the names they are attached to. Every name
 /// borrows from the AST.
 #[derive(Default)]
@@ -1078,6 +1056,21 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
         assert!(matches!(m.stmts[0], Stmt::If { .. }));
     }
 
+    /// A name assigned in both branches of one `if` takes its place from
+    /// the then-branch, in every analysis: the branches' orders disagree,
+    /// and no per-analysis hash order may pick between them.
+    #[test]
+    fn both_sided_states_keep_the_then_branch_order() {
+        let src =
+            "c = 1;\nif (c > 0) { diff_a = -a; diff_b = -b; } else { diff_b = b; diff_a = a; }";
+        let ast = parse_model("m", src).unwrap();
+        for _ in 0..64 {
+            let m = analyze(&ast).unwrap();
+            let states: Vec<&str> = m.states.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(states, ["a", "b"]);
+        }
+    }
+
     #[test]
     fn unknown_variable_rejected() {
         let err = analyze(&parse_model("m", "diff_x = y;").unwrap()).unwrap_err();
@@ -1109,6 +1102,26 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
             analyze(&parse_model("m", "a = 1;\nb = a;\ndiff_x = x;\na;.method(rk2);").unwrap())
                 .unwrap_err();
         assert!(err.to_string().contains("no diff_a equation"));
+    }
+
+    #[test]
+    fn method_diagnostics_come_out_in_name_order() {
+        let src = "diff_x = -x;\nz = 1;\ny = 2;\nw = 3;\nz;.method(rk2);\nw;.method(rk2);\ny;.method(rk2);";
+        let ast = parse_model("m", src).unwrap();
+        for _ in 0..64 {
+            let err = analyze(&ast).unwrap_err();
+            let named: Vec<&str> = err
+                .0
+                .iter()
+                .filter(|e| e.code == ErrorCode::MethodOnNonState)
+                .map(|e| e.message.as_str())
+                .collect();
+            assert_eq!(
+                named,
+                ["w", "y", "z"]
+                    .map(|m| format!(".method() applied to {m}, which has no diff_{m} equation"))
+            );
+        }
     }
 
     #[test]

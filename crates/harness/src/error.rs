@@ -113,7 +113,7 @@ pub fn compile_source(name: &str, src: &str) -> Result<limpet_easyml::Model, Com
     };
     let result: Result<limpet_easyml::Model, CompileError> = (|| {
         let ast = limpet_easyml::parse_model(name, src)?;
-        Ok(limpet_easyml::analyze_owned(ast)?)
+        Ok(limpet_easyml::analyze(&ast)?)
     })();
     if let Err(e) = &result {
         // Frontend failures join the process-wide incident report next to
