@@ -29,6 +29,7 @@ VERBS:
     checkpoint --id ID  ask the daemon to durably snapshot a running job
                         at its next chunk boundary; prints whether the
                         job is active and a snapshot already exists
+    status --id ID      print the same two facts, requesting nothing
     resume --id ID      re-admit a job from its durable snapshot (the
                         snapshot embeds the job spec) and stream its
                         events; the job continues from the recorded step
@@ -919,8 +920,10 @@ fn run() -> Result<(), String> {
                 None => return Err("connection closed before response".into()),
             }
         }
-        "result" | "checkpoint" => {
-            let id = opts.get("id").ok_or("result/checkpoint requires --id")?;
+        "result" | "checkpoint" | "status" => {
+            let id = opts
+                .get("id")
+                .ok_or("result/checkpoint/status requires --id")?;
             let req = Json::obj(vec![("verb", Json::str(&verb)), ("id", Json::str(id))]);
             send(&req.to_string())?;
             match recv(&mut reader)? {

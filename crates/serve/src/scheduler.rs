@@ -1005,12 +1005,16 @@ fn watchdog_sweep(sh: &Arc<PoolShared>, grace: Duration) {
     }
 }
 
-fn request_checkpoint_in(sh: &Arc<PoolShared>, id: &str) -> bool {
+/// Whether job `id` holds a worker; with `force`, also flags it for a
+/// checkpoint at its next chunk boundary.
+fn find_active_in(sh: &Arc<PoolShared>, id: &str, force: bool) -> bool {
     for i in 0..sh.slots.len() {
         let slot = sh.lock_slot(i);
         if let Some(active) = slot.as_ref() {
             if active.spec.id == id {
-                active.force_ckpt.store(true, Ordering::SeqCst);
+                if force {
+                    active.force_ckpt.store(true, Ordering::SeqCst);
+                }
                 return true;
             }
         }
@@ -1035,7 +1039,14 @@ impl std::fmt::Debug for CheckpointRequester {
 impl CheckpointRequester {
     /// See [`Pool::request_checkpoint`].
     pub fn request(&self, id: &str) -> bool {
-        request_checkpoint_in(&self.shared, id)
+        find_active_in(&self.shared, id, true)
+    }
+
+    /// Whether the job is currently executing on some worker, as
+    /// [`Pool::request_checkpoint`] reports it, without requesting
+    /// anything.
+    pub fn is_active(&self, id: &str) -> bool {
+        find_active_in(&self.shared, id, false)
     }
 
     /// Cadence snapshots the pool's checkpoint writer dropped unwritten
@@ -1147,7 +1158,7 @@ impl Pool {
     /// queued, finished, or unknown (queued jobs checkpoint on their
     /// normal cadence once they start).
     pub fn request_checkpoint(&self, id: &str) -> bool {
-        request_checkpoint_in(&self.shared, id)
+        find_active_in(&self.shared, id, true)
     }
 
     /// A detachable handle for requesting checkpoints without owning the
@@ -1322,6 +1333,54 @@ mod tests {
         let mut ids = done.lock().unwrap().clone();
         ids.sort();
         assert_eq!(ids, ["j0", "j1", "j2", "j3"]);
+    }
+
+    /// `is_active` answers what `request` answers without flagging the
+    /// job for a snapshot; `request` flags it.
+    #[test]
+    fn an_activity_query_requests_no_checkpoint() {
+        let pool = Pool::new(
+            PoolConfig {
+                workers: 1,
+                ..PoolConfig::default()
+            },
+            |_, _| {},
+            |_, _| {},
+            |_, _| {},
+        );
+        // One event fits the outbox and nobody reads it: the job stays
+        // on its worker at its next push.
+        let outbox = Arc::new(Bounded::new(1));
+        let mut held = spec("held", "Plonsey", "baseline", 8, 64);
+        held.chunk = 1;
+        pool.submit(QueuedJob {
+            spec: held,
+            outbox: Some(Arc::clone(&outbox)),
+        })
+        .unwrap();
+        let requester = pool.checkpoint_requester();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !(requester.is_active("held") && outbox.len() == 1) {
+            assert!(Instant::now() < deadline, "the job never filled its outbox");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Let it reach its blocked push, past the chunk boundary that
+        // would take (and clear) a requested snapshot.
+        std::thread::sleep(Duration::from_millis(50));
+        let forced = || {
+            let slot = pool.shared.lock_slot(0);
+            slot.as_ref()
+                .expect("the job holds the worker")
+                .force_ckpt
+                .load(Ordering::SeqCst)
+        };
+        assert!(requester.is_active("held"));
+        assert!(!requester.is_active("other"));
+        assert!(!forced(), "a query flagged the job");
+        assert!(requester.request("held"));
+        assert!(forced(), "a request did not flag the job");
+        outbox.close();
+        pool.shutdown(true);
     }
 
     /// A client that asks for `stats` or `result` as soon as it reads

@@ -3,7 +3,8 @@
 //!
 //! Wire protocol: newline-delimited JSON in both directions. Each
 //! request line is an object with a `"verb"` — `submit`, `result`,
-//! `checkpoint`, `resume`, `stats`, `health`, `ping`, `shutdown` — and
+//! `checkpoint`, `status`, `resume`, `stats`, `health`, `ping`,
+//! `shutdown` — and
 //! each response line an object with an `"event"`. A `submit` is
 //! answered immediately with
 //! `accepted` or `rejected` (typed quota code), then `chunk` events
@@ -816,6 +817,21 @@ fn dispatch(
                 ("id", Json::str(id)),
                 ("active", active.into()),
                 ("snapshot", store.has(id).into()),
+            ]))
+        }
+        "status" => {
+            // `checkpoint`'s answer without its request: polling a job
+            // costs it nothing.
+            let id = v.get("id").and_then(Json::as_str).unwrap_or("");
+            if id.is_empty() {
+                return Some(error_event("status requires 'id'"));
+            }
+            let snapshot = state.snapshots.as_ref().is_some_and(|s| s.has(id));
+            Some(Json::obj(vec![
+                ("event", Json::str("status")),
+                ("id", Json::str(id)),
+                ("active", pool.ckpt.is_active(id).into()),
+                ("snapshot", snapshot.into()),
             ]))
         }
         "resume" => resume(&v, state, pool, outbox),
