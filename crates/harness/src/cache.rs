@@ -38,7 +38,7 @@
 //! degradation ladder, which at compile time is the requested pipeline,
 //! then the reference one ([`KernelCache::get_or_compile_resilient`]).
 
-use crate::checksum::{fnv1a_from, mix, FNV_OFFSET};
+use crate::checksum::{mix, FNV_OFFSET};
 use crate::error::CompileError;
 use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind, Tier};
@@ -279,13 +279,15 @@ impl CompiledKernel {
     }
 }
 
-/// FNV-1a along the fields of a checked model, in one walk: each name is
-/// its length and its bytes; each value's bits, method, flag and line,
-/// each node's variant tag and each list's length is one word step
-/// ([`mix`]). The encoding is prefix-free — each list says how long it
-/// is, each node which variant it is — so two models walk alike only when
-/// every field is alike, including where one expression's operands end
-/// (`a-(b-c)` against `(a-b)-c`, `f(g(a),b)` against `f(g(a,b))`).
+/// FNV-1a along the fields of a checked model, in one walk. Each value's
+/// bits, method, flag and line, each node's variant tag (with its operator)
+/// and each list's length is one word step ([`mix`]); each name is one
+/// word of its length (beside its node's tag, where it has one), then its
+/// bytes eight to a word, the last zero-padded. The encoding is
+/// prefix-free — each list says how long it is, each node which variant
+/// it is — so two models walk alike only when every field is alike,
+/// including where one expression's operands end (`a-(b-c)` against
+/// `(a-b)-c`, `f(g(a),b)` against `f(g(a,b))`).
 struct ModelHasher(u64);
 
 impl ModelHasher {
@@ -297,9 +299,19 @@ impl ModelHasher {
         self.word(n as u64);
     }
 
-    fn name(&mut self, s: &str) {
-        self.len(s.len());
-        self.0 = fnv1a_from(self.0, s.as_bytes());
+    /// `s`, its length in one word with `tag` (which is below 256).
+    fn name(&mut self, tag: u64, s: &str) {
+        self.word(tag | (s.len() as u64) << 8);
+        let mut words = s.as_bytes().chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            // Little-endian, as the whole words; not `copy_from_slice`,
+            // whose call to `memcpy` costs more than these few bytes.
+            self.word(rest.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        }
     }
 
     fn value(&mut self, v: f64) {
@@ -313,8 +325,7 @@ impl ModelHasher {
                 self.value(*v);
             }
             Expr::Var(name) => {
-                self.word(1);
-                self.name(name);
+                self.name(1, name);
             }
             Expr::Unary(op, e) => {
                 self.word(2 | (*op as u64) << 8);
@@ -326,8 +337,7 @@ impl ModelHasher {
                 self.expr(r);
             }
             Expr::Call(name, args) => {
-                self.word(4);
-                self.name(name);
+                self.name(4, name);
                 self.len(args.len());
                 for a in args {
                     self.expr(a);
@@ -347,8 +357,7 @@ impl ModelHasher {
         for s in stmts {
             match s {
                 Stmt::Assign { lhs, expr, line } => {
-                    self.word(0);
-                    self.name(lhs);
+                    self.name(0, lhs);
                     self.expr(expr);
                     self.len(*line);
                 }
@@ -379,10 +388,10 @@ impl ModelHasher {
             lookups,
             stmts,
         } = model;
-        self.name(name);
+        self.name(0, name);
         self.len(states.len());
         for StateVar { name, init, method } in states {
-            self.name(name);
+            self.name(0, name);
             self.value(*init);
             self.word(*method as u64);
         }
@@ -394,18 +403,18 @@ impl ModelHasher {
             parent,
         } in externals
         {
-            self.name(name);
+            self.name(0, name);
             self.value(*init);
             self.word(u64::from(*assigned) | u64::from(*parent) << 1);
         }
         self.len(params.len());
         for Param { name, default } in params {
-            self.name(name);
+            self.name(0, name);
             self.value(*default);
         }
         self.len(lookups.len());
         for Lookup { var, lo, hi, step } in lookups {
-            self.name(var);
+            self.name(0, var);
             self.value(*lo);
             self.value(*hi);
             self.value(*step);
