@@ -479,9 +479,10 @@ REF_DIGEST=$(grep -o '"digest":"[0-9a-f]\{16\}"' "$CKPT_OUT/ref.txt" | head -1)
 # (64 events) and socket buffer hold while the client reads five a second,
 # so the job stops at a full outbox long before its last step and cannot
 # finish (and remove its snapshots) until its client or daemon goes away.
-# The `checkpoint` verb says whether a job still holds a worker.
+# The `status` verb says whether a job still holds a worker, and requests
+# nothing of it (`checkpoint` would force a snapshot per poll).
 held() {
-  "$CLIENT" --unix "$CKPT_SOCK" checkpoint --id "$1" > "$CKPT_OUT/held.txt" || true
+  "$CLIENT" --unix "$CKPT_SOCK" status --id "$1" > "$CKPT_OUT/held.txt" || true
   grep -q "\"active\":$2" "$CKPT_OUT/held.txt"
 }
 
@@ -780,18 +781,20 @@ hold_ms "cold compile" primary_ms "$(median_ms_of cold_s)" "$COMPILE_RUN" BENCH_
 # cold half stored (no module is built on this path).
 hold_ms "disk-warm load" secondary_ms "$(median_ms_of disk_warm_s)" "$COMPILE_RUN" BENCH_compile_cold.json
 # A memory hit costs its key, one walk of the model (`model_fingerprint`).
-# The ledger's traced runs read it 21-26 us per hit, where hashing the model's
-# formatted text read 54-83; one traced run is noisy, so the hit is held at
-# twice the ledger's traced median, on the ledger's host only (as hold_ms).
+# The ledger's traced runs read it 13.7-16.7 us per hit (median 15.3),
+# where the FNV of the model's formatted text read 58-89 (median 81.9);
+# one traced run is noisy (on a busy host a run of the walk read 46 us, and
+# none of the text below 53), so the hit is held below 3.3 times the
+# ledger's traced median (50 us), on the ledger's host only (as hold_ms).
 MEM_HIT=$(metric_value cache.mem_hit_us "$COMPILE_RUN")
 MEM_HIT_REF=$(awk '/"cache.mem_hit_us"/ { m = 1 } m && /"change_median"/ {
   gsub(/[^0-9.]/, "", $2); print $2; exit }' BENCH_compile_cold.json)
 if [ "$(host_of "$COMPILE_RUN")" != "$(host_of BENCH_compile_cold.json)" ]; then
   echo "memory hit: cache.mem_hit_us $MEM_HIT us; BENCH_compile_cold.json is from a different host, skipped"
-elif awk -v now="$MEM_HIT" -v ref="$MEM_HIT_REF" 'BEGIN { exit !(now > 0 && ref > 0 && now <= 2 * ref) }'; then
+elif awk -v now="$MEM_HIT" -v ref="$MEM_HIT_REF" 'BEGIN { exit !(now > 0 && ref > 0 && now < 3.3 * ref) }'; then
   echo "memory hit: cache.mem_hit_us $MEM_HIT us (BENCH_compile_cold.json: $MEM_HIT_REF us)"
 else
-  echo "memory hit: cache.mem_hit_us '$MEM_HIT' us is not within twice BENCH_compile_cold.json's '$MEM_HIT_REF' us: does the key format the model again?"
+  echo "memory hit: cache.mem_hit_us '$MEM_HIT' us is not below 3.3 times BENCH_compile_cold.json's '$MEM_HIT_REF' us: does the key format the model again?"
   exit 1
 fi
 # Instructions in the optimized programs, before any is executed.
