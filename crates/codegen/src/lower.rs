@@ -10,10 +10,9 @@
 //! `rk2`, `rk4`, `rush_larsen`, `sundnes`, and `markov_be`.
 
 use crate::lut::{extract_luts, LutTable, LUT_COL_MARKER};
-use limpet_easyml::{affine_in, BinOp, Expr, Method, Model, Stmt, UnOp};
+use limpet_easyml::{affine_in, BinOp, ExprId, ExprRef, Exprs, Method, Model, Stmt, Sym, UnOp};
 use limpet_ir::{Builder, CmpFPred, Func, LutSpec, MathFn, Module, Type, ValueId};
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
 
 /// Options controlling code generation.
 #[derive(Debug, Clone)]
@@ -62,11 +61,13 @@ pub struct Lowered {
 /// limpet_ir::verify_module(&lowered.module).unwrap();
 /// ```
 pub fn lower_model(model: &Model, opts: &CodegenOptions) -> Lowered {
-    let (stmts, tables) = if opts.use_lut {
+    // This lowering's copy of the model's nodes: LUT extraction and the
+    // gate coefficients append theirs to it.
+    let (mut exprs, stmts, tables) = if opts.use_lut {
         let ex = extract_luts(model);
-        (ex.stmts, ex.tables)
+        (ex.exprs, ex.stmts, ex.tables)
     } else {
-        (model.stmts.clone(), Vec::new())
+        (model.exprs.clone(), model.stmts.clone(), Vec::new())
     };
 
     let mut report = Report::default();
@@ -74,13 +75,44 @@ pub fn lower_model(model: &Model, opts: &CodegenOptions) -> Lowered {
         report.lut_tables.push((t.var.clone(), t.columns.len()));
     }
 
+    // Each state's name and that of its derivative, then `dt`, which the
+    // integrators read whether or not the model does.
+    let states: Vec<(Sym, Sym)> = model
+        .states
+        .iter()
+        .map(|sv| {
+            (
+                exprs.intern(&sv.name),
+                exprs.intern(&format!("diff_{}", sv.name)),
+            )
+        })
+        .collect();
+    let dt = exprs.intern("dt");
+    let cones = Cones::new(&stmts, states.len());
+    let gates = model
+        .states
+        .iter()
+        .zip(&states)
+        .enumerate()
+        .map(|(at, (sv, &(x, diff)))| match sv.method {
+            Method::RushLarsen | Method::Sundnes | Method::MarkovBe => {
+                gate_coefficients(&mut exprs, &stmts, &cones, at, x, diff)
+            }
+            _ => None,
+        })
+        .collect();
+
     let mut module = Module::new(&model.name);
     let lowerer = Lowerer {
         model,
+        marker: exprs.sym(LUT_COL_MARKER),
+        exprs: &exprs,
         stmts: &stmts,
         tables: &tables,
-        deps: OnceCell::new(),
-        cones: vec![OnceCell::new(); model.states.len()],
+        states,
+        dt,
+        cones,
+        gates,
     };
 
     // LUT column functions + specs.
@@ -103,42 +135,141 @@ pub fn lower_model(model: &Model, opts: &CodegenOptions) -> Lowered {
 
 struct Lowerer<'m> {
     model: &'m Model,
+    exprs: &'m Exprs,
     stmts: &'m [Stmt],
     tables: &'m [LutTable],
-    /// Who defines and reads what, built on the first [`Lowerer::cone`].
-    deps: OnceCell<Deps>,
-    /// [`Lowerer::cone`] of each entry of `model.states`, built once.
-    cones: Vec<OnceCell<Vec<usize>>>,
+    /// The name of LUT column references, when there are any.
+    marker: Option<Sym>,
+    /// `(X, diff_X)` of each entry of `model.states`.
+    states: Vec<(Sym, Sym)>,
+    dt: Sym,
+    cones: Cones<'m>,
+    /// The affine coefficients `(a, b)` of each state's derivative, for the
+    /// methods that use them ([`gate_coefficients`]).
+    gates: Vec<Option<(ExprId, ExprId)>>,
 }
 
 /// The def-use index of the statement list.
 struct Deps {
-    /// The statements that assign each name.
-    defs: HashMap<String, Vec<usize>>,
+    /// The statements that assign each name, by symbol index.
+    defs: Vec<Vec<usize>>,
     /// The names each statement reads.
-    reads: Vec<Vec<String>>,
+    reads: Vec<Vec<Sym>>,
 }
 
 impl Deps {
-    fn of(stmts: &[Stmt]) -> Deps {
-        let mut defs: HashMap<String, Vec<usize>> = HashMap::new();
+    fn of(exprs: &Exprs, stmts: &[Stmt]) -> Deps {
+        let mut defs: Vec<Vec<usize>> = vec![Vec::new(); exprs.names()];
         let mut reads = Vec::with_capacity(stmts.len());
         for (i, s) in stmts.iter().enumerate() {
-            let mut names = Vec::new();
-            s.assigned_names(&mut names);
-            for n in names {
-                defs.entry(n).or_default().push(i);
-            }
+            s.for_each_assigned(&mut |n| defs[n.index()].push(i));
             let mut r = Vec::new();
-            s.read_names(&mut r);
+            s.for_each_read(exprs, &mut |n| r.push(n));
             reads.push(r);
         }
         Deps { defs, reads }
     }
 }
 
-/// Per-context value environment: defined names plus cached source reads.
-type Env = HashMap<String, ValueId>;
+/// The dependency cones of the state variables, each built on first use.
+struct Cones<'m> {
+    stmts: &'m [Stmt],
+    /// Who defines and reads what, built on the first cone.
+    deps: OnceCell<Deps>,
+    /// The cone of each entry of `model.states`.
+    cones: Vec<OnceCell<Vec<usize>>>,
+}
+
+impl<'m> Cones<'m> {
+    fn new(stmts: &'m [Stmt], states: usize) -> Cones<'m> {
+        Cones {
+            stmts,
+            deps: OnceCell::new(),
+            cones: vec![OnceCell::new(); states],
+        }
+    }
+
+    fn deps(&self, exprs: &Exprs) -> &Deps {
+        self.deps.get_or_init(|| Deps::of(exprs, self.stmts))
+    }
+
+    /// The indices, in order, of the statements needed to compute
+    /// `diff_X` for state `at` (whose derivative is `diff`): those that
+    /// assign `diff_X` or, transitively, a name one of them reads.
+    fn cone(&self, exprs: &Exprs, at: usize, diff: Sym) -> &[usize] {
+        self.cones[at].get_or_init(|| {
+            let deps = self.deps(exprs);
+            let mut needed = vec![false; self.stmts.len()];
+            let mut seen = vec![false; deps.defs.len()];
+            let mut want: Vec<Sym> = vec![diff];
+            while let Some(w) = want.pop() {
+                if std::mem::replace(&mut seen[w.index()], true) {
+                    continue;
+                }
+                for &i in &deps.defs[w.index()] {
+                    if !needed[i] {
+                        needed[i] = true;
+                        want.extend(&deps.reads[i]);
+                    }
+                }
+            }
+            (0..needed.len()).filter(|&i| needed[i]).collect()
+        })
+    }
+}
+
+/// Affine gate coefficients `(a, b)` with `diff_X = a + b·X` for state
+/// `at` (`X` is `x`, its derivative `diff`), appended to `exprs`;
+/// available only when no other statement in the dependency cone reads
+/// `X`.
+fn gate_coefficients(
+    exprs: &mut Exprs,
+    stmts: &[Stmt],
+    cones: &Cones<'_>,
+    at: usize,
+    x: Sym,
+    diff: Sym,
+) -> Option<(ExprId, ExprId)> {
+    let diff_expr = stmts.iter().find_map(|s| match *s {
+        Stmt::Assign { lhs, expr, .. } if lhs == diff => Some(expr),
+        _ => None,
+    })?;
+    // Transitive check: intermediates feeding diff may not read X.
+    let reads = &cones.deps(exprs).reads;
+    for &i in cones.cone(exprs, at, diff) {
+        if let Stmt::Assign { lhs, .. } = stmts[i] {
+            if lhs == diff {
+                continue;
+            }
+        }
+        if reads[i].contains(&x) {
+            return None;
+        }
+    }
+    affine_in(exprs, diff_expr, x)
+}
+
+/// Per-context value environment: defined names plus cached source reads,
+/// by symbol index.
+#[derive(Clone, Default)]
+struct Env(Vec<Option<ValueId>>);
+
+impl Env {
+    fn get(&self, name: Sym) -> Option<ValueId> {
+        self.0.get(name.index()).copied().flatten()
+    }
+
+    fn insert(&mut self, name: Sym, v: ValueId) {
+        if self.0.len() <= name.index() {
+            self.0.resize(name.index() + 1, None);
+        }
+        self.0[name.index()] = Some(v);
+    }
+
+    fn of(&self, name: Sym) -> ValueId {
+        self.get(name).expect("name defined before it is read")
+    }
+}
 
 impl<'m> Lowerer<'m> {
     // ---- compute kernel ----
@@ -146,18 +277,18 @@ impl<'m> Lowerer<'m> {
     fn lower_compute(&self, report: &mut Report) -> Func {
         let mut func = Func::new("compute", &[], &[]);
         let mut b = Builder::new(&mut func);
-        let mut env = Env::new();
-        let overrides = Env::new();
+        let mut env = Env::default();
+        let overrides = Env::default();
 
         // Evaluate the full equation system once.
         self.lower_stmts(&mut b, self.stmts, &mut env, &overrides);
 
         // Integrate every state variable from the *original* state
         // (simultaneous update, as in the generated code of Listing 2).
-        let mut new_values: Vec<(String, ValueId)> = Vec::new();
-        for sv in &self.model.states {
-            let v = self.integrate(&mut b, sv.name.as_str(), sv.method, &mut env, report);
-            new_values.push((sv.name.clone(), v));
+        let mut new_values: Vec<(&str, ValueId)> = Vec::new();
+        for (at, sv) in self.model.states.iter().enumerate() {
+            let v = self.integrate(&mut b, at, sv.method, &mut env, report);
+            new_values.push((&sv.name, v));
         }
 
         // "Finish the update".
@@ -167,9 +298,10 @@ impl<'m> Lowerer<'m> {
         // "Save all external vars".
         for ext in &self.model.externals {
             if ext.assigned {
-                let v = env
-                    .get(&ext.name)
-                    .copied()
+                let v = self
+                    .exprs
+                    .sym(&ext.name)
+                    .and_then(|n| env.get(n))
                     .expect("assigned external must be in env");
                 b.set_ext(&ext.name, v);
             }
@@ -185,13 +317,15 @@ impl<'m> Lowerer<'m> {
         let mut func = Func::new(name, &[Type::F64], &result_types);
         let key = func.args()[0];
         let mut b = Builder::new(&mut func);
-        let mut env = Env::new();
-        env.insert(table.var.clone(), key);
-        let overrides = Env::new();
+        let mut env = Env::default();
+        if let Some(var) = self.exprs.sym(&table.var) {
+            env.insert(var, key);
+        }
+        let overrides = Env::default();
         let results: Vec<ValueId> = table
             .columns
             .iter()
-            .map(|c| self.lower_num(&mut b, c, &mut env, &overrides))
+            .map(|&c| self.lower_num(&mut b, c, &mut env, &overrides))
             .collect();
         b.ret(&results);
         func
@@ -208,8 +342,8 @@ impl<'m> Lowerer<'m> {
     fn lower_stmt(&self, b: &mut Builder<'_>, stmt: &Stmt, env: &mut Env, ov: &Env) {
         match stmt {
             Stmt::Assign { lhs, expr, .. } => {
-                let v = self.lower_num(b, expr, env, ov);
-                env.insert(lhs.clone(), v);
+                let v = self.lower_num(b, *expr, env, ov);
+                env.insert(*lhs, v);
             }
             Stmt::If {
                 cond,
@@ -217,19 +351,17 @@ impl<'m> Lowerer<'m> {
                 else_body,
                 ..
             } => {
-                let c = self.lower_bool(b, cond, env, ov);
+                let c = self.lower_bool(b, *cond, env, ov);
                 let mut names = Vec::new();
                 for s in then_body {
-                    s.assigned_names(&mut names);
+                    s.for_each_assigned(&mut |n| names.push(n));
                 }
-                names.sort();
+                names.sort_by_key(|&n| self.exprs.name(n));
                 names.dedup();
                 let result_types = vec![Type::F64; names.len()];
                 // Each branch lowers into its own region with a copy of the
                 // environment, then yields the assigned values.
                 let results = {
-                    let names_then = names.clone();
-                    let names_else = names.clone();
                     let mut env_then = env.clone();
                     let mut env_else = env.clone();
                     b.if_op(
@@ -238,19 +370,19 @@ impl<'m> Lowerer<'m> {
                         |bb| {
                             self.lower_stmts(bb, then_body, &mut env_then, ov);
                             let vals: Vec<ValueId> =
-                                names_then.iter().map(|n| env_then[n.as_str()]).collect();
+                                names.iter().map(|&n| env_then.of(n)).collect();
                             bb.yield_(&vals);
                         },
                         |bb| {
                             self.lower_stmts(bb, else_body, &mut env_else, ov);
                             let vals: Vec<ValueId> =
-                                names_else.iter().map(|n| env_else[n.as_str()]).collect();
+                                names.iter().map(|&n| env_else.of(n)).collect();
                             bb.yield_(&vals);
                         },
                     )
                 };
-                for (n, v) in names.iter().zip(results) {
-                    env.insert(n.clone(), v);
+                for (&n, v) in names.iter().zip(results) {
+                    env.insert(n, v);
                 }
             }
         }
@@ -259,25 +391,24 @@ impl<'m> Lowerer<'m> {
     // ---- expressions ----
 
     /// Lowers an expression in numeric (f64) context.
-    fn lower_num(&self, b: &mut Builder<'_>, expr: &Expr, env: &mut Env, ov: &Env) -> ValueId {
-        match expr {
-            Expr::Num(v) => b.const_f(*v),
-            Expr::Var(name) => self.lower_var(b, name, env, ov),
-            Expr::Unary(UnOp::Neg, e) => {
+    fn lower_num(&self, b: &mut Builder<'_>, expr: ExprId, env: &mut Env, ov: &Env) -> ValueId {
+        match self.exprs.get(expr) {
+            ExprRef::Num(v) => b.const_f(v),
+            ExprRef::Var(name) => self.lower_var(b, name, env, ov),
+            ExprRef::Unary(UnOp::Neg, e) => {
                 let v = self.lower_num(b, e, env, ov);
                 b.negf(v)
             }
-            Expr::Unary(UnOp::Not, e) => {
+            ExprRef::Unary(UnOp::Not, e) => {
                 let c = self.lower_bool(b, e, env, ov);
                 let n = b.not(c);
                 self.bool_to_num(b, n)
             }
-            Expr::Binary(op, l, r) if op.is_boolean() => {
+            ExprRef::Binary(op, _, _) if op.is_boolean() => {
                 let c = self.lower_bool(b, expr, env, ov);
-                let _ = (l, r);
                 self.bool_to_num(b, c)
             }
-            Expr::Binary(op, l, r) => {
+            ExprRef::Binary(op, l, r) => {
                 let lv = self.lower_num(b, l, env, ov);
                 let rv = self.lower_num(b, r, env, ov);
                 match op {
@@ -289,16 +420,17 @@ impl<'m> Lowerer<'m> {
                     _ => unreachable!("boolean ops handled above"),
                 }
             }
-            Expr::Call(name, args) if name == LUT_COL_MARKER => {
-                let (Expr::Num(t), Expr::Num(c)) = (&args[0], &args[1]) else {
+            ExprRef::Call(name, &[t, c, key]) if Some(name) == self.marker => {
+                let (ExprRef::Num(t), ExprRef::Num(c)) = (self.exprs.get(t), self.exprs.get(c))
+                else {
                     panic!("malformed {LUT_COL_MARKER} marker");
                 };
-                let table = &self.tables[*t as usize];
-                let key = self.lower_num(b, &args[2], env, ov);
-                b.lut_col(&table.var, *c as i64, key)
+                let table = &self.tables[t as usize];
+                let key = self.lower_num(b, key, env, ov);
+                b.lut_col(&table.var, c as i64, key)
             }
-            Expr::Call(name, args) => self.lower_call(b, name, args, env, ov),
-            Expr::Cond(c, t, e) => {
+            ExprRef::Call(name, args) => self.lower_call(b, self.exprs.name(name), args, env, ov),
+            ExprRef::Cond(c, t, e) => {
                 let cv = self.lower_bool(b, c, env, ov);
                 let tv = self.lower_num(b, t, env, ov);
                 let ev = self.lower_num(b, e, env, ov);
@@ -308,9 +440,9 @@ impl<'m> Lowerer<'m> {
     }
 
     /// Lowers an expression in boolean (i1) context.
-    fn lower_bool(&self, b: &mut Builder<'_>, expr: &Expr, env: &mut Env, ov: &Env) -> ValueId {
-        match expr {
-            Expr::Binary(op, l, r) if op.is_boolean() => match op {
+    fn lower_bool(&self, b: &mut Builder<'_>, expr: ExprId, env: &mut Env, ov: &Env) -> ValueId {
+        match self.exprs.get(expr) {
+            ExprRef::Binary(op, l, r) if op.is_boolean() => match op {
                 BinOp::And => {
                     let lv = self.lower_bool(b, l, env, ov);
                     let rv = self.lower_bool(b, r, env, ov);
@@ -336,13 +468,13 @@ impl<'m> Lowerer<'m> {
                     b.cmpf(pred, lv, rv)
                 }
             },
-            Expr::Unary(UnOp::Not, e) => {
+            ExprRef::Unary(UnOp::Not, e) => {
                 let c = self.lower_bool(b, e, env, ov);
                 b.not(c)
             }
-            other => {
+            _ => {
                 // Numeric truthiness: value != 0.
-                let v = self.lower_num(b, other, env, ov);
+                let v = self.lower_num(b, expr, env, ov);
                 let z = b.const_f(0.0);
                 b.cmpf(CmpFPred::One, v, z)
             }
@@ -355,13 +487,14 @@ impl<'m> Lowerer<'m> {
         b.select(c, one, zero)
     }
 
-    fn lower_var(&self, b: &mut Builder<'_>, name: &str, env: &mut Env, ov: &Env) -> ValueId {
-        if let Some(&v) = ov.get(name) {
+    fn lower_var(&self, b: &mut Builder<'_>, sym: Sym, env: &mut Env, ov: &Env) -> ValueId {
+        if let Some(v) = ov.get(sym) {
             return v;
         }
-        if let Some(&v) = env.get(name) {
+        if let Some(v) = env.get(sym) {
             return v;
         }
+        let name = self.exprs.name(sym);
         let v = if let Some(ext) = self.model.external(name) {
             if ext.parent {
                 let fallback = b.get_ext(name);
@@ -380,7 +513,7 @@ impl<'m> Lowerer<'m> {
         } else {
             panic!("sema must reject undefined variable {name}");
         };
-        env.insert(name.to_owned(), v);
+        env.insert(sym, v);
         v
     }
 
@@ -388,11 +521,14 @@ impl<'m> Lowerer<'m> {
         &self,
         b: &mut Builder<'_>,
         name: &str,
-        args: &[Expr],
+        args: &[ExprId],
         env: &mut Env,
         ov: &Env,
     ) -> ValueId {
-        let vals: Vec<ValueId> = args.iter().map(|a| self.lower_num(b, a, env, ov)).collect();
+        let vals: Vec<ValueId> = args
+            .iter()
+            .map(|&a| self.lower_num(b, a, env, ov))
+            .collect();
         match (name, vals.as_slice()) {
             ("square", [x]) => b.mulf(*x, *x),
             ("cube", [x]) => {
@@ -415,18 +551,19 @@ impl<'m> Lowerer<'m> {
 
     // ---- integration methods (paper §3.3.2) ----
 
+    /// The new value of state `at` under `method`.
     fn integrate(
         &self,
         b: &mut Builder<'_>,
-        state: &str,
+        at: usize,
         method: Method,
         env: &mut Env,
         report: &mut Report,
     ) -> ValueId {
-        let diff_name = format!("diff_{state}");
-        let diff = env[&diff_name];
-        let x = self.lower_var(b, state, env, &Env::new());
-        let dt = self.lower_var(b, "dt", env, &Env::new());
+        let (state, diff_name) = self.states[at];
+        let diff = env.of(diff_name);
+        let x = self.lower_var(b, state, env, &Env::default());
+        let dt = self.lower_var(b, self.dt, env, &Env::default());
 
         match method {
             Method::Fe => self.fe_step(b, x, diff, dt),
@@ -436,7 +573,7 @@ impl<'m> Lowerer<'m> {
                 let hdt = b.mulf(dt, half);
                 let k1dt = b.mulf(diff, hdt);
                 let x_mid = b.addf(x, k1dt);
-                let k2 = self.eval_diff_with(b, state, &[(state, x_mid)]);
+                let k2 = self.eval_diff_with(b, at, x_mid);
                 self.fe_step(b, x, k2, dt)
             }
             Method::Rk4 => {
@@ -445,13 +582,13 @@ impl<'m> Lowerer<'m> {
                 let k1 = diff;
                 let d1 = b.mulf(k1, hdt);
                 let x1 = b.addf(x, d1);
-                let k2 = self.eval_diff_with(b, state, &[(state, x1)]);
+                let k2 = self.eval_diff_with(b, at, x1);
                 let d2 = b.mulf(k2, hdt);
                 let x2 = b.addf(x, d2);
-                let k3 = self.eval_diff_with(b, state, &[(state, x2)]);
+                let k3 = self.eval_diff_with(b, at, x2);
                 let d3 = b.mulf(k3, dt);
                 let x3 = b.addf(x, d3);
-                let k4 = self.eval_diff_with(b, state, &[(state, x3)]);
+                let k4 = self.eval_diff_with(b, at, x3);
                 // x + dt/6 * (k1 + 2k2 + 2k3 + k4)
                 let two = b.const_f(2.0);
                 let k2x2 = b.mulf(k2, two);
@@ -464,45 +601,41 @@ impl<'m> Lowerer<'m> {
                 let upd = b.mulf(s3, dt6);
                 b.addf(x, upd)
             }
-            Method::RushLarsen => match self.gate_coefficients(state) {
+            Method::RushLarsen => match self.gates[at] {
                 Some((a_expr, b_expr)) => {
-                    let a = self.lower_num(b, &a_expr, env, &Env::new());
-                    let bb = self.lower_num(b, &b_expr, env, &Env::new());
+                    let a = self.lower_num(b, a_expr, env, &Env::default());
+                    let bb = self.lower_num(b, b_expr, env, &Env::default());
                     self.rl_step(b, x, a, bb, dt, diff)
                 }
                 None => {
-                    report.rl_fallbacks.push(state.to_owned());
+                    report.rl_fallbacks.push(self.model.states[at].name.clone());
                     self.fe_step(b, x, diff, dt)
                 }
             },
-            Method::Sundnes => match self.gate_coefficients(state) {
+            Method::Sundnes => match self.gates[at] {
                 Some((a_expr, b_expr)) => {
                     // Second-order Rush-Larsen (Sundnes et al. 2009):
                     // take all states a half-step, re-evaluate the gate
                     // coefficients there, then apply one full RL step.
-                    let mut half_overrides: Vec<(&str, ValueId)> = Vec::new();
+                    let mut hov = Env::default();
                     let half = b.const_f(0.5);
                     let hdt = b.mulf(dt, half);
-                    for sv in &self.model.states {
-                        let d = env[&format!("diff_{}", sv.name)];
-                        let xs = self.lower_var(b, &sv.name, env, &Env::new());
+                    for &(s, ds) in &self.states {
+                        let d = env.of(ds);
+                        let xs = self.lower_var(b, s, env, &Env::default());
                         let dd = b.mulf(d, hdt);
                         let xh = b.addf(xs, dd);
-                        half_overrides.push((sv.name.as_str(), xh));
+                        hov.insert(s, xh);
                     }
-                    let mut henv = Env::new();
-                    let mut hov = Env::new();
-                    for (n, v) in &half_overrides {
-                        hov.insert((*n).to_string(), *v);
-                    }
-                    self.lower_cone(b, state, &mut henv, &hov);
-                    let a2 = self.lower_num(b, &a_expr, &mut henv, &hov);
-                    let b2 = self.lower_num(b, &b_expr, &mut henv, &hov);
-                    let d2 = henv[&format!("diff_{state}")];
+                    let mut henv = Env::default();
+                    self.lower_cone(b, at, &mut henv, &hov);
+                    let a2 = self.lower_num(b, a_expr, &mut henv, &hov);
+                    let b2 = self.lower_num(b, b_expr, &mut henv, &hov);
+                    let d2 = henv.of(diff_name);
                     self.rl_step(b, x, a2, b2, dt, d2)
                 }
                 None => {
-                    report.rl_fallbacks.push(state.to_owned());
+                    report.rl_fallbacks.push(self.model.states[at].name.clone());
                     self.fe_step(b, x, diff, dt)
                 }
             },
@@ -516,10 +649,10 @@ impl<'m> Lowerer<'m> {
                 // to a three-step fixed-point refinement (openCARP's
                 // "refinement process to keep values as precise as
                 // possible").
-                let updated = match self.gate_coefficients(state) {
+                let updated = match self.gates[at] {
                     Some((a_expr, b_expr)) => {
-                        let a = self.lower_num(b, &a_expr, env, &Env::new());
-                        let bb_ = self.lower_num(b, &b_expr, env, &Env::new());
+                        let a = self.lower_num(b, a_expr, env, &Env::default());
+                        let bb_ = self.lower_num(b, b_expr, env, &Env::default());
                         let da = b.mulf(a, dt);
                         let num = b.addf(x, da);
                         let one = b.const_f(1.0);
@@ -533,7 +666,7 @@ impl<'m> Lowerer<'m> {
                         let st = b.const_index(1);
                         let res = b.for_op(lb, ub, st, &[x], |bb, _iv, iters| {
                             let y = iters[0];
-                            let f = self.eval_diff_with(bb, state, &[(state, y)]);
+                            let f = self.eval_diff_with(bb, at, y);
                             let dt_in = bb.dt();
                             let fd = bb.mulf(f, dt_in);
                             let next = bb.addf(x, fd);
@@ -584,87 +717,23 @@ impl<'m> Lowerer<'m> {
         bld.select(safe, rl, fe)
     }
 
-    /// Affine gate coefficients `(a, b)` with `diff_X = a + b·X`, available
-    /// only when no other statement in the dependency cone reads `X`.
-    fn gate_coefficients(&self, state: &str) -> Option<(Expr, Expr)> {
-        let diff_name = format!("diff_{state}");
-        let diff_expr = self.stmts.iter().find_map(|s| match s {
-            Stmt::Assign { lhs, expr, .. } if *lhs == diff_name => Some(expr),
-            _ => None,
-        })?;
-        // Transitive check: intermediates feeding diff may not read X.
-        let reads = &self.deps().reads;
-        for &i in self.cone(state) {
-            if let Stmt::Assign { lhs, .. } = &self.stmts[i] {
-                if *lhs == diff_name {
-                    continue;
-                }
-            }
-            if reads[i].iter().any(|r| r == state) {
-                return None;
-            }
-        }
-        affine_in(diff_expr, state)
+    /// Re-evaluates `diff_X` of state `at` with `X` overridden by `x` by
+    /// re-lowering the dependency cone of `diff_X` in a fresh environment.
+    /// This mirrors how the generated code of Listing 2 re-computes
+    /// `diff_u1` for the second RK2 stage.
+    fn eval_diff_with(&self, b: &mut Builder<'_>, at: usize, x: ValueId) -> ValueId {
+        let (state, diff) = self.states[at];
+        let mut env = Env::default();
+        let mut ov = Env::default();
+        ov.insert(state, x);
+        self.lower_cone(b, at, &mut env, &ov);
+        env.of(diff)
     }
 
-    /// Re-evaluates `diff_X` with the given state overrides by re-lowering
-    /// the dependency cone of `diff_X` in a fresh environment. This mirrors
-    /// how the generated code of Listing 2 re-computes `diff_u1` for the
-    /// second RK2 stage.
-    fn eval_diff_with(
-        &self,
-        b: &mut Builder<'_>,
-        state: &str,
-        overrides: &[(&str, ValueId)],
-    ) -> ValueId {
-        let mut env = Env::new();
-        let mut ov = Env::new();
-        for (n, v) in overrides {
-            ov.insert((*n).to_string(), *v);
-        }
-        self.lower_cone(b, state, &mut env, &ov);
-        env[&format!("diff_{state}")]
-    }
-
-    fn lower_cone(&self, b: &mut Builder<'_>, state: &str, env: &mut Env, ov: &Env) {
-        for &i in self.cone(state) {
+    fn lower_cone(&self, b: &mut Builder<'_>, at: usize, env: &mut Env, ov: &Env) {
+        for &i in self.cones.cone(self.exprs, at, self.states[at].1) {
             self.lower_stmt(b, &self.stmts[i], env, ov);
         }
-    }
-
-    fn deps(&self) -> &Deps {
-        self.deps.get_or_init(|| Deps::of(self.stmts))
-    }
-
-    /// The indices, in order, of the statements needed to compute
-    /// `diff_X`: those that assign `diff_X` or, transitively, a name one
-    /// of them reads.
-    fn cone(&self, state: &str) -> &[usize] {
-        let at = self
-            .model
-            .states
-            .iter()
-            .position(|s| s.name == state)
-            .expect("cones are taken of state variables");
-        self.cones[at].get_or_init(|| {
-            let deps = self.deps();
-            let mut needed = vec![false; self.stmts.len()];
-            let mut seen: HashSet<&str> = HashSet::new();
-            let target = format!("diff_{state}");
-            let mut want: Vec<&str> = vec![&target];
-            while let Some(w) = want.pop() {
-                if !seen.insert(w) {
-                    continue;
-                }
-                for &i in deps.defs.get(w).into_iter().flatten() {
-                    if !needed[i] {
-                        needed[i] = true;
-                        want.extend(deps.reads[i].iter().map(String::as_str));
-                    }
-                }
-            }
-            (0..needed.len()).filter(|&i| needed[i]).collect()
-        })
     }
 }
 

@@ -18,12 +18,14 @@
 //!    contains at least one math call, by a reference to a fresh (or
 //!    deduplicated) table column.
 //!
-//! Column references are encoded as internal calls
-//! `__lut_col(table_index, col_index, L)` which only
+//! The rewrites work on a copy of the model's node vector: a changed
+//! expression is new nodes appended to it, which share every unchanged
+//! operand with the model's. Column references are encoded as internal
+//! calls `__lut_col(table_index, col_index, L)` which only
 //! [`crate::lower`] understands; they never appear in user-facing ASTs.
 
-use limpet_easyml::{Expr, Lookup, Model, Stmt};
-use std::collections::{HashMap, HashSet};
+use limpet_easyml::{ExprId, ExprRef, Exprs, Lookup, Model, Stmt, Sym};
+use std::collections::HashMap;
 
 /// Internal marker function name for an extracted column reference.
 pub(crate) const LUT_COL_MARKER: &str = "__lut_col";
@@ -35,13 +37,16 @@ pub struct LutTable {
     pub var: String,
     /// Tabulated range and step from the markup.
     pub lookup: Lookup,
-    /// Column expressions, closed over `{var} ∪ params`.
-    pub columns: Vec<Expr>,
+    /// Roots of the column expressions in [`LutExtraction::exprs`], closed
+    /// over `{var} ∪ params`.
+    pub columns: Vec<ExprId>,
 }
 
 /// Result of LUT extraction over a model body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LutExtraction {
+    /// The model's nodes and names, with the rewrites' nodes appended.
+    pub exprs: Exprs,
     /// Rewritten statements with `__lut_col` references.
     pub stmts: Vec<Stmt>,
     /// Extracted tables, indexed by the `table_index` argument of
@@ -55,33 +60,43 @@ pub struct LutExtraction {
 /// model has no lookup markups (or nothing worth tabulating), the statements
 /// are returned unchanged and `tables` is empty.
 pub fn extract_luts(model: &Model) -> LutExtraction {
+    let mut exprs = model.exprs.clone();
     let mut stmts = model.stmts.clone();
     let mut tables = Vec::new();
+    let marker = exprs.intern(LUT_COL_MARKER);
+    let mut is_param = vec![false; exprs.names()];
+    for p in &model.params {
+        if let Some(s) = exprs.sym(&p.name) {
+            is_param[s.index()] = true;
+        }
+    }
 
     for lookup in &model.lookups {
-        let var = lookup.var.clone();
-        let param_names: HashSet<String> = model.params.iter().map(|p| p.name.clone()).collect();
+        let Some(var) = exprs.sym(&lookup.var) else {
+            continue;
+        };
 
         // Step 1: L-pure intermediates (top-level plain assignments only).
-        let mut pure: HashMap<String, Expr> = HashMap::new();
+        let mut pure: Vec<Option<ExprId>> = vec![None; exprs.names()];
         loop {
             let mut grew = false;
             for s in &stmts {
-                if let Stmt::Assign { lhs, expr, .. } = s {
-                    if lhs.starts_with("diff_")
-                        || pure.contains_key(lhs)
-                        || model.external(lhs).is_some()
+                if let Stmt::Assign { lhs, expr, .. } = *s {
+                    let name = exprs.name(lhs);
+                    if name.starts_with("diff_")
+                        || pure[lhs.index()].is_some()
+                        || model.external(name).is_some()
                     {
                         continue;
                     }
                     let mut reads_key = false;
-                    let closed = all_vars(expr, &mut |v| {
-                        let known = v == var || pure.contains_key(v);
+                    let closed = all_vars(&exprs, expr, &mut |v| {
+                        let known = v == var || pure[v.index()].is_some();
                         reads_key |= known;
-                        known || param_names.contains(v)
+                        known || is_param[v.index()]
                     });
                     if closed && reads_key {
-                        pure.insert(lhs.clone(), expr.clone());
+                        pure[lhs.index()] = Some(expr);
                         grew = true;
                     }
                 }
@@ -92,96 +107,77 @@ pub fn extract_luts(model: &Model) -> LutExtraction {
         }
 
         // Step 2: inline L-pure vars everywhere; drop their definitions.
-        let inlined: HashMap<String, Expr> = pure
-            .keys()
-            .map(|k| (k.clone(), inline_pure(&pure[k], &pure)))
-            .collect();
-        stmts.retain(|s| match s {
-            Stmt::Assign { lhs, .. } => !inlined.contains_key(lhs),
-            Stmt::If { .. } => true,
-        });
+        let mut inlined: Vec<Option<ExprId>> = vec![None; pure.len()];
+        stmts.retain(|s| !matches!(s, Stmt::Assign { lhs, .. } if pure[lhs.index()].is_some()));
         for s in &mut stmts {
-            for_each_expr_mut(s, &mut |e| substitute(e, &inlined));
+            for_each_root_mut(s, &mut |e| *e = inline(&mut exprs, *e, &pure, &mut inlined));
         }
 
         // Step 3: extract maximal closed subexpressions containing calls.
         let mut ex = Extractor {
-            var: &lookup.var,
-            params: &param_names,
+            var,
+            marker,
+            is_param: &is_param,
             table: tables.len(),
-            classes: Vec::new(),
+            classes: vec![None; exprs.len()],
             columns: Vec::new(),
             col_keys: HashMap::new(),
         };
         for s in &mut stmts {
-            for_each_expr_mut(s, &mut |e| ex.extract(e));
+            for_each_root_mut(s, &mut |e| *e = ex.rewrite(&mut exprs, *e));
         }
 
         if !ex.columns.is_empty() {
             tables.push(LutTable {
-                var,
+                var: lookup.var.clone(),
                 lookup: lookup.clone(),
                 columns: ex.columns,
             });
         }
     }
 
-    LutExtraction { stmts, tables }
+    LutExtraction {
+        exprs,
+        stmts,
+        tables,
+    }
 }
 
 /// Whether `f` holds for every variable `expr` reads (no allocation).
-fn all_vars(expr: &Expr, f: &mut impl FnMut(&str) -> bool) -> bool {
-    match expr {
-        Expr::Num(_) => true,
-        Expr::Var(v) => f(v),
-        Expr::Unary(_, e) => all_vars(e, f),
-        Expr::Binary(_, l, r) => all_vars(l, f) && all_vars(r, f),
-        Expr::Call(_, args) => args.iter().all(|a| all_vars(a, f)),
-        Expr::Cond(c, t, e) => all_vars(c, f) && all_vars(t, f) && all_vars(e, f),
+fn all_vars(exprs: &Exprs, expr: ExprId, f: &mut impl FnMut(Sym) -> bool) -> bool {
+    match exprs.get(expr) {
+        ExprRef::Var(v) => f(v),
+        e => e.operands().all(|o| all_vars(exprs, o, f)),
     }
 }
 
-/// Recursively inlines L-pure variable references.
-fn inline_pure(expr: &Expr, pure: &HashMap<String, Expr>) -> Expr {
-    match expr {
-        Expr::Var(v) => match pure.get(v) {
-            Some(def) => inline_pure(def, pure),
-            None => expr.clone(),
-        },
-        Expr::Num(_) => expr.clone(),
-        Expr::Unary(op, e) => Expr::Unary(*op, Box::new(inline_pure(e, pure))),
-        Expr::Binary(op, l, r) => Expr::Binary(
-            *op,
-            Box::new(inline_pure(l, pure)),
-            Box::new(inline_pure(r, pure)),
-        ),
-        Expr::Call(name, args) => Expr::Call(
-            name.clone(),
-            args.iter().map(|a| inline_pure(a, pure)).collect(),
-        ),
-        Expr::Cond(c, t, e) => Expr::Cond(
-            Box::new(inline_pure(c, pure)),
-            Box::new(inline_pure(t, pure)),
-            Box::new(inline_pure(e, pure)),
-        ),
+/// `expr` with every reference to an L-pure variable replaced by the
+/// variable's definition, itself inlined. `pure` holds each L-pure
+/// variable's definition by symbol index, and `inlined` the inlined
+/// definitions built so far, each built once.
+fn inline(
+    exprs: &mut Exprs,
+    expr: ExprId,
+    pure: &[Option<ExprId>],
+    inlined: &mut [Option<ExprId>],
+) -> ExprId {
+    let ExprRef::Var(v) = exprs.get(expr) else {
+        return exprs.map_children(expr, |exprs, e| inline(exprs, e, pure, inlined));
+    };
+    let Some(def) = pure[v.index()] else {
+        return expr;
+    };
+    if let Some(done) = inlined[v.index()] {
+        return done;
     }
+    let done = inline(exprs, def, pure, inlined);
+    inlined[v.index()] = Some(done);
+    done
 }
 
-/// Replaces every reference to an inlined variable by its definition.
-/// The definitions are fully inlined already, so one level suffices.
-fn substitute(expr: &mut Expr, inlined: &HashMap<String, Expr>) {
-    if let Expr::Var(v) = expr {
-        if let Some(def) = inlined.get(v) {
-            *expr = def.clone();
-        }
-        return;
-    }
-    for_each_child_mut(expr, &mut |e| substitute(e, inlined));
-}
-
-/// Visits the statement's expressions in source order: an `if`'s
-/// condition, then its `then` body, then its `else` body.
-fn for_each_expr_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+/// Visits the roots of the statement's expressions in source order: an
+/// `if`'s condition, then its `then` body, then its `else` body.
+fn for_each_root_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut ExprId)) {
     match stmt {
         Stmt::Assign { expr, .. } => f(expr),
         Stmt::If {
@@ -192,26 +188,8 @@ fn for_each_expr_mut(stmt: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
         } => {
             f(cond);
             for s in then_body.iter_mut().chain(else_body) {
-                for_each_expr_mut(s, f);
+                for_each_root_mut(s, f);
             }
-        }
-    }
-}
-
-/// Visits the direct operands of `expr`, left to right.
-fn for_each_child_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    match expr {
-        Expr::Num(_) | Expr::Var(_) => {}
-        Expr::Unary(_, e) => f(e),
-        Expr::Binary(_, l, r) => {
-            f(l);
-            f(r);
-        }
-        Expr::Call(_, args) => args.iter_mut().for_each(f),
-        Expr::Cond(c, t, e) => {
-            f(c);
-            f(t);
-            f(e);
         }
     }
 }
@@ -227,8 +205,6 @@ struct Class {
     /// The subtree contains a call — the "worth tabulating" criterion:
     /// LUTs pay off when they elide transcendental evaluations.
     has_call: bool,
-    /// Nodes in the subtree, to skip it in pre-order.
-    size: usize,
 }
 
 impl Class {
@@ -240,91 +216,64 @@ impl Class {
 /// Step 3 for one lookup variable: replaces each maximal eligible
 /// subexpression by a reference to a (deduplicated) table column.
 struct Extractor<'a> {
-    var: &'a str,
-    params: &'a HashSet<String>,
+    var: Sym,
+    marker: Sym,
+    /// Per symbol index: the name is a parameter.
+    is_param: &'a [bool],
     table: usize,
-    /// Scratch: the classes of the expression being rewritten, pre-order.
-    classes: Vec<Class>,
-    columns: Vec<Expr>,
+    /// The class of each node classified so far, by node index. A class
+    /// belongs to the subtree, so a node shared by several expressions is
+    /// classified once.
+    classes: Vec<Option<Class>>,
+    columns: Vec<ExprId>,
     col_keys: HashMap<String, usize>,
 }
 
 impl Extractor<'_> {
-    fn extract(&mut self, expr: &mut Expr) {
-        self.classes.clear();
-        self.classify(expr);
-        let mut at = 0;
-        self.rewrite(expr, &mut at);
-    }
-
-    /// Appends the classes of `expr`'s subtree in pre-order and returns
-    /// the root's.
-    fn classify(&mut self, expr: &Expr) -> Class {
-        let at = self.classes.len();
+    fn classify(&mut self, exprs: &Exprs, expr: ExprId) -> Class {
+        if let Some(class) = self.classes[expr.index()] {
+            return class;
+        }
+        let e = exprs.get(expr);
         let mut class = Class {
             reads_key: false,
             closed: true,
-            has_call: matches!(expr, Expr::Call(..)),
-            size: 1,
+            has_call: matches!(e, ExprRef::Call(..)),
         };
-        self.classes.push(class);
-        match expr {
-            Expr::Num(_) => {}
-            Expr::Var(v) => {
-                class.reads_key = v == self.var;
-                class.closed = class.reads_key || self.params.contains(v);
-            }
-            Expr::Unary(_, e) => self.absorb(&mut class, e),
-            Expr::Binary(_, l, r) => {
-                self.absorb(&mut class, l);
-                self.absorb(&mut class, r);
-            }
-            Expr::Call(_, args) => {
-                for a in args {
-                    self.absorb(&mut class, a);
-                }
-            }
-            Expr::Cond(c, t, e) => {
-                self.absorb(&mut class, c);
-                self.absorb(&mut class, t);
-                self.absorb(&mut class, e);
-            }
+        if let ExprRef::Var(v) = e {
+            class.reads_key = v == self.var;
+            class.closed = class.reads_key || self.is_param[v.index()];
         }
-        self.classes[at] = class;
+        for o in e.operands() {
+            let c = self.classify(exprs, o);
+            class.reads_key |= c.reads_key;
+            class.closed &= c.closed;
+            class.has_call |= c.has_call;
+        }
+        self.classes[expr.index()] = Some(class);
         class
     }
 
-    fn absorb(&mut self, node: &mut Class, child: &Expr) {
-        let c = self.classify(child);
-        node.reads_key |= c.reads_key;
-        node.closed &= c.closed;
-        node.has_call |= c.has_call;
-        node.size += c.size;
-    }
-
-    fn rewrite(&mut self, expr: &mut Expr, at: &mut usize) {
-        let class = self.classes[*at];
-        if !class.eligible() {
-            *at += 1;
-            for_each_child_mut(expr, &mut |e| self.rewrite(e, at));
-            return;
+    /// `expr` with its maximal eligible subexpressions replaced, top-down
+    /// and left to right, by column references.
+    fn rewrite(&mut self, exprs: &mut Exprs, expr: ExprId) -> ExprId {
+        if !self.classify(exprs, expr).eligible() {
+            return exprs.map_children(expr, |exprs, e| self.rewrite(exprs, e));
         }
-        // Maximal eligible node: replace by a (deduplicated) column ref.
-        *at += class.size;
-        let column = std::mem::replace(expr, Expr::Num(0.0));
         let columns = &mut self.columns;
-        let col = *self.col_keys.entry(column.to_string()).or_insert_with(|| {
-            columns.push(column);
-            columns.len() - 1
-        });
-        *expr = Expr::Call(
-            LUT_COL_MARKER.to_owned(),
-            vec![
-                Expr::Num(self.table as f64),
-                Expr::Num(col as f64),
-                Expr::Var(self.var.to_owned()),
-            ],
-        );
+        let col = *self
+            .col_keys
+            .entry(exprs.display(expr).to_string())
+            .or_insert_with(|| {
+                columns.push(expr);
+                columns.len() - 1
+            });
+        let args = [
+            exprs.num(self.table as f64),
+            exprs.num(col as f64),
+            exprs.var(self.var),
+        ];
+        exprs.call(self.marker, &args)
     }
 }
 
@@ -335,6 +284,38 @@ mod tests {
 
     fn model(src: &str) -> Model {
         compile_model("m", src).unwrap()
+    }
+
+    fn columns(ex: &LutExtraction, table: usize) -> Vec<String> {
+        let shown = ex.tables[table].columns.iter();
+        shown.map(|&c| ex.exprs.display(c).to_string()).collect()
+    }
+
+    /// Each statement as `lhs = expr` or `if cond { … } else { … }`.
+    fn rendered(ex: &LutExtraction) -> Vec<String> {
+        fn one(x: &Exprs, s: &Stmt) -> String {
+            match s {
+                Stmt::Assign { lhs, expr, .. } => {
+                    format!("{} = {}", x.name(*lhs), x.display(*expr))
+                }
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    let body =
+                        |b: &[Stmt]| b.iter().map(|s| one(x, s)).collect::<Vec<_>>().join("; ");
+                    format!(
+                        "if {} {{ {} }} else {{ {} }}",
+                        x.display(*cond),
+                        body(then_body),
+                        body(else_body)
+                    )
+                }
+            }
+        }
+        ex.stmts.iter().map(|s| one(&ex.exprs, s)).collect()
     }
 
     #[test]
@@ -354,10 +335,9 @@ mod tests {
         let ex = extract_luts(&m);
         assert_eq!(ex.tables.len(), 1);
         assert_eq!(ex.tables[0].columns.len(), 1);
-        assert_eq!(ex.tables[0].columns[0].to_string(), "exp((Vm/10))");
+        assert_eq!(columns(&ex, 0), ["exp((Vm/10))"]);
         // The rewritten diff references the marker call.
-        let rewritten = format!("{:?}", ex.stmts);
-        assert!(rewritten.contains(LUT_COL_MARKER));
+        assert_eq!(rendered(&ex), ["diff_x = (__lut_col(0,0,Vm)*x)"]);
     }
 
     #[test]
@@ -371,12 +351,9 @@ mod tests {
         );
         let ex = extract_luts(&m);
         assert_eq!(ex.tables[0].columns.len(), 1);
-        assert!(ex.tables[0].columns[0].to_string().contains("exp"));
+        assert!(columns(&ex, 0)[0].contains("exp"));
         // am's definition is gone.
-        assert!(ex.stmts.iter().all(|s| !matches!(
-            s,
-            Stmt::Assign { lhs, .. } if lhs == "am"
-        )));
+        assert_eq!(rendered(&ex), ["diff_x = (__lut_col(0,0,Vm)*(1-x))"]);
     }
 
     #[test]
@@ -409,7 +386,7 @@ mod tests {
         );
         let ex = extract_luts(&m);
         assert_eq!(ex.tables[0].columns.len(), 1);
-        assert_eq!(ex.tables[0].columns[0].to_string(), "exp((k*Vm))");
+        assert_eq!(columns(&ex, 0), ["exp((k*Vm))"]);
     }
 
     #[test]
@@ -432,7 +409,7 @@ mod tests {
         );
         let ex = extract_luts(&m);
         assert_eq!(ex.tables.len(), 1);
-        assert_eq!(ex.tables[0].columns[0].to_string(), "exp(Vm)");
+        assert_eq!(columns(&ex, 0), ["exp(Vm)"]);
     }
 
     #[test]
@@ -463,9 +440,8 @@ mod tests {
         );
         let ex = extract_luts(&m);
         assert_eq!(ex.tables.len(), 1);
-        let columns: Vec<String> = ex.tables[0].columns.iter().map(Expr::to_string).collect();
         assert_eq!(
-            columns,
+            columns(&ex, 0),
             [
                 "(exp((Vm/10))>1)",
                 "exp((Vm/10))",
@@ -473,33 +449,10 @@ mod tests {
                 "log(((k*Vm)+1))"
             ]
         );
-        let rendered: Vec<String> = ex
-            .stmts
-            .iter()
-            .map(|s| match s {
-                Stmt::Assign { lhs, expr, .. } => format!("{lhs} = {expr}"),
-                Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    let body = |b: &[Stmt]| match b {
-                        [Stmt::Assign { lhs, expr, .. }] => format!("{lhs} = {expr}"),
-                        other => panic!("unexpected branch {other:?}"),
-                    };
-                    format!(
-                        "if {cond} {{ {} }} else {{ {} }}",
-                        body(then_body),
-                        body(else_body)
-                    )
-                }
-            })
-            .collect();
         // `am`'s definition is gone; the second read of `exp(Vm/10)` reuses
         // column 1.
         assert_eq!(
-            rendered,
+            rendered(&ex),
             [
                 "if __lut_col(0,0,Vm) { a = (__lut_col(0,1,Vm)*x) } else { a = (__lut_col(0,2,Vm)-x) }",
                 "diff_x = (((a+(__lut_col(0,3,Vm)*x))+exp((Vm*x)))+__lut_col(0,1,Vm))",

@@ -50,7 +50,10 @@ mod parser;
 mod sema;
 mod token;
 
-pub use ast::{BinOp, Expr, GroupItem, Item, Markup, MarkupArg, ModelAst, Stmt, UnOp};
+pub use ast::{
+    BinOp, ExprId, ExprRef, Exprs, GroupItem, Item, Markup, MarkupArg, ModelAst, Shown, Stmt, Sym,
+    UnOp,
+};
 pub use diag::{Diagnostic, ErrorCode, Span};
 pub use parser::{parse_model, ParseError};
 pub use sema::{

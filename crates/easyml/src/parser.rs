@@ -6,7 +6,9 @@
 //! `.method(rk2);`, …) that attach to the most recently declared variable or
 //! group.
 
-use crate::ast::{BinOp, Expr, GroupItem, Item, Markup, MarkupArg, ModelAst, Stmt, UnOp};
+use crate::ast::{
+    BinOp, ExprId, Exprs, GroupItem, Item, Markup, MarkupArg, ModelAst, Stmt, Sym, UnOp,
+};
 use crate::diag::{Diagnostic, ErrorCode, Span};
 use crate::token::{lex, Token, TokenKind};
 
@@ -34,7 +36,13 @@ type Result<T> = std::result::Result<T, ParseError>;
 pub fn parse_model(name: &str, src: &str) -> Result<ModelAst> {
     let inner = || -> Result<ModelAst> {
         let toks = lex(src)?;
-        let mut p = Parser { toks, pos: 0 };
+        let mut p = Parser {
+            // At most one node per token.
+            exprs: Exprs::with_capacity(toks.len()),
+            toks,
+            pos: 0,
+            args: Vec::new(),
+        };
         let mut items: Vec<Item> = Vec::new();
         while !p.at_end() {
             p.parse_item(&mut items)?;
@@ -42,17 +50,22 @@ pub fn parse_model(name: &str, src: &str) -> Result<ModelAst> {
         Ok(ModelAst {
             name: name.to_owned(),
             items,
+            exprs: p.exprs,
         })
     };
     inner().map_err(|e| e.with_model(name))
 }
 
-/// The token stream and the cursor into it. Tokens are `Copy` and their
-/// identifiers borrow from the source: the only allocations are the AST's
-/// own names and nodes.
+/// The token stream, the cursor into it, and the model's expressions as
+/// they are built. Tokens are `Copy` and their identifiers borrow from the
+/// source; each expression node is appended to `exprs` once its operands
+/// are, and each name is interned there the first time it is seen.
 struct Parser<'src> {
     toks: Vec<Token<'src>>,
     pos: usize,
+    exprs: Exprs,
+    /// The arguments of the calls being parsed, innermost last.
+    args: Vec<ExprId>,
 }
 
 impl<'src> Parser<'src> {
@@ -115,6 +128,18 @@ impl<'src> Parser<'src> {
         }
     }
 
+    /// The name an assignment defines, interned with the variable a
+    /// `diff_X` or `X_init` is about, which sema looks up by its text.
+    fn lhs(&mut self, name: &str) -> Sym {
+        if let Some(base) = name.strip_prefix("diff_") {
+            self.exprs.intern(base);
+        }
+        if name.ends_with("_init") {
+            self.exprs.intern(name.trim_end_matches("_init"));
+        }
+        self.exprs.intern(name)
+    }
+
     fn expect_ident(&mut self) -> Result<&'src str> {
         match self.next()? {
             TokenKind::Ident(s) => Ok(s),
@@ -146,14 +171,14 @@ impl<'src> Parser<'src> {
                     let expr = self.parse_expr()?;
                     self.expect(TokenKind::Semi)?;
                     items.push(Item::Stmt(Stmt::Assign {
-                        lhs: name.to_owned(),
+                        lhs: self.lhs(name),
                         expr,
                         line,
                     }));
                 } else {
                     self.expect(TokenKind::Semi)?;
                     items.push(Item::Decl {
-                        name: name.to_owned(),
+                        name: self.exprs.intern(name),
                         markups: Vec::new(),
                         line,
                     });
@@ -204,7 +229,7 @@ impl<'src> Parser<'src> {
             };
             self.expect(TokenKind::Semi)?;
             group_items.push(GroupItem {
-                name: name.to_owned(),
+                name: self.exprs.intern(name),
                 default,
             });
         }
@@ -234,7 +259,9 @@ impl<'src> Parser<'src> {
                 }
                 match self.next()? {
                     TokenKind::Num(v) => args.push(MarkupArg::Num(if neg { -v } else { v })),
-                    TokenKind::Ident(s) if !neg => args.push(MarkupArg::Ident(s.to_owned())),
+                    TokenKind::Ident(s) if !neg => {
+                        args.push(MarkupArg::Ident(self.exprs.intern(s)))
+                    }
                     other => {
                         return Err(self.error(
                             ErrorCode::BadMarkupArg,
@@ -249,7 +276,7 @@ impl<'src> Parser<'src> {
             }
         }
         Ok(Markup {
-            name: name.to_owned(),
+            name: self.exprs.intern(name),
             args,
             line,
         })
@@ -288,7 +315,8 @@ impl<'src> Parser<'src> {
                 self.pos += 1;
                 stmts.push(self.parse_if(line)?);
             } else {
-                let lhs = self.expect_ident()?.to_owned();
+                let lhs = self.expect_ident()?;
+                let lhs = self.lhs(lhs);
                 self.expect(TokenKind::Assign)?;
                 let expr = self.parse_expr()?;
                 self.expect(TokenKind::Semi)?;
@@ -300,17 +328,17 @@ impl<'src> Parser<'src> {
 
     // ---- expressions (precedence climbing) ----
 
-    fn parse_expr(&mut self) -> Result<Expr> {
+    fn parse_expr(&mut self) -> Result<ExprId> {
         self.parse_ternary()
     }
 
-    fn parse_ternary(&mut self) -> Result<Expr> {
+    fn parse_ternary(&mut self) -> Result<ExprId> {
         let cond = self.parse_binary(1)?;
         if self.eat(TokenKind::Question) {
             let t = self.parse_expr()?;
             self.expect(TokenKind::Colon)?;
             let e = self.parse_ternary()?;
-            Ok(Expr::Cond(Box::new(cond), Box::new(t), Box::new(e)))
+            Ok(self.exprs.cond(cond, t, e))
         } else {
             Ok(cond)
         }
@@ -320,7 +348,7 @@ impl<'src> Parser<'src> {
     /// operator binding at least as tightly as `min`, each with a
     /// right-hand side of strictly tighter operators — the left-associative
     /// C tree, from one loop per operand instead of one call per level.
-    fn parse_binary(&mut self, min: u8) -> Result<Expr> {
+    fn parse_binary(&mut self, min: u8) -> Result<ExprId> {
         let mut lhs = self.parse_unary()?;
         while let Some((op, prec)) = self.peek().and_then(binary_op) {
             if prec < min {
@@ -328,42 +356,46 @@ impl<'src> Parser<'src> {
             }
             self.pos += 1;
             let rhs = self.parse_binary(prec + 1)?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.exprs.binary(op, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr> {
+    fn parse_unary(&mut self) -> Result<ExprId> {
         if self.eat(TokenKind::Minus) {
             let e = self.parse_unary()?;
-            Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
+            Ok(self.exprs.unary(UnOp::Neg, e))
         } else if self.eat(TokenKind::Not) {
             let e = self.parse_unary()?;
-            Ok(Expr::Unary(UnOp::Not, Box::new(e)))
+            Ok(self.exprs.unary(UnOp::Not, e))
         } else {
             self.parse_primary()
         }
     }
 
-    fn parse_primary(&mut self) -> Result<Expr> {
+    fn parse_primary(&mut self) -> Result<ExprId> {
         match self.next()? {
-            TokenKind::Num(v) => Ok(Expr::Num(v)),
+            TokenKind::Num(v) => Ok(self.exprs.num(v)),
             TokenKind::Ident(name) => {
+                let name = self.exprs.intern(name);
                 if self.peek() == Some(TokenKind::LParen) && self.peek2().is_some() {
                     self.pos += 1;
-                    let mut args = Vec::new();
+                    let outer = self.args.len();
                     if !self.eat(TokenKind::RParen) {
                         loop {
-                            args.push(self.parse_expr()?);
+                            let arg = self.parse_expr()?;
+                            self.args.push(arg);
                             if self.eat(TokenKind::RParen) {
                                 break;
                             }
                             self.expect(TokenKind::Comma)?;
                         }
                     }
-                    Ok(Expr::Call(name.to_owned(), args))
+                    let call = self.exprs.call(name, &self.args[outer..]);
+                    self.args.truncate(outer);
+                    Ok(call)
                 } else {
-                    Ok(Expr::Var(name.to_owned()))
+                    Ok(self.exprs.var(name))
                 }
             }
             TokenKind::LParen => {
@@ -403,6 +435,7 @@ fn binary_op(t: TokenKind<'_>) -> Option<(BinOp, u8)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::ExprRef;
 
     /// The paper's Listing 1: the modified Pathmanathan model.
     pub const PATHMANATHAN: &str = r#"
@@ -451,10 +484,11 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
         let Item::Decl { name, markups, .. } = &ast.items[0] else {
             panic!("expected decl");
         };
-        assert_eq!(name, "Vm");
+        let text = |s| ast.exprs.name(s);
+        assert_eq!(text(*name), "Vm");
         assert_eq!(markups.len(), 3);
-        assert_eq!(markups[0].name, "external");
-        assert_eq!(markups[2].name, "lookup");
+        assert_eq!(text(markups[0].name), "external");
+        assert_eq!(text(markups[2].name), "lookup");
         assert_eq!(markups[2].args[0].as_num(), Some(-100.0));
         assert_eq!(markups[2].args[2].as_num(), Some(0.05));
     }
@@ -465,7 +499,8 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
         let Item::Decl { markups, .. } = &ast.items[0] else {
             panic!();
         };
-        assert_eq!(markups[0].args[0].as_ident(), Some("rk2"));
+        assert_eq!(markups[0].args[0].as_ident(), ast.exprs.sym("rk2"));
+        assert!(ast.exprs.sym("rk2").is_some());
     }
 
     #[test]
@@ -475,9 +510,10 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
             panic!();
         };
         assert_eq!(items.len(), 2);
-        assert_eq!(items[0].name, "Cm");
-        assert_eq!(items[0].default, Some(Expr::Num(200.0)));
-        assert_eq!(markups[0].name, "param");
+        assert_eq!(ast.exprs.name(items[0].name), "Cm");
+        let default = items[0].default.map(|d| ast.exprs.get(d));
+        assert_eq!(default, Some(ExprRef::Num(200.0)));
+        assert_eq!(ast.exprs.name(markups[0].name), "param");
     }
 
     #[test]
@@ -486,7 +522,7 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
         let Item::Stmt(Stmt::Assign { expr, .. }) = &ast.items[0] else {
             panic!();
         };
-        assert_eq!(expr.to_string(), "(a+(b*c))");
+        assert_eq!(ast.exprs.display(*expr).to_string(), "(a+(b*c))");
     }
 
     #[test]
@@ -495,7 +531,7 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
         let Item::Stmt(Stmt::Assign { expr, .. }) = &ast.items[0] else {
             panic!();
         };
-        assert_eq!(expr.to_string(), "((v<0)?(-v):v)");
+        assert_eq!(ast.exprs.display(*expr).to_string(), "((v<0)?(-v):v)");
     }
 
     #[test]
@@ -530,7 +566,12 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
         let Item::Stmt(Stmt::Assign { expr, .. }) = &ast.items[0] else {
             panic!();
         };
-        assert_eq!(expr.to_string(), "pow(exp(a),log((b+1)))");
+        assert_eq!(
+            ast.exprs.display(*expr).to_string(),
+            "pow(exp(a),log((b+1)))"
+        );
+        // Post-order: every operand precedes its operator, the root last.
+        assert_eq!(expr.index(), ast.exprs.len() - 1);
     }
 
     #[test]
@@ -549,7 +590,21 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
         let Item::Decl { markups, .. } = &ast.items[0] else {
             panic!();
         };
-        assert_eq!(markups[0].name, "method");
+        assert_eq!(ast.exprs.name(markups[0].name), "method");
+    }
+
+    #[test]
+    fn assignments_intern_the_variable_they_are_about() {
+        let ast = parse_model(
+            "m",
+            "diff_v = 1;
+w_init_init = 2;",
+        )
+        .unwrap();
+        for name in ["diff_v", "v", "w_init_init", "w"] {
+            assert!(ast.exprs.sym(name).is_some(), "{name}");
+        }
+        assert!(ast.exprs.sym("w_init").is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * provide the affine-form analysis used by the Rush-Larsen family of
 //!   integrators.
 
-use crate::ast::{BinOp, Expr, Item, Markup, ModelAst, Stmt, UnOp};
+use crate::ast::{BinOp, ExprId, ExprRef, Exprs, Item, Markup, ModelAst, Stmt, Sym, UnOp};
 use crate::diag::{Diagnostic, ErrorCode, Span};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -136,6 +136,9 @@ pub struct Model {
     pub params: Vec<Param>,
     /// Lookup-table markups.
     pub lookups: Vec<Lookup>,
+    /// The nodes and names the statements refer to: the parser's table,
+    /// as it was.
+    pub exprs: Exprs,
     /// Body statements in dependency (topological) order. `X_init`
     /// assignments are resolved into [`StateVar::init`] and removed.
     pub stmts: Vec<Stmt>,
@@ -164,10 +167,10 @@ impl Model {
 
     /// The `diff_X` expression for state `name`, when it is a plain
     /// top-level assignment (conditional diff equations return `None`).
-    pub fn diff_expr(&self, name: &str) -> Option<&Expr> {
-        let want = format!("diff_{name}");
+    pub fn diff_expr(&self, name: &str) -> Option<ExprId> {
+        let want = self.exprs.sym(&format!("diff_{name}"))?;
         self.stmts.iter().find_map(|s| match s {
-            Stmt::Assign { lhs, expr, .. } if *lhs == want => Some(expr),
+            Stmt::Assign { lhs, expr, .. } if *lhs == want => Some(*expr),
             _ => None,
         })
     }
@@ -175,22 +178,22 @@ impl Model {
     /// Total number of expression nodes, a complexity measure used for
     /// model-class calibration.
     pub fn complexity(&self) -> usize {
-        fn stmt_size(s: &Stmt) -> usize {
+        fn stmt_size(x: &Exprs, s: &Stmt) -> usize {
             match s {
-                Stmt::Assign { expr, .. } => expr.size(),
+                Stmt::Assign { expr, .. } => x.size(*expr),
                 Stmt::If {
                     cond,
                     then_body,
                     else_body,
                     ..
                 } => {
-                    cond.size()
-                        + then_body.iter().map(stmt_size).sum::<usize>()
-                        + else_body.iter().map(stmt_size).sum::<usize>()
+                    x.size(*cond)
+                        + then_body.iter().map(|s| stmt_size(x, s)).sum::<usize>()
+                        + else_body.iter().map(|s| stmt_size(x, s)).sum::<usize>()
                 }
             }
         }
-        self.stmts.iter().map(stmt_size).sum()
+        self.stmts.iter().map(|s| stmt_size(&self.exprs, s)).sum()
     }
 }
 
@@ -258,27 +261,28 @@ pub fn builtin_arity(name: &str) -> Option<usize> {
 /// Names implicitly available in every model body.
 pub const IMPLICIT_SOURCES: [&str; 2] = ["t", "dt"];
 
-/// Evaluates an expression to a constant under `env` (typically the
-/// parameter defaults). Returns `None` when any referenced name is missing.
-pub fn eval_const(expr: &Expr, env: &HashMap<String, f64>) -> Option<f64> {
-    eval_with(expr, &|name| env.get(name).copied())
+/// Evaluates the expression `expr` of `exprs` to a constant under `env`
+/// (typically the parameter defaults). Returns `None` when any referenced
+/// name is missing.
+pub fn eval_const(exprs: &Exprs, expr: ExprId, env: &HashMap<String, f64>) -> Option<f64> {
+    eval_with(exprs, expr, &|name| env.get(exprs.name(name)).copied())
 }
 
 /// [`eval_const`] with the environment as a lookup function.
-fn eval_with(expr: &Expr, env: &impl Fn(&str) -> Option<f64>) -> Option<f64> {
-    Some(match expr {
-        Expr::Num(v) => *v,
-        Expr::Var(name) => env(name)?,
-        Expr::Unary(UnOp::Neg, e) => -eval_with(e, env)?,
-        Expr::Unary(UnOp::Not, e) => {
-            if eval_with(e, env)? != 0.0 {
+fn eval_with(x: &Exprs, expr: ExprId, env: &impl Fn(Sym) -> Option<f64>) -> Option<f64> {
+    Some(match x.get(expr) {
+        ExprRef::Num(v) => v,
+        ExprRef::Var(name) => env(name)?,
+        ExprRef::Unary(UnOp::Neg, e) => -eval_with(x, e, env)?,
+        ExprRef::Unary(UnOp::Not, e) => {
+            if eval_with(x, e, env)? != 0.0 {
                 0.0
             } else {
                 1.0
             }
         }
-        Expr::Binary(op, l, r) => {
-            let (a, b) = (eval_with(l, env)?, eval_with(r, env)?);
+        ExprRef::Binary(op, l, r) => {
+            let (a, b) = (eval_with(x, l, env)?, eval_with(x, r, env)?);
             match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
@@ -295,10 +299,10 @@ fn eval_with(expr: &Expr, env: &impl Fn(&str) -> Option<f64>) -> Option<f64> {
                 BinOp::Or => ((a != 0.0) || (b != 0.0)) as i32 as f64,
             }
         }
-        Expr::Call(name, args) => {
-            let vals: Option<Vec<f64>> = args.iter().map(|a| eval_with(a, env)).collect();
+        ExprRef::Call(name, args) => {
+            let vals: Option<Vec<f64>> = args.iter().map(|&a| eval_with(x, a, env)).collect();
             let vals = vals?;
-            match (name.as_str(), vals.as_slice()) {
+            match (x.name(name), vals.as_slice()) {
                 ("exp", [a]) => a.exp(),
                 ("expm1", [a]) => a.exp_m1(),
                 ("log", [a]) => a.ln(),
@@ -329,72 +333,67 @@ fn eval_with(expr: &Expr, env: &impl Fn(&str) -> Option<f64>) -> Option<f64> {
                 _ => return None,
             }
         }
-        Expr::Cond(c, t, e) => {
-            if eval_with(c, env)? != 0.0 {
-                eval_with(t, env)?
+        ExprRef::Cond(c, t, e) => {
+            if eval_with(x, c, env)? != 0.0 {
+                eval_with(x, t, env)?
             } else {
-                eval_with(e, env)?
+                eval_with(x, e, env)?
             }
         }
     })
 }
 
-/// Decomposes `expr` as affine in `var`: `expr = a + b * var`, returning
-/// `(a, b)` as expressions free of `var`. Returns `None` when `var` occurs
-/// non-affinely (inside calls, conditions, products with itself, …).
+/// Decomposes the expression `expr` of `exprs` as affine in `var`:
+/// `expr = a + b * var`, returning the roots of `(a, b)`, expressions free
+/// of `var` that share `expr`'s nodes where they can and append the rest
+/// to `exprs`. Returns `None` when `var` occurs non-affinely (inside calls,
+/// conditions, products with itself, …), having maybe appended nodes no
+/// expression refers to.
 ///
 /// This is the gate-form analysis behind the Rush-Larsen integrators: a gate
 /// equation `dx/dt = (x_inf - x) / tau` is affine in `x` with
 /// `a = x_inf/tau`, `b = -1/tau`.
-pub fn affine_in(expr: &Expr, var: &str) -> Option<(Expr, Expr)> {
-    if !expr.references(var) {
-        return Some((expr.clone(), Expr::Num(0.0)));
+pub fn affine_in(exprs: &mut Exprs, expr: ExprId, var: Sym) -> Option<(ExprId, ExprId)> {
+    if !exprs.references(expr, var) {
+        return Some((expr, exprs.num(0.0)));
     }
-    match expr {
-        Expr::Var(v) if v == var => Some((Expr::Num(0.0), Expr::Num(1.0))),
-        Expr::Unary(UnOp::Neg, e) => {
-            let (a, b) = affine_in(e, var)?;
-            Some((
-                Expr::Unary(UnOp::Neg, Box::new(a)),
-                Expr::Unary(UnOp::Neg, Box::new(b)),
-            ))
+    match exprs.get(expr) {
+        ExprRef::Var(v) if v == var => Some((exprs.num(0.0), exprs.num(1.0))),
+        ExprRef::Unary(UnOp::Neg, e) => {
+            let (a, b) = affine_in(exprs, e, var)?;
+            Some((exprs.unary(UnOp::Neg, a), exprs.unary(UnOp::Neg, b)))
         }
-        Expr::Binary(BinOp::Add, l, r) => {
-            let (al, bl) = affine_in(l, var)?;
-            let (ar, br) = affine_in(r, var)?;
-            Some((Expr::bin(BinOp::Add, al, ar), Expr::bin(BinOp::Add, bl, br)))
+        ExprRef::Binary(op @ (BinOp::Add | BinOp::Sub), l, r) => {
+            let (al, bl) = affine_in(exprs, l, var)?;
+            let (ar, br) = affine_in(exprs, r, var)?;
+            Some((exprs.binary(op, al, ar), exprs.binary(op, bl, br)))
         }
-        Expr::Binary(BinOp::Sub, l, r) => {
-            let (al, bl) = affine_in(l, var)?;
-            let (ar, br) = affine_in(r, var)?;
-            Some((Expr::bin(BinOp::Sub, al, ar), Expr::bin(BinOp::Sub, bl, br)))
-        }
-        Expr::Binary(BinOp::Mul, l, r) => {
+        ExprRef::Binary(BinOp::Mul, l, r) => {
             // Exactly one side may reference var.
-            if !r.references(var) {
-                let (a, b) = affine_in(l, var)?;
+            if !exprs.references(r, var) {
+                let (a, b) = affine_in(exprs, l, var)?;
                 Some((
-                    Expr::bin(BinOp::Mul, a, (**r).clone()),
-                    Expr::bin(BinOp::Mul, b, (**r).clone()),
+                    exprs.binary(BinOp::Mul, a, r),
+                    exprs.binary(BinOp::Mul, b, r),
                 ))
-            } else if !l.references(var) {
-                let (a, b) = affine_in(r, var)?;
+            } else if !exprs.references(l, var) {
+                let (a, b) = affine_in(exprs, r, var)?;
                 Some((
-                    Expr::bin(BinOp::Mul, (**l).clone(), a),
-                    Expr::bin(BinOp::Mul, (**l).clone(), b),
+                    exprs.binary(BinOp::Mul, l, a),
+                    exprs.binary(BinOp::Mul, l, b),
                 ))
             } else {
                 None
             }
         }
-        Expr::Binary(BinOp::Div, l, r) => {
-            if r.references(var) {
+        ExprRef::Binary(BinOp::Div, l, r) => {
+            if exprs.references(r, var) {
                 return None;
             }
-            let (a, b) = affine_in(l, var)?;
+            let (a, b) = affine_in(exprs, l, var)?;
             Some((
-                Expr::bin(BinOp::Div, a, (**r).clone()),
-                Expr::bin(BinOp::Div, b, (**r).clone()),
+                exprs.binary(BinOp::Div, a, r),
+                exprs.binary(BinOp::Div, b, r),
             ))
         }
         _ => None,
@@ -419,34 +418,36 @@ pub fn analyze(ast: &ModelAst) -> Result<Model, SemaErrors> {
     Ok(model)
 }
 
-/// The markups' effect on the names they are attached to. Every name
-/// borrows from the AST.
+/// The markups' effect on the names they are attached to.
 #[derive(Default)]
 struct Markups<'a> {
-    external: Vec<&'a str>,
-    parent: Vec<&'a str>,
-    lookups: Vec<Lookup>,
-    /// `.method()` and the line of its markup, per name (the last markup
-    /// wins); ordered, so the diagnostics come out in one order.
-    methods: BTreeMap<&'a str, (Method, usize)>,
+    external: Vec<Sym>,
+    parent: Vec<Sym>,
+    /// Each `.lookup()` and the name it is on.
+    lookups: Vec<(Sym, Lookup)>,
+    /// `.method()`, the name it is on and the line of its markup, per name
+    /// (the last markup wins); ordered by the name's text, so the
+    /// diagnostics come out in one order.
+    methods: BTreeMap<&'a str, (Sym, Method, usize)>,
 }
 
 impl<'a> Markups<'a> {
-    fn apply(&mut self, names: &[&'a str], m: &Markup, errors: &mut Vec<SemaError>) {
-        match m.name.as_str() {
+    fn apply(&mut self, x: &'a Exprs, names: &[Sym], m: &Markup, errors: &mut Vec<SemaError>) {
+        match x.name(m.name) {
             "external" => push_new(&mut self.external, names),
             "parent" => push_new(&mut self.parent, names),
             "lookup" => {
                 let nums: Vec<Option<f64>> = m.args.iter().map(|a| a.as_num()).collect();
                 match nums.as_slice() {
                     [Some(lo), Some(hi), Some(step)] if *step > 0.0 && hi > lo => {
-                        for n in names {
-                            self.lookups.push(Lookup {
-                                var: (*n).to_owned(),
+                        for &n in names {
+                            let lookup = Lookup {
+                                var: x.name(n).to_owned(),
                                 lo: *lo,
                                 hi: *hi,
                                 step: *step,
-                            });
+                            };
+                            self.lookups.push((n, lookup));
                         }
                     }
                     _ => errors.push(Diagnostic::new(
@@ -457,11 +458,11 @@ impl<'a> Markups<'a> {
                 }
             }
             "method" => {
-                let arg = m.args.first().and_then(|a| a.as_ident());
+                let arg = m.args.first().and_then(|a| a.as_ident()).map(|s| x.name(s));
                 match arg.and_then(Method::parse) {
                     Some(method) => {
                         for &n in names {
-                            self.methods.insert(n, (method, m.line));
+                            self.methods.insert(x.name(n), (n, method, m.line));
                         }
                     }
                     None => errors.push(Diagnostic::new(
@@ -486,7 +487,7 @@ impl<'a> Markups<'a> {
 }
 
 /// Appends each of `names` that `list` does not hold yet.
-fn push_new<'a>(list: &mut Vec<&'a str>, names: &[&'a str]) {
+fn push_new(list: &mut Vec<Sym>, names: &[Sym]) {
     for &n in names {
         if !list.contains(&n) {
             list.push(n);
@@ -494,20 +495,21 @@ fn push_new<'a>(list: &mut Vec<&'a str>, names: &[&'a str]) {
     }
 }
 
-/// The checks of [`analyze`], borrowing every name from `ast`. Returns the
+/// The checks of [`analyze`], on the AST's names by symbol. Returns the
 /// model with room for, but not yet, its statements, and the indices of
 /// the `ModelAst::items` that hold them, in dependency order.
 fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
+    let x = &ast.exprs;
     let mut errors: Vec<SemaError> = Vec::new();
 
     // ---- collect declarations & markups ----
     let mut marks = Markups::default();
-    let mut params: Vec<Param> = Vec::new();
+    let mut params: Vec<(Sym, Param)> = Vec::new();
     for item in &ast.items {
         match item {
             Item::Decl { name, markups, .. } => {
                 for m in markups {
-                    marks.apply(&[name.as_str()], m, &mut errors);
+                    marks.apply(x, &[*name], m, &mut errors);
                 }
             }
             Item::Group {
@@ -515,24 +517,25 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
                 markups,
                 line,
             } => {
-                let is_param = markups.iter().any(|m| m.name == "param");
+                let is_param = markups.iter().any(|m| x.name(m.name) == "param");
                 if is_param {
                     for gi in items {
-                        let default = match &gi.default {
-                            Some(e) => eval_with(e, &|_| None).unwrap_or_else(|| {
+                        let default = match gi.default {
+                            Some(e) => eval_with(x, e, &|_| None).unwrap_or_else(|| {
                                 errors.push(Diagnostic::new(
                                     ErrorCode::NonConstParamDefault,
                                     Span::line(*line),
-                                    format!("parameter {} default must be a constant", gi.name),
+                                    format!(
+                                        "parameter {} default must be a constant",
+                                        x.name(gi.name)
+                                    ),
                                 ));
                                 0.0
                             }),
                             None => 0.0,
                         };
-                        params.push(Param {
-                            name: gi.name.clone(),
-                            default,
-                        });
+                        let name = x.name(gi.name).to_owned();
+                        params.push((gi.name, Param { name, default }));
                     }
                 } else {
                     for gi in items {
@@ -542,16 +545,16 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
                                 Span::line(*line),
                                 format!(
                                     "group member {} has a default but the group is not .param()",
-                                    gi.name
+                                    x.name(gi.name)
                                 ),
                             ));
                         }
                     }
                 }
                 if !markups.is_empty() {
-                    let names: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
+                    let names: Vec<Sym> = items.iter().map(|i| i.name).collect();
                     for m in markups {
-                        marks.apply(&names, m, &mut errors);
+                        marks.apply(x, &names, m, &mut errors);
                     }
                 }
             }
@@ -559,16 +562,23 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
         }
     }
 
+    // Everything the checks know of a name, by symbol. The parser interns
+    // the `X` of every `diff_X` and `X_init` it reads.
+    let mut known = vec![Known::default(); x.names()];
+    let base = |name: &str| x.sym(name).map(Sym::index);
+
     // ---- partition statements ----
     // The body: item index and statement, in source order.
     let mut body: Vec<(usize, &Stmt)> = Vec::with_capacity(ast.items.len());
-    let mut inits: HashMap<&str, (&Expr, usize)> = HashMap::new();
     for (i, item) in ast.items.iter().enumerate() {
         if let Item::Stmt(stmt) = item {
             match stmt {
-                Stmt::Assign { lhs, expr, line } if lhs.ends_with("_init") => {
-                    let base = lhs.trim_end_matches("_init");
-                    if inits.insert(base, (expr, *line)).is_some() {
+                Stmt::Assign { lhs, expr, line } if x.name(*lhs).ends_with("_init") => {
+                    let lhs = x.name(*lhs);
+                    let Some(at) = base(lhs.trim_end_matches("_init")) else {
+                        continue;
+                    };
+                    if known[at].init.replace((*expr, *line)).is_some() {
                         errors.push(Diagnostic::new(
                             ErrorCode::DuplicateInit,
                             Span::line(*line),
@@ -582,39 +592,38 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
     }
 
     // ---- classify: state vars are those with diff_ equations ----
-    let mut assigned_names: Vec<(&str, usize)> = Vec::with_capacity(body.len());
+    let mut assigned_names: Vec<(Sym, usize)> = Vec::with_capacity(body.len());
     for (_, s) in &body {
-        collect_top_defs(s, &mut assigned_names, &mut errors);
+        collect_top_defs(x, s, &mut assigned_names, &mut errors);
     }
-    // Every name the checks ask about, in one map: parameters, assigned
-    // names and the states they define, externals, `t` and `dt`.
-    let mut known: HashMap<&str, Known> =
-        HashMap::with_capacity(params.len() + 2 * assigned_names.len() + 4);
-    for p in &params {
-        let k = known.entry(&p.name).or_default();
+    for (p, param) in &params {
+        let k = &mut known[p.index()];
         k.flags |= PARAM;
-        k.param_default = p.default;
+        k.param_default = param.default;
     }
     // Single-assignment check.
     for &(n, line) in &assigned_names {
-        let k = known.entry(n).or_default();
+        let k = &mut known[n.index()];
         if k.flags & ASSIGNED != 0 {
             errors.push(Diagnostic::new(
                 ErrorCode::DoubleAssignment,
                 Span::line(line),
-                format!("{n} assigned more than once (EasyML is single-assignment)"),
+                format!(
+                    "{} assigned more than once (EasyML is single-assignment)",
+                    x.name(n)
+                ),
             ));
         }
         k.flags |= ASSIGNED;
     }
 
-    let param_default = |n: &str| {
-        let k = known.get(n).filter(|k| k.flags & PARAM != 0);
-        k.map(|k| k.param_default)
+    let param_default = |n: Sym| {
+        let k = &known[n.index()];
+        (k.flags & PARAM != 0).then_some(k.param_default)
     };
     let init_of = |name: &str, errors: &mut Vec<SemaError>| -> f64 {
-        match inits.get(name) {
-            Some(&(expr, line)) => match eval_with(expr, &param_default) {
+        match base(name).and_then(|at| known[at].init) {
+            Some((expr, line)) => match eval_with(x, expr, &param_default) {
                 Some(v) => v,
                 None => {
                     errors.push(Diagnostic::new(
@@ -631,11 +640,11 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
 
     let states: Vec<StateVar> = assigned_names
         .iter()
-        .filter_map(|(n, _)| n.strip_prefix("diff_"))
+        .filter_map(|&(n, _)| x.name(n).strip_prefix("diff_"))
         .map(|n| StateVar {
             name: n.to_owned(),
             init: init_of(n, &mut errors),
-            method: marks.methods.get(n).map(|(m, _)| *m).unwrap_or_default(),
+            method: marks.methods.get(n).map(|m| m.1).unwrap_or_default(),
         })
         .collect();
 
@@ -643,34 +652,39 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
         .external
         .iter()
         .map(|&n| ExtVar {
-            name: n.to_owned(),
-            init: init_of(n, &mut errors),
-            assigned: known.get(n).is_some_and(|k| k.flags & ASSIGNED != 0),
+            name: x.name(n).to_owned(),
+            init: init_of(x.name(n), &mut errors),
+            assigned: known[n.index()].flags & ASSIGNED != 0,
             parent: marks.parent.contains(&n),
         })
         .collect();
 
-    for p in &marks.parent {
-        if !marks.external.contains(p) {
+    for &p in &marks.parent {
+        if !marks.external.contains(&p) {
             errors.push(Diagnostic::new(
                 ErrorCode::ParentNotExternal,
                 Span::none(),
-                format!(".parent() applied to {p}, which is not .external()"),
+                format!(
+                    ".parent() applied to {}, which is not .external()",
+                    x.name(p)
+                ),
             ));
         }
     }
 
     // ---- validity checks on names ----
     for s in &states {
-        known.entry(&s.name).or_default().flags |= STATE;
+        if let Some(at) = base(&s.name) {
+            known[at].flags |= STATE;
+        }
     }
-    for e in &externals {
-        known.entry(&e.name).or_default().flags |= EXTERNAL;
+    for &e in &marks.external {
+        known[e.index()].flags |= EXTERNAL;
     }
-    let is = |n: &str, kinds: u8| known.get(n).is_some_and(|k| k.flags & kinds != 0);
+    let is = |n: Sym, kinds: u8| known[n.index()].flags & kinds != 0;
 
-    for (&m, &(_, line)) in &marks.methods {
-        if !is(m, STATE) {
+    for (&m, &(sym, _, line)) in &marks.methods {
+        if !is(sym, STATE) {
             errors.push(Diagnostic::new(
                 ErrorCode::MethodOnNonState,
                 Span::line(line),
@@ -678,8 +692,8 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
             ));
         }
     }
-    for l in &marks.lookups {
-        if !is(&l.var, STATE | EXTERNAL | ASSIGNED) {
+    for (n, l) in &marks.lookups {
+        if !is(*n, STATE | EXTERNAL | ASSIGNED) {
             errors.push(Diagnostic::new(
                 ErrorCode::LookupOnUndefined,
                 Span::none(),
@@ -688,18 +702,21 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
         }
     }
     for &(n, line) in &assigned_names {
+        let name = x.name(n);
         if is(n, STATE) {
             errors.push(Diagnostic::new(
                 ErrorCode::DirectStateAssignment,
                 Span::line(line),
-                format!("state variable {n} cannot be assigned directly; assign diff_{n} instead"),
+                format!(
+                    "state variable {name} cannot be assigned directly; assign diff_{name} instead"
+                ),
             ));
         }
         if is(n, PARAM) {
             errors.push(Diagnostic::new(
                 ErrorCode::ParamAssignment,
                 Span::line(line),
-                format!("parameter {n} cannot be assigned in the model body"),
+                format!("parameter {name} cannot be assigned in the model body"),
             ));
         }
     }
@@ -707,13 +724,16 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
     // Names readable without a definition are the sources; the body's
     // statements define the rest.
     for n in IMPLICIT_SOURCES {
-        known.entry(n).or_default().flags |= IMPLICIT;
+        if let Some(at) = base(n) {
+            known[at].flags |= IMPLICIT;
+        }
     }
     for (i, (_, s)) in body.iter().enumerate() {
-        s.for_each_assigned(&mut |d| known.entry(d).or_default().def = Some(i));
+        s.for_each_assigned(&mut |d| known[d.index()].def = Some(i));
     }
     // One walk checks every read and collects the def-use edges.
     let mut uses = Uses {
+        x,
         known: &known,
         errors: &mut errors,
         edges: Vec::new(),
@@ -724,7 +744,7 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
     let edges = uses.edges;
 
     // ---- topological order ----
-    let order = match topo_order(&body, &edges) {
+    let order = match topo_order(x, &body, &edges) {
         Ok(o) => o,
         Err(cycle) => {
             errors.push(Diagnostic::new(
@@ -741,8 +761,9 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
             name: ast.name.clone(),
             states,
             externals,
-            params,
-            lookups: marks.lookups,
+            params: params.into_iter().map(|(_, p)| p).collect(),
+            lookups: marks.lookups.into_iter().map(|(_, l)| l).collect(),
+            exprs: x.clone(),
             stmts: Vec::with_capacity(order.len()),
         };
         Ok((model, order))
@@ -758,13 +779,15 @@ fn check(ast: &ModelAst) -> Result<(Model, Vec<usize>), SemaErrors> {
 
 /// What the checks know of one name: the kinds it has ([`STATE`],
 /// [`EXTERNAL`], [`PARAM`], [`IMPLICIT`], [`ASSIGNED`]; any kind makes it
-/// readable), its default when it is a parameter, and the body statement
-/// that assigns it (the last, when several do).
-#[derive(Default)]
+/// readable), its default when it is a parameter, the body statement that
+/// assigns it (the last, when several do), and the root and line of its
+/// `_init` assignment.
+#[derive(Clone, Default)]
 struct Known {
     flags: u8,
     param_default: f64,
     def: Option<usize>,
+    init: Option<(ExprId, usize)>,
 }
 
 const STATE: u8 = 1;
@@ -778,13 +801,14 @@ const ASSIGNED: u8 = 16;
 /// Collects the names defined by a top-level statement. For `if` statements
 /// every name must be assigned in both branches: each name assigned in
 /// either branch is reported once, the then branch's in its order first.
-fn collect_top_defs<'a>(
-    stmt: &'a Stmt,
-    out: &mut Vec<(&'a str, usize)>,
+fn collect_top_defs(
+    x: &Exprs,
+    stmt: &Stmt,
+    out: &mut Vec<(Sym, usize)>,
     errors: &mut Vec<SemaError>,
 ) {
     match stmt {
-        Stmt::Assign { lhs, line, .. } => out.push((lhs.as_str(), *line)),
+        Stmt::Assign { lhs, line, .. } => out.push((*lhs, *line)),
         Stmt::If {
             then_body,
             else_body,
@@ -799,7 +823,7 @@ fn collect_top_defs<'a>(
             for s in else_body {
                 s.for_each_assigned(&mut |n| else_names.push(n));
             }
-            let mut either: Vec<&str> = Vec::new();
+            let mut either: Vec<Sym> = Vec::new();
             for &n in then_names.iter().chain(&else_names) {
                 if !either.contains(&n) {
                     either.push(n);
@@ -813,8 +837,9 @@ fn collect_top_defs<'a>(
                         ErrorCode::OneSidedConditional,
                         Span::line(*line),
                         format!(
-                            "{n} is assigned in only one branch of a conditional; EasyML \
-                             requires both branches to define it"
+                            "{} is assigned in only one branch of a conditional; EasyML \
+                             requires both branches to define it",
+                            x.name(n)
                         ),
                     ));
                 }
@@ -827,24 +852,25 @@ fn collect_top_defs<'a>(
 /// and records a def-use edge (definer, reader) for each read of a name
 /// another statement assigns — one per read, so a name read twice gives
 /// two edges.
-struct Uses<'k, 'a> {
-    known: &'k HashMap<&'a str, Known>,
+struct Uses<'k> {
+    x: &'k Exprs,
+    known: &'k [Known],
     errors: &'k mut Vec<SemaError>,
     edges: Vec<(usize, usize)>,
 }
 
-impl Uses<'_, '_> {
+impl Uses<'_> {
     /// Statement `i` of the body, or a statement nested in it.
     fn stmt(&mut self, stmt: &Stmt, i: usize) {
         match stmt {
-            Stmt::Assign { expr, line, .. } => self.expr(expr, i, *line),
+            Stmt::Assign { expr, line, .. } => self.expr(*expr, i, *line),
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
                 line,
             } => {
-                self.expr(cond, i, *line);
+                self.expr(*cond, i, *line);
                 for s in then_body.iter().chain(else_body) {
                     self.stmt(s, i);
                 }
@@ -852,28 +878,24 @@ impl Uses<'_, '_> {
         }
     }
 
-    fn expr(&mut self, expr: &Expr, i: usize, line: usize) {
-        match expr {
-            Expr::Num(_) => {}
-            Expr::Var(name) => {
-                let known = self.known.get(name.as_str());
-                if known.is_none_or(|k| k.flags == 0) {
+    fn expr(&mut self, expr: ExprId, i: usize, line: usize) {
+        let e = self.x.get(expr);
+        match e {
+            ExprRef::Var(name) => {
+                let known = &self.known[name.index()];
+                if known.flags == 0 {
                     self.errors.push(Diagnostic::new(
                         ErrorCode::UndefinedVariable,
                         Span::line(line),
-                        format!("use of undefined variable {name}"),
+                        format!("use of undefined variable {}", self.x.name(name)),
                     ));
                 }
-                if let Some(j) = known.and_then(|k| k.def).filter(|&j| j != i) {
+                if let Some(j) = known.def.filter(|&j| j != i) {
                     self.edges.push((j, i));
                 }
             }
-            Expr::Unary(_, e) => self.expr(e, i, line),
-            Expr::Binary(_, l, r) => {
-                self.expr(l, i, line);
-                self.expr(r, i, line);
-            }
-            Expr::Call(name, args) => {
+            ExprRef::Call(name, args) => {
+                let name = self.x.name(name);
                 match builtin_arity(name) {
                     None => self.errors.push(Diagnostic::new(
                         ErrorCode::UnknownFunction,
@@ -887,15 +909,11 @@ impl Uses<'_, '_> {
                     )),
                     Some(_) => {}
                 }
-                for a in args {
-                    self.expr(a, i, line);
-                }
             }
-            Expr::Cond(c, t, e) => {
-                self.expr(c, i, line);
-                self.expr(t, i, line);
-                self.expr(e, i, line);
-            }
+            _ => {}
+        }
+        for o in e.operands() {
+            self.expr(o, i, line);
         }
     }
 }
@@ -906,7 +924,11 @@ impl Uses<'_, '_> {
 /// reader's in-degree and is taken once more when its definer is
 /// ordered, so it delays nothing. On a cycle, returns the names one
 /// statement stuck in it defines.
-fn topo_order(body: &[(usize, &Stmt)], edges: &[(usize, usize)]) -> Result<Vec<usize>, String> {
+fn topo_order(
+    x: &Exprs,
+    body: &[(usize, &Stmt)],
+    edges: &[(usize, usize)],
+) -> Result<Vec<usize>, String> {
     let n = body.len();
     let mut indegree: Vec<usize> = vec![0; n];
     // `readers[first[j]..first[j + 1]]` read what statement `j` defines.
@@ -942,7 +964,9 @@ fn topo_order(body: &[(usize, &Stmt)], edges: &[(usize, usize)]) -> Result<Vec<u
         // Name a statement stuck in the cycle.
         let stuck = (0..n).find(|i| indegree[*i] != 0).unwrap_or(0);
         let mut defs = Vec::new();
-        body[stuck].1.for_each_assigned(&mut |d| defs.push(d));
+        body[stuck]
+            .1
+            .for_each_assigned(&mut |d| defs.push(x.name(d)));
         return Err(defs.join(", "));
     }
     Ok(order.into_iter().map(|i| body[i].0).collect())
@@ -1007,7 +1031,7 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
             .stmts
             .iter()
             .map(|s| match s {
-                Stmt::Assign { lhs, .. } => lhs.as_str(),
+                Stmt::Assign { lhs, .. } => m.exprs.name(*lhs),
                 _ => "?",
             })
             .collect();
@@ -1128,50 +1152,57 @@ Iion = (-(Cm/2.)*(u1+u3-Vm)*square(u2)*(Vm-u3)+beta);
     fn affine_gate_form() {
         // dx = (x_inf - x)/tau: a = x_inf/tau, b = -1/tau.
         let src = "diff_m = (m_inf - m) / tau;\nm_inf = 0.5;\ntau = 2.0;";
-        let m = analyze(&parse_model("m", src).unwrap()).unwrap();
+        let mut m = analyze(&parse_model("m", src).unwrap()).unwrap();
         let d = m.diff_expr("m").unwrap();
-        let (a, b) = affine_in(d, "m").expect("gate equation must be affine");
+        let var = m.exprs.sym("m").unwrap();
+        let (a, b) = affine_in(&mut m.exprs, d, var).expect("gate equation must be affine");
         let env: HashMap<String, f64> =
             [("m_inf".to_string(), 0.5), ("tau".to_string(), 2.0)].into();
-        assert_eq!(eval_const(&a, &env), Some(0.25));
-        assert_eq!(eval_const(&b, &env), Some(-0.5));
+        assert_eq!(eval_const(&m.exprs, a, &env), Some(0.25));
+        assert_eq!(eval_const(&m.exprs, b, &env), Some(-0.5));
+    }
+
+    /// The root of the one statement of `diff_x = {src};`, and its table.
+    fn expr(src: &str) -> (Exprs, ExprId) {
+        let ast = parse_model("e", &format!("diff_x = {src};")).unwrap();
+        let Item::Stmt(Stmt::Assign { expr, .. }) = ast.items[0] else {
+            panic!("{src}");
+        };
+        (ast.exprs, expr)
     }
 
     #[test]
     fn affine_rejects_nonlinear() {
-        let e = Expr::bin(BinOp::Mul, Expr::Var("x".into()), Expr::Var("x".into()));
-        assert!(affine_in(&e, "x").is_none());
-        let c = Expr::Call("exp".into(), vec![Expr::Var("x".into())]);
-        assert!(affine_in(&c, "x").is_none());
+        for src in ["x * x", "exp(x)"] {
+            let (mut x, e) = expr(src);
+            let var = x.sym("x").unwrap();
+            assert!(affine_in(&mut x, e, var).is_none(), "{src}");
+        }
     }
 
     #[test]
     fn affine_alpha_beta_form() {
         // dx = alpha*(1-x) - beta*x  -> a = alpha, b = -(alpha+beta)
-        let e = Expr::bin(
-            BinOp::Sub,
-            Expr::bin(
-                BinOp::Mul,
-                Expr::Var("alpha".into()),
-                Expr::bin(BinOp::Sub, Expr::Num(1.0), Expr::Var("x".into())),
-            ),
-            Expr::bin(BinOp::Mul, Expr::Var("beta".into()), Expr::Var("x".into())),
-        );
-        let (a, b) = affine_in(&e, "x").unwrap();
+        let (mut x, e) = expr("alpha * (1 - x) - beta * x");
+        let var = x.sym("x").unwrap();
+        let (a, b) = affine_in(&mut x, e, var).unwrap();
         let env: HashMap<String, f64> =
             [("alpha".to_string(), 3.0), ("beta".to_string(), 5.0)].into();
-        assert_eq!(eval_const(&a, &env), Some(3.0));
-        assert_eq!(eval_const(&b, &env), Some(-8.0));
+        assert_eq!(eval_const(&x, a, &env), Some(3.0));
+        assert_eq!(eval_const(&x, b, &env), Some(-8.0));
+        assert_eq!(x.display(a).to_string(), "((alpha*(1-0))-(beta*0))");
     }
 
     #[test]
     fn eval_const_covers_all_builtins() {
         let env = HashMap::new();
         for (name, arity) in BUILTINS {
-            let args = vec![Expr::Num(0.5); arity];
-            let e = Expr::Call(name.to_string(), args);
+            let mut x = Exprs::default();
+            let args = vec![x.num(0.5); arity];
+            let f = x.intern(name);
+            let e = x.call(f, &args);
             assert!(
-                eval_const(&e, &env).is_some(),
+                eval_const(&x, e, &env).is_some(),
                 "builtin {name} not const-evaluable"
             );
         }

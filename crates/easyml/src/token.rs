@@ -140,8 +140,8 @@ pub type LexError = Diagnostic;
 /// ```
 pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = src.as_bytes();
-    // About one token per four source bytes in the roster's models.
-    let mut toks = Vec::with_capacity(src.len() / 4);
+    // About one token per three source bytes in the roster's models.
+    let mut toks = Vec::with_capacity(src.len() / 2);
     let mut pos = 0usize;
     let mut line = 1usize;
     // Byte offset of the current line's first byte; columns derive from it.

@@ -86,13 +86,13 @@ proptest! {
         let src = format!("diff_x = ({a} {sym} {b}) * x;");
         let m1 = analyze(&parse_model("p", &src).unwrap()).unwrap();
         let printed = match &m1.stmts[0] {
-            limpet_easyml::Stmt::Assign { expr, .. } => expr.to_string(),
+            limpet_easyml::Stmt::Assign { expr, .. } => m1.exprs.display(*expr).to_string(),
             _ => unreachable!(),
         };
         let src2 = format!("diff_x = {printed};");
         let m2 = analyze(&parse_model("p", &src2).unwrap()).unwrap();
         let reprinted = match &m2.stmts[0] {
-            limpet_easyml::Stmt::Assign { expr, .. } => expr.to_string(),
+            limpet_easyml::Stmt::Assign { expr, .. } => m2.exprs.display(*expr).to_string(),
             _ => unreachable!(),
         };
         prop_assert_eq!(printed, reprinted);

@@ -43,7 +43,7 @@ use crate::error::CompileError;
 use crate::faults::{self, FaultKind};
 use crate::health::{Incident, IncidentKind, Tier};
 use crate::sim::{model_info, PipelineKind};
-use limpet_easyml::{Expr, ExtVar, Lookup, Model, Param, StateVar, Stmt};
+use limpet_easyml::{ExtVar, Lookup, Model, Param, StateVar, Stmt};
 use limpet_vm::{Kernel, LutData, StateLayout};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -279,29 +279,35 @@ impl CompiledKernel {
     }
 }
 
-/// FNV-1a along the fields of a checked model, in one walk. Each value's
-/// bits, method, flag and line, each node's variant tag (with its operator)
-/// and each list's length is one word step ([`mix`]); each name is one
-/// word of its length (beside its node's tag, where it has one), then its
-/// bytes eight to a word, the last zero-padded. The encoding is
-/// prefix-free — each list says how long it is, each node which variant
-/// it is — so two models walk alike only when every field is alike,
-/// including where one expression's operands end (`a-(b-c)` against
-/// `(a-b)-c`, `f(g(a),b)` against `f(g(a,b))`).
-struct ModelHasher(u64);
+/// FNV-1a along the fields of a checked model, in one pass, on four
+/// lanes: the walk's `i`-th word steps lane `i mod 4` ([`mix`]), so four
+/// chains of multiplications overlap where one would wait on each step,
+/// and the lanes end mixed into one word. Each value's bits, method, flag
+/// and line and each list's length is one word; each name outside the
+/// expressions is one word of its length, then its bytes eight to a word,
+/// the last zero-padded. The expressions are the word pairs of their flat
+/// table ([`limpet_easyml::Exprs::for_each_pair`]: every node, argument
+/// list and interned name), and a statement is its name's symbol and its
+/// root. The encoding is prefix-free — each list says how long it is, each
+/// node which variant it is and where its operands are — so two models
+/// hash alike only when every field is alike, including where one
+/// expression's operands end (`a-(b-c)` against `(a-b)-c`, `f(g(a),b)`
+/// against `f(g(a,b))`).
+struct ModelHasher([u64; 4]);
 
 impl ModelHasher {
     fn word(&mut self, w: u64) {
-        self.0 = mix(self.0, w);
+        let [l0, l1, l2, l3] = self.0;
+        self.0 = [l1, l2, l3, mix(l0, w)];
     }
 
     fn len(&mut self, n: usize) {
         self.word(n as u64);
     }
 
-    /// `s`, its length in one word with `tag` (which is below 256).
-    fn name(&mut self, tag: u64, s: &str) {
-        self.word(tag | (s.len() as u64) << 8);
+    /// `s`, its length in one word, then its bytes.
+    fn name(&mut self, s: &str) {
+        self.len(s.len());
         let mut words = s.as_bytes().chunks_exact(8);
         for w in &mut words {
             self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
@@ -318,47 +324,13 @@ impl ModelHasher {
         self.word(v.to_bits());
     }
 
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Num(v) => {
-                self.word(0);
-                self.value(*v);
-            }
-            Expr::Var(name) => {
-                self.name(1, name);
-            }
-            Expr::Unary(op, e) => {
-                self.word(2 | (*op as u64) << 8);
-                self.expr(e);
-            }
-            Expr::Binary(op, l, r) => {
-                self.word(3 | (*op as u64) << 8);
-                self.expr(l);
-                self.expr(r);
-            }
-            Expr::Call(name, args) => {
-                self.name(4, name);
-                self.len(args.len());
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Cond(c, t, e) => {
-                self.word(5);
-                self.expr(c);
-                self.expr(t);
-                self.expr(e);
-            }
-        }
-    }
-
     fn stmts(&mut self, stmts: &[Stmt]) {
         self.len(stmts.len());
         for s in stmts {
             match s {
                 Stmt::Assign { lhs, expr, line } => {
-                    self.name(0, lhs);
-                    self.expr(expr);
+                    self.word((lhs.index() as u64) << 8);
+                    self.len(expr.index());
                     self.len(*line);
                 }
                 Stmt::If {
@@ -368,7 +340,7 @@ impl ModelHasher {
                     line,
                 } => {
                     self.word(1);
-                    self.expr(cond);
+                    self.len(cond.index());
                     self.stmts(then_body);
                     self.stmts(else_body);
                     self.len(*line);
@@ -386,12 +358,13 @@ impl ModelHasher {
             externals,
             params,
             lookups,
+            exprs,
             stmts,
         } = model;
-        self.name(0, name);
+        self.name(name);
         self.len(states.len());
         for StateVar { name, init, method } in states {
-            self.name(0, name);
+            self.name(name);
             self.value(*init);
             self.word(*method as u64);
         }
@@ -403,34 +376,38 @@ impl ModelHasher {
             parent,
         } in externals
         {
-            self.name(0, name);
+            self.name(name);
             self.value(*init);
             self.word(u64::from(*assigned) | u64::from(*parent) << 1);
         }
         self.len(params.len());
         for Param { name, default } in params {
-            self.name(0, name);
+            self.name(name);
             self.value(*default);
         }
         self.len(lookups.len());
         for Lookup { var, lo, hi, step } in lookups {
-            self.name(0, var);
+            self.name(var);
             self.value(*lo);
             self.value(*hi);
             self.value(*step);
         }
+        exprs.for_each_pair(|[a, b]| {
+            self.word(a);
+            self.word(b);
+        });
         self.stmts(stmts);
     }
 }
 
 /// A content fingerprint of a checked model: stable across processes and
 /// across identical sources, sensitive to any change of any field (see
-/// [`ModelHasher`]). It costs one walk of the model and allocates
-/// nothing, so every cache lookup can afford it.
+/// [`ModelHasher`]). It costs one pass over the model's flat parts and
+/// allocates nothing, so every cache lookup can afford it.
 pub fn model_fingerprint(model: &Model) -> u64 {
-    let mut h = ModelHasher(FNV_OFFSET);
+    let mut h = ModelHasher([FNV_OFFSET; 4]);
     h.model(model);
-    h.0
+    h.0.into_iter().fold(FNV_OFFSET, mix)
 }
 
 /// Cache hit/miss counters (monotonic over the cache's lifetime).
@@ -1161,31 +1138,41 @@ mod tests {
         assert!(std::ptr::eq(raw.luts(), optimized.kernel().luts()));
     }
 
+    /// One key per content: a model, its clone (whose vectors hold no
+    /// spare capacity) and a second parse of its source agree; another
+    /// model differs.
     #[test]
     fn fingerprint_distinguishes_structure_not_identity() {
         let m1 = model("HodgkinHuxley");
         let m2 = model("HodgkinHuxley");
+        let copy = m1.clone();
         assert_eq!(model_fingerprint(&m1), model_fingerprint(&m2));
+        assert_eq!(model_fingerprint(&m1), model_fingerprint(&copy));
         let other = model("BeelerReuter");
         assert_ne!(model_fingerprint(&m1), model_fingerprint(&other));
+    }
+
+    /// The probe model of the fingerprint tests, its intermediate named
+    /// `a`.
+    fn probe(a: &str) -> Model {
+        let src = format!(
+            "Vm; .external(); .lookup(-100, 100, 0.05);\n\
+             Iion; .external(); .parent();\n\
+             group{{ g = 0; }}.param();\n\
+             x_init = 0.25;\n\
+             diff_x = ({a} - (x - Vm)) * g;\n\
+             {a} = pow(exp(Vm), x);\n\
+             Iion = g * x;\n\
+             x; .method(rk2);"
+        );
+        limpet_easyml::compile_model("Probe", &src).unwrap()
     }
 
     /// Every field the fingerprint walks moves it: one edit per kind of
     /// field, each against the same base model.
     #[test]
     fn fingerprint_moves_with_every_field() {
-        let base = limpet_easyml::compile_model(
-            "Probe",
-            "Vm; .external(); .lookup(-100, 100, 0.05);\n\
-             Iion; .external(); .parent();\n\
-             group{ g = 0; }.param();\n\
-             x_init = 0.25;\n\
-             diff_x = (a - (x - Vm)) * g;\n\
-             a = pow(exp(Vm), x);\n\
-             Iion = g * x;\n\
-             x; .method(rk2);",
-        )
-        .unwrap();
+        let base = probe("a");
         let fp = model_fingerprint(&base);
         let moved = |what: &str, edit: &dyn Fn(&mut Model)| {
             let mut m = base.clone();
@@ -1207,37 +1194,42 @@ mod tests {
         moved("statement line", &|m| match &mut m.stmts[0] {
             Stmt::Assign { line, .. } | Stmt::If { line, .. } => *line += 1,
         });
-        let var = |n: &str| Expr::Var(n.into());
-        let rhs_of = |m: &mut Model, lhs: &str, e: Expr| {
+        let var = |m: &mut Model, n: &str| {
+            let name = m.exprs.sym(n).unwrap();
+            m.exprs.var(name)
+        };
+        let set_rhs = |m: &mut Model, lhs: &str, e| {
+            let lhs = m.exprs.sym(lhs).unwrap();
             for s in &mut m.stmts {
                 if let Stmt::Assign { lhs: l, expr, .. } = s {
-                    if l == lhs {
-                        *expr = e.clone();
+                    if *l == lhs {
+                        *expr = e;
                     }
                 }
             }
         };
         // `a - (x - Vm)` regrouped as `(a - x) - Vm`.
         moved("grouping", &|m| {
-            let e = Expr::bin(
-                BinOp::Mul,
-                Expr::bin(
-                    BinOp::Sub,
-                    Expr::bin(BinOp::Sub, var("a"), var("x")),
-                    var("Vm"),
-                ),
-                var("g"),
-            );
-            rhs_of(m, "diff_x", e);
+            let (a, x, vm, g) = (var(m, "a"), var(m, "x"), var(m, "Vm"), var(m, "g"));
+            let ax = m.exprs.binary(BinOp::Sub, a, x);
+            let axvm = m.exprs.binary(BinOp::Sub, ax, vm);
+            let e = m.exprs.binary(BinOp::Mul, axvm, g);
+            set_rhs(m, "diff_x", e);
         });
         // `pow(exp(Vm), x)` with `x` moved into the inner call.
         moved("argument count", &|m| {
-            let e = Expr::Call(
-                "pow".into(),
-                vec![Expr::Call("exp".into(), vec![var("Vm"), var("x")])],
-            );
-            rhs_of(m, "a", e);
+            let (vm, x) = (var(m, "Vm"), var(m, "x"));
+            let (exp, pow) = (m.exprs.sym("exp").unwrap(), m.exprs.sym("pow").unwrap());
+            let inner = m.exprs.call(exp, &[vm, x]);
+            let e = m.exprs.call(pow, &[inner]);
+            set_rhs(m, "a", e);
         });
+        // Interned names are hashed by their text, not only their place in
+        // the table: `a` renamed `b` keeps every symbol index and node.
+        let renamed = probe("b");
+        assert_eq!(renamed.exprs.len(), base.exprs.len());
+        assert_eq!(renamed.exprs.sym("b"), base.exprs.sym("a"));
+        assert_ne!(model_fingerprint(&renamed), fp, "a rename did not move it");
     }
 
     #[test]

@@ -278,6 +278,19 @@ fn is_record(name: &str) -> bool {
         || (name.starts_with("native-") && name.ends_with(".lso"))
 }
 
+/// A record's path, length and mtime.
+type Record = (PathBuf, u64, SystemTime);
+
+/// The [`Record`] of `item`, when it is one.
+fn record(item: &fs::DirEntry) -> io::Result<Option<Record>> {
+    if !item.file_name().to_str().is_some_and(is_record) {
+        return Ok(None);
+    }
+    let meta = item.metadata()?;
+    let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+    Ok(Some((item.path(), meta.len(), mtime)))
+}
+
 /// Whether the record at `path` is a table record.
 fn is_tables_path(path: &Path) -> bool {
     path.extension().is_some_and(|ext| ext == "lkt")
@@ -402,27 +415,30 @@ impl DiskCache {
     }
 
     /// `(path, length, mtime)` of every record in the directory.
-    fn scan(&self) -> io::Result<Vec<(PathBuf, u64, SystemTime)>> {
+    fn scan(&self) -> io::Result<Vec<Record>> {
         let mut records = Vec::new();
         for item in fs::read_dir(&self.dir)? {
-            let item = item?;
-            if item.file_name().to_str().is_some_and(is_record) {
-                let meta = item.metadata()?;
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                records.push((item.path(), meta.len(), mtime));
-            }
+            records.extend(record(&item?)?);
         }
         Ok(records)
     }
 
-    /// Removes the staging files killed writers left behind. Staging
-    /// happens under the directory lock, so to whoever holds the lock a
-    /// staging file older than the stale-lock age is garbage; a younger one
-    /// may belong to a slow writer whose lock was broken under it.
-    fn remove_orphans_locked(&self) {
+    /// [`DiskCache::scan`] from the one listing that also removes the
+    /// staging files killed writers left behind. Staging happens under the
+    /// directory lock, so to whoever holds the lock a staging file older
+    /// than the stale-lock age is garbage; a younger one may belong to a
+    /// slow writer whose lock was broken under it.
+    fn sweep_locked(&self) -> io::Result<Vec<Record>> {
         let stale_after = Duration::from_millis(self.stale_lock_after_ms.load(Ordering::Relaxed));
-        let removed = store::remove_orphans(&self.dir, is_record, stale_after);
+        let (mut records, mut failed) = (Vec::new(), None);
+        let removed = store::sweep(&self.dir, is_record, stale_after, |item| {
+            match record(item) {
+                Ok(r) => records.extend(r),
+                Err(e) => failed = Some(e),
+            }
+        })?;
         self.orphans_removed.fetch_add(removed, Ordering::Relaxed);
+        failed.map_or(Ok(records), Err)
     }
 
     /// Scans the directory for the `--cache stat` report.
@@ -451,9 +467,8 @@ impl DiskCache {
     /// Returns a description on lock timeout or removal failure.
     pub fn clear(&self) -> Result<usize, String> {
         let _lock = self.acquire_lock()?;
-        self.remove_orphans_locked();
         let files = self
-            .scan()
+            .sweep_locked()
             .map_err(|e| format!("cannot scan cache dir: {e}"))?;
         let mut removed = 0;
         for (path, _, _) in files {
@@ -626,8 +641,7 @@ impl DiskCache {
     /// writes it again.
     fn enforce_cap_locked(&self, protect: &[&Path]) {
         let cap = self.cap_bytes();
-        self.remove_orphans_locked();
-        let Ok(mut files) = self.scan() else {
+        let Ok(mut files) = self.sweep_locked() else {
             return;
         };
         let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();

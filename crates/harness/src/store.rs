@@ -288,8 +288,20 @@ pub(crate) fn older_than(mtime: SystemTime, age: Duration) -> bool {
 /// files older than `age` whose final name `is_ours` (anything else is not
 /// the calling store's to judge). Returns how many went.
 pub(crate) fn remove_orphans(dir: &Path, is_ours: impl Fn(&str) -> bool, age: Duration) -> u64 {
+    sweep(dir, is_ours, age, |_| {}).unwrap_or(0)
+}
+
+/// [`remove_orphans`], handing every item of `dir` it leaves to `rest` in
+/// the same listing, for a store that also wants to know what the
+/// directory holds. Fails only when `dir` cannot be listed.
+pub(crate) fn sweep(
+    dir: &Path,
+    is_ours: impl Fn(&str) -> bool,
+    age: Duration,
+    mut rest: impl FnMut(&fs::DirEntry),
+) -> io::Result<u64> {
     let mut removed = 0;
-    for item in fs::read_dir(dir).into_iter().flatten().flatten() {
+    for item in fs::read_dir(dir)?.flatten() {
         let name = item.file_name();
         let staged_for = name.to_str().and_then(|name| name.rsplit_once(".tmp-"));
         let abandoned = staged_for.is_some_and(|(final_name, _writer)| is_ours(final_name))
@@ -299,9 +311,11 @@ pub(crate) fn remove_orphans(dir: &Path, is_ours: impl Fn(&str) -> bool, age: Du
                 .is_ok_and(|mtime| older_than(mtime, age));
         if abandoned && fs::remove_file(item.path()).is_ok() {
             removed += 1;
+        } else {
+            rest(&item);
         }
     }
-    removed
+    Ok(removed)
 }
 
 /// Applies at most one armed fault of `[torn, corrupt, stale]` to the

@@ -9,11 +9,17 @@
 //! expression — so a lexer, parser or analyzer change that alters any of
 //! them fails here, before lowering sees it. `module_fingerprints.csv`
 //! pins what the compiler then prints.
+//!
+//! The fixture was recorded when each expression node was its own boxed
+//! `Expr` and each name its own `String`; [`boxed_debug`] prints today's
+//! flat model in that text, so the fixture holds across the change of
+//! representation.
 
-use limpet_easyml::{analyze, parse_model, Model};
+use limpet_easyml::{analyze, parse_model, ExprId, ExprRef, Exprs, Model, Stmt};
 use limpet_harness::fnv1a;
 use limpet_models::{generate, source, SynthSpec, ROSTER};
 use proptest::prelude::*;
+use std::fmt::Write;
 
 /// Synthetic specs in the space `proptest_models.rs` samples.
 fn spec_strategy() -> impl Strategy<Value = SynthSpec> {
@@ -55,7 +61,93 @@ fn check(name: &str, src: &str) -> Model {
 }
 
 fn debug_fnv(model: &Model) -> u64 {
-    fnv1a(format!("{model:?}").as_bytes())
+    fnv1a(boxed_debug(model).as_bytes())
+}
+
+/// The `Debug` text of `model` as the boxed tree printed it: the fields
+/// in order, each statement's name and expressions written out in place
+/// of their symbols and node ids, and nothing of the table itself.
+fn boxed_debug(model: &Model) -> String {
+    let mut out = format!(
+        "Model {{ name: {:?}, states: {:?}, externals: {:?}, params: {:?}, lookups: {:?}, stmts: ",
+        model.name, model.states, model.externals, model.params, model.lookups
+    );
+    stmts(&mut out, &model.exprs, &model.stmts);
+    out.push_str(" }");
+    out
+}
+
+/// `[a, b, …]`, each item written by `item`.
+fn list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+fn stmts(out: &mut String, x: &Exprs, body: &[Stmt]) {
+    list(out, body, |out, s| match s {
+        Stmt::Assign { lhs, expr: e, line } => {
+            write!(out, "Assign {{ lhs: {:?}, expr: ", x.name(*lhs)).unwrap();
+            expr(out, x, *e);
+            write!(out, ", line: {line} }}").unwrap();
+        }
+        Stmt::If {
+            cond,
+            then_body,
+            else_body,
+            line,
+        } => {
+            out.push_str("If { cond: ");
+            expr(out, x, *cond);
+            out.push_str(", then_body: ");
+            stmts(out, x, then_body);
+            out.push_str(", else_body: ");
+            stmts(out, x, else_body);
+            write!(out, ", line: {line} }}").unwrap();
+        }
+    });
+}
+
+fn expr(out: &mut String, x: &Exprs, id: ExprId) {
+    match x.get(id) {
+        ExprRef::Num(v) => write!(out, "Num({v:?})").unwrap(),
+        ExprRef::Var(name) => write!(out, "Var({:?})", x.name(name)).unwrap(),
+        ExprRef::Unary(op, e) => {
+            write!(out, "Unary({op:?}, ").unwrap();
+            expr(out, x, e);
+            out.push(')');
+        }
+        ExprRef::Binary(op, l, r) => {
+            write!(out, "Binary({op:?}, ").unwrap();
+            expr(out, x, l);
+            out.push_str(", ");
+            expr(out, x, r);
+            out.push(')');
+        }
+        ExprRef::Call(name, args) => {
+            write!(out, "Call({:?}, ", x.name(name)).unwrap();
+            list(out, args.iter().copied(), |out, a| expr(out, x, a));
+            out.push(')');
+        }
+        ExprRef::Cond(c, t, e) => {
+            out.push_str("Cond(");
+            expr(out, x, c);
+            out.push_str(", ");
+            expr(out, x, t);
+            out.push_str(", ");
+            expr(out, x, e);
+            out.push(')');
+        }
+    }
 }
 
 #[test]

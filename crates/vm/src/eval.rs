@@ -27,7 +27,7 @@
 //! use it: the benchmark's stage-by-stage compile tabulates through this
 //! function, one call per row, and must time within 10 % of the cache's
 //! compile. Tabulating with the engine's bytecode instead waits for that
-//! check to change (ROADMAP item 3, "One interpreter").
+//! check to change (ROADMAP "One interpreter").
 
 use limpet_ir::{Func, Module, OpKind, RegionId, ValueId};
 use std::collections::HashMap;

@@ -599,11 +599,29 @@ echo "==> limpet-perf unit tests (statistics, spans, golden parser, contract tab
 # workspace-wide `cargo test -q` above does not reach it.
 cargo test --offline -q --manifest-path limpet-perf/Cargo.toml
 
+# Runs limpet-perf with the given arguments, its stdout discarded and its
+# result file at $1. On a non-zero exit it prints the `failures` the result
+# file lists — which check failed — and exits with the same status, where
+# `set -e` alone would stop the script without naming it.
+perf_run() {
+  local out=$1 status=0
+  shift
+  bash limpet-perf/run.sh "$@" --out "$out" > /dev/null || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "limpet-perf $* exited $status; the failures in its result file:"
+    grep -oE '"failures":\[("([^"\\]|\\.)*"(,"([^"\\]|\\.)*")*)?\]' "$out" \
+      || echo "(none: the run wrote no result file)"
+    exit "$status"
+  fi
+}
+
 echo "==> limpet-perf --quick (all four workloads end to end, golden digests)"
 # Exits non-zero on any wrong digest or failed operation. Untraced on
 # purpose: on quick's three small models the traced run's 10 %
 # reconciliation checks are inside the timing noise (2 of 6 runs miss).
-bash limpet-perf/run.sh --quick > /dev/null
+QUICK_OUT=$(mktemp)
+perf_run "$QUICK_OUT" --quick
+rm -f "$QUICK_OUT"
 
 echo "==> limpet-perf sim_steady, traced (digests, exact counts, W=8 and W=1 step time and executed instructions vs BENCH_step_loop.json, LUT vs no-LUT)"
 # One traced run of the step-loop workload. A non-zero exit is a wrong
@@ -613,7 +631,7 @@ echo "==> limpet-perf sim_steady, traced (digests, exact counts, W=8 and W=1 ste
 # per step are then held against the change row of BENCH_step_loop.json,
 # and its no-LUT over LUT step time against the paper's ordering.
 STEP_OUT=$(mktemp)
-bash limpet-perf/run.sh --workload sim_steady --seconds 10 --trace 1 --out "$STEP_OUT" > /dev/null
+perf_run "$STEP_OUT" --workload sim_steady --seconds 10 --trace 1
 # Every value of a key, one per line, from compact or indented JSON.
 json_values() { { grep -o "\"$1\" *: *[^,}]*" "$2" || true; } | sed 's/^[^:]*: *//; s/"//g'; }
 json_field() { json_values "$1" "$2" | head -1; }
@@ -765,7 +783,7 @@ echo "==> limpet-perf compile_roster, traced (digests, exact counts, staged comp
 # text — an exact count, so held on every host, as is the count itself
 # against the ledger's newest record.
 COMPILE_RUN=$(mktemp)
-bash limpet-perf/run.sh --workload compile_roster --seconds 10 --trace 1 --out "$COMPILE_RUN" > /dev/null
+perf_run "$COMPILE_RUN" --workload compile_roster --seconds 10 --trace 1
 # primary_ms as the benchmark defines it: the median round's cold seconds (a
 # traced result file carries the rounds, not the end-to-end block). A traced
 # run times one round where an untraced one takes the median of several
@@ -821,7 +839,7 @@ echo "==> limpet-perf ckpt_resume (resume equals the uninterrupted twin, save an
 # cells are held against the change row of BENCH_checkpoint.json by the
 # same rule.
 CKPT_RUN=$(mktemp)
-bash limpet-perf/run.sh --workload ckpt_resume --seconds 10 --trace 0 --out "$CKPT_RUN" > /dev/null
+perf_run "$CKPT_RUN" --workload ckpt_resume --seconds 10 --trace 0
 hold_ms "checkpoint save" primary_ms "$(metric_value primary_ms "$CKPT_RUN")" "$CKPT_RUN" BENCH_checkpoint.json
 hold_ms "checkpoint resume" secondary_ms "$(metric_value secondary_ms "$CKPT_RUN")" "$CKPT_RUN" BENCH_checkpoint.json
 rm -f "$CKPT_RUN"
@@ -832,7 +850,7 @@ echo "==> limpet-perf serve_closed (golden digests through the wire, daemon job 
 # Its geomean over the roster job kinds of the median submit-to-done time is
 # held against the change row of BENCH_serve.json by the same rule.
 SERVE_RUN=$(mktemp)
-bash limpet-perf/run.sh --workload serve_closed --seconds 10 --trace 0 --out "$SERVE_RUN" > /dev/null
+perf_run "$SERVE_RUN" --workload serve_closed --seconds 10 --trace 0
 SERVE_MS=$(metric_value primary_ms "$SERVE_RUN")
 hold_ms "daemon job" primary_ms "$SERVE_MS" "$SERVE_RUN" BENCH_serve.json
 rm -f "$SERVE_RUN"
