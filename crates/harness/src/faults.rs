@@ -231,6 +231,18 @@ pub fn injection_active() -> bool {
     CURRENT.with(|current| current.borrow().0.is_some())
 }
 
+/// Whether the calling thread's plan holds an unfired item of `kind`, which
+/// the next [`take`] of it would fire.
+pub(crate) fn armed(kind: FaultKind) -> bool {
+    CURRENT.with(|current| {
+        let plan = current.borrow();
+        plan.0.as_ref().is_some_and(|items| {
+            let items = items.lock().unwrap_or_else(|p| p.into_inner());
+            items.iter().any(|p| p.kind == kind && !p.fired)
+        })
+    })
+}
+
 /// Consumes the first unfired item of `kind` in the calling thread's plan,
 /// returning its seed.
 ///

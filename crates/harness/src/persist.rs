@@ -21,6 +21,17 @@
 //! copy among a process's kernels is [`crate::KernelCache`]'s, with or
 //! without this tier.
 //!
+//! A table record is mapped read-only, and its tables read their values
+//! where they lie in the mapping ([`limpet_vm::decode_luts`]), each
+//! table's values padded to an 8-aligned offset of the record. The mapping
+//! lives as long as a table over it, and stays valid after its file is
+//! gone: this crate replaces a record only by rename and removes it only
+//! by unlink. A record truncated in place by another program ends the
+//! process with `SIGBUS`; the cache directory is this crate's alone. A
+//! load with a `disk-*` fault armed, or one the kernel refuses to map,
+//! reads the record into a buffer of its own instead, which goes to the
+//! same ladder and decoder.
+//!
 //! Entries (`.lke`), table records (`.lkt`) and native containers (`.lso`)
 //! are records of [`crate::store`], which owns the header grammar, the
 //! atomic write, the reject ladder and the `disk-*` fault injection. What
@@ -49,11 +60,11 @@ use crate::faults::{self, FaultKind};
 use crate::sim::{model_info, PipelineKind};
 use crate::store::{self, older_than, take_line, Reject, RejectReason};
 use limpet_easyml::Model;
-use limpet_vm::{Kernel, LutData};
+use limpet_vm::{Kernel, LutBytes, LutData};
 use std::collections::{HashMap, HashSet};
 use std::fmt::{Display, Write as _};
 use std::fs;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
@@ -62,8 +73,9 @@ use std::time::{Duration, Instant, SystemTime};
 /// Version of the on-disk entry and table-record envelopes (header +
 /// section framing + table block). Bump on any layout change; old records
 /// are then rejected as stale and recompiled rather than misparsed. Format
-/// 7 is format 6 under the four-lane [`crate::checksum::payload_sum`].
-pub const ENTRY_FORMAT_VERSION: u32 = 7;
+/// 7 is format 6 under the four-lane [`crate::checksum::payload_sum`];
+/// format 8 pads each table's values to start 8-aligned in the record.
+pub const ENTRY_FORMAT_VERSION: u32 = 8;
 
 /// First token of every entry file; anything else is not ours.
 const MAGIC: &str = "limpet-kernel-cache";
@@ -315,10 +327,6 @@ struct Tables {
 pub struct DiskCache {
     dir: PathBuf,
     tables: Mutex<Tables>,
-    /// What table records are read into, kept from one read to the next:
-    /// its pages are faulted in once, where a fresh buffer per record cost
-    /// more than the read itself. A read that finds it busy takes its own.
-    read_buf: Mutex<Vec<u8>>,
     cap_bytes: AtomicU64,
     lock_timeout_ms: AtomicU64,
     stale_lock_after_ms: AtomicU64,
@@ -349,7 +357,6 @@ impl DiskCache {
         Ok(DiskCache {
             dir: dir.to_path_buf(),
             tables: Mutex::default(),
-            read_buf: Mutex::default(),
             cap_bytes: AtomicU64::new(cap),
             lock_timeout_ms: AtomicU64::new(5_000),
             stale_lock_after_ms: AtomicU64::new(store::STALE_AFTER.as_millis() as u64),
@@ -603,7 +610,7 @@ impl DiskCache {
         let (tables, luts, sealed) = match self.held_copy(key.fingerprint, built) {
             Some((tables, held)) => (tables, held, None),
             None => {
-                let (tables, record) = seal_tables(key.fingerprint, built);
+                let (tables, record) = seal_tables(key.fingerprint, built)?;
                 (tables, Arc::clone(built), Some(record))
             }
         };
@@ -614,7 +621,10 @@ impl DiskCache {
             format!("{name} holds other tables of {model_name} under the same sum")
         })?;
         if !self.tables().on_disk.contains(&name) {
-            let record = sealed.unwrap_or_else(|| seal_tables(key.fingerprint, &luts).1);
+            let record = match sealed {
+                Some(record) => record,
+                None => seal_tables(key.fingerprint, &luts)?.1,
+            };
             self.publish_locked(&name, &record)?;
             self.tables().on_disk.insert(name.clone());
         }
@@ -679,16 +689,16 @@ impl DiskCache {
     }
 
     /// The tables of record `key`: the copy this cache holds while a kernel
-    /// reads it, else the record, read down the ladder and then held. A
-    /// missing or refused record refuses the entry that names it.
+    /// reads it, else the record, mapped, walked down the ladder and then
+    /// held — its tables read their values where they lie in the mapping,
+    /// which lives as long as they do. A missing or refused record refuses
+    /// the entry that names it.
     fn load_tables(&self, key: &TableKey) -> Result<Arc<[LutData]>, Reject> {
         if let Some(held) = self.tables().held.get(key).and_then(Weak::upgrade) {
             return Ok(held);
         }
         let name = key.file_name();
-        let (mut shared, mut own) = (self.read_buf.try_lock().ok(), Vec::new());
-        let buf = shared.as_deref_mut().unwrap_or(&mut own);
-        let loaded = self.read(&name, buf, |bytes| open_tables(bytes, key));
+        let loaded = self.read(&name, true, |bytes| open_tables(bytes, key));
         if matches!(loaded, Some(Ok(_))) {
             self.tables().on_disk.insert(name.clone());
         } else {
@@ -709,37 +719,38 @@ impl DiskCache {
         }
     }
 
-    /// Reads one record into `bytes`, lets any armed `disk-*` fault damage
-    /// them, and decodes them; `None` when there is no such file. A record
-    /// that decodes has its mtime refreshed so LRU eviction sees it as live
-    /// (best-effort: a read-only cache dir still serves it); a refused file
-    /// is removed, so that the recompile's store heals the cache instead of
-    /// re-rejecting forever.
+    /// Reads one record through one descriptor — mapped when `map` asks for
+    /// it ([`store::read`], which also lets an armed `disk-*` fault damage a
+    /// copy) — and decodes it; `None` when there is no such file. A record
+    /// that decodes has its mtime, its LRU clock, refreshed through the same
+    /// descriptor (best-effort: a cache dir this process does not own still
+    /// serves it); a refused file is removed, so that the recompile's store
+    /// heals the cache instead of re-rejecting forever.
     fn read<T>(
         &self,
         file_name: &str,
-        bytes: &mut Vec<u8>,
-        decode: impl FnOnce(&[u8]) -> Result<T, Reject>,
+        map: bool,
+        decode: impl FnOnce(LutBytes) -> Result<T, Reject>,
     ) -> Option<Result<T, Reject>> {
         let path = self.dir.join(file_name);
-        bytes.clear();
-        let decoded = match fs::File::open(&path).and_then(|mut file| file.read_to_end(bytes)) {
-            Ok(_) => {
-                store::inject(bytes, DISK_FAULTS);
-                decode(bytes)
+        let unreadable = |e: io::Error| Reject {
+            reason: RejectReason::BadHeader,
+            detail: format!("unreadable ({e})"),
+        };
+        let decoded = match fs::File::open(&path) {
+            Ok(file) => {
+                let decoded = store::read(&file, map, DISK_FAULTS)
+                    .map_err(unreadable)
+                    .and_then(decode);
+                if decoded.is_ok() {
+                    let _ = file.set_modified(SystemTime::now());
+                }
+                decoded
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
-            Err(e) => Err(Reject {
-                reason: RejectReason::BadHeader,
-                detail: format!("unreadable ({e})"),
-            }),
+            Err(e) => Err(unreadable(e)),
         };
-        if decoded.is_ok() {
-            let _ = fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .and_then(|f| f.set_modified(SystemTime::now()));
-        } else {
+        if decoded.is_err() {
             let _ = fs::remove_file(&path);
         }
         Some(decoded)
@@ -751,7 +762,7 @@ impl DiskCache {
         file_name: &str,
         decode: impl FnOnce(&[u8]) -> Result<T, Reject>,
     ) -> DiskLoad<T> {
-        match self.read(file_name, &mut Vec::new(), decode) {
+        match self.read(file_name, false, |bytes| decode((*bytes).as_ref())) {
             Some(Ok(loaded)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 DiskLoad::Hit(loaded)
@@ -967,35 +978,49 @@ fn parse_entry(
 const TABLE_STAMPS: [&dyn Display; 1] = [&ENTRY_FORMAT_VERSION];
 
 /// The table record of `luts`, the tables of the model `fingerprint`, and
-/// its key — the payload is the [`limpet_vm::encode_luts`] block:
+/// its key — the payload is the [`limpet_vm::encode_luts`] block, each
+/// table's values padded with zero bytes to start at a multiple of 8 from
+/// the record's first byte:
 ///
 /// ```text
 /// limpet-lut-tables <entry-ver> <fp:016x> <tables-sum:016x> <payload-len> <sum:016x>\n
 /// luts <count>\n
-/// lut <lo:016x> <hi:016x> <step:016x> <rows> <cols>\n<rows·cols·8 bytes>\n     per table
+/// lut <lo:016x> <hi:016x> <step:016x> <rows> <cols>\n<0-7 zero bytes><rows·cols·8 bytes>\n     per table
 /// end\n
 /// ```
 ///
 /// `tables-sum` is the payload's sum when it is written: the key a
 /// configuration's entry names the record by.
-pub(crate) fn seal_tables(fingerprint: u64, luts: &[LutData]) -> (TableKey, Vec<u8>) {
+///
+/// # Errors
+///
+/// Refuses the rare table set whose padded length spells itself in no
+/// header ([`store::seal_placed`]); the caller keeps it in memory.
+pub(crate) fn seal_tables(
+    fingerprint: u64,
+    luts: &[LutData],
+) -> Result<(TableKey, Vec<u8>), String> {
     let fp = format!("{fingerprint:016x}");
     let (record, sum) = store::seal_by_sum(
         TABLES_MAGIC,
         &TABLE_STAMPS,
         &[&fp],
-        limpet_vm::encoded_luts_len(luts),
+        |at| limpet_vm::encoded_luts_len(luts, at),
         |out| limpet_vm::encode_luts(luts, out),
-    );
-    (TableKey { fingerprint, sum }, record)
+    )
+    .ok_or_else(|| format!("the tables of {fp} state no padded length"))?;
+    Ok((TableKey { fingerprint, sum }, record))
 }
 
-/// The tables of the table record `key` (the grammar of
-/// [`limpet_vm::decode_luts`]: nothing after `end`).
-pub(crate) fn open_tables(bytes: &[u8], key: &TableKey) -> Result<Vec<LutData>, Reject> {
+/// The tables of the table record `key` in `bytes` (the grammar of
+/// [`limpet_vm::decode_luts`]: nothing after `end`), which read their
+/// values where they lie in `bytes` and hold them.
+pub(crate) fn open_tables(bytes: LutBytes, key: &TableKey) -> Result<Vec<LutData>, Reject> {
     let [fp, sum] = key.echo();
-    let payload = store::open(bytes, TABLES_MAGIC, &TABLE_STAMPS, &[&fp, &sum])?;
-    limpet_vm::decode_luts(payload).map_err(|e| malformed(format!("bad LUT data: {e}")))
+    let all: &[u8] = (*bytes).as_ref();
+    let payload = store::open(all, TABLES_MAGIC, &TABLE_STAMPS, &[&fp, &sum])?;
+    limpet_vm::decode_luts(&bytes, all.len() - payload.len()..all.len())
+        .map_err(|e| malformed(format!("bad LUT data: {e}")))
 }
 
 /// Splits the text section `want` — `section <want> <len>\n<len bytes of
@@ -1647,7 +1672,7 @@ mod tests {
             let other = model("BeelerReuter");
             let entry = CompiledKernel::compile(&other, PipelineKind::Baseline);
             let fingerprint = model_fingerprint(&other);
-            let (_, record) = seal_tables(fingerprint, entry.kernel().luts());
+            let (_, record) = seal_tables(fingerprint, entry.kernel().luts()).unwrap();
             fs::write(path, record).unwrap();
         });
     }
@@ -1670,7 +1695,7 @@ mod tests {
                 let other = model("BeelerReuter");
                 let key = EntryKey::new(&other, PipelineKind::Baseline, true);
                 let entry = CompiledKernel::compile(&other, PipelineKind::Baseline);
-                let (tables, record) = seal_tables(key.fingerprint, entry.kernel().luts());
+                let (tables, record) = seal_tables(key.fingerprint, entry.kernel().luts()).unwrap();
                 let adds = record.len() + encode_entry(&key, &other.name, &entry, &tables).len();
                 let evicted = fs::metadata(path).unwrap().len();
                 seeder.set_cap_bytes(seeder.status().unwrap().bytes + adds as u64 - evicted);
@@ -1711,6 +1736,152 @@ mod tests {
         let fresh = DiskCache::open(&dir).unwrap();
         let key = EntryKey::new(&m, CONFIGS[1], true);
         assert!(matches!(fresh.load(&key, &m), DiskLoad::Hit(_)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every state variable's bits after 50 steps of each kernel of
+    /// `entry`, the optimized one and its raw sibling.
+    fn state_bits(entry: &CompiledKernel) -> Vec<Vec<u64>> {
+        [entry.kernel(), entry.raw_kernel()]
+            .map(|kernel| {
+                let wl = crate::Workload {
+                    n_cells: 8,
+                    steps: 0,
+                    dt: 0.01,
+                };
+                let mut sim = crate::Simulation::with_kernel(kernel.clone(), entry.layout(), &wl);
+                sim.run(50);
+                sim.state_bits()
+            })
+            .into()
+    }
+
+    /// A disk-warm load of `m` under both configurations through `cache`.
+    fn load_both(cache: &DiskCache, m: &Model) -> Vec<CompiledKernel> {
+        CONFIGS
+            .map(
+                |config| match cache.load(&EntryKey::new(m, config, true), m) {
+                    DiskLoad::Hit(entry) => *entry,
+                    other => panic!("{}: expected a hit, got {other:?}", config.label()),
+                },
+            )
+            .into()
+    }
+
+    /// Whether this process maps the file at `path` (Linux lists a mapping
+    /// in `/proc/self/maps`, with ` (deleted)` after the path of a removed
+    /// file); `true` where there is no such list.
+    fn mapped(path: &Path) -> bool {
+        fs::read_to_string("/proc/self/maps").map_or(true, |maps| {
+            let path = path.to_str().unwrap();
+            maps.lines().any(|line| line.contains(path))
+        })
+    }
+
+    #[test]
+    fn loaded_tables_outlive_their_record_and_faults_damage_a_copy() {
+        let dir = temp_dir("mapped-tables");
+        let m = model("HodgkinHuxley");
+        let cold = store_both(&DiskCache::open(&dir).unwrap(), &m);
+        let twins: Vec<_> = cold.iter().map(state_bits).collect();
+        let assert_twins = |loaded: &[CompiledKernel], how: &str| {
+            assert!(loaded[0].kernel().shares_luts(loaded[1].kernel()), "{how}");
+            for (loaded, twin) in loaded.iter().zip(&twins) {
+                assert_eq!(&state_bits(loaded), twin, "{how}");
+            }
+        };
+        // A cache that never read the record: it writes the record again.
+        let reseed = || {
+            let writer = DiskCache::open(&dir).unwrap();
+            for (config, entry) in CONFIGS.iter().zip(&cold) {
+                let key = EntryKey::new(&m, *config, true);
+                writer.store(&key, &m.name, entry).unwrap();
+            }
+        };
+        let other = model("BeelerReuter");
+        type Remove<'a> = (&'a str, Box<dyn Fn(&DiskCache) + 'a>);
+        let removals: [Remove; 3] = [
+            (
+                "cleared",
+                Box::new(|fresh| assert_eq!(fresh.clear().unwrap(), 2)),
+            ),
+            (
+                "evicted",
+                Box::new(|_| {
+                    let evictor = DiskCache::open(&dir).unwrap();
+                    evictor.set_cap_bytes(0);
+                    let key = EntryKey::new(&other, CONFIGS[0], true);
+                    let entry = CompiledKernel::compile(&other, CONFIGS[0]);
+                    evictor.store(&key, &other.name, &entry).unwrap();
+                    assert!(evictor.stats().evictions >= 3);
+                    // The other model's records would confuse `tables_path`.
+                    let (tables, _) = seal_tables(key.fingerprint, entry.kernel().luts()).unwrap();
+                    fs::remove_file(entry_path(&evictor, &key)).unwrap();
+                    fs::remove_file(dir.join(tables.file_name())).unwrap();
+                }),
+            ),
+            ("replaced", Box::new(|_| reseed())),
+        ];
+        for (how, remove) in removals {
+            let fresh = DiskCache::open(&dir).unwrap();
+            let loaded = load_both(&fresh, &m);
+            let path = tables_path(&dir);
+            let inode = |path: &Path| {
+                use std::os::unix::fs::MetadataExt;
+                fs::metadata(path).ok().map(|meta| meta.ino())
+            };
+            let before = inode(&path);
+            assert!(mapped(&path), "{how}: the loaded tables map their record");
+            remove(&fresh);
+            assert_ne!(inode(&path), before, "{how}: the record is gone");
+            assert_twins(&loaded, how);
+            drop(loaded);
+            reseed();
+        }
+
+        // An armed fault refuses the record on its rung and removes it; what
+        // it damaged was a copy: a hard link to the file still holds the
+        // bytes, and the tables a kernel mapped before still step right.
+        let held = load_both(&DiskCache::open(&dir).unwrap(), &m);
+        for (spec, reason) in [
+            ("disk-corrupt@3", RejectReason::ChecksumMismatch),
+            ("disk-truncate@5", RejectReason::TornTail),
+            ("disk-stale-version@1", RejectReason::StaleVersion),
+        ] {
+            let path = tables_path(&dir);
+            let name = path.file_name().unwrap().to_str().unwrap();
+            let (fp, sum) = name[5..name.len() - 4].split_once('-').unwrap();
+            let key = TableKey {
+                fingerprint: u64::from_str_radix(fp, 16).unwrap(),
+                sum: u64::from_str_radix(sum, 16).unwrap(),
+            };
+            let (kept, bytes) = (dir.join("kept"), fs::read(&path).unwrap());
+            fs::hard_link(&path, &kept).unwrap();
+            let plan = faults::arm(spec).unwrap();
+            let refused = DiskCache::open(&dir).unwrap().load_tables(&key);
+            drop(plan);
+            assert_eq!(refused.unwrap_err().reason, reason, "{spec}");
+            assert!(!path.exists(), "{spec}: the refused record is removed");
+            assert_eq!(
+                fs::read(&kept).unwrap(),
+                bytes,
+                "{spec}: the file is intact"
+            );
+            fs::remove_file(&kept).unwrap();
+            assert_twins(&held, spec);
+
+            // Recompiled and healed: the entry that names the removed record
+            // is refused, its recompile writes the record again, and the
+            // next process loads both entries from it.
+            let cache = crate::KernelCache::new();
+            cache.set_disk_cache(Some(Arc::new(DiskCache::open(&dir).unwrap())));
+            for (config, twin) in CONFIGS.iter().zip(&twins) {
+                assert_eq!(&state_bits(&cache.get_or_compile(&m, *config)), twin);
+            }
+            let s = cache.stats();
+            assert_eq!((s.disk_rejects, s.misses, s.disk_hits), (1, 1, 1), "{spec}");
+            assert_twins(&load_both(&DiskCache::open(&dir).unwrap(), &m), spec);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -38,11 +38,13 @@
 use crate::checksum::payload_sum;
 use crate::faults::{self, FaultKind};
 use limpet_rng::SmallRng;
+use limpet_vm::LutBytes;
 use std::fmt::{self, Display, Write as _};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 /// Why a record was refused — one variant per rung of the load ladder, in
@@ -107,10 +109,33 @@ pub(crate) fn seal(
     payload_len: usize,
     fill: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
+    seal_placed(magic, stamps, key, |_| payload_len, fill).expect("a fixed length spells itself")
+}
+
+/// [`seal`] of a payload whose length depends on where it starts in the
+/// record — a block padded from the record's first byte: `payload_len(at)`
+/// is its length when it starts at byte `at`, and `fill` appends it after
+/// the header. The header's length depends on the digits of the payload's,
+/// so the record is the one whose length spells itself. `None` when no
+/// length does: a padded length that gains a digit where the header does
+/// loses it again (one block in some millions).
+pub(crate) fn seal_placed(
+    magic: &str,
+    stamps: &[&dyn Display],
+    key: &[&dyn Display],
+    payload_len: impl Fn(usize) -> usize,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> Option<Vec<u8>> {
     let mut header = String::from(magic);
     for field in stamps.iter().chain(key) {
         let _ = write!(header, " {field}");
     }
+    // ` <payload_len> <sum:016x>\n`: the payload starts 19 bytes after the
+    // length's digits.
+    let payload_len = (1..=20)
+        .map(|digits| (digits, payload_len(header.len() + 1 + digits + 18)))
+        .find(|(digits, len)| len.to_string().len() == *digits)?
+        .1;
     let _ = write!(header, " {payload_len} ");
     let mut out = header.into_bytes();
     let sum_at = out.len();
@@ -125,32 +150,34 @@ pub(crate) fn seal(
     );
     let sum = format!("{:016x}", payload_sum(&out[payload_at..]));
     out[sum_at..sum_at + 16].copy_from_slice(sum.as_bytes());
-    out
+    Some(out)
 }
 
-/// [`seal`] for a record keyed by what it holds: the last field of its key
-/// is the payload's sum, which `seal` computes for the header anyway. The
-/// record is sealed under a placeholder for it, and the sum is copied in.
-/// Returns the record and the sum.
+/// [`seal_placed`] for a record keyed by what it holds: the last field of
+/// its key is the payload's sum, which the header states anyway. The record
+/// is sealed under a placeholder for it, and the sum is copied in. Returns
+/// the record and the sum.
 pub(crate) fn seal_by_sum(
     magic: &str,
     stamps: &[&dyn Display],
     key: &[&dyn Display],
-    payload_len: usize,
+    payload_len: impl Fn(usize) -> usize,
     fill: impl FnOnce(&mut Vec<u8>),
-) -> (Vec<u8>, u64) {
+) -> Option<(Vec<u8>, u64)> {
     let placeholder = "0".repeat(16);
     let key: Vec<&dyn Display> = key.iter().copied().chain([&placeholder as _]).collect();
-    let mut record = seal(magic, stamps, &key, payload_len, fill);
+    let mut record = seal_placed(magic, stamps, &key, payload_len, fill)?;
     let header_end = record.iter().position(|&b| b == b'\n');
-    let sum_at = header_end.expect("a sealed record has a header line") - 16;
+    let header_end = header_end.expect("a sealed record has a header line");
+    let sum_at = header_end - 16;
     // `… <sum> <payload-len> <sum>\n`: the placeholder ends where the length
     // begins.
+    let payload_len = record.len() - header_end - 1;
     let key_at = sum_at - 1 - payload_len.to_string().len() - 1 - 16;
     record.copy_within(sum_at..sum_at + 16, key_at);
     let sum = std::str::from_utf8(&record[sum_at..sum_at + 16]).ok();
     let sum = sum.and_then(|hex| u64::from_str_radix(hex, 16).ok());
-    (record, sum.expect("seal spells the sum in hex"))
+    Some((record, sum.expect("seal spells the sum in hex")))
 }
 
 /// Walks the ladder over `bytes` down to the payload, for the store that
@@ -349,6 +376,126 @@ pub(crate) fn inject(bytes: &mut Vec<u8>, [torn, corrupt, stale]: [FaultKind; 3]
     }
 }
 
+/// Reads the record `file` holds: mapped when `map` asks for it and no
+/// fault of `kinds` is armed, else — a fault armed, or no mapping to be had
+/// — read into an 8-aligned buffer of its own ([`limpet_vm::lut_bytes`]),
+/// which the armed fault damages by [`inject`]'s rules, never the file.
+/// Either way the bytes start 8-aligned in memory, so that a table
+/// record's values can be read where they lie. A mapping reads the file's
+/// pages where the kernel caches them: the roster's 43 table records,
+/// 35.6 MB, take ≈ 300 page faults mapped, where reading them into fresh
+/// memory took 3–5 thousand.
+pub(crate) fn read(file: &fs::File, map: bool, kinds: [FaultKind; 3]) -> io::Result<LutBytes> {
+    #[cfg(unix)]
+    if map && !kinds.into_iter().any(faults::armed) {
+        if let Some(mapping) = map::Mapping::of(file) {
+            return Ok(Arc::new(mapping));
+        }
+    }
+    let mut bytes = Vec::new();
+    io::Read::read_to_end(&mut &*file, &mut bytes)?;
+    inject(&mut bytes, kinds);
+    Ok(limpet_vm::lut_bytes(bytes))
+}
+
+/// A read-only mapping of a whole file: `mmap` and `munmap` (std-only; no
+/// crates).
+#[cfg(unix)]
+mod map {
+    use std::fs;
+    use std::os::fd::AsRawFd;
+    use std::os::raw::{c_int, c_long, c_void};
+    use std::ptr::{self, NonNull};
+
+    const PROT_READ: c_int = 1;
+    const MAP_PRIVATE: c_int = 2;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// A whole file mapped read-only and private; unmapped on drop.
+    ///
+    /// The pages stay what the file held when it was mapped as long as no
+    /// one writes the file in place: this crate replaces a record only by
+    /// rename (`store::publish`) and removes it only by unlink, and neither
+    /// touches a mapped inode. A record truncated in place by another
+    /// program ends the process with `SIGBUS` at the first read past its
+    /// new end.
+    #[derive(Debug)]
+    pub(crate) struct Mapping {
+        ptr: NonNull<u8>,
+        len: usize,
+    }
+
+    // SAFETY: `ptr` and `len` are read-only memory that stays mapped until
+    // the `Mapping` drops; reading it from any thread is as safe as reading
+    // a `&[u8]`.
+    unsafe impl Send for Mapping {}
+    // SAFETY: as for `Send`.
+    unsafe impl Sync for Mapping {}
+
+    impl Mapping {
+        /// The whole of `file`, mapped; `None` for an empty file or when
+        /// the kernel refuses.
+        pub(crate) fn of(file: &fs::File) -> Option<Mapping> {
+            let len = usize::try_from(file.metadata().ok()?.len()).ok()?;
+            if len == 0 {
+                return None;
+            }
+            // SAFETY: a fresh read-only private mapping of an open
+            // descriptor, at an address the kernel picks, aliases no Rust
+            // memory.
+            let at = unsafe {
+                mmap(
+                    ptr::null_mut(),
+                    len,
+                    PROT_READ,
+                    MAP_PRIVATE,
+                    file.as_raw_fd(),
+                    0,
+                )
+            };
+            // `MAP_FAILED` is `(void *)-1`.
+            if at as usize == usize::MAX {
+                return None;
+            }
+            Some(Mapping {
+                ptr: NonNull::new(at.cast())?,
+                len,
+            })
+        }
+    }
+
+    impl AsRef<[u8]> for Mapping {
+        fn as_ref(&self) -> &[u8] {
+            // SAFETY: `ptr` is the start of `len` mapped, readable,
+            // page-aligned bytes that stay mapped until `self` drops and that
+            // nothing in this process writes (the type's docs say what
+            // another process can do).
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    impl Drop for Mapping {
+        fn drop(&mut self) {
+            // SAFETY: unmaps exactly the mapping `of` made, once; no slice
+            // of it outlives `self`.
+            unsafe {
+                munmap(self.ptr.as_ptr().cast(), self.len);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     //! One attack suite over the frame, run on all four record kinds a
@@ -470,7 +617,7 @@ pub(crate) mod tests {
         let key = EntryKey::new(&m, PipelineKind::Baseline, true);
         let compiled = CompiledKernel::compile(&m, PipelineKind::Baseline);
         let luts = compiled.kernel().shared_luts();
-        let (tables, record) = persist::seal_tables(key.fingerprint, luts);
+        let (tables, record) = persist::seal_tables(key.fingerprint, luts).unwrap();
         let entry = persist::encode_entry(&key, &m.name, &compiled, &tables);
         attack("lke", &entry, &|bytes| {
             persist::decode_entry(bytes, &key, &m, |named| {
@@ -483,7 +630,7 @@ pub(crate) mod tests {
 
         // `.lkt`: the tables that entry names.
         attack("lkt", &record, &|bytes| {
-            persist::open_tables(bytes, &tables)
+            persist::open_tables(limpet_vm::lut_bytes(bytes.to_vec()), &tables)
                 .map(|decoded| {
                     assert!(limpet_vm::same_luts(&decoded, luts));
                 })
@@ -535,9 +682,14 @@ pub(crate) mod tests {
         assert_eq!(open(&empty, "magic", &[], &[]).unwrap(), b"");
         // A record keyed by its sum names it in the key, spelled as the
         // header's sum is.
-        let (keyed, sum) = seal_by_sum("magic", &[&7], &[&"key"], 5, |out| {
-            out.extend_from_slice(b"hello")
-        });
+        let (keyed, sum) = seal_by_sum(
+            "magic",
+            &[&7],
+            &[&"key"],
+            |_| 5,
+            |out| out.extend_from_slice(b"hello"),
+        )
+        .unwrap();
         assert_eq!(sum, payload_sum(b"hello"));
         let hex = format!("{sum:016x}");
         assert_eq!(
@@ -557,6 +709,64 @@ pub(crate) mod tests {
         assert_eq!(rung("magic", &[&7, &9], "key"), RejectReason::BadHeader);
         assert_eq!(rung("magic", &[&8], "yek"), RejectReason::StaleVersion);
         assert_eq!(rung("magic", &[&7], "yek"), RejectReason::KeyMismatch);
+    }
+
+    #[test]
+    fn a_placed_payload_is_sealed_at_the_length_that_spells_itself() {
+        // `m <len> <sum>\n`: a payload of 9 bytes starts at 21, one of 10 at
+        // 22. Here a payload that starts at 22 is 10 bytes long, one that
+        // starts elsewhere 9 — both spell themselves, and the shorter wins.
+        let fill = |len: usize| move |out: &mut Vec<u8>| out.resize(out.len() + len, b'x');
+        let len_at = |at: usize| if at == 22 { 10 } else { 9 };
+        let record = seal_placed("m", &[], &[], len_at, fill(9)).unwrap();
+        assert_eq!(record.len() - 9, 21);
+        assert_eq!(open(&record, "m", &[], &[]).unwrap(), b"xxxxxxxxx");
+        // 99 bytes at 21 and 100 from 22 on: the length that spells itself
+        // is three digits long, the payload then starting at 23.
+        let len_at = |at: usize| if at >= 22 { 100 } else { 99 };
+        let record = seal_placed("m", &[], &[], len_at, fill(100)).unwrap();
+        assert_eq!(record.len() - 100, 23);
+        // 100 bytes at 22, 99 at 23 and elsewhere: no length spells itself.
+        let len_at = |at: usize| if at == 22 { 100 } else { 99 };
+        assert!(seal_placed("m", &[], &[], len_at, fill(99)).is_none());
+    }
+
+    #[test]
+    fn a_read_record_starts_8_aligned_mapped_or_damaged_in_a_copy() {
+        let dir = std::env::temp_dir().join(format!("limpet-store-read-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("record.bin");
+        let record = seal("magic", &[&3], &[&"key"], 4096, |out| {
+            out.extend((0..4096).map(|i| (i % 251) as u8))
+        });
+        publish(&path, &record).unwrap();
+        let kinds = [
+            FaultKind::DiskTruncate,
+            FaultKind::DiskCorrupt,
+            FaultKind::DiskStaleVersion,
+        ];
+        let file = fs::File::open(&path).unwrap();
+        for map in [true, false] {
+            let bytes = read(&file, map, kinds).unwrap();
+            let bytes: &[u8] = (*bytes).as_ref();
+            assert_eq!(bytes, record, "map {map}");
+            assert_eq!(bytes.as_ptr() as usize % 8, 0, "map {map}");
+        }
+        // An armed fault damages what this load reads, not the file, and a
+        // mapping made before it is left as it was.
+        let mapped = read(&file, true, kinds).unwrap();
+        let _plan = faults::arm("disk-corrupt@7").unwrap();
+        let damaged = read(&file, true, kinds).unwrap();
+        let damaged: &[u8] = (*damaged).as_ref();
+        assert_ne!(damaged, record);
+        assert_eq!(damaged.as_ptr() as usize % 8, 0);
+        assert_eq!((*mapped).as_ref(), record);
+        assert_eq!(fs::read(&path).unwrap(), record);
+        // The mapping outlives its file.
+        fs::remove_file(&path).unwrap();
+        assert_eq!((*mapped).as_ref(), record);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,7 +20,9 @@ use limpet_harness::{
     CompiledKernel, DiskCache, DiskLoad, EntryKey, PipelineKind, Simulation, Workload,
 };
 use limpet_models::{model, ROSTER};
-use limpet_vm::{decode_luts, deserialize_luts, encode_luts, serialize_luts, Kernel, LutData};
+use limpet_vm::{
+    decode_luts, deserialize_luts, encode_luts, lut_bytes, serialize_luts, Kernel, LutData,
+};
 
 const CONFIGS: [PipelineKind; 2] = [
     PipelineKind::Baseline,
@@ -63,7 +65,8 @@ fn roster_luts_match_the_recorded_fingerprints() {
 
             let mut bytes = Vec::new();
             encode_luts(cold.kernel().luts(), &mut bytes);
-            let decoded = decode_luts(&bytes).expect("byte codec round trip");
+            let len = bytes.len();
+            let decoded = decode_luts(&lut_bytes(bytes), 0..len).expect("byte codec round trip");
             assert_eq!(serialize_luts(&decoded), text, "{} bytes", entry.name);
 
             let key = EntryKey::new(&m, config, limpet_vm::bytecode_opt_enabled());
@@ -150,7 +153,8 @@ fn special_payloads_round_trip_bit_exactly() {
 
     let mut bytes = Vec::new();
     encode_luts(&luts, &mut bytes);
-    let back = decode_luts(&bytes).expect("byte round trip");
+    let len = bytes.len();
+    let back = decode_luts(&lut_bytes(bytes), 0..len).expect("byte round trip");
     assert_eq!(bits_of(&back), bits_of(&luts));
 }
 

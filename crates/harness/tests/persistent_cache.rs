@@ -238,7 +238,7 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         limpet_vm::BYTECODE_FORMAT_VERSION,
     );
 
-    // What eight earlier builds stored for this model: f9ea60c (bytecode
+    // What nine earlier builds stored for this model: f9ea60c (bytecode
     // format 1: `lutvec` per column, no `lutrow`), 5b0cae0 (entry format 2:
     // the tables as a fourth text section of hex, which this build has no
     // reader for), 0892a15 and c5a12ba (bytecode format 2, which kept every
@@ -249,10 +249,12 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
     // 4: the tables as bytes inside the entry, where this build names a
     // table record), ec7e877 (entry format 5: the printed module as a
     // section before the program, which this build builds from the model)
-    // and 7fd044a (entry format 6: this build's grammar under the serial
-    // payload sum, refused on its stamp before any sum is computed).
+    // 7fd044a (entry format 6: this build's grammar under the serial
+    // payload sum, refused on its stamp before any sum is computed) and
+    // 1be48de (entry format 7: the grammar of this build, naming a table
+    // record whose values are not padded to 8-aligned offsets).
     let baseline = PipelineKind::Baseline;
-    let fixtures: [(&[u8], &[u8], PipelineKind); 8] = [
+    let fixtures: [(&[u8], &[u8], PipelineKind); 9] = [
         (
             include_bytes!("entry_written_at_f9ea60c.lke"),
             b"limpet-kernel-cache 1 1 1 ",
@@ -291,6 +293,11 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         (
             include_bytes!("entry_written_at_7fd044a.lke"),
             b"limpet-kernel-cache 6 1 4 ",
+            CONFIG,
+        ),
+        (
+            include_bytes!("entry_written_at_1be48de.lke"),
+            b"limpet-kernel-cache 7 1 4 ",
             CONFIG,
         ),
     ];
@@ -349,6 +356,39 @@ fn entry_written_by_the_parent_build_is_stale_not_misparsed() {
         let healed = cache_with_disk(&disk).get_or_compile(&m, config);
         assert_eq!(fnv_digest(&trajectory_bits(&healed)), 0x73ee_59cf_2d36_6425);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn table_record_written_by_the_parent_build_is_stale_not_misparsed() {
+    let dir = temp_cache_dir("parent-tables");
+    let disk = Arc::new(DiskCache::open(&dir).expect("temp cache dir"));
+    let m = coarse_gate();
+    let reference_bits = trajectory_bits(&cache_with_disk(&disk).get_or_compile(&m, CONFIG));
+    let (path, header) = read_tables(&dir);
+
+    // What 1be48de stored for the same tables (entry format 7: the values
+    // straight after their line, at whatever offset that is), put where this
+    // build's entry names its record. Were it read past its stamp, the
+    // values would be refused as unpadded — or, at an offset that happens
+    // to be 8-aligned, read.
+    let parent = include_bytes!("luts_written_at_1be48de.lkt");
+    let parent_header = std::str::from_utf8(parent.split(|&b| b == b'\n').next().unwrap());
+    let parent_header: Vec<&str> = parent_header.unwrap().split(' ').collect();
+    assert_eq!(parent_header[..3], ["limpet-lut-tables", "7", &header[2]]);
+    assert_ne!(
+        parent_header[3], header[3],
+        "padding changes the tables' sum"
+    );
+    std::fs::write(&path, parent).unwrap();
+    assert_rejected_and_healed(&disk, &m, CONFIG, "stale format version", &reference_bits);
+    let (_, healed) = read_tables(&dir);
+    assert_eq!(healed, header, "the healed record is this build's");
+
+    // And the healed kernel steps to the trajectory the parent build
+    // computed (its FNV-1a digest, printed by that build).
+    let healed = cache_with_disk(&disk).get_or_compile(&m, CONFIG);
+    assert_eq!(fnv_digest(&trajectory_bits(&healed)), 0x73ee_59cf_2d36_6425);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -568,10 +608,13 @@ fn entry_naming_a_register_outside_its_file_is_rejected_not_executed() {
 }
 
 /// The table block of [`coarse_gate`]'s table record is one 42-row,
-/// 2-column table: `luts 1\n`, the `lut … 42 2\n` line, 672 bytes, `\n`, `end\n`.
+/// 2-column table: `luts 1\n`, the `lut … 42 2\n` line, the zero bytes that
+/// pad the values to an 8-aligned offset of the record, 672 bytes, `\n`,
+/// `end\n`.
 const GATE_TABLE_BYTES: usize = 42 * 2 * 8;
 
-/// Where the table's line starts in that block, and where its data does.
+/// Where the table's line starts in that block, and where it ends (the
+/// padding, then the data, follow).
 const GATE_LINE_AT: usize = "luts 1\n".len();
 
 fn gate_data_at(tables: &[u8]) -> usize {
@@ -681,9 +724,18 @@ fn malformed_table_blocks_are_rejected_not_loaded() {
             "cut short",
         ),
         (
+            "a pad byte that is not zero",
+            Box::new(|t| {
+                let at = gate_data_at(t);
+                assert_eq!(t[at], 0, "the values are padded");
+                t[at] = b' ';
+            }),
+            "a non-zero pad byte",
+        ),
+        (
             "no newline after the block",
             Box::new(|t| {
-                let at = gate_data_at(t) + GATE_TABLE_BYTES;
+                let at = t.len() - b"\nend\n".len();
                 assert_eq!(t.remove(at), b'\n');
             }),
             "bad terminator",

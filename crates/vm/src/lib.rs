@@ -64,7 +64,7 @@ pub use bytecode::{
 };
 pub use engine::{step_isa, tabulate_luts, Kernel, ModelInfo, ParentView, Profile, SimContext};
 pub use eval::{eval_func, EvalContext, EvalError, ParamOnlyContext, Val};
-pub use lut::{same_luts, LutData};
+pub use lut::{lut_bytes, same_luts, LutBytes, LutData};
 pub use optimize::{bytecode_opt_enabled, optimize_program, optimize_program_with, OptStats};
 pub use serialize::{
     decode_luts, deserialize_luts, deserialize_program, encode_luts, encoded_luts_len,

@@ -27,8 +27,134 @@
 //! [`LutData::interp_block_cubic`], [`LutData::interp_one`]) compute the
 //! same values one column at a time; the native tier's callbacks, the
 //! benchmark's probe and the row tests' oracles use them.
+//!
+//! A table's values are a slice and the owner that keeps it alive
+//! (`Values`): the table's own vector when it was tabulated, or the
+//! [`LutBytes`] of a table record when it was loaded — a read-only mapping of
+//! the file, whose values are read where they lie, never copied. Every
+//! reader sees a plain `&[f64]` either way.
 
 use crate::bytecode::LutInterp;
+use std::ptr::NonNull;
+use std::sync::Arc;
+
+// A loaded table's values are the little-endian words of its record, read
+// in place as `f64`s.
+#[cfg(target_endian = "big")]
+compile_error!(
+    "limpet-vm reads loaded lookup-table values in place as little-endian words; \
+     big-endian targets are not supported"
+);
+
+/// The bytes of a table record that tables are read from in place: a
+/// read-only mapping of the file, or a buffer it was read into. The first
+/// byte is 8-aligned in memory, and every table read from them holds them
+/// for as long as it lives.
+pub type LutBytes = Arc<dyn AsRef<[u8]> + Send + Sync>;
+
+/// `bytes` as [`LutBytes`] of their own: where they lie when they start
+/// 8-aligned, else copied to an offset of a buffer where they do.
+pub fn lut_bytes(bytes: Vec<u8>) -> LutBytes {
+    if (bytes.as_ptr() as usize).is_multiple_of(8) {
+        return Arc::new(bytes);
+    }
+    let mut buf: Vec<u8> = Vec::with_capacity(bytes.len() + 7);
+    let at = (buf.as_ptr() as usize).wrapping_neg() % 8;
+    buf.resize(at, 0);
+    buf.extend_from_slice(&bytes);
+    Arc::new(Aligned(buf, at))
+}
+
+/// A buffer whose bytes from the offset on start 8-aligned.
+struct Aligned(Vec<u8>, usize);
+
+impl AsRef<[u8]> for Aligned {
+    fn as_ref(&self) -> &[u8] {
+        &self.0[self.1..]
+    }
+}
+
+/// A table's values: a slice, and the owner that keeps its memory alive
+/// and unchanged — the table's own vector, or the bytes of the record it
+/// was read from in place.
+#[derive(Clone)]
+pub(crate) struct Values {
+    ptr: NonNull<f64>,
+    len: usize,
+    _owner: Arc<dyn Send + Sync>,
+}
+
+// SAFETY: `ptr` and `len` only read memory `_owner` keeps alive and that
+// no one writes while it lives (a vector no one can reach mutably behind
+// its `Arc`, or bytes behind the `Arc` of a `Send + Sync` owner); sending
+// or sharing a `Values` sends or shares an `Arc` of that owner, which is
+// `Send` and `Sync`.
+unsafe impl Send for Values {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for Values {}
+
+impl Values {
+    /// The `len` values at byte offset `at` of `bytes`, read in place.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a range outside `bytes` and values that are not 8-aligned in
+    /// memory (which would not be `f64`s to read where they lie).
+    pub(crate) fn shared(bytes: &LutBytes, at: usize, len: usize) -> Result<Values, String> {
+        let all: &[u8] = (**bytes).as_ref();
+        let block = len
+            .checked_mul(8)
+            .and_then(|n| all.get(at..at.checked_add(n)?))
+            .ok_or_else(|| format!("{len} lut values at byte {at} lie outside the record"))?;
+        if !(block.as_ptr() as usize).is_multiple_of(8) {
+            return Err(format!(
+                "lut values at byte {at} are not 8-aligned in memory"
+            ));
+        }
+        Ok(Values {
+            ptr: NonNull::from(block).cast(),
+            len,
+            _owner: Arc::clone(bytes) as _,
+        })
+    }
+}
+
+impl From<Vec<f64>> for Values {
+    fn from(own: Vec<f64>) -> Values {
+        let own = Arc::new(own);
+        Values {
+            ptr: NonNull::from(own.as_slice()).cast(),
+            len: own.len(),
+            _owner: own,
+        }
+    }
+}
+
+impl std::ops::Deref for Values {
+    type Target = [f64];
+
+    #[inline(always)]
+    fn deref(&self) -> &[f64] {
+        // SAFETY: `ptr` and `len` describe `len` aligned, initialised `f64`s
+        // in memory `_owner` holds (a vector's heap buffer, or bytes checked
+        // in range and aligned by `Values::shared`); nothing writes them
+        // while `self` lives, and the slice lives no longer than the borrow
+        // of `self`.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl PartialEq for Values {
+    fn eq(&self, other: &Values) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Values {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// The most lanes one [`LutData::interp_row`] call interpolates: the size
 /// of its two per-lane scratch arrays (the engine's widest dispatch is 32).
@@ -43,7 +169,7 @@ pub fn same_luts(a: &[LutData], b: &[LutData]) -> bool {
         grid(a) == grid(b)
             && a.data
                 .iter()
-                .zip(&b.data)
+                .zip(b.data.iter())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
     };
     std::ptr::eq(a, b) || (a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b)))
@@ -72,7 +198,7 @@ pub struct LutData {
     rows: usize,
     cols: usize,
     /// Row-major: `data[row * cols + col]`.
-    data: Vec<f64>,
+    data: Values,
 }
 
 impl LutData {
@@ -104,7 +230,7 @@ impl LutData {
             inv_step: 1.0 / step,
             rows,
             cols,
-            data,
+            data: data.into(),
         }
     }
 
@@ -126,6 +252,17 @@ impl LutData {
         step: f64,
         cols: usize,
         data: Vec<f64>,
+    ) -> Result<LutData, String> {
+        LutData::assemble(lo, hi, step, cols, data.into())
+    }
+
+    /// [`LutData::from_raw`] over values that may lie in shared bytes.
+    pub(crate) fn assemble(
+        lo: f64,
+        hi: f64,
+        step: f64,
+        cols: usize,
+        data: Values,
     ) -> Result<LutData, String> {
         let range_ok =
             lo.is_finite() && hi.is_finite() && step.is_finite() && step > 0.0 && hi > lo;
@@ -308,7 +445,7 @@ impl LutData {
         // `at` never engages — it is there for the optimiser, which can
         // then drop the per-element bounds check and turn the lane loop
         // into vector gathers where the instruction set has them.
-        let (cols, data) = (self.cols, self.data.as_slice());
+        let (cols, data) = (self.cols, &*self.data);
         let last = data.len().checked_sub(1).expect("a table has rows");
         // An `if` and a `while`: `Ord::min` or a range loop changes the release code.
         let at = |offset: usize| data[if offset < last { offset } else { last }];

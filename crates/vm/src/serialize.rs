@@ -8,7 +8,9 @@
 //! lookup tables have two codecs: [`serialize_luts`] is the same readable
 //! text (the export form, 2.1 bytes of hex per byte of table), and
 //! [`encode_luts`] the byte form the cache stores (a text line per table,
-//! then its values as they lie in memory).
+//! then its values as they lie in memory, padded to start 8-aligned from
+//! the start of the record). [`decode_luts`] reads that form in place: each
+//! table's values stay in the record's bytes, which the tables hold.
 //!
 //! Each format carries a version stamp ([`BYTECODE_FORMAT_VERSION`] for
 //! programs, one of its own for LUT payloads); readers reject any other
@@ -18,10 +20,11 @@
 //! offending line.
 
 use crate::bytecode::{BBin, FBin, IBin, Instr, LutInterp, Program};
-use crate::lut::LutData;
+use crate::lut::{LutBytes, LutData, Values};
 use crate::optimize::{for_each_def, for_each_use, RegClass};
 use limpet_ir::{CmpFPred, CmpIPred, MathFn};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Version stamp of the textual bytecode format. Bump on any change to
 /// the serialized shape, and also when `compile_program`/`optimize_program`
@@ -865,23 +868,35 @@ fn lut_block_head(lut: &LutData) -> String {
     )
 }
 
-/// How many bytes [`encode_luts`] appends for `luts`, so that a container
-/// can state its length ahead of the block and allocate once.
-pub fn encoded_luts_len(luts: &[LutData]) -> usize {
-    let tables: usize = luts
-        .iter()
-        .map(|lut| lut_block_head(lut).len() + lut.bytes() + 1)
-        .sum();
-    format!("luts {}\n", luts.len()).len() + tables + LUT_BLOCK_END.len()
+/// The zero bytes in front of values that would start at offset `at`, so
+/// that they start at a multiple of 8.
+fn lut_pad(at: usize) -> usize {
+    at.wrapping_neg() % 8
+}
+
+/// How many bytes [`encode_luts`] appends for `luts` to a record of `at`
+/// bytes, so that the record can state its length ahead of the block and
+/// allocate once.
+pub fn encoded_luts_len(luts: &[LutData], at: usize) -> usize {
+    let mut end = at + format!("luts {}\n", luts.len()).len();
+    for lut in luts {
+        end += lut_block_head(lut).len();
+        end += lut_pad(end) + lut.bytes() + 1;
+    }
+    end + LUT_BLOCK_END.len() - at
 }
 
 /// Appends a kernel's tabulated lookup tables (in program order) to `out`
 /// in the byte form the disk cache stores: the values as they lie in
-/// memory, not as text ([`serialize_luts`] is the readable export form).
+/// memory, not as text ([`serialize_luts`] is the readable export form),
+/// each table's values padded with zero bytes to start at a multiple of 8
+/// from the start of `out` — the record — so that a reader whose record
+/// starts 8-aligned reads them in place ([`decode_luts`]).
 ///
 /// ```text
 /// luts <count>\n
 /// lut <lo:016x> <hi:016x> <step:016x> <rows> <cols>\n     per table, then
+/// <0-7 zero bytes, to an offset that is a multiple of 8>
 /// <rows·cols·8 bytes: each value's bits, little-endian>\n
 /// end\n
 /// ```
@@ -889,7 +904,7 @@ pub fn encode_luts(luts: &[LutData], out: &mut Vec<u8>) {
     out.extend_from_slice(format!("luts {}\n", luts.len()).as_bytes());
     for lut in luts {
         out.extend_from_slice(lut_block_head(lut).as_bytes());
-        let at = out.len();
+        let at = out.len() + lut_pad(out.len());
         out.resize(at + lut.bytes(), 0);
         for (dst, v) in out[at..].chunks_exact_mut(8).zip(lut.data()) {
             dst.copy_from_slice(&v.to_bits().to_le_bytes());
@@ -911,18 +926,24 @@ fn take_block_line<'a>(rest: &mut &'a [u8], no: usize) -> Result<&'a str, String
     Ok(line)
 }
 
-/// Decodes an [`encode_luts`] block, which must be all of `bytes`.
+/// Decodes the [`encode_luts`] block that is `block` of `bytes`, a record
+/// whose offsets the padding counts from. The tables' values stay where
+/// they lie: each table reads them in place and holds `bytes`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first defect: a malformed line (numbered
 /// among the block's text lines), a table whose `rows × cols` values
 /// overflow or exceed the bytes that are left — decided before anything is
-/// allocated for them —, a missing terminator, a table count that disagrees
-/// with the tables present, a grid [`LutData::from_raw`] rejects, or bytes
-/// after `end`. Never panics on malformed input.
-pub fn decode_luts(bytes: &[u8]) -> Result<Vec<LutData>, String> {
-    let mut rest = bytes;
+/// read for them —, a non-zero pad byte, values that are not 8-aligned in
+/// memory, a missing terminator, a table count that disagrees with the
+/// tables present, a grid [`LutData::from_raw`] rejects, or bytes after
+/// `end`. Never panics on malformed input.
+pub fn decode_luts(bytes: &LutBytes, block: Range<usize>) -> Result<Vec<LutData>, String> {
+    let all: &[u8] = (**bytes).as_ref();
+    let mut rest = all
+        .get(block.clone())
+        .ok_or_else(|| format!("lut block {block:?} lies outside {} bytes", all.len()))?;
     let mut f = Fields::of(take_block_line(&mut rest, 1)?, 1);
     if f.next()? != "luts" {
         return Err("line 1: expected 'luts' header".to_string());
@@ -941,25 +962,28 @@ pub fn decode_luts(bytes: &[u8]) -> Result<Vec<LutData>, String> {
         let (lo, hi, step) = (f.f64()?, f.f64()?, f.f64()?);
         let (rows, cols) = (f.usize()?, f.usize()?);
         f.done()?;
-        let len = rows
+        let values = rows
             .checked_mul(cols)
-            .and_then(|values| values.checked_mul(8))
+            .filter(|values| values.checked_mul(8).is_some())
             .ok_or_else(|| format!("line {no}: lut dimensions overflow"))?;
-        if rest.len() <= len {
+        let pad = lut_pad(block.end - rest.len());
+        if rest.len().saturating_sub(pad) <= values * 8 {
             return Err(format!(
                 "line {no}: lut of {rows} x {cols} values is cut short ({} bytes left)",
                 rest.len()
             ));
         }
-        let (block, after) = rest.split_at(len);
-        let data = block
-            .chunks_exact(8)
-            .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"))))
-            .collect();
-        rest = after
+        if rest[..pad].iter().any(|&b| b != 0) {
+            return Err(format!(
+                "line {no}: a non-zero pad byte before the lut values"
+            ));
+        }
+        let at = block.end - rest.len() + pad;
+        let data = Values::shared(bytes, at, values).map_err(|e| format!("line {no}: {e}"))?;
+        rest = rest[pad + values * 8..]
             .strip_prefix(b"\n")
             .ok_or_else(|| format!("line {no}: lut data has a bad terminator"))?;
-        luts.push(LutData::from_raw(lo, hi, step, cols, data)?);
+        luts.push(LutData::assemble(lo, hi, step, cols, data)?);
     }
     if rest != LUT_BLOCK_END {
         return Err(format!(
@@ -973,6 +997,8 @@ pub fn decode_luts(bytes: &[u8]) -> Result<Vec<LutData>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lut::same_luts;
+    use std::sync::Arc;
 
     fn sample_program() -> Program {
         use limpet_ir::{CmpFPred, CmpIPred, MathFn};
@@ -1371,41 +1397,147 @@ mod tests {
         assert_eq!(luts, back);
     }
 
-    #[test]
-    fn lut_bytes_round_trip_and_state_their_length() {
-        let luts = vec![
+    /// Bytes laid out `shift` bytes past an 8-aligned address, as a
+    /// record whose first byte is there.
+    struct Shifted(Vec<u8>, usize);
+
+    impl AsRef<[u8]> for Shifted {
+        fn as_ref(&self) -> &[u8] {
+            &self.0[self.1..]
+        }
+    }
+
+    fn shifted(bytes: &[u8], shift: usize) -> LutBytes {
+        let mut buf: Vec<u8> = Vec::with_capacity(bytes.len() + 15);
+        let at = (buf.as_ptr() as usize).wrapping_neg() % 8 + shift;
+        buf.resize(at, 0);
+        buf.extend_from_slice(bytes);
+        Arc::new(Shifted(buf, at))
+    }
+
+    /// Decodes `bytes[at..]` from an 8-aligned copy of `bytes`.
+    fn decode_at(bytes: &[u8], at: usize) -> Result<Vec<LutData>, String> {
+        decode_luts(&shifted(bytes, 0), at..bytes.len())
+    }
+
+    fn two_tables() -> Vec<LutData> {
+        vec![
             LutData::build(-100.0, 100.0, 5.0, 2, |x, out| {
                 out[0] = (x / 10.0).exp();
                 out[1] = -x;
             }),
             LutData::build(0.0, 1.0, 0.1, 1, |x, out| out[0] = x.sin()),
-        ];
-        // Appended: what is in the buffer already is the container's.
+        ]
+    }
+
+    /// Where each table's values start in `record` (after its `lut` line and
+    /// the padding).
+    fn value_offsets(record: &[u8], luts: &[LutData]) -> Vec<usize> {
+        let mut at = 0;
+        luts.iter()
+            .map(|lut| {
+                let head = lut_block_head(lut);
+                at += record[at..]
+                    .windows(head.len())
+                    .position(|w| w == head.as_bytes())
+                    .expect("the table's line")
+                    + head.len();
+                at += lut_pad(at);
+                at
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lut_bytes_round_trip_and_state_their_length() {
+        let luts = two_tables();
+        // Appended: what is in the buffer already is the record's, and the
+        // padding counts from its first byte.
         let mut bytes = b"header\n".to_vec();
         encode_luts(&luts, &mut bytes);
         let block = &bytes[7..];
-        assert_eq!(block.len(), encoded_luts_len(&luts));
-        assert_eq!(decode_luts(block).expect("round trip"), luts);
+        assert_eq!(block.len(), encoded_luts_len(&luts, 7));
+        let decoded = decode_at(&bytes, 7).expect("round trip");
+        assert_eq!(decoded, luts);
+        assert!(same_luts(&decoded, &luts));
         // The values are the words themselves, little-endian, after the
-        // table's line.
+        // table's line and zero bytes up to an offset that is a multiple of 8.
         let head = lut_block_head(&luts[0]);
         assert!(head.ends_with(" 42 2\n"), "{head}");
-        let at = "luts 2\n".len() + head.len();
-        for (w, v) in block[at..].chunks_exact(8).zip(luts[0].data()) {
+        let line_end = 7 + "luts 2\n".len() + head.len();
+        let at = value_offsets(&bytes, &luts)[0];
+        assert_eq!((at % 8, at - line_end), (0, lut_pad(line_end)));
+        assert!(bytes[line_end..at].iter().all(|&b| b == 0));
+        for (w, v) in bytes[at..].chunks_exact(8).zip(luts[0].data()) {
             assert_eq!(w, v.to_bits().to_le_bytes());
         }
         // No prefix of a block is a block, and nothing may follow one.
         for cut in 0..block.len() {
-            assert!(decode_luts(&block[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_at(&bytes[..7 + cut], 7).is_err(), "cut at {cut}");
         }
-        let err = decode_luts(&[block, b"\n"].concat()).unwrap_err();
+        let err = decode_at(&[&bytes[..], b"\n"].concat(), 7).unwrap_err();
         assert!(err.contains("expected 'end' after 2 lut(s)"), "{err}");
 
         let mut none = Vec::new();
         encode_luts(&[], &mut none);
         assert_eq!(none, b"luts 0\nend\n");
-        assert_eq!(none.len(), encoded_luts_len(&[]));
-        assert_eq!(decode_luts(&none), Ok(Vec::new()));
+        assert_eq!(none.len(), encoded_luts_len(&[], 0));
+        assert_eq!(decode_at(&none, 0), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn lut_values_start_8_aligned_after_every_header_length() {
+        let luts = two_tables();
+        // Headers of every length mod 8, and a 9- then a 10-digit length in
+        // a header of the record's own shape: the block follows whatever the
+        // header is.
+        for header in (0..16).map(|n| format!("h{}\n", "x".repeat(n))).chain([
+            format!("limpet-lut-tables 8 {} 999999999 0\n", "f".repeat(16)),
+            format!("limpet-lut-tables 8 {} 1000000000 0\n", "f".repeat(16)),
+        ]) {
+            let mut record = header.clone().into_bytes();
+            encode_luts(&luts, &mut record);
+            let at = header.len();
+            assert_eq!(record.len() - at, encoded_luts_len(&luts, at), "{header:?}");
+            for offset in value_offsets(&record, &luts) {
+                assert_eq!(offset % 8, 0, "{header:?}");
+            }
+            let decoded = decode_at(&record, at).expect("round trip");
+            assert!(same_luts(&decoded, &luts), "{header:?}");
+            // Read in place: the values are the record's bytes.
+            let bytes = shifted(&record, 0);
+            let decoded = decode_luts(&bytes, at..record.len()).unwrap();
+            let all: &[u8] = (*bytes).as_ref();
+            let start = all.as_ptr() as usize;
+            for (lut, offset) in decoded.iter().zip(value_offsets(&record, &luts)) {
+                assert_eq!(lut.data().as_ptr() as usize - start, offset);
+            }
+        }
+    }
+
+    #[test]
+    fn lut_blocks_with_a_non_zero_pad_or_unaligned_values_are_malformed() {
+        let luts = two_tables();
+        let mut record = b"hdr\n".to_vec();
+        encode_luts(&luts, &mut record);
+        let line_end = 4 + "luts 2\n".len() + lut_block_head(&luts[0]).len();
+        let pad = lut_pad(line_end);
+        assert!(pad > 0, "the sample has a pad to damage");
+        for at in line_end..line_end + pad {
+            let mut damaged = record.clone();
+            damaged[at] = b' ';
+            let err = decode_at(&damaged, 4).unwrap_err();
+            assert!(err.contains("line 2: a non-zero pad byte"), "{err}");
+        }
+        // The same bytes, with the record's first byte off an 8-aligned
+        // address by every amount: the values would not be `f64`s in place.
+        for shift in 1..8 {
+            let err = decode_luts(&shifted(&record, shift), 4..record.len()).unwrap_err();
+            assert!(err.contains("not 8-aligned in memory"), "{shift}: {err}");
+        }
+        // A block cut inside the padding is cut short.
+        let err = decode_at(&record[..line_end + 1], 4).unwrap_err();
+        assert!(err.contains("cut short"), "{err}");
     }
 
     #[test]

@@ -891,6 +891,33 @@ SWITCH=$(grep -rnE 'set_bytecode_opt|set_promotion_threshold|promotion_from_env|
 [ -z "$SWITCH" ] \
   || { echo "a process-wide engine switch (make it a per-call value or a KernelCache field):"; echo "$SWITCH"; exit 1; }
 
+echo "==> unsafe only where it is allowed (scripts/unsafe.allow)"
+# Each production file's count of `unsafe` (outside comments and
+# `#[cfg(test)]` modules, as scripts/size.sh finds them) must be exactly its
+# line in scripts/unsafe.allow: a new site, or a file that lost one, edits
+# the list in the same diff.
+# shellcheck disable=SC2046
+UNSAFE=$(awk '
+  FNR == 1 { intest = 0; held = 0 }
+  intest { if ($0 == end) intest = 0; next }
+  held && /^[ \t]*#\[/ { next }
+  held && /^[ \t]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ \{$/ {
+    match($0, /^[ \t]*/); end = substr($0, 1, RLENGTH) "}"; held = 0; intest = 1; next
+  }
+  { held = 0 }
+  /^[ \t]*#\[cfg\(test\)\]$/ { held = 1; next }
+  /^[ \t]*\/\// { next }
+  {
+    line = $0; sub(/\/\/.*/, "", line)
+    n = gsub(/(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/, "", line)
+    if (n) count[FILENAME] += n
+  }
+  END { for (f in count) print f, count[f] }
+' $(find crates/*/src -name '*.rs' | sort) | sort)
+ALLOWED=$(grep -v '^#' scripts/unsafe.allow | awk 'NF { print $1, $2 }' | sort)
+[ "$UNSAFE" = "$ALLOWED" ] \
+  || { echo "unsafe sites differ from scripts/unsafe.allow (< allowed, > found):"; diff <(echo "$ALLOWED") <(echo "$UNSAFE"); exit 1; }
+
 echo "==> size held (scripts/size.sh against size.budget)"
 # Production lines per crate and the three long documents may not grow
 # past size.budget; a change that grows one raises its line in the same diff.
